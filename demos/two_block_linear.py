@@ -16,7 +16,7 @@ import argparse
 
 import numpy as np
 
-from smallgain.compose import MAX, compose
+from smallgain.compose import compose
 from smallgain.paths import path_homogeneous, validate_path
 from smallgain.sgc import check_linear_spectral, nonlinear_perron
 from smallgain.simulate import (
@@ -49,7 +49,7 @@ def main():
     rep = validate_path(design.net, sigma)
     print(f"\nray path: min margin {rep.min_margin:.3e} over {len(rep.radii)} radii")
 
-    cl = compose(design.net, sigma, design.specs, mode=MAX)
+    cl = compose(design.net, sigma, design.specs)
     thr = cl.iss_threshold(1.0)
     print(f"certificate composed; iss_threshold(1) = {thr:.4f}")
 

@@ -27,11 +27,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .compose import ADDITIVE, MAX, SEPARATED, CompositeLyapunov, compose, derive_phi
+from .compose import CompositeLyapunov, compose, derive_phi
 from .errors import (
     ConfigError,
     NoConvergence,
@@ -51,16 +51,16 @@ from .gains import (
     MaxAgg,
     OuterSum,
     SumAgg,
-    eval_operator_ext,
 )
 from .parser import parse_gain
 from .paths import (
     R_MAX_DEFAULT,
     OmegaPath,
-    ReduciblePath,
     construct_path,
     export_path_csv,
+    path_margins,
     validate_path,
+    validation_grid,
 )
 from .sgc import (
     CERTIFIED_FAILS,
@@ -86,9 +86,6 @@ from .simulate import (
     integrate,
     linear_gains,
 )
-
-MODE_NAMES = {"sum": ADDITIVE, "max": MAX, "separated": SEPARATED}
-
 
 # ---------------------------------------------------------------------------
 # Config loading
@@ -412,22 +409,17 @@ def _certificate(cfg: LoadedConfig, args) -> CompositeLyapunov:
             raise cfg.design_error
         raise ConfigError("this command needs a model family", pointer="/model")
     homogeneous = cfg.homogeneous or isinstance(design, LinearDesign)
-    sigma = construct_path(design.net, homogeneous=homogeneous,
-                           r_max=getattr(args, "rmax", None) or R_MAX_DEFAULT,
-                           seed=_resolve_seed(args))
-    mode = MODE_NAMES[args.mode] if getattr(args, "mode", None) else None
-    if mode is None:
-        mode = MAX if isinstance(design, LinearDesign) else ADDITIVE
+    res = construct_path(design.net, homogeneous=homogeneous,
+                         r_max=getattr(args, "rmax", None) or R_MAX_DEFAULT,
+                         seed=_resolve_seed(args))
     alpha = cfg.alpha
     if alpha is None and isinstance(design, CGDesign):
         alpha = Linear(0.01)
-    return compose(design.net, sigma, design.specs, mode=mode, alpha=alpha)
+    return compose(design.net, res.sigma, design.specs, alpha=alpha, phi=res.phi)
 
 
 def _scaled(cl: CompositeLyapunov, factor: float) -> CompositeLyapunov:
-    sigma = OmegaPath(cl.sigma.radii, cl.sigma.values * factor)
-    return CompositeLyapunov(net=cl.net, sigma=sigma, phi=cl.phi, mode=cl.mode,
-                             subsystems=cl.subsystems, alpha=cl.alpha, c=cl.c)
+    return replace(cl, sigma=OmegaPath(cl.sigma.radii, cl.sigma.values * factor))
 
 
 def _sup_input(cfg: LoadedConfig) -> float:
@@ -454,7 +446,7 @@ def cmd_check(cfg: LoadedConfig, args) -> int:
     except NotLinearizable:
         pass
     try:
-        v = check_cycle_condition(net, grid_points=args.grid)
+        v = check_cycle_condition(net)
         if v.status == CERTIFIED_HOLDS:
             print(f"cycle condition: holds (min margin "
                   f"{v.margins['min_margin']:.6g})")
@@ -484,9 +476,7 @@ def cmd_check(cfg: LoadedConfig, args) -> int:
         return 0
     # nothing decisive either way; a constructed path settles it
     sigma = construct_path(net, homogeneous=cfg.homogeneous,
-                           r_max=R_MAX_DEFAULT, seed=seed)
-    if isinstance(sigma, ReduciblePath):
-        sigma = sigma.sigma
+                           r_max=R_MAX_DEFAULT, seed=seed).sigma
     rep = validate_path(net, sigma)
     print(f"path construction: min margin {rep.min_margin:.6g}")
     print("verdict: Inconclusive (path construction succeeded)")
@@ -497,9 +487,7 @@ def cmd_path(cfg: LoadedConfig, args) -> int:
     net = cfg.effective_net
     sigma = construct_path(net, homogeneous=cfg.homogeneous,
                            r_max=args.rmax or R_MAX_DEFAULT,
-                           seed=_resolve_seed(args))
-    if isinstance(sigma, ReduciblePath):
-        sigma = sigma.sigma
+                           seed=_resolve_seed(args)).sigma
     rep = validate_path(net, sigma)
     if args.out:
         export_path_csv(net, sigma, args.out)
@@ -510,29 +498,20 @@ def cmd_path(cfg: LoadedConfig, args) -> int:
     return 0
 
 
-def _margin_grid(net, sigma, phi):
-    rr = np.geomspace(1e-6, 1e6, 1000)
-    states = sigma(rr)
-    image = eval_operator_ext(net, states, phi(rr))
-    return rr, states - image
-
-
 def cmd_certify(cfg: LoadedConfig, args) -> int:
     if cfg.design is not None:
         cl = _certificate(cfg, args)
         net, sigma, phi = cl.net, cl.sigma, cl.phi
     else:
         net = cfg.effective_net
-        mode = MODE_NAMES[args.mode] if args.mode else MAX
-        sigma = construct_path(net, homogeneous=cfg.homogeneous,
-                               r_max=args.rmax or R_MAX_DEFAULT,
-                               seed=_resolve_seed(args))
-        if isinstance(sigma, ReduciblePath):
-            phi = sigma.phi
-            sigma = sigma.sigma
-        else:
-            phi = derive_phi(net, sigma, mode, cfg.alpha)
-    rr, margins = _margin_grid(net, sigma, phi)
+        res = construct_path(net, homogeneous=cfg.homogeneous,
+                             r_max=args.rmax or R_MAX_DEFAULT,
+                             seed=_resolve_seed(args))
+        sigma, phi = res.sigma, res.phi
+        if phi is None:
+            phi = derive_phi(net, sigma, cfg.alpha)
+    rr = validation_grid()
+    margins = path_margins(net, sigma, rr, phi)[1]
     worst = float(np.min(margins))
     if worst <= 0.0:
         radius = float(rr[int(np.argmax(np.min(margins, axis=1) <= 0.0))])
@@ -651,8 +630,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check", help="run the applicable small-gain checks")
     common(sp)
-    sp.add_argument("--grid", type=int, default=97,
-                    help="radii per cycle for the grid criterion")
     sp = sub.add_parser("path", help="construct a decay path, emit CSV")
     common(sp)
     sp.add_argument("--out", help="CSV output path (default stdout)")
@@ -662,19 +639,15 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--out", help="bundle file prefix")
     sp.add_argument("--rmax", type=float, default=None)
-    sp.add_argument("--mode", choices=sorted(MODE_NAMES),
-                    help="composition mode (default by model family)")
     sp = sub.add_parser("simulate", help="integrate the model, emit trajectory CSV")
     common(sp)
     sp.add_argument("--out", help="CSV output path (default stdout)")
     sp.add_argument("--rmax", type=float, default=None)
-    sp.add_argument("--mode", choices=sorted(MODE_NAMES))
     sp.add_argument("--scale-sigma", type=float, default=None,
                     help="test hook: rescale the certificate path")
     sp = sub.add_parser("verify", help="run decrease and boundedness checks")
     common(sp)
     sp.add_argument("--rmax", type=float, default=None)
-    sp.add_argument("--mode", choices=sorted(MODE_NAMES))
     sp.add_argument("--scale-sigma", type=float, default=None,
                     help="test hook: rescale the certificate path")
     return p

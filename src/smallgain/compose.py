@@ -22,19 +22,14 @@ from .gains import (
     OuterSum,
     SumAgg,
     eval_operator,
-    eval_operator_ext,
 )
 from .paths import (
     OmegaPath,
     PLFunction,
-    ReduciblePath,
-    _invert_gain_capped,
+    _capped_inverse,
+    path_margins,
+    validation_grid,
 )
-
-ADDITIVE = "additive"
-MAX = "max"
-SEPARATED = "separated"
-MODES = (ADDITIVE, MAX, SEPARATED)
 
 
 @dataclass(frozen=True)
@@ -72,7 +67,7 @@ def _audit_subsystem(spec: SubsystemSpec, index: int) -> None:
             )
 
 
-def derive_phi(net: GainNetwork, sigma: OmegaPath, mode: str,
+def derive_phi(net: GainNetwork, sigma: OmegaPath,
                alpha: GainExpr | None = None) -> PLFunction:
     """Budget map from the path margins, on the path's anchor grid.
 
@@ -92,8 +87,6 @@ def derive_phi(net: GainNetwork, sigma: OmegaPath, mode: str,
     the identity.  Past the last anchor the budget follows the final
     chord, except where a structurally bounded row pins a finite ceiling.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown composition mode {mode!r}")
     pos = sigma.radii[1:]
     states = sigma(pos)
     image = eval_operator(net, states)
@@ -109,7 +102,7 @@ def derive_phi(net: GainNetwork, sigma: OmegaPath, mode: str,
             inner = m.rho.inverse(levels)
             target = m.rho.inverse(0.5 * (levels + sigma.values[1:, i]))
             gap = np.maximum(target - inner, 0.0)
-            caps = np.minimum(caps, _invert_gain_capped(giu, gap))
+            caps = np.minimum(caps, _capped_inverse(giu, gap))
             # the gap grows with sigma_i, so this row never caps the tail
             continue
         if isinstance(m, MaxAgg):
@@ -125,7 +118,7 @@ def derive_phi(net: GainNetwork, sigma: OmegaPath, mode: str,
             raise CompatibilityError(
                 f"row {i}: aggregation shape unsupported for budget derivation"
             )
-        caps = np.minimum(caps, _invert_gain_capped(giu, lv))
+        caps = np.minimum(caps, _capped_inverse(giu, lv))
         # structural limit of the row image as the radius grows; a finite
         # limit bounds the budget, which must not be extrapolated past it
         slot_sups = np.array([min(net.gamma[i][j].sup(), 1e300)
@@ -152,10 +145,8 @@ class CompositeLyapunov:
     net: GainNetwork
     sigma: OmegaPath
     phi: PLFunction
-    mode: str
     subsystems: tuple[SubsystemSpec, ...]
     alpha: GainExpr | None = None
-    c: float | None = None
 
     @property
     def offsets(self) -> tuple[int, ...]:
@@ -213,22 +204,15 @@ class CompositeLyapunov:
         return float(self.phi.inverse(u))
 
 
-def compose(net: GainNetwork, sigma, subsystems, mode: str = MAX,
+def compose(net: GainNetwork, sigma: OmegaPath, subsystems,
             alpha: GainExpr | None = None,
             phi: PLFunction | None = None) -> CompositeLyapunov:
     """Assemble and check a composite certificate.
 
-    ``sigma`` may be a plain path or the result of the reducible route,
-    whose own budget map is then the default.  The extended operator
-    inequality is checked at 1000 log-spaced radii; the first failing
-    radius is reported.
+    Without ``phi`` the budget map is derived from the path
+    (:func:`derive_phi`).  The extended operator inequality is checked at
+    1000 log-spaced radii; the first failing radius is reported.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown composition mode {mode!r}")
-    if isinstance(sigma, ReduciblePath):
-        if phi is None:
-            phi = sigma.phi
-        sigma = sigma.sigma
     if not isinstance(sigma, OmegaPath):
         raise TypeError("sigma must be a decay path")
     subsystems = tuple(subsystems)
@@ -237,19 +221,14 @@ def compose(net: GainNetwork, sigma, subsystems, mode: str = MAX,
     for i, spec in enumerate(subsystems):
         _audit_subsystem(spec, i)
     if phi is None:
-        phi = derive_phi(net, sigma, mode, alpha)
-    rr = np.geomspace(1e-6, 1e6, 1000)
-    states = sigma(rr)
-    image = eval_operator_ext(net, states, phi(rr))
-    margins = np.min(states - image, axis=1)
-    bad = margins <= 0.0
+        phi = derive_phi(net, sigma, alpha)
+    rr = validation_grid()
+    bad = path_margins(net, sigma, rr, phi)[1].min(axis=1) <= 0.0
     if np.any(bad):
         radius = float(rr[int(np.argmax(bad))])
         raise GeneralCondFails(
             f"certificate inequality fails at radius {radius:.6g}",
             radius=radius,
         )
-    return CompositeLyapunov(
-        net=net, sigma=sigma, phi=phi, mode=mode, subsystems=subsystems,
-        alpha=alpha, c=1.0 if mode == SEPARATED else None,
-    )
+    return CompositeLyapunov(net=net, sigma=sigma, phi=phi,
+                             subsystems=subsystems, alpha=alpha)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -474,10 +474,6 @@ class DiagOp:
         return _maybe_scalar(arr + self.alpha._eval(arr), arr.ndim == 0)
 
 
-def apply_diag(d: DiagOp, s):
-    return d(s)
-
-
 # ---------------------------------------------------------------------------
 # Gain networks
 
@@ -554,18 +550,6 @@ def eval_operator(net: GainNetwork, s):
     return eval_operator_ext(net, s, 0.0)
 
 
-def eval_gain(g: GainExpr, s):
-    return g(s)
-
-
-def invert_gain(g: GainExpr, y, tol: float = TOL_INV):
-    return g.inverse(y, tol=tol)
-
-
-def classify_gain(g: GainExpr) -> GainClass:
-    return g.classify()
-
-
 def strictly_less(a, b, tol: float = TOL_STRICT) -> bool:
     """Componentwise ``a < b`` with relative slack ``tol*max(1, b)``."""
     a_arr = np.asarray(a, dtype=float)
@@ -577,13 +561,3 @@ def zero_rows(net: GainNetwork) -> tuple[int, ...]:
     """Rows with no active internal gain slot."""
     return tuple(i for i in range(net.n) if not net.active_set(i))
 
-
-def all_gain_classes(net: GainNetwork) -> set[GainClass]:
-    """Classes of the nonzero internal gains."""
-    out = set()
-    for row in net.gamma:
-        for g in row:
-            cl = g.classify()
-            if cl is not GainClass.ZERO:
-                out.add(cl)
-    return out

@@ -47,7 +47,6 @@ from .gains import (
     PlusId,
     SumAgg,
     Zero,
-    classify_gain,
     eval_operator,
     eval_operator_ext,
     strictly_less,
@@ -229,20 +228,47 @@ class PathReport:
         return self.monotone_ok and self.slopes_ok and self.min_margin > 0.0
 
 
+@dataclass(frozen=True)
+class PathResult:
+    """Decay path from :func:`construct_path`, with the reducible route's budget.
+
+    ``phi`` is set only by the reducible route, whose blockwise construction
+    derives the external budget map along with the path; elsewhere it is
+    ``None`` and callers derive a budget map from ``sigma``.
+    """
+
+    sigma: OmegaPath
+    phi: PLFunction | None = None
+
+
+def validation_grid(r_max: float = R_MAX_DEFAULT) -> np.ndarray:
+    """1000 log-spaced radii in ``[1e-6, min(1e6, r_max)]``."""
+    return np.geomspace(1e-6, min(1e6, r_max), VALIDATION_POINTS)
+
+
+def path_margins(net: GainNetwork, sigma: OmegaPath, radii,
+                 phi: PLFunction | None = None):
+    """Path values and rowwise margins ``sigma(r) - Gamma_ext(sigma(r), phi(r))``.
+
+    Without a budget map the external channel is pinned at zero.
+    """
+    states = sigma(radii)
+    image = eval_operator_ext(net, states, 0.0 if phi is None else phi(radii))
+    return states, states - image
+
+
 def validate_path(net: GainNetwork, sigma: OmegaPath, radii=None) -> PathReport:
     """Margins ``min_i(sigma_i(r) - Gamma_i(sigma(r)))`` on a radius grid.
 
-    The grid defaults to 1000 log-spaced radii in ``[1e-6, 1e6]``; positive
-    anchor radii are always included.  Strict per-component monotonicity and
-    positive segment slopes are audited alongside.
+    The grid defaults to :func:`validation_grid`; positive anchor radii are
+    always included.  Strict per-component monotonicity and positive
+    segment slopes are audited alongside.
     """
     if radii is None:
-        radii = np.geomspace(1e-6, 1e6, VALIDATION_POINTS)
+        radii = validation_grid()
     rr = np.unique(np.concatenate([np.asarray(radii, dtype=float),
                                    sigma.radii[sigma.radii > 0]]))
-    states = sigma(rr)
-    image = eval_operator(net, states)
-    margins = np.min(states - image, axis=1)
+    margins = path_margins(net, sigma, rr)[1].min(axis=1)
     monotone_ok = bool(np.all(np.diff(sigma.values, axis=0) > 0))
     slopes = np.diff(sigma.values, axis=0) / np.diff(sigma.radii)[:, None]
     slopes_ok = bool(np.all(slopes > 0))
@@ -258,12 +284,9 @@ def validate_path(net: GainNetwork, sigma: OmegaPath, radii=None) -> PathReport:
 
 def export_path_csv(net: GainNetwork, sigma: OmegaPath, out, radii=None) -> None:
     """Write ``r,sigma_1,...,sigma_n,margin_min`` rows at log-spaced radii."""
-    if radii is None:
-        radii = np.geomspace(1e-6, 1e6, VALIDATION_POINTS)
-    rr = np.asarray(radii, dtype=float)
-    states = sigma(rr)
-    image = eval_operator(net, states)
-    margins = np.min(states - image, axis=1)
+    rr = np.asarray(validation_grid() if radii is None else radii, dtype=float)
+    states, margins = path_margins(net, sigma, rr)
+    margins = margins.min(axis=1)
     header = "r," + ",".join(f"sigma_{i + 1}" for i in range(sigma.n)) + ",margin_min"
     lines = [header]
     for k, r in enumerate(rr):
@@ -464,13 +487,20 @@ def _compressed_floor(rho0: float) -> float:
 
 
 def _finalize(net: GainNetwork, sigma: OmegaPath, r_max: float) -> OmegaPath:
-    grid = np.geomspace(1e-6, min(1e6, r_max), VALIDATION_POINTS)
-    report = validate_path(net, sigma, grid)
+    report = validate_path(net, sigma, validation_grid(r_max))
     if not report.valid:
         raise NotInOmega(
             f"constructed path failed validation (min margin {report.min_margin:.3g})"
         )
     return sigma
+
+
+def _seed_and_chain(net: GainNetwork, op, r_max: float, seed: int) -> OmegaPath:
+    # seed on the unit sphere, chain up past r_max, iterate down to the origin
+    seed_vec = _find_seed(op, net.n, seed)
+    up = _chain_up(op, seed_vec, target_sup=1.05 * r_max)
+    down = _downward_leg(op, seed_vec, stop_abs=_compressed_floor(1.0))
+    return _finalize(net, _assemble(down, up), r_max)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +515,7 @@ def path_bounded(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT) -> OmegaPath
     ``s0`` (every inflation of ``s0`` stays strictly decaying), the downward
     leg iterates the operator.
     """
-    classes = {classify_gain(g) for row in net.gamma for g in row}
+    classes = {g.classify() for row in net.gamma for g in row}
     if GainClass.K_INFINITY in classes:
         raise NotBounded("unbounded internal gains present; use the mixed route")
     zr = zero_rows(net)
@@ -538,7 +568,7 @@ def path_irreducible(net: GainNetwork, d: DiagOp | None = None, *,
         )
     for row in net.gamma:
         for g in row:
-            if not g.is_zero and classify_gain(g) is not GainClass.K_INFINITY:
+            if not g.is_zero and g.classify() is not GainClass.K_INFINITY:
                 raise CompatibilityError(
                     "bounded gains present; use the bounded or mixed route"
                 )
@@ -546,11 +576,7 @@ def path_irreducible(net: GainNetwork, d: DiagOp | None = None, *,
         op = lambda s: eval_operator(net, s)
     else:
         op = lambda s: d(eval_operator(net, s))
-    seed_vec = _find_seed(op, net.n, seed)
-    up = _chain_up(op, seed_vec, target_sup=1.05 * r_max)
-    down = _downward_leg(op, seed_vec, stop_abs=_compressed_floor(1.0))
-    sigma = _assemble(down, up)
-    return _finalize(net, sigma, r_max)
+    return _seed_and_chain(net, op, r_max, seed)
 
 
 def path_homogeneous(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT) -> OmegaPath:
@@ -586,12 +612,7 @@ def path_max(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT,
     adj = adjacency(net)
     if not is_irreducible(adj):
         return path_reducible(net, r_max=r_max, seed=seed).sigma
-    op = lambda s: eval_operator(net, s)
-    seed_vec = _find_seed(op, net.n, seed)
-    up = _chain_up(op, seed_vec, target_sup=1.05 * r_max)
-    down = _downward_leg(op, seed_vec, stop_abs=_compressed_floor(1.0))
-    sigma = _assemble(down, up)
-    return _finalize(net, sigma, r_max)
+    return _seed_and_chain(net, lambda s: eval_operator(net, s), r_max, seed)
 
 
 def path_three_sum(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT) -> OmegaPath:
@@ -609,7 +630,7 @@ def path_three_sum(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT) -> OmegaPa
     offdiag = [(i, j) for i in range(3) for j in range(3) if i != j]
     if any(net.gamma[i][j].is_zero for i, j in offdiag):
         return path_irreducible(net, r_max=r_max)
-    if any(classify_gain(net.gamma[i][j]) is not GainClass.K_INFINITY
+    if any(net.gamma[i][j].classify() is not GainClass.K_INFINITY
            for i, j in offdiag):
         raise CompatibilityError("the balanced construction needs unbounded gains")
     g12, g13 = net.gamma[0][1], net.gamma[0][2]
@@ -685,7 +706,7 @@ def _unbounded_bounded_split(net: GainNetwork):
         row_u, row_b = [], []
         for j in range(net.n):
             g = net.gamma[i][j]
-            cls = classify_gain(g)
+            cls = g.classify()
             if cls is GainClass.K_INFINITY:
                 row_u.append(g)
                 row_b.append(Zero())
@@ -789,9 +810,7 @@ def _splice_mixed(net: GainNetwork, sigma_u: OmegaPath, c: float,
         down = _downward_leg(op, s0, stop_abs=_compressed_floor(rho0))
         up_rows = [upper_vals[k] for k in range(len(upper_radii))]
         sigma = _assemble(down, up_rows)
-        grid = np.geomspace(1e-6, min(1e6, r_max), VALIDATION_POINTS)
-        report = validate_path(net, sigma, grid)
-        if report.valid:
+        if validate_path(net, sigma, validation_grid(r_max)).valid:
             return sigma
         r_star *= 2.0
     raise SpliceFailure("validation margin stayed non-positive at the splice")
@@ -799,24 +818,6 @@ def _splice_mixed(net: GainNetwork, sigma_u: OmegaPath, c: float,
 
 # ---------------------------------------------------------------------------
 # Reducible networks
-
-
-@dataclass(frozen=True)
-class ReduciblePath:
-    """Composed path and external budget for a block-triangular network.
-
-    ``sigma`` satisfies the strict decay property for the internal operator
-    and, together with ``phi``, the extended operator:
-    ``Gamma_ext(sigma(r), phi(r)) < sigma(r)``.  ``blocks`` lists the
-    strongly connected blocks most-downstream first; ``block_paths`` holds
-    each block's local path in the same order.
-    """
-
-    sigma: OmegaPath
-    phi: PLFunction
-    blocks: tuple[tuple[int, ...], ...]
-    block_paths: tuple[OmegaPath, ...]
-    report: PathReport
 
 
 def _subnet(net: GainNetwork, block: tuple[int, ...]) -> GainNetwork:
@@ -861,26 +862,6 @@ def _check_block(subnet: GainNetwork, index: int,
         )
 
 
-def _block_path(subnet: GainNetwork, r_max: float, seed: int) -> OmegaPath:
-    if subnet.n == 1 and subnet.gamma[0][0].is_zero:
-        top = 1.1 * r_max
-        return OmegaPath(np.array([0.0, top]), np.array([[0.0], [top]]))
-    classes = {classify_gain(g) for row in subnet.gamma for g in row
-               if not g.is_zero}
-    if all(isinstance(mu, MaxAgg) for mu in subnet.mu):
-        return path_max(subnet, r_max=r_max, seed=seed)
-    if classes and GainClass.K_INFINITY not in classes:
-        return path_bounded(subnet, r_max=r_max)
-    if classes != {GainClass.K_INFINITY} and all(
-            isinstance(mu, SumAgg) for mu in subnet.mu):
-        return path_mixed(subnet, r_max=r_max, seed=seed)
-    try:
-        return path_irreducible(subnet, r_max=r_max, seed=seed)
-    except PathStalled:
-        return path_irreducible(subnet, d=DiagOp(Linear(0.01)),
-                                r_max=r_max, seed=seed)
-
-
 def _ext_budget(mu, slots: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Largest external slot value keeping the row at or below ``target``.
 
@@ -912,7 +893,7 @@ def _ext_budget(mu, slots: np.ndarray, target: np.ndarray) -> np.ndarray:
     return np.where(reachable, out, np.inf)
 
 
-def _invert_gain_capped(g: GainExpr, levels: np.ndarray) -> np.ndarray:
+def _capped_inverse(g: GainExpr, levels: np.ndarray) -> np.ndarray:
     """Componentwise preimages; levels at or beyond the supremum map to inf."""
     sup = g.sup()
     out = np.full_like(levels, np.inf)
@@ -924,7 +905,7 @@ def _invert_gain_capped(g: GainExpr, levels: np.ndarray) -> np.ndarray:
 
 
 def path_reducible(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT,
-                   seed: int = 0) -> ReduciblePath:
+                   seed: int = 0) -> PathResult:
     """Blockwise construction for reducible interconnections.
 
     Blocks are processed from the most upstream one downward.  A block with
@@ -934,6 +915,9 @@ def path_reducible(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT,
     blocks is reparametrized so its local margins dominate twice the
     aggregated inflow, generalizing the two-block recipe
     ``sigma = (2 eta~(r), r)``, ``phi = min(id, eta2^{-1}(id/2))``.
+    Each block of two or more nodes gets its local path from
+    :func:`construct_path`; a single node rides the identity.  The result
+    satisfies ``Gamma_ext(sigma(r), phi(r)) < sigma(r)``.
     """
     adj = adjacency(net)
     if net.n > 1 and is_irreducible(adj):
@@ -945,7 +929,6 @@ def path_reducible(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT,
     m = len(radii_pos)
     comp_vals: dict[int, np.ndarray] = {}
     phi_vals = radii_pos.copy()
-    block_path_by_index: dict[int, OmegaPath] = {}
 
     for bi in reversed(range(len(blocks))):
         block = blocks[bi]
@@ -964,8 +947,11 @@ def path_reducible(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT,
                 )
         subnet = _subnet(net, block)
         _check_block(subnet, bi, block)
-        bp = _block_path(subnet, r_max, seed)
-        block_path_by_index[bi] = bp
+        if subnet.n == 1:
+            top = 1.1 * r_max
+            bp = OmegaPath(np.array([0.0, top]), np.array([[0.0], [top]]))
+        else:
+            bp = construct_path(subnet, r_max=r_max, seed=seed).sigma
 
         local = {j: k for k, j in enumerate(block)}
         bp_vals = bp(radii_pos)
@@ -1000,7 +986,7 @@ def path_reducible(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT,
                 margin = comp_vals[i] - row_int
                 target = comp_vals[i] - 0.5 * margin
                 budget = _ext_budget(net.mu[i], slots[i], target)
-                cap = _invert_gain_capped(giu, budget)
+                cap = _capped_inverse(giu, budget)
                 phi_vals = np.minimum(phi_vals, cap)
             continue
 
@@ -1067,8 +1053,7 @@ def path_reducible(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT,
     phi_vals = np.minimum.accumulate(phi_vals[::-1])[::-1]
     phi = PLFunction(radii_full, np.concatenate([[0.0], phi_vals]))
 
-    grid = np.geomspace(1e-6, min(1e6, r_max), VALIDATION_POINTS)
-    report = validate_path(net, sigma, grid)
+    report = validate_path(net, sigma, validation_grid(r_max))
     if not report.valid:
         raise NotInOmega(
             f"composed path failed validation (min margin {report.min_margin:.3g})"
@@ -1078,9 +1063,7 @@ def path_reducible(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT,
         raise NotInOmega(
             "composed path failed the extended-operator check with its budget map"
         )
-    block_paths = tuple(block_path_by_index[i] for i in range(len(blocks)))
-    return ReduciblePath(sigma=sigma, phi=phi, blocks=blocks,
-                         block_paths=block_paths, report=report)
+    return PathResult(sigma, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -1088,34 +1071,34 @@ def path_reducible(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT,
 
 
 def construct_path(net: GainNetwork, *, homogeneous: bool = False,
-                   r_max: float = R_MAX_DEFAULT, seed: int = 0):
+                   r_max: float = R_MAX_DEFAULT, seed: int = 0) -> PathResult:
     """Pick a constructor by network shape (fixed, documented order).
 
     homogeneous (declared) -> max -> three-node sum -> mixed -> bounded ->
-    irreducible -> reducible.  Returns an :class:`OmegaPath`, or a
-    :class:`ReduciblePath` from the reducible route.
+    irreducible -> reducible.  An irreducible construction that stalls is
+    retried against the strengthened operator ``D(Gamma(s))`` with
+    ``D = id + 0.01 id``.
     """
-    if homogeneous:
-        return path_homogeneous(net, r_max=r_max)
-    if all(isinstance(mu, MaxAgg) for mu in net.mu):
-        return path_max(net, r_max=r_max, seed=seed)
-    classes = {classify_gain(g) for row in net.gamma for g in row
-               if not g.is_zero}
+    classes = {g.classify() for row in net.gamma for g in row if not g.is_zero}
     all_sum = all(isinstance(mu, SumAgg) for mu in net.mu)
-    if all_sum and net.n == 3 and all(
-            not net.gamma[i][j].is_zero and
-            classify_gain(net.gamma[i][j]) is GainClass.K_INFINITY
+    if homogeneous:
+        sigma = path_homogeneous(net, r_max=r_max)
+    elif all(isinstance(mu, MaxAgg) for mu in net.mu):
+        sigma = path_max(net, r_max=r_max, seed=seed)
+    elif all_sum and net.n == 3 and all(
+            net.gamma[i][j].classify() is GainClass.K_INFINITY
             for i in range(3) for j in range(3) if i != j):
-        return path_three_sum(net, r_max=r_max)
-    if all_sum and classes and classes != {GainClass.K_INFINITY} and (
-            GainClass.K_INFINITY in classes):
-        return path_mixed(net, r_max=r_max, seed=seed)
-    if classes and GainClass.K_INFINITY not in classes:
-        return path_bounded(net, r_max=r_max)
-    if is_irreducible(adjacency(net)):
+        sigma = path_three_sum(net, r_max=r_max)
+    elif all_sum and classes == {GainClass.K_BOUNDED, GainClass.K_INFINITY}:
+        sigma = path_mixed(net, r_max=r_max, seed=seed)
+    elif classes and GainClass.K_INFINITY not in classes:
+        sigma = path_bounded(net, r_max=r_max)
+    elif is_irreducible(adjacency(net)):
         try:
-            return path_irreducible(net, r_max=r_max, seed=seed)
+            sigma = path_irreducible(net, r_max=r_max, seed=seed)
         except PathStalled:
-            return path_irreducible(net, d=DiagOp(Linear(0.01)),
-                                    r_max=r_max, seed=seed)
-    return path_reducible(net, r_max=r_max, seed=seed)
+            sigma = path_irreducible(net, d=DiagOp(Linear(0.01)),
+                                     r_max=r_max, seed=seed)
+    else:
+        return path_reducible(net, r_max=r_max, seed=seed)
+    return PathResult(sigma)

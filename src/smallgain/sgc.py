@@ -34,9 +34,7 @@ from .gains import (
     PlusId,
     Power,
     SumAgg,
-    Zero,
     eval_operator,
-    invert_gain,
 )
 from .graph import (
     CYCLE_ENUM_LIMIT,
@@ -96,7 +94,7 @@ def _compose_cycle(gains, r):
     return v
 
 
-def check_cycle_condition(net: GainNetwork, grid_points: int = 97) -> SgcVerdict:
+def check_cycle_condition(net: GainNetwork) -> SgcVerdict:
     """Cycle criterion for pure max aggregation.
 
     Certifies the condition when every cyclic gain composition stays below
@@ -106,7 +104,7 @@ def check_cycle_condition(net: GainNetwork, grid_points: int = 97) -> SgcVerdict
     if not all(isinstance(m, MaxAgg) for m in net.mu):
         raise WrongAggregation("cycle criterion needs max aggregation in every row")
     cycles = subordinated_cycles(adjacency(net))
-    grid = np.geomspace(1e-8, 1e8, grid_points)
+    grid = np.geomspace(1e-8, 1e8, 97)
     min_margin = np.inf
     for c in cycles:
         gains = _cycle_edge_gains(net, c)
@@ -134,20 +132,19 @@ def check_cycle_condition(net: GainNetwork, grid_points: int = 97) -> SgcVerdict
     )
 
 
-def _cycle_witness(net: GainNetwork, cycle, radii=None, deltas=None):
+def _cycle_witness(net: GainNetwork, cycle, op=None, walk_net=None):
     """Vector supported on a bad cycle with Gamma_mu(s) >= s, if one verifies.
 
-    Walks the cycle making each edge tight via inversion; small per-step
-    inflations absorb inversion residue when the composition has real slack.
+    Walks the cycle of ``walk_net`` (default ``net``) making each edge tight
+    via inversion; small per-step inflations absorb inversion residue when
+    the composition has real slack.  The candidate is verified against
+    ``op`` (default the operator of ``net``).
     """
-    if radii is None:
-        radii = np.geomspace(1e-4, 1e4, 9)
-    if deltas is None:
-        deltas = (0.0, 1e-9, 1e-6, 1e-3, 0.03)
-    for r in radii:
-        for d in deltas:
-            s = _tight_cycle_vector(net, cycle, float(r), d)
-            if s is not None and _is_witness(net, s):
+    walk_net = net if walk_net is None else walk_net
+    for r in np.geomspace(1e-4, 1e4, 9):
+        for d in (0.0, 1e-9, 1e-6, 1e-3, 0.03):
+            s = _tight_cycle_vector(walk_net, cycle, float(r), d)
+            if s is not None and _is_witness(net, s, op):
                 return s
     return None
 
@@ -158,7 +155,7 @@ def _tight_cycle_vector(net, cycle, r, delta):
     for m in range(len(cycle) - 1):
         g = net.gamma[cycle[m]][cycle[m + 1]]
         try:
-            s[cycle[m + 1]] = invert_gain(g, s[cycle[m]]) * (1.0 + delta)
+            s[cycle[m + 1]] = g.inverse(s[cycle[m]]) * (1.0 + delta)
         except OutOfRange:
             return None
         if not np.isfinite(s[cycle[m + 1]]) or s[cycle[m + 1]] <= 0:
@@ -218,9 +215,9 @@ def _falsify(net, op, grid, edge_transform, method):
 
     # structured candidates: tight cycle walks, then a Perron direction
     if n <= CYCLE_ENUM_LIMIT:
+        cnet = net if edge_transform is None else _transform_net(net, edge_transform)
         for c in subordinated_cycles(adjacency(net)):
-            cnet = net if edge_transform is None else _transform_net(net, edge_transform)
-            w = _cycle_witness_for_op(cnet, net, c, apply)
+            w = _cycle_witness(net, c, op, cnet)
             if w is not None:
                 return SgcVerdict(
                     status=CERTIFIED_FAILS, method=method + "-cycle",
@@ -251,16 +248,6 @@ def _transform_net(net, edge_transform):
         for row in net.gamma
     )
     return GainNetwork(n=net.n, gamma=gamma, gamma_u=net.gamma_u, mu=net.mu)
-
-
-def _cycle_witness_for_op(walk_net, base_net, cycle, apply):
-    radii = np.geomspace(1e-4, 1e4, 9)
-    for r in radii:
-        for d in (0.0, 1e-9, 1e-6, 1e-3, 0.03):
-            s = _tight_cycle_vector(walk_net, cycle, float(r), d)
-            if s is not None and _is_witness(base_net, s, op=apply):
-                return s
-    return None
 
 
 def check_strong_sgc(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compose import ADDITIVE, MAX, CompositeLyapunov, SubsystemSpec, compose
+from .compose import CompositeLyapunov, SubsystemSpec, compose
 from .errors import BadParameters, Diverged, NotHurwitz, TooLarge
 from .gains import (
     Compose,
@@ -565,15 +565,15 @@ def certify_linear(design: LinearDesign,
                    r_max: float = R_MAX_DEFAULT) -> CompositeLyapunov:
     """Certificate along the eigenray of the homogeneous linear design."""
     sigma = path_homogeneous(design.net, r_max=r_max)
-    return compose(design.net, sigma, design.specs, mode=MAX)
+    return compose(design.net, sigma, design.specs)
 
 
 def certify_cg(design: CGDesign, shift: float = 0.01,
                r_max: float = R_MAX_DEFAULT, seed: int = 0) -> CompositeLyapunov:
     """Certificate for the neural design via the bounded-gain route."""
-    sigma = construct_path(design.net, r_max=r_max, seed=seed)
-    return compose(design.net, sigma, design.specs, mode=ADDITIVE,
-                   alpha=Linear(shift))
+    res = construct_path(design.net, r_max=r_max, seed=seed)
+    return compose(design.net, res.sigma, design.specs, alpha=Linear(shift),
+                   phi=res.phi)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from gen import random_tree
-from smallgain.compose import MAX, CompositeLyapunov, compose
+from smallgain.compose import CompositeLyapunov, compose
 from smallgain.gains import (
     Atan,
     Compose,
@@ -196,8 +196,7 @@ def test_criterion_5_lyapunov_decrease():
     # negative control: path shrunk a hundredfold, budget map kept
     bad = CompositeLyapunov(
         net=cl.net, sigma=OmegaPath(cl.sigma.radii, cl.sigma.values * 0.01),
-        phi=cl.phi, mode=cl.mode, subsystems=cl.subsystems, alpha=cl.alpha,
-        c=cl.c)
+        phi=cl.phi, subsystems=cl.subsystems, alpha=cl.alpha)
     control = check_decrease(model, bad, DecreaseSpec(samples=10000,
                                                       u_norms=(1.0,), seed=0))
     assert control.violations >= 1, "corrupted certificate went undetected"

@@ -165,7 +165,7 @@ def test_certify_restricted_input_range(tmp_path, capsys):
         "alpha": "0.05*s",
         "simulation": {"input": {"kind": "constant", "value": [2.0]}},
     }
-    code = main(["certify", write_cfg(tmp_path, doc), "--mode", "sum"])
+    code = main(["certify", write_cfg(tmp_path, doc)])
     out = capsys.readouterr().out
     assert code == 1
     assert "OutOfRange" in out

@@ -57,11 +57,11 @@ def half_max_net(gu_slope=1.0):
 def test_max_mode_budget_frozen_example():
     net = half_max_net()
     sigma = tilted_path(2, [1.0, 0.75])
-    phi = derive_phi(net, sigma, "max")
+    phi = derive_phi(net, sigma)
     # row images are (0.375 r, 0.5 r); unit external gains keep the min
     for r in [0.01, 1.0, 3000.0]:
         assert phi(r) == pytest.approx(0.375 * r, rel=1e-12)
-    cl = compose(net, sigma, [abs_spec(), abs_spec()], mode="max")
+    cl = compose(net, sigma, [abs_spec(), abs_spec()])
     assert cl.iss_threshold(1.0) == pytest.approx(1.0 / 0.375, rel=1e-9)
     assert cl.iss_threshold(0.0) == 0.0
 
@@ -72,33 +72,27 @@ def test_additive_mode_with_shifted_path():
                  gu=[Linear(1.0)] * 3)
     alpha = Linear(0.1)
     sigma = path_irreducible(net, DiagOp(alpha))
-    cl = compose(net, sigma, [abs_spec()] * 3, mode="additive", alpha=alpha)
+    cl = compose(net, sigma, [abs_spec()] * 3, alpha=alpha)
     rr = np.geomspace(1e-4, 1e4, 50)
     assert np.all(cl.phi(rr) > 0)
-    assert cl.c is None
-    # separated mode shares the formula and records its constant
-    cs = compose(net, sigma, [abs_spec()] * 3, mode="separated", alpha=alpha)
-    assert np.allclose(cs.phi(rr), cl.phi(rr))
-    assert cs.c == 1.0
 
 
 def test_additive_rows_require_alpha():
     # rows adding the external slot on top have no intrinsic slack, so the
-    # budget needs the diagonal shift regardless of the requested mode
+    # budget needs the diagonal shift
     g = Linear(0.3)
     net = net_of([[Z, g], [g, Z]], [SumAgg(), SumAgg()],
                  gu=[Linear(1.0), Linear(1.0)])
     sigma = tilted_path(2, [1.0, 0.75])
-    for mode in ("additive", "max"):
-        with pytest.raises(CompatibilityError):
-            derive_phi(net, sigma, mode)
+    with pytest.raises(CompatibilityError):
+        derive_phi(net, sigma)
 
 
 def test_no_external_gains_identity_budget():
     g = Linear(0.5)
     net = net_of([[Z, g], [g, Z]], [MaxAgg(), MaxAgg()])
     sigma = path_max(net)
-    cl = compose(net, sigma, [abs_spec(), abs_spec()], mode="max")
+    cl = compose(net, sigma, [abs_spec(), abs_spec()])
     for r in [0.25, 7.0]:
         assert cl.phi(r) == pytest.approx(r)
     assert cl.iss_threshold(5.0) == 0.0
@@ -111,7 +105,7 @@ def test_bounded_external_gain_drops_from_min():
     net = net_of([[Z, g], [g, Z]], [MaxAgg(), MaxAgg()],
                  gu=[Linear(1.0), Saturating(2.0)])
     sigma = path_max(net)
-    phi = derive_phi(net, sigma, "max")
+    phi = derive_phi(net, sigma)
     big = phi(1e5)
     # row 1 alone constrains at large radii: phi tracks 0.5 r
     assert big == pytest.approx(0.5 * 1e5, rel=1e-3)
@@ -122,7 +116,7 @@ def test_bounded_budget_restricted_input_range():
     net = net_of([[Z, s], [s, Z]], [MaxAgg(), MaxAgg()],
                  gu=[Linear(1.0), Linear(1.0)])
     sigma = path_max(net)
-    cl = compose(net, sigma, [abs_spec(), abs_spec()], mode="max")
+    cl = compose(net, sigma, [abs_spec(), abs_spec()])
     # row images never exceed the saturation ceiling, so does the budget
     with pytest.raises(OutOfRange):
         cl.iss_threshold(2.0)
@@ -134,7 +128,7 @@ def test_general_condition_failure_reports_radius():
                  gu=[Linear(1.0), Linear(1.0)])
     sigma = tilted_path(2, [1.0, 1.0])
     with pytest.raises(GeneralCondFails) as exc:
-        compose(net, sigma, [abs_spec(), abs_spec()], mode="max",
+        compose(net, sigma, [abs_spec(), abs_spec()],
                 phi=identity_budget())
     assert exc.value.radius is not None
 
@@ -142,7 +136,7 @@ def test_general_condition_failure_reports_radius():
 def test_eval_V_and_ties():
     net = half_max_net()
     sigma = tilted_path(2, [1.0, 0.75])
-    cl = compose(net, sigma, [abs_spec(), abs_spec()], mode="max")
+    cl = compose(net, sigma, [abs_spec(), abs_spec()])
     v, active = cl.eval_V(np.array([2.0, 0.3]))
     assert v == pytest.approx(2.0)
     assert active == (0,)
@@ -158,9 +152,9 @@ def test_eval_V_scaling_invariance():
     net = half_max_net()
     rng = np.random.default_rng(9)
     cl1 = compose(net, tilted_path(2, [1.0, 0.75]),
-                  [abs_spec(), abs_spec()], mode="max")
+                  [abs_spec(), abs_spec()])
     cl2 = compose(net, tilted_path(2, [2.0, 1.5]),
-                  [abs_spec(), abs_spec()], mode="max")
+                  [abs_spec(), abs_spec()])
     for _ in range(25):
         x = rng.uniform(0, 5, 2)
         v1, a1 = cl1.eval_V(x)
@@ -172,7 +166,7 @@ def test_eval_V_scaling_invariance():
 def test_eval_V_batch_matches_scalar():
     net = half_max_net()
     cl = compose(net, tilted_path(2, [1.0, 0.75]),
-                 [abs_spec(), abs_spec()], mode="max")
+                 [abs_spec(), abs_spec()])
     rng = np.random.default_rng(2)
     X = rng.uniform(-3, 3, (40, 2))
     batch = cl.eval_V_batch(X)
@@ -185,17 +179,17 @@ def test_subsystem_audit_rejects_bad_energy():
     sigma = tilted_path(2, [1.0, 0.75])
     shifted = SubsystemSpec(dim=1, V=lambda x: abs(float(x[0])) + 1.0)
     with pytest.raises(ValueError):
-        compose(net, sigma, [shifted, abs_spec()], mode="max")
+        compose(net, sigma, [shifted, abs_spec()])
     indefinite = SubsystemSpec(dim=1, V=lambda x: float(x[0]))
     with pytest.raises(ValueError):
-        compose(net, sigma, [indefinite, abs_spec()], mode="max")
+        compose(net, sigma, [indefinite, abs_spec()])
 
 
 def test_compose_with_reducible_budget():
     net = net_of([[Z, Linear(0.7)], [Z, Z]], [SumAgg(), SumAgg()],
                  gu=[Z, Linear(1.0)])
     rp = path_reducible(net)
-    cl = compose(net, rp, [abs_spec(), abs_spec()], mode="max")
+    cl = compose(net, rp.sigma, [abs_spec(), abs_spec()], phi=rp.phi)
     assert cl.phi(2.0) == pytest.approx(1.0, rel=1e-6)
     assert cl.iss_threshold(1.0) == pytest.approx(2.0, rel=1e-6)
 
@@ -203,7 +197,7 @@ def test_compose_with_reducible_budget():
 def test_multidimensional_slices():
     net = half_max_net()
     sigma = tilted_path(2, [1.0, 1.0])
-    cl = compose(net, sigma, [quad_spec(2), quad_spec(3)], mode="max")
+    cl = compose(net, sigma, [quad_spec(2), quad_spec(3)])
     assert cl.state_dim == 5
     x = np.array([1.0, 2.0, 0.0, 0.0, 1.0])
     v, active = cl.eval_V(x)

@@ -23,10 +23,8 @@ from smallgain.gains import (
     Sum,
     SumAgg,
     Zero,
-    classify_gain,
     eval_operator,
     eval_operator_ext,
-    invert_gain,
     strictly_less,
     zero_rows,
 )
@@ -70,21 +68,21 @@ def test_constructor_guards():
 
 
 def test_classification_table():
-    assert classify_gain(Zero()) is GainClass.ZERO
-    assert classify_gain(Linear(1)) is GainClass.K_INFINITY
-    assert classify_gain(Power(2, 0.5)) is GainClass.K_INFINITY
-    assert classify_gain(Saturating(3)) is GainClass.K_BOUNDED
-    assert classify_gain(Atan(1)) is GainClass.K_BOUNDED
-    assert classify_gain(Sum((Saturating(1), Atan(1)))) is GainClass.K_BOUNDED
-    assert classify_gain(Sum((Saturating(1), Linear(1)))) is GainClass.K_INFINITY
-    assert classify_gain(Sum((Zero(), Zero()))) is GainClass.ZERO
-    assert classify_gain(Max((Zero(), Saturating(1)))) is GainClass.K_BOUNDED
-    assert classify_gain(Compose(Linear(1), Saturating(1))) is GainClass.K_BOUNDED
-    assert classify_gain(Compose(Saturating(1), Linear(1))) is GainClass.K_BOUNDED
-    assert classify_gain(Compose(Power(1, 2), Linear(3))) is GainClass.K_INFINITY
-    assert classify_gain(Compose(Linear(1), Zero())) is GainClass.ZERO
-    assert classify_gain(PlusId(Zero())) is GainClass.K_INFINITY
-    assert classify_gain(PlusId(Saturating(1))) is GainClass.K_INFINITY
+    assert Zero().classify() is GainClass.ZERO
+    assert Linear(1).classify() is GainClass.K_INFINITY
+    assert Power(2, 0.5).classify() is GainClass.K_INFINITY
+    assert Saturating(3).classify() is GainClass.K_BOUNDED
+    assert Atan(1).classify() is GainClass.K_BOUNDED
+    assert Sum((Saturating(1), Atan(1))).classify() is GainClass.K_BOUNDED
+    assert Sum((Saturating(1), Linear(1))).classify() is GainClass.K_INFINITY
+    assert Sum((Zero(), Zero())).classify() is GainClass.ZERO
+    assert Max((Zero(), Saturating(1))).classify() is GainClass.K_BOUNDED
+    assert Compose(Linear(1), Saturating(1)).classify() is GainClass.K_BOUNDED
+    assert Compose(Saturating(1), Linear(1)).classify() is GainClass.K_BOUNDED
+    assert Compose(Power(1, 2), Linear(3)).classify() is GainClass.K_INFINITY
+    assert Compose(Linear(1), Zero()).classify() is GainClass.ZERO
+    assert PlusId(Zero()).classify() is GainClass.K_INFINITY
+    assert PlusId(Saturating(1)).classify() is GainClass.K_INFINITY
 
 
 def test_structural_sup():
@@ -98,26 +96,26 @@ def test_structural_sup():
 
 
 def test_inverse_exact_points():
-    assert invert_gain(Linear(2), 1.0) == pytest.approx(0.5, abs=1e-12)
-    assert invert_gain(Power(1, 2), 9.0) == pytest.approx(3.0, rel=1e-12)
-    assert invert_gain(Saturating(1), 0.5) == pytest.approx(1.0, rel=1e-7)
-    assert invert_gain(Linear(3), 0.0) == 0.0
+    assert Linear(2).inverse(1.0) == pytest.approx(0.5, abs=1e-12)
+    assert Power(1, 2).inverse(9.0) == pytest.approx(3.0, rel=1e-12)
+    assert Saturating(1).inverse(0.5) == pytest.approx(1.0, rel=1e-7)
+    assert Linear(3).inverse(0.0) == 0.0
 
 
 def test_inverse_out_of_range():
     with pytest.raises(OutOfRange) as exc:
-        invert_gain(Saturating(1), 1.5)
+        Saturating(1).inverse(1.5)
     assert exc.value.sup == 1.0
     with pytest.raises(OutOfRange):
-        invert_gain(Saturating(1), 1.0)  # the sup itself is unreachable
+        Saturating(1).inverse(1.0)  # the sup itself is unreachable
     with pytest.raises(OutOfRange):
-        invert_gain(Zero(), 0.5)
+        Zero().inverse(0.5)
 
 
 def test_inverse_near_sup_roundtrip():
     g = Saturating(1)
     y = 1.0 - 1e-6
-    s = invert_gain(g, y)
+    s = g.inverse(y)
     assert abs(g(s) - y) <= 1e-9 * max(1.0, y)
     assert s == pytest.approx(1e6, rel=1e-3)
 

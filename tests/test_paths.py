@@ -31,10 +31,11 @@ from smallgain.gains import (
     eval_operator,
     eval_operator_ext,
 )
+import smallgain.paths as paths_module
 from smallgain.paths import (
     OmegaPath,
     PLFunction,
-    ReduciblePath,
+    PathResult,
     construct_path,
     export_path_csv,
     path_bounded,
@@ -496,8 +497,7 @@ def test_mixed_needs_additive_rows():
 def test_reducible_cascade_recipe():
     net = net_of([[Z, Linear(0.7)], [Z, Z]], [SumAgg(), SumAgg()])
     rp = path_reducible(net)
-    assert isinstance(rp, ReduciblePath)
-    assert rp.blocks == ((0,), (1,))
+    assert isinstance(rp, PathResult)
     rr = np.geomspace(1e-6, 1e6, 300)
     vals = rp.sigma(rr)
     # driven node rides the identity; driver dominates twice its inflow
@@ -534,9 +534,32 @@ def test_reducible_two_cycles_in_series():
                   [Z, Z, Z, g],
                   [Z, Z, g, Z]], [SumAgg()] * 4)
     rp = path_reducible(net)
-    assert len(rp.blocks) == 2
-    assert rp.report.valid
-    assert len(rp.block_paths) == 2
+    assert validate_path(net, rp.sigma).valid
+
+
+def test_reducible_feeds_complete_three_sum_block(monkeypatch):
+    # one node feeding a complete three-node sum block: the block's local
+    # path comes from the three-sum constructor through the dispatch
+    calls = []
+
+    def recording(net, **kw):
+        calls.append(net.n)
+        return path_three_sum(net, **kw)
+
+    monkeypatch.setattr(paths_module, "path_three_sum", recording)
+    g = Linear(0.25)
+    net = net_of([[Z, g, g, Linear(0.5)],
+                  [g, Z, g, Z],
+                  [g, g, Z, Z],
+                  [Z, Z, Z, Z]], [SumAgg()] * 4,
+                 gu=[Z, Z, Z, Linear(1.0)])
+    rp = construct_path(net)
+    assert calls == [3]
+    assert rp.phi is not None
+    assert validate_path(net, rp.sigma).valid
+    rr = np.geomspace(1e-6, 1e6, 1000)
+    vals = rp.sigma(rr)
+    assert np.all(eval_operator_ext(net, vals, rp.phi(rr)) < vals)
 
 
 def test_reducible_block_failure_named():
@@ -585,15 +608,28 @@ def test_constructed_paths_strictly_monotone():
 
 
 def test_dispatch_shapes():
-    assert isinstance(construct_path(max2(0.5)), OmegaPath)
-    assert isinstance(construct_path(sum3_complete(0.25)), OmegaPath)
+    # every route returns a PathResult; only the reducible one sets phi
     mixed = net_of([[Z, Linear(0.3)], [Saturating(0.5), Z]],
                    [SumAgg(), SumAgg()])
-    assert isinstance(construct_path(mixed), OmegaPath)
+    bounded = net_of([[Z, Saturating(1.0)], [Saturating(1.0), Z]],
+                     [SumAgg(), SumAgg()])
     cascade = net_of([[Z, Linear(0.7)], [Z, Z]], [SumAgg(), SumAgg()])
-    assert isinstance(construct_path(cascade), ReduciblePath)
+    routes = [
+        (max2(0.5), False, False),
+        (sum3_complete(0.25), False, False),
+        (mixed, False, False),
+        (bounded, False, False),
+        (sum2(0.4), False, False),
+        (max2(0.5), True, False),
+        (cascade, False, True),
+    ]
+    for net, homogeneous, reducible in routes:
+        res = construct_path(net, homogeneous=homogeneous)
+        assert isinstance(res, PathResult)
+        assert isinstance(res.sigma, OmegaPath)
+        assert (res.phi is not None) == reducible
     homog = construct_path(max2(0.5), homogeneous=True)
-    assert np.allclose(homog(1.0), [1.0, 1.0])
+    assert np.allclose(homog.sigma(1.0), [1.0, 1.0])
 
 
 def test_export_csv_format():

@@ -328,8 +328,7 @@ def test_corrupted_certificate_is_caught():
     cl = certify_linear(design)
     bad_sigma = OmegaPath(cl.sigma.radii, cl.sigma.values * 0.01)
     bad = CompositeLyapunov(net=cl.net, sigma=bad_sigma, phi=cl.phi,
-                            mode=cl.mode, subsystems=cl.subsystems,
-                            alpha=cl.alpha, c=cl.c)
+                            subsystems=cl.subsystems, alpha=cl.alpha)
     rep = check_decrease(model, bad,
                          DecreaseSpec(samples=2000, u_norms=(1.0,), seed=0))
     assert rep.verdict == "fail"
