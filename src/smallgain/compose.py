@@ -36,13 +36,14 @@ from .paths import (
 class SubsystemSpec:
     """State dimension and energy hook of one subsystem.
 
-    ``V`` maps the subsystem's state slice to a nonnegative scalar with
+    ``V`` is batched: it maps an ``(m, dim)`` array of state slices, one
+    per row, to the ``(m,)`` array of their nonnegative energies, with
     ``V(0) = 0``; ``alpha`` optionally records the decrease rate used when
     the gains were derived.
     """
 
     dim: int
-    V: Callable[[np.ndarray], float]
+    V: Callable[[np.ndarray], np.ndarray]
     alpha: GainExpr | None = None
     name: str = ""
 
@@ -52,19 +53,29 @@ class SubsystemSpec:
 
 
 def _audit_subsystem(spec: SubsystemSpec, index: int) -> None:
-    # V(0) = 0 exactly, positive elsewhere on a seeded sample
-    origin = float(spec.V(np.zeros(spec.dim)))
-    if origin != 0.0:
-        raise ValueError(
-            f"subsystem {index}: energy must vanish at the origin, got {origin:.3g}"
-        )
+    # one batched call on the origin and a seeded sample: the shape must
+    # follow the contract, V(0) = 0 exactly, and V > 0 on every sample
     rng = np.random.default_rng(1234 + index)
-    for _ in range(100):
-        x = rng.normal(size=spec.dim) * 10.0 ** rng.uniform(-3, 2)
-        if not float(spec.V(x)) > 0.0:
-            raise ValueError(
-                f"subsystem {index}: energy is not positive definite at {x}"
-            )
+    X = np.zeros((101, spec.dim))
+    for k in range(1, 101):
+        X[k] = rng.normal(size=spec.dim) * 10.0 ** rng.uniform(-3, 2)
+    contract = (f"subsystem {index}: energy must map an (m, {spec.dim}) batch "
+                f"of states to shape (m,)")
+    try:
+        v = np.asarray(spec.V(X), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{contract}; it raised {exc!r}") from exc
+    if v.shape != (len(X),):
+        raise ValueError(f"{contract}, got shape {v.shape}")
+    if v[0] != 0.0:
+        raise ValueError(
+            f"subsystem {index}: energy must vanish at the origin, got {v[0]:.3g}"
+        )
+    bad = np.flatnonzero(~(v[1:] > 0.0))
+    if bad.size:
+        raise ValueError(
+            f"subsystem {index}: energy is not positive definite at {X[1 + bad[0]]}"
+        )
 
 
 def derive_phi(net: GainNetwork, sigma: OmegaPath,
@@ -170,10 +181,7 @@ class CompositeLyapunov:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.state_dim,):
             raise ValueError(f"state vector must have length {self.state_dim}")
-        scaled = np.empty(len(self.subsystems))
-        for i, (spec, off) in enumerate(zip(self.subsystems, self.offsets)):
-            vi = float(spec.V(x[off:off + spec.dim]))
-            scaled[i] = self.sigma.inverse(i, max(vi, 0.0))
+        scaled = self._levels(x[None, :])[0]
         vmax = float(scaled.max())
         tol = 1e-12 * max(1.0, vmax)
         active = tuple(i for i in range(len(scaled))
@@ -183,11 +191,15 @@ class CompositeLyapunov:
     def eval_V_batch(self, X) -> np.ndarray:
         """Composite values along a batch of states, shape ``(m, dim)``."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
+        return np.max(self._levels(X), axis=1)
+
+    def _levels(self, X: np.ndarray) -> np.ndarray:
+        """Rescaled energies ``sigma_i^{-1}(V_i(x_i))``, shape ``(m, n)``."""
         cols = np.empty((X.shape[0], len(self.subsystems)))
         for i, (spec, off) in enumerate(zip(self.subsystems, self.offsets)):
-            vi = np.array([float(spec.V(row[off:off + spec.dim])) for row in X])
+            vi = spec.V(X[:, off:off + spec.dim])
             cols[:, i] = self.sigma.inverse(i, np.maximum(vi, 0.0))
-        return np.max(cols, axis=1)
+        return cols
 
     def iss_threshold(self, u_norm: float) -> float:
         """Level below which the certificate guarantees eventual decay.

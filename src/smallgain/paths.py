@@ -841,16 +841,8 @@ def _subnet(net: GainNetwork, block: tuple[int, ...]) -> GainNetwork:
                        tuple(zero_gain for _ in block), tuple(mus))
 
 
-def _check_block(subnet: GainNetwork, index: int,
-                 block: tuple[int, ...]) -> None:
-    if all(isinstance(mu, MaxAgg) for mu in subnet.mu):
-        verdict = check_cycle_condition(subnet)
-        if verdict.fails:
-            raise BlockSgcFails(
-                f"diagonal block {index} fails the cycle condition",
-                block=block,
-            )
-        return
+def _check_spectral_block(subnet: GainNetwork, index: int,
+                          block: tuple[int, ...]) -> None:
     try:
         verdict = check_linear_spectral(subnet)
     except NotLinearizable:
@@ -946,12 +938,22 @@ def path_reducible(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT,
                     "cross-block inflow needs additive or max aggregation"
                 )
         subnet = _subnet(net, block)
-        _check_block(subnet, bi, block)
         if subnet.n == 1:
+            # no self gains, so a single node has no cycle to check
             top = 1.1 * r_max
             bp = OmegaPath(np.array([0.0, top]), np.array([[0.0], [top]]))
         else:
-            bp = construct_path(subnet, r_max=r_max, seed=seed).sigma
+            # an all-max block is checked by the cycle gate of its own
+            # path_max; other blocks by the spectral check where it applies
+            if not all(isinstance(mu, MaxAgg) for mu in subnet.mu):
+                _check_spectral_block(subnet, bi, block)
+            try:
+                bp = construct_path(subnet, r_max=r_max, seed=seed).sigma
+            except CycleConditionFails as exc:
+                raise BlockSgcFails(
+                    f"diagonal block {bi} fails the cycle condition",
+                    block=block,
+                ) from exc
 
         local = {j: k for k, j in enumerate(block)}
         bp_vals = bp(radii_pos)

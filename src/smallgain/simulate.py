@@ -301,19 +301,21 @@ class InputSignal:
     def dim(self) -> int:
         return len(self.value)
 
-    def __call__(self, t: float) -> np.ndarray:
+    def __call__(self, t) -> np.ndarray:
+        """Input at time ``t``, shape ``(channels,)``, or at a 1-D array of
+        ``k`` times, shape ``(k, channels)``."""
+        tt = np.asarray(t, dtype=float)
+        times = np.atleast_1d(tt)
         if self.kind == "constant":
-            return self.value
-        if self.kind == "step":
-            if t >= self.at:
-                return self.value
-            return np.zeros_like(self.value)
-        if self.kind == "sinusoid":
-            return self.value * np.sin(self.omega * t + self.phase)
-        k = int(np.searchsorted(self.times, t, side="right")) - 1
-        if k < 0:
-            return np.zeros(self.levels.shape[1])
-        return self.levels[k]
+            out = np.repeat(self.value[None, :], len(times), axis=0)
+        elif self.kind == "step":
+            out = np.where((times >= self.at)[:, None], self.value, 0.0)
+        elif self.kind == "sinusoid":
+            out = self.value * np.sin(self.omega * times + self.phase)[:, None]
+        else:
+            k = np.searchsorted(self.times, times, side="right") - 1
+            out = np.where((k >= 0)[:, None], self.levels[np.maximum(k, 0)], 0.0)
+        return out[0] if tt.ndim == 0 else out
 
     def is_zero(self) -> bool:
         if self.kind == "piecewise":
@@ -355,26 +357,31 @@ def export_trajectory_csv(traj: Trajectory, out) -> None:
 
 
 def _rk4(model, X, signal, steps: int, dt: float):
-    """Batched classical RK4; returns (t, states, inputs) histories."""
+    """Batched classical RK4; returns (t, states, inputs) histories.
+
+    The input is evaluated once per run, at the step starts ``k dt``, the
+    midpoints ``k dt + dt/2`` and the ends ``k dt + dt``.
+    """
+    t = np.arange(steps) * dt
+    U0 = signal(t)
+    Um = signal(t + 0.5 * dt)
+    U1 = signal(t + dt)
     states = np.empty((steps + 1,) + X.shape)
     inputs = np.empty((steps + 1, signal.dim))
     states[0] = X
-    inputs[0] = signal(0.0)
-    t = 0.0
+    inputs[0] = U0[0]
+    inputs[1:] = U1
     for k in range(steps):
-        u0 = signal(t)
-        um = signal(t + 0.5 * dt)
-        u1 = signal(t + dt)
-        k1 = model.f(X, u0)
-        k2 = model.f(X + 0.5 * dt * k1, um)
-        k3 = model.f(X + 0.5 * dt * k2, um)
-        k4 = model.f(X + dt * k3, u1)
+        k1 = model.f(X, U0[k])
+        k2 = model.f(X + 0.5 * dt * k1, Um[k])
+        k3 = model.f(X + 0.5 * dt * k2, Um[k])
+        k4 = model.f(X + dt * k3, U1[k])
         X = X + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = (k + 1) * dt
-        if not np.all(np.isfinite(X)) or float(np.max(np.abs(X))) > DIVERGENCE_GUARD:
-            raise Diverged(f"state norm blew past the guard at t={t:.6g}", t=t)
+        # one reduction; NaN fails the comparison too
+        if not float(np.max(np.abs(X))) <= DIVERGENCE_GUARD:
+            tk = (k + 1) * dt
+            raise Diverged(f"state norm blew past the guard at t={tk:.6g}", t=tk)
         states[k + 1] = X
-        inputs[k + 1] = u1
     return np.arange(steps + 1) * dt, states, inputs
 
 
@@ -475,10 +482,11 @@ def linear_gains(model: LinearBlock, Q, epsilon: float) -> LinearDesign:
         gamma_u.append(Linear(k_i * bn) if bn > 0.0 else zero)
     mu = tuple(OuterSum(Power(1.0, 2.0), external_in_sum=True) for _ in range(n))
     net = GainNetwork(n, tuple(gamma), tuple(gamma_u), mu)
+    # x' P x per row; vecdot rounds like a single state's ``x @ P @ x``
     specs = tuple(
         SubsystemSpec(
             dim=model.dims[i],
-            V=(lambda xi, Pi=P[i]: float(xi @ Pi @ xi)),
+            V=(lambda X, Pi=P[i]: np.vecdot(X @ Pi, X)),
             name=f"block_{i + 1}",
         )
         for i in range(n)
@@ -526,7 +534,7 @@ def cg_gains(model: CohenGrossberg, epsilon: float, rho_slope: float = 1.0,
                            external_in_sum=False))
     net = GainNetwork(n, tuple(gamma), tuple(gamma_u), tuple(mu))
     specs = tuple(
-        SubsystemSpec(dim=1, V=(lambda xi: float(abs(xi[0]))),
+        SubsystemSpec(dim=1, V=(lambda X: np.abs(X[:, 0])),
                       name=f"neuron_{i + 1}")
         for i in range(n)
     )

@@ -35,11 +35,11 @@ def net_of(rows, mu, gu=None):
 
 
 def abs_spec():
-    return SubsystemSpec(dim=1, V=lambda x: abs(float(x[0])))
+    return SubsystemSpec(dim=1, V=lambda X: np.abs(X[:, 0]))
 
 
 def quad_spec(dim=2):
-    return SubsystemSpec(dim=dim, V=lambda x: float(np.dot(x, x)))
+    return SubsystemSpec(dim=dim, V=lambda X: np.einsum("mi,mi->m", X, X))
 
 
 def tilted_path(n, slopes, top=1e6):
@@ -177,12 +177,24 @@ def test_eval_V_batch_matches_scalar():
 def test_subsystem_audit_rejects_bad_energy():
     net = half_max_net()
     sigma = tilted_path(2, [1.0, 0.75])
-    shifted = SubsystemSpec(dim=1, V=lambda x: abs(float(x[0])) + 1.0)
+    shifted = SubsystemSpec(dim=1, V=lambda X: np.abs(X[:, 0]) + 1.0)
     with pytest.raises(ValueError):
         compose(net, sigma, [shifted, abs_spec()])
-    indefinite = SubsystemSpec(dim=1, V=lambda x: float(x[0]))
+    indefinite = SubsystemSpec(dim=1, V=lambda X: X[:, 0])
     with pytest.raises(ValueError):
         compose(net, sigma, [indefinite, abs_spec()])
+
+
+def test_subsystem_audit_rejects_per_state_energy():
+    net = half_max_net()
+    sigma = tilted_path(2, [1.0, 0.75])
+    # an energy written for one state returns one scalar for the batch
+    per_state = SubsystemSpec(dim=1, V=lambda x: abs(float(x[0])))
+    with pytest.raises(ValueError, match=r"batch of states to shape \(m,\)"):
+        compose(net, sigma, [per_state, abs_spec()])
+    per_state_quad = SubsystemSpec(dim=2, V=lambda x: float(x @ x))
+    with pytest.raises(ValueError, match=r"batch of states to shape \(m,\)"):
+        compose(net, sigma, [abs_spec(), per_state_quad])
 
 
 def test_compose_with_reducible_budget():

@@ -571,6 +571,35 @@ def test_reducible_block_failure_named():
     assert exc.value.block == (0, 1)
 
 
+def test_reducible_max_checks_each_cycle_once(monkeypatch):
+    # a 2-cycle feeding one node: the whole network passes the gate of
+    # path_max, the 2-node block passes its own, the 1-node block has none
+    sizes = []
+    check = paths_module.check_cycle_condition
+
+    def counting(net):
+        sizes.append(net.n)
+        return check(net)
+
+    monkeypatch.setattr(paths_module, "check_cycle_condition", counting)
+    g = Linear(0.5)
+    net = net_of([[Z, g, Z], [g, Z, Z], [Z, g, Z]], [MaxAgg()] * 3)
+    construct_path(net)
+    assert sizes == [3, 2]
+
+
+def test_reducible_max_block_failure_named():
+    net = net_of([[Z, Linear(1.2), Z, Linear(0.1)],
+                  [Linear(1.2), Z, Z, Z],
+                  [Z, Z, Z, Linear(0.5)],
+                  [Z, Z, Linear(0.5), Z]],
+                 [MaxAgg(), MaxAgg(), SumAgg(), SumAgg()])
+    with pytest.raises(BlockSgcFails) as exc:
+        path_reducible(net)
+    assert exc.value.block == (0, 1)
+    assert str(exc.value) == "diagonal block 0 fails the cycle condition"
+
+
 def test_reducible_rejects_irreducible():
     with pytest.raises(CompatibilityError):
         path_reducible(sum2(0.4))

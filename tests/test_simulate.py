@@ -1,6 +1,7 @@
 """Model families, the integrator, and the empirical certificate checks."""
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -165,6 +166,41 @@ def test_input_signal_kinds():
     assert not st.is_zero()
 
 
+def test_input_signal_on_time_arrays():
+    t = np.array([0.0, 1.5, 2.0, 2.5])
+    const = InputSignal.constant([2.0, -1.0])
+    assert np.array_equal(const(t), [[2.0, -1.0]] * 4)
+    # a step on a grid time is already on (t >= at)
+    step = InputSignal.step([1.0, 3.0], at=2.0)
+    assert np.array_equal(step(t), [[0.0, 0.0], [0.0, 0.0],
+                                    [1.0, 3.0], [1.0, 3.0]])
+    # before the first breakpoint the input is zero; on a breakpoint the
+    # new level is already on (side="right")
+    pw = InputSignal.piecewise([1.0, 3.0], [[0.5], [2.5]])
+    tp = np.array([-1.0, 0.5, 1.0, 2.9, 3.0, 7.0])
+    assert np.array_equal(pw(tp), [[0.0], [0.0], [0.5], [0.5], [2.5], [2.5]])
+    sn = InputSignal.sinusoid([3.0, -0.5], omega=2.0, phase=0.3)
+    ts = np.linspace(0.0, 10.0, 41)
+    got = sn(ts)
+    assert got.shape == (41, 2)
+    for k, tk in enumerate(ts):
+        for c, amp in enumerate((3.0, -0.5)):
+            want = amp * math.sin(2.0 * tk + 0.3)
+            assert abs(got[k, c] - want) <= 1e-15 * abs(want)
+
+
+def test_input_signal_scalar_time_shape():
+    signals = (InputSignal.constant([2.0, -1.0]),
+               InputSignal.step([1.0, 3.0], at=2.0),
+               InputSignal.sinusoid([3.0, -0.5], omega=2.0),
+               InputSignal.piecewise([1.0, 3.0], [[0.5, 1.0], [2.5, 0.0]]))
+    for sig in signals:
+        for tk in (0.0, 2.0, 4.5):
+            u = sig(tk)
+            assert u.shape == (2,)
+            assert np.array_equal(u, sig(np.array([tk]))[0])
+
+
 def test_input_signal_validation():
     with pytest.raises(ValueError):
         InputSignal(kind="ramp", value=[1.0])
@@ -206,6 +242,19 @@ def test_divergence_guard():
     with pytest.raises(Diverged) as exc:
         integrate(m, [1.0], T=20.0, dt=1e-2)
     assert exc.value.t is not None and exc.value.t > 0.0
+
+
+def test_divergence_guard_catches_nan():
+    class NanModel:
+        state_dim = 1
+        input_dim = 0
+
+        def f(self, x, u):
+            return np.full_like(x, np.nan)
+
+    with pytest.raises(Diverged) as exc:
+        integrate(NanModel(), [1.0], T=1.0, dt=0.1)
+    assert exc.value.t == 0.1
 
 
 def test_integrate_argument_validation():
@@ -261,7 +310,7 @@ def test_linear_demo_design_values():
     assert isinstance(m, OuterSum) and m.external_in_sum
     assert isinstance(m.rho, Power) and m.rho.exponent == 2.0
     # energies are the quadratic forms of the Lyapunov solutions
-    assert design.specs[0].V(np.array([3.0])) == pytest.approx(9.0)
+    assert design.specs[0].V(np.array([[3.0]])) == pytest.approx(9.0)
 
 
 def test_linear_gains_zero_coupling_gives_zero_gain():
@@ -292,7 +341,7 @@ def test_cg_design_values():
     m = design.net.mu[0]
     assert isinstance(m, OuterSum) and not m.external_in_sum
     assert isinstance(m.rho, Linear) and m.rho.slope == pytest.approx(2.0)
-    assert design.specs[1].V(np.array([-3.0])) == pytest.approx(3.0)
+    assert design.specs[1].V(np.array([[-3.0]])) == pytest.approx(3.0)
 
 
 def test_cg_gains_parameter_validation():
