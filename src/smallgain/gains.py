@@ -12,7 +12,10 @@ A :class:`GainNetwork` packages an n-by-n matrix of interconnection gains
 (zero diagonal), one external gain per row, and one monotone aggregation per
 row.  The induced operators on the positive orthant are
 ``eval_operator`` (internal inputs only) and ``eval_operator_ext`` (with the
-external channel).  Construction audits each row's aggregation for strict
+external channel).  They evaluate only the active slots, the gains that are
+not the zero gain, which the network computes once when it is built; the
+zero slots stay exactly zero, so the aggregation sees the same array as a
+dense evaluation.  Construction audits each row's aggregation for strict
 monotonicity over the row's active gain slots and rejects incompatible
 combinations.
 
@@ -27,6 +30,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -509,22 +513,24 @@ class GainNetwork:
             if not gamma[i][i].is_zero:
                 raise CompatibilityError(f"diagonal gain ({i},{i}) must be the zero gain")
             try:
-                self.mu[i].check_active(self.active_set(i), self.n)
+                self.mu[i].check_active(self.active_sets[i], self.n)
             except CompatibilityError as exc:
                 raise CompatibilityError(f"row {i}: {exc}") from exc
 
-    def active_set(self, i: int) -> tuple[int, ...]:
-        return tuple(j for j in range(self.n) if not self.gamma[i][j].is_zero)
-
-    @property
+    @cached_property
     def active_sets(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.active_set(i) for i in range(self.n))
+        """Per row, the columns whose gain is not the zero gain."""
+        return tuple(
+            tuple(j for j, g in enumerate(row) if not g.is_zero) for row in self.gamma
+        )
 
+    @cached_property
+    def ext_active(self) -> tuple[bool, ...]:
+        """Per row, whether the external gain is not the zero gain."""
+        return tuple(not g.is_zero for g in self.gamma_u)
 
-def _row_slots(net: GainNetwork, i: int, states: np.ndarray) -> np.ndarray:
-    # states has shape (..., n); result (..., n) of per-slot gain values
-    cols = [net.gamma[i][j]._eval(states[..., j]) for j in range(net.n)]
-    return np.stack(cols, axis=-1)
+    def active_set(self, i: int) -> tuple[int, ...]:
+        return self.active_sets[i]
 
 
 def eval_operator_ext(net: GainNetwork, s, r):
@@ -536,12 +542,19 @@ def eval_operator_ext(net: GainNetwork, s, r):
     ext = np.broadcast_to(np.atleast_1d(ext), states.shape[:-1])
     if states.shape[-1] != net.n:
         raise ValueError(f"state vector must have length {net.n}")
-    rows = []
-    for i in range(net.n):
-        slots = _row_slots(net, i, states)
-        ext_slot = net.gamma_u[i]._eval(ext)
-        rows.append(net.mu[i].aggregate(slots, ext_slot))
-    out = np.stack(rows, axis=-1)
+    # one slot array shared by the rows: each row fills its active columns,
+    # aggregates, and puts them back to zero for the next row
+    slots = np.zeros(states.shape)
+    zero_ext = np.zeros(ext.shape)
+    out = np.empty(states.shape)
+    for i, cols in enumerate(net.active_sets):
+        row = net.gamma[i]
+        for j in cols:
+            slots[..., j] = row[j]._eval(states[..., j])
+        ext_slot = net.gamma_u[i]._eval(ext) if net.ext_active[i] else zero_ext
+        out[..., i] = net.mu[i].aggregate(slots, ext_slot)
+        for j in cols:
+            slots[..., j] = 0.0
     return out[0] if squeeze else out
 
 
@@ -559,5 +572,5 @@ def strictly_less(a, b, tol: float = TOL_STRICT) -> bool:
 
 def zero_rows(net: GainNetwork) -> tuple[int, ...]:
     """Rows with no active internal gain slot."""
-    return tuple(i for i in range(net.n) if not net.active_set(i))
+    return tuple(i for i, cols in enumerate(net.active_sets) if not cols)
 

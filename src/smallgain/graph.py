@@ -17,9 +17,10 @@ CYCLE_ENUM_LIMIT = 12
 
 def adjacency(net: GainNetwork) -> np.ndarray:
     """Boolean matrix with entry (i, j) set when j influences i."""
-    return np.array(
-        [[not g.is_zero for g in row] for row in net.gamma], dtype=bool
-    )
+    adj = np.zeros((net.n, net.n), dtype=bool)
+    for i, cols in enumerate(net.active_sets):
+        adj[i, list(cols)] = True
+    return adj
 
 
 def _tarjan(adj: np.ndarray):

@@ -24,6 +24,7 @@ from .errors import (
     WrongAggregation,
 )
 from .gains import (
+    Atan,
     Compose,
     DiagOp,
     GainExpr,
@@ -33,6 +34,7 @@ from .gains import (
     OuterSum,
     PlusId,
     Power,
+    Saturating,
     SumAgg,
     eval_operator,
 )
@@ -132,40 +134,69 @@ def check_cycle_condition(net: GainNetwork) -> SgcVerdict:
     )
 
 
+# start radii (major) and per-step inflations (minor) of the cycle walks
+WITNESS_RADII = np.geomspace(1e-4, 1e4, 9)
+WITNESS_DELTAS = (0.0, 1e-9, 1e-6, 1e-3, 0.03)
+# gains whose array inverse is the scalar one entry by entry
+_CLOSED_FORM = (Linear, Power, Saturating, Atan)
+
+
 def _cycle_witness(net: GainNetwork, cycle, op=None, walk_net=None):
     """Vector supported on a bad cycle with Gamma_mu(s) >= s, if one verifies.
 
     Walks the cycle of ``walk_net`` (default ``net``) making each edge tight
     via inversion; small per-step inflations absorb inversion residue when
-    the composition has real slack.  The candidate is verified against
-    ``op`` (default the operator of ``net``).
+    the composition has real slack.  All candidates are verified in one call
+    of ``op`` (default the operator of ``net``); the first that holds, in
+    (radius, inflation) order, is returned.
     """
     walk_net = net if walk_net is None else walk_net
-    for r in np.geomspace(1e-4, 1e4, 9):
-        for d in (0.0, 1e-9, 1e-6, 1e-3, 0.03):
-            s = _tight_cycle_vector(walk_net, cycle, float(r), d)
-            if s is not None and _is_witness(net, s, op):
-                return s
-    return None
+    cand = _tight_cycle_vectors(walk_net, cycle)
+    if not len(cand):
+        return None
+    out = eval_operator(net, cand) if op is None else op(cand)
+    hit = np.flatnonzero(np.any(cand > 0, axis=1) & np.all(out >= cand, axis=1))
+    return cand[hit[0]] if hit.size else None
 
 
-def _tight_cycle_vector(net, cycle, r, delta):
-    s = np.zeros(net.n)
-    s[cycle[0]] = r
-    for m in range(len(cycle) - 1):
-        g = net.gamma[cycle[m]][cycle[m + 1]]
-        try:
-            s[cycle[m + 1]] = g.inverse(s[cycle[m]]) * (1.0 + delta)
-        except OutOfRange:
-            return None
-        if not np.isfinite(s[cycle[m + 1]]) or s[cycle[m + 1]] <= 0:
-            return None
+def _tight_cycle_vectors(net, cycle) -> np.ndarray:
+    """Cycle walks from every (radius, inflation) start, as rows.
+
+    A walk is dropped where an edge cannot be inverted (at or above a bounded
+    gain's sup) or the preimage is not finite and positive.  Closed-form
+    gains invert all walks in one call; the others one walk at a time,
+    because their array bisection refines every entry until the last meets
+    its stop rule and so differs from the scalar preimage.
+    """
+    s = np.zeros((WITNESS_RADII.size * len(WITNESS_DELTAS), net.n))
+    s[:, cycle[0]] = np.repeat(WITNESS_RADII, len(WITNESS_DELTAS))
+    scale = np.tile(1.0 + np.array(WITNESS_DELTAS), WITNESS_RADII.size)
+    for a, b in zip(cycle, cycle[1:]):
+        if not len(s):
+            break
+        g = net.gamma[a][b]
+        if isinstance(g, _CLOSED_FORM):
+            keep = s[:, a] < g.sup()
+            s, scale = s[keep], scale[keep]
+            pre = g.inverse(s[:, a])
+        else:
+            pre = np.array([_scalar_inverse(g, y) for y in s[:, a]])
+        nxt = pre * scale
+        keep = np.isfinite(nxt) & (nxt > 0)
+        s, scale = s[keep], scale[keep]
+        s[:, b] = nxt[keep]
     return s
 
 
-def _is_witness(net, s, op=None):
-    out = eval_operator(net, s) if op is None else op(s)
-    return bool(np.any(s > 0) and np.all(out >= s))
+def _scalar_inverse(g, y):
+    try:
+        return g.inverse(float(y))
+    except OutOfRange:
+        return np.nan
+
+
+def _is_witness(net, s):
+    return bool(np.any(s > 0) and np.all(eval_operator(net, s) >= s))
 
 
 def _sphere_directions(n: int, count: int, rng) -> np.ndarray:
@@ -372,12 +403,11 @@ def nonlinear_perron(
     Gamma_mu(v) = lam v at the fixed direction.
     """
     rng = np.random.default_rng(seed)
-    for _ in range(16):
-        s = rng.uniform(0.1, 10.0, size=net.n)
-        a = eval_operator(net, 2.0 * s)
-        b = 2.0 * eval_operator(net, s)
-        if np.max(np.abs(a - b)) > 1e-9 * (np.max(np.abs(a)) + 1e-12):
-            raise NotHomogeneous("operator fails the doubling test")
+    s = rng.uniform(0.1, 10.0, size=(16, net.n))
+    a = eval_operator(net, 2.0 * s)
+    b = 2.0 * eval_operator(net, s)
+    if np.any(np.max(np.abs(a - b), axis=1) > 1e-9 * (np.max(np.abs(a), axis=1) + 1e-12)):
+        raise NotHomogeneous("operator fails the doubling test")
     if not is_irreducible(adjacency(net)):
         raise NotIrreducible("eigenpair iteration needs a strongly connected graph")
     v = np.ones(net.n)

@@ -302,3 +302,101 @@ def test_zero_rows_helper():
         mu=(SumAgg(), SumAgg()),
     )
     assert zero_rows(net) == (1,)
+
+
+def _dense_operator(net, s, r):
+    # the all-slot formula: every slot evaluated, zero gains included, and
+    # each row's slots and the rows' outputs stacked
+    states = np.atleast_2d(np.asarray(s, dtype=float))
+    ext = np.broadcast_to(np.atleast_1d(np.asarray(r, dtype=float)), states.shape[:-1])
+    rows = []
+    for i in range(net.n):
+        slots = np.stack(
+            [net.gamma[i][j]._eval(states[..., j]) for j in range(net.n)], axis=-1
+        )
+        rows.append(net.mu[i].aggregate(slots, net.gamma_u[i]._eval(ext)))
+    out = np.stack(rows, axis=-1)
+    return out[0] if np.ndim(s) == 1 else out
+
+
+def _random_net(rng, n, mu_kind):
+    mask = rng.random((n, n)) < 0.6
+    np.fill_diagonal(mask, False)
+    mask[0] = False  # one row with no active slot
+    gamma = tuple(
+        tuple(random_tree(rng, allow_zero=False) if mask[i, j] else Zero()
+              for j in range(n))
+        for i in range(n)
+    )
+    gamma_u = tuple(
+        Zero() if rng.random() < 0.4 else random_tree(rng, allow_zero=False)
+        for _ in range(n)
+    )
+    if mu_kind == "sum":
+        mu = (SumAgg(),) * n
+    elif mu_kind == "max":
+        mu = (MaxAgg(),) * n
+    elif mu_kind in ("outer-in", "outer-after"):
+        mu = (OuterSum(Power(1, 2), external_in_sum=mu_kind == "outer-in"),) * n
+    else:
+        cuts = sorted(rng.choice(np.arange(1, n), size=min(2, n - 1), replace=False))
+        mu = (BlockMaxSum(tuple(tuple(b) for b in np.split(np.arange(n), cuts))),) * n
+    return GainNetwork(n=n, gamma=gamma, gamma_u=gamma_u, mu=mu)
+
+
+@pytest.mark.parametrize("mu_kind", ["sum", "max", "outer-in", "outer-after", "block"])
+def test_operator_matches_dense_reference(mu_kind):
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 5, 9, 12):
+        for _ in range(3):
+            net = _random_net(rng, n, mu_kind)
+            assert net.active_sets[0] == ()
+            point = rng.uniform(0.0, 5.0, size=n)
+            batch = rng.uniform(0.0, 5.0, size=(7, n))
+            cases = [
+                (eval_operator(net, point), _dense_operator(net, point, 0.0)),
+                (eval_operator(net, batch), _dense_operator(net, batch, 0.0)),
+                (eval_operator_ext(net, point, 1.3), _dense_operator(net, point, 1.3)),
+                (eval_operator_ext(net, batch, 1.3), _dense_operator(net, batch, 1.3)),
+            ]
+            r = rng.uniform(0.5, 3.0, size=7)
+            cases.append((eval_operator_ext(net, batch, r), _dense_operator(net, batch, r)))
+            for fast, ref in cases:
+                assert fast.shape == ref.shape
+                assert np.all(fast == ref)
+
+
+class _CountingLinear(Linear):
+    classify_calls = 0
+
+    def classify(self):
+        type(self).classify_calls += 1
+        return super().classify()
+
+
+def test_active_sets_computed_once():
+    from smallgain.graph import adjacency
+
+    g = _CountingLinear(1.0)
+    net = GainNetwork(
+        n=3,
+        gamma=(
+            (Zero(), g, Zero()),
+            (Zero(), Zero(), Zero()),
+            (Sum((g, Zero())), g, Zero()),
+        ),
+        gamma_u=(Zero(), Linear(1), Zero()),
+        mu=(SumAgg(),) * 3,
+    )
+    built = _CountingLinear.classify_calls
+    assert net.active_sets == ((1,), (), (0, 1))
+    assert net.active_set(2) == (0, 1)
+    assert net.ext_active == (False, True, False)
+    assert zero_rows(net) == (1,)
+    np.testing.assert_array_equal(
+        adjacency(net), [[False, True, False], [False, False, False], [True, True, False]]
+    )
+    eval_operator(net, np.ones(3))
+    eval_operator_ext(net, np.ones((4, 3)), 2.0)
+    # the live slots were classified while the network was built, never again
+    assert _CountingLinear.classify_calls == built

@@ -3,21 +3,37 @@
 import numpy as np
 import pytest
 
-from smallgain.errors import NotHomogeneous, NotIrreducible, NotLinearizable, WrongAggregation
+from smallgain import sgc
+from smallgain.errors import (
+    NotHomogeneous,
+    NotIrreducible,
+    NotLinearizable,
+    OutOfRange,
+    WrongAggregation,
+)
 from smallgain.gains import (
+    Atan,
+    Compose,
     DiagOp,
     GainNetwork,
     Linear,
+    Max,
     MaxAgg,
     OuterSum,
+    PlusId,
     Power,
     Saturating,
+    Sum,
     SumAgg,
     Zero,
     eval_operator,
 )
+from smallgain.graph import adjacency, subordinated_cycles
 from smallgain.sgc import (
+    WITNESS_DELTAS,
     GridSpec,
+    _cycle_witness,
+    _tight_cycle_vectors,
     check_cycle_condition,
     check_linear_spectral,
     check_strong_sgc,
@@ -216,3 +232,144 @@ def test_cycle_verdict_agrees_with_falsification():
         else:
             assert fal.fails
             assert np.all(eval_operator(net, fal.witness) >= fal.witness)
+
+
+def _ring(slopes_or_gains, chords=()):
+    # max network on a ring i -> i+1, plus chords (i, j, gain)
+    n = len(slopes_or_gains)
+    gamma = [[Zero()] * n for _ in range(n)]
+    for i, g in enumerate(slopes_or_gains):
+        gamma[i][(i + 1) % n] = Linear(g) if isinstance(g, float) else g
+    for i, j, g in chords:
+        gamma[i][j] = g
+    return GainNetwork(n=n, gamma=tuple(map(tuple, gamma)),
+                       gamma_u=(Zero(),) * n, mu=(MaxAgg(),) * n)
+
+
+def _scalar_walks(net, cycle):
+    # the walk one candidate at a time, with the scalar inverse
+    rows = []
+    for r in np.geomspace(1e-4, 1e4, 9):
+        for d in (0.0, 1e-9, 1e-6, 1e-3, 0.03):
+            s = np.zeros(net.n)
+            s[cycle[0]] = float(r)
+            for a, b in zip(cycle, cycle[1:]):
+                try:
+                    v = net.gamma[a][b].inverse(float(s[a])) * (1.0 + d)
+                except OutOfRange:
+                    s = None
+                    break
+                if not np.isfinite(v) or v <= 0:
+                    s = None
+                    break
+                s[b] = v
+            if s is not None:
+                rows.append(s)
+    return np.array(rows).reshape(-1, net.n)
+
+
+EDGE_KINDS = {
+    "linear": Linear(1.3),
+    "power": Power(1.2, 1.5),
+    "saturating": Saturating(2.0),
+    "atan": Atan(1.5),
+    "sum": Sum((Linear(0.7), Power(0.6, 2.0))),
+    "max": Max((Linear(1.1), Saturating(1.0))),
+    "compose": Compose(Power(1.0, 0.5), Linear(1.6)),
+    "plusid": PlusId(Power(0.2, 0.5)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EDGE_KINDS))
+def test_batched_cycle_walk_matches_scalar_walk(kind):
+    g = EDGE_KINDS[kind]
+    net = _ring([g] * 4)
+    cycles = subordinated_cycles(adjacency(net))
+    assert len(cycles) == 1
+    cycle = cycles[0]
+    batch = _tight_cycle_vectors(net, cycle)
+    ref = _scalar_walks(net, cycle)
+    assert batch.shape == ref.shape
+    assert batch.tobytes() == ref.tobytes()
+    if kind == "saturating":
+        # the radii 10, ..., 1e4 start at or above sup = 2: all dropped
+        assert len(batch) == 5 * len(WITNESS_DELTAS)
+        assert np.all(batch[:, cycle[0]] < g.sup())
+    # the witness is the first candidate, in (radius, inflation) order,
+    # that the operator does not shrink
+    valid = [s for s in ref if np.any(s > 0) and np.all(eval_operator(net, s) >= s)]
+    w = _cycle_witness(net, cycle)
+    assert valid, "every kind above has a failing ring"
+    assert w.tobytes() == valid[0].tobytes()
+
+
+def test_cycle_walk_none_when_holding():
+    net = _ring([0.5] * 4)
+    assert _cycle_witness(net, subordinated_cycles(adjacency(net))[0]) is None
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_strong_sgc_cycle_stage_on_batches(side):
+    # slopes alternate so no grid direction fits; only the cycle walk
+    # finds D(Gamma(s)) >= s (left) or Gamma(D(s)) >= s (right)
+    net = _ring([2.0, 0.4995] * 4)
+    d = DiagOp(Linear(0.01))
+    v = check_strong_sgc(net, d, side=side)
+    assert v.fails and v.method == f"strong-{side}-cycle"
+    if side == "left":
+        image = d(eval_operator(net, v.witness))
+    else:
+        image = eval_operator(net, d(v.witness))
+    assert np.all(image >= v.witness)
+
+
+def test_cycle_stage_one_operator_call_per_cycle(monkeypatch):
+    # holding max network: a ring plus chords, every cycle walked, none fails
+    net = _ring([0.5] * 8, chords=[(2, 0, Linear(0.5)), (5, 1, Linear(0.5)),
+                                  (7, 3, Linear(0.5)), (4, 6, Linear(0.5))])
+    cycles = subordinated_cycles(adjacency(net))
+    assert len(cycles) > 3
+    calls = {"op": 0, "walks": 0, "in_walks": 0}
+    real_op, real_walk = sgc.eval_operator, sgc._cycle_witness
+
+    def counting_op(*args):
+        calls["op"] += 1
+        return real_op(*args)
+
+    def counting_walk(*args):
+        before = calls["op"]
+        out = real_walk(*args)
+        calls["walks"] += 1
+        calls["in_walks"] += calls["op"] - before
+        return out
+
+    monkeypatch.setattr(sgc, "eval_operator", counting_op)
+    monkeypatch.setattr(sgc, "_cycle_witness", counting_walk)
+    assert falsify_sgc(net).inconclusive
+    assert calls["walks"] == len(cycles)
+    assert calls["in_walks"] <= len(cycles)
+
+
+def test_perron_doubling_test_is_two_calls(monkeypatch):
+    calls = []
+    real_op = sgc.eval_operator
+    monkeypatch.setattr(sgc, "eval_operator",
+                        lambda net, s: calls.append(np.shape(s)) or real_op(net, s))
+    # homogeneous and reducible: passes the doubling test, then stops
+    with pytest.raises(NotIrreducible):
+        nonlinear_perron(linear_net([[0, 1], [0, 0]]))
+    assert calls == [(16, 2), (16, 2)]
+    calls.clear()
+    bounded = GainNetwork(
+        n=2,
+        gamma=((Zero(), Saturating(1)), (Linear(1), Zero())),
+        gamma_u=(Zero(), Zero()),
+        mu=(SumAgg(), SumAgg()),
+    )
+    with pytest.raises(NotHomogeneous, match="operator fails the doubling test"):
+        nonlinear_perron(bounded)
+    assert calls == [(16, 2), (16, 2)]
+    calls.clear()
+    lam, v, res = nonlinear_perron(linear_net([[0, 0.5], [0.5, 0]]))
+    assert lam == pytest.approx(0.5) and res <= 1e-9
+    assert calls[:2] == [(16, 2), (16, 2)]
