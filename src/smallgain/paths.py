@@ -699,28 +699,6 @@ def path_three_sum(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT) -> OmegaPa
     return _finalize(net, sigma, r_max)
 
 
-def _unbounded_bounded_split(net: GainNetwork):
-    gamma_u_part = []
-    gamma_b_part = []
-    for i in range(net.n):
-        row_u, row_b = [], []
-        for j in range(net.n):
-            g = net.gamma[i][j]
-            cls = g.classify()
-            if cls is GainClass.K_INFINITY:
-                row_u.append(g)
-                row_b.append(Zero())
-            elif cls is GainClass.ZERO:
-                row_u.append(Zero())
-                row_b.append(Zero())
-            else:
-                row_u.append(Zero())
-                row_b.append(g)
-        gamma_u_part.append(tuple(row_u))
-        gamma_b_part.append(tuple(row_b))
-    return tuple(gamma_u_part), tuple(gamma_b_part)
-
-
 def path_mixed(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT,
                seed: int = 0) -> OmegaPath:
     """Path for additive rows mixing bounded and unbounded gains.
@@ -733,16 +711,15 @@ def path_mixed(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT,
     for mu in net.mu:
         if not isinstance(mu, SumAgg):
             raise WrongAggregation("the split construction needs additive rows")
-    gamma_u_part, gamma_b_part = _unbounded_bounded_split(net)
-    has_bounded = any(not g.is_zero for row in gamma_b_part for g in row)
-    has_unbounded = any(not g.is_zero for row in gamma_u_part for g in row)
-    if not has_bounded:
+    classes = [[g.classify() for g in row] for row in net.gamma]
+    present = {c for row in classes for c in row}
+    if GainClass.K_BOUNDED not in present:
         return path_irreducible(net, r_max=r_max, seed=seed)
-    if not has_unbounded:
+    if GainClass.K_INFINITY not in present:
         return path_bounded(net, r_max=r_max)
     s_star = np.array([
-        sum(0.0 if g.is_zero else g.sup() for g in gamma_b_part[i])
-        for i in range(net.n)
+        sum(g.sup() if c is GainClass.K_BOUNDED else 0.0 for g, c in zip(row, cls))
+        for row, cls in zip(net.gamma, classes)
     ])
 
     zero_gain = Zero()
@@ -750,8 +727,9 @@ def path_mixed(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT,
     for c in (0.05, 0.01, 0.002):
         rho = Linear(c)
         inflated = tuple(
-            tuple(zero_gain if g.is_zero else Compose(g, PlusId(rho)) for g in row)
-            for row in gamma_u_part
+            tuple(Compose(g, PlusId(rho)) if k is GainClass.K_INFINITY else zero_gain
+                  for g, k in zip(row, cls))
+            for row, cls in zip(net.gamma, classes)
         )
         t_net = GainNetwork(net.n, inflated,
                             tuple(zero_gain for _ in range(net.n)), net.mu)
@@ -854,13 +832,18 @@ def _check_spectral_block(subnet: GainNetwork, index: int,
         )
 
 
-def _ext_budget(mu, slots: np.ndarray, target: np.ndarray) -> np.ndarray:
+def _ext_budget(mu, level: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Largest external slot value keeping the row at or below ``target``.
 
-    Vectorized doubling-and-bisection per radius; entries whose target the
-    aggregation can never reach come back infinite (no constraint).
+    ``level`` holds the row's internal level per radius, its aggregation
+    with the external slot at zero; the row is re-aggregated as that one
+    internal slot plus the external slot, which reproduces the row exactly
+    for the sum and max aggregations this is called with.  Vectorized
+    doubling-and-bisection per radius; entries whose target the aggregation
+    can never reach come back infinite (no constraint).
     """
-    m = slots.shape[0]
+    slots = level[:, None]
+    m = len(level)
     lo = np.zeros(m)
     hi = np.ones(m)
     reachable = np.ones(m, dtype=bool)
@@ -881,8 +864,7 @@ def _ext_budget(mu, slots: np.ndarray, target: np.ndarray) -> np.ndarray:
         below = vals <= target
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
-    out = lo
-    return np.where(reachable, out, np.inf)
+    return np.where(reachable, lo, np.inf)
 
 
 def _capped_inverse(g: GainExpr, levels: np.ndarray) -> np.ndarray:
@@ -908,8 +890,12 @@ def path_reducible(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT,
     aggregated inflow, generalizing the two-block recipe
     ``sigma = (2 eta~(r), r)``, ``phi = min(id, eta2^{-1}(id/2))``.
     Each block of two or more nodes gets its local path from
-    :func:`construct_path`; a single node rides the identity.  The result
-    satisfies ``Gamma_ext(sigma(r), phi(r)) < sigma(r)``.
+    :func:`construct_path`; a single node rides the identity.  A block's
+    own rows are evaluated on its subnetwork, whose aggregations are
+    remapped to block-local columns; its inflow is the whole operator
+    evaluated at the upstream values placed so far (this block's and the
+    downstream columns are still zero).  The result satisfies
+    ``Gamma_ext(sigma(r), phi(r)) < sigma(r)``.
     """
     adj = adjacency(net)
     if net.n > 1 and is_irreducible(adj):
@@ -919,20 +905,15 @@ def path_reducible(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT,
     blocks = scc_decompose(adj)
     radii_pos = _log_grid(1e-7, 1.1 * r_max)
     m = len(radii_pos)
-    comp_vals: dict[int, np.ndarray] = {}
+    values = np.zeros((m, net.n))
     phi_vals = radii_pos.copy()
 
     for bi in reversed(range(len(blocks))):
         block = blocks[bi]
-        cross_cols = {
-            i: [j for j in range(net.n)
-                if j not in block and not net.gamma[i][j].is_zero]
-            for i in block
-        }
-        has_cross = any(cross_cols[i] for i in block)
-        has_ext = any(not net.gamma_u[i].is_zero for i in block)
-        for i in block:
-            if (cross_cols[i] or not net.gamma_u[i].is_zero) and not isinstance(
+        cols = list(block)
+        fed = [any(j not in block for j in net.active_sets[i]) for i in block]
+        for i, cross in zip(block, fed):
+            if (cross or net.ext_active[i]) and not isinstance(
                     net.mu[i], (SumAgg, MaxAgg)):
                 raise UnsupportedAggregation(
                     "cross-block inflow needs additive or max aggregation"
@@ -955,84 +936,39 @@ def path_reducible(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT,
                     block=block,
                 ) from exc
 
-        local = {j: k for k, j in enumerate(block)}
-        bp_vals = bp(radii_pos)
-
-        if not has_cross and not has_ext:
-            for i in block:
-                comp_vals[i] = bp_vals[:, local[i]]
-            continue
-
-        # internal slot values and margins of the local path on the shared grid
-        def _internal_slots(vals: np.ndarray) -> dict[int, np.ndarray]:
-            slots = {}
-            for i in block:
-                cols = np.zeros((vals.shape[0], len(block)))
-                for k, j in enumerate(block):
-                    g = net.gamma[i][j]
-                    if not g.is_zero:
-                        cols[:, k] = g._eval(vals[:, local[j]])
-                slots[i] = cols
-            return slots
-
-        if not has_cross:
-            # external input only: keep the local path, shrink the budget map
-            slots = _internal_slots(bp_vals)
-            for i in block:
-                comp_vals[i] = bp_vals[:, local[i]]
-            for i in block:
-                giu = net.gamma_u[i]
-                if giu.is_zero:
-                    continue
-                row_int = net.mu[i].aggregate(slots[i], np.zeros(m))
-                margin = comp_vals[i] - row_int
-                target = comp_vals[i] - 0.5 * margin
-                budget = _ext_budget(net.mu[i], slots[i], target)
-                cap = _capped_inverse(giu, budget)
-                phi_vals = np.minimum(phi_vals, cap)
+        if not any(fed):
+            # keep the local path; an external input shrinks the budget map
+            bp_vals = bp(radii_pos)
+            values[:, cols] = bp_vals
+            if any(net.ext_active[i] for i in block):
+                level = eval_operator(subnet, bp_vals)
+                for k, i in enumerate(block):
+                    if not net.ext_active[i]:
+                        continue
+                    margin = bp_vals[:, k] - level[:, k]
+                    target = bp_vals[:, k] - 0.5 * margin
+                    budget = _ext_budget(net.mu[i], level[:, k], target)
+                    cap = _capped_inverse(net.gamma_u[i], budget)
+                    phi_vals = np.minimum(phi_vals, cap)
             continue
 
         # blocks fed by other blocks: reparametrize the local path so its
         # margins dominate twice the aggregated inflow
-        inflow = np.zeros((m, len(block)))
-        for k, i in enumerate(block):
-            if isinstance(net.mu[i], MaxAgg):
-                acc = np.zeros(m)
-                for j in cross_cols[i]:
-                    acc = np.maximum(acc, net.gamma[i][j]._eval(comp_vals[j]))
-                if not net.gamma_u[i].is_zero:
-                    acc = np.maximum(acc, net.gamma_u[i]._eval(phi_vals))
-            else:
-                acc = np.zeros(m)
-                for j in cross_cols[i]:
-                    acc = acc + net.gamma[i][j]._eval(comp_vals[j])
-                if not net.gamma_u[i].is_zero:
-                    acc = acc + net.gamma_u[i]._eval(phi_vals)
-            inflow[:, k] = acc
-
-        t_lo, t_hi = 1e-10, 10.0 * r_max
-        for _ in range(40):
-            t_grid = _log_grid(t_lo, t_hi)
+        targets = 2.0 * eval_operator_ext(net, values, phi_vals)[:, cols]
+        is_max = np.array([isinstance(net.mu[i], MaxAgg) for i in block])
+        t_hi = 10.0 * r_max
+        while True:
+            t_grid = _log_grid(1e-10, t_hi)
             t_vals = bp(t_grid)
-            t_slots = _internal_slots(t_vals)
-            tables = np.empty((len(t_grid), len(block)))
-            for k, i in enumerate(block):
-                if isinstance(net.mu[i], MaxAgg):
-                    tables[:, k] = t_vals[:, local[i]]
-                else:
-                    row_int = net.mu[i].aggregate(t_slots[i], np.zeros(len(t_grid)))
-                    tables[:, k] = t_vals[:, local[i]] - row_int
+            tables = np.where(is_max, t_vals, t_vals - eval_operator(subnet, t_vals))
             suff = np.minimum.accumulate(tables[::-1], axis=0)[::-1]
-            targets = 2.0 * inflow
-            if np.all(suff[-1][None, :] >= targets.max(axis=0)):
+            if np.all(suff[-1] >= targets.max(axis=0)):
                 break
             t_hi *= 100.0
             if t_hi > 1e16 * r_max:
                 raise PathStalled(
                     "local margins never dominate the aggregated inflow"
                 )
-        else:
-            raise PathStalled("local margins never dominate the aggregated inflow")
 
         idx = np.zeros(m, dtype=int)
         for k in range(len(block)):
@@ -1043,14 +979,10 @@ def path_reducible(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT,
         psi = np.maximum.accumulate(psi)
         drift = 1e-3 * (psi[-1] + t_grid[0]) / radii_pos[-1]
         psi = psi + drift * radii_pos
-        reparam = bp(psi)
-        for i in block:
-            comp_vals[i] = reparam[:, local[i]]
+        values[:, cols] = bp(psi)
 
-    values = np.column_stack([comp_vals[i] for i in range(net.n)])
     radii_full = np.concatenate([[0.0], radii_pos])
-    values_full = np.vstack([np.zeros(net.n), values])
-    sigma = OmegaPath(radii_full, values_full)
+    sigma = OmegaPath(radii_full, np.vstack([np.zeros(net.n), values]))
 
     phi_vals = np.minimum.accumulate(phi_vals[::-1])[::-1]
     phi = PLFunction(radii_full, np.concatenate([[0.0], phi_vals]))

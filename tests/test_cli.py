@@ -172,6 +172,19 @@ def test_certify_restricted_input_range(tmp_path, capsys):
     assert "restricted input range" in out
 
 
+def test_certify_reducible_block_max_sum(tmp_path, capsys):
+    # the block-max-sum row's indices name whole-network columns; the
+    # reducible route evaluates them on the block's own columns
+    doc = {"n": 3,
+           "gains": [["0", "0", "0"], ["0", "0", "0.4*s"], ["0.3*s", "0.4*s", "0"]],
+           "external_gains": ["0", "0", "0"],
+           "mu": ["sum", {"block_max_sum": [[2]]}, "sum"]}
+    code = main(["certify", write_cfg(tmp_path, doc)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "certificate margins: min" in out
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
