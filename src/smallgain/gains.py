@@ -94,6 +94,12 @@ class GainExpr:
         zero need the residual criterion, not a fixed halving count).
         ``inverse(0)`` is exactly ``0``.  Values at or above the supremum of
         a bounded gain raise :class:`OutOfRange`.
+
+        An array target inverts entry by entry: where no entry raises,
+        ``inverse(y)[k]`` has the bits of ``inverse(float(y[k]))``.  Each
+        entry stops bisecting after the round that meets its own stop rule,
+        and a composition bisects only the entries its stagewise preimage
+        misses.
         """
         if self.is_zero:
             raise OutOfRange("the zero gain has no inverse", sup=0.0, value=None)
@@ -109,10 +115,13 @@ class GainExpr:
                 f"cannot invert at {bad:.6g}: gain is bounded by sup = {sup:.6g}",
                 sup=sup, value=bad,
             )
-        exact = self._inverse_exact(y_arr, tol)
-        if exact is not None:
-            root = np.where(y_arr == 0.0, 0.0, exact)
-            return float(root[0]) if scalar else root
+        root = self._inverse_exact(y_arr, tol)
+        if root is None:
+            root = self._bisect(y_arr, tol, sup)
+        root = np.where(y_arr == 0.0, 0.0, root)
+        return float(root[0]) if scalar else root
+
+    def _bisect(self, y_arr: np.ndarray, tol: float, sup: float) -> np.ndarray:
         lo = np.zeros_like(y_arr)
         hi = np.ones_like(y_arr)
         doublings = 0
@@ -123,9 +132,13 @@ class GainExpr:
                 raise OutOfRange("bracket expansion exhausted", sup=sup,
                                  value=float(np.max(y_arr)))
         goal = tol * np.where(y_arr > 0.0, y_arr, 1.0)
+        root = np.zeros_like(y_arr)
+        idx = np.arange(y_arr.size)
         best = np.zeros_like(y_arr)
         best_res = y_arr.copy()
         for _ in range(1200):
+            if not idx.size:
+                break
             mid = 0.5 * (lo + hi)
             stalled = (mid == lo) | (mid == hi)
             fmid = self._eval(mid)
@@ -136,10 +149,15 @@ class GainExpr:
             below = fmid < y_arr
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
-            if np.all((best_res <= goal) | stalled):
-                break
-        root = np.where(y_arr == 0.0, 0.0, best)
-        return float(root[0]) if scalar else root
+            # an entry leaves after the round in which it meets its stop rule
+            done = (best_res <= goal) | stalled
+            if done.any():
+                root[idx[done]] = best[done]
+                keep = ~done
+                idx, y_arr, goal, lo, hi, best, best_res = (
+                    a[keep] for a in (idx, y_arr, goal, lo, hi, best, best_res))
+        root[idx] = best
+        return root
 
 
 @dataclass(frozen=True)
@@ -308,7 +326,8 @@ class Compose(GainExpr):
 
     def _inverse_exact(self, y_arr, tol):
         # stagewise preimage at tightened tolerance; verified against the
-        # composite because stage errors compound through the chain
+        # composite because stage errors compound through the chain, and
+        # bisected only on the entries where it misses
         tight = tol / 64.0
         try:
             mid = np.atleast_1d(self.outer.inverse(y_arr, tight))
@@ -321,9 +340,11 @@ class Compose(GainExpr):
         cand = np.atleast_1d(self.inner.inverse(mid, tight))
         res = np.abs(self._eval(cand) - y_arr)
         goal = tol * np.where(y_arr > 0.0, y_arr, 1.0)
-        if np.all((res <= goal) | (y_arr == 0.0)):
-            return cand
-        return None
+        miss = ~((res <= goal) | (y_arr == 0.0))
+        if miss.any():
+            cand = np.array(cand)
+            cand[miss] = self._bisect(y_arr[miss], tol, self.sup())
+        return cand
 
     def classify(self):
         co, ci = self.outer.classify(), self.inner.classify()

@@ -621,6 +621,11 @@ def path_three_sum(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT) -> OmegaPa
     ``sigma_1 = r``; ``sigma_2`` balances the two transfer budgets of rows
     one and two; ``sigma_3`` sits halfway between the inflow ``h`` and the
     right-to-left running minimum ``g*`` of the remaining budget ``g``.
+
+    The balance equation is solved by one bisection over all anchor radii
+    at once: every round halves the bracket of each radius still open, and
+    a radius leaves once its bracket is below ``1e-14`` relative, so each
+    radius gets the bits of a bisection of its own.
     """
     if net.n != 3:
         raise CompatibilityError("the balanced construction is specific to n = 3")
@@ -638,52 +643,50 @@ def path_three_sum(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT) -> OmegaPa
     g31, g32 = net.gamma[2][0], net.gamma[2][1]
 
     radii = _log_grid(1e-7, 1.5 * r_max * 10.0)
-    s2 = np.empty_like(radii)
 
-    def residual(r: float, cand: float) -> float:
-        left = g13.inverse(max(r - g12(cand), 0.0))
-        right = g23.inverse(max(cand - g21(r), 0.0))
+    def residual(r: np.ndarray, cand: np.ndarray) -> np.ndarray:
+        left = g13.inverse(np.maximum(r - g12(cand), 0.0))
+        right = g23.inverse(np.maximum(cand - g21(r), 0.0))
         return left - right
 
-    for k, r in enumerate(radii):
-        lo = g21(r)
-        hi = g12.inverse(r)
-        if hi < lo - 1e-12 * max(1.0, lo):
-            raise BisectionFailure(
-                f"no bracket for the balance equation at radius {r:.6g}"
-            )
-        tol_r = 1e-9 * max(1.0, r)
-        if hi <= lo:
-            s2[k] = 0.5 * (lo + hi)
-            continue
-        flo = residual(r, lo)
-        fhi = residual(r, hi)
-        if flo < -tol_r or fhi > tol_r:
-            raise BisectionFailure(
-                f"balance equation bracket has the wrong signs at radius {r:.6g}"
-            )
-        if flo <= 0.0:
-            s2[k] = lo
-            continue
-        if fhi >= 0.0:
-            s2[k] = hi
-            continue
-        a, b = lo, hi
-        for _ in range(300):
-            if (b - a) < 1e-14 * max(b, 1e-300):
-                break
-            mid = 0.5 * (a + b)
-            if residual(r, mid) >= 0:
-                a = mid
-            else:
-                b = mid
-        s2[k] = 0.5 * (a + b)
+    lo = g21(radii)
+    hi = g12.inverse(radii)
+    s2 = 0.5 * (lo + hi)
+    no_bracket = hi < lo - 1e-12 * np.maximum(1.0, lo)
+    # radii with room between the ends: sign check, then end or bisection
+    ks = np.flatnonzero(hi > lo)
+    flo = residual(radii[ks], lo[ks])
+    fhi = residual(radii[ks], hi[ks])
+    tol_r = 1e-9 * np.maximum(1.0, radii[ks])
+    bad = no_bracket.copy()
+    bad[ks] = (flo < -tol_r) | (fhi > tol_r)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        what = ("no bracket for the balance equation" if no_bracket[k]
+                else "balance equation bracket has the wrong signs")
+        raise BisectionFailure(f"{what} at radius {radii[k]:.6g}")
+    at_lo = flo <= 0.0
+    at_hi = ~at_lo & (fhi >= 0.0)
+    s2[ks[at_lo]] = lo[ks[at_lo]]
+    s2[ks[at_hi]] = hi[ks[at_hi]]
+    idx = ks[~(at_lo | at_hi)]
+    r, a, b = radii[idx], lo[idx], hi[idx]
+    live = np.ones(idx.size, dtype=bool)
+    for _ in range(300):
+        live &= ~((b - a) < 1e-14 * np.maximum(b, 1e-300))
+        if not np.any(live):
+            break
+        mid = 0.5 * (a[live] + b[live])
+        up = residual(r[live], mid) >= 0
+        a[live] = np.where(up, mid, a[live])
+        b[live] = np.where(up, b[live], mid)
+    s2[idx] = 0.5 * (a + b)
     for k in range(1, len(radii)):
         if s2[k] <= s2[k - 1]:
             s2[k] = s2[k - 1] * (1.0 + 1e-14)
 
     h = g31._eval(radii) + g32._eval(s2)
-    g = np.array([g13.inverse(max(r - g12(v), 0.0)) for r, v in zip(radii, s2)])
+    g = g13.inverse(np.maximum(radii - g12(s2), 0.0))
     g_star = np.minimum.accumulate(g[::-1])[::-1]
     if np.any(h >= g_star):
         k = int(np.argmax(h >= g_star))
@@ -839,8 +842,9 @@ def _ext_budget(mu, level: np.ndarray, target: np.ndarray) -> np.ndarray:
     with the external slot at zero; the row is re-aggregated as that one
     internal slot plus the external slot, which reproduces the row exactly
     for the sum and max aggregations this is called with.  Vectorized
-    doubling-and-bisection per radius; entries whose target the aggregation
-    can never reach come back infinite (no constraint).
+    doubling-and-bisection per radius, up to 200 rounds or until a round
+    moves no bound; entries whose target the aggregation can never reach
+    come back infinite (no constraint).
     """
     slots = level[:, None]
     m = len(level)
@@ -862,8 +866,13 @@ def _ext_budget(mu, level: np.ndarray, target: np.ndarray) -> np.ndarray:
         mid = 0.5 * (lo + hi)
         vals = mu.aggregate(slots, mid)
         below = vals <= target
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
+        new_lo = np.where(below, mid, lo)
+        new_hi = np.where(below, hi, mid)
+        # (lo, hi) alone fixes every later round: once a round moves
+        # neither, none will
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break
+        lo, hi = new_lo, new_hi
     return np.where(reachable, lo, np.inf)
 
 

@@ -20,11 +20,9 @@ from .errors import (
     NotHomogeneous,
     NotIrreducible,
     NotLinearizable,
-    OutOfRange,
     WrongAggregation,
 )
 from .gains import (
-    Atan,
     Compose,
     DiagOp,
     GainExpr,
@@ -34,7 +32,6 @@ from .gains import (
     OuterSum,
     PlusId,
     Power,
-    Saturating,
     SumAgg,
     eval_operator,
 )
@@ -137,8 +134,6 @@ def check_cycle_condition(net: GainNetwork) -> SgcVerdict:
 # start radii (major) and per-step inflations (minor) of the cycle walks
 WITNESS_RADII = np.geomspace(1e-4, 1e4, 9)
 WITNESS_DELTAS = (0.0, 1e-9, 1e-6, 1e-3, 0.03)
-# gains whose array inverse is the scalar one entry by entry
-_CLOSED_FORM = (Linear, Power, Saturating, Atan)
 
 
 def _cycle_witness(net: GainNetwork, cycle, op=None, walk_net=None):
@@ -163,36 +158,24 @@ def _tight_cycle_vectors(net, cycle) -> np.ndarray:
     """Cycle walks from every (radius, inflation) start, as rows.
 
     A walk is dropped where an edge cannot be inverted (at or above a bounded
-    gain's sup) or the preimage is not finite and positive.  Closed-form
-    gains invert all walks in one call; the others one walk at a time,
-    because their array bisection refines every entry until the last meets
-    its stop rule and so differs from the scalar preimage.
+    gain's sup) or the preimage is not finite and positive.  Each edge
+    inverts all walks in one call, which gives every walk the bits of its
+    own scalar inverse.
     """
     s = np.zeros((WITNESS_RADII.size * len(WITNESS_DELTAS), net.n))
     s[:, cycle[0]] = np.repeat(WITNESS_RADII, len(WITNESS_DELTAS))
     scale = np.tile(1.0 + np.array(WITNESS_DELTAS), WITNESS_RADII.size)
     for a, b in zip(cycle, cycle[1:]):
+        g = net.gamma[a][b]
+        keep = s[:, a] < g.sup()
+        s, scale = s[keep], scale[keep]
         if not len(s):
             break
-        g = net.gamma[a][b]
-        if isinstance(g, _CLOSED_FORM):
-            keep = s[:, a] < g.sup()
-            s, scale = s[keep], scale[keep]
-            pre = g.inverse(s[:, a])
-        else:
-            pre = np.array([_scalar_inverse(g, y) for y in s[:, a]])
-        nxt = pre * scale
+        nxt = g.inverse(s[:, a]) * scale
         keep = np.isfinite(nxt) & (nxt > 0)
         s, scale = s[keep], scale[keep]
         s[:, b] = nxt[keep]
     return s
-
-
-def _scalar_inverse(g, y):
-    try:
-        return g.inverse(float(y))
-    except OutOfRange:
-        return np.nan
 
 
 def _is_witness(net, s):

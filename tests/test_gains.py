@@ -12,6 +12,7 @@ from smallgain.gains import (
     Compose,
     DiagOp,
     GainClass,
+    GainExpr,
     GainNetwork,
     Linear,
     Max,
@@ -400,3 +401,56 @@ def test_active_sets_computed_once():
     eval_operator_ext(net, np.ones((4, 3)), 2.0)
     # the live slots were classified while the network was built, never again
     assert _CountingLinear.classify_calls == built
+
+
+# stagewise preimage of the steep composition misses on some entries only
+STEEP_COMPOSE = Compose(Power(1.0, 100.0), Sum((Linear(1.0), Power(0.5, 2.0))))
+INVERSE_KINDS = {
+    "linear": Linear(1.3),
+    "power": Power(1.2, 1.5),
+    "saturating": Saturating(2.0),
+    "atan": Atan(1.5),
+    "sum": Sum((Linear(0.7), Power(0.6, 2.0), Saturating(0.3))),
+    "max": Max((Linear(1.1), Saturating(1.0))),
+    "compose": Compose(Power(1.0, 0.5), Linear(1.6)),
+    "compose_steep": STEEP_COMPOSE,
+    "plusid": PlusId(Power(0.2, 0.5)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(INVERSE_KINDS))
+def test_array_inverse_is_scalar_inverse_per_entry(kind):
+    g = INVERSE_KINDS[kind]
+    sup = g.sup()
+    if math.isfinite(sup):
+        top = sup * np.array([0.5, 0.9, 0.999, 1.0 - 1e-9])
+    elif kind == "compose_steep":
+        top = np.geomspace(1e-30, 1e30, 41)
+    else:
+        top = np.array([1.0, 7.0, 1e6, 1e12, 1e100, 1e150])
+    y = np.concatenate([[0.0, 5e-324, 1e-300, 1e-12, 0.0, 3e-7], top, [0.0]])
+    y = y[y < sup]
+    batch = g.inverse(y)
+    ref = np.array([g.inverse(float(v)) for v in y])
+    assert batch.tobytes() == ref.tobytes()
+    assert np.all(batch[y == 0.0] == 0.0)
+
+
+def test_compose_bisects_only_missed_entries(monkeypatch):
+    y = np.geomspace(1e-30, 1e30, 41)
+    tight = 1e-9 / 64.0
+    stagewise = STEEP_COMPOSE.inner.inverse(STEEP_COMPOSE.outer.inverse(y, tight), tight)
+    hit = np.abs(STEEP_COMPOSE(stagewise) - y) <= 1e-9 * y
+    assert 0 < hit.sum() < len(y)
+    bisected = []
+    bisect = GainExpr._bisect
+
+    def recording(self, y_arr, tol, sup):
+        bisected.append((self, y_arr.size))
+        return bisect(self, y_arr, tol, sup)
+
+    monkeypatch.setattr(GainExpr, "_bisect", recording)
+    root = STEEP_COMPOSE.inverse(y)
+    assert (STEEP_COMPOSE, int((~hit).sum())) in bisected
+    assert root[hit].tobytes() == stagewise[hit].tobytes()
+    assert np.all(np.abs(STEEP_COMPOSE(root) - y) <= 1e-9 * y)

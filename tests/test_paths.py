@@ -22,12 +22,16 @@ from smallgain.errors import (
 from smallgain.gains import (
     BlockMaxSum,
     Compose,
+    GainExpr,
     GainNetwork,
     Linear,
+    Max,
     MaxAgg,
     DiagOp,
+    PlusId,
     Power,
     Saturating,
+    Sum,
     SumAgg,
     Zero,
     eval_operator,
@@ -461,6 +465,164 @@ def test_three_sum_cross_check_with_irreducible():
         assert validate_path(net, sb).valid
 
 
+def _three_sum_per_radius(net, *, r_max):
+    """Reference: the balance equation solved one radius at a time."""
+    g12, g13 = net.gamma[0][1], net.gamma[0][2]
+    g21, g23 = net.gamma[1][0], net.gamma[1][2]
+    g31, g32 = net.gamma[2][0], net.gamma[2][1]
+    radii = paths_module._log_grid(1e-7, 1.5 * r_max * 10.0)
+    s2 = np.empty_like(radii)
+
+    def residual(r, cand):
+        left = g13.inverse(max(r - g12(cand), 0.0))
+        right = g23.inverse(max(cand - g21(r), 0.0))
+        return left - right
+
+    for k, r in enumerate(radii):
+        lo = g21(r)
+        hi = g12.inverse(r)
+        if hi < lo - 1e-12 * max(1.0, lo):
+            raise BisectionFailure(
+                f"no bracket for the balance equation at radius {r:.6g}")
+        tol_r = 1e-9 * max(1.0, r)
+        if hi <= lo:
+            s2[k] = 0.5 * (lo + hi)
+            continue
+        flo = residual(r, lo)
+        fhi = residual(r, hi)
+        if flo < -tol_r or fhi > tol_r:
+            raise BisectionFailure(
+                f"balance equation bracket has the wrong signs at radius {r:.6g}")
+        if flo <= 0.0:
+            s2[k] = lo
+            continue
+        if fhi >= 0.0:
+            s2[k] = hi
+            continue
+        a, b = lo, hi
+        for _ in range(300):
+            if (b - a) < 1e-14 * max(b, 1e-300):
+                break
+            mid = 0.5 * (a + b)
+            if residual(r, mid) >= 0:
+                a = mid
+            else:
+                b = mid
+        s2[k] = 0.5 * (a + b)
+    for k in range(1, len(radii)):
+        if s2[k] <= s2[k - 1]:
+            s2[k] = s2[k - 1] * (1.0 + 1e-14)
+    h = g31._eval(radii) + g32._eval(s2)
+    g = np.array([g13.inverse(max(r - g12(v), 0.0)) for r, v in zip(radii, s2)])
+    g_star = np.minimum.accumulate(g[::-1])[::-1]
+    if np.any(h >= g_star):
+        k = int(np.argmax(h >= g_star))
+        raise EmptyGap(
+            f"inflow meets the remaining budget at radius {radii[k]:.6g}; "
+            "numerical evidence against the small gain condition")
+    values = np.column_stack([radii, s2, 0.5 * (g_star + h)])
+    sigma = OmegaPath(np.concatenate([[0.0], radii]),
+                      np.vstack([np.zeros(3), values]))
+    return paths_module._finalize(net, sigma, r_max)
+
+
+def _random_unbounded_gain(rng, scale, kinds=range(6)):
+    # kinds 0-2 invert in closed form, 3-5 by bisection
+    c = scale * rng.uniform(0.3, 1.0)
+    p = rng.uniform(0.9, 1.4)
+    kind = rng.choice(kinds)
+    if kind == 0:
+        return Linear(c)
+    if kind == 1:
+        return Power(c, p)
+    if kind == 2:
+        return Compose(Power(1.0, p), Linear(c))
+    if kind == 3:
+        return Sum((Linear(0.5 * c), Power(0.5 * c, p)))
+    if kind == 4:
+        return Max((Linear(c), Saturating(c)))
+    return PlusId(Power(c, p))
+
+
+def _outcome(build, net, r_max):
+    try:
+        return build(net, r_max=r_max).values.tobytes()
+    except Exception as exc:  # noqa: BLE001 - the raise is the outcome
+        return type(exc), str(exc)
+
+
+def _three_sum_cases():
+    rng = np.random.default_rng(2012)
+    # a bisected inverse leaves g12(g12^-1(r)) off r by up to 1e-9 r, which
+    # the flat g13 turns into a positive residual at the upper end
+    yield net_of([[Z, Sum((Linear(0.1), Power(0.1, 1.2))), Power(1e-3, 3.0)],
+                  [Linear(0.1), Z, Linear(1.0)],
+                  [Linear(0.1), Linear(0.01), Z]], [SumAgg()] * 3), 1e-2
+    # the same, and the 1-2 cycle fails from r = 0.01 on: the first raise
+    # is the wrong signs, not the later missing bracket
+    yield net_of([[Z, Sum((Linear(0.1), Power(0.1, 1.2))), Power(1e-3, 3.0)],
+                  [Power(100.0, 1.5), Z, Linear(1.0)],
+                  [Linear(0.1), Linear(0.01), Z]], [SumAgg()] * 3), 1e-2
+    # the 1-2 cycle fails from r = 4.9e-3 on: no bracket there
+    yield net_of([[Z, Power(3.0, 1.2), Linear(0.1)],
+                  [Power(3.0, 1.2), Z, Linear(0.1)],
+                  [Linear(0.1), Linear(0.1), Z]], [SumAgg()] * 3), 1e-2
+    # g12(g21(r)) = r^(1 + 1e-14): from r = 0.37 on the bracket starts
+    # below the stop width, so no radius there takes a midpoint
+    yield net_of([[Z, Linear(0.5), Linear(1e-20)],
+                  [Power(2.0, 1.0 + 1e-14), Z, Linear(1e-20)],
+                  [Linear(1e-3), Linear(1e-20), Z]], [SumAgg()] * 3), 0.05
+    for trial in range(6):
+        scale = 1.2 if trial % 3 == 0 else 0.2
+        # a bisected inverse costs the scalar reference about 2 ms per
+        # call, so only one network has one (in g13), on 16 anchors; the
+        # other inverted gains (g12, g13, g23) invert in closed form, on 52
+        heavy = trial == 1
+        kinds = {(0, 1): (0, 1, 2), (0, 2): (3, 4, 5) if heavy else (0, 1, 2),
+                 (1, 2): (0, 1, 2)}
+        rows = [[Z if i == j else _random_unbounded_gain(
+            rng, scale, kinds.get((i, j), range(6))) for j in range(3)]
+            for i in range(3)]
+        yield net_of(rows, [SumAgg()] * 3), 1e-7 if heavy else 1e-4
+
+
+def test_three_sum_batched_bisection_matches_per_radius_loop(monkeypatch):
+    # compare the constructed sigma itself, also where validation rejects it
+    monkeypatch.setattr(paths_module, "_finalize", lambda net, sigma, r_max: sigma)
+    outcomes = []
+    for net, r_max in _three_sum_cases():
+        got = _outcome(path_three_sum, net, r_max)
+        assert got == _outcome(_three_sum_per_radius, net, r_max)
+        outcomes.append(got)
+    paths = [o for o in outcomes if isinstance(o, bytes)]
+    raised = {o[0] for o in outcomes if isinstance(o, tuple)}
+    messages = " ".join(o[1] for o in outcomes if isinstance(o, tuple))
+    assert len(paths) >= 3
+    assert raised == {BisectionFailure, EmptyGap}
+    assert "wrong signs at radius 1.46115e-07" in messages
+    assert "no bracket for the balance equation at radius 0.00494117" in messages
+
+
+def test_three_sum_inverse_calls_per_round_not_per_radius(monkeypatch):
+    calls = []
+    inverse = GainExpr.inverse
+
+    def counting(self, y, tol=1e-9):
+        calls.append(np.size(y))
+        return inverse(self, y, tol)
+
+    monkeypatch.setattr(GainExpr, "inverse", counting)
+    net = net_of([[Z, Linear(0.3), Linear(0.2)], [Linear(0.15), Z, Linear(0.25)],
+                  [Linear(0.1), Linear(0.3), Z]], [SumAgg()] * 3)
+    sigma = path_three_sum(net)
+    radii = len(sigma.radii) - 1
+    assert max(calls) == radii
+    # one call for the bracket, four for the bracket signs, two per
+    # bisection round and one for the budget g
+    assert len(calls) <= 6 + 2 * 60
+    assert len(calls) < radii
+
+
 # ---------------------------------------------------------------------------
 # mixed
 
@@ -680,6 +842,56 @@ def test_reducible_random_networks_pass_extended_check():
     # external inflow, and a source block that shrinks the budget map
     assert fed_max_ext > 0
     assert driven_sources > 0
+
+
+class _CountingSum(SumAgg):
+    calls = 0
+
+    def aggregate(self, internal, ext):
+        type(self).calls += 1
+        return super().aggregate(internal, ext)
+
+
+def _ext_budget_all_rounds(mu, level, target):
+    """Reference: the budget bisection with all of its 200 rounds."""
+    slots = level[:, None]
+    lo = np.zeros(len(level))
+    hi = np.ones(len(level))
+    reachable = np.ones(len(level), dtype=bool)
+    for _ in range(400):
+        need = mu.aggregate(slots, hi) < target
+        if not np.any(need):
+            break
+        hi = np.where(need, hi * 2.0, hi)
+        if np.any(hi > 1e300):
+            reachable &= ~(need & (hi > 1e300))
+            hi = np.minimum(hi, 1e300)
+            if not np.any(need & reachable):
+                break
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        below = mu.aggregate(slots, mid) <= target
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return np.where(reachable, lo, np.inf)
+
+
+@pytest.mark.parametrize("mu", [_CountingSum(), MaxAgg()])
+def test_ext_budget_stops_when_bounds_freeze(mu):
+    rng = np.random.default_rng(76)
+    level = 10.0 ** rng.uniform(-8, 8, 60)
+    target = level * rng.uniform(1.0, 3.0, level.size)
+    _CountingSum.calls = 0
+    got = paths_module._ext_budget(mu, level, target)
+    if isinstance(mu, _CountingSum):
+        # about 25 doublings and 85 halvings, not 25 + 200
+        assert 0 < _CountingSum.calls < 150
+    assert got.tobytes() == _ext_budget_all_rounds(mu, level, target).tobytes()
+    # a zero budget halves hi for all 200 rounds; a huge one is unreachable
+    level = np.array([0.0, 1.0, 1e300, 2.0])
+    target = np.array([1e-9, 1.0, 1.0, 1e308])
+    got = paths_module._ext_budget(mu, level, target)
+    assert got.tobytes() == _ext_budget_all_rounds(mu, level, target).tobytes()
 
 
 # ---------------------------------------------------------------------------
