@@ -34,15 +34,10 @@ import numpy as np
 from .compose import CompositeLyapunov, compose, derive_phi
 from .errors import (
     ConfigError,
-    NoConvergence,
-    NotHomogeneous,
-    NotIrreducible,
-    NotLinearizable,
     OutOfRange,
     ParseError,
     RejectedNotClassK,
     SmallGainError,
-    WrongAggregation,
 )
 from .gains import (
     BlockMaxSum,
@@ -61,16 +56,9 @@ from .paths import (
     path_margins,
     validate_path,
     validation_grid,
+    write_csv,
 )
-from .sgc import (
-    CERTIFIED_FAILS,
-    CERTIFIED_HOLDS,
-    GridSpec,
-    check_cycle_condition,
-    check_linear_spectral,
-    falsify_sgc,
-    nonlinear_perron,
-)
+from .sgc import decide
 from .simulate import (
     CGDesign,
     CohenGrossberg,
@@ -393,14 +381,6 @@ def _fmt_cycle(c) -> str:
     return "(" + ", ".join(str(i + 1) for i in c) + ")"
 
 
-def _emit(text: str, out) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
-
-
 def _certificate(cfg: LoadedConfig, args) -> CompositeLyapunov:
     """Build the composite certificate a model-backed command works with."""
     design = cfg.design
@@ -435,45 +415,35 @@ def _sup_input(cfg: LoadedConfig) -> float:
 # Subcommands
 
 
+def _fmt_witness(v) -> str:
+    return f", witness {_fmt_vec(v.witness)}" if v.witness is not None else ""
+
+
+def _route_line(v) -> str:
+    """The report line of one route that :func:`decide` ran."""
+    route = v.method.split("-")[0]
+    if route == "spectral":
+        return f"spectral radius: {v.rho:.6g} ({v.status}){_fmt_witness(v)}"
+    if route == "cycle":
+        if v.holds:
+            return f"cycle condition: holds (min margin {v.margins['min_margin']:.6g})"
+        return f"cycle condition: fails on cycle {_fmt_cycle(v.cycle)}{_fmt_witness(v)}"
+    if route == "perron":
+        return f"nonlinear spectral radius: {v.rho:.6g}"
+    if v.fails:
+        return f"falsification: witness {_fmt_vec(v.witness)}"
+    return "falsification: no witness found"
+
+
 def cmd_check(cfg: LoadedConfig, args) -> int:
     net = cfg.effective_net
     seed = _resolve_seed(args)
-    statuses = []
-    try:
-        v = check_linear_spectral(net)
-        print(f"spectral radius: {v.rho:.6g} ({v.status})")
-        statuses.append(v.status)
-    except NotLinearizable:
-        pass
-    try:
-        v = check_cycle_condition(net)
-        if v.status == CERTIFIED_HOLDS:
-            print(f"cycle condition: holds (min margin "
-                  f"{v.margins['min_margin']:.6g})")
-        else:
-            extra = f", witness {_fmt_vec(v.witness)}" if v.witness is not None else ""
-            print(f"cycle condition: fails on cycle {_fmt_cycle(v.cycle)}{extra}")
-        statuses.append(v.status)
-    except WrongAggregation:
-        pass
-    try:
-        lam, _vec, _res = nonlinear_perron(net)
-        print(f"nonlinear spectral radius: {lam:.6g}")
-        statuses.append(CERTIFIED_HOLDS if lam < 1.0 - 1e-9 else CERTIFIED_FAILS)
-    except (NotHomogeneous, NotIrreducible, NoConvergence):
-        pass
-    v = falsify_sgc(net, GridSpec(seed=seed))
-    if v.status == CERTIFIED_FAILS:
-        print(f"falsification: witness {_fmt_vec(v.witness)}")
-    else:
-        print("falsification: no witness found")
-    statuses.append(v.status)
-    if CERTIFIED_FAILS in statuses:
-        print("verdict: CertifiedFails")
-        return 1
-    if CERTIFIED_HOLDS in statuses:
-        print("verdict: CertifiedHolds")
-        return 0
+    verdict = decide(net, seed=seed)
+    for v in verdict.routes:
+        print(_route_line(v))
+    if not verdict.inconclusive:
+        print(f"verdict: {verdict.status}")
+        return 1 if verdict.fails else 0
     # nothing decisive either way; a constructed path settles it
     sigma = construct_path(net, homogeneous=cfg.homogeneous,
                            r_max=R_MAX_DEFAULT, seed=seed).sigma
@@ -530,16 +500,10 @@ def cmd_certify(cfg: LoadedConfig, args) -> int:
     print(f"certificate margins: min {worst:.6g} over {len(rr)} radii")
     if args.out:
         export_path_csv(net, sigma, f"{args.out}.path.csv")
-        lines = ["r,phi"]
-        for r, p in zip(rr, phi(rr)):
-            lines.append(f"{r:.12g},{p:.12g}")
-        _emit("\n".join(lines) + "\n", f"{args.out}.phi.csv")
-        head = ",".join(f"margin_{i + 1}" for i in range(net.n))
-        lines = [f"r,{head},margin_min"]
-        for k, r in enumerate(rr):
-            row = ",".join(f"{m:.12g}" for m in margins[k])
-            lines.append(f"{r:.12g},{row},{np.min(margins[k]):.12g}")
-        _emit("\n".join(lines) + "\n", f"{args.out}.margins.csv")
+        write_csv(f"{args.out}.phi.csv", ["r", "phi"], np.column_stack([rr, phi(rr)]))
+        write_csv(f"{args.out}.margins.csv",
+                  ["r", *(f"margin_{i + 1}" for i in range(net.n)), "margin_min"],
+                  np.column_stack([rr, margins, margins.min(axis=1)]))
         print(f"bundle written: {args.out}.path.csv, {args.out}.phi.csv, "
               f"{args.out}.margins.csv")
     return 0

@@ -286,14 +286,18 @@ def export_path_csv(net: GainNetwork, sigma: OmegaPath, out, radii=None) -> None
     """Write ``r,sigma_1,...,sigma_n,margin_min`` rows at log-spaced radii."""
     rr = np.asarray(validation_grid() if radii is None else radii, dtype=float)
     states, margins = path_margins(net, sigma, rr)
-    margins = margins.min(axis=1)
-    header = "r," + ",".join(f"sigma_{i + 1}" for i in range(sigma.n)) + ",margin_min"
-    lines = [header]
-    for k, r in enumerate(rr):
-        cells = [f"{r:.12g}"] + [f"{states[k, i]:.12g}" for i in range(sigma.n)]
-        cells.append(f"{margins[k]:.12g}")
-        lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
+    header = ["r", *(f"sigma_{i + 1}" for i in range(sigma.n)), "margin_min"]
+    write_csv(out, header, np.column_stack([rr, states, margins.min(axis=1)]))
+
+
+def write_csv(out, header: list[str], table) -> None:
+    """Write ``header`` and each row of ``table`` as ``%.12g`` cells.
+
+    ``out`` is an open text stream or a file path.
+    """
+    fmt = ",".join(["%.12g"] * len(header))
+    rows = [fmt % tuple(row) for row in np.asarray(table).tolist()]
+    text = "\n".join([",".join(header), *rows]) + "\n"
     if hasattr(out, "write"):
         out.write(text)
     else:

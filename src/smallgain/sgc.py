@@ -7,11 +7,13 @@ Three certification routes and one honest falsifier:
 * nonlinear eigenvalue for homogeneous irreducible operators,
 * grid search for a witness s with Gamma_mu(s) >= s, which can only ever
   certify failure; absence of a witness stays Inconclusive.
+
+:func:`decide` runs the routes that apply and combines them into one verdict.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -56,6 +58,8 @@ class SgcVerdict:
     cycle: tuple[int, ...] | None = None
     rho: float | None = None
     margins: dict = field(default_factory=dict)
+    # the verdict of each route :func:`decide` ran, in order
+    routes: tuple[SgcVerdict, ...] = ()
 
     @property
     def holds(self) -> bool:
@@ -193,6 +197,11 @@ def _sphere_directions(n: int, count: int, rng) -> np.ndarray:
     return np.array(dirs[:count])
 
 
+# radii per operator call in the falsifier sweep: all 40 at once would hold
+# 40 * (2n + 200) rows and their operator slots in memory
+FALSIFY_CHUNK = 8
+
+
 def falsify_sgc(net: GainNetwork, grid: GridSpec | None = None) -> SgcVerdict:
     """Search for s != 0 with Gamma_mu(s) >= s componentwise.
 
@@ -213,17 +222,17 @@ def _falsify(net, op, grid, edge_transform, method):
     apply = (lambda s: eval_operator(net, s)) if op is None else op
     best_deficit = np.inf
 
-    # radius-major sweep, batched over directions
-    for r in radii:
-        batch = r * dirs
+    # radius-major sweep, FALSIFY_CHUNK radii times all directions per call
+    for k in range(0, radii.size, FALSIFY_CHUNK):
+        rs = radii[k:k + FALSIFY_CHUNK]
+        batch = (rs[:, None, None] * dirs).reshape(-1, n)
         out = apply(batch)
         deficit = np.max(batch - out, axis=1)
         hit = np.flatnonzero((deficit <= 0.0) & np.any(batch > 0, axis=1))
         if hit.size:
-            w = batch[hit[0]]
             return SgcVerdict(
-                status=CERTIFIED_FAILS, method=method, witness=w,
-                margins={"radius": float(r)},
+                status=CERTIFIED_FAILS, method=method, witness=batch[hit[0]],
+                margins={"radius": float(rs[hit[0] // len(dirs)])},
             )
         best_deficit = min(best_deficit, float(deficit.min()))
 
@@ -408,3 +417,49 @@ def nonlinear_perron(
     lam = float(np.max(gv))
     residual = float(np.max(np.abs(gv - lam * v)))
     return lam, v, residual
+
+
+def decide(net: GainNetwork, *, seed: int = 0) -> SgcVerdict:
+    """Small-gain verdict from the routes that apply, run in order.
+
+    The routes are the spectral radius, the cycle criterion, the nonlinear
+    Perron eigenvalue and the falsifier (seeded with ``seed``).  The run
+    stops at the first proof: a spectral verdict either way (at
+    ``rho < 1 - 1e-9`` no ``s != 0`` has ``Gamma_mu(s) >= s``, and a failure
+    carries a re-checked witness) or a failing cycle route.  A sampled cycle
+    hold or a Perron verdict is not a proof, so the falsifier still runs
+    after it.  Any failing route makes the verdict CertifiedFails, else any
+    holding route CertifiedHolds, else it is Inconclusive.  Returned is the
+    verdict of the first route with that status (the deciding route, named
+    by ``method``), with the verdict of every route run in ``routes``.
+    """
+    routes = []
+    try:
+        routes.append(check_linear_spectral(net))
+        if not routes[-1].inconclusive:
+            return _combine(routes)
+    except NotLinearizable:
+        pass
+    try:
+        routes.append(check_cycle_condition(net))
+        if routes[-1].fails:
+            return _combine(routes)
+    except WrongAggregation:
+        pass
+    try:
+        lam, _vec, residual = nonlinear_perron(net)
+        routes.append(SgcVerdict(
+            status=CERTIFIED_HOLDS if lam < 1.0 - 1e-9 else CERTIFIED_FAILS,
+            method="perron", rho=lam, margins={"residual": residual},
+        ))
+    except (NotHomogeneous, NotIrreducible, NoConvergence):
+        pass
+    routes.append(falsify_sgc(net, GridSpec(seed=seed)))
+    return _combine(routes)
+
+
+def _combine(routes: list[SgcVerdict]) -> SgcVerdict:
+    statuses = [v.status for v in routes]
+    for status in (CERTIFIED_FAILS, CERTIFIED_HOLDS, INCONCLUSIVE):
+        if status in statuses:
+            return replace(routes[statuses.index(status)], routes=tuple(routes))

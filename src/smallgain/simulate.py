@@ -27,7 +27,7 @@ from .gains import (
     Saturating,
     Zero,
 )
-from .paths import R_MAX_DEFAULT, construct_path, path_homogeneous
+from .paths import R_MAX_DEFAULT, construct_path, path_homogeneous, write_csv
 
 DIVERGENCE_GUARD = 1e12
 MAX_LYAP_DIM = 20
@@ -335,25 +335,13 @@ class Trajectory:
 
 def export_trajectory_csv(traj: Trajectory, out) -> None:
     """Write ``t,x_1..x_N,u_1..u_M,V`` rows; V only when recorded."""
-    N = traj.x.shape[1]
-    M = traj.u.shape[1]
-    cols = ["t"] + [f"x_{i + 1}" for i in range(N)] + [f"u_{i + 1}" for i in range(M)]
+    cols = ["t", *(f"x_{i + 1}" for i in range(traj.x.shape[1])),
+            *(f"u_{i + 1}" for i in range(traj.u.shape[1]))]
+    table = [traj.t, traj.x, traj.u]
     if traj.v is not None:
         cols.append("V")
-    lines = [",".join(cols)]
-    for k in range(len(traj.t)):
-        cells = [f"{traj.t[k]:.12g}"]
-        cells += [f"{traj.x[k, i]:.12g}" for i in range(N)]
-        cells += [f"{traj.u[k, i]:.12g}" for i in range(M)]
-        if traj.v is not None:
-            cells.append(f"{traj.v[k]:.12g}")
-        lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
-    if hasattr(out, "write"):
-        out.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
+        table.append(traj.v)
+    write_csv(out, cols, np.column_stack(table))
 
 
 def _rk4(model, X, signal, steps: int, dt: float):

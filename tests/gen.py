@@ -106,3 +106,37 @@ def random_linear_max_net(rng: np.random.Generator, nmax: int = 4):
         return GainNetwork(
             n=n, gamma=gamma, gamma_u=(Zero(),) * n, mu=(MaxAgg(),) * n
         )
+
+
+def random_network(rng: np.random.Generator, nmax: int = 5):
+    """Random network with sum, max or mixed rows, holding or failing.
+
+    Half the networks have linear gains scaled so the row sums sit near a
+    drawn level of 0.4 (mostly holding) or 1.6 (mostly failing); the rest
+    use random leaves, whose coefficients span both sides.  Returns the
+    network and its row kind, ``"sum"``, ``"max"`` or ``"mixed"``.
+    """
+    from smallgain.gains import GainNetwork, MaxAgg, SumAgg
+
+    n = int(rng.integers(2, nmax + 1))
+    mask = rng.random((n, n)) < 0.6
+    np.fill_diagonal(mask, False)
+    kind = ("sum", "max", "mixed")[rng.integers(0, 3)]
+    if kind == "mixed":
+        is_sum = rng.random(n) < 0.5
+        is_sum[:2] = (True, False)
+    else:
+        is_sum = np.full(n, kind == "sum")
+    linear = rng.random() < 0.5
+    level = (0.4, 1.6)[rng.integers(0, 2)]
+    gamma = []
+    for i in range(n):
+        share = level / max(1, int(mask[i].sum())) if is_sum[i] else level
+        gamma.append(tuple(
+            Zero() if not mask[i, j]
+            else Linear(float(np.round(share * rng.uniform(0.5, 1.5), 6)))
+            if linear else random_leaf(rng, allow_zero=False)
+            for j in range(n)
+        ))
+    mu = tuple(SumAgg() if s else MaxAgg() for s in is_sum)
+    return GainNetwork(n=n, gamma=tuple(gamma), gamma_u=(Zero(),) * n, mu=mu), kind

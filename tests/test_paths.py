@@ -54,6 +54,7 @@ from smallgain.paths import (
     path_three_sum,
     validate_path,
     validation_grid,
+    write_csv,
 )
 
 Z = Zero()
@@ -951,3 +952,20 @@ def test_export_csv_format():
     assert len(row) == 4
     assert float(row[0]) == pytest.approx(1e-2)
     assert float(row[3]) > 0
+
+
+def test_write_csv_matches_cell_by_cell_format(tmp_path):
+    rng = np.random.default_rng(5)
+    table = rng.standard_normal((40, 6)) * 10.0 ** rng.integers(-320, 300, (40, 6))
+    table[0] = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324]
+    table[1] = [2.2250738585072014e-308, 1e-310, 1.7976931348623157e308, 1.0, -1.5, 1e16]
+    header = [f"c{i}" for i in range(6)]
+    # reference: the f-string cell format the table writers used before
+    ref = "\n".join([",".join(header)] + [
+        ",".join(f"{table[k, i]:.12g}" for i in range(6)) for k in range(40)
+    ]) + "\n"
+    buf = io.StringIO()
+    write_csv(buf, header, table)
+    assert buf.getvalue() == ref
+    write_csv(tmp_path / "t.csv", header, table)
+    assert (tmp_path / "t.csv").read_text() == ref

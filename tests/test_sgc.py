@@ -5,6 +5,7 @@ import pytest
 
 from smallgain import sgc
 from smallgain.errors import (
+    NoConvergence,
     NotHomogeneous,
     NotIrreducible,
     NotLinearizable,
@@ -30,18 +31,24 @@ from smallgain.gains import (
 )
 from smallgain.graph import adjacency, subordinated_cycles
 from smallgain.sgc import (
+    CERTIFIED_FAILS,
+    CERTIFIED_HOLDS,
+    FALSIFY_CHUNK,
+    INCONCLUSIVE,
     WITNESS_DELTAS,
     GridSpec,
     _cycle_witness,
+    _sphere_directions,
     _tight_cycle_vectors,
     check_cycle_condition,
     check_linear_spectral,
     check_strong_sgc,
+    decide,
     falsify_sgc,
     nonlinear_perron,
 )
 
-from gen import random_linear_max_net
+from gen import random_linear_max_net, random_network
 
 
 def linear_net(slopes, mu_cls=SumAgg):
@@ -373,3 +380,189 @@ def test_perron_doubling_test_is_two_calls(monkeypatch):
     lam, v, res = nonlinear_perron(linear_net([[0, 0.5], [0.5, 0]]))
     assert lam == pytest.approx(0.5) and res <= 1e-9
     assert calls[:2] == [(16, 2), (16, 2)]
+
+
+# ---------------------------------------------------------------------------
+# decide
+
+
+def run_all_routes(net, seed=0):
+    """Reference rule: every applicable route runs, any failure wins."""
+    routes = []
+    try:
+        routes.append(check_linear_spectral(net).status)
+    except NotLinearizable:
+        pass
+    try:
+        routes.append(check_cycle_condition(net).status)
+    except WrongAggregation:
+        pass
+    try:
+        lam, _v, _res = nonlinear_perron(net)
+        routes.append(CERTIFIED_HOLDS if lam < 1.0 - 1e-9 else CERTIFIED_FAILS)
+    except (NotHomogeneous, NotIrreducible, NoConvergence):
+        pass
+    routes.append(falsify_sgc(net, GridSpec(seed=seed)).status)
+    for status in (CERTIFIED_FAILS, CERTIFIED_HOLDS):
+        if status in routes:
+            return status, routes
+    return INCONCLUSIVE, routes
+
+
+def test_decide_matches_run_all_routes():
+    rng = np.random.default_rng(7)
+    seen = set()
+    for k in range(120):
+        net, kind = random_network(rng)
+        seed = k % 3
+        status, statuses = run_all_routes(net, seed)
+        v = decide(net, seed=seed)
+        assert v.status == status, (k, kind)
+        # the routes decide ran are the reference's first ones, with the
+        # same statuses, and the deciding route is the first with the verdict
+        assert [r.status for r in v.routes] == statuses[:len(v.routes)]
+        assert v.routes[[r.status for r in v.routes].index(status)].method == v.method
+        stopped = len(v.routes) < len(statuses)
+        if stopped:
+            assert v.method in ("spectral", "cycle-linear", "cycle-grid")
+            assert v.method == "spectral" or v.fails
+        else:
+            assert v.routes[-1].method.startswith("falsify")
+        seen.add((kind, v.method.split("-")[0], status, stopped))
+    # both spectral proofs, a failing cycle route, a cycle hold the
+    # falsifier cross-checks, Perron verdicts and no verdict at all
+    for case in [("sum", "spectral", CERTIFIED_HOLDS, True),
+                 ("sum", "spectral", CERTIFIED_FAILS, True),
+                 ("max", "cycle", CERTIFIED_FAILS, True),
+                 ("max", "cycle", CERTIFIED_HOLDS, False),
+                 ("mixed", "perron", CERTIFIED_HOLDS, False),
+                 ("mixed", "perron", CERTIFIED_FAILS, False),
+                 ("mixed", "falsify", CERTIFIED_FAILS, False),
+                 ("mixed", "falsify", INCONCLUSIVE, False)]:
+        assert case in seen, case
+
+
+def test_decide_failure_outranks_earlier_hold():
+    # linear below 1e5, where the Perron iteration and its doubling test
+    # look; above it the quadratic branch makes Gamma(s) >= s
+    g = Max((Linear(0.5), Power(1e-5, 2.0)))
+    net = GainNetwork(n=2, gamma=((Zero(), g), (g, Zero())),
+                      gamma_u=(Zero(), Zero()), mu=(SumAgg(), SumAgg()))
+    v = decide(net)
+    assert [(r.method, r.status) for r in v.routes] == [
+        ("perron", CERTIFIED_HOLDS), ("falsify", CERTIFIED_FAILS)]
+    assert v.fails and v.method == "falsify" and v.routes[0].rho == pytest.approx(0.5)
+    assert np.all(eval_operator(net, v.witness) >= v.witness)
+
+
+def test_decide_spectral_witness_is_rechecked():
+    net = linear_net([[0, 1.5], [0.9, 0]])
+    v = decide(net)
+    assert v.fails and v.method == "spectral" and len(v.routes) == 1
+    assert np.all(eval_operator(net, v.witness) >= v.witness)
+
+
+def _count_calls(monkeypatch, *names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(sgc, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(sgc, name, counting)
+    return calls
+
+
+def test_check_stops_at_spectral_proof(tmp_path, monkeypatch, capsys):
+    from smallgain.cli import main
+
+    calls = _count_calls(monkeypatch, "nonlinear_perron", "falsify_sgc")
+    for slope, verdict, code in ((0.4, CERTIFIED_HOLDS, 0), (1.5, CERTIFIED_FAILS, 1)):
+        cfg = tmp_path / f"sum{slope}.json"
+        cfg.write_text(f'''{{"n": 2, "gains": [["0", "{slope}*s"], ["{slope}*s", "0"]],
+            "external_gains": ["0", "0"], "mu": ["sum", "sum"]}}''')
+        assert main(["check", str(cfg)]) == code
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith(f"spectral radius: {slope:.6g} ({verdict})")
+        assert lines[1:] == [f"verdict: {verdict}"]
+    assert calls == {"nonlinear_perron": 0, "falsify_sgc": 0}
+    assert lines[0] == "spectral radius: 1.5 (CertifiedFails), witness (1, 1)"
+
+
+def test_check_cross_checks_sampled_cycle_hold(tmp_path, monkeypatch, capsys):
+    from smallgain.cli import main
+
+    calls = _count_calls(monkeypatch, "falsify_sgc")
+    cfg = tmp_path / "sat.json"
+    cfg.write_text('''{"n": 2, "gains": [["0", "0.5*s/(1+s)"], ["0.9*s/(1+s)", "0"]],
+        "external_gains": ["0", "0"], "mu": ["max", "max"]}''')
+    assert main(["check", str(cfg)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert calls == {"falsify_sgc": 1}
+    assert out[0].startswith("cycle condition: holds")
+    assert out[1:] == ["falsification: no witness found", "verdict: CertifiedHolds"]
+
+
+def per_radius_sweep(net, grid, op=None):
+    """Reference: the falsifier's radius sweep, one operator call per radius."""
+    dirs = _sphere_directions(net.n, 2 * net.n + 200, np.random.default_rng(grid.seed))
+    apply = (lambda s: eval_operator(net, s)) if op is None else op
+    best = np.inf
+    for r in np.geomspace(grid.rmin, grid.rmax, grid.radii):
+        batch = r * dirs
+        deficit = np.max(batch - apply(batch), axis=1)
+        hit = np.flatnonzero((deficit <= 0.0) & np.any(batch > 0, axis=1))
+        if hit.size:
+            return batch[hit[0]], float(r), None
+        best = min(best, float(deficit.min()))
+    return None, None, best
+
+
+def test_chunked_sweep_matches_per_radius_loop():
+    rng = np.random.default_rng(11)
+    found = holding = 0
+    for k in range(60):
+        net = random_network(rng)[0] if k % 2 else random_linear_max_net(rng)
+        # 40 radii: five full chunks; 13: a short last chunk
+        grid = GridSpec(seed=k, radii=(40, 13)[k % 2])
+        w, r, best = per_radius_sweep(net, grid)
+        v = falsify_sgc(net, grid)
+        if w is not None:
+            assert v.method == "falsify"
+            assert v.witness.tobytes() == w.tobytes()
+            assert v.margins["radius"] == r
+            found += 1
+        elif v.inconclusive:
+            assert v.margins["best_deficit"] == best
+            holding += 1
+        else:
+            assert v.method in ("falsify-cycle", "falsify-perron")
+    assert found >= 10 and holding >= 10
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_chunked_sweep_matches_per_radius_loop_strong(side):
+    d = DiagOp(Linear(0.5))
+    net = linear_net([[0, 0.8], [0.9, 0]], MaxAgg)
+    if side == "left":
+        op = lambda s: d(eval_operator(net, s))
+    else:
+        op = lambda s: eval_operator(net, d(s))
+    w, r, _ = per_radius_sweep(net, GridSpec(), op)
+    v = check_strong_sgc(net, d, side=side)
+    assert v.fails and v.witness.tobytes() == w.tobytes()
+    assert v.margins["radius"] == r
+
+
+def test_sweep_one_operator_call_per_chunk(monkeypatch):
+    net = linear_net([[0, 0.5], [0.5, 0]], MaxAgg)
+    rows = []
+    real_op = sgc.eval_operator
+    monkeypatch.setattr(sgc, "eval_operator",
+                        lambda net, s: rows.append(len(s)) or real_op(net, s))
+    assert falsify_sgc(net).inconclusive
+    sweep = FALSIFY_CHUNK * (2 * net.n + 200)
+    assert rows.count(sweep) == 40 // FALSIFY_CHUNK
+    assert len(rows) == 40 // FALSIFY_CHUNK + 1  # plus the one cycle walk
