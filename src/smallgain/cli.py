@@ -445,8 +445,14 @@ def cmd_check(cfg: LoadedConfig, args) -> int:
         print(f"verdict: {verdict.status}")
         return 1 if verdict.fails else 0
     # nothing decisive either way; a constructed path settles it
-    sigma = construct_path(net, homogeneous=cfg.homogeneous,
-                           r_max=R_MAX_DEFAULT, seed=seed).sigma
+    try:
+        sigma = construct_path(net, homogeneous=cfg.homogeneous,
+                               r_max=R_MAX_DEFAULT, seed=seed).sigma
+    except SmallGainError as exc:
+        name = type(exc).__name__
+        print(f"path construction: {name}: {exc}")
+        print(f"verdict: Inconclusive ({name})")
+        return 1
     rep = validate_path(net, sigma)
     print(f"path construction: min margin {rep.min_margin:.6g}")
     print("verdict: Inconclusive (path construction succeeded)")

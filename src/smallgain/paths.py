@@ -146,8 +146,9 @@ class PLFunction:
 
     Used for external budget maps: between anchors the interpolant is the
     chord, beyond the last anchor the final slope continues (possibly zero,
-    in which case the map is bounded and inversion past the bound raises
-    :class:`OutOfRange`).
+    in which case the map is bounded).  Inversion stops at the last anchor
+    value: past it the final chord is no bound on a concave budget map, so
+    a higher level raises :class:`OutOfRange`.
     """
 
     radii: np.ndarray
@@ -191,21 +192,19 @@ class PLFunction:
         if yy < 0:
             raise ValueError("budget levels live on the nonnegative half line")
         vals = self.values
-        if yy <= vals[-1]:
-            idx = int(np.searchsorted(vals, yy, side="left"))
-            if vals[idx] == yy:
-                return float(self.radii[idx])
-            r0, r1 = self.radii[idx - 1], self.radii[idx]
-            v0, v1 = vals[idx - 1], vals[idx]
-            return float(r0 + (yy - v0) * (r1 - r0) / (v1 - v0))
-        slope = self.tail_slope
-        if slope <= 0:
-            raise OutOfRange(
-                f"budget map is bounded by {vals[-1]:.6g}; level {yy:.6g} unreachable",
-                sup=float(vals[-1]),
-                value=yy,
-            )
-        return float(self.radii[-1] + (yy - vals[-1]) / slope)
+        if yy > vals[-1]:
+            if self.tail_slope <= 0:
+                msg = f"budget map is bounded by {vals[-1]:.6g}; level {yy:.6g} unreachable"
+            else:
+                msg = (f"budget map is certified up to {vals[-1]:.6g} (radius "
+                       f"{self.radii[-1]:.6g}); level {yy:.6g} lies past its last anchor")
+            raise OutOfRange(msg, sup=float(vals[-1]), value=yy)
+        idx = int(np.searchsorted(vals, yy, side="left"))
+        if vals[idx] == yy:
+            return float(self.radii[idx])
+        r0, r1 = self.radii[idx - 1], self.radii[idx]
+        v0, v1 = vals[idx - 1], vals[idx]
+        return float(r0 + (yy - v0) * (r1 - r0) / (v1 - v0))
 
 
 def identity_budget(r_top: float = R_MAX_DEFAULT) -> PLFunction:

@@ -344,11 +344,24 @@ def export_trajectory_csv(traj: Trajectory, out) -> None:
     write_csv(out, cols, np.column_stack(table))
 
 
+def _rk4_step(model, X, u0, um, u1, dt: float):
+    """One classical RK4 step from the states ``X`` (one per row) under the
+    inputs at the step start, midpoint and end."""
+    k1 = model.f(X, u0)
+    k2 = model.f(X + 0.5 * dt * k1, um)
+    k3 = model.f(X + 0.5 * dt * k2, um)
+    k4 = model.f(X + dt * k3, u1)
+    return X + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def _rk4(model, X, signal, steps: int, dt: float):
     """Batched classical RK4; returns (t, states, inputs) histories.
 
     The input is evaluated once per run, at the step starts ``k dt``, the
-    midpoints ``k dt + dt/2`` and the ends ``k dt + dt``.
+    midpoints ``k dt + dt/2`` and the ends ``k dt + dt``.  A linear bank is
+    affine in state and input, so its step is ``X @ S + C[k]``: ``S`` is the
+    step of the unit states without input, and row ``k`` of ``C`` the step of
+    the zero state under step k's input, both from the same stage code.
     """
     t = np.arange(steps) * dt
     U0 = signal(t)
@@ -359,14 +372,21 @@ def _rk4(model, X, signal, steps: int, dt: float):
     states[0] = X
     inputs[0] = U0[0]
     inputs[1:] = U1
+    if isinstance(model, LinearBlock):
+        N = model.state_dim
+        zero = np.zeros(model.input_dim)
+        S = _rk4_step(model, np.eye(N), zero, zero, zero, dt)
+        C = _rk4_step(model, np.zeros((steps, N)), U0, Um, U1, dt)
+
+        def step(X, k):
+            return X @ S + C[k]
+    else:
+        def step(X, k):
+            return _rk4_step(model, X, U0[k], Um[k], U1[k], dt)
     for k in range(steps):
-        k1 = model.f(X, U0[k])
-        k2 = model.f(X + 0.5 * dt * k1, Um[k])
-        k3 = model.f(X + 0.5 * dt * k2, Um[k])
-        k4 = model.f(X + dt * k3, U1[k])
-        X = X + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        X = step(X, k)
         # one reduction; NaN fails the comparison too
-        if not float(np.max(np.abs(X))) <= DIVERGENCE_GUARD:
+        if not float(np.abs(X).max()) <= DIVERGENCE_GUARD:
             tk = (k + 1) * dt
             raise Diverged(f"state norm blew past the guard at t={tk:.6g}", t=tk)
         states[k + 1] = X
@@ -597,7 +617,11 @@ class DecreaseReport:
 
     @property
     def verdict(self) -> str:
-        return "pass" if self.violations == 0 else "fail"
+        """``fail`` on any violation, else ``inconclusive`` when the sampler
+        found fewer states above the threshold than requested."""
+        if self.violations:
+            return "fail"
+        return "inconclusive" if self.evaluated < self.requested else "pass"
 
     def summary(self) -> str:
         return (f"verdict={self.verdict} violations={self.violations} "
@@ -607,6 +631,11 @@ class DecreaseReport:
         lines = [
             "decrease check",
             f"  samples evaluated: {self.evaluated} of {self.requested}",
+        ]
+        if self.evaluated < self.requested:
+            lines.append(f"  shortfall: {self.requested - self.evaluated} samples; "
+                         "too few sampled states clear the input threshold")
+        lines += [
             f"  input magnitudes: {', '.join(f'{u:g}' for u in self.u_norms)}",
             f"  worst derivative estimate: {self.worst:.6g}",
             self.summary(),

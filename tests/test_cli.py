@@ -79,6 +79,23 @@ def test_check_inconclusive_backed_by_path(tmp_path, capsys):
     assert "Inconclusive" in out
 
 
+def test_check_failed_path_fallback_prints_verdict(tmp_path, capsys):
+    # a 3-cycle of power gains (exponents 1/2, 1, 2) on sum rows: no route
+    # decides it and the path construction stalls
+    doc = {
+        "n": 3,
+        "gains": [["0", "0.4*sqrt(s)", "0"], ["0", "0", "0.5*s"],
+                  ["0.3*s^2", "0", "0"]],
+        "external_gains": ["0", "0", "0"],
+        "mu": ["sum", "sum", "sum"],
+    }
+    code = main(["check", write_cfg(tmp_path, doc), "--seed", "0"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert lines[-2].startswith("path construction: PathStalled: ")
+    assert lines[-1] == "verdict: Inconclusive (PathStalled)"
+
+
 def test_check_model_config_uses_design_network(tmp_path, capsys):
     code = main(["check", write_cfg(tmp_path, {"model": LINEAR_MODEL})])
     out = capsys.readouterr().out
@@ -243,6 +260,21 @@ def test_verify_catches_corrupted_certificate(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "verdict=fail" in out
+
+
+def test_verify_input_past_certified_range(tmp_path, capsys):
+    # the sum design's budget map is concave (phi(r) ~ sqrt(r)), so its last
+    # chord overstates the budget past the last anchor: an input that large
+    # is out of the certified range, not covered by an extrapolated threshold
+    doc = json.loads((DEMO_DIR / "linear_two_block.json").read_text())
+    doc["simulation"]["input"]["value"] = [1e9]
+    cfg = write_cfg(tmp_path, doc)
+    for cmd in ("verify", "certify"):
+        code = main([cmd, cfg, "--seed", "0"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out.startswith("OutOfRange: budget map is certified up to ")
+        assert "verdict=pass" not in out
 
 
 # ---------------------------------------------------------------------------

@@ -144,6 +144,17 @@ def test_pl_function_bounded_inverse_raises():
         f.inverse(1.5)
 
 
+def test_pl_function_inverse_stops_at_last_anchor():
+    # a concave map lies below its last chord past the last anchor, so no
+    # level above the last anchor value inverts
+    f = PLFunction(np.array([0.0, 1.0, 4.0]), np.array([0.0, 1.0, 2.0]))
+    assert f.inverse(2.0) == 4.0
+    assert f.inverse(1.5) == 2.5
+    with pytest.raises(OutOfRange) as exc:
+        f.inverse(2.5)
+    assert exc.value.sup == 2.0 and exc.value.value == 2.5
+
+
 # ---------------------------------------------------------------------------
 # validate_path
 

@@ -12,6 +12,7 @@ from smallgain.errors import BadParameters, Diverged, NotHurwitz, TooLarge
 from smallgain.gains import Compose, Linear, OuterSum, Power, Saturating, Zero
 from smallgain.paths import OmegaPath
 from smallgain.simulate import (
+    DIVERGENCE_GUARD,
     CGDesign,
     CohenGrossberg,
     DecreaseSpec,
@@ -29,6 +30,7 @@ from smallgain.simulate import (
     linear_demo,
     linear_gains,
     solve_lyapunov_eq,
+    _rk4,
 )
 
 
@@ -237,11 +239,98 @@ def test_equilibrium_stays_put():
     assert np.max(np.abs(traj.x)) == 0.0
 
 
+def _staged_rk4(model, X, signal, steps, dt):
+    """Reference: the four-stage RK4 loop with four ``f`` calls per step."""
+    t = np.arange(steps) * dt
+    U0, Um, U1 = signal(t), signal(t + 0.5 * dt), signal(t + dt)
+    states = np.empty((steps + 1,) + X.shape)
+    states[0] = X
+    for k in range(steps):
+        k1 = model.f(X, U0[k])
+        k2 = model.f(X + 0.5 * dt * k1, Um[k])
+        k3 = model.f(X + 0.5 * dt * k2, Um[k])
+        k4 = model.f(X + dt * k3, U1[k])
+        X = X + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not float(np.max(np.abs(X))) <= DIVERGENCE_GUARD:
+            tk = (k + 1) * dt
+            raise Diverged(f"state norm blew past the guard at t={tk:.6g}", t=tk)
+        states[k + 1] = X
+    return states
+
+
+def _random_bank(rng, forced):
+    n = int(rng.integers(2, 5))
+    dims = rng.integers(1, 3, size=n)
+    A = [rng.normal(size=(d, d)) - (2.0 + d) * np.eye(d) for d in dims]
+    delta = {(i, j): 0.3 * rng.normal(size=(dims[i], dims[j]))
+             for i in range(n) for j in range(n) if i != j and rng.random() < 0.6}
+    B = None
+    if forced:
+        m = int(rng.integers(1, 3))
+        B = [rng.normal(size=(d, m)) if rng.random() < 0.7 else None for d in dims]
+        B[0] = rng.normal(size=(dims[0], m))
+    return LinearBlock(A=tuple(A), delta=delta, B=tuple(B) if B else None)
+
+
+def _signals(m):
+    if m == 0:
+        return [InputSignal.zero(0)]
+    v = np.linspace(0.5, -1.5, m)
+    return [InputSignal.zero(m), InputSignal.constant(v), InputSignal.step(v, at=0.3),
+            InputSignal.sinusoid(v, omega=3.0, phase=0.2),
+            InputSignal.piecewise([0.1, 0.4], [v, -2.0 * v])]
+
+
+def test_linear_step_matrix_matches_staged_rk4():
+    rng = np.random.default_rng(11)
+    cases = 0
+    for trial in range(8):
+        model = _random_bank(rng, forced=trial % 2 == 1)
+        for signal in _signals(model.input_dim):
+            for runs in (1, 50):
+                for dt, steps in ((1e-3, 300), (0.05, 40)):
+                    X0 = rng.normal(size=(runs, model.state_dim))
+                    got = _rk4(model, X0, signal, steps, dt)[1]
+                    want = _staged_rk4(model, X0, signal, steps, dt)
+                    scale = np.abs(want).max(axis=(0, 2))
+                    assert np.all(np.abs(got - want) <= 1e-12 * scale[None, :, None])
+                    cases += 1
+    # unforced banks run the zero input only
+    assert cases == 4 * 4 + 4 * 5 * 4
+
+
+def test_linear_step_makes_fixed_f_calls(monkeypatch):
+    calls = []
+    f = LinearBlock.f
+
+    def counted(self, x, u):
+        calls.append(1)
+        return f(self, x, u)
+
+    monkeypatch.setattr(LinearBlock, "f", counted)
+    model = linear_demo()[0]
+    for steps in (1, 400):
+        calls.clear()
+        _rk4(model, np.ones((3, 2)), InputSignal.step([1.0]), steps, 1e-2)
+        assert len(calls) == 8
+
+
+def test_cg_rk4_equals_staged_reference():
+    model = cg_demo(0.4)[0]
+    X0 = np.random.default_rng(5).normal(size=(20, 2))
+    for signal in (InputSignal.zero(2), InputSignal.sinusoid([0.3, -0.2], 2.0)):
+        got = _rk4(model, X0, signal, 200, 0.02)[1]
+        assert np.array_equal(got, _staged_rk4(model, X0, signal, 200, 0.02))
+
+
 def test_divergence_guard():
     m = LinearBlock(A=([[5.0]],), delta={}, B=(None,))
     with pytest.raises(Diverged) as exc:
         integrate(m, [1.0], T=20.0, dt=1e-2)
     assert exc.value.t is not None and exc.value.t > 0.0
+    with pytest.raises(Diverged) as ref:
+        _staged_rk4(m, np.ones((1, 1)), InputSignal.zero(0), 2000, 1e-2)
+    assert exc.value.t == ref.value.t
 
 
 def test_divergence_guard_catches_nan():
@@ -383,6 +472,19 @@ def test_corrupted_certificate_is_caught():
     assert rep.verdict == "fail"
     assert rep.violations >= 1
     assert rep.worst > 0.0
+
+
+def test_decrease_check_short_of_samples_is_inconclusive():
+    # every sampled state lies below the input threshold, so none is
+    # evaluated: no evidence either way
+    model, design = linear_demo()
+    cl = certify_linear(design)
+    rep = check_decrease(model, cl, DecreaseSpec(samples=100, u_norms=(1.0,),
+                                                 radius_range=(1e-6, 1e-5)))
+    assert rep.evaluated == 0 and rep.violations == 0
+    assert rep.verdict == "inconclusive"
+    assert "shortfall: 100 samples" in rep.text()
+    assert rep.summary().startswith("verdict=inconclusive violations=0")
 
 
 def test_decrease_check_deterministic():

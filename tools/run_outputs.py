@@ -16,12 +16,19 @@ Compare a change with its parent commit, unpacked next to the repository::
     mkdir ../parent && git archive HEAD~1 | tar -x -C ../parent
     python3 tools/run_outputs.py ../parent/src out_parent --certify-mix 0 1
     python3 tools/run_outputs.py src out_change --certify-mix 0 1
-    diff -r out_parent out_change
+    python3 tools/run_outputs.py --compare out_parent out_change
+
+``--compare`` sorts every file of the two trees into one of three classes:
+byte-identical; equal except for numbers that differ by at most ``1e-11`` of
+the larger of the two (one unit in the 12th digit that ``%.12g`` prints);
+different, which includes a file missing from one tree.  It lists the files
+of the last two classes and exits 1 when any file is different.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import sys
 
 os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
@@ -35,12 +42,15 @@ import json  # noqa: E402
 import signal  # noqa: E402
 import traceback  # noqa: E402
 import warnings  # noqa: E402
+from decimal import Decimal  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 CALL_LIMIT_S = 60
 COMMANDS = (["check"], ["path", "--out", "path.csv"], ["certify", "--out", "bundle"])
 MODEL_COMMANDS = (["simulate", "--out", "simulate.csv"], ["verify"])
+NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan))")
+CLOSE = Decimal("1e-11")
 
 
 class CallTimeout(BaseException):
@@ -77,10 +87,63 @@ def run_job(main, job_dir: Path, doc: dict) -> None:
             f"{status}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}")
 
 
+def close_numbers(a: str, b: str):
+    """``(count, largest relative gap)`` of the numbers that differ between
+    two texts, or None when they differ in anything but numbers within
+    ``CLOSE`` of the larger one."""
+    pa, pb = NUMBER.split(a), NUMBER.split(b)
+    if len(pa) != len(pb) or pa[::2] != pb[::2]:
+        return None
+    count, worst = 0, 0.0
+    for sa, sb in zip(pa[1::2], pb[1::2]):
+        if sa == sb:
+            continue
+        # exact decimal arithmetic: one unit in the 12th digit of a number
+        # that starts with 1 is exactly CLOSE of it, which floats round past
+        x, y = Decimal(sa), Decimal(sb)
+        if not (x.is_finite() and y.is_finite()):
+            return None
+        top = max(abs(x), abs(y))
+        if abs(x - y) > CLOSE * top:
+            return None
+        count, worst = count + 1, max(worst, float(abs(x - y) / top) if top else 0.0)
+    return count, worst
+
+
+def compare(a: Path, b: Path) -> int:
+    rels = sorted({p.relative_to(root) for root in (a, b)
+                   for p in root.rglob("*") if p.is_file()})
+    same, close, diff = 0, [], []
+    for rel in rels:
+        fa, fb = a / rel, b / rel
+        if not (fa.is_file() and fb.is_file()):
+            diff.append(f"{rel} (only in {a if fa.is_file() else b})")
+            continue
+        ta, tb = fa.read_bytes(), fb.read_bytes()
+        if ta == tb:
+            same += 1
+            continue
+        res = close_numbers(ta.decode(), tb.decode())
+        if res is None:
+            diff.append(str(rel))
+        else:
+            close.append((str(rel), *res))
+    for rel, count, worst in close:
+        print(f"close {rel}: {count} numbers, largest relative gap {worst:.3g}")
+    for rel in diff:
+        print(f"different {rel}")
+    print(f"{len(rels)} files: {same} byte-identical, {len(close)} close "
+          f"({sum(c for _, c, _ in close)} numbers, largest relative gap "
+          f"{max((w for *_, w in close), default=0.0):.3g}), {len(diff)} different")
+    return 1 if diff else 0
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("src", help="the src/ directory of the tree to run")
-    ap.add_argument("out", help="output directory (created)")
+    ap.add_argument("src", nargs="?", help="the src/ directory of the tree to run")
+    ap.add_argument("out", nargs="?", help="output directory (created)")
+    ap.add_argument("--compare", nargs=2, type=Path, metavar=("OUT_A", "OUT_B"),
+                    help="compare two output trees instead of running")
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
@@ -88,6 +151,10 @@ def main() -> int:
         ap.add_argument(f"--{name}", type=int, nargs="*", default=[], metavar="SEED",
                         help=f"also run the {name} job list for these seeds")
     args = ap.parse_args()
+    if args.compare:
+        return compare(*args.compare)
+    if args.out is None:
+        ap.error("give SRC and OUT, or --compare OUT_A OUT_B")
     sys.path.insert(0, str(Path(args.src).resolve()))
     from smallgain.cli import main as cli_main
 
