@@ -24,6 +24,7 @@ certificate.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -585,7 +586,13 @@ def cmd_verify(cfg: LoadedConfig, args) -> int:
 # Entry point
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and kept for the process.
+
+    ``parse_args`` leaves the parser unchanged and returns a new namespace
+    on every call, so one parser serves every ``main`` call.
+    """
     p = argparse.ArgumentParser(
         prog="smallgain",
         description="Small-gain certification for networks of nonlinear "

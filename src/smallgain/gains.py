@@ -13,8 +13,10 @@ A :class:`GainNetwork` packages an n-by-n matrix of interconnection gains
 row.  The induced operators on the positive orthant are
 ``eval_operator`` (internal inputs only) and ``eval_operator_ext`` (with the
 external channel).  They evaluate only the active slots, the gains that are
-not the zero gain, which the network computes once when it is built; the
-zero slots stay exactly zero, so the aggregation sees the same array as a
+not the zero gain, which the network computes once when it is built.  A max
+row folds its active slots and its external slot with ``np.maximum``; the
+other rows keep their zero slots exactly zero, so their aggregation sees the
+same array as a dense evaluation.  Either way the result has the bits of the
 dense evaluation.  Construction audits each row's aggregation for strict
 monotonicity over the row's active gain slots and rejects incompatible
 combinations.
@@ -563,16 +565,24 @@ def eval_operator_ext(net: GainNetwork, s, r):
     ext = np.broadcast_to(np.atleast_1d(ext), states.shape[:-1])
     if states.shape[-1] != net.n:
         raise ValueError(f"state vector must have length {net.n}")
-    # one slot array shared by the rows: each row fills its active columns,
-    # aggregates, and puts them back to zero for the next row
+    # A max row folds its active columns into its external slot: max does
+    # not depend on order, and the zero slots it skips never exceed a gain
+    # of a nonnegative argument.  The other rows share one slot array, since
+    # their sums depend on the slot positions: each fills its active columns,
+    # aggregates, and puts them back to zero for the next row.
     slots = np.zeros(states.shape)
     zero_ext = np.zeros(ext.shape)
     out = np.empty(states.shape)
     for i, cols in enumerate(net.active_sets):
         row = net.gamma[i]
+        ext_slot = net.gamma_u[i]._eval(ext) if net.ext_active[i] else zero_ext
+        if isinstance(net.mu[i], MaxAgg):
+            for j in cols:
+                ext_slot = np.maximum(ext_slot, row[j]._eval(states[..., j]))
+            out[..., i] = ext_slot
+            continue
         for j in cols:
             slots[..., j] = row[j]._eval(states[..., j])
-        ext_slot = net.gamma_u[i]._eval(ext) if net.ext_active[i] else zero_ext
         out[..., i] = net.mu[i].aggregate(slots, ext_slot)
         for j in cols:
             slots[..., j] = 0.0

@@ -14,6 +14,7 @@ Three certification routes and one honest falsifier:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -138,24 +139,54 @@ def check_cycle_condition(net: GainNetwork) -> SgcVerdict:
 # start radii (major) and per-step inflations (minor) of the cycle walks
 WITNESS_RADII = np.geomspace(1e-4, 1e4, 9)
 WITNESS_DELTAS = (0.0, 1e-9, 1e-6, 1e-3, 0.03)
+WALKS_PER_CYCLE = WITNESS_RADII.size * len(WITNESS_DELTAS)
 
 
 def _cycle_witness(net: GainNetwork, cycle, op=None, walk_net=None):
     """Vector supported on a bad cycle with Gamma_mu(s) >= s, if one verifies.
 
-    Walks the cycle of ``walk_net`` (default ``net``) making each edge tight
-    via inversion; small per-step inflations absorb inversion residue when
-    the composition has real slack.  All candidates are verified in one call
-    of ``op`` (default the operator of ``net``); the first that holds, in
-    (radius, inflation) order, is returned.
+    The one-cycle case of :func:`_cycle_witnesses`.
+    """
+    hit = _cycle_witnesses(net, [cycle], op, walk_net, WALKS_PER_CYCLE)
+    return None if hit is None else hit[0]
+
+
+def _cycle_witnesses(net, cycles, op, walk_net, batch_rows):
+    """First cycle walk with Gamma_mu(s) >= s, as ``(witness, cycle)``, or None.
+
+    Walks each cycle of ``walk_net`` (default ``net``) making each edge
+    tight via inversion; small per-step inflations absorb inversion residue
+    when the composition has real slack.  The walks of consecutive cycles
+    are verified together, at most ``batch_rows`` rows per call of ``op``
+    (None: the operator of ``net``), and the walks of later cycles are not
+    taken once a batch holds a hit.  The first hit in
+    cycle order, then in (radius, inflation) order, is returned.
     """
     walk_net = net if walk_net is None else walk_net
-    cand = _tight_cycle_vectors(walk_net, cycle)
-    if not len(cand):
-        return None
-    out = eval_operator(net, cand) if op is None else op(cand)
-    hit = np.flatnonzero(np.any(cand > 0, axis=1) & np.all(out >= cand, axis=1))
-    return cand[hit[0]] if hit.size else None
+    for cand, owner in _walk_batches(walk_net, cycles, batch_rows):
+        out = eval_operator(net, cand) if op is None else op(cand)
+        hit = np.flatnonzero(np.any(cand > 0, axis=1) & np.all(out >= cand, axis=1))
+        if hit.size:
+            return cand[hit[0]], cycles[owner[hit[0]]]
+    return None
+
+
+def _walk_batches(net, cycles, batch_rows):
+    """The cycle walks in order, cut into row batches, with each row's cycle."""
+    parts, owners, rows = [], [], 0
+    for k, cycle in enumerate(cycles):
+        walks = _tight_cycle_vectors(net, cycle)
+        parts.append(walks)
+        owners.append(np.full(len(walks), k))
+        rows += len(walks)
+        if rows >= batch_rows:
+            cand, owner = np.concatenate(parts), np.concatenate(owners)
+            while len(cand) >= batch_rows:
+                yield cand[:batch_rows], owner[:batch_rows]
+                cand, owner = cand[batch_rows:], owner[batch_rows:]
+            parts, owners, rows = [cand], [owner], len(cand)
+    if rows:
+        yield np.concatenate(parts), np.concatenate(owners)
 
 
 def _tight_cycle_vectors(net, cycle) -> np.ndarray:
@@ -166,7 +197,7 @@ def _tight_cycle_vectors(net, cycle) -> np.ndarray:
     inverts all walks in one call, which gives every walk the bits of its
     own scalar inverse.
     """
-    s = np.zeros((WITNESS_RADII.size * len(WITNESS_DELTAS), net.n))
+    s = np.zeros((WALKS_PER_CYCLE, net.n))
     s[:, cycle[0]] = np.repeat(WITNESS_RADII, len(WITNESS_DELTAS))
     scale = np.tile(1.0 + np.array(WITNESS_DELTAS), WITNESS_RADII.size)
     for a, b in zip(cycle, cycle[1:]):
@@ -197,8 +228,20 @@ def _sphere_directions(n: int, count: int, rng) -> np.ndarray:
     return np.array(dirs[:count])
 
 
+@lru_cache(maxsize=32)
+def _directions(n: int, count: int, seed: int) -> np.ndarray:
+    """The falsifier's directions for one ``(n, count, seed)``, drawn once.
+
+    Shared by every later call with the same key, so the array is read-only.
+    """
+    dirs = _sphere_directions(n, count, np.random.default_rng(seed))
+    dirs.flags.writeable = False
+    return dirs
+
+
 # radii per operator call in the falsifier sweep: all 40 at once would hold
-# 40 * (2n + 200) rows and their operator slots in memory
+# 40 * (2n + 200) rows and their operator slots in memory; the cycle stage
+# verifies as many rows per call
 FALSIFY_CHUNK = 8
 
 
@@ -214,10 +257,9 @@ def falsify_sgc(net: GainNetwork, grid: GridSpec | None = None) -> SgcVerdict:
 
 def _falsify(net, op, grid, edge_transform, method):
     n = net.n
-    rng = np.random.default_rng(grid.seed)
     radii = np.geomspace(grid.rmin, grid.rmax, grid.radii)
     count = grid.directions if grid.directions is not None else 2 * n + 200
-    dirs = _sphere_directions(n, count, rng)
+    dirs = _directions(n, count, grid.seed)
 
     apply = (lambda s: eval_operator(net, s)) if op is None else op
     best_deficit = np.inf
@@ -239,13 +281,13 @@ def _falsify(net, op, grid, edge_transform, method):
     # structured candidates: tight cycle walks, then a Perron direction
     if n <= CYCLE_ENUM_LIMIT:
         cnet = net if edge_transform is None else _transform_net(net, edge_transform)
-        for c in subordinated_cycles(adjacency(net)):
-            w = _cycle_witness(net, c, op, cnet)
-            if w is not None:
-                return SgcVerdict(
-                    status=CERTIFIED_FAILS, method=method + "-cycle",
-                    witness=w, cycle=c,
-                )
+        hit = _cycle_witnesses(net, subordinated_cycles(adjacency(net)), op, cnet,
+                               FALSIFY_CHUNK * len(dirs))
+        if hit is not None:
+            return SgcVerdict(
+                status=CERTIFIED_FAILS, method=method + "-cycle",
+                witness=hit[0], cycle=hit[1],
+            )
     try:
         G, p = _linearize(net)
     except NotLinearizable:

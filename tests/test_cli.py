@@ -351,3 +351,30 @@ def test_demo_configs_check(name, capsys):
     code = main(["check", str(DEMO_DIR / name)])
     capsys.readouterr()
     assert code in (0, 1)
+
+
+def test_parser_built_once_with_independent_namespaces(tmp_path, capsys, monkeypatch):
+    from smallgain import cli
+
+    seen = []
+    for cmd in ("check", "path"):
+        monkeypatch.setitem(cli._DISPATCH, cmd, lambda cfg, args: seen.append(args) or 0)
+    cfg = write_cfg(tmp_path, max_net(0.5))
+    cli._build_parser.cache_clear()
+    assert main(["path", cfg, "--seed", "5", "--out", "x.csv", "--rmax", "10"]) == 0
+    assert main(["check", cfg]) == 0
+    first, second = seen
+    assert (first.cmd, first.seed, first.out, first.rmax) == ("path", 5, "x.csv", 10.0)
+    assert (second.cmd, second.seed) == ("check", None)
+    assert not hasattr(second, "out") and not hasattr(second, "rmax")
+    assert cli._resolve_seed(second) == 0
+    monkeypatch.setenv("SMALLGAIN_SEED", "9")
+    assert cli._resolve_seed(first) == cli._resolve_seed(second) == 9
+    for bad in (["check"], ["bogus", cfg], ["check", cfg, "--seed", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+    assert main(["check", cfg]) == 0
+    assert seen[-1].seed is None and len(seen) == 3
+    capsys.readouterr()
+    assert cli._build_parser.cache_info().misses == 1

@@ -320,19 +320,26 @@ def _dense_operator(net, s, r):
     return out[0] if np.ndim(s) == 1 else out
 
 
-def _random_net(rng, n, mu_kind):
+def _random_net(rng, n, mu_kind, ext0):
     mask = rng.random((n, n)) < 0.6
     np.fill_diagonal(mask, False)
     mask[0] = False  # one row with no active slot
+    if n > 2:
+        mask[1] = False
+        mask[1, 2] = True  # one row with a single active slot
+        mask[2, 0] = True  # and one with an active slot and an external gain
     gamma = tuple(
         tuple(random_tree(rng, allow_zero=False) if mask[i, j] else Zero()
               for j in range(n))
         for i in range(n)
     )
-    gamma_u = tuple(
+    gamma_u = [
         Zero() if rng.random() < 0.4 else random_tree(rng, allow_zero=False)
         for _ in range(n)
-    )
+    ]
+    gamma_u[0] = random_tree(rng, allow_zero=False) if ext0 else Zero()
+    if n > 2:
+        gamma_u[2] = random_tree(rng, allow_zero=False)
     if mu_kind == "sum":
         mu = (SumAgg(),) * n
     elif mu_kind == "max":
@@ -349,11 +356,19 @@ def _random_net(rng, n, mu_kind):
 def test_operator_matches_dense_reference(mu_kind):
     rng = np.random.default_rng(7)
     for n in (1, 2, 5, 9, 12):
-        for _ in range(3):
-            net = _random_net(rng, n, mu_kind)
+        for k in range(3):
+            # the row with no active slot has an external gain every other net
+            net = _random_net(rng, n, mu_kind, ext0=k % 2 == 1)
             assert net.active_sets[0] == ()
+            assert net.ext_active[0] == (k % 2 == 1)
+            if n > 2:
+                assert net.active_sets[1] == (2,)
+                assert 0 in net.active_sets[2] and net.ext_active[2]
             point = rng.uniform(0.0, 5.0, size=n)
+            point[::3] = 0.0
             batch = rng.uniform(0.0, 5.0, size=(7, n))
+            batch[rng.random(batch.shape) < 0.3] = 0.0
+            batch[0] = 0.0
             cases = [
                 (eval_operator(net, point), _dense_operator(net, point, 0.0)),
                 (eval_operator(net, batch), _dense_operator(net, batch, 0.0)),
@@ -361,10 +376,11 @@ def test_operator_matches_dense_reference(mu_kind):
                 (eval_operator_ext(net, batch, 1.3), _dense_operator(net, batch, 1.3)),
             ]
             r = rng.uniform(0.5, 3.0, size=7)
+            r[1] = 0.0
             cases.append((eval_operator_ext(net, batch, r), _dense_operator(net, batch, r)))
             for fast, ref in cases:
                 assert fast.shape == ref.shape
-                assert np.all(fast == ref)
+                assert fast.tobytes() == ref.tobytes()
 
 
 class _CountingLinear(Linear):

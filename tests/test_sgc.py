@@ -330,31 +330,81 @@ def test_strong_sgc_cycle_stage_on_batches(side):
     assert np.all(image >= v.witness)
 
 
-def test_cycle_stage_one_operator_call_per_cycle(monkeypatch):
+def test_cycle_stage_one_operator_call(monkeypatch):
     # holding max network: a ring plus chords, every cycle walked, none fails
     net = _ring([0.5] * 8, chords=[(2, 0, Linear(0.5)), (5, 1, Linear(0.5)),
                                   (7, 3, Linear(0.5)), (4, 6, Linear(0.5))])
     cycles = subordinated_cycles(adjacency(net))
     assert len(cycles) > 3
-    calls = {"op": 0, "walks": 0, "in_walks": 0}
-    real_op, real_walk = sgc.eval_operator, sgc._cycle_witness
-
-    def counting_op(*args):
-        calls["op"] += 1
-        return real_op(*args)
-
-    def counting_walk(*args):
-        before = calls["op"]
-        out = real_walk(*args)
-        calls["walks"] += 1
-        calls["in_walks"] += calls["op"] - before
-        return out
-
-    monkeypatch.setattr(sgc, "eval_operator", counting_op)
-    monkeypatch.setattr(sgc, "_cycle_witness", counting_walk)
+    rows = []
+    real_op = sgc.eval_operator
+    monkeypatch.setattr(sgc, "eval_operator",
+                        lambda net, s: rows.append(len(s)) or real_op(net, s))
     assert falsify_sgc(net).inconclusive
-    assert calls["walks"] == len(cycles)
-    assert calls["in_walks"] <= len(cycles)
+    sweeps = 40 // FALSIFY_CHUNK
+    assert rows[:sweeps] == [FALSIFY_CHUNK * (2 * net.n + 200)] * sweeps
+    # every walk of every cycle, verified in one call
+    assert rows[sweeps:] == [sum(len(_tight_cycle_vectors(net, c)) for c in cycles)]
+
+
+def per_cycle_stage(net, op, walk_net):
+    """Reference: the falsifier's cycle stage, one operator call per cycle.
+
+    Returns the witness, its cycle and the number of walk rows before it.
+    """
+    before = 0
+    for c in subordinated_cycles(adjacency(net)):
+        cand = _tight_cycle_vectors(walk_net, c)
+        out = op(cand)
+        hit = np.flatnonzero(np.any(cand > 0, axis=1) & np.all(out >= cand, axis=1))
+        if hit.size:
+            return cand[hit[0]], c, before + int(hit[0])
+        before += len(cand)
+    return None
+
+
+@pytest.mark.parametrize("directions", [1, 4, 16])
+@pytest.mark.parametrize("side", ["plain", "left", "right"])
+def test_batched_cycle_stage_matches_per_cycle_loop(monkeypatch, side, directions):
+    # few directions and radii: the sweep misses where a cycle walk hits, and
+    # the cycle stage verifies 8, 32 or 128 rows per call
+    d = DiagOp(Linear(0.05))
+    calls = []
+    real_op = sgc.eval_operator
+    monkeypatch.setattr(sgc, "eval_operator",
+                        lambda net, s: calls.append(len(s)) or real_op(net, s))
+    rng = np.random.default_rng(23)
+    grid = GridSpec(radii=3, directions=directions)
+    hits = split = 0
+    for k in range(120):
+        net = random_network(rng)[0] if k % 2 else random_linear_max_net(rng, nmax=6)
+        if side == "plain":
+            op, walk_net = (lambda s: real_op(net, s)), net
+        elif side == "left":
+            op = lambda s: d(real_op(net, s))
+            walk_net = sgc._transform_net(net, lambda g: Compose(PlusId(d.alpha), g))
+        else:
+            op = lambda s: real_op(net, d(s))
+            walk_net = sgc._transform_net(net, lambda g: Compose(g, PlusId(d.alpha)))
+        w, _, _ = per_radius_sweep(net, grid, op)
+        ref = per_cycle_stage(net, op, walk_net)
+        if w is not None or ref is None:
+            continue
+        calls.clear()
+        v = falsify_sgc(net, grid) if side == "plain" else check_strong_sgc(net, d, side, grid)
+        method = "falsify" if side == "plain" else f"strong-{side}"
+        assert v.method == f"{method}-cycle"
+        assert v.witness.tobytes() == ref[0].tobytes()
+        assert v.cycle == ref[1]
+        # one sweep call, then the cycle batches up to the one with the hit
+        batch_rows = FALSIFY_CHUNK * directions
+        assert len(calls) == 1 + ref[2] // batch_rows + 1
+        assert all(rows <= batch_rows for rows in calls[1:])
+        hits += 1
+        split += ref[2] >= batch_rows
+    assert hits >= 10
+    if directions < 16:
+        assert split >= 3
 
 
 def test_perron_doubling_test_is_two_calls(monkeypatch):
@@ -507,7 +557,8 @@ def test_check_cross_checks_sampled_cycle_hold(tmp_path, monkeypatch, capsys):
 
 def per_radius_sweep(net, grid, op=None):
     """Reference: the falsifier's radius sweep, one operator call per radius."""
-    dirs = _sphere_directions(net.n, 2 * net.n + 200, np.random.default_rng(grid.seed))
+    count = grid.directions or 2 * net.n + 200
+    dirs = _sphere_directions(net.n, count, np.random.default_rng(grid.seed))
     apply = (lambda s: eval_operator(net, s)) if op is None else op
     best = np.inf
     for r in np.geomspace(grid.rmin, grid.rmax, grid.radii):
@@ -566,3 +617,21 @@ def test_sweep_one_operator_call_per_chunk(monkeypatch):
     sweep = FALSIFY_CHUNK * (2 * net.n + 200)
     assert rows.count(sweep) == 40 // FALSIFY_CHUNK
     assert len(rows) == 40 // FALSIFY_CHUNK + 1  # plus the one cycle walk
+
+
+def test_directions_cached_read_only():
+    sgc._directions.cache_clear()
+    falsify_sgc(linear_net([[0, 0.5], [0.5, 0]], MaxAgg), GridSpec(seed=3))
+    assert sgc._directions.cache_info().currsize == 1  # filled on first use
+    dirs = sgc._directions(2, 204, 3)
+    assert sgc._directions.cache_info().hits == 1
+    assert not dirs.flags.writeable
+    with pytest.raises(ValueError):
+        dirs[0, 0] = 0.5
+    fresh = _sphere_directions(2, 204, np.random.default_rng(3))
+    assert dirs.tobytes() == fresh.tobytes()
+    keys = [(2, 204, 3), (3, 204, 3), (2, 205, 3), (2, 204, 4)]
+    arrays = [sgc._directions(*key) for key in keys]
+    for k, a in enumerate(arrays):
+        for b in arrays[k + 1:]:
+            assert a.shape != b.shape or a.tobytes() != b.tobytes()
