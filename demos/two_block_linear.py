@@ -5,7 +5,8 @@ V_i = x_i^2 turn the coupling into square-root gains aggregated by a
 squared sum, so the network operator is genuinely nonlinear even though
 the dynamics are linear.  The script checks the small-gain condition
 two ways (spectral radius of the slope matrix, nonlinear eigenvalue),
-builds the ray path, composes the network Lyapunov function, spot
+builds the path (the operator is linear in t = s^(1/2), so the ray along
+the Perron vector), composes the network Lyapunov function, spot
 checks the decrease inequality, and finally drives the closed loop with
 a unit step to watch V settle under its ISS threshold.
 
@@ -17,7 +18,7 @@ import argparse
 import numpy as np
 
 from smallgain.compose import compose
-from smallgain.paths import path_homogeneous, validate_path
+from smallgain.paths import construct_path, validate_path
 from smallgain.sgc import check_linear_spectral, nonlinear_perron
 from smallgain.simulate import (
     DecreaseSpec,
@@ -45,9 +46,10 @@ def main():
     lam, vec, res = nonlinear_perron(design.net)
     print(f"nonlinear route: lambda = {lam:.6f} = rho^2  (residual {res:.2e})")
 
-    sigma = path_homogeneous(design.net)
+    res = construct_path(design.net)
+    sigma = res.sigma
     rep = validate_path(design.net, sigma)
-    print(f"\nray path: min margin {rep.min_margin:.3e} over {len(rep.radii)} radii")
+    print(f"\n{res.route} path: min margin {rep.min_margin:.3e} over {len(rep.radii)} radii")
 
     cl = compose(design.net, sigma, design.specs)
     thr = cl.iss_threshold(1.0)

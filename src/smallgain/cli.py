@@ -65,7 +65,6 @@ from .simulate import (
     CohenGrossberg,
     InputSignal,
     LinearBlock,
-    LinearDesign,
     cg_gains,
     check_decrease,
     check_iss_bound,
@@ -83,7 +82,6 @@ from .simulate import (
 @dataclass
 class LoadedConfig:
     net: GainNetwork | None
-    homogeneous: bool
     alpha: object | None
     model: object | None
     design: object | None
@@ -316,9 +314,6 @@ def load_config(path) -> LoadedConfig:
     net = None
     if any(k in doc for k in ("n", "gains", "external_gains", "mu")):
         net = _load_network(doc)
-    homogeneous = doc.get("homogeneous", False)
-    if not isinstance(homogeneous, bool):
-        raise ConfigError("homogeneous must be a boolean", pointer="/homogeneous")
     alpha = None
     if "alpha" in doc:
         alpha = _parse_gain_at(doc["alpha"], "/alpha")
@@ -352,7 +347,7 @@ def load_config(path) -> LoadedConfig:
                                   pointer="/simulation/input")
             signal = _load_signal(idoc)
             has_input = not signal.is_zero()
-    return LoadedConfig(net=net, homogeneous=homogeneous, alpha=alpha,
+    return LoadedConfig(net=net, alpha=alpha,
                         model=model, design=design, design_error=design_error,
                         x0=x0, signal=signal, T=T, dt=dt, has_input=has_input)
 
@@ -389,9 +384,7 @@ def _certificate(cfg: LoadedConfig, args) -> CompositeLyapunov:
         if cfg.design_error is not None:
             raise cfg.design_error
         raise ConfigError("this command needs a model family", pointer="/model")
-    homogeneous = cfg.homogeneous or isinstance(design, LinearDesign)
-    res = construct_path(design.net, homogeneous=homogeneous,
-                         r_max=getattr(args, "rmax", None) or R_MAX_DEFAULT,
+    res = construct_path(design.net, r_max=getattr(args, "rmax", None) or R_MAX_DEFAULT,
                          seed=_resolve_seed(args))
     alpha = cfg.alpha
     if alpha is None and isinstance(design, CGDesign):
@@ -447,8 +440,7 @@ def cmd_check(cfg: LoadedConfig, args) -> int:
         return 1 if verdict.fails else 0
     # nothing decisive either way; a constructed path settles it
     try:
-        sigma = construct_path(net, homogeneous=cfg.homogeneous,
-                               r_max=R_MAX_DEFAULT, seed=seed).sigma
+        sigma = construct_path(net, r_max=R_MAX_DEFAULT, seed=seed).sigma
     except SmallGainError as exc:
         name = type(exc).__name__
         print(f"path construction: {name}: {exc}")
@@ -462,8 +454,7 @@ def cmd_check(cfg: LoadedConfig, args) -> int:
 
 def cmd_path(cfg: LoadedConfig, args) -> int:
     net = cfg.effective_net
-    sigma = construct_path(net, homogeneous=cfg.homogeneous,
-                           r_max=args.rmax or R_MAX_DEFAULT,
+    sigma = construct_path(net, r_max=args.rmax or R_MAX_DEFAULT,
                            seed=_resolve_seed(args)).sigma
     rep = validate_path(net, sigma)
     if args.out:
@@ -481,8 +472,7 @@ def cmd_certify(cfg: LoadedConfig, args) -> int:
         net, sigma, phi = cl.net, cl.sigma, cl.phi
     else:
         net = cfg.effective_net
-        res = construct_path(net, homogeneous=cfg.homogeneous,
-                             r_max=args.rmax or R_MAX_DEFAULT,
+        res = construct_path(net, r_max=args.rmax or R_MAX_DEFAULT,
                              seed=_resolve_seed(args))
         sigma, phi = res.sigma, res.phi
         if phi is None:

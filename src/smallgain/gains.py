@@ -552,9 +552,6 @@ class GainNetwork:
         """Per row, whether the external gain is not the zero gain."""
         return tuple(not g.is_zero for g in self.gamma_u)
 
-    def active_set(self, i: int) -> tuple[int, ...]:
-        return self.active_sets[i]
-
 
 def eval_operator_ext(net: GainNetwork, s, r):
     """Row-wise aggregation of internal gains at ``s`` and external gain at ``r``."""

@@ -4,9 +4,12 @@ A decay path ("Omega-path") for a monotone gain operator is a vector of
 class K-infinity functions sigma with ``Gamma_mu(sigma(r)) < sigma(r)`` for
 every positive radius.  Paths are represented piecewise linearly on anchor
 radii and extended linearly beyond the last anchor.  Constructors cover the
-bounded, irreducible, max-aggregation, homogeneous, three-node additive,
-mixed bounded/unbounded, and reducible cases; every constructor validates
-its result on a log-spaced radius grid before returning it.
+max-aggregation, three-node additive, homogeneous (a ray along the Perron
+vector), mixed bounded/unbounded, bounded, irreducible and reducible cases;
+:func:`construct_path` tries them in that order, choosing the ray for every
+strongly connected operator that is linear after a power substitution.
+Every constructor validates its result on a log-spaced radius grid before
+returning it.
 """
 
 from __future__ import annotations
@@ -53,7 +56,13 @@ from .gains import (
     zero_rows,
 )
 from .graph import adjacency, is_irreducible, scc_decompose
-from .sgc import check_cycle_condition, check_linear_spectral, nonlinear_perron
+from .sgc import (
+    check_cycle_condition,
+    check_linear_spectral,
+    linear_perron,
+    linearizes,
+    nonlinear_perron,
+)
 
 R_MAX_DEFAULT = 1e6
 VALIDATION_POINTS = 1000
@@ -231,12 +240,17 @@ class PathReport:
 class PathResult:
     """Decay path from :func:`construct_path`, with the reducible route's budget.
 
-    ``phi`` is set only by the reducible route, whose blockwise construction
-    derives the external budget map along with the path; elsewhere it is
-    ``None`` and callers derive a budget map from ``sigma``.
+    ``route`` names the constructor that ran: ``max``, ``three_sum``,
+    ``ray``, ``mixed``, ``bounded``, ``irreducible``, ``irreducible_diag``
+    (the irreducible construction retried against ``D(Gamma(s))``) or
+    ``reducible``.  ``phi`` is set only by the reducible route, whose
+    blockwise construction derives the external budget map along with the
+    path; elsewhere it is ``None`` and callers derive a budget map from
+    ``sigma``.
     """
 
     sigma: OmegaPath
+    route: str
     phi: PLFunction | None = None
 
 
@@ -308,9 +322,14 @@ def write_csv(out, header: list[str], table) -> None:
 # Shared machinery: downward iteration, upward chaining, anchor assembly
 
 
-def _downward_leg(op, s0: np.ndarray, stop_abs: float,
-                  stall_rel: float = 1e-9, stall_limit: int = 10,
-                  max_steps: int = 50000) -> list[np.ndarray]:
+# downward iteration: a step below DOWN_STALL_REL of the sup norm stalls,
+# DOWN_STALL_LIMIT stalled steps in a row or DOWN_MAX_STEPS anchors give up
+DOWN_STALL_REL = 1e-9
+DOWN_STALL_LIMIT = 10
+DOWN_MAX_STEPS = 50000
+
+
+def _downward_leg(op, s0: np.ndarray, stop_abs: float) -> list[np.ndarray]:
     """Iterate ``op`` from ``s0`` until the sup norm drops below ``stop_abs``.
 
     The first step enforces membership in the strict decay set: an exact
@@ -333,9 +352,9 @@ def _downward_leg(op, s0: np.ndarray, stop_abs: float,
         nxt = op(s)
         if not np.all(nxt < s):
             raise Stalled("downward iteration stopped decreasing componentwise")
-        if (s - nxt).max() < stall_rel * s.max():
+        if (s - nxt).max() < DOWN_STALL_REL * s.max():
             stall += 1
-            if stall >= stall_limit:
+            if stall >= DOWN_STALL_LIMIT:
                 raise Stalled(
                     "downward iteration is stalling above the stopping ball"
                 )
@@ -343,7 +362,7 @@ def _downward_leg(op, s0: np.ndarray, stop_abs: float,
             stall = 0
         s = nxt
         anchors.append(s.copy())
-        if len(anchors) > max_steps:
+        if len(anchors) > DOWN_MAX_STEPS:
             raise Stalled("downward iteration exceeded the step budget")
     return anchors
 
@@ -370,13 +389,20 @@ def path_downward(net: GainNetwork, s0) -> np.ndarray:
     return np.array(anchors)
 
 
-def _chain_up(op, start: np.ndarray, target_sup: float,
-              backoff: float = 0.5, growth_tol: float = 1e-6,
-              stall_limit: int = 50, max_steps: int = 20000) -> list[np.ndarray]:
+# upward chaining: each step advances by UP_BACKOFF of the largest admissible
+# one; a step below UP_GROWTH_TOL of the sup norm stalls, UP_STALL_LIMIT
+# stalled steps in a row or UP_MAX_STEPS anchors give up
+UP_BACKOFF = 0.5
+UP_GROWTH_TOL = 1e-6
+UP_STALL_LIMIT = 50
+UP_MAX_STEPS = 20000
+
+
+def _chain_up(op, start: np.ndarray, target_sup: float) -> list[np.ndarray]:
     """Grow anchors along the ones direction until ``target_sup`` is passed.
 
     Each step takes ``t*`` = sup of admissible steps with
-    ``op(s + t 1) < s`` and advances by ``backoff * t*``, which keeps the
+    ``op(s + t 1) < s`` and advances by ``UP_BACKOFF * t*``, which keeps the
     next image strictly below the previous anchor so whole segments stay in
     the decay set.  For operators with bounded rows ``t*`` is infinite; the
     step then jumps past ``target_sup`` in one segment.
@@ -422,10 +448,10 @@ def _chain_up(op, start: np.ndarray, target_sup: float,
                 t_lo = mid
             else:
                 t_hi = mid
-        step = backoff * t_lo
-        if step < growth_tol * max(1.0, s.max()):
+        step = UP_BACKOFF * t_lo
+        if step < UP_GROWTH_TOL * max(1.0, s.max()):
             stall += 1
-            if stall >= stall_limit:
+            if stall >= UP_STALL_LIMIT:
                 raise PathStalled(
                     "anchor growth below 1e-6 relative for 50 consecutive steps"
                 )
@@ -433,7 +459,7 @@ def _chain_up(op, start: np.ndarray, target_sup: float,
             stall = 0
         s = s + step * ones
         anchors.append(s.copy())
-        if len(anchors) > max_steps:
+        if len(anchors) > UP_MAX_STEPS:
             raise PathStalled("upward chaining exceeded the step budget")
     return anchors
 
@@ -585,11 +611,20 @@ def path_irreducible(net: GainNetwork, d: DiagOp | None = None, *,
 def path_homogeneous(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT) -> OmegaPath:
     """Ray path along the eigendirection of a homogeneous operator.
 
-    The ray is linear, so any anchor set reproduces it exactly; a dense
-    log grid is kept anyway because downstream budget maps are resolved
-    on the path's anchors.
+    An operator that is linear after a power substitution takes its
+    eigenpair from the slope matrix (:func:`sgc.linear_perron`): along
+    ``v**p`` it scales by ``rho**p``.  Any other operator takes it from
+    :func:`sgc.nonlinear_perron`.  The ray is linear, so any anchor set
+    reproduces it exactly; a dense log grid is kept anyway because
+    downstream budget maps are resolved on the path's anchors.
     """
-    lam, vec, _res = nonlinear_perron(net)
+    if not is_irreducible(adjacency(net)):
+        raise NotIrreducible("a ray path needs a strongly connected graph")
+    try:
+        rho, p, vec = linear_perron(net)
+        lam = rho ** p
+    except NotLinearizable:
+        lam, vec, _res = nonlinear_perron(net)
     if lam >= 1.0 - TOL_STRICT:
         raise LambdaNotContractive(
             f"nonlinear spectral radius {lam:.6g} is not below one", lam=lam
@@ -1009,42 +1044,46 @@ def path_reducible(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT,
         raise NotInOmega(
             "composed path failed the extended-operator check with its budget map"
         )
-    return PathResult(sigma, phi)
+    return PathResult(sigma, "reducible", phi)
 
 
 # ---------------------------------------------------------------------------
 # Dispatch
 
 
-def construct_path(net: GainNetwork, *, homogeneous: bool = False,
-                   r_max: float = R_MAX_DEFAULT, seed: int = 0) -> PathResult:
+def construct_path(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT,
+                   seed: int = 0) -> PathResult:
     """Pick a constructor by network shape (fixed, documented order).
 
-    homogeneous (declared) -> max -> three-node sum -> mixed -> bounded ->
-    irreducible -> reducible.  An irreducible construction that stalls is
+    max -> three-node sum -> ray -> mixed -> bounded -> irreducible ->
+    reducible.  The ray (:func:`path_homogeneous`) takes every strongly
+    connected network of two or more nodes whose operator is linear after a
+    power substitution; a reducible one reaches it block by block through
+    :func:`path_reducible`.  An irreducible construction that stalls is
     retried against the strengthened operator ``D(Gamma(s))`` with
-    ``D = id + 0.01 id``.
+    ``D = id + 0.01 id``.  The result names the route taken.
     """
     classes = {g.classify() for row in net.gamma for g in row if not g.is_zero}
     all_sum = all(isinstance(mu, SumAgg) for mu in net.mu)
-    if homogeneous:
-        sigma = path_homogeneous(net, r_max=r_max)
-    elif all(isinstance(mu, MaxAgg) for mu in net.mu):
-        sigma = path_max(net, r_max=r_max, seed=seed)
+    if all(isinstance(mu, MaxAgg) for mu in net.mu):
+        sigma, route = path_max(net, r_max=r_max, seed=seed), "max"
     elif all_sum and net.n == 3 and all(
             net.gamma[i][j].classify() is GainClass.K_INFINITY
             for i in range(3) for j in range(3) if i != j):
-        sigma = path_three_sum(net, r_max=r_max)
+        sigma, route = path_three_sum(net, r_max=r_max), "three_sum"
+    elif net.n >= 2 and linearizes(net) and is_irreducible(adjacency(net)):
+        sigma, route = path_homogeneous(net, r_max=r_max), "ray"
     elif all_sum and classes == {GainClass.K_BOUNDED, GainClass.K_INFINITY}:
-        sigma = path_mixed(net, r_max=r_max, seed=seed)
+        sigma, route = path_mixed(net, r_max=r_max, seed=seed), "mixed"
     elif classes and GainClass.K_INFINITY not in classes:
-        sigma = path_bounded(net, r_max=r_max)
+        sigma, route = path_bounded(net, r_max=r_max), "bounded"
     elif is_irreducible(adjacency(net)):
         try:
-            sigma = path_irreducible(net, r_max=r_max, seed=seed)
+            sigma, route = path_irreducible(net, r_max=r_max, seed=seed), "irreducible"
         except PathStalled:
             sigma = path_irreducible(net, d=DiagOp(Linear(0.01)),
                                      r_max=r_max, seed=seed)
+            route = "irreducible_diag"
     else:
         return path_reducible(net, r_max=r_max, seed=seed)
-    return PathResult(sigma)
+    return PathResult(sigma, route)

@@ -288,14 +288,10 @@ def _falsify(net, op, grid, edge_transform, method):
                 status=CERTIFIED_FAILS, method=method + "-cycle",
                 witness=hit[0], cycle=hit[1],
             )
-    try:
-        G, p = _linearize(net)
-    except NotLinearizable:
-        G = None
-    if G is not None and op is None:
-        rho, v = _power_rho(G)
+    if op is None and linearizes(net):
+        rho, _p, ray = linear_perron(net)
         for scale in (1e-3, 1.0, 1e3):
-            w = scale * np.power(v, p)
+            w = scale * ray
             if _is_witness(net, w):
                 return SgcVerdict(
                     status=CERTIFIED_FAILS, method=method + "-perron",
@@ -371,7 +367,12 @@ def _linearize(net: GainNetwork):
     return G, p
 
 
-def _power_rho(G: np.ndarray, tol: float = 1e-14, max_iter: int = 200000):
+# power iteration on a slope matrix: step tolerance (max norm) and step cap
+POWER_TOL = 1e-14
+POWER_MAX_ITER = 200000
+
+
+def _power_rho(G: np.ndarray):
     """Spectral radius of a nonnegative matrix by blockwise power iteration.
 
     On a reducible matrix the plain iteration crawls (defective dominant
@@ -391,11 +392,11 @@ def _power_rho(G: np.ndarray, tol: float = 1e-14, max_iter: int = 200000):
         else:
             M = B + np.eye(len(b))
             v = np.ones(len(b))
-            for _ in range(max_iter):
+            for _ in range(POWER_MAX_ITER):
                 w = M @ v
                 m = float(np.max(w))
                 w = w / m
-                if float(np.max(np.abs(w - v))) < tol:
+                if float(np.max(np.abs(w - v))) < POWER_TOL:
                     break
                 v = w
             else:
@@ -408,17 +409,41 @@ def _power_rho(G: np.ndarray, tol: float = 1e-14, max_iter: int = 200000):
     return best, bestvec
 
 
-def check_linear_spectral(net: GainNetwork, tol_strict: float = 1e-9) -> SgcVerdict:
-    """Spectral radius route for operators linear after a power substitution.
+def linearizes(net: GainNetwork) -> bool:
+    """Whether the operator is linear after a power substitution."""
+    try:
+        _linearize(net)
+    except NotLinearizable:
+        return False
+    return True
 
-    Certifies the condition when rho(G) < 1 - tol; at rho >= 1 tries the
-    Perron direction as an explicit witness.
+
+def linear_perron(net: GainNetwork):
+    """Perron root and ray of an operator linear after a power substitution.
+
+    Returns ``(rho, p, ray)``: the spectral radius of the slope matrix ``G``,
+    the exponent ``p`` and ``ray = v**p`` for the Perron vector ``v`` of
+    ``G`` (max entry one).  Along the ray ``Gamma_mu(r ray) = rho**p r ray``.
+    Raises :class:`NotLinearizable` for any other operator.
     """
     G, p = _linearize(net)
     rho, v = _power_rho(G)
-    if rho < 1.0 - tol_strict:
+    return rho, p, np.power(v, p)
+
+
+# the spectral route certifies the condition at rho < 1 - SPECTRAL_TOL
+SPECTRAL_TOL = 1e-9
+
+
+def check_linear_spectral(net: GainNetwork) -> SgcVerdict:
+    """Spectral radius route for operators linear after a power substitution.
+
+    Certifies the condition when rho(G) < 1 - SPECTRAL_TOL; at rho >= 1
+    tries the Perron direction as an explicit witness.
+    """
+    rho, _p, w = linear_perron(net)
+    if rho < 1.0 - SPECTRAL_TOL:
         return SgcVerdict(status=CERTIFIED_HOLDS, method="spectral", rho=rho)
-    w = np.power(v, p)
     if _is_witness(net, w):
         return SgcVerdict(
             status=CERTIFIED_FAILS, method="spectral", rho=rho, witness=w
@@ -426,9 +451,14 @@ def check_linear_spectral(net: GainNetwork, tol_strict: float = 1e-9) -> SgcVerd
     return SgcVerdict(status=INCONCLUSIVE, method="spectral", rho=rho)
 
 
-def nonlinear_perron(
-    net: GainNetwork, tol: float = 1e-10, max_iter: int = 100000, seed: int = 0
-):
+# the eigenpair iteration: step tolerance (max norm), step cap, and the seed
+# of the 16 random points of the doubling test
+PERRON_TOL = 1e-10
+PERRON_MAX_ITER = 100000
+PERRON_SEED = 0
+
+
+def nonlinear_perron(net: GainNetwork):
     """Nonlinear eigenpair of a homogeneous irreducible operator.
 
     Damped normalized iteration s <- (Gamma_mu(s) + s) / max-norm; the raw
@@ -436,7 +466,7 @@ def nonlinear_perron(
     Returns (lam, eigvec, residual) with the max-norm residual of
     Gamma_mu(v) = lam v at the fixed direction.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(PERRON_SEED)
     s = rng.uniform(0.1, 10.0, size=(16, net.n))
     a = eval_operator(net, 2.0 * s)
     b = 2.0 * eval_operator(net, s)
@@ -445,11 +475,11 @@ def nonlinear_perron(
     if not is_irreducible(adjacency(net)):
         raise NotIrreducible("eigenpair iteration needs a strongly connected graph")
     v = np.ones(net.n)
-    for _ in range(max_iter):
+    for _ in range(PERRON_MAX_ITER):
         w = eval_operator(net, v) + v
         m = float(np.max(w))
         w = w / m
-        if float(np.max(np.abs(w - v))) < tol:
+        if float(np.max(np.abs(w - v))) < PERRON_TOL:
             v = w
             break
         v = w

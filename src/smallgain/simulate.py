@@ -27,7 +27,7 @@ from .gains import (
     Saturating,
     Zero,
 )
-from .paths import R_MAX_DEFAULT, construct_path, path_homogeneous, write_csv
+from .paths import R_MAX_DEFAULT, construct_path, write_csv
 
 DIVERGENCE_GUARD = 1e12
 MAX_LYAP_DIM = 20
@@ -579,9 +579,14 @@ def cg_demo(coupling: float = 0.2):
 
 def certify_linear(design: LinearDesign,
                    r_max: float = R_MAX_DEFAULT) -> CompositeLyapunov:
-    """Certificate along the eigenray of the homogeneous linear design."""
-    sigma = path_homogeneous(design.net, r_max=r_max)
-    return compose(design.net, sigma, design.specs)
+    """Certificate for the linear design on the path :func:`construct_path` picks.
+
+    The design's squared-sum rows are linear in ``t = s^(1/2)``, so a
+    strongly connected bank takes the ray along the Perron vector of its
+    slope matrix.
+    """
+    res = construct_path(design.net, r_max=r_max)
+    return compose(design.net, res.sigma, design.specs, phi=res.phi)
 
 
 def certify_cg(design: CGDesign, shift: float = 0.01,

@@ -5,7 +5,9 @@ import pathlib
 
 import pytest
 
-from smallgain.cli import main
+from smallgain.cli import load_config, main
+from smallgain.errors import CycleConditionFails
+from smallgain.paths import construct_path, validate_path
 
 DEMO_DIR = pathlib.Path(__file__).resolve().parent.parent / "demos" / "configs"
 
@@ -378,3 +380,76 @@ def test_parser_built_once_with_independent_namespaces(tmp_path, capsys, monkeyp
     assert seen[-1].seed is None and len(seen) == 3
     capsys.readouterr()
     assert cli._build_parser.cache_info().misses == 1
+
+
+# ---------------------------------------------------------------------------
+# path routes chosen from the network's structure
+
+
+DEMO_ROUTES = {
+    "bounded_pair": "bounded",
+    "linear_two_block": "ray",
+    "max_pair": "max",
+    "max_pair_bad": None,  # fails the cycle condition, no path
+    "neural_pair": "bounded",
+    "three_sum": "three_sum",
+}
+
+
+def test_demo_config_routes():
+    assert sorted(DEMO_ROUTES) == sorted(p.stem for p in DEMO_DIR.glob("*.json"))
+    for name, route in DEMO_ROUTES.items():
+        net = load_config(DEMO_DIR / f"{name}.json").effective_net
+        if route is None:
+            with pytest.raises(CycleConditionFails):
+                construct_path(net)
+        else:
+            assert construct_path(net).route == route, name
+
+
+def sum_net(gains):
+    n = len(gains)
+    return {"n": n, "gains": gains, "external_gains": ["0"] * n, "mu": ["sum"] * n}
+
+
+# linear sum networks that hold (spectral radius 0.41 and 0.47) with rows
+# summing past one, where chaining up along the ones direction stalls
+ROW_SUM_NETS = {
+    "irreducible_row_sum": sum_net(
+        [["0", "0.14*s", "0"], ["0.38*s", "0", "0.16*s"],
+         ["0.58*s", "0.54*s", "0"]]),
+    "reducible_row_sum": sum_net(
+        [["0", "0.45*s", "0", "0", "0"], ["0.46*s", "0", "0", "0", "0"],
+         ["0", "0.35*s", "0", "0.4*s", "0.69*s"], ["0", "0", "0", "0", "0.22*s"],
+         ["0.56*s", "0", "0.25*s", "0", "0"]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_SUM_NETS))
+def test_certify_linear_sum_with_large_row_sums(name, tmp_path, capsys):
+    cfg = write_cfg(tmp_path, ROW_SUM_NETS[name])
+    assert main(["certify", cfg]) == 0
+    assert "certificate margins: min" in capsys.readouterr().out
+    net = load_config(cfg).effective_net
+    res = construct_path(net)
+    assert res.route == ("ray" if name == "irreducible_row_sum" else "reducible")
+    assert validate_path(net, res.sigma).valid
+
+
+def test_path_and_certify_share_the_linear_model_path(tmp_path, capsys):
+    cfg = str(DEMO_DIR / "linear_two_block.json")
+    assert main(["path", cfg, "--out", str(tmp_path / "path.csv")]) == 0
+    assert main(["certify", cfg, "--out", str(tmp_path / "bundle")]) == 0
+    capsys.readouterr()
+    path_csv = (tmp_path / "path.csv").read_bytes()
+    assert path_csv == (tmp_path / "bundle.path.csv").read_bytes()
+
+
+@pytest.mark.parametrize("doc", [ROW_SUM_NETS["irreducible_row_sum"], max_net(0.5),
+                                 {"model": LINEAR_MODEL}])
+def test_homogeneous_key_is_ignored(doc, tmp_path, capsys):
+    plain = write_cfg(tmp_path, doc, "plain.json")
+    flagged = write_cfg(tmp_path, {**doc, "homogeneous": True}, "flagged.json")
+    for cmd in ("check", "certify"):
+        runs = [(main([cmd, cfg]), capsys.readouterr().out) for cfg in (plain, flagged)]
+        assert runs[0] == runs[1]

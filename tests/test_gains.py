@@ -407,7 +407,7 @@ def test_active_sets_computed_once():
     )
     built = _CountingLinear.classify_calls
     assert net.active_sets == ((1,), (), (0, 1))
-    assert net.active_set(2) == (0, 1)
+    assert net.active_sets[2] == (0, 1)
     assert net.ext_active == (False, True, False)
     assert zero_rows(net) == (1,)
     np.testing.assert_array_equal(

@@ -934,21 +934,21 @@ def test_dispatch_shapes():
                      [SumAgg(), SumAgg()])
     cascade = net_of([[Z, Linear(0.7)], [Z, Z]], [SumAgg(), SumAgg()])
     routes = [
-        (max2(0.5), False, False),
-        (sum3_complete(0.25), False, False),
-        (mixed, False, False),
-        (bounded, False, False),
-        (sum2(0.4), False, False),
-        (max2(0.5), True, False),
-        (cascade, False, True),
+        (max2(0.5), "max"),
+        (sum3_complete(0.25), "three_sum"),
+        (mixed, "mixed"),
+        (bounded, "bounded"),
+        (sum2(0.4), "ray"),
+        (cascade, "reducible"),
     ]
-    for net, homogeneous, reducible in routes:
-        res = construct_path(net, homogeneous=homogeneous)
+    for net, route in routes:
+        res = construct_path(net)
         assert isinstance(res, PathResult)
         assert isinstance(res.sigma, OmegaPath)
-        assert (res.phi is not None) == reducible
-    homog = construct_path(max2(0.5), homogeneous=True)
-    assert np.allclose(homog.sigma(1.0), [1.0, 1.0])
+        assert res.route == route
+        assert (res.phi is not None) == (route == "reducible")
+    # a linear sum network takes the ray along its Perron vector
+    assert np.allclose(construct_path(sum2(0.4)).sigma(1.0), [1.0, 1.0])
 
 
 def test_export_csv_format():
