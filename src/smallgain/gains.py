@@ -591,11 +591,17 @@ def eval_operator(net: GainNetwork, s):
     return eval_operator_ext(net, s, 0.0)
 
 
-def strictly_less(a, b, tol: float = TOL_STRICT) -> bool:
-    """Componentwise ``a < b`` with relative slack ``tol*max(1, b)``."""
+def _strictly_less_rows(a, b, tol: float = TOL_STRICT) -> np.ndarray:
+    """Per row of the last axis, componentwise ``a < b`` with slack ``tol*max(1, b)``."""
     a_arr = np.asarray(a, dtype=float)
     b_arr = np.asarray(b, dtype=float)
-    return bool(np.all(a_arr <= b_arr - tol * np.maximum(1.0, b_arr)))
+    below = a_arr <= b_arr - tol * np.maximum(1.0, b_arr)
+    return below.all(axis=-1) if below.ndim else below
+
+
+def strictly_less(a, b, tol: float = TOL_STRICT) -> bool:
+    """Componentwise ``a < b`` with relative slack ``tol*max(1, b)``."""
+    return bool(np.all(_strictly_less_rows(a, b, tol)))
 
 
 def zero_rows(net: GainNetwork) -> tuple[int, ...]:

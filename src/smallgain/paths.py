@@ -50,6 +50,7 @@ from .gains import (
     PlusId,
     SumAgg,
     Zero,
+    _strictly_less_rows,
     eval_operator,
     eval_operator_ext,
     strictly_less,
@@ -306,11 +307,15 @@ def export_path_csv(net: GainNetwork, sigma: OmegaPath, out, radii=None) -> None
 def write_csv(out, header: list[str], table) -> None:
     """Write ``header`` and each row of ``table`` as ``%.12g`` cells.
 
-    ``out`` is an open text stream or a file path.
+    ``out`` is an open text stream or a file path.  The whole table is
+    formatted by one ``%`` over its flattened cells.
     """
-    fmt = ",".join(["%.12g"] * len(header))
-    rows = [fmt % tuple(row) for row in np.asarray(table).tolist()]
-    text = "\n".join([",".join(header), *rows]) + "\n"
+    cells = np.asarray(table)
+    lines = [",".join(header)]
+    if len(cells):
+        row = ",".join(["%.12g"] * len(header))
+        lines.append("\n".join([row] * len(cells)) % tuple(cells.ravel().tolist()))
+    text = "\n".join(lines) + "\n"
     if hasattr(out, "write"):
         out.write(text)
     else:
@@ -398,6 +403,29 @@ UP_STALL_LIMIT = 50
 UP_MAX_STEPS = 20000
 
 
+# exponents k of the step ladder t0 * 2**k: wide enough to hold both of its
+# ends, the first step above 1e9 * scale and the first at or below
+# 1e-14 * scale (t0 = 0.1 * scale, so k = 34 and k = -44)
+_LADDER_EXPONENTS = np.arange(-64, 65)
+# levels of the bisection's midpoint tree evaluated in one operator call
+_BISECT_DEPTH = 5
+
+
+def _midpoint_tree(lo: float, hi: float) -> np.ndarray:
+    """``lo``, the midpoints of ``_BISECT_DEPTH`` bisection levels and ``hi``.
+
+    Each midpoint is ``0.5 * (a + b)`` of the bracket a bisection holds
+    when it takes it, so a walk down the tree replays the bisection.
+    """
+    bounds = np.array([lo, hi])
+    for _ in range(_BISECT_DEPTH):
+        finer = np.empty(2 * len(bounds) - 1)
+        finer[0::2] = bounds
+        finer[1::2] = 0.5 * (bounds[:-1] + bounds[1:])
+        bounds = finer
+    return bounds
+
+
 def _chain_up(op, start: np.ndarray, target_sup: float) -> list[np.ndarray]:
     """Grow anchors along the ones direction until ``target_sup`` is passed.
 
@@ -406,48 +434,69 @@ def _chain_up(op, start: np.ndarray, target_sup: float) -> list[np.ndarray]:
     next image strictly below the previous anchor so whole segments stay in
     the decay set.  For operators with bounded rows ``t*`` is infinite; the
     step then jumps past ``target_sup`` in one segment.
+
+    The search for ``t*`` is a sequential one, replayed from batched
+    operator calls so every anchor keeps the bits the sequential search
+    gives.  Starting at ``t0 = 0.1 * scale`` it doubles while the doubled
+    step is admissible, up to a cap of ``1e9 * scale`` past which it tries
+    the jump, or, when ``t0`` is not admissible, halves until a step is,
+    down to ``1e-14 * scale``; then it bisects the bracket up to 60 times,
+    until it is below ``1e-3`` relative.  One call evaluates the whole
+    ladder, both ways and the jump; each further call evaluates
+    ``_BISECT_DEPTH`` levels of the bisection's midpoint tree, which the
+    bisection then walks by the returned flags.
     """
     s = np.asarray(start, dtype=float).copy()
     ones = np.ones_like(s)
     anchors = [s.copy()]
     stall = 0
+    origin = int(np.searchsorted(_LADDER_EXPONENTS, 0))
 
-    def ok(t: float) -> bool:
-        return strictly_less(op(s + t * ones), s)
+    def admissible(steps: np.ndarray) -> np.ndarray:
+        return _strictly_less_rows(op(s + steps[:, None] * ones), s)
 
     while s.max() < target_sup:
         scale = 1.0 + s.max()
-        t = 0.1 * scale
-        if ok(t):
-            cap = 1e9 * scale
-            hi = None
-            while ok(2.0 * t):
-                t *= 2.0
-                if t > cap:
-                    jump = max(4.0 * target_sup, 4.0 * t)
-                    if ok(jump):
-                        anchors.append(s + jump * ones)
-                        return anchors
-                    hi = jump
-                    break
-            t_lo, t_hi = t, (2.0 * t if hi is None else hi)
+        steps = np.ldexp(0.1 * scale, _LADDER_EXPONENTS)
+        top = int(np.searchsorted(steps, 1e9 * scale, side="right"))
+        bottom = int(np.searchsorted(steps, 1e-14 * scale, side="right")) - 1
+        jump = max(4.0 * target_sup, 4.0 * float(steps[top]))
+        good = admissible(np.append(steps[bottom:top + 1], jump))
+        jump_ok, good = good[-1], good[:-1]
+        at_t0 = origin - bottom
+        if good[at_t0]:
+            refused = np.flatnonzero(~good[at_t0 + 1:])
+            if refused.size:
+                t_lo = float(steps[origin + refused[0]])
+                t_hi = 2.0 * t_lo
+            elif jump_ok:
+                anchors.append(s + jump * ones)
+                return anchors
+            else:
+                t_lo, t_hi = float(steps[top]), jump
         else:
-            while t > 1e-14 * scale and not ok(t):
-                t *= 0.5
-            if not ok(t):
+            accepted = np.flatnonzero(good[at_t0::-1])
+            if not accepted.size:
                 raise PathStalled(
                     "no admissible step above the strictness tolerance; "
                     "the operator is near-critical at this anchor"
                 )
-            t_lo, t_hi = t, 2.0 * t
-        for _ in range(60):
-            if t_hi - t_lo < 1e-3 * t_lo:
-                break
-            mid = 0.5 * (t_lo + t_hi)
-            if ok(mid):
-                t_lo = mid
-            else:
-                t_hi = mid
+            t_lo = float(steps[origin - accepted[0]])
+            t_hi = 2.0 * t_lo
+        rounds = 0
+        while rounds < 60 and not t_hi - t_lo < 1e-3 * t_lo:
+            tree = _midpoint_tree(t_lo, t_hi)
+            good = admissible(tree[1:-1])
+            lo, hi = 0, len(tree) - 1
+            while (hi - lo > 1 and rounds < 60
+                   and not tree[hi] - tree[lo] < 1e-3 * tree[lo]):
+                mid = (lo + hi) // 2
+                if good[mid - 1]:
+                    lo = mid
+                else:
+                    hi = mid
+                rounds += 1
+            t_lo, t_hi = float(tree[lo]), float(tree[hi])
         step = UP_BACKOFF * t_lo
         if step < UP_GROWTH_TOL * max(1.0, s.max()):
             stall += 1
@@ -468,22 +517,26 @@ def _find_seed(op, n: int, seed: int = 0) -> np.ndarray:
     """Point of the strict decay set on the unit sup-norm sphere.
 
     Tries the ones direction, 2n axis-biased directions, then 500 random
-    simplex directions, each scaled to sup norm one.
+    simplex directions, each scaled to sup norm one, and returns the first
+    that the operator shrinks.  The random directions are drawn up front;
+    the candidates are checked in blocks of 1, 8, 64, ... rows, one
+    operator call per block, and the first hit of the first block holding
+    one is the first hit in candidate order.
     """
-    candidates = [np.ones(n)]
-    for i in range(n):
-        low = np.full(n, 0.5)
-        low[i] = 1.0
-        high = np.ones(n)
-        high[i] = 0.5 if n > 1 else 1.0
-        candidates.extend([low, high])
-    rng = np.random.default_rng(seed)
-    for _ in range(500):
-        w = rng.random(n) + 1e-12
-        candidates.append(w / w.max())
-    for cand in candidates:
-        if strictly_less(op(cand), cand):
-            return cand
+    cands = np.ones((1 + 2 * n + 500, n))
+    axis = np.eye(n, dtype=bool)
+    cands[1:2 * n + 1:2] = np.where(axis, 1.0, 0.5)
+    if n > 1:
+        cands[2:2 * n + 1:2] = np.where(axis, 0.5, 1.0)
+    w = np.random.default_rng(seed).random((500, n)) + 1e-12
+    cands[2 * n + 1:] = w / w.max(axis=1, keepdims=True)
+    start, size = 0, 1
+    while start < len(cands):
+        block = cands[start:start + size]
+        hits = np.flatnonzero(_strictly_less_rows(op(block), block))
+        if hits.size:
+            return block[hits[0]]
+        start, size = start + size, 8 * size
     raise SeedNotFound(
         "no point of the strict decay set found on the unit sphere; "
         "evidence against the small gain condition"
@@ -792,26 +845,32 @@ def path_mixed(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT,
     )
 
 
+def _crossover_radius(sigma_u: OmegaPath, c: float, s_star: np.ndarray) -> float:
+    """First anchor radius where ``c * sigma_u`` clears the bounded supremum.
+
+    All anchor radii are checked in one evaluation of ``sigma_u``; when
+    none clears, the last one is doubled until it does.
+    """
+    def clears(r):
+        return np.all(c * sigma_u(r) >= s_star * (1.0 + 1e-6) + 1e-12, axis=-1)
+
+    candidates = sigma_u.radii[sigma_u.radii > 0]
+    hits = np.flatnonzero(clears(candidates))
+    if hits.size:
+        return float(candidates[hits[0]])
+    r_star = float(candidates[-1])
+    while not clears(r_star):
+        r_star *= 2.0
+        if r_star > 1e18:
+            raise SpliceFailure("crossover radius ran away")
+    return r_star
+
+
 def _splice_mixed(net: GainNetwork, sigma_u: OmegaPath, c: float,
                   s_star: np.ndarray, r_max: float) -> OmegaPath:
     # crossover: the inflation term must clear the bounded part's supremum
-    def crossover_ok(r: float) -> bool:
-        vals = sigma_u(r)
-        return bool(np.all(c * vals >= s_star * (1.0 + 1e-6) + 1e-12))
-
+    r_star = _crossover_radius(sigma_u, c, s_star)
     candidates = sigma_u.radii[sigma_u.radii > 0]
-    r_star = None
-    for r in candidates:
-        if crossover_ok(r):
-            r_star = float(r)
-            break
-    if r_star is None:
-        r_star = float(candidates[-1])
-        while not crossover_ok(r_star):
-            r_star *= 2.0
-            if r_star > 1e18:
-                raise SpliceFailure("crossover radius ran away")
-
     op = lambda s: eval_operator(net, s)
     for _ in range(40):
         top = max(1.1 * r_max, 2.0 * r_star)

@@ -383,6 +383,22 @@ def test_operator_matches_dense_reference(mu_kind):
                 assert fast.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("mu_kind", ["sum", "max", "outer-in", "outer-after", "block"])
+def test_operator_rows_match_single_point_calls(mu_kind):
+    # batched path searches replay sequential ones from these rows; n = 9
+    # takes numpy's pairwise sum past its 8-element unrolled block
+    rng = np.random.default_rng(11)
+    d = DiagOp(Linear(0.01))
+    for n in (3, 9):
+        net = _random_net(rng, n, mu_kind, ext0=False)
+        batch = np.geomspace(1e-8, 1e8, 40)[:, None] * rng.uniform(0.5, 1.0, (40, n))
+        # the plain operator and path_irreducible's D(Gamma(s))
+        for op in (lambda s: eval_operator(net, s), lambda s: d(eval_operator(net, s))):
+            rows = op(batch)
+            for k in range(len(batch)):
+                assert rows[k].tobytes() == op(batch[k]).tobytes()
+
+
 class _CountingLinear(Linear):
     classify_calls = 0
 

@@ -16,6 +16,9 @@ from smallgain.errors import (
     NotInOmega,
     NotIrreducible,
     OutOfRange,
+    PathStalled,
+    SeedNotFound,
+    SpliceFailure,
     Stalled,
     WrongAggregation,
 )
@@ -36,6 +39,7 @@ from smallgain.gains import (
     Zero,
     eval_operator,
     eval_operator_ext,
+    strictly_less,
 )
 import smallgain.paths as paths_module
 from smallgain.paths import (
@@ -668,6 +672,233 @@ def test_mixed_needs_additive_rows():
 
 
 # ---------------------------------------------------------------------------
+# batched searches against their sequential references
+
+
+def _chain_up_sequential(op, start, target_sup):
+    # the step search one operator call per trial step
+    s = np.asarray(start, dtype=float).copy()
+    ones = np.ones_like(s)
+    anchors = [s.copy()]
+    stall = 0
+
+    def ok(t):
+        return strictly_less(op(s + t * ones), s)
+
+    while s.max() < target_sup:
+        scale = 1.0 + s.max()
+        t = 0.1 * scale
+        if ok(t):
+            cap = 1e9 * scale
+            hi = None
+            while ok(2.0 * t):
+                t *= 2.0
+                if t > cap:
+                    jump = max(4.0 * target_sup, 4.0 * t)
+                    if ok(jump):
+                        anchors.append(s + jump * ones)
+                        return anchors
+                    hi = jump
+                    break
+            t_lo, t_hi = t, (2.0 * t if hi is None else hi)
+        else:
+            while t > 1e-14 * scale and not ok(t):
+                t *= 0.5
+            if not ok(t):
+                raise PathStalled(
+                    "no admissible step above the strictness tolerance; "
+                    "the operator is near-critical at this anchor")
+            t_lo, t_hi = t, 2.0 * t
+        for _ in range(60):
+            if t_hi - t_lo < 1e-3 * t_lo:
+                break
+            mid = 0.5 * (t_lo + t_hi)
+            if ok(mid):
+                t_lo = mid
+            else:
+                t_hi = mid
+        step = paths_module.UP_BACKOFF * t_lo
+        if step < paths_module.UP_GROWTH_TOL * max(1.0, s.max()):
+            stall += 1
+            if stall >= paths_module.UP_STALL_LIMIT:
+                raise PathStalled(
+                    "anchor growth below 1e-6 relative for 50 consecutive steps")
+        else:
+            stall = 0
+        s = s + step * ones
+        anchors.append(s.copy())
+        if len(anchors) > paths_module.UP_MAX_STEPS:
+            raise PathStalled("upward chaining exceeded the step budget")
+    return anchors
+
+
+def _find_seed_sequential(op, n, seed=0):
+    # one operator call per candidate, in candidate order
+    candidates = [np.ones(n)]
+    for i in range(n):
+        low = np.full(n, 0.5)
+        low[i] = 1.0
+        high = np.ones(n)
+        high[i] = 0.5 if n > 1 else 1.0
+        candidates.extend([low, high])
+    rng = np.random.default_rng(seed)
+    for _ in range(500):
+        w = rng.random(n) + 1e-12
+        candidates.append(w / w.max())
+    for cand in candidates:
+        if strictly_less(op(cand), cand):
+            return cand
+    raise SeedNotFound(
+        "no point of the strict decay set found on the unit sphere; "
+        "evidence against the small gain condition")
+
+
+def _crossover_sequential(sigma_u, c, s_star):
+    # one path evaluation per anchor radius
+    def ok(r):
+        return bool(np.all(c * sigma_u(r) >= s_star * (1.0 + 1e-6) + 1e-12))
+
+    candidates = sigma_u.radii[sigma_u.radii > 0]
+    for r in candidates:
+        if ok(r):
+            return float(r)
+    r_star = float(candidates[-1])
+    while not ok(r_star):
+        r_star *= 2.0
+        if r_star > 1e18:
+            raise SpliceFailure("crossover radius ran away")
+    return r_star
+
+
+def _result(call):
+    # the bytes of what the call returns, or the type and text of its raise
+    try:
+        out = call()
+    except Exception as exc:  # noqa: BLE001 - the raise is the outcome
+        return type(exc), str(exc)
+    if isinstance(out, OmegaPath):
+        return out.radii.tobytes() + out.values.tobytes()
+    return np.asarray(out, dtype=float).tobytes()
+
+
+def _with_sequential_searches(monkeypatch, call):
+    with monkeypatch.context() as m:
+        m.setattr(paths_module, "_chain_up", _chain_up_sequential)
+        m.setattr(paths_module, "_find_seed", _find_seed_sequential)
+        m.setattr(paths_module, "_crossover_radius", _crossover_sequential)
+        return _result(call)
+
+
+# concave unbounded gains below the identity along the ones direction
+CONCAVE_A = Compose(Linear(0.5), PlusId(Saturating(0.2)))
+CONCAVE_B = Max((Linear(0.6), Saturating(0.9)))
+MIXED3 = net_of([[Z, Saturating(0.3), Linear(0.6)], [Linear(0.4), Z, Z],
+                 [Z, Linear(0.5), Z]], [SumAgg()] * 3)
+
+
+@pytest.mark.parametrize("build", [
+    # the unbounded ring 0 -> 1 -> 2 -> 0 takes the irreducible inner path
+    lambda: path_mixed(MIXED3),
+    lambda: path_irreducible(net_of([[Z, CONCAVE_A], [CONCAVE_B, Z]], [SumAgg()] * 2)),
+    lambda: path_irreducible(net_of([[Z, CONCAVE_A], [CONCAVE_B, Z]], [SumAgg()] * 2),
+                             d=DiagOp(Linear(0.01))),
+    lambda: path_max(net_of([[Z, CONCAVE_A, Z],
+                             [Z, Z, Sum((Linear(0.3), Saturating(0.2)))],
+                             [CONCAVE_B, Z, Z]], [MaxAgg()] * 3)),
+], ids=["mixed", "irreducible", "irreducible_diag", "max"])
+def test_batched_searches_build_the_sequential_path(monkeypatch, build):
+    got = _result(build)
+    assert isinstance(got, bytes)
+    assert got == _with_sequential_searches(monkeypatch, build)
+
+
+def _sum2_op(g):
+    net = net_of([[Z, g], [g, Z]], [SumAgg(), SumAgg()])
+    return lambda s: eval_operator(net, s)
+
+
+@pytest.mark.parametrize("g, target, outcome", [
+    # t0 = 0.1 * scale is refused at every anchor: the halving branch
+    (Linear(0.95), 50.0, "path"),
+    # bounded rows: the first step jumps past the target
+    (Saturating(0.5), 1.05e6, "jump"),
+    # every doubling up to the cap is admissible, the jump is not
+    (Linear(1e-10), 1.05e6, "refused jump"),
+    (Linear(1.0), 10.0, "no admissible step"),
+    (Linear(1.0 - 1e-8), 10.0, "anchor growth below"),
+])
+def test_batched_chain_up_replays_sequential_search(g, target, outcome):
+    op = _sum2_op(g)
+    start = np.ones(2)
+    got = _result(lambda: paths_module._chain_up(op, start, target))
+    assert got == _result(lambda: _chain_up_sequential(op, start, target))
+    # from s = 1 (scale 2) the ladder's top is 0.2 * 2**34, the jump 4 times that
+    jump = 4.0 * 0.2 * 2.0**34
+    if outcome in ("path", "jump", "refused jump"):
+        anchors = np.frombuffer(got).reshape(-1, 2)
+        assert anchors[-1].max() >= target
+        assert (anchors[1, 0] - 1.0 == jump) == (outcome == "jump")
+        assert (len(anchors) == 2) == (outcome != "path")
+    else:
+        assert got[0] is PathStalled and outcome in got[1]
+
+
+def test_batched_find_seed_returns_first_candidate_hit():
+    # the decay set needs 0.3 s_1 < s_0 < s_1 / 2.5 (or / 3): no axis-biased
+    # candidate lies in it, some random ones do; candidate blocks hold rows
+    # 0, 1-8, 9-72 and 73-584, and with these seeds the first block that
+    # holds a hit holds more than one
+    skew = net_of([[Z, Linear(0.3)], [Linear(2.5), Z]], [SumAgg(), SumAgg()])
+    narrow = net_of([[Z, Linear(0.3)], [Linear(3.0), Z]], [SumAgg(), SumAgg()])
+    cases = [
+        (skew, 1), (narrow, 2),
+        (sum3_complete(0.3), 0),
+        (net_of([[Z]], [SumAgg()]), 0),
+        (sum2(1.2), 0),
+    ]
+    for net, seed in cases:
+        op = lambda s, net=net: eval_operator(net, s)
+        got = _result(lambda: paths_module._find_seed(op, net.n, seed))
+        assert got == _result(lambda: _find_seed_sequential(op, net.n, seed))
+    assert got[0] is SeedNotFound
+    seed_vec = paths_module._find_seed(lambda s: eval_operator(skew, s), 2)
+    assert seed_vec.min() < 0.5  # a random direction, past the axis-biased ones
+
+
+def test_batched_crossover_matches_sequential_scan():
+    radii = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 25)])
+    sigma = OmegaPath(radii, np.column_stack([radii, 2.0 * radii]))
+    for c, s_star in [(0.05, np.array([0.01, 0.5])),  # an anchor clears
+                      (0.05, np.array([1e3, 0.0])),  # doubled past the last
+                      (0.05, np.array([1e17, 0.0])),  # runs away
+                      (0.05, np.zeros(2))]:  # the first anchor clears
+        got = _result(lambda: paths_module._crossover_radius(sigma, c, s_star))
+        assert got == _result(lambda: _crossover_sequential(sigma, c, s_star))
+
+
+def test_chain_up_calls_per_anchor_on_mixed_network(monkeypatch):
+    chain_up = paths_module._chain_up
+    calls = anchors = 0
+
+    def counting(op, start, target_sup):
+        nonlocal calls, anchors
+
+        def counted(s):
+            nonlocal calls
+            calls += 1
+            return op(s)
+
+        out = chain_up(counted, start, target_sup)
+        anchors += len(out) - 1
+        return out
+
+    monkeypatch.setattr(paths_module, "_chain_up", counting)
+    path_mixed(MIXED3)
+    assert anchors > 20
+    assert calls <= 4 * anchors
+
+
+# ---------------------------------------------------------------------------
 # reducible
 
 
@@ -980,3 +1211,7 @@ def test_write_csv_matches_cell_by_cell_format(tmp_path):
     assert buf.getvalue() == ref
     write_csv(tmp_path / "t.csv", header, table)
     assert (tmp_path / "t.csv").read_text() == ref
+    for rows in (0, 1):
+        buf = io.StringIO()
+        write_csv(buf, header, table[:rows])
+        assert buf.getvalue() == "\n".join(ref.split("\n")[:rows + 1]) + "\n"
