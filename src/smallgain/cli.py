@@ -423,7 +423,7 @@ def _route_line(v) -> str:
             return f"cycle condition: holds (min margin {v.margins['min_margin']:.6g})"
         return f"cycle condition: fails on cycle {_fmt_cycle(v.cycle)}{_fmt_witness(v)}"
     if route == "perron":
-        return f"nonlinear spectral radius: {v.rho:.6g}"
+        return f"Perron bound: {v.rho:.6g} ({v.status}){_fmt_witness(v)}"
     if v.fails:
         return f"falsification: witness {_fmt_vec(v.witness)}"
     return "falsification: no witness found"

@@ -62,8 +62,8 @@ class NotLinearizable(SmallGainError):
     """Network is not representable by a nonnegative slope matrix."""
 
 
-class NotHomogeneous(SmallGainError):
-    """Operator failed the degree-one homogeneity sampling check."""
+class NotHomogeneous(NotLinearizable):
+    """No per-node power change makes the operator homogeneous of degree one."""
 
 
 class NotIrreducible(SmallGainError):
@@ -103,7 +103,7 @@ class CycleConditionFails(SmallGainError):
 
 
 class LambdaNotContractive(SmallGainError):
-    """Nonlinear spectral radius at or above one."""
+    """No Perron bound below one for a power-homogeneous operator."""
 
     def __init__(self, message: str, lam: float | None = None):
         super().__init__(message)

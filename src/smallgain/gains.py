@@ -6,7 +6,8 @@ arctangent, sums, maxima, compositions, and ``id + g``.  Trees evaluate
 vectorized over numpy arrays, classify themselves structurally as zero,
 bounded class K, or class K-infinity, and invert numerically by expanding
 bracket bisection (monotonicity is guaranteed by construction, so no
-derivative information is needed).
+derivative information is needed).  ``power_law`` reads a tree that is
+exactly ``c*s^q`` as ``(c, q)``.
 
 A :class:`GainNetwork` packages an n-by-n matrix of interconnection gains
 (zero diagonal), one external gain per row, and one monotone aggregation per
@@ -42,6 +43,8 @@ from .errors import CompatibilityError, OutOfRange
 TOL_STRICT = 1e-9
 # Target relative residual of gain inversion.
 TOL_INV = 1e-9
+# Relative gap below which two power-law exponents count as one.
+EXPONENT_TOL = 1e-12
 
 
 class GainClass(enum.Enum):
@@ -82,6 +85,10 @@ class GainExpr:
     @property
     def is_zero(self) -> bool:
         return self.classify() is GainClass.ZERO
+
+    def power_law(self) -> tuple[float, float] | None:
+        """``(c, q)`` when this gain is exactly ``c*s^q``, else None."""
+        return None
 
     def _inverse_exact(self, y_arr: np.ndarray, tol: float):
         # closed-form preimages where available; None falls back to bisection
@@ -185,6 +192,9 @@ class Linear(GainExpr):
     def _eval(self, s):
         return self.slope * s
 
+    def power_law(self):
+        return self.slope, 1.0
+
     def _inverse_exact(self, y_arr, tol):
         return y_arr / self.slope
 
@@ -206,6 +216,9 @@ class Power(GainExpr):
 
     def _eval(self, s):
         return self.coeff * np.power(s, self.exponent)
+
+    def power_law(self):
+        return self.coeff, self.exponent
 
     def _inverse_exact(self, y_arr, tol):
         return np.power(y_arr / self.coeff, 1.0 / self.exponent)
@@ -263,6 +276,19 @@ class Atan(GainExpr):
         return self.coeff * math.pi / 2.0
 
 
+def same_exponent(a: float, b: float) -> bool:
+    """Whether two power-law exponents agree up to float rounding."""
+    return abs(a - b) <= EXPONENT_TOL * max(a, b)
+
+
+def _common_power_law(children, combine):
+    """``(combine(coefficients), q)`` when every child is ``c*s^q`` with one q."""
+    laws = [c.power_law() for c in children]
+    if None in laws or not all(same_exponent(q, laws[0][1]) for _c, q in laws):
+        return None
+    return combine(c for c, _q in laws), laws[0][1]
+
+
 def _classify_children(children) -> GainClass:
     classes = [c.classify() for c in children]
     if all(cl is GainClass.ZERO for cl in classes):
@@ -287,6 +313,9 @@ class Sum(GainExpr):
             total = total + child._eval(s)
         return total
 
+    def power_law(self):
+        return _common_power_law(self.children, sum)
+
     def classify(self):
         return _classify_children(self.children)
 
@@ -309,6 +338,9 @@ class Max(GainExpr):
             best = np.maximum(best, child._eval(s))
         return best
 
+    def power_law(self):
+        return _common_power_law(self.children, max)
+
     def classify(self):
         return _classify_children(self.children)
 
@@ -325,6 +357,12 @@ class Compose(GainExpr):
 
     def _eval(self, s):
         return self.outer._eval(self.inner._eval(s))
+
+    def power_law(self):
+        outer, inner = self.outer.power_law(), self.inner.power_law()
+        if None in (outer, inner):
+            return None
+        return outer[0] * inner[0] ** outer[1], outer[1] * inner[1]  # c1 (c2 s^q2)^q1
 
     def _inverse_exact(self, y_arr, tol):
         # stagewise preimage at tightened tolerance; verified against the
@@ -373,6 +411,10 @@ class PlusId(GainExpr):
 
     def _eval(self, s):
         return s + self.inner._eval(s)
+
+    def power_law(self):
+        law = self.inner.power_law()
+        return (1.0 + law[0], 1.0) if law and same_exponent(law[1], 1.0) else None
 
     def classify(self):
         return GainClass.K_INFINITY

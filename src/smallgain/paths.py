@@ -4,10 +4,11 @@ A decay path ("Omega-path") for a monotone gain operator is a vector of
 class K-infinity functions sigma with ``Gamma_mu(sigma(r)) < sigma(r)`` for
 every positive radius.  Paths are represented piecewise linearly on anchor
 radii and extended linearly beyond the last anchor.  Constructors cover the
-max-aggregation, three-node additive, homogeneous (a ray along the Perron
-vector), mixed bounded/unbounded, bounded, irreducible and reducible cases;
-:func:`construct_path` tries them in that order, choosing the ray for every
-strongly connected operator that is linear after a power substitution.
+power-homogeneous (a ray ``(r w)^p`` proved by a Collatz-Wielandt bound),
+max-aggregation, three-node additive, mixed bounded/unbounded, bounded,
+irreducible and reducible cases; :func:`construct_path` tries them in that
+order, so the others see only networks that are not power-homogeneous or
+whose ray stalls.
 Every constructor validates its result on a log-spaced radius grid before
 returning it.
 """
@@ -26,9 +27,9 @@ from .errors import (
     EmptyGap,
     LambdaNotContractive,
     NotBounded,
+    NotHomogeneous,
     NotInOmega,
     NotIrreducible,
-    NotLinearizable,
     OutOfRange,
     PathStalled,
     SeedNotFound,
@@ -57,13 +58,7 @@ from .gains import (
     zero_rows,
 )
 from .graph import adjacency, is_irreducible, scc_decompose
-from .sgc import (
-    check_cycle_condition,
-    check_linear_spectral,
-    linear_perron,
-    linearizes,
-    nonlinear_perron,
-)
+from .sgc import bound_verdict, check_cycle_condition, nonlinear_perron
 
 R_MAX_DEFAULT = 1e6
 VALIDATION_POINTS = 1000
@@ -241,10 +236,11 @@ class PathReport:
 class PathResult:
     """Decay path from :func:`construct_path`, with the reducible route's budget.
 
-    ``route`` names the constructor that ran: ``max``, ``three_sum``,
-    ``ray``, ``mixed``, ``bounded``, ``irreducible``, ``irreducible_diag``
-    (the irreducible construction retried against ``D(Gamma(s))``) or
-    ``reducible``.  ``phi`` is set only by the reducible route, whose
+    ``route`` names the constructor that ran: ``ray`` (every
+    power-homogeneous network), ``max``, ``three_sum``, ``mixed``,
+    ``bounded``, ``irreducible``, ``irreducible_diag`` (the irreducible
+    construction retried against ``D(Gamma(s))``) or ``reducible``.
+    ``phi`` is set only by the reducible route, whose
     blockwise construction derives the external budget map along with the
     path; elsewhere it is ``None`` and callers derive a budget map from
     ``sigma``.
@@ -370,28 +366,6 @@ def _downward_leg(op, s0: np.ndarray, stop_abs: float) -> list[np.ndarray]:
         if len(anchors) > DOWN_MAX_STEPS:
             raise Stalled("downward iteration exceeded the step budget")
     return anchors
-
-
-def path_downward(net: GainNetwork, s0) -> np.ndarray:
-    """Anchor sequence ``s0, Gamma(s0), Gamma^2(s0), ...`` down to the origin.
-
-    Runs until the sup norm falls below ``1e-12 * ||s0||`` and appends the
-    origin.  Rows with no nonzero gains are rejected: their components land
-    on zero after one step and the segmentwise strictness argument needs
-    every component to keep moving (such networks go through the reducible
-    route instead).
-    """
-    s0 = np.asarray(s0, dtype=float)
-    if s0.ndim != 1 or len(s0) != net.n:
-        raise ValueError("starting point has the wrong dimension")
-    if zero_rows(net):
-        raise CompatibilityError(
-            "gain rows without nonzero entries: decompose into blocks first"
-        )
-    anchors = _downward_leg(lambda s: eval_operator(net, s), s0,
-                            stop_abs=1e-12 * float(s0.max()))
-    anchors.append(np.zeros(net.n))
-    return np.array(anchors)
 
 
 # upward chaining: each step advances by UP_BACKOFF of the largest admissible
@@ -661,30 +635,41 @@ def path_irreducible(net: GainNetwork, d: DiagOp | None = None, *,
     return _seed_and_chain(net, op, r_max, seed)
 
 
-def path_homogeneous(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT) -> OmegaPath:
-    """Ray path along the eigendirection of a homogeneous operator.
+# most anchors a ray with unequal exponents may take
+RAY_MAX_ANCHORS = 20000
 
-    An operator that is linear after a power substitution takes its
-    eigenpair from the slope matrix (:func:`sgc.linear_perron`): along
-    ``v**p`` it scales by ``rho**p``.  Any other operator takes it from
-    :func:`sgc.nonlinear_perron`.  The ray is linear, so any anchor set
-    reproduces it exactly; a dense log grid is kept anyway because
-    downstream budget maps are resolved on the path's anchors.
+
+def path_homogeneous(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT) -> OmegaPath:
+    """Ray ``sigma_i(r) = (r w_i)^p_i`` from :func:`sgc.nonlinear_perron`.
+
+    ``T(w) <= c w`` with ``c < 1`` gives ``Gamma_mu(sigma(r)) <= (c r w)^p <
+    sigma(r)`` at every radius, on any graph.  With one exponent the path is
+    the straight ray ``r w^p``, exact on any anchors (a dense log grid serves
+    the budget maps).  Otherwise anchors sit at a ratio
+    ``q <= min(10^(1/12), c^(-1/2))``: ``Gamma_mu(sigma(r[k+1])) <=
+    (c q)^p sigma(r[k]) < sigma(r[k])`` proves each segment by monotonicity.
+    At ``c >= 1 - TOL_STRICT`` it raises :class:`LambdaNotContractive` when
+    ``w^p`` is a witness of failure, else :class:`PathStalled`.
     """
-    if not is_irreducible(adjacency(net)):
-        raise NotIrreducible("a ray path needs a strongly connected graph")
-    try:
-        rho, p, vec = linear_perron(net)
-        lam = rho ** p
-    except NotLinearizable:
-        lam, vec, _res = nonlinear_perron(net)
-    if lam >= 1.0 - TOL_STRICT:
-        raise LambdaNotContractive(
-            f"nonlinear spectral radius {lam:.6g} is not below one", lam=lam
-        )
-    direction = vec / vec.max()
-    radii = np.concatenate([[0.0], _log_grid(1e-7, 1.05 * r_max)])
-    sigma = OmegaPath(radii, radii[:, None] * direction[None, :])
+    c, p, w = nonlinear_perron(net)
+    if not c < 1.0 - TOL_STRICT:
+        if bound_verdict(net, "perron", c, np.power(w, p)).fails:
+            raise LambdaNotContractive(f"Perron bound {c:.6g} is not below one", lam=c)
+        raise PathStalled(f"Perron bound {c:.6g} is not below one, w^p is no witness")
+    w = w / w.max()
+    if np.all(p == p[0]):
+        radii = _log_grid(1e-7, 1.05 * r_max)
+        values = radii[:, None] * np.power(w, p)
+    else:
+        per_decade = max(GRID_DENSITY, int(np.ceil(-2.0 / np.log10(max(c, 1e-12)))))
+        if np.log10(1.05 * r_max / 1e-7) * per_decade > RAY_MAX_ANCHORS:
+            raise PathStalled(f"Perron bound {c:.6g} needs over {RAY_MAX_ANCHORS} anchors")
+        radii = _log_grid(1e-7, 1.05 * r_max, per_decade)
+        values = np.power(radii[:, None] * w, p)
+    values = np.vstack([np.zeros(net.n), values])
+    if not np.all(np.diff(values, axis=0) > 0):
+        raise PathStalled(f"exponents {p} carry the ray out of the float range")
+    sigma = OmegaPath(np.concatenate([[0.0], radii]), values)
     return _finalize(net, sigma, r_max)
 
 
@@ -828,11 +813,14 @@ def path_mixed(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT,
         t_net = GainNetwork(net.n, inflated,
                             tuple(zero_gain for _ in range(net.n)), net.mu)
         try:
-            if is_irreducible(adjacency(t_net)):
-                sigma_u = path_irreducible(t_net, r_max=r_max, seed=seed)
-            else:
-                sigma_u = path_reducible(t_net, r_max=r_max, seed=seed).sigma
-        except (SeedNotFound, PathStalled, Stalled, NotInOmega, BlockSgcFails) as exc:
+            try:
+                sigma_u = path_homogeneous(t_net, r_max=r_max)
+            except (NotHomogeneous, PathStalled):
+                sigma_u = (path_irreducible(t_net, r_max=r_max, seed=seed)
+                           if is_irreducible(adjacency(t_net))
+                           else path_reducible(t_net, r_max=r_max, seed=seed).sigma)
+        except (SeedNotFound, PathStalled, Stalled, NotInOmega, BlockSgcFails,
+                LambdaNotContractive) as exc:
             last_error = exc
             continue
         try:
@@ -917,19 +905,6 @@ def _subnet(net: GainNetwork, block: tuple[int, ...]) -> GainNetwork:
         mus.append(mu)
     return GainNetwork(len(block), gamma,
                        tuple(zero_gain for _ in block), tuple(mus))
-
-
-def _check_spectral_block(subnet: GainNetwork, index: int,
-                          block: tuple[int, ...]) -> None:
-    try:
-        verdict = check_linear_spectral(subnet)
-    except NotLinearizable:
-        return
-    if verdict.fails:
-        raise BlockSgcFails(
-            f"diagonal block {index} fails the spectral check",
-            block=block,
-        )
 
 
 def _ext_budget(mu, level: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -1030,17 +1005,15 @@ def path_reducible(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT,
             top = 1.1 * r_max
             bp = OmegaPath(np.array([0.0, top]), np.array([[0.0], [top]]))
         else:
-            # an all-max block is checked by the cycle gate of its own
-            # path_max; other blocks by the spectral check where it applies
-            if not all(isinstance(mu, MaxAgg) for mu in subnet.mu):
-                _check_spectral_block(subnet, bi, block)
+            # a block is checked by the gate of its own route: the Perron
+            # bound of the ray, or the cycle condition of path_max
             try:
                 bp = construct_path(subnet, r_max=r_max, seed=seed).sigma
-            except CycleConditionFails as exc:
-                raise BlockSgcFails(
-                    f"diagonal block {bi} fails the cycle condition",
-                    block=block,
-                ) from exc
+            except (CycleConditionFails, LambdaNotContractive) as exc:
+                gate = ("the cycle condition" if isinstance(exc, CycleConditionFails)
+                        else "its Perron bound")
+                raise BlockSgcFails(f"diagonal block {bi} fails {gate}",
+                                    block=block) from exc
 
         if not any(fed):
             # keep the local path; an external input shrinks the budget map
@@ -1114,14 +1087,18 @@ def construct_path(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT,
                    seed: int = 0) -> PathResult:
     """Pick a constructor by network shape (fixed, documented order).
 
-    max -> three-node sum -> ray -> mixed -> bounded -> irreducible ->
-    reducible.  The ray (:func:`path_homogeneous`) takes every strongly
-    connected network of two or more nodes whose operator is linear after a
-    power substitution; a reducible one reaches it block by block through
-    :func:`path_reducible`.  An irreducible construction that stalls is
-    retried against the strengthened operator ``D(Gamma(s))`` with
-    ``D = id + 0.01 id``.  The result names the route taken.
+    ray -> max -> three-node sum -> mixed -> bounded -> irreducible ->
+    reducible.  The ray (:func:`path_homogeneous`) takes every network that
+    is homogeneous after a per-node power change, strongly connected or
+    not, with sum, max or power-of-sum rows; the other constructors see the
+    rest and the networks where the ray stalls.  An irreducible
+    construction that stalls is retried against the strengthened operator
+    ``D(Gamma(s))`` with ``D = id + 0.01 id``.  The result names the route.
     """
+    try:
+        return PathResult(path_homogeneous(net, r_max=r_max), "ray")
+    except (NotHomogeneous, PathStalled):
+        pass
     classes = {g.classify() for row in net.gamma for g in row if not g.is_zero}
     all_sum = all(isinstance(mu, SumAgg) for mu in net.mu)
     if all(isinstance(mu, MaxAgg) for mu in net.mu):
@@ -1130,8 +1107,6 @@ def construct_path(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT,
             net.gamma[i][j].classify() is GainClass.K_INFINITY
             for i in range(3) for j in range(3) if i != j):
         sigma, route = path_three_sum(net, r_max=r_max), "three_sum"
-    elif net.n >= 2 and linearizes(net) and is_irreducible(adjacency(net)):
-        sigma, route = path_homogeneous(net, r_max=r_max), "ray"
     elif all_sum and classes == {GainClass.K_BOUNDED, GainClass.K_INFINITY}:
         sigma, route = path_mixed(net, r_max=r_max, seed=seed), "mixed"
     elif classes and GainClass.K_INFINITY not in classes:

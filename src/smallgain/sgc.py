@@ -4,7 +4,9 @@ Three certification routes and one honest falsifier:
 
 * cycle criterion for max-type aggregation,
 * spectral radius for networks whose operator is (conjugate to) a linear map,
-* nonlinear eigenvalue for homogeneous irreducible operators,
+* Perron bound for networks homogeneous after a per-node power change
+  (:func:`power_form`): a Collatz-Wielandt bound ``T(w) <= c w``, ``c < 1``,
+  of the conjugate operator ``T`` is a proof,
 * grid search for a witness s with Gamma_mu(s) >= s, which can only ever
   certify failure; absence of a witness stays Inconclusive.
 
@@ -13,15 +15,14 @@ Three certification routes and one honest falsifier:
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import (
-    NoConvergence,
     NotHomogeneous,
-    NotIrreducible,
     NotLinearizable,
     WrongAggregation,
 )
@@ -34,14 +35,13 @@ from .gains import (
     MaxAgg,
     OuterSum,
     PlusId,
-    Power,
     SumAgg,
     eval_operator,
+    same_exponent,
 )
 from .graph import (
     CYCLE_ENUM_LIMIT,
     adjacency,
-    is_irreducible,
     scc_decompose,
     subordinated_cycles,
 )
@@ -214,7 +214,9 @@ def _tight_cycle_vectors(net, cycle) -> np.ndarray:
 
 
 def _is_witness(net, s):
-    return bool(np.any(s > 0) and np.all(eval_operator(net, s) >= s))
+    # an overflowed candidate compares inf >= inf and proves nothing
+    return bool(np.all(np.isfinite(s)) and np.any(s > 0)
+                and np.all(eval_operator(net, s) >= s))
 
 
 def _sphere_directions(n: int, count: int, rng) -> np.ndarray:
@@ -288,15 +290,13 @@ def _falsify(net, op, grid, edge_transform, method):
                 status=CERTIFIED_FAILS, method=method + "-cycle",
                 witness=hit[0], cycle=hit[1],
             )
-    if op is None and linearizes(net):
-        rho, _p, ray = linear_perron(net)
-        for scale in (1e-3, 1.0, 1e3):
-            w = scale * ray
-            if _is_witness(net, w):
-                return SgcVerdict(
-                    status=CERTIFIED_FAILS, method=method + "-perron",
-                    witness=w, rho=rho,
-                )
+    if op is None:
+        with suppress(NotLinearizable):
+            rho, _p, ray = linear_perron(net)
+            for w in (1e-3 * ray, ray, 1e3 * ray):
+                if _is_witness(net, w):
+                    return SgcVerdict(status=CERTIFIED_FAILS, method=method + "-perron",
+                                      witness=w, rho=rho)
     return SgcVerdict(
         status=INCONCLUSIVE, method=method,
         margins={"best_deficit": best_deficit},
@@ -331,108 +331,96 @@ def check_strong_sgc(
     return _falsify(net, op, grid, tr, method=f"strong-{side}")
 
 
-def _linearize(net: GainNetwork):
-    """Slope matrix G and exponent p with Gamma_mu(s) = (G s^(1/p))^p.
+def power_form(net: GainNetwork):
+    """Per-node exponents ``p``, and the matrix ``G`` when the conjugate is linear.
 
-    p=1 is the plain linear case (sum rows, linear gains).  p>1 covers sum
-    rows wrapped in a pure power, with every gain a matching root power; the
-    coordinate change t = s^(1/p) then makes the operator exactly linear.
+    With sum, max or power-of-sum rows ``k_i A_i(...)^e_i`` and gains
+    ``c_ij s^q_ij``, ``T(t) = Gamma_mu(t^p)^(1/p)`` is homogeneous
+    of degree one iff ``e_i q_ij = p_i / p_j`` on every gain.  ``p`` is solved
+    on a spanning forest of the undirected graph, each root keeping ``p = e``,
+    then checked on every gain (else :class:`NotHomogeneous`).  With sum rows
+    and ``p = e``, ``T(t) = G t`` for ``G_ij = k_i^(1/e_i) c_ij``; else ``G``
+    is None.
     """
-    exps = []
-    for m in net.mu:
-        if isinstance(m, SumAgg):
-            exps.append(1.0)
-        elif (
-            isinstance(m, OuterSum)
-            and isinstance(m.rho, Power)
-            and m.rho.coeff == 1.0
-        ):
-            exps.append(float(m.rho.exponent))
-        else:
-            raise NotLinearizable("row aggregation is not sum or power-of-sum")
-    if len(set(exps)) != 1:
-        raise NotLinearizable("rows use different outer powers")
-    p = exps[0]
+    rows = []
+    for mu in net.mu:
+        law = (1.0, 1.0) if isinstance(mu, (SumAgg, MaxAgg)) else (
+            mu.rho.power_law() if isinstance(mu, OuterSum) else None)
+        if law is None:
+            raise NotHomogeneous("row aggregation is not a sum, max or power-of-sum")
+        rows.append((*law, not isinstance(mu, MaxAgg)))
+    e = np.array([row[1] for row in rows])
+    laws, nbrs = {}, [[] for _ in range(net.n)]
+    for i, cols in enumerate(net.active_sets):
+        for j in cols:
+            laws[i, j] = net.gamma[i][j].power_law()
+            if laws[i, j] is None:
+                raise NotHomogeneous(f"gain ({i + 1},{j + 1}) is not c*s^q")
+            nbrs[i].append(j)
+            nbrs[j].append(i)
+    p = np.zeros(net.n)
+    for root in range(net.n):
+        if p[root]:
+            continue
+        p[root], stack = e[root], [root]
+        while stack:
+            k = stack.pop()
+            for m in nbrs[k]:
+                if not p[m]:
+                    # p_i = e_i q_ij p_j along the gain j -> i, read either way
+                    p[m] = (e[m] * laws[m, k][1] * p[k] if (m, k) in laws
+                            else p[k] / (e[k] * laws[k, m][1]))
+                    stack.append(m)
+    for (i, j), (_c, q) in laws.items():
+        if not same_exponent(e[i] * q, p[i] / p[j]):
+            raise NotHomogeneous(f"gain ({i + 1},{j + 1}) breaks every per-node power change")
+    if not all(row[2] and same_exponent(a, b) for row, a, b in zip(rows, p, e)):
+        return p, None
     G = np.zeros((net.n, net.n))
-    for i, row in enumerate(net.gamma):
-        for j, g in enumerate(row):
-            if g.is_zero:
-                continue
-            if p == 1.0 and isinstance(g, Linear):
-                G[i, j] = g.slope
-            elif isinstance(g, Power) and abs(g.exponent - 1.0 / p) <= 1e-12:
-                G[i, j] = g.coeff
-            else:
-                raise NotLinearizable("gain does not match the row exponent")
-    return G, p
-
-
-# power iteration on a slope matrix: step tolerance (max norm) and step cap
-POWER_TOL = 1e-14
-POWER_MAX_ITER = 200000
-
-
-def _power_rho(G: np.ndarray):
-    """Spectral radius of a nonnegative matrix by blockwise power iteration.
-
-    On a reducible matrix the plain iteration crawls (defective dominant
-    eigenvalue), so the radius is taken as the max over irreducible diagonal
-    blocks, where the +I shift makes convergence geometric.  The returned
-    vector is the winning block's Perron direction embedded in zeros; rows
-    outside the block only gain from it, so it still witnesses expansion.
-    """
-    n = G.shape[0]
-    best = 0.0
-    bestvec = np.ones(n)
-    for b in scc_decompose(G != 0):
-        idx = np.array(b)
-        B = G[np.ix_(idx, idx)]
-        if len(b) == 1:
-            rho_b, v_b = float(B[0, 0]), np.ones(1)
-        else:
-            M = B + np.eye(len(b))
-            v = np.ones(len(b))
-            for _ in range(POWER_MAX_ITER):
-                w = M @ v
-                m = float(np.max(w))
-                w = w / m
-                if float(np.max(np.abs(w - v))) < POWER_TOL:
-                    break
-                v = w
-            else:
-                raise NoConvergence("power iteration did not settle")
-            rho_b, v_b = m - 1.0, w
-        if rho_b > best:
-            best = rho_b
-            bestvec = np.zeros(n)
-            bestvec[idx] = v_b
-    return best, bestvec
-
-
-def linearizes(net: GainNetwork) -> bool:
-    """Whether the operator is linear after a power substitution."""
-    try:
-        _linearize(net)
-    except NotLinearizable:
-        return False
-    return True
+    for (i, j), (c, _q) in laws.items():
+        G[i, j] = rows[i][0] ** (1.0 / e[i]) * c
+    return p, G
 
 
 def linear_perron(net: GainNetwork):
     """Perron root and ray of an operator linear after a power substitution.
 
     Returns ``(rho, p, ray)``: the spectral radius of the slope matrix ``G``,
-    the exponent ``p`` and ``ray = v**p`` for the Perron vector ``v`` of
-    ``G`` (max entry one).  Along the ray ``Gamma_mu(r ray) = rho**p r ray``.
-    Raises :class:`NotLinearizable` for any other operator.
+    the per-node exponents ``p`` and ``ray = v**p`` for a Perron vector
+    ``v`` of ``G`` (max entry one), so ``Gamma_mu((r v)^p) = (rho r v)^p``.
+    ``rho`` is the largest real eigenvalue of an irreducible diagonal block
+    (a Perron root is simple there) and ``v`` that block's eigenvector
+    embedded in zeros: rows outside the block only gain from it, so it still
+    witnesses expansion.  Raises :class:`NotLinearizable` for any other
+    operator.
     """
-    G, p = _linearize(net)
-    rho, v = _power_rho(G)
+    p, G = power_form(net)
+    if G is None:
+        raise NotLinearizable("the conjugate operator is not a sum of linear gains")
+    rho, v = 0.0, np.ones(net.n)
+    for block in scc_decompose(G != 0):
+        idx = np.array(block)
+        vals, vecs = np.linalg.eig(G[np.ix_(idx, idx)])
+        k = int(np.argmax(vals.real))
+        if vals[k].real > rho:
+            rho, v = float(vals[k].real), np.zeros(net.n)
+            v[idx] = np.abs(vecs[:, k].real) / np.max(np.abs(vecs[:, k].real))
     return rho, p, np.power(v, p)
 
 
-# the spectral route certifies the condition at rho < 1 - SPECTRAL_TOL
+# the spectral and Perron routes prove the condition at a bound below 1 - SPECTRAL_TOL
 SPECTRAL_TOL = 1e-9
+
+
+def bound_verdict(net: GainNetwork, method: str, bound: float,
+                  witness: np.ndarray) -> SgcVerdict:
+    """Proof at ``bound < 1 - SPECTRAL_TOL``, failure if ``witness`` re-checks."""
+    if bound < 1.0 - SPECTRAL_TOL:
+        return SgcVerdict(status=CERTIFIED_HOLDS, method=method, rho=bound)
+    if _is_witness(net, witness):
+        return SgcVerdict(status=CERTIFIED_FAILS, method=method, rho=bound,
+                          witness=witness)
+    return SgcVerdict(status=INCONCLUSIVE, method=method, rho=bound)
 
 
 def check_linear_spectral(net: GainNetwork) -> SgcVerdict:
@@ -442,68 +430,71 @@ def check_linear_spectral(net: GainNetwork) -> SgcVerdict:
     tries the Perron direction as an explicit witness.
     """
     rho, _p, w = linear_perron(net)
-    if rho < 1.0 - SPECTRAL_TOL:
-        return SgcVerdict(status=CERTIFIED_HOLDS, method="spectral", rho=rho)
-    if _is_witness(net, w):
-        return SgcVerdict(
-            status=CERTIFIED_FAILS, method="spectral", rho=rho, witness=w
-        )
-    return SgcVerdict(status=INCONCLUSIVE, method="spectral", rho=rho)
+    return bound_verdict(net, "spectral", rho, w)
 
 
-# the eigenpair iteration: step tolerance (max norm), step cap, and the seed
-# of the 16 random points of the doubling test
-PERRON_TOL = 1e-10
-PERRON_MAX_ITER = 100000
-PERRON_SEED = 0
+def _conjugate(net: GainNetwork, p: np.ndarray, t) -> np.ndarray:
+    """``T(t) = Gamma_mu(t^p)^(1/p)``, homogeneous for :func:`power_form`'s ``p``."""
+    return eval_operator(net, np.power(t, p)) ** (1.0 / p)
+
+
+# w <- 1 + T(w) stops after a step below FIXED_TOL relative, past
+# FIXED_CEILING (then the fixed point has c > 1 - 1e-12) or at FIXED_MAX_ITER;
+# a linear T takes at most INVERSE_MAX_ITER inverse-iteration steps
+FIXED_TOL = 1e-12
+FIXED_CEILING = 1e12
+FIXED_MAX_ITER = 20000
+INVERSE_MAX_ITER = 50
 
 
 def nonlinear_perron(net: GainNetwork):
-    """Nonlinear eigenpair of a homogeneous irreducible operator.
+    """Collatz-Wielandt bound of the conjugate of a power-homogeneous operator.
 
-    Damped normalized iteration s <- (Gamma_mu(s) + s) / max-norm; the raw
-    normalized iteration can settle into a two-cycle, the damping cannot.
-    Returns (lam, eigvec, residual) with the max-norm residual of
-    Gamma_mu(v) = lam v at the fixed direction.
+    Returns ``(c, p, w)``: ``p`` from :func:`power_form`, a positive ``w``
+    and ``c = max_i T(w)_i / w_i``, a bound on the cone spectral radius of
+    the monotone, degree-one ``T(t) = Gamma_mu(t^p)^(1/p)`` at any ``w``.
+    A linear ``T = G t`` takes ``w = (I - G)^-1 1``, then steps
+    ``w <- (I - G)^-1 w`` until ``c < 1 - 1e-9`` (each lowers ``c`` towards
+    ``rho(G)``, however badly ``G`` is scaled).  Any other ``T`` iterates
+    ``w <- 1 + T(w)`` from ``w = 1``, stopping early once ``T(w) >= w``
+    (``w^p`` is then a candidate witness).
     """
-    rng = np.random.default_rng(PERRON_SEED)
-    s = rng.uniform(0.1, 10.0, size=(16, net.n))
-    a = eval_operator(net, 2.0 * s)
-    b = 2.0 * eval_operator(net, s)
-    if np.any(np.max(np.abs(a - b), axis=1) > 1e-9 * (np.max(np.abs(a), axis=1) + 1e-12)):
-        raise NotHomogeneous("operator fails the doubling test")
-    if not is_irreducible(adjacency(net)):
-        raise NotIrreducible("eigenpair iteration needs a strongly connected graph")
-    v = np.ones(net.n)
-    for _ in range(PERRON_MAX_ITER):
-        w = eval_operator(net, v) + v
-        m = float(np.max(w))
-        w = w / m
-        if float(np.max(np.abs(w - v))) < PERRON_TOL:
-            v = w
+    p, G = power_form(net)
+    if G is not None:
+        with suppress(np.linalg.LinAlgError):
+            M, w = np.linalg.inv(np.eye(net.n) - G), np.ones(net.n)
+            for _ in range(INVERSE_MAX_ITER):
+                w = M @ w
+                w = w / w.max()
+                if not np.all(w > 0) or np.max(G @ w / w) < 1.0 - SPECTRAL_TOL:
+                    break
+            if np.all(w > 0):
+                return float(np.max(_conjugate(net, p, w) / w)), p, w
+    w = np.ones(net.n)
+    tw = _conjugate(net, p, w)
+    for _ in range(FIXED_MAX_ITER):
+        step = 1.0 + tw
+        if (np.all(tw >= w) or not w.max() < FIXED_CEILING
+                or np.all(step - w <= FIXED_TOL * step)):
             break
-        v = w
-    else:
-        raise NoConvergence("eigen iteration hit the cap")
-    gv = eval_operator(net, v)
-    lam = float(np.max(gv))
-    residual = float(np.max(np.abs(gv - lam * v)))
-    return lam, v, residual
+        w, tw = step, _conjugate(net, p, step)
+    return float(np.max(tw / w)), p, w
 
 
 def decide(net: GainNetwork, *, seed: int = 0) -> SgcVerdict:
     """Small-gain verdict from the routes that apply, run in order.
 
-    The routes are the spectral radius, the cycle criterion, the nonlinear
-    Perron eigenvalue and the falsifier (seeded with ``seed``).  The run
-    stops at the first proof: a spectral verdict either way (at
-    ``rho < 1 - 1e-9`` no ``s != 0`` has ``Gamma_mu(s) >= s``, and a failure
-    carries a re-checked witness) or a failing cycle route.  A sampled cycle
-    hold or a Perron verdict is not a proof, so the falsifier still runs
-    after it.  Any failing route makes the verdict CertifiedFails, else any
-    holding route CertifiedHolds, else it is Inconclusive.  Returned is the
-    verdict of the first route with that status (the deciding route, named
-    by ``method``), with the verdict of every route run in ``routes``.
+    The routes are the spectral radius, the cycle criterion, the Perron
+    bound and the falsifier (seeded with ``seed``).  The run stops at the
+    first proof: a spectral or Perron verdict either way (at
+    ``rho < 1 - 1e-9``, or a Collatz-Wielandt bound ``c < 1 - 1e-9``, no
+    ``s != 0`` has ``Gamma_mu(s) >= s``, and a failure carries a re-checked
+    witness) or a failing cycle route.  A sampled cycle hold is not a proof,
+    so the next route still runs after it.  Any failing route makes the
+    verdict CertifiedFails, else any holding route CertifiedHolds, else it
+    is Inconclusive.  Returned is the verdict of the first route with that
+    status (the deciding route, named by ``method``), with the verdict of
+    every route run in ``routes``.
     """
     routes = []
     try:
@@ -519,12 +510,11 @@ def decide(net: GainNetwork, *, seed: int = 0) -> SgcVerdict:
     except WrongAggregation:
         pass
     try:
-        lam, _vec, residual = nonlinear_perron(net)
-        routes.append(SgcVerdict(
-            status=CERTIFIED_HOLDS if lam < 1.0 - 1e-9 else CERTIFIED_FAILS,
-            method="perron", rho=lam, margins={"residual": residual},
-        ))
-    except (NotHomogeneous, NotIrreducible, NoConvergence):
+        c, p, w = nonlinear_perron(net)
+        routes.append(bound_verdict(net, "perron", c, np.power(w, p)))
+        if not routes[-1].inconclusive:
+            return _combine(routes)
+    except NotHomogeneous:
         pass
     routes.append(falsify_sgc(net, GridSpec(seed=seed)))
     return _combine(routes)

@@ -581,9 +581,9 @@ def certify_linear(design: LinearDesign,
                    r_max: float = R_MAX_DEFAULT) -> CompositeLyapunov:
     """Certificate for the linear design on the path :func:`construct_path` picks.
 
-    The design's squared-sum rows are linear in ``t = s^(1/2)``, so a
-    strongly connected bank takes the ray along the Perron vector of its
-    slope matrix.
+    The design's squared-sum rows are linear in ``t = s^(1/2)``, so every
+    bank, strongly connected or not, takes the ray ``r w^2`` along the
+    vector ``w`` of :func:`sgc.nonlinear_perron` for its slope matrix.
     """
     res = construct_path(design.net, r_max=r_max)
     return compose(design.net, res.sigma, design.specs, phi=res.phi)

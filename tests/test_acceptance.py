@@ -42,10 +42,12 @@ from smallgain.paths import (
 from smallgain.sgc import (
     CERTIFIED_FAILS,
     GridSpec,
+    _conjugate,
     check_cycle_condition,
     check_linear_spectral,
     falsify_sgc,
     nonlinear_perron,
+    power_form,
 )
 from smallgain.simulate import (
     DecreaseSpec,
@@ -148,23 +150,30 @@ def test_criterion_3_linear_conjugacy():
     rho_oracle = float(np.max(np.abs(np.linalg.eigvals(design.G))))
     assert abs(rho_oracle - 0.4) <= 1e-9
     # the squared-sum operator is conjugate to the slope matrix under the
-    # square root substitution: its eigenvalue is the squared radius, and
-    # the same radius read through the conjugacy agrees to 1e-6
-    lam, _vec, _res = nonlinear_perron(design.net)
-    assert abs(np.sqrt(lam) - rho_oracle) <= 1e-6
+    # square root substitution: T(t) = Gamma(t^2)^(1/2) equals G t
+    p, _G = power_form(design.net)
+    assert p.tolist() == [2.0, 2.0]
+    rng = np.random.default_rng(3)
+    t = 10.0 ** rng.uniform(-6, 6, (200, 2))
+    np.testing.assert_allclose(_conjugate(design.net, p, t), t @ design.G.T,
+                               rtol=1e-12)
     v = check_linear_spectral(design.net)
     assert v.rho is not None and abs(v.rho - rho_oracle) <= 1e-9
+    # the Perron bound of the conjugate reads the same radius: the
+    # symmetric fixed point is the Perron vector
+    c, _p, _w = nonlinear_perron(design.net)
+    assert abs(c - rho_oracle) <= 1e-9
     # in the substituted coordinates the operator is linear with plain sum
-    # rows and its eigenvalue equals the spectral radius outright
+    # rows, and its bound is the same
     conj = net_of([[Z, Linear(design.G[0, 1])], [Linear(design.G[1, 0]), Z]],
                   [SumAgg(), SumAgg()])
-    lam_conj, _v2, _r2 = nonlinear_perron(conj)
-    assert abs(lam_conj - rho_oracle) <= 1e-6
+    c_conj, p_conj, _w = nonlinear_perron(conj)
+    assert p_conj.tolist() == [1.0, 1.0] and abs(c_conj - rho_oracle) <= 1e-9
     sigma = path_homogeneous(design.net)
     rep = validate_path(design.net, sigma)
     assert rep.valid, f"ray path min margin {rep.min_margin:.3g}"
     print(f"criterion 3 (linear conjugacy): pass, rho={rho_oracle:.12g}, "
-          f"sqrt(lambda)={float(np.sqrt(lam)):.12g}")
+          f"Perron bound={c:.12g}")
 
 
 def test_criterion_4_three_node_closed_form():

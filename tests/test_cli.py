@@ -6,7 +6,7 @@ import pathlib
 import pytest
 
 from smallgain.cli import load_config, main
-from smallgain.errors import CycleConditionFails
+from smallgain.errors import LambdaNotContractive
 from smallgain.paths import construct_path, validate_path
 
 DEMO_DIR = pathlib.Path(__file__).resolve().parent.parent / "demos" / "configs"
@@ -82,12 +82,13 @@ def test_check_inconclusive_backed_by_path(tmp_path, capsys):
 
 
 def test_check_failed_path_fallback_prints_verdict(tmp_path, capsys):
-    # a 3-cycle of power gains (exponents 1/2, 1, 2) on sum rows: no route
-    # decides it and the path construction stalls
+    # a 3-cycle of power gains (exponents 1/2, 1, 2.01) on sum rows: no
+    # per-node power change makes it homogeneous, as the exponent product
+    # is 1.005, so no route decides it and the path construction stalls
     doc = {
         "n": 3,
         "gains": [["0", "0.4*sqrt(s)", "0"], ["0", "0", "0.5*s"],
-                  ["0.3*s^2", "0", "0"]],
+                  ["0.3*s^2.01", "0", "0"]],
         "external_gains": ["0", "0", "0"],
         "mu": ["sum", "sum", "sum"],
     }
@@ -124,15 +125,23 @@ def test_path_three_sum_csv(tmp_path, capsys):
     assert "min margin" in capsys.readouterr().out
     lines = out_csv.read_text().strip().split("\n")
     assert lines[0] == "r,sigma_1,sigma_2,sigma_3,margin_min"
+    # the network is linear: the ray along w = (I - G)^-1 1 = (2, 2, 2)
     r, s1, s2, s3, _m = (float(v) for v in lines[1].split(","))
     assert s1 == pytest.approx(r, rel=1e-9)
     assert s2 == pytest.approx(r, rel=1e-9)
-    assert s3 == pytest.approx(1.75 * r, rel=1e-9)
+    assert s3 == pytest.approx(r, rel=1e-9)
 
 
 def test_path_noncontractive_cycle_exit(tmp_path, capsys):
+    # a linear max ring takes the ray, which has no Perron bound below one
     code = main(["path", write_cfg(tmp_path, max_net(2.0)),
                  "--out", str(tmp_path / "p.csv")])
+    assert code == 1
+    assert "LambdaNotContractive" in capsys.readouterr().out
+    # gains that are not power laws take the max route and its cycle gate
+    g = "1.6*s+0.4*s/(1+s)"
+    doc = {**max_net(2.0), "gains": [["0", g], [g, "0"]]}
+    code = main(["path", write_cfg(tmp_path, doc), "--out", str(tmp_path / "p.csv")])
     assert code == 1
     assert "CycleConditionFails" in capsys.readouterr().out
 
@@ -389,10 +398,10 @@ def test_parser_built_once_with_independent_namespaces(tmp_path, capsys, monkeyp
 DEMO_ROUTES = {
     "bounded_pair": "bounded",
     "linear_two_block": "ray",
-    "max_pair": "max",
-    "max_pair_bad": None,  # fails the cycle condition, no path
+    "max_pair": "ray",
+    "max_pair_bad": None,  # no Perron bound below one, no path
     "neural_pair": "bounded",
-    "three_sum": "three_sum",
+    "three_sum": "ray",
 }
 
 
@@ -401,7 +410,7 @@ def test_demo_config_routes():
     for name, route in DEMO_ROUTES.items():
         net = load_config(DEMO_DIR / f"{name}.json").effective_net
         if route is None:
-            with pytest.raises(CycleConditionFails):
+            with pytest.raises(LambdaNotContractive):
                 construct_path(net)
         else:
             assert construct_path(net).route == route, name
@@ -432,7 +441,19 @@ def test_certify_linear_sum_with_large_row_sums(name, tmp_path, capsys):
     assert "certificate margins: min" in capsys.readouterr().out
     net = load_config(cfg).effective_net
     res = construct_path(net)
-    assert res.route == ("ray" if name == "irreducible_row_sum" else "reducible")
+    assert res.route == "ray"
+    assert validate_path(net, res.sigma).valid
+
+
+def test_certify_badly_scaled_linear_sum(tmp_path, capsys):
+    # spectral radius 0.5 with gains eleven decades apart: the Neumann
+    # vector reads a bound of 1 - 7.5e-11, an inverse-iteration step 0.625
+    cfg = write_cfg(tmp_path, sum_net([["0", "1e10*s"], ["2.5e-11*s", "0"]]))
+    assert main(["certify", cfg]) == 0
+    assert "certificate margins: min" in capsys.readouterr().out
+    net = load_config(cfg).effective_net
+    res = construct_path(net)
+    assert res.route == "ray"
     assert validate_path(net, res.sigma).valid
 
 
@@ -453,3 +474,31 @@ def test_homogeneous_key_is_ignored(doc, tmp_path, capsys):
     for cmd in ("check", "certify"):
         runs = [(main([cmd, cfg]), capsys.readouterr().out) for cfg in (plain, flagged)]
         assert runs[0] == runs[1]
+
+
+# holding networks where seed-and-chain stalled; each is homogeneous after
+# a per-node power change, so the ray proves it
+STALLED_NETS = {
+    # cycle gain 0.4*sqrt(0.5*0.3)*s < s on sum rows, p = (1, 2, 2)
+    "sqrt_cycle_sum": sum_net([["0", "0.4*sqrt(s)", "0"], ["0", "0", "0.5*s"],
+                               ["0.3*s^2", "0", "0"]]),
+    # max rows, cycle mean 0.46 in t_i = s_i^(1/p_i)
+    "max_mixed_exponents": {**max_net(0.5),
+                            "gains": [["0", "0.5*s^2"], ["0.3*sqrt(s)", "0"]]},
+    # max rows, cycle mean 0.23 with one slope above one
+    "max_large_slope": {"n": 3, "gains": [["0", "0", "0.14*s"], ["0.07*s", "0", "0"],
+                                          ["0", "1.2*s", "0"]],
+                        "external_gains": ["0"] * 3, "mu": ["max"] * 3},
+}
+
+
+@pytest.mark.parametrize("name", sorted(STALLED_NETS))
+def test_stalled_reproducers_check_and_certify(name, tmp_path, capsys):
+    cfg = write_cfg(tmp_path, STALLED_NETS[name])
+    assert main(["check", cfg]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "verdict: CertifiedHolds"
+    assert any(line.startswith("Perron bound: ") for line in out)
+    assert main(["certify", cfg, "--out", str(tmp_path / "bundle")]) == 0
+    assert "certificate margins: min" in capsys.readouterr().out
+    assert construct_path(load_config(cfg).effective_net).route == "ray"

@@ -158,6 +158,41 @@ def test_monotonicity_fuzz():
             assert np.all(np.diff(v2) > 0)
 
 
+def test_power_law_table():
+    half = Power(2.0, 0.5)
+    cases = [
+        (Linear(0.3), (0.3, 1.0)),
+        (Power(0.4, 2.5), (0.4, 2.5)),
+        (Sum((Linear(0.2), Linear(0.3))), (0.5, 1.0)),
+        (Max((half, Power(3.0, 0.5))), (3.0, 0.5)),
+        # 0.5 (2 s^0.5)^4 = 8 s^2
+        (Compose(Power(0.5, 4.0), half), (8.0, 2.0)),
+        (PlusId(Linear(0.25)), (1.25, 1.0)),
+        (Compose(Power(1.0, 2.0), Power(1.0, 0.5)), (1.0, 1.0)),
+    ]
+    for g, want in cases:
+        assert g.power_law() == pytest.approx(want, rel=1e-15), g
+    for g in [Zero(), Saturating(1.0), Atan(1.0), Sum((Linear(1.0), half)),
+              Max((Linear(1.0), Saturating(2.0))), PlusId(half),
+              Compose(Saturating(1.0), Linear(2.0))]:
+        assert g.power_law() is None, g
+
+
+def test_power_law_reads_the_evaluation():
+    rng = np.random.default_rng(12)
+    s = np.geomspace(1e-3, 1e3, 13)
+    found = 0
+    for _ in range(1000):
+        g = random_tree(rng, allow_zero=False)
+        law = g.power_law()
+        if law is None:
+            continue
+        found += 1
+        c, q = law
+        np.testing.assert_allclose(g(s), c * s**q, rtol=1e-10)
+    assert found > 100
+
+
 def two_node_net(g12, g21, mu=None):
     mu = mu or (SumAgg(), SumAgg())
     return GainNetwork(

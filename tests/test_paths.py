@@ -1,5 +1,4 @@
 import io
-import math
 
 import numpy as np
 import pytest
@@ -42,6 +41,7 @@ from smallgain.gains import (
     strictly_less,
 )
 import smallgain.paths as paths_module
+from smallgain.sgc import nonlinear_perron
 from smallgain.paths import (
     OmegaPath,
     PLFunction,
@@ -49,7 +49,6 @@ from smallgain.paths import (
     construct_path,
     export_path_csv,
     path_bounded,
-    path_downward,
     path_homogeneous,
     path_irreducible,
     path_max,
@@ -83,6 +82,12 @@ def sum2(slope):
 def sum3_complete(slope):
     g = Linear(slope)
     return net_of([[Z, g, g], [g, Z, g], [g, g, Z]], [SumAgg()] * 3)
+
+
+def bent(slope):
+    """A gain at most ``slope * s`` that is not a power law, which keeps a
+    network off the ray and on the constructor under test."""
+    return Sum((Linear(0.8 * slope), Saturating(0.2 * slope)))
 
 
 def margin_floor_ok(net, sigma):
@@ -184,18 +189,26 @@ def test_validate_flags_expanding_slopes():
 # downward iteration
 
 
+def downward(net, s0, stop=1e-12):
+    # the origin closes the leg, as the constructors' _assemble does
+    anchors = paths_module._downward_leg(lambda s: eval_operator(net, s),
+                                         np.asarray(s0, dtype=float), stop)
+    return np.array(anchors + [np.zeros(net.n)])
+
+
 def test_downward_geometric_anchors_max():
     net = max2(0.5)
-    anchors = path_downward(net, np.array([1.0, 1.0]))
+    anchors = downward(net, [1.0, 1.0])
     assert np.all(anchors[-1] == 0.0)
     ks = np.arange(len(anchors) - 1)
     assert np.allclose(anchors[:-1, 0], 0.5**ks)
     assert anchors[-2].max() < 1e-12
+    assert anchors[-3].max() >= 1e-12
 
 
 def test_downward_geometric_anchors_sum():
     net = sum2(0.4)
-    anchors = path_downward(net, np.array([1.0, 1.0]))
+    anchors = downward(net, [1.0, 1.0])
     ks = np.arange(len(anchors) - 1)
     assert np.allclose(anchors[:-1, 1], 0.4**ks)
 
@@ -203,19 +216,13 @@ def test_downward_geometric_anchors_sum():
 def test_downward_fixed_point_stalls():
     net = max2(1.0)
     with pytest.raises(Stalled):
-        path_downward(net, np.array([1.0, 1.0]))
+        downward(net, [1.0, 1.0])
 
 
 def test_downward_outside_omega():
     net = max2(1.5)
     with pytest.raises(NotInOmega):
-        path_downward(net, np.array([1.0, 1.0]))
-
-
-def test_downward_zero_row_rejected():
-    net = net_of([[Z, Linear(0.5)], [Z, Z]], [SumAgg(), SumAgg()])
-    with pytest.raises(CompatibilityError):
-        path_downward(net, np.array([1.0, 1.0]))
+        downward(net, [1.0, 1.0])
 
 
 def test_downward_convergence_fuzz():
@@ -227,7 +234,7 @@ def test_downward_convergence_fuzz():
                  for j in range(n)] for i in range(n)]
         net = net_of(rows, [SumAgg()] * n)
         s0 = float(rng.uniform(0.5, 2.0)) * np.ones(n)
-        anchors = path_downward(net, s0)
+        anchors = downward(net, s0, stop=1e-12 * s0.max())
         sups = np.max(anchors[:-1], axis=1)
         assert np.all(np.diff(sups) < 0)
         assert sups[-1] < 1e-12 * sups[0]
@@ -338,21 +345,22 @@ def test_homogeneous_symmetric_ray():
     assert margin_floor_ok(net, sigma)
 
 
-def test_homogeneous_ray_matches_eigenvector():
+def test_homogeneous_ray_matches_fixed_point():
+    # w = 1 + T(w) on a max pair: w = (1 + a, 1 + b) / (1 - ab)
     rng = np.random.default_rng(5)
     for _ in range(5):
         a, b = rng.uniform(0.2, 0.8, 2)
         net = net_of([[Z, Linear(float(a))], [Linear(float(b)), Z]],
                      [MaxAgg(), MaxAgg()])
-        lam = math.sqrt(a * b)
-        if lam >= 0.95:
+        if a * b >= 0.95**2:
             continue
         sigma = path_homogeneous(net)
         direction = sigma(1.0)
         direction = direction / direction.max()
-        expected = np.array([math.sqrt(a / b), 1.0])
+        expected = np.array([1.0 + a, 1.0 + b])
         expected = expected / expected.max()
-        assert np.allclose(direction, expected, rtol=1e-6)
+        assert np.allclose(direction, expected, rtol=1e-9)
+        assert margin_floor_ok(net, sigma)
 
 
 def test_homogeneous_critical_rejected():
@@ -360,11 +368,49 @@ def test_homogeneous_critical_rejected():
         path_homogeneous(max2(1.0))
 
 
+def test_ray_without_bound_or_witness_falls_through(monkeypatch):
+    # a bound of one read at a badly scaled w proves nothing either way: the
+    # ray stalls and the next constructor takes the network
+    real = paths_module.nonlinear_perron
+    monkeypatch.setattr(paths_module, "nonlinear_perron",
+                        lambda net: (1.0, *real(net)[1:]))
+    with pytest.raises(PathStalled, match="no witness"):
+        path_homogeneous(max2(0.5))
+    assert construct_path(max2(0.5)).route == "max"
+    # with a witness w^p the ray's failure stands
+    with pytest.raises(LambdaNotContractive):
+        construct_path(max2(1.5))
+
+
 def test_homogeneous_rejects_inhomogeneous():
-    net = net_of([[Z, Power(1, 2)], [Power(1, 0.5), Z]],
+    # a 2-cycle of squares: p_1 / p_2 = 2 and p_2 / p_1 = 2 at once
+    net = net_of([[Z, Power(0.1, 2)], [Power(0.1, 2), Z]],
                  [MaxAgg(), MaxAgg()])
     with pytest.raises(NotHomogeneous):
         path_homogeneous(net)
+
+
+def test_homogeneous_ray_past_float_range_is_named():
+    # p = (1, 50): (1e-7 w)^50 underflows, so the anchors cannot increase
+    net = net_of([[Z, Power(0.5, 0.02)], [Power(0.5, 50.0), Z]],
+                 [MaxAgg(), MaxAgg()])
+    with pytest.raises(PathStalled, match="out of the float range"):
+        path_homogeneous(net)
+
+
+def test_homogeneous_unequal_exponents_prove_every_segment():
+    # p = (1, 2, 2) on sqrt_cycle_sum: anchors at ratio q <= c^(-1/2), so
+    # Gamma(sigma(r[k+1])) < sigma(r[k]) holds on every segment
+    net = net_of([[Z, Power(0.4, 0.5), Z], [Z, Z, Linear(0.5)],
+                  [Power(0.3, 2.0), Z, Z]], [SumAgg()] * 3)
+    c, p, _w = nonlinear_perron(net)
+    assert p.tolist() == [1.0, 2.0, 2.0] and c < 1.0
+    sigma = path_homogeneous(net)
+    ratio = sigma.radii[2:] / sigma.radii[1:-1]
+    assert np.all(ratio <= min(10.0 ** (1.0 / 12.0), c ** -0.5) * (1 + 1e-12))
+    values = sigma.values[1:]
+    assert np.all(eval_operator(net, values[1:]) < values[:-1])
+    assert validate_path(net, sigma).valid
 
 
 # ---------------------------------------------------------------------------
@@ -792,7 +838,8 @@ def _with_sequential_searches(monkeypatch, call):
 # concave unbounded gains below the identity along the ones direction
 CONCAVE_A = Compose(Linear(0.5), PlusId(Saturating(0.2)))
 CONCAVE_B = Max((Linear(0.6), Saturating(0.9)))
-MIXED3 = net_of([[Z, Saturating(0.3), Linear(0.6)], [Linear(0.4), Z, Z],
+# its unbounded ring is no power law, so it stays off the ray
+MIXED3 = net_of([[Z, Saturating(0.3), bent(0.6)], [Linear(0.4), Z, Z],
                  [Z, Linear(0.5), Z]], [SumAgg()] * 3)
 
 
@@ -955,7 +1002,7 @@ def test_reducible_feeds_complete_three_sum_block(monkeypatch):
         return path_three_sum(net, **kw)
 
     monkeypatch.setattr(paths_module, "path_three_sum", recording)
-    g = Linear(0.25)
+    g = bent(0.25)
     net = net_of([[Z, g, g, Linear(0.5)],
                   [g, Z, g, Z],
                   [g, g, Z, Z],
@@ -990,15 +1037,15 @@ def test_reducible_max_checks_each_cycle_once(monkeypatch):
         return check(net)
 
     monkeypatch.setattr(paths_module, "check_cycle_condition", counting)
-    g = Linear(0.5)
+    g = bent(0.5)
     net = net_of([[Z, g, Z], [g, Z, Z], [Z, g, Z]], [MaxAgg()] * 3)
     construct_path(net)
     assert sizes == [3, 2]
 
 
 def test_reducible_max_block_failure_named():
-    net = net_of([[Z, Linear(1.2), Z, Linear(0.1)],
-                  [Linear(1.2), Z, Z, Z],
+    net = net_of([[Z, bent(1.2), Z, Linear(0.1)],
+                  [bent(1.2), Z, Z, Z],
                   [Z, Z, Z, Linear(0.5)],
                   [Z, Z, Linear(0.5), Z]],
                  [MaxAgg(), MaxAgg(), SumAgg(), SumAgg()])
@@ -1163,13 +1210,17 @@ def test_dispatch_shapes():
                    [SumAgg(), SumAgg()])
     bounded = net_of([[Z, Saturating(1.0)], [Saturating(1.0), Z]],
                      [SumAgg(), SumAgg()])
-    cascade = net_of([[Z, Linear(0.7)], [Z, Z]], [SumAgg(), SumAgg()])
+    cascade = net_of([[Z, bent(0.7)], [Z, Z]], [SumAgg(), SumAgg()])
+    g = bent(0.25)
     routes = [
-        (max2(0.5), "max"),
-        (sum3_complete(0.25), "three_sum"),
+        (net_of([[Z, bent(0.5)], [bent(0.5), Z]], [MaxAgg(), MaxAgg()]), "max"),
+        (net_of([[Z, g, g], [g, Z, g], [g, g, Z]], [SumAgg()] * 3), "three_sum"),
         (mixed, "mixed"),
         (bounded, "bounded"),
         (sum2(0.4), "ray"),
+        (max2(0.5), "ray"),
+        (sum3_complete(0.25), "ray"),
+        (net_of([[Z, Linear(0.7)], [Z, Z]], [SumAgg(), SumAgg()]), "ray"),
         (cascade, "reducible"),
     ]
     for net, route in routes:
@@ -1178,7 +1229,7 @@ def test_dispatch_shapes():
         assert isinstance(res.sigma, OmegaPath)
         assert res.route == route
         assert (res.phi is not None) == (route == "reducible")
-    # a linear sum network takes the ray along its Perron vector
+    # a symmetric linear sum network takes the ray along w = (I - G)^-1 1
     assert np.allclose(construct_path(sum2(0.4)).sigma(1.0), [1.0, 1.0])
 
 

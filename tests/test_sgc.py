@@ -5,9 +5,7 @@ import pytest
 
 from smallgain import sgc
 from smallgain.errors import (
-    NoConvergence,
     NotHomogeneous,
-    NotIrreducible,
     NotLinearizable,
     OutOfRange,
     WrongAggregation,
@@ -46,6 +44,7 @@ from smallgain.sgc import (
     decide,
     falsify_sgc,
     nonlinear_perron,
+    power_form,
 )
 
 from gen import random_linear_max_net, random_network
@@ -168,18 +167,31 @@ def test_spectral_matches_dense_eigensolver():
 
 
 def test_perron_symmetric_two_cycle():
-    lam, v, res = nonlinear_perron(linear_net([[0, 0.5], [0.5, 0]]))
-    assert lam == pytest.approx(0.5, abs=1e-9)
-    np.testing.assert_allclose(v, [1.0, 1.0], atol=1e-9)
-    assert res <= 1e-9
+    # w = (I - G)^-1 1 = (2, 2) scaled to max one, T(w) = (0.5, 0.5): the
+    # bound is the radius
+    c, p, w = nonlinear_perron(linear_net([[0, 0.5], [0.5, 0]]))
+    assert c == pytest.approx(0.5, abs=1e-12)
+    np.testing.assert_allclose(w, [1.0, 1.0], rtol=1e-12)
+    assert p.tolist() == [1.0, 1.0]
 
 
 def test_perron_asymmetric_geometric_mean():
-    for a, b in [(2.0, 0.5), (4.0, 0.25), (1.3, 0.4)]:
-        lam, v, res = nonlinear_perron(linear_net([[0, a], [b, 0]]))
-        assert lam == pytest.approx(np.sqrt(a * b), rel=1e-8)
-        assert res <= 1e-8 * max(1.0, lam)
-        assert np.all(v > 0)
+    # one gain per row, so sum and max rows alike solve
+    # w = ((1 + a) / (1 - ab), (1 + b) / (1 - ab)), c = max_i 1 - 1/w_i;
+    # the linear solve (sum rows) returns w scaled to max one
+    for mu_cls in (SumAgg, MaxAgg):
+        for a, b in [(1.3, 0.4), (4.0, 0.2), (0.1, 0.5)]:
+            c, _p, w = nonlinear_perron(linear_net([[0, a], [b, 0]], mu_cls))
+            want = np.array([1.0 + a, 1.0 + b]) / (1.0 - a * b)
+            scale = want.max() if mu_cls is SumAgg else 1.0
+            np.testing.assert_allclose(w, want / scale, rtol=1e-9)
+            assert c == pytest.approx(float(np.max(1.0 - 1.0 / want)), rel=1e-9)
+            # a Collatz-Wielandt bound sits above the spectral radius
+            assert np.sqrt(a * b) <= c < 1.0
+        # at the critical product no bound proves the condition
+        for a, b in [(2.0, 0.5), (4.0, 0.25)]:
+            c, _p, _w = nonlinear_perron(linear_net([[0, a], [b, 0]], mu_cls))
+            assert c >= 1.0 - 1e-9
 
 
 def test_perron_power_conjugate_matches_spectral():
@@ -189,9 +201,12 @@ def test_perron_power_conjugate_matches_spectral():
         gamma_u=(Zero(), Zero()),
         mu=(OuterSum(Power(1, 2)), OuterSum(Power(1, 2))),
     )
-    lam, v, res = nonlinear_perron(net)
-    assert lam == pytest.approx(0.16, abs=1e-9)  # square of the slope radius
-    assert res <= 1e-9
+    c, p, w = nonlinear_perron(net)
+    assert p.tolist() == [2.0, 2.0]
+    # the symmetric fixed point is the Perron vector of the slope matrix
+    assert c == pytest.approx(check_linear_spectral(net).rho, abs=1e-12)
+    assert c == pytest.approx(0.4, abs=1e-12)
+    np.testing.assert_allclose(eval_operator(net, w**2), (0.4 * w) ** 2, rtol=1e-12)
 
 
 def test_perron_rejects_bad_inputs():
@@ -203,8 +218,96 @@ def test_perron_rejects_bad_inputs():
     )
     with pytest.raises(NotHomogeneous):
         nonlinear_perron(net)
-    with pytest.raises(NotIrreducible):
-        nonlinear_perron(linear_net([[0, 1], [0, 0]]))
+    # a cycle of exponents 2 and 2 has no per-node power change
+    squares = GainNetwork(
+        n=2,
+        gamma=((Zero(), Power(0.1, 2)), (Power(0.1, 2), Zero())),
+        gamma_u=(Zero(), Zero()),
+        mu=(MaxAgg(), MaxAgg()),
+    )
+    with pytest.raises(NotHomogeneous):
+        nonlinear_perron(squares)
+    # a reducible network needs no irreducibility: w = (2, 1) / 2,
+    # T(w) = (0.5, 0)
+    c, _p, w = nonlinear_perron(linear_net([[0, 1], [0, 0]]))
+    np.testing.assert_allclose(w, [1.0, 0.5])
+    assert c == pytest.approx(0.5)
+
+
+def power_network(rng, p, mask, bend=None):
+    """Network with gains ``c s^q``, ``q = p_i / (p_j e_i)``, on sum, max and
+    power-of-sum rows (``e_i`` the row's outer power), each gain written as
+    a power, a sum or max of two, or a composition.  ``bend`` scales the
+    exponent of the gain at that ``(i, j)``."""
+    n = len(p)
+    gamma, mu, e = [], [], np.ones(n)
+    for i in range(n):
+        kind = rng.integers(0, 3)
+        if kind == 2:
+            e[i] = float(np.round(rng.uniform(0.5, 3.0), 3))
+            mu.append(OuterSum(Power(float(rng.uniform(0.5, 2.0)), e[i])))
+        else:
+            mu.append((SumAgg(), MaxAgg())[kind])
+        row = []
+        for j in range(n):
+            if not mask[i, j]:
+                row.append(Zero())
+                continue
+            q = p[i] / (p[j] * e[i]) * (1.1 if (i, j) == bend else 1.0)
+            c = float(rng.uniform(0.1, 1.0))
+            row.append([Power(c, q), Sum((Power(c, q), Power(c / 2, q))),
+                        Max((Power(c, q), Power(2 * c, q))),
+                        Compose(Power(c, 2.0), Power(1.0, q / 2))][rng.integers(0, 4)])
+        gamma.append(tuple(row))
+    net = GainNetwork(n=n, gamma=tuple(gamma), gamma_u=(Zero(),) * n, mu=tuple(mu))
+    return net, e
+
+
+def test_power_form_recovered_per_component():
+    rng = np.random.default_rng(29)
+    split = 0
+    for _ in range(200):
+        n = int(rng.integers(2, 8))
+        p = np.exp(rng.uniform(-1.0, 1.0, n))
+        mask = rng.random((n, n)) < 0.3
+        np.fill_diagonal(mask, False)
+        net, e = power_network(rng, p, mask)
+        got = power_form(net)[0]
+        # one scale per weakly connected component: equal ratios along
+        # every gain, and each component's first node keeps p = e
+        scale = got / p
+        for i, j in zip(*np.nonzero(mask)):
+            assert scale[i] == pytest.approx(scale[j], rel=1e-9)
+        seen = np.zeros(n, dtype=bool)
+        for root in range(n):
+            if seen[root]:
+                continue
+            assert got[root] == e[root]
+            comp, stack = {root}, [root]
+            while stack:
+                k = stack.pop()
+                for m in np.flatnonzero(mask[k] | mask[:, k]):
+                    if m not in comp:
+                        comp.add(m)
+                        stack.append(m)
+            seen[list(comp)] = True
+            split += len(comp) < n
+    assert split > 20
+
+
+def test_power_form_reject_cycle_product_off_one():
+    rng = np.random.default_rng(30)
+    for _ in range(50):
+        n = int(rng.integers(2, 6))
+        p = np.exp(rng.uniform(-1.0, 1.0, n))
+        mask = rng.random((n, n)) < 0.4
+        np.fill_diagonal(mask, False)
+        mask[0, 1] = mask[1, 0] = True
+        power_form(power_network(np.random.default_rng(1), p, mask)[0])
+        # the 2-cycle 0 <-> 1 then has exponent product 1.1
+        net, _e = power_network(np.random.default_rng(1), p, mask, bend=(0, 1))
+        with pytest.raises(NotHomogeneous, match="breaks every per-node power"):
+            power_form(net)
 
 
 def test_strong_sgc_frozen_cases():
@@ -407,29 +510,60 @@ def test_batched_cycle_stage_matches_per_cycle_loop(monkeypatch, side, direction
         assert split >= 3
 
 
-def test_perron_doubling_test_is_two_calls(monkeypatch):
+def test_perron_linear_conjugate_is_one_solve(monkeypatch):
     calls = []
     real_op = sgc.eval_operator
     monkeypatch.setattr(sgc, "eval_operator",
                         lambda net, s: calls.append(np.shape(s)) or real_op(net, s))
-    # homogeneous and reducible: passes the doubling test, then stops
-    with pytest.raises(NotIrreducible):
-        nonlinear_perron(linear_net([[0, 1], [0, 0]]))
-    assert calls == [(16, 2), (16, 2)]
+    # a linear conjugate: one solve, then one operator call reads the bound
+    c, _p, _w = nonlinear_perron(linear_net([[0, 0.5], [0.5, 0]]))
+    assert c == pytest.approx(0.5) and calls == [(2,)]
     calls.clear()
-    bounded = GainNetwork(
-        n=2,
-        gamma=((Zero(), Saturating(1)), (Linear(1), Zero())),
-        gamma_u=(Zero(), Zero()),
-        mu=(SumAgg(), SumAgg()),
+    # max rows iterate w <- 1 + T(w) from w = 1, one operator call per step
+    c, _p, w = nonlinear_perron(linear_net([[0, 0.5], [0.5, 0]], MaxAgg))
+    assert c == pytest.approx(0.5) and np.allclose(w, [2.0, 2.0])
+    assert 10 < len(calls) < 100 and set(calls) == {(2,)}
+    calls.clear()
+    # a witness direction stops the iteration at once: T(1) >= 1
+    c, _p, w = nonlinear_perron(linear_net([[0, 1.5], [1.5, 0]], MaxAgg))
+    assert calls == [(2,)] and c == pytest.approx(1.5)
+    assert w.tolist() == [1.0, 1.0]
+
+
+def test_perron_badly_scaled_linear_takes_inverse_steps(monkeypatch):
+    # radius 0.5, but the Neumann vector (1.3e10, 1.3) reads c = 1 - 7.5e-11:
+    # a second step w <- (I - G)^-1 w reads c = 0.625, a proof
+    net = linear_net([[0, 1e10], [2.5e-11, 0]])
+    c, p, w = nonlinear_perron(net)
+    assert 0.5 <= c == pytest.approx(0.625, rel=1e-9)
+    assert c == pytest.approx(float(np.max(eval_operator(net, w) / w)), rel=1e-12)
+    assert decide(net).holds
+    # each step lowers the bound: capped at one step, it is the Neumann one
+    monkeypatch.setattr(sgc, "INVERSE_MAX_ITER", 1)
+    assert nonlinear_perron(net)[0] > 1.0 - 1e-9
+
+
+def test_perron_bound_is_read_at_the_returned_vector(monkeypatch):
+    # critical ring t1 <-> t2 (p = (1, 0.5, 1)) and a weak downstream node:
+    # w <- 1 + T(w) runs to the step cap as w_k = (k + 1, k + 1, 1 + 1e-6 k),
+    # and T(w) <= c w at that w needs c = 1, so nothing is proved, while
+    # s = (1, 1, 1e-6) has Gamma(s) >= s; any cap shows it, a small one is quick
+    monkeypatch.setattr(sgc, "FIXED_MAX_ITER", 2000)
+    net = GainNetwork(
+        n=3,
+        gamma=((Zero(), Power(1.0, 0.5), Zero()), (Power(1.0, 2.0), Zero(), Zero()),
+               (Linear(1e-6), Zero(), Zero())),
+        gamma_u=(Zero(),) * 3,
+        mu=(SumAgg(),) * 3,
     )
-    with pytest.raises(NotHomogeneous, match="operator fails the doubling test"):
-        nonlinear_perron(bounded)
-    assert calls == [(16, 2), (16, 2)]
-    calls.clear()
-    lam, v, res = nonlinear_perron(linear_net([[0, 0.5], [0.5, 0]]))
-    assert lam == pytest.approx(0.5) and res <= 1e-9
-    assert calls[:2] == [(16, 2), (16, 2)]
+    c, p, w = nonlinear_perron(net)
+    assert power_form(net)[1] is None
+    t_w = eval_operator(net, w**p) ** (1.0 / p)
+    assert c == float(np.max(t_w / w)) and c >= 1.0 - 1e-9
+    v = decide(net)
+    assert not v.holds
+    assert [r.status for r in v.routes if r.method == "perron"] == [INCONCLUSIVE]
+    assert np.all(eval_operator(net, np.array([1.0, 1.0, 1e-6])) >= [1.0, 1.0, 1e-6])
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +571,11 @@ def test_perron_doubling_test_is_two_calls(monkeypatch):
 
 
 def run_all_routes(net, seed=0):
-    """Reference rule: every applicable route runs, any failure wins."""
+    """Reference rule: every applicable route runs, any failure wins.
+
+    The Perron route holds at a bound below ``1 - 1e-9`` and fails when
+    ``w^p`` is a witness; the falsifier runs whatever came before it.
+    """
     routes = []
     try:
         routes.append(check_linear_spectral(net).status)
@@ -448,10 +586,13 @@ def run_all_routes(net, seed=0):
     except WrongAggregation:
         pass
     try:
-        lam, _v, _res = nonlinear_perron(net)
-        routes.append(CERTIFIED_HOLDS if lam < 1.0 - 1e-9 else CERTIFIED_FAILS)
-    except (NotHomogeneous, NotIrreducible, NoConvergence):
+        c, p, w = nonlinear_perron(net)
+    except NotHomogeneous:
         pass
+    else:
+        witness = np.all(eval_operator(net, w**p) >= w**p)
+        routes.append(CERTIFIED_HOLDS if c < 1.0 - 1e-9 else
+                      CERTIFIED_FAILS if witness else INCONCLUSIVE)
     routes.append(falsify_sgc(net, GridSpec(seed=seed)).status)
     for status in (CERTIFIED_FAILS, CERTIFIED_HOLDS):
         if status in routes:
@@ -473,36 +614,47 @@ def test_decide_matches_run_all_routes():
         assert [r.status for r in v.routes] == statuses[:len(v.routes)]
         assert v.routes[[r.status for r in v.routes].index(status)].method == v.method
         stopped = len(v.routes) < len(statuses)
+        last = v.routes[-1]
         if stopped:
-            assert v.method in ("spectral", "cycle-linear", "cycle-grid")
-            assert v.method == "spectral" or v.fails
+            assert last.method in ("spectral", "cycle-linear", "cycle-grid", "perron")
+            assert last.method in ("spectral", "perron") or v.fails
+            assert not last.inconclusive
         else:
-            assert v.routes[-1].method.startswith("falsify")
-        seen.add((kind, v.method.split("-")[0], status, stopped))
-    # both spectral proofs, a failing cycle route, a cycle hold the
-    # falsifier cross-checks, Perron verdicts and no verdict at all
+            assert last.method.startswith("falsify")
+        seen.add((kind, last.method.split("-")[0], status, stopped))
+    # both spectral proofs, a failing cycle route, both Perron proofs,
+    # and the falsifier's verdict or no verdict at all
     for case in [("sum", "spectral", CERTIFIED_HOLDS, True),
                  ("sum", "spectral", CERTIFIED_FAILS, True),
                  ("max", "cycle", CERTIFIED_FAILS, True),
-                 ("max", "cycle", CERTIFIED_HOLDS, False),
-                 ("mixed", "perron", CERTIFIED_HOLDS, False),
-                 ("mixed", "perron", CERTIFIED_FAILS, False),
+                 ("max", "perron", CERTIFIED_HOLDS, True),
+                 ("mixed", "perron", CERTIFIED_HOLDS, True),
+                 ("mixed", "perron", CERTIFIED_FAILS, True),
                  ("mixed", "falsify", CERTIFIED_FAILS, False),
                  ("mixed", "falsify", INCONCLUSIVE, False)]:
         assert case in seen, case
 
 
 def test_decide_failure_outranks_earlier_hold():
-    # linear below 1e5, where the Perron iteration and its doubling test
-    # look; above it the quadratic branch makes Gamma(s) >= s
-    g = Max((Linear(0.5), Power(1e-5, 2.0)))
+    # each gain is 1.45*s^30/(1+s^30) on a window above one: the cycle
+    # composition stays below the identity on the cycle grid, whose points
+    # 1 and 1.468 straddle the window, while the falsifier's radius 1.425
+    # lands in it and finds Gamma(s) >= s
+    g = Max((Linear(0.5), Compose(Saturating(1.45), Power(1.0, 30.0))))
     net = GainNetwork(n=2, gamma=((Zero(), g), (g, Zero())),
-                      gamma_u=(Zero(), Zero()), mu=(SumAgg(), SumAgg()))
+                      gamma_u=(Zero(), Zero()), mu=(MaxAgg(), MaxAgg()))
     v = decide(net)
     assert [(r.method, r.status) for r in v.routes] == [
-        ("perron", CERTIFIED_HOLDS), ("falsify", CERTIFIED_FAILS)]
-    assert v.fails and v.method == "falsify" and v.routes[0].rho == pytest.approx(0.5)
+        ("cycle", CERTIFIED_HOLDS), ("falsify", CERTIFIED_FAILS)]
+    assert v.fails and v.method == "falsify"
     assert np.all(eval_operator(net, v.witness) >= v.witness)
+
+
+def test_overflowed_candidate_is_no_witness():
+    # a conjugate iterate w^p past the float range reads inf >= inf
+    net = linear_net([[0, 0.5], [0.5, 0]], MaxAgg)
+    assert not sgc._is_witness(net, np.array([np.inf, np.inf]))
+    assert sgc._is_witness(linear_net([[0, 2.0], [2.0, 0]]), np.array([1.0, 1.0]))
 
 
 def test_decide_spectral_witness_is_rechecked():
@@ -553,6 +705,30 @@ def test_check_cross_checks_sampled_cycle_hold(tmp_path, monkeypatch, capsys):
     assert calls == {"falsify_sgc": 1}
     assert out[0].startswith("cycle condition: holds")
     assert out[1:] == ["falsification: no witness found", "verdict: CertifiedHolds"]
+
+
+def test_check_stops_at_perron_proof(tmp_path, monkeypatch, capsys):
+    from smallgain.cli import main
+
+    calls = _count_calls(monkeypatch, "nonlinear_perron", "falsify_sgc")
+    # a max ring of power gains, homogeneous with p = (1, 2, 1)
+    cfg = tmp_path / "ring.json"
+    cfg.write_text('''{"n": 3, "gains": [["0", "0", "0.6*s"],
+        ["0.5*s^2", "0", "0"], ["0", "0.7*sqrt(s)", "0"]],
+        "external_gains": ["0", "0", "0"], "mu": ["max", "max", "max"]}''')
+    assert main(["check", str(cfg)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert calls == {"nonlinear_perron": 1, "falsify_sgc": 0}
+    assert out[0].startswith("cycle condition: holds")
+    assert out[1].startswith("Perron bound: 0.") and out[1].endswith("(CertifiedHolds)")
+    assert out[2:] == ["verdict: CertifiedHolds"]
+    # sum and max rows: no spectral or cycle route, and T(1) >= 1 is a witness
+    cfg.write_text('''{"n": 2, "gains": [["0", "1.5*s"], ["1.5*s", "0"]],
+        "external_gains": ["0", "0"], "mu": ["sum", "max"]}''')
+    assert main(["check", str(cfg)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "Perron bound: 1.5 (CertifiedFails), witness (1, 1)", "verdict: CertifiedFails"]
+    assert calls == {"nonlinear_perron": 2, "falsify_sgc": 0}
 
 
 def per_radius_sweep(net, grid, op=None):

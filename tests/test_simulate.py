@@ -10,7 +10,7 @@ import scipy.linalg
 from smallgain.compose import CompositeLyapunov
 from smallgain.errors import BadParameters, Diverged, NotHurwitz, TooLarge
 from smallgain.gains import Compose, Linear, OuterSum, Power, Saturating, Zero
-from smallgain.paths import OmegaPath
+from smallgain.paths import OmegaPath, construct_path, validate_path
 from smallgain.simulate import (
     DIVERGENCE_GUARD,
     CGDesign,
@@ -457,6 +457,24 @@ def test_linear_certificate_decrease_clean():
     assert rep.evaluated == 2000
     assert rep.worst < 0.0
     assert rep.summary().startswith("verdict=pass violations=0")
+
+
+def test_linear_certificate_reducible_bank():
+    # blocks 1 <-> 2 feed block 3: the bank is not strongly connected, and
+    # its power-of-sum rows take the ray all the same
+    model = LinearBlock(
+        A=([[-1.0]], [[-1.0]], [[-1.0]]),
+        delta={(0, 1): [[0.2]], (1, 0): [[0.2]], (2, 1): [[0.2]]},
+        B=([[1.0]], [[1.0]], [[1.0]]),
+    )
+    design = linear_gains(model, ([[2.0]],) * 3, 0.5)
+    res = construct_path(design.net)
+    assert res.route == "ray" and res.phi is None
+    assert validate_path(design.net, res.sigma).valid
+    cl = certify_linear(design)
+    rep = check_decrease(model, cl,
+                         DecreaseSpec(samples=2000, u_norms=(0.0, 1.0), seed=0))
+    assert rep.verdict == "pass" and rep.violations == 0
 
 
 def test_corrupted_certificate_is_caught():

@@ -22,7 +22,10 @@ Compare a change with its parent commit, unpacked next to the repository::
 byte-identical; equal except for numbers that differ by at most ``1e-11`` of
 the larger of the two (one unit in the 12th digit that ``%.12g`` prints);
 different, which includes a file missing from one tree.  It lists the files
-of the last two classes and exits 1 when any file is different.
+of the last two classes, then, per command, how many calls changed their
+exit status between the trees (``certify: exit 1 -> exit 0: 52``, with
+``timeout`` and ``crash <Type>`` as statuses too), and exits 1 when any file
+is different.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ import json  # noqa: E402
 import signal  # noqa: E402
 import traceback  # noqa: E402
 import warnings  # noqa: E402
+from collections import Counter  # noqa: E402
 from decimal import Decimal  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -49,6 +53,7 @@ ROOT = Path(__file__).resolve().parent.parent
 CALL_LIMIT_S = 60
 COMMANDS = (["check"], ["path", "--out", "path.csv"], ["certify", "--out", "bundle"])
 MODEL_COMMANDS = (["simulate", "--out", "simulate.csv"], ["verify"])
+CALL_NAMES = {cmd[0] for cmd in COMMANDS + MODEL_COMMANDS}
 NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan))")
 CLOSE = Decimal("1e-11")
 
@@ -114,12 +119,17 @@ def compare(a: Path, b: Path) -> int:
     rels = sorted({p.relative_to(root) for root in (a, b)
                    for p in root.rglob("*") if p.is_file()})
     same, close, diff = 0, [], []
+    changed = Counter()
     for rel in rels:
         fa, fb = a / rel, b / rel
         if not (fa.is_file() and fb.is_file()):
             diff.append(f"{rel} (only in {a if fa.is_file() else b})")
             continue
         ta, tb = fa.read_bytes(), fb.read_bytes()
+        if rel.stem in CALL_NAMES and rel.suffix == ".txt":
+            sa, sb = (t.decode().split("\n", 1)[0] for t in (ta, tb))
+            if sa != sb:
+                changed[rel.stem, sa, sb] += 1
         if ta == tb:
             same += 1
             continue
@@ -132,6 +142,8 @@ def compare(a: Path, b: Path) -> int:
         print(f"close {rel}: {count} numbers, largest relative gap {worst:.3g}")
     for rel in diff:
         print(f"different {rel}")
+    for (cmd, sa, sb), count in sorted(changed.items()):
+        print(f"{cmd}: {sa} -> {sb}: {count}")
     print(f"{len(rels)} files: {same} byte-identical, {len(close)} close "
           f"({sum(c for _, c, _ in close)} numbers, largest relative gap "
           f"{max((w for *_, w in close), default=0.0):.3g}), {len(diff)} different")
