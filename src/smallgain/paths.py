@@ -5,10 +5,11 @@ class K-infinity functions sigma with ``Gamma_mu(sigma(r)) < sigma(r)`` for
 every positive radius.  Paths are represented piecewise linearly on anchor
 radii and extended linearly beyond the last anchor.  Constructors cover the
 power-homogeneous (a ray ``(r w)^p`` proved by a Collatz-Wielandt bound),
-max-aggregation, three-node additive, mixed bounded/unbounded, bounded,
-irreducible and reducible cases; :func:`construct_path` tries them in that
-order, so the others see only networks that are not power-homogeneous or
-whose ray stalls.
+max-aggregation (the closure ``max_{k<n} (D o Gamma)^k(t 1)``, on any
+graph), three-node additive, mixed bounded/unbounded, bounded,
+irreducible (seed-and-chain) and reducible cases; :func:`construct_path`
+tries them in that order, so the others see only networks that are not
+power-homogeneous or whose ray stalls.
 Every constructor validates its result on a log-spaced radius grid before
 returning it.
 """
@@ -237,9 +238,10 @@ class PathResult:
     """Decay path from :func:`construct_path`, with the reducible route's budget.
 
     ``route`` names the constructor that ran: ``ray`` (every
-    power-homogeneous network), ``max``, ``three_sum``, ``mixed``,
-    ``bounded``, ``irreducible``, ``irreducible_diag`` (the irreducible
-    construction retried against ``D(Gamma(s))``) or ``reducible``.
+    power-homogeneous network), ``max`` (the closure path of any max
+    network, reducible ones too), ``three_sum``, ``mixed``, ``bounded``,
+    ``irreducible``, ``irreducible_diag`` (the irreducible construction
+    retried against ``D(Gamma(s))``) or ``reducible``.
     ``phi`` is set only by the reducible route, whose
     blockwise construction derives the external budget map along with the
     path; elsewhere it is ``None`` and callers derive a budget map from
@@ -551,14 +553,6 @@ def _finalize(net: GainNetwork, sigma: OmegaPath, r_max: float) -> OmegaPath:
     return sigma
 
 
-def _seed_and_chain(net: GainNetwork, op, r_max: float, seed: int) -> OmegaPath:
-    # seed on the unit sphere, chain up past r_max, iterate down to the origin
-    seed_vec = _find_seed(op, net.n, seed)
-    up = _chain_up(op, seed_vec, target_sup=1.05 * r_max)
-    down = _downward_leg(op, seed_vec, stop_abs=_compressed_floor(1.0))
-    return _finalize(net, _assemble(down, up), r_max)
-
-
 # ---------------------------------------------------------------------------
 # Constructors
 
@@ -632,7 +626,11 @@ def path_irreducible(net: GainNetwork, d: DiagOp | None = None, *,
         op = lambda s: eval_operator(net, s)
     else:
         op = lambda s: d(eval_operator(net, s))
-    return _seed_and_chain(net, op, r_max, seed)
+    # seed on the unit sphere, chain up past r_max, iterate down to the origin
+    seed_vec = _find_seed(op, net.n, seed)
+    up = _chain_up(op, seed_vec, target_sup=1.05 * r_max)
+    down = _downward_leg(op, seed_vec, stop_abs=_compressed_floor(1.0))
+    return _finalize(net, _assemble(down, up), r_max)
 
 
 # most anchors a ray with unequal exponents may take
@@ -673,9 +671,25 @@ def path_homogeneous(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT) -> Omega
     return _finalize(net, sigma, r_max)
 
 
-def path_max(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT,
-             seed: int = 0) -> OmegaPath:
-    """Path for pure max aggregation, gated by the cycle condition."""
+# square roots the closure path takes of its lift before it gives up
+LIFT_TRIES = 30
+
+
+def path_max(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT) -> OmegaPath:
+    """Closure path ``sigma(t) = max_{k<n} (D o Gamma)^k(t 1)`` for max rows.
+
+    Gated by the cycle condition.  ``D = (1 + alpha) id`` starts from the
+    cycle criterion's margin ``m`` by ``(1 + alpha)^(2n) (1 - m) = 1``, at
+    most one (a graph without cycles has ``m = inf``: no walk of ``n`` steps
+    exists there, so any ``alpha > 0`` serves).  A gain steeper than linear
+    amplifies the lift along a cycle, so ``1 + alpha`` then takes square
+    roots until ``D o Gamma`` passes the cycle criterion too.  A walk of
+    ``n`` steps repeats a node, so with every cycle of ``D o Gamma`` below
+    the identity ``Gamma(sigma(t)) <= D^-1(sigma(t)) < sigma(t)`` at every
+    ``t > 0``, on any graph.  Each component is at least ``t``, so the path
+    is K-infinity.  It is evaluated on all anchors in ``n - 1`` operator
+    calls.
+    """
     for mu in net.mu:
         if not isinstance(mu, MaxAgg):
             raise WrongAggregation("max-aggregation path needs max rows throughout")
@@ -685,10 +699,28 @@ def path_max(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT,
             "a subordinated cycle composition is not a contraction",
             cycle=verdict.cycle,
         )
-    adj = adjacency(net)
-    if not is_irreducible(adj):
-        return path_reducible(net, r_max=r_max, seed=seed).sigma
-    return _seed_and_chain(net, lambda s: eval_operator(net, s), r_max, seed)
+    m = min(verdict.margins["min_margin"], 1.0 - 4.0**-net.n)
+    lift = (1.0 - m) ** (-0.5 / net.n)
+    for _ in range(LIFT_TRIES):
+        lifted = tuple(tuple(g if g.is_zero else Compose(Linear(lift), g) for g in row)
+                       for row in net.gamma)
+        if check_cycle_condition(GainNetwork(net.n, lifted, net.gamma_u, net.mu)).holds:
+            break
+        lift = np.sqrt(lift)
+    else:
+        raise PathStalled("no lift D = (1 + alpha) id keeps the cycle condition")
+    radii = _log_grid(1e-7, 1.05 * r_max)
+    walk = np.outer(radii, np.ones(net.n))
+    values = walk
+    for _ in range(net.n - 1):
+        walk = lift * eval_operator(net, walk)
+        values = np.maximum(values, walk)
+    # a gain saturating in floats can flatten a component: lift each flat
+    # anchor one unit in the last place above the one before
+    for k in range(1, len(values)):
+        values[k] = np.maximum(values[k], np.nextafter(values[k - 1], np.inf))
+    values = np.vstack([np.zeros(net.n), values])
+    return _finalize(net, OmegaPath(np.concatenate([[0.0], radii]), values), r_max)
 
 
 def path_three_sum(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT) -> OmegaPath:
@@ -1091,9 +1123,11 @@ def construct_path(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT,
     reducible.  The ray (:func:`path_homogeneous`) takes every network that
     is homogeneous after a per-node power change, strongly connected or
     not, with sum, max or power-of-sum rows; the other constructors see the
-    rest and the networks where the ray stalls.  An irreducible
-    construction that stalls is retried against the strengthened operator
-    ``D(Gamma(s))`` with ``D = id + 0.01 id``.  The result names the route.
+    rest and the networks where the ray stalls.  Every other max network
+    takes the closure path of :func:`path_max`, reducible or not.  An
+    irreducible construction that stalls is retried against the
+    strengthened operator ``D(Gamma(s))`` with ``D = id + 0.01 id``.  The
+    result names the route.
     """
     try:
         return PathResult(path_homogeneous(net, r_max=r_max), "ray")
@@ -1102,7 +1136,7 @@ def construct_path(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT,
     classes = {g.classify() for row in net.gamma for g in row if not g.is_zero}
     all_sum = all(isinstance(mu, SumAgg) for mu in net.mu)
     if all(isinstance(mu, MaxAgg) for mu in net.mu):
-        sigma, route = path_max(net, r_max=r_max, seed=seed), "max"
+        sigma, route = path_max(net, r_max=r_max), "max"
     elif all_sum and net.n == 3 and all(
             net.gamma[i][j].classify() is GainClass.K_INFINITY
             for i in range(3) for j in range(3) if i != j):

@@ -27,14 +27,11 @@ from .errors import (
     WrongAggregation,
 )
 from .gains import (
-    Compose,
-    DiagOp,
     GainExpr,
     GainNetwork,
     Linear,
     MaxAgg,
     OuterSum,
-    PlusId,
     SumAgg,
     eval_operator,
     same_exponent,
@@ -142,29 +139,27 @@ WITNESS_DELTAS = (0.0, 1e-9, 1e-6, 1e-3, 0.03)
 WALKS_PER_CYCLE = WITNESS_RADII.size * len(WITNESS_DELTAS)
 
 
-def _cycle_witness(net: GainNetwork, cycle, op=None, walk_net=None):
+def _cycle_witness(net: GainNetwork, cycle):
     """Vector supported on a bad cycle with Gamma_mu(s) >= s, if one verifies.
 
     The one-cycle case of :func:`_cycle_witnesses`.
     """
-    hit = _cycle_witnesses(net, [cycle], op, walk_net, WALKS_PER_CYCLE)
+    hit = _cycle_witnesses(net, [cycle], WALKS_PER_CYCLE)
     return None if hit is None else hit[0]
 
 
-def _cycle_witnesses(net, cycles, op, walk_net, batch_rows):
+def _cycle_witnesses(net, cycles, batch_rows):
     """First cycle walk with Gamma_mu(s) >= s, as ``(witness, cycle)``, or None.
 
-    Walks each cycle of ``walk_net`` (default ``net``) making each edge
-    tight via inversion; small per-step inflations absorb inversion residue
-    when the composition has real slack.  The walks of consecutive cycles
-    are verified together, at most ``batch_rows`` rows per call of ``op``
-    (None: the operator of ``net``), and the walks of later cycles are not
-    taken once a batch holds a hit.  The first hit in
-    cycle order, then in (radius, inflation) order, is returned.
+    Walks each cycle making each edge tight via inversion; small per-step
+    inflations absorb inversion residue when the composition has real
+    slack.  The walks of consecutive cycles are verified together, at most
+    ``batch_rows`` rows per operator call, and the walks of later cycles are
+    not taken once a batch holds a hit.  The first hit in cycle order, then
+    in (radius, inflation) order, is returned.
     """
-    walk_net = net if walk_net is None else walk_net
-    for cand, owner in _walk_batches(walk_net, cycles, batch_rows):
-        out = eval_operator(net, cand) if op is None else op(cand)
+    for cand, owner in _walk_batches(net, cycles, batch_rows):
+        out = eval_operator(net, cand)
         hit = np.flatnonzero(np.any(cand > 0, axis=1) & np.all(out >= cand, axis=1))
         if hit.size:
             return cand[hit[0]], cycles[owner[hit[0]]]
@@ -254,81 +249,42 @@ def falsify_sgc(net: GainNetwork, grid: GridSpec | None = None) -> SgcVerdict:
     finite grid cannot certify the universal statement.
     """
     grid = grid or GridSpec()
-    return _falsify(net, None, grid, None, method="falsify")
-
-
-def _falsify(net, op, grid, edge_transform, method):
     n = net.n
     radii = np.geomspace(grid.rmin, grid.rmax, grid.radii)
     count = grid.directions if grid.directions is not None else 2 * n + 200
     dirs = _directions(n, count, grid.seed)
-
-    apply = (lambda s: eval_operator(net, s)) if op is None else op
     best_deficit = np.inf
 
     # radius-major sweep, FALSIFY_CHUNK radii times all directions per call
     for k in range(0, radii.size, FALSIFY_CHUNK):
         rs = radii[k:k + FALSIFY_CHUNK]
         batch = (rs[:, None, None] * dirs).reshape(-1, n)
-        out = apply(batch)
-        deficit = np.max(batch - out, axis=1)
+        deficit = np.max(batch - eval_operator(net, batch), axis=1)
         hit = np.flatnonzero((deficit <= 0.0) & np.any(batch > 0, axis=1))
         if hit.size:
             return SgcVerdict(
-                status=CERTIFIED_FAILS, method=method, witness=batch[hit[0]],
+                status=CERTIFIED_FAILS, method="falsify", witness=batch[hit[0]],
                 margins={"radius": float(rs[hit[0] // len(dirs)])},
             )
         best_deficit = min(best_deficit, float(deficit.min()))
 
     # structured candidates: tight cycle walks, then a Perron direction
     if n <= CYCLE_ENUM_LIMIT:
-        cnet = net if edge_transform is None else _transform_net(net, edge_transform)
-        hit = _cycle_witnesses(net, subordinated_cycles(adjacency(net)), op, cnet,
+        hit = _cycle_witnesses(net, subordinated_cycles(adjacency(net)),
                                FALSIFY_CHUNK * len(dirs))
         if hit is not None:
-            return SgcVerdict(
-                status=CERTIFIED_FAILS, method=method + "-cycle",
-                witness=hit[0], cycle=hit[1],
-            )
-    if op is None:
-        with suppress(NotLinearizable):
-            rho, _p, ray = linear_perron(net)
-            for w in (1e-3 * ray, ray, 1e3 * ray):
-                if _is_witness(net, w):
-                    return SgcVerdict(status=CERTIFIED_FAILS, method=method + "-perron",
-                                      witness=w, rho=rho)
+            return SgcVerdict(status=CERTIFIED_FAILS, method="falsify-cycle",
+                              witness=hit[0], cycle=hit[1])
+    with suppress(NotLinearizable):
+        rho, _p, ray = linear_perron(net)
+        for w in (1e-3 * ray, ray, 1e3 * ray):
+            if _is_witness(net, w):
+                return SgcVerdict(status=CERTIFIED_FAILS, method="falsify-perron",
+                                  witness=w, rho=rho)
     return SgcVerdict(
-        status=INCONCLUSIVE, method=method,
+        status=INCONCLUSIVE, method="falsify",
         margins={"best_deficit": best_deficit},
     )
-
-
-def _transform_net(net, edge_transform):
-    gamma = tuple(
-        tuple(g if g.is_zero else edge_transform(g) for g in row)
-        for row in net.gamma
-    )
-    return GainNetwork(n=net.n, gamma=gamma, gamma_u=net.gamma_u, mu=net.mu)
-
-
-def check_strong_sgc(
-    net: GainNetwork, d: DiagOp, side: str = "left", grid: GridSpec | None = None
-) -> SgcVerdict:
-    """Falsify the diagonally strengthened condition.
-
-    side="left" searches D(Gamma_mu(s)) >= s, side="right" searches
-    Gamma_mu(D(s)) >= s.  Semantics as in :func:`falsify_sgc`.
-    """
-    grid = grid or GridSpec()
-    if side == "left":
-        op = lambda s: d(eval_operator(net, s))
-        tr = lambda g: Compose(PlusId(d.alpha), g)
-    elif side == "right":
-        op = lambda s: eval_operator(net, d(np.asarray(s, dtype=float)))
-        tr = lambda g: Compose(g, PlusId(d.alpha))
-    else:
-        raise ValueError("side must be 'left' or 'right'")
-    return _falsify(net, op, grid, tr, method=f"strong-{side}")
 
 
 def power_form(net: GainNetwork):

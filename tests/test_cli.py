@@ -457,6 +457,19 @@ def test_certify_badly_scaled_linear_sum(tmp_path, capsys):
     assert validate_path(net, res.sigma).valid
 
 
+def test_certify_badly_scaled_max_rows(tmp_path, capsys):
+    # the same gains on max rows: the Perron bound of w = 1 + T(w) reads 1,
+    # so the ray stalls and the closure path of the max route takes it
+    cfg = write_cfg(tmp_path, {**max_net(0.5),
+                               "gains": [["0", "1e10*s"], ["2.5e-11*s", "0"]]})
+    assert main(["certify", cfg]) == 0
+    assert "certificate margins: min" in capsys.readouterr().out
+    net = load_config(cfg).effective_net
+    res = construct_path(net)
+    assert res.route == "max"
+    assert validate_path(net, res.sigma).valid
+
+
 def test_path_and_certify_share_the_linear_model_path(tmp_path, capsys):
     cfg = str(DEMO_DIR / "linear_two_block.json")
     assert main(["path", cfg, "--out", str(tmp_path / "path.csv")]) == 0
@@ -476,29 +489,39 @@ def test_homogeneous_key_is_ignored(doc, tmp_path, capsys):
         assert runs[0] == runs[1]
 
 
-# holding networks where seed-and-chain stalled; each is homogeneous after
-# a per-node power change, so the ray proves it
+# holding networks where seed-and-chain stalled, with the route that builds
+# each path: the ray where the network is homogeneous after a per-node power
+# change, the closure path of the max route where a bent gain keeps it off
+BEND = "(0.9*s+0.1*s/(1+s))"
 STALLED_NETS = {
     # cycle gain 0.4*sqrt(0.5*0.3)*s < s on sum rows, p = (1, 2, 2)
-    "sqrt_cycle_sum": sum_net([["0", "0.4*sqrt(s)", "0"], ["0", "0", "0.5*s"],
-                               ["0.3*s^2", "0", "0"]]),
+    "sqrt_cycle_sum": (sum_net([["0", "0.4*sqrt(s)", "0"], ["0", "0", "0.5*s"],
+                                ["0.3*s^2", "0", "0"]]), "ray"),
     # max rows, cycle mean 0.46 in t_i = s_i^(1/p_i)
-    "max_mixed_exponents": {**max_net(0.5),
-                            "gains": [["0", "0.5*s^2"], ["0.3*sqrt(s)", "0"]]},
+    "max_mixed_exponents": ({**max_net(0.5),
+                             "gains": [["0", "0.5*s^2"], ["0.3*sqrt(s)", "0"]]}, "ray"),
+    "max_mixed_exponents_bent": ({**max_net(0.5),
+                                  "gains": [["0", f"(0.5*s^2)o{BEND}"],
+                                            ["0.3*sqrt(s)", "0"]]}, "max"),
     # max rows, cycle mean 0.23 with one slope above one
-    "max_large_slope": {"n": 3, "gains": [["0", "0", "0.14*s"], ["0.07*s", "0", "0"],
-                                          ["0", "1.2*s", "0"]],
-                        "external_gains": ["0"] * 3, "mu": ["max"] * 3},
+    "max_large_slope": ({"n": 3, "gains": [["0", "0", "0.14*s"], ["0.07*s", "0", "0"],
+                                           ["0", "1.2*s", "0"]],
+                         "external_gains": ["0"] * 3, "mu": ["max"] * 3}, "ray"),
+    "max_large_slope_bent": ({"n": 3, "gains": [["0", "0", "0.14*s"],
+                                                [f"(0.07*s)o{BEND}", "0", "0"],
+                                                ["0", "1.2*s", "0"]],
+                              "external_gains": ["0"] * 3, "mu": ["max"] * 3}, "max"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(STALLED_NETS))
 def test_stalled_reproducers_check_and_certify(name, tmp_path, capsys):
-    cfg = write_cfg(tmp_path, STALLED_NETS[name])
+    doc, route = STALLED_NETS[name]
+    cfg = write_cfg(tmp_path, doc)
     assert main(["check", cfg]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[-1] == "verdict: CertifiedHolds"
-    assert any(line.startswith("Perron bound: ") for line in out)
+    assert any(line.startswith("Perron bound: ") for line in out) == (route == "ray")
     assert main(["certify", cfg, "--out", str(tmp_path / "bundle")]) == 0
     assert "certificate margins: min" in capsys.readouterr().out
-    assert construct_path(load_config(cfg).effective_net).route == "ray"
+    assert construct_path(load_config(cfg).effective_net).route == route

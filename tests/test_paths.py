@@ -41,6 +41,7 @@ from smallgain.gains import (
     strictly_less,
 )
 import smallgain.paths as paths_module
+from smallgain.graph import adjacency, is_irreducible
 from smallgain.sgc import nonlinear_perron
 from smallgain.paths import (
     OmegaPath,
@@ -331,6 +332,51 @@ def test_max_reducible_delegation():
     sigma = path_max(net)
     assert isinstance(sigma, OmegaPath)
     assert validate_path(net, sigma).valid
+
+
+BEND = Sum((Linear(0.9), Saturating(0.1)))
+
+
+@pytest.mark.parametrize("strong", [True, False], ids=["irreducible", "reducible"])
+def test_max_closure_path_on_holding_networks(strong):
+    # in t_i = s_i^(1/q_i) the gain j -> i is the slope a = lam u v_i / v_j
+    # (u <= 1), so every cycle mean is at most lam < 1; the bend keeps the
+    # network off the ray and v spreads the coefficients over decades
+    rng = np.random.default_rng(5 if strong else 6)
+    for _ in range(25):
+        n = int(rng.integers(2, 7))
+        q = np.exp(rng.uniform(-1.0, 1.0, n))
+        v = 10.0 ** rng.uniform(-3.0, 3.0, n)
+        lam = rng.uniform(0.3, 0.95)
+        mask = rng.random((n, n)) < 0.4
+        if strong:
+            mask[np.arange(n), np.roll(np.arange(n), 1)] = True
+        else:
+            # nodes from k on never feed the nodes before k
+            k = int(rng.integers(1, n))
+            mask[:k, k:] = False
+            mask[k:, :k] |= ~mask[k:, :k].any()
+        np.fill_diagonal(mask, False)
+        rows = [[Compose(Power((lam * rng.uniform(0.5, 1.0) * v[i] / v[j]) ** q[i],
+                               q[i] / q[j]), BEND) if mask[i, j] else Z
+                 for j in range(n)] for i in range(n)]
+        net = net_of(rows, [MaxAgg()] * n)
+        assert is_irreducible(adjacency(net)) == strong
+        assert validate_path(net, path_max(net)).valid
+
+
+@pytest.mark.parametrize("gain", [
+    Sum((Linear(1.6), Saturating(0.4))),
+    # s^3 saturates the bounded gain in floats from s = 1e5.4 on
+    Compose(Saturating(1e7), Power(1.0, 3.0)),
+], ids=["bent", "saturating"])
+def test_max_closure_path_without_cycles(gain):
+    # no cycle: the cycle margin is infinite, and the closure still lifts by
+    # a finite alpha > 0
+    net = net_of([[Z, gain], [Z, Z]], [MaxAgg()] * 2)
+    res = construct_path(net)
+    assert res.route == "max"
+    assert validate_path(net, res.sigma).valid
 
 
 # ---------------------------------------------------------------------------
@@ -1028,7 +1074,8 @@ def test_reducible_block_failure_named():
 
 def test_reducible_max_checks_each_cycle_once(monkeypatch):
     # a 2-cycle feeding one node: the whole network passes the gate of
-    # path_max, the 2-node block passes its own, the 1-node block has none
+    # path_max, then its lift D o Gamma does; the closure path needs no
+    # blockwise detour, so no block is checked again
     sizes = []
     check = paths_module.check_cycle_condition
 
@@ -1039,8 +1086,8 @@ def test_reducible_max_checks_each_cycle_once(monkeypatch):
     monkeypatch.setattr(paths_module, "check_cycle_condition", counting)
     g = bent(0.5)
     net = net_of([[Z, g, Z], [g, Z, Z], [Z, g, Z]], [MaxAgg()] * 3)
-    construct_path(net)
-    assert sizes == [3, 2]
+    assert construct_path(net).route == "max"
+    assert sizes == [3, 3]
 
 
 def test_reducible_max_block_failure_named():

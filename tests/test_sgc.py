@@ -13,7 +13,6 @@ from smallgain.errors import (
 from smallgain.gains import (
     Atan,
     Compose,
-    DiagOp,
     GainNetwork,
     Linear,
     Max,
@@ -40,7 +39,6 @@ from smallgain.sgc import (
     _tight_cycle_vectors,
     check_cycle_condition,
     check_linear_spectral,
-    check_strong_sgc,
     decide,
     falsify_sgc,
     nonlinear_perron,
@@ -310,27 +308,6 @@ def test_power_form_reject_cycle_product_off_one():
             power_form(net)
 
 
-def test_strong_sgc_frozen_cases():
-    net = linear_net([[0, 0.5], [0.5, 0]])
-    assert check_strong_sgc(net, DiagOp(Linear(0.5))).inconclusive
-    net = linear_net([[0, 0.9], [0.9, 0]])
-    d = DiagOp(Linear(0.2))
-    v = check_strong_sgc(net, d)
-    assert v.fails
-    composed = d(eval_operator(net, v.witness))
-    assert np.all(composed >= v.witness)
-    z = linear_net([[0, 0], [0, 0]])
-    assert check_strong_sgc(z, DiagOp(Linear(1))).inconclusive
-
-
-def test_strong_sgc_right_side():
-    net = linear_net([[0, 0.9], [0.9, 0]])
-    d = DiagOp(Linear(0.2))
-    v = check_strong_sgc(net, d, side="right")
-    assert v.fails
-    assert np.all(eval_operator(net, d(v.witness)) >= v.witness)
-
-
 def test_cycle_verdict_agrees_with_falsification():
     rng = np.random.default_rng(41)
     for _ in range(50):
@@ -418,21 +395,6 @@ def test_cycle_walk_none_when_holding():
     assert _cycle_witness(net, subordinated_cycles(adjacency(net))[0]) is None
 
 
-@pytest.mark.parametrize("side", ["left", "right"])
-def test_strong_sgc_cycle_stage_on_batches(side):
-    # slopes alternate so no grid direction fits; only the cycle walk
-    # finds D(Gamma(s)) >= s (left) or Gamma(D(s)) >= s (right)
-    net = _ring([2.0, 0.4995] * 4)
-    d = DiagOp(Linear(0.01))
-    v = check_strong_sgc(net, d, side=side)
-    assert v.fails and v.method == f"strong-{side}-cycle"
-    if side == "left":
-        image = d(eval_operator(net, v.witness))
-    else:
-        image = eval_operator(net, d(v.witness))
-    assert np.all(image >= v.witness)
-
-
 def test_cycle_stage_one_operator_call(monkeypatch):
     # holding max network: a ring plus chords, every cycle walked, none fails
     net = _ring([0.5] * 8, chords=[(2, 0, Linear(0.5)), (5, 1, Linear(0.5)),
@@ -450,15 +412,15 @@ def test_cycle_stage_one_operator_call(monkeypatch):
     assert rows[sweeps:] == [sum(len(_tight_cycle_vectors(net, c)) for c in cycles)]
 
 
-def per_cycle_stage(net, op, walk_net):
+def per_cycle_stage(net):
     """Reference: the falsifier's cycle stage, one operator call per cycle.
 
     Returns the witness, its cycle and the number of walk rows before it.
     """
     before = 0
     for c in subordinated_cycles(adjacency(net)):
-        cand = _tight_cycle_vectors(walk_net, c)
-        out = op(cand)
+        cand = _tight_cycle_vectors(net, c)
+        out = eval_operator(net, cand)
         hit = np.flatnonzero(np.any(cand > 0, axis=1) & np.all(out >= cand, axis=1))
         if hit.size:
             return cand[hit[0]], c, before + int(hit[0])
@@ -466,12 +428,11 @@ def per_cycle_stage(net, op, walk_net):
     return None
 
 
-@pytest.mark.parametrize("directions", [1, 4, 16])
-@pytest.mark.parametrize("side", ["plain", "left", "right"])
-def test_batched_cycle_stage_matches_per_cycle_loop(monkeypatch, side, directions):
+# ids keep the falsifier's name, "plain", before the direction count
+@pytest.mark.parametrize("directions", [1, 4, 16], ids=lambda d: f"plain-{d}")
+def test_batched_cycle_stage_matches_per_cycle_loop(monkeypatch, directions):
     # few directions and radii: the sweep misses where a cycle walk hits, and
     # the cycle stage verifies 8, 32 or 128 rows per call
-    d = DiagOp(Linear(0.05))
     calls = []
     real_op = sgc.eval_operator
     monkeypatch.setattr(sgc, "eval_operator",
@@ -481,22 +442,13 @@ def test_batched_cycle_stage_matches_per_cycle_loop(monkeypatch, side, direction
     hits = split = 0
     for k in range(120):
         net = random_network(rng)[0] if k % 2 else random_linear_max_net(rng, nmax=6)
-        if side == "plain":
-            op, walk_net = (lambda s: real_op(net, s)), net
-        elif side == "left":
-            op = lambda s: d(real_op(net, s))
-            walk_net = sgc._transform_net(net, lambda g: Compose(PlusId(d.alpha), g))
-        else:
-            op = lambda s: real_op(net, d(s))
-            walk_net = sgc._transform_net(net, lambda g: Compose(g, PlusId(d.alpha)))
-        w, _, _ = per_radius_sweep(net, grid, op)
-        ref = per_cycle_stage(net, op, walk_net)
+        w, _, _ = per_radius_sweep(net, grid)
+        ref = per_cycle_stage(net)
         if w is not None or ref is None:
             continue
         calls.clear()
-        v = falsify_sgc(net, grid) if side == "plain" else check_strong_sgc(net, d, side, grid)
-        method = "falsify" if side == "plain" else f"strong-{side}"
-        assert v.method == f"{method}-cycle"
+        v = falsify_sgc(net, grid)
+        assert v.method == "falsify-cycle"
         assert v.witness.tobytes() == ref[0].tobytes()
         assert v.cycle == ref[1]
         # one sweep call, then the cycle batches up to the one with the hit
@@ -731,15 +683,14 @@ def test_check_stops_at_perron_proof(tmp_path, monkeypatch, capsys):
     assert calls == {"nonlinear_perron": 2, "falsify_sgc": 0}
 
 
-def per_radius_sweep(net, grid, op=None):
+def per_radius_sweep(net, grid):
     """Reference: the falsifier's radius sweep, one operator call per radius."""
     count = grid.directions or 2 * net.n + 200
     dirs = _sphere_directions(net.n, count, np.random.default_rng(grid.seed))
-    apply = (lambda s: eval_operator(net, s)) if op is None else op
     best = np.inf
     for r in np.geomspace(grid.rmin, grid.rmax, grid.radii):
         batch = r * dirs
-        deficit = np.max(batch - apply(batch), axis=1)
+        deficit = np.max(batch - eval_operator(net, batch), axis=1)
         hit = np.flatnonzero((deficit <= 0.0) & np.any(batch > 0, axis=1))
         if hit.size:
             return batch[hit[0]], float(r), None
@@ -767,20 +718,6 @@ def test_chunked_sweep_matches_per_radius_loop():
         else:
             assert v.method in ("falsify-cycle", "falsify-perron")
     assert found >= 10 and holding >= 10
-
-
-@pytest.mark.parametrize("side", ["left", "right"])
-def test_chunked_sweep_matches_per_radius_loop_strong(side):
-    d = DiagOp(Linear(0.5))
-    net = linear_net([[0, 0.8], [0.9, 0]], MaxAgg)
-    if side == "left":
-        op = lambda s: d(eval_operator(net, s))
-    else:
-        op = lambda s: eval_operator(net, d(s))
-    w, r, _ = per_radius_sweep(net, GridSpec(), op)
-    v = check_strong_sgc(net, d, side=side)
-    assert v.fails and v.witness.tobytes() == w.tobytes()
-    assert v.margins["radius"] == r
 
 
 def test_sweep_one_operator_call_per_chunk(monkeypatch):
