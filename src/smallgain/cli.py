@@ -130,7 +130,7 @@ def _parse_gain_at(text, pointer):
         raise ConfigError(str(exc), pointer=pointer)
 
 
-def _parse_mu_entry(tag, pointer):
+def _parse_mu_entry(tag, pointer, gain_at):
     if tag == "sum":
         return SumAgg()
     if tag == "max":
@@ -138,10 +138,10 @@ def _parse_mu_entry(tag, pointer):
     if isinstance(tag, dict) and set(tag) == {"outer_sum"}:
         spec = tag["outer_sum"]
         if isinstance(spec, str):
-            return OuterSum(_parse_gain_at(spec, pointer + "/outer_sum"),
+            return OuterSum(gain_at(spec, pointer + "/outer_sum"),
                             external_in_sum=True)
         if isinstance(spec, dict) and set(spec) <= {"rho", "external_in_sum"}:
-            rho = _parse_gain_at(spec.get("rho"), pointer + "/outer_sum/rho")
+            rho = gain_at(spec.get("rho"), pointer + "/outer_sum/rho")
             ext_in = spec.get("external_in_sum", True)
             if not isinstance(ext_in, bool):
                 raise ConfigError("external_in_sum must be a boolean",
@@ -164,6 +164,21 @@ def _parse_mu_entry(tag, pointer):
 
 
 def _load_network(doc) -> GainNetwork:
+    """Build the declarative network of a config document.
+
+    Each distinct gain text of ``gains``, ``external_gains`` and the
+    ``outer_sum`` rho maps of ``mu`` is parsed once per call; entries that
+    repeat a text share its (frozen) tree.  A bad text is reported at its
+    first row-major occurrence, a non-string entry at its own pointer.
+    """
+    parsed = {}
+
+    def gain_at(text, pointer):
+        # only strings are looked up: a list or null must not be hashed
+        if not (isinstance(text, str) and text in parsed):
+            parsed[text] = _parse_gain_at(text, pointer)
+        return parsed[text]
+
     n = _want(doc, "n", int, "")
     if n < 1:
         raise ConfigError("n must be at least 1", pointer="/n")
@@ -180,16 +195,16 @@ def _load_network(doc) -> GainNetwork:
     if len(mu_tags) != n:
         raise ConfigError(f"mu must list {n} entries", pointer="/mu")
     gamma = tuple(
-        tuple(_parse_gain_at(gains[i][j], f"/gains/{i}/{j}") for j in range(n))
+        tuple(gain_at(gains[i][j], f"/gains/{i}/{j}") for j in range(n))
         for i in range(n))
     for i in range(n):
         if not gamma[i][i].is_zero:
             raise ConfigError("diagonal gains must be 0", pointer=f"/gains/{i}/{i}")
-    gamma_u = tuple(_parse_gain_at(ext[i], f"/external_gains/{i}")
+    gamma_u = tuple(gain_at(ext[i], f"/external_gains/{i}")
                     for i in range(n))
     mu = []
     for i in range(n):
-        m = _parse_mu_entry(mu_tags[i], f"/mu/{i}")
+        m = _parse_mu_entry(mu_tags[i], f"/mu/{i}", gain_at)
         active = tuple(j for j in range(n) if not gamma[i][j].is_zero)
         try:
             m.check_active(active, n)

@@ -30,6 +30,8 @@ from .gains import (
 from .paths import R_MAX_DEFAULT, construct_path, write_csv
 
 DIVERGENCE_GUARD = 1e12
+# RK4 steps stored between two checks of the divergence guard
+RK4_BLOCK = 64
 MAX_LYAP_DIM = 20
 LYAP_RESIDUAL_TOL = 1e-8
 
@@ -362,6 +364,9 @@ def _rk4(model, X, signal, steps: int, dt: float):
     affine in state and input, so its step is ``X @ S + C[k]``: ``S`` is the
     step of the unit states without input, and row ``k`` of ``C`` the step of
     the zero state under step k's input, both from the same stage code.
+    Each step is written straight into the history; the divergence guard
+    is checked once per ``RK4_BLOCK`` steps, and ``Diverged`` names the
+    time of the first stored step past it.
     """
     t = np.arange(steps) * dt
     U0 = signal(t)
@@ -378,18 +383,26 @@ def _rk4(model, X, signal, steps: int, dt: float):
         S = _rk4_step(model, np.eye(N), zero, zero, zero, dt)
         C = _rk4_step(model, np.zeros((steps, N)), U0, Um, U1, dt)
 
-        def step(X, k):
-            return X @ S + C[k]
+        def step(k):
+            out = states[k + 1]
+            np.matmul(states[k], S, out=out)
+            out += C[k]
     else:
-        def step(X, k):
-            return _rk4_step(model, X, U0[k], Um[k], U1[k], dt)
-    for k in range(steps):
-        X = step(X, k)
-        # one reduction; NaN fails the comparison too
-        if not float(np.abs(X).max()) <= DIVERGENCE_GUARD:
-            tk = (k + 1) * dt
+        def step(k):
+            states[k + 1] = _rk4_step(model, states[k], U0[k], Um[k], U1[k], dt)
+    for start in range(0, steps, RK4_BLOCK):
+        stop = min(start + RK4_BLOCK, steps)
+        # the steps after a blow-up, up to the block's end, may overflow
+        with np.errstate(all="ignore"):
+            for k in range(start, stop):
+                step(k)
+            block = states[start + 1:stop + 1]
+            peak = np.abs(block).reshape(len(block), -1).max(axis=1)
+        # NaN fails the comparison too
+        ok = peak <= DIVERGENCE_GUARD
+        if not ok.all():
+            tk = (start + int(np.argmin(ok)) + 1) * dt
             raise Diverged(f"state norm blew past the guard at t={tk:.6g}", t=tk)
-        states[k + 1] = X
     return np.arange(steps + 1) * dt, states, inputs
 
 
@@ -683,16 +696,18 @@ def check_decrease(model, cl: CompositeLyapunov,
                 U = u_norm * ud
             else:
                 U = np.zeros((k, M))
-            V = cl.eval_V_batch(X)
-            keep = V >= threshold
             if threshold == 0.0:
-                keep = np.ones(k, dtype=bool)
-            keep_idx = np.flatnonzero(keep)[:need]
-            if keep_idx.size == 0:
-                continue
+                # every sample is kept: V only on the first ``need``
+                keep_idx = np.arange(min(need, k))
+                V = cl.eval_V_batch(X[keep_idx])
+            else:
+                V = cl.eval_V_batch(X)
+                keep_idx = np.flatnonzero(V >= threshold)[:need]
+                if keep_idx.size == 0:
+                    continue
+                V = V[keep_idx]
             X = X[keep_idx]
             U = U[keep_idx]
-            V = V[keep_idx]
             F = model.f(X, U)
             h = 1e-6 * (1.0 + np.linalg.norm(X, axis=1))
             vp = cl.eval_V_batch(X + h[:, None] * F)

@@ -3,10 +3,14 @@
 import json
 import pathlib
 
+import numpy as np
 import pytest
 
+from gen import random_network
 from smallgain.cli import load_config, main
-from smallgain.errors import LambdaNotContractive
+from smallgain.errors import ConfigError, LambdaNotContractive
+from smallgain.gains import GainNetwork, MaxAgg, OuterSum, SumAgg
+from smallgain.parser import format_gain, parse_gain
 from smallgain.paths import construct_path, validate_path
 
 DEMO_DIR = pathlib.Path(__file__).resolve().parent.parent / "demos" / "configs"
@@ -351,6 +355,134 @@ def test_env_seed_overrides_flag(tmp_path, capsys, monkeypatch):
     assert main(["path", cfg, "--seed", "2", "--out", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# config loading: one parse per distinct gain text
+
+PALETTE = ("0.4*s^1.3", "0.3*s", "0.2*sqrt(s)", "0.5*s/(1+s)", "max(0.1*s,0.2*s^2)",
+           "(0.3*s)o(1*s^0.8)", "id+(0.1*s)")
+
+
+def sparse_doc(rng, n):
+    """A large sparse network: mostly the zero gain, a few repeated texts."""
+    gains = [["0"] * n for _ in range(n)]
+    for i in range(n):
+        for j in rng.choice([j for j in range(n) if j != i], size=2, replace=False):
+            gains[i][j] = PALETTE[rng.integers(len(PALETTE))]
+    mu = []
+    for i in range(n):
+        tag = ("sum", "max", "outer")[rng.integers(3)]
+        if tag == "outer":
+            rho = ("1*s^2", "0.3*s", "id+(0.1*s)")[rng.integers(3)]
+            tag = ({"outer_sum": rho} if rng.random() < 0.5 else
+                   {"outer_sum": {"rho": rho, "external_in_sum": False}})
+        mu.append(tag)
+    ext = [("0", "0.3*s", "1*s")[rng.integers(3)] for _ in range(n)]
+    return {"n": n, "gains": gains, "external_gains": ext, "mu": mu}
+
+
+def doc_texts(doc):
+    texts = [t for row in doc["gains"] for t in row] + list(doc["external_gains"])
+    for tag in doc["mu"]:
+        if isinstance(tag, dict):
+            spec = tag["outer_sum"]
+            texts.append(spec if isinstance(spec, str) else spec["rho"])
+    return texts
+
+
+def test_load_parses_each_distinct_text_once(tmp_path, monkeypatch):
+    from smallgain import cli
+
+    calls = []
+    parse = cli.parse_gain
+
+    def counted(text):
+        calls.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(cli, "parse_gain", counted)
+    rng = np.random.default_rng(14)
+    for n in (8, 10, 12):
+        doc = sparse_doc(rng, n)
+        calls.clear()
+        net = load_config(write_cfg(tmp_path, doc)).net
+        texts = doc_texts(doc)
+        assert sorted(calls) == sorted(set(texts))
+        entries = [g for row in net.gamma for g in row] + list(net.gamma_u)
+        entries += [m.rho for m in net.mu if isinstance(m, OuterSum)]
+        assert len(entries) == len(texts)
+        first = {}
+        for text, expr in zip(texts, entries):
+            assert expr is first.setdefault(text, expr)
+    # a second load parses again: nothing is kept between calls
+    calls.clear()
+    load_config(write_cfg(tmp_path, doc))
+    assert sorted(calls) == sorted(set(texts))
+
+
+def test_repeated_bad_text_reported_at_first_occurrence(tmp_path, capsys):
+    doc = max_net(0.5)
+    doc["gains"][0][1] = doc["gains"][1][0] = "0.5*"
+    code = main(["check", write_cfg(tmp_path, doc)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "/gains/0/1" in err and "/gains/1/0" not in err
+
+
+@pytest.mark.parametrize("bad", [["0.5*s"], None, 0.5, {"g": "0.5*s"}])
+def test_non_string_gain_reported_at_its_pointer(bad, tmp_path):
+    doc = sparse_doc(np.random.default_rng(3), 4)
+    doc["gains"][2][3] = bad
+    with pytest.raises(ConfigError) as exc:
+        load_config(write_cfg(tmp_path, doc))
+    assert exc.value.pointer == "/gains/2/3"
+    doc["gains"][2][3] = "0.5*s"
+    doc["external_gains"][1] = bad
+    with pytest.raises(ConfigError) as exc:
+        load_config(write_cfg(tmp_path, doc))
+    assert exc.value.pointer == "/external_gains/1"
+
+
+def entrywise_mu(tag):
+    if isinstance(tag, str):
+        return SumAgg() if tag == "sum" else MaxAgg()
+    spec = tag["outer_sum"]
+    if isinstance(spec, str):
+        return OuterSum(parse_gain(spec))
+    return OuterSum(parse_gain(spec["rho"]), external_in_sum=spec["external_in_sum"])
+
+
+def entrywise_net(doc):
+    """Reference: every entry parsed on its own, as one ``parse_gain`` call."""
+    n = doc["n"]
+    return GainNetwork(
+        n,
+        tuple(tuple(parse_gain(doc["gains"][i][j]) for j in range(n))
+              for i in range(n)),
+        tuple(parse_gain(t) for t in doc["external_gains"]),
+        tuple(entrywise_mu(tag) for tag in doc["mu"]))
+
+
+def generated_docs():
+    rng = np.random.default_rng(2010)
+    for _ in range(20):
+        net, _ = random_network(rng, nmax=6)
+        yield {"n": net.n,
+               "gains": [[format_gain(g) for g in row] for row in net.gamma],
+               "external_gains": [format_gain(g) for g in net.gamma_u],
+               "mu": ["sum" if isinstance(m, SumAgg) else "max" for m in net.mu]}
+    for n in range(3, 14):
+        yield sparse_doc(rng, n)
+
+
+def test_loaded_network_equals_entrywise_parse(tmp_path):
+    docs = [json.loads(p.read_text()) for p in sorted(DEMO_DIR.glob("*.json"))]
+    docs = [d for d in docs if "gains" in d]
+    assert len(docs) >= 4
+    for doc in docs + list(generated_docs()):
+        net = load_config(write_cfg(tmp_path, doc)).net
+        assert net == entrywise_net(doc)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from smallgain.gains import Compose, Linear, OuterSum, Power, Saturating, Zero
 from smallgain.paths import OmegaPath, construct_path, validate_path
 from smallgain.simulate import (
     DIVERGENCE_GUARD,
+    RK4_BLOCK,
     CGDesign,
     CohenGrossberg,
+    DecreaseReport,
     DecreaseSpec,
     InputSignal,
     IssRunSpec,
@@ -319,8 +322,9 @@ def test_cg_rk4_equals_staged_reference():
     model = cg_demo(0.4)[0]
     X0 = np.random.default_rng(5).normal(size=(20, 2))
     for signal in (InputSignal.zero(2), InputSignal.sinusoid([0.3, -0.2], 2.0)):
-        got = _rk4(model, X0, signal, 200, 0.02)[1]
-        assert np.array_equal(got, _staged_rk4(model, X0, signal, 200, 0.02))
+        for steps in (1, RK4_BLOCK, RK4_BLOCK + 1, 200):
+            got = _rk4(model, X0, signal, steps, 0.02)[1]
+            assert np.array_equal(got, _staged_rk4(model, X0, signal, steps, 0.02))
 
 
 def test_divergence_guard():
@@ -344,6 +348,47 @@ def test_divergence_guard_catches_nan():
     with pytest.raises(Diverged) as exc:
         integrate(NanModel(), [1.0], T=1.0, dt=0.1)
     assert exc.value.t == 0.1
+
+
+class NanAfter:
+    """A growing scalar field whose ``f`` turns NaN from its ``calls``-th call on."""
+
+    state_dim = 1
+    input_dim = 0
+
+    def __init__(self, calls):
+        self.left = calls
+
+    def f(self, x, u):
+        self.left -= 1
+        return x if self.left > 0 else np.full_like(x, np.nan)
+
+
+@pytest.mark.parametrize("steps, first_nan", [
+    (3 * RK4_BLOCK, RK4_BLOCK + RK4_BLOCK // 2),  # mid-block
+    (2 * RK4_BLOCK + 7, 2 * RK4_BLOCK + 3),       # in a short last block
+    (2 * RK4_BLOCK + 7, 2 * RK4_BLOCK + 6),       # the very last step
+])
+def test_divergence_guard_nan_inside_a_block(steps, first_nan):
+    # four f calls per step: the first NaN comes in step ``first_nan``
+    with pytest.raises(Diverged) as exc:
+        _rk4(NanAfter(4 * first_nan + 1), np.ones((1, 1)), InputSignal.zero(0),
+             steps, 0.01)
+    with pytest.raises(Diverged) as ref:
+        _staged_rk4(NanAfter(4 * first_nan + 1), np.ones((1, 1)),
+                    InputSignal.zero(0), steps, 0.01)
+    assert exc.value.t == ref.value.t == (first_nan + 1) * 0.01
+    assert str(exc.value) == str(ref.value)
+
+
+def test_divergence_guard_emits_no_warning():
+    # the state grows by ~4e10 per step: the rest of the block overflows
+    m = LinearBlock(A=([[1000.0]],), delta={}, B=(None,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Diverged) as exc:
+            integrate(m, [1.0], T=2.0 * RK4_BLOCK, dt=1.0)
+    assert exc.value.t == 2.0
 
 
 def test_integrate_argument_validation():
@@ -512,6 +557,74 @@ def test_decrease_check_deterministic():
     a = check_decrease(model, cl, spec)
     b = check_decrease(model, cl, spec)
     assert a == b
+
+
+def _decrease_reference(model, cl, spec):
+    """Reference: the sampling loop that evaluates V on every drawn state."""
+    rng = np.random.default_rng(spec.seed)
+    N, M = model.state_dim, model.input_dim
+    lo, hi = spec.radius_range
+    per = max(spec.samples // max(len(spec.u_norms), 1), 1)
+    evaluated = violations = 0
+    worst = -np.inf
+    for u_norm in spec.u_norms:
+        threshold = cl.iss_threshold(float(u_norm)) * (1.0 + spec.guard)
+        need, attempts = per, 0
+        while need > 0 and attempts < 500:
+            attempts += 1
+            k = max(need * 2, 256)
+            dirs = rng.normal(size=(k, N))
+            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+            radii = 10.0 ** rng.uniform(np.log10(lo), np.log10(hi), size=k)
+            X = radii[:, None] * dirs
+            if M and u_norm:
+                ud = rng.normal(size=(k, M))
+                ud /= np.linalg.norm(ud, axis=1, keepdims=True)
+                U = u_norm * ud
+            else:
+                U = np.zeros((k, M))
+            V = cl.eval_V_batch(X)
+            keep = V >= threshold
+            if threshold == 0.0:
+                keep = np.ones(k, dtype=bool)
+            keep_idx = np.flatnonzero(keep)[:need]
+            if keep_idx.size == 0:
+                continue
+            X, U, V = X[keep_idx], U[keep_idx], V[keep_idx]
+            F = model.f(X, U)
+            h = 1e-6 * (1.0 + np.linalg.norm(X, axis=1))
+            vp = cl.eval_V_batch(X + h[:, None] * F)
+            vm = cl.eval_V_batch(X - h[:, None] * F)
+            est = (vp - vm) / (2.0 * h)
+            bad = est >= -1e-8 * (1.0 + V)
+            evaluated += keep_idx.size
+            violations += int(np.count_nonzero(bad))
+            worst = max(worst, float(np.max(est)))
+            need -= keep_idx.size
+    return DecreaseReport(requested=per * len(spec.u_norms), evaluated=evaluated,
+                          violations=violations, worst=worst,
+                          u_norms=tuple(float(u) for u in spec.u_norms))
+
+
+def test_decrease_check_matches_full_evaluation_loop(monkeypatch):
+    linear_model, linear_design = linear_demo()
+    neural_model, neural_design = cg_demo()
+    # the population's budget map is bounded: it takes small inputs only
+    cases = [(linear_model, certify_linear(linear_design), 1.0),
+             (neural_model, certify_cg(neural_design), 1e-7)]
+    for model, cl, u in cases:
+        for u_norms in ((0.0,), (0.0, u), (u,), (1e-3 * u, 0.0)):
+            for seed in (0, 1):
+                spec = DecreaseSpec(samples=600, u_norms=u_norms, seed=seed)
+                assert check_decrease(model, cl, spec) == \
+                    _decrease_reference(model, cl, spec)
+    rows = []
+    eval_V_batch = CompositeLyapunov.eval_V_batch
+    monkeypatch.setattr(CompositeLyapunov, "eval_V_batch",
+                        lambda self, X: rows.append(len(X)) or eval_V_batch(self, X))
+    check_decrease(linear_model, cases[0][1], DecreaseSpec(samples=1000))
+    # V at each kept state and at its two difference points, nothing more
+    assert sum(rows) == 3 * 1000
 
 
 def test_zero_input_trajectories_contract():
