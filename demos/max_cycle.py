@@ -15,7 +15,7 @@ import numpy as np
 from smallgain.gains import GainNetwork, MaxAgg, Zero, eval_operator
 from smallgain.parser import parse_gain
 from smallgain.paths import export_path_csv, path_max
-from smallgain.sgc import GridSpec, check_cycle_condition, falsify_sgc
+from smallgain.sgc import check_cycle_condition, falsify_sgc
 
 
 def loop(expr):
@@ -34,7 +34,7 @@ def main():
         if v.cycle is not None:
             print(f"  violating cycle (0-based): {v.cycle}")
 
-    fal = falsify_sgc(bad, GridSpec(seed=3))
+    fal = falsify_sgc(bad, seed=3)
     s = np.asarray(fal.witness)
     print(f"falsifier witness s = {s}, Gamma(s) = {eval_operator(bad, s[None, :])[0]}")
 

@@ -11,24 +11,19 @@ promises.
 
 import numpy as np
 
-from smallgain.sgc import GridSpec, falsify_sgc
-from smallgain.simulate import (
-    DecreaseSpec,
-    cg_demo,
-    certify_cg,
-    check_decrease,
-    integrate,
-)
+from smallgain.compose import certify
+from smallgain.sgc import falsify_sgc
+from smallgain.simulate import DecreaseSpec, cg_demo, check_decrease, integrate
 
 
 def main():
     model, design = cg_demo(coupling=0.2)
     print("internal gain 1<-2:", design.net.gamma[0][1])
     print("external gain:     ", design.net.gamma_u[0])
-    fal = falsify_sgc(design.net, GridSpec(seed=1))
+    fal = falsify_sgc(design.net, seed=1)
     print("falsification:     ", fal.status, "(no witness found)")
 
-    cl = certify_cg(design)
+    cl = certify(design.net, design.specs, alpha=design.alpha)
     print(f"certificate composed (shift {cl.alpha}), "
           "which settles what the falsifier could not")
 

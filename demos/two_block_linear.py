@@ -18,8 +18,8 @@ import argparse
 
 import numpy as np
 
-from smallgain.compose import compose
-from smallgain.paths import construct_path, validate_path
+from smallgain.compose import certify
+from smallgain.paths import validate_path
 from smallgain.sgc import check_linear_spectral, nonlinear_perron
 from smallgain.simulate import (
     DecreaseSpec,
@@ -48,12 +48,9 @@ def main():
     print(f"Perron route:    T(w) <= {c:.6f} w at w = {np.round(w, 6)} "
           f"in t = s^(1/{p[0]:g})")
 
-    res = construct_path(design.net)
-    sigma = res.sigma
-    rep = validate_path(design.net, sigma)
-    print(f"\n{res.route} path: min margin {rep.min_margin:.3e} over {len(rep.radii)} radii")
-
-    cl = compose(design.net, sigma, design.specs)
+    cl = certify(design.net, design.specs, alpha=design.alpha)
+    rep = validate_path(design.net, cl.sigma)
+    print(f"\n{cl.route} path: min margin {rep.min_margin:.3e} over {len(rep.radii)} radii")
     thr = cl.iss_threshold(1.0)
     print(f"certificate composed; iss_threshold(1) = {thr:.4f}")
 

@@ -32,8 +32,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .compose import CompositeLyapunov, compose, derive_phi
+from .compose import CompositeLyapunov, certify
 from .errors import (
+    CompatibilityError,
     ConfigError,
     OutOfRange,
     ParseError,
@@ -43,7 +44,6 @@ from .errors import (
 from .gains import (
     BlockMaxSum,
     GainNetwork,
-    Linear,
     MaxAgg,
     OuterSum,
     SumAgg,
@@ -54,14 +54,12 @@ from .paths import (
     OmegaPath,
     construct_path,
     export_path_csv,
-    path_margins,
     validate_path,
     validation_grid,
     write_csv,
 )
 from .sgc import decide
 from .simulate import (
-    CGDesign,
     CohenGrossberg,
     InputSignal,
     LinearBlock,
@@ -170,6 +168,8 @@ def _load_network(doc) -> GainNetwork:
     ``outer_sum`` rho maps of ``mu`` is parsed once per call; entries that
     repeat a text share its (frozen) tree.  A bad text is reported at its
     first row-major occurrence, a non-string entry at its own pointer.
+    The diagonal is checked before ``external_gains`` and ``mu`` parse;
+    :class:`GainNetwork` audits each row's aggregation.
     """
     parsed = {}
 
@@ -202,19 +202,13 @@ def _load_network(doc) -> GainNetwork:
             raise ConfigError("diagonal gains must be 0", pointer=f"/gains/{i}/{i}")
     gamma_u = tuple(gain_at(ext[i], f"/external_gains/{i}")
                     for i in range(n))
-    mu = []
-    for i in range(n):
-        m = _parse_mu_entry(mu_tags[i], f"/mu/{i}", gain_at)
-        active = tuple(j for j in range(n) if not gamma[i][j].is_zero)
-        try:
-            m.check_active(active, n)
-        except SmallGainError as exc:
-            raise ConfigError(str(exc), pointer=f"/mu/{i}")
-        mu.append(m)
+    mu = tuple(_parse_mu_entry(mu_tags[i], f"/mu/{i}", gain_at)
+               for i in range(n))
     try:
-        return GainNetwork(n, gamma, gamma_u, tuple(mu))
-    except SmallGainError as exc:
-        raise ConfigError(str(exc), pointer="/gains")
+        return GainNetwork(n, gamma, gamma_u, mu)
+    except CompatibilityError as exc:
+        # the diagonal is checked above: this is a row's aggregation audit
+        raise ConfigError(str(exc.__cause__), pointer=f"/mu/{exc.row}")
 
 
 def _matrix(val, pointer):
@@ -393,22 +387,27 @@ def _fmt_cycle(c) -> str:
 
 
 def _certificate(cfg: LoadedConfig, args) -> CompositeLyapunov:
-    """Build the composite certificate a model-backed command works with."""
+    """Certificate of the model's gain design, or of the declarative network
+    without a design; the config's ``alpha`` overrides the design's."""
     design = cfg.design
     if design is None:
-        if cfg.design_error is not None:
-            raise cfg.design_error
-        raise ConfigError("this command needs a model family", pointer="/model")
-    res = construct_path(design.net, r_max=getattr(args, "rmax", None) or R_MAX_DEFAULT,
-                         seed=_resolve_seed(args))
-    alpha = cfg.alpha
-    if alpha is None and isinstance(design, CGDesign):
-        alpha = Linear(0.01)
-    return compose(design.net, res.sigma, design.specs, alpha=alpha, phi=res.phi)
+        net, specs, alpha = cfg.effective_net, (), None
+    else:
+        net, specs, alpha = design.net, design.specs, design.alpha
+    return certify(net, specs, alpha=alpha if cfg.alpha is None else cfg.alpha,
+                   r_max=args.rmax or R_MAX_DEFAULT, seed=_resolve_seed(args))
 
 
-def _scaled(cl: CompositeLyapunov, factor: float) -> CompositeLyapunov:
-    return replace(cl, sigma=OmegaPath(cl.sigma.radii, cl.sigma.values * factor))
+def _model_certificate(cfg: LoadedConfig, args) -> CompositeLyapunov:
+    """Certificate of the model's gain design (a failed design raises its
+    error), with the path rescaled by ``--scale-sigma`` when given."""
+    if cfg.design is None:
+        raise cfg.design_error
+    cl = _certificate(cfg, args)
+    if args.scale_sigma is None:
+        return cl
+    return replace(cl, sigma=OmegaPath(cl.sigma.radii,
+                                       cl.sigma.values * args.scale_sigma))
 
 
 def _sup_input(cfg: LoadedConfig) -> float:
@@ -482,24 +481,10 @@ def cmd_path(cfg: LoadedConfig, args) -> int:
 
 
 def cmd_certify(cfg: LoadedConfig, args) -> int:
-    if cfg.design is not None:
-        cl = _certificate(cfg, args)
-        net, sigma, phi = cl.net, cl.sigma, cl.phi
-    else:
-        net = cfg.effective_net
-        res = construct_path(net, r_max=args.rmax or R_MAX_DEFAULT,
-                             seed=_resolve_seed(args))
-        sigma, phi = res.sigma, res.phi
-        if phi is None:
-            phi = derive_phi(net, sigma, cfg.alpha)
+    cl = _certificate(cfg, args)
+    net, sigma, phi, margins = cl.net, cl.sigma, cl.phi, cl.margins
     rr = validation_grid()
-    margins = path_margins(net, sigma, rr, phi)[1]
-    worst = float(np.min(margins))
-    if worst <= 0.0:
-        radius = float(rr[int(np.argmax(np.min(margins, axis=1) <= 0.0))])
-        print(f"GeneralCondFails: margin {worst:.6g} at radius {radius:.6g}")
-        return 1
-    if all(g.is_zero for g in net.gamma_u):
+    if not any(net.ext_active):
         print("phi: identity (no external gains)")
     sup_u = _sup_input(cfg)
     if sup_u > 0.0:
@@ -509,7 +494,7 @@ def cmd_certify(cfg: LoadedConfig, args) -> int:
         except OutOfRange as exc:
             print(f"OutOfRange: {exc} (restricted input range)")
             return 1
-    print(f"certificate margins: min {worst:.6g} over {len(rr)} radii")
+    print(f"certificate margins: min {np.min(margins):.6g} over {len(rr)} radii")
     if args.out:
         export_path_csv(net, sigma, f"{args.out}.path.csv")
         write_csv(f"{args.out}.phi.csv", ["r", "phi"], np.column_stack([rr, phi(rr)]))
@@ -534,9 +519,7 @@ def cmd_simulate(cfg: LoadedConfig, args) -> int:
                           pointer="/simulation/input")
     cl = None
     try:
-        cl = _certificate(cfg, args)
-        if args.scale_sigma is not None:
-            cl = _scaled(cl, args.scale_sigma)
+        cl = _model_certificate(cfg, args)
     except SmallGainError as exc:
         print(f"certificate unavailable: {type(exc).__name__}: {exc}",
               file=sys.stderr)
@@ -559,9 +542,7 @@ def cmd_verify(cfg: LoadedConfig, args) -> int:
         raise ConfigError(f"input must have {cfg.model.input_dim} channels",
                           pointer="/simulation/input")
     seed = _resolve_seed(args)
-    cl = _certificate(cfg, args)
-    if args.scale_sigma is not None:
-        cl = _scaled(cl, args.scale_sigma)
+    cl = _model_certificate(cfg, args)
     u_norms = (0.0,)
     sup_u = _sup_input(cfg)
     if sup_u > 0.0:

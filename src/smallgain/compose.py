@@ -8,7 +8,7 @@ guaranteed at each level: ``Gamma_ext(sigma(r), phi(r)) < sigma(r)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -24,9 +24,11 @@ from .gains import (
     eval_operator,
 )
 from .paths import (
+    R_MAX_DEFAULT,
     OmegaPath,
     PLFunction,
     _capped_inverse,
+    construct_path,
     path_margins,
     validation_grid,
 )
@@ -151,13 +153,19 @@ def derive_phi(net: GainNetwork, sigma: OmegaPath,
 
 @dataclass(frozen=True)
 class CompositeLyapunov:
-    """Validated certificate: path, budget map, and subsystem energies."""
+    """Validated certificate: path, budget map, and subsystem energies.
+
+    ``margins`` are the checked margins on :func:`validation_grid`;
+    ``route`` names the path constructor :func:`certify` ran.
+    """
 
     net: GainNetwork
     sigma: OmegaPath
     phi: PLFunction
     subsystems: tuple[SubsystemSpec, ...]
+    margins: np.ndarray
     alpha: GainExpr | None = None
+    route: str | None = None
 
     @property
     def offsets(self) -> tuple[int, ...]:
@@ -211,36 +219,49 @@ class CompositeLyapunov:
         u = float(u_norm)
         if u < 0:
             raise ValueError("input magnitudes are nonnegative")
-        if u == 0.0 or all(g.is_zero for g in self.net.gamma_u):
+        if u == 0.0 or not any(self.net.ext_active):
             return 0.0
         return float(self.phi.inverse(u))
 
 
-def compose(net: GainNetwork, sigma: OmegaPath, subsystems,
+def compose(net: GainNetwork, sigma: OmegaPath, subsystems=(),
             alpha: GainExpr | None = None,
             phi: PLFunction | None = None) -> CompositeLyapunov:
     """Assemble and check a composite certificate.
 
-    Without ``phi`` the budget map is derived from the path
-    (:func:`derive_phi`).  The extended operator inequality is checked at
-    1000 log-spaced radii; the first failing radius is reported.
+    ``subsystems`` is empty for a network given by its gains alone.  Without
+    ``phi`` the budget map is derived from the path (:func:`derive_phi`).
+    The extended operator inequality is checked at 1000 log-spaced radii;
+    a failure reports the smallest margin and the first failing radius.
     """
     if not isinstance(sigma, OmegaPath):
         raise TypeError("sigma must be a decay path")
     subsystems = tuple(subsystems)
-    if len(subsystems) != net.n:
+    if subsystems and len(subsystems) != net.n:
         raise ValueError(f"need {net.n} subsystem specs, got {len(subsystems)}")
     for i, spec in enumerate(subsystems):
         _audit_subsystem(spec, i)
     if phi is None:
         phi = derive_phi(net, sigma, alpha)
     rr = validation_grid()
-    bad = path_margins(net, sigma, rr, phi)[1].min(axis=1) <= 0.0
+    margins = path_margins(net, sigma, rr, phi)[1]
+    bad = margins.min(axis=1) <= 0.0
     if np.any(bad):
+        worst = float(margins.min())
         radius = float(rr[int(np.argmax(bad))])
-        raise GeneralCondFails(
-            f"certificate inequality fails at radius {radius:.6g}",
-            radius=radius,
-        )
+        raise GeneralCondFails(f"margin {worst:.6g} at radius {radius:.6g}",
+                               radius=radius)
     return CompositeLyapunov(net=net, sigma=sigma, phi=phi,
-                             subsystems=subsystems, alpha=alpha)
+                             subsystems=subsystems, margins=margins, alpha=alpha)
+
+
+def certify(net: GainNetwork, subsystems=(), *, alpha: GainExpr | None = None,
+            r_max: float = R_MAX_DEFAULT, seed: int = 0) -> CompositeLyapunov:
+    """The network certificate: :func:`construct_path`, then :func:`compose`.
+
+    ``compose`` gets the route's budget map (the reducible route's) or
+    derives one with the diagonal shift ``alpha`` (see :func:`derive_phi`).
+    """
+    res = construct_path(net, r_max=r_max, seed=seed)
+    cl = compose(net, res.sigma, subsystems, alpha=alpha, phi=res.phi)
+    return replace(cl, route=res.route)

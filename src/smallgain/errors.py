@@ -43,7 +43,15 @@ class RejectedNotClassK(SmallGainError):
 
 
 class CompatibilityError(SmallGainError):
-    """Aggregation not strictly increasing over a row's active gain slots."""
+    """Aggregation not strictly increasing over a row's active gain slots.
+
+    ``row`` is the network row of a failed audit; an aggregation's own error
+    is the ``__cause__``, a nonzero diagonal gain has none.
+    """
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class UnsupportedAggregation(SmallGainError):
@@ -68,10 +76,6 @@ class NotHomogeneous(NotLinearizable):
 
 class NotIrreducible(SmallGainError):
     """Interconnection graph is not strongly connected (or has zero rows)."""
-
-
-class NoConvergence(SmallGainError):
-    """Iteration cap reached without meeting the tolerance."""
 
 
 class NotInOmega(SmallGainError):

@@ -555,7 +555,7 @@ class GainNetwork:
     the diagonal), ``gamma_u[i]`` the gain from the external input into row
     i, and ``mu[i]`` the row's aggregation.  Construction validates shapes,
     the zero diagonal, and aggregation compatibility with each row's active
-    slot set.
+    slot set; a failed audit's error names the row.
     """
 
     n: int
@@ -576,11 +576,12 @@ class GainNetwork:
             raise ValueError("external gains and aggregations must have length n")
         for i in range(self.n):
             if not gamma[i][i].is_zero:
-                raise CompatibilityError(f"diagonal gain ({i},{i}) must be the zero gain")
+                raise CompatibilityError(
+                    f"diagonal gain ({i},{i}) must be the zero gain", row=i)
             try:
                 self.mu[i].check_active(self.active_sets[i], self.n)
             except CompatibilityError as exc:
-                raise CompatibilityError(f"row {i}: {exc}") from exc
+                raise CompatibilityError(f"row {i}: {exc}", row=i) from exc
 
     @cached_property
     def active_sets(self) -> tuple[tuple[int, ...], ...]:
@@ -633,17 +634,17 @@ def eval_operator(net: GainNetwork, s):
     return eval_operator_ext(net, s, 0.0)
 
 
-def _strictly_less_rows(a, b, tol: float = TOL_STRICT) -> np.ndarray:
-    """Per row of the last axis, componentwise ``a < b`` with slack ``tol*max(1, b)``."""
+def _strictly_less_rows(a, b) -> np.ndarray:
+    """Per row of the last axis, whether ``a < b`` as :func:`strictly_less` reads it."""
     a_arr = np.asarray(a, dtype=float)
     b_arr = np.asarray(b, dtype=float)
-    below = a_arr <= b_arr - tol * np.maximum(1.0, b_arr)
+    below = a_arr <= b_arr - TOL_STRICT * np.maximum(1.0, b_arr)
     return below.all(axis=-1) if below.ndim else below
 
 
-def strictly_less(a, b, tol: float = TOL_STRICT) -> bool:
-    """Componentwise ``a < b`` with relative slack ``tol*max(1, b)``."""
-    return bool(np.all(_strictly_less_rows(a, b, tol)))
+def strictly_less(a, b) -> bool:
+    """Componentwise ``a < b`` with relative slack ``TOL_STRICT*max(1, b)``."""
+    return bool(np.all(_strictly_less_rows(a, b)))
 
 
 def zero_rows(net: GainNetwork) -> tuple[int, ...]:

@@ -219,18 +219,16 @@ def identity_budget(r_top: float = R_MAX_DEFAULT) -> PLFunction:
 
 @dataclass(frozen=True)
 class PathReport:
-    """Margins and monotonicity audit of a candidate path."""
+    """Margins of a candidate path on a radius grid (no monotonicity audit:
+    :class:`OmegaPath` rejects anchors that do not increase strictly)."""
 
     radii: np.ndarray
     margins: np.ndarray
     min_margin: float
-    monotone_ok: bool
-    slopes_ok: bool
-    anchor_count: int
 
     @property
     def valid(self) -> bool:
-        return self.monotone_ok and self.slopes_ok and self.min_margin > 0.0
+        return self.min_margin > 0.0
 
 
 @dataclass(frozen=True)
@@ -273,25 +271,14 @@ def validate_path(net: GainNetwork, sigma: OmegaPath, radii=None) -> PathReport:
     """Margins ``min_i(sigma_i(r) - Gamma_i(sigma(r)))`` on a radius grid.
 
     The grid defaults to :func:`validation_grid`; positive anchor radii are
-    always included.  Strict per-component monotonicity and positive
-    segment slopes are audited alongside.
+    always included.
     """
     if radii is None:
         radii = validation_grid()
     rr = np.unique(np.concatenate([np.asarray(radii, dtype=float),
                                    sigma.radii[sigma.radii > 0]]))
     margins = path_margins(net, sigma, rr)[1].min(axis=1)
-    monotone_ok = bool(np.all(np.diff(sigma.values, axis=0) > 0))
-    slopes = np.diff(sigma.values, axis=0) / np.diff(sigma.radii)[:, None]
-    slopes_ok = bool(np.all(slopes > 0))
-    return PathReport(
-        radii=rr,
-        margins=margins,
-        min_margin=float(margins.min()),
-        monotone_ok=monotone_ok,
-        slopes_ok=slopes_ok,
-        anchor_count=sigma.anchor_count,
-    )
+    return PathReport(radii=rr, margins=margins, min_margin=float(margins.min()))
 
 
 def export_path_csv(net: GainNetwork, sigma: OmegaPath, out, radii=None) -> None:

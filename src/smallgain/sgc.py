@@ -72,17 +72,6 @@ class SgcVerdict:
         return self.status == INCONCLUSIVE
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Search grid for falsification: log radii times sphere directions."""
-
-    radii: int = 40
-    rmin: float = 1e-6
-    rmax: float = 1e6
-    directions: int | None = None  # default 2n+200
-    seed: int = 0
-
-
 def _cycle_edge_gains(net: GainNetwork, cycle) -> list[GainExpr]:
     k = len(cycle)
     return [net.gamma[cycle[m]][cycle[(m + 1) % k]] for m in range(k)]
@@ -236,23 +225,28 @@ def _directions(n: int, count: int, seed: int) -> np.ndarray:
     return dirs
 
 
+# falsifier grid: FALSIFY_RADII log radii over FALSIFY_RANGE times a*n + b
+# seeded directions, (a, b) = FALSIFY_DIRECTIONS
+FALSIFY_RADII = 40
+FALSIFY_RANGE = (1e-6, 1e6)
+FALSIFY_DIRECTIONS = (2, 200)
 # radii per operator call in the falsifier sweep: all 40 at once would hold
 # 40 * (2n + 200) rows and their operator slots in memory; the cycle stage
 # verifies as many rows per call
 FALSIFY_CHUNK = 8
 
 
-def falsify_sgc(net: GainNetwork, grid: GridSpec | None = None) -> SgcVerdict:
+def falsify_sgc(net: GainNetwork, seed: int = 0) -> SgcVerdict:
     """Search for s != 0 with Gamma_mu(s) >= s componentwise.
 
-    A found witness certifies failure.  Nothing found is Inconclusive: a
-    finite grid cannot certify the universal statement.
+    The grid is fixed by the ``FALSIFY_*`` constants; ``seed`` draws its
+    directions.  A found witness certifies failure.  Nothing found is
+    Inconclusive: a finite grid cannot certify the universal statement.
     """
-    grid = grid or GridSpec()
     n = net.n
-    radii = np.geomspace(grid.rmin, grid.rmax, grid.radii)
-    count = grid.directions if grid.directions is not None else 2 * n + 200
-    dirs = _directions(n, count, grid.seed)
+    radii = np.geomspace(*FALSIFY_RANGE, FALSIFY_RADII)
+    per_node, fixed = FALSIFY_DIRECTIONS
+    dirs = _directions(n, per_node * n + fixed, seed)
     best_deficit = np.inf
 
     # radius-major sweep, FALSIFY_CHUNK radii times all directions per call
@@ -472,7 +466,7 @@ def decide(net: GainNetwork, *, seed: int = 0) -> SgcVerdict:
             return _combine(routes)
     except NotHomogeneous:
         pass
-    routes.append(falsify_sgc(net, GridSpec(seed=seed)))
+    routes.append(falsify_sgc(net, seed))
     return _combine(routes)
 
 

@@ -13,13 +13,15 @@ its input threshold, and trajectory-level decay and boundedness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .compose import CompositeLyapunov, SubsystemSpec, compose
+from .compose import CompositeLyapunov, SubsystemSpec
 from .errors import BadParameters, Diverged, NotHurwitz, TooLarge
 from .gains import (
     Compose,
+    GainExpr,
     GainNetwork,
     Linear,
     OuterSum,
@@ -27,13 +29,20 @@ from .gains import (
     Saturating,
     Zero,
 )
-from .paths import R_MAX_DEFAULT, construct_path, write_csv
+from .paths import write_csv
 
 DIVERGENCE_GUARD = 1e12
 # RK4 steps stored between two checks of the divergence guard
 RK4_BLOCK = 64
 MAX_LYAP_DIM = 20
 LYAP_RESIDUAL_TOL = 1e-8
+# the empirical checks' tolerances: see check_decrease and check_iss_bound
+DECREASE_RADII = (1e-3, 1e3)
+THRESHOLD_GUARD = 0.05
+DRIFT_TOL = 1e-8
+CONTRACTION = 1e-3
+SETTLE_FACTOR = 1.1
+SETTLE_FRACTION = 0.25
 
 
 def solve_lyapunov_eq(A, Q) -> np.ndarray:
@@ -440,20 +449,31 @@ def integrate(model, x0, signal: InputSignal | None = None, T: float = 20.0,
 
 @dataclass(frozen=True, eq=False)
 class LinearDesign:
-    """Gain network, slope matrix, and energies for a linear block bank."""
+    """Gain network, slope matrix, and energies for a linear block bank.
+
+    ``certify(d.net, d.specs, alpha=d.alpha)`` certifies it; its rows take
+    the input inside their squared sum, so the class's shift ``alpha`` is None.
+    """
 
     net: GainNetwork
     G: np.ndarray
     P: tuple
     specs: tuple
+    alpha: ClassVar[GainExpr | None] = None
 
 
 @dataclass(frozen=True, eq=False)
 class CGDesign:
-    """Gain network and energies for a neural population."""
+    """Gain network and energies for a neural population.
+
+    ``certify(d.net, d.specs, alpha=d.alpha)`` certifies it; its rows add
+    the input after their wrapper, so the budget needs the class's shift
+    ``alpha``.
+    """
 
     net: GainNetwork
     specs: tuple
+    alpha: ClassVar[GainExpr | None] = Linear(0.01)
 
 
 def linear_gains(model: LinearBlock, Q, epsilon: float) -> LinearDesign:
@@ -590,26 +610,6 @@ def cg_demo(coupling: float = 0.2):
     return model, design
 
 
-def certify_linear(design: LinearDesign,
-                   r_max: float = R_MAX_DEFAULT) -> CompositeLyapunov:
-    """Certificate for the linear design on the path :func:`construct_path` picks.
-
-    The design's squared-sum rows are linear in ``t = s^(1/2)``, so every
-    bank, strongly connected or not, takes the ray ``r w^2`` along the
-    vector ``w`` of :func:`sgc.nonlinear_perron` for its slope matrix.
-    """
-    res = construct_path(design.net, r_max=r_max)
-    return compose(design.net, res.sigma, design.specs, phi=res.phi)
-
-
-def certify_cg(design: CGDesign, shift: float = 0.01,
-               r_max: float = R_MAX_DEFAULT, seed: int = 0) -> CompositeLyapunov:
-    """Certificate for the neural design via the bounded-gain route."""
-    res = construct_path(design.net, r_max=r_max, seed=seed)
-    return compose(design.net, res.sigma, design.specs, alpha=Linear(shift),
-                   phi=res.phi)
-
-
 # ---------------------------------------------------------------------------
 # Empirical certificate checks
 
@@ -620,8 +620,6 @@ class DecreaseSpec:
 
     samples: int = 10000
     u_norms: tuple = (0.0,)
-    radius_range: tuple = (1e-3, 1e3)
-    guard: float = 0.05
     seed: int = 0
 
 
@@ -665,22 +663,23 @@ def check_decrease(model, cl: CompositeLyapunov,
                    spec: DecreaseSpec | None = None) -> DecreaseReport:
     """Directional-derivative sampling of the composite function.
 
-    States are drawn from a log annulus and kept when the composite value
-    clears the input threshold with a small guard; the derivative along
-    the flow is estimated by central differences.  A sample violates when
-    the estimate fails to be negative beyond ``1e-8 (1 + V)``.
+    States are drawn from the log annulus ``DECREASE_RADII`` and kept when
+    the composite value clears the input threshold by ``THRESHOLD_GUARD``
+    (relative); the derivative along the flow is estimated by central
+    differences.  A sample violates when the estimate fails to be negative
+    beyond ``1e-8 (1 + V)``.
     """
     spec = spec or DecreaseSpec()
     rng = np.random.default_rng(spec.seed)
     N = model.state_dim
     M = model.input_dim
-    lo, hi = spec.radius_range
+    lo, hi = DECREASE_RADII
     per = max(spec.samples // max(len(spec.u_norms), 1), 1)
     evaluated = 0
     violations = 0
     worst = -np.inf
     for u_norm in spec.u_norms:
-        threshold = cl.iss_threshold(float(u_norm)) * (1.0 + spec.guard)
+        threshold = cl.iss_threshold(float(u_norm)) * (1.0 + THRESHOLD_GUARD)
         need = per
         attempts = 0
         while need > 0 and attempts < 500:
@@ -738,10 +737,6 @@ class IssRunSpec:
     x0_scale: float = 1.0
     signal: InputSignal | None = None
     seed: int = 0
-    drift_tol: float = 1e-8
-    contraction: float = 1e-3
-    settle_factor: float = 1.1
-    settle_fraction: float = 0.25
 
 
 @dataclass(frozen=True)
@@ -782,10 +777,10 @@ def check_iss_bound(model, cl: CompositeLyapunov,
     """Trajectory-level evidence for decay and input boundedness.
 
     Without an input the composite function must be nonincreasing along
-    every run up to the drift tolerance and the final state must contract
-    below the required factor.  With an input the composite function must
-    sit below ``settle_factor`` times the input threshold over the last
-    quarter of the horizon.
+    every run up to ``DRIFT_TOL`` per step and the final state norm must
+    shrink below ``CONTRACTION`` times the initial one.  With an input the
+    composite function must sit below ``SETTLE_FACTOR`` times the input
+    threshold over the last ``SETTLE_FRACTION`` of the horizon.
     """
     spec = spec or IssRunSpec()
     rng = np.random.default_rng(spec.seed)
@@ -803,7 +798,7 @@ def check_iss_bound(model, cl: CompositeLyapunov,
         norms0 = np.linalg.norm(X0, axis=1)
         norms1 = np.linalg.norm(states[-1], axis=1)
         ratio = norms1 / norms0
-        bad = (drift_run > spec.drift_tol) | (ratio >= spec.contraction)
+        bad = (drift_run > DRIFT_TOL) | (ratio >= CONTRACTION)
         return IssBoundReport(
             kind="zero-input",
             runs=spec.runs,
@@ -814,9 +809,9 @@ def check_iss_bound(model, cl: CompositeLyapunov,
         )
     sup_u = float(np.max(np.linalg.norm(inputs, axis=1)))
     threshold = cl.iss_threshold(sup_u)
-    tail = int(np.ceil((1.0 - spec.settle_fraction) * steps))
+    tail = int(np.ceil((1.0 - SETTLE_FRACTION) * steps))
     tail_peak = V[tail:].max(axis=0)
-    bound = spec.settle_factor * threshold
+    bound = SETTLE_FACTOR * threshold
     bad = tail_peak > bound
     settle_worst = float(tail_peak.max() / threshold) if threshold > 0 else np.inf
     return IssBoundReport(

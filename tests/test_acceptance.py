@@ -6,12 +6,14 @@ adapts to the implementation.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gen import random_tree
-from smallgain.compose import CompositeLyapunov, compose
+from smallgain import simulate
+from smallgain.compose import certify
 from smallgain.gains import (
     Atan,
     Compose,
@@ -41,7 +43,6 @@ from smallgain.paths import (
 )
 from smallgain.sgc import (
     CERTIFIED_FAILS,
-    GridSpec,
     _conjugate,
     check_cycle_condition,
     check_linear_spectral,
@@ -54,8 +55,6 @@ from smallgain.simulate import (
     InputSignal,
     IssRunSpec,
     cg_demo,
-    certify_cg,
-    certify_linear,
     check_decrease,
     check_iss_bound,
     integrate,
@@ -132,7 +131,7 @@ def test_criterion_2_cycle_sgc_agreement():
             gamma.append(tuple(row))
         net = GainNetwork(n, tuple(gamma), (Z,) * n, (MaxAgg(),) * n)
         cyc = check_cycle_condition(net)
-        fal = falsify_sgc(net, GridSpec(seed=int(rng.integers(1 << 31))))
+        fal = falsify_sgc(net, seed=int(rng.integers(1 << 31)))
         cycle_fails = cyc.status == CERTIFIED_FAILS
         witness_found = fal.status == CERTIFIED_FAILS
         failing += cycle_fails
@@ -193,7 +192,7 @@ def test_criterion_4_three_node_closed_form():
 def test_criterion_5_lyapunov_decrease():
     t0 = time.perf_counter()
     model, design = linear_demo()
-    cl = certify_linear(design)
+    cl = certify(design.net, design.specs, alpha=design.alpha)
     quiet = check_decrease(model, cl, DecreaseSpec(samples=10000,
                                                    u_norms=(0.0,), seed=0))
     assert quiet.evaluated == 10000
@@ -203,9 +202,7 @@ def test_criterion_5_lyapunov_decrease():
     assert driven.evaluated == 10000
     assert driven.violations == 0, driven.summary()
     # negative control: path shrunk a hundredfold, budget map kept
-    bad = CompositeLyapunov(
-        net=cl.net, sigma=OmegaPath(cl.sigma.radii, cl.sigma.values * 0.01),
-        phi=cl.phi, subsystems=cl.subsystems, alpha=cl.alpha)
+    bad = replace(cl, sigma=OmegaPath(cl.sigma.radii, cl.sigma.values * 0.01))
     control = check_decrease(model, bad, DecreaseSpec(samples=10000,
                                                       u_norms=(1.0,), seed=0))
     assert control.violations >= 1, "corrupted certificate went undetected"
@@ -219,13 +216,15 @@ def test_criterion_6_zero_input_stability():
     model_lin, design_lin = linear_demo()
     model_cg, design_cg = cg_demo()
     demos = [
-        ("linear", model_lin, certify_linear(design_lin)),
-        ("cohen_grossberg", model_cg, certify_cg(design_cg)),
+        ("linear", model_lin,
+         certify(design_lin.net, design_lin.specs, alpha=design_lin.alpha)),
+        ("cohen_grossberg", model_cg,
+         certify(design_cg.net, design_cg.specs, alpha=design_cg.alpha)),
     ]
+    assert (simulate.DRIFT_TOL, simulate.CONTRACTION) == (1e-8, 1e-3)
     for name, model, cl in demos:
         rep = check_iss_bound(model, cl,
-                              IssRunSpec(runs=50, T=20.0, dt=1e-3, seed=0,
-                                         drift_tol=1e-8, contraction=1e-3))
+                              IssRunSpec(runs=50, T=20.0, dt=1e-3, seed=0))
         assert rep.violations == 0, f"{name}: {rep.summary()}"
         assert rep.drift_worst <= 1e-8, f"{name}: drift {rep.drift_worst:.3g}"
         assert rep.contraction_worst < 1e-3, (
@@ -235,18 +234,18 @@ def test_criterion_6_zero_input_stability():
 
 def test_criterion_7_iss_boundedness():
     model, design = linear_demo()
-    cl = certify_linear(design)
+    cl = certify(design.net, design.specs, alpha=design.alpha)
     bound = 1.1 * cl.iss_threshold(1.0)
     # start far outside the bound so entering it is not vacuous
     traj = integrate(model, np.array([20.0, 0.0]),
                      signal=InputSignal.step([1.0]), T=20.0, dt=1e-3,
                      certificate=cl)
     assert traj.v[0] > bound
+    assert (simulate.SETTLE_FACTOR, simulate.SETTLE_FRACTION) == (1.1, 0.25)
     rep = check_iss_bound(
         model, cl,
         IssRunSpec(runs=50, T=20.0, dt=1e-3, x0_scale=20.0,
-                   signal=InputSignal.step([1.0]), seed=0,
-                   settle_factor=1.1, settle_fraction=0.25))
+                   signal=InputSignal.step([1.0]), seed=0))
     assert rep.violations == 0, rep.summary()
     print(f"criterion 7 (ISS boundedness): pass, tail peak at "
           f"{rep.settle_worst:.3g} of threshold")

@@ -315,6 +315,53 @@ def test_nonzero_diagonal_rejected(tmp_path, capsys):
     assert "/gains/1/1" in err
 
 
+def test_aggregation_missing_active_slot_reported_at_its_row(tmp_path, capsys):
+    # row 1's single block leaves out its active column 2
+    doc = {"n": 3,
+           "gains": [["0", "0", "0"], ["0.3*s", "0", "0.4*s"], ["0", "0", "0"]],
+           "external_gains": ["0", "0", "0"],
+           "mu": ["sum", {"block_max_sum": [[0]]}, "sum"]}
+    code = main(["check", write_cfg(tmp_path, doc)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == ("config error: /mu/1: block-max-sum aggregation ignores "
+                   "active gain slots [2]\n")
+
+
+def test_nonzero_diagonal_message_and_pointer(tmp_path, capsys):
+    doc = max_net(0.5)
+    doc["gains"][0][0] = "0.1*s"
+    assert main(["check", write_cfg(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == \
+        "config error: /gains/0/0: diagonal gains must be 0\n"
+
+
+def _first_config_error(tmp_path, capsys, doc):
+    assert main(["check", write_cfg(tmp_path, doc)]) == 2
+    return capsys.readouterr().err
+
+
+def test_config_with_two_errors_reports_the_first(tmp_path, capsys):
+    # the diagonal is checked before external gains and mu parse
+    doc = max_net(0.5, ext="0.5*")
+    doc["gains"][1][1] = "0.1*s"
+    doc["mu"][0] = "median"
+    assert _first_config_error(tmp_path, capsys, doc) == \
+        "config error: /gains/1/1: diagonal gains must be 0\n"
+    # a nonzero diagonal comes before an earlier row's aggregation audit
+    doc = max_net(0.5)
+    doc["gains"][1][1] = "0.1*s"
+    doc["mu"][0] = {"block_max_sum": [[0]]}
+    assert _first_config_error(tmp_path, capsys, doc) == \
+        "config error: /gains/1/1: diagonal gains must be 0\n"
+    # every mu entry parses before the aggregations are audited, so a later
+    # row's bad entry comes before an earlier row's missing active slot
+    doc = max_net(0.5)
+    doc["mu"] = [{"block_max_sum": [[0]]}, "median"]
+    err = _first_config_error(tmp_path, capsys, doc)
+    assert err.startswith("config error: /mu/1: aggregation must be")
+
+
 def test_unknown_mu_tag_rejected(tmp_path, capsys):
     doc = max_net(0.5)
     doc["mu"][0] = "median"

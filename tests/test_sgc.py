@@ -33,7 +33,6 @@ from smallgain.sgc import (
     FALSIFY_CHUNK,
     INCONCLUSIVE,
     WITNESS_DELTAS,
-    GridSpec,
     _cycle_witness,
     _sphere_directions,
     _tight_cycle_vectors,
@@ -438,16 +437,17 @@ def test_batched_cycle_stage_matches_per_cycle_loop(monkeypatch, directions):
     monkeypatch.setattr(sgc, "eval_operator",
                         lambda net, s: calls.append(len(s)) or real_op(net, s))
     rng = np.random.default_rng(23)
-    grid = GridSpec(radii=3, directions=directions)
+    monkeypatch.setattr(sgc, "FALSIFY_RADII", 3)
+    monkeypatch.setattr(sgc, "FALSIFY_DIRECTIONS", (0, directions))
     hits = split = 0
     for k in range(120):
         net = random_network(rng)[0] if k % 2 else random_linear_max_net(rng, nmax=6)
-        w, _, _ = per_radius_sweep(net, grid)
+        w, _, _ = per_radius_sweep(net, 0)
         ref = per_cycle_stage(net)
         if w is not None or ref is None:
             continue
         calls.clear()
-        v = falsify_sgc(net, grid)
+        v = falsify_sgc(net)
         assert v.method == "falsify-cycle"
         assert v.witness.tobytes() == ref[0].tobytes()
         assert v.cycle == ref[1]
@@ -545,7 +545,7 @@ def run_all_routes(net, seed=0):
         witness = np.all(eval_operator(net, w**p) >= w**p)
         routes.append(CERTIFIED_HOLDS if c < 1.0 - 1e-9 else
                       CERTIFIED_FAILS if witness else INCONCLUSIVE)
-    routes.append(falsify_sgc(net, GridSpec(seed=seed)).status)
+    routes.append(falsify_sgc(net, seed).status)
     for status in (CERTIFIED_FAILS, CERTIFIED_HOLDS):
         if status in routes:
             return status, routes
@@ -683,12 +683,13 @@ def test_check_stops_at_perron_proof(tmp_path, monkeypatch, capsys):
     assert calls == {"nonlinear_perron": 2, "falsify_sgc": 0}
 
 
-def per_radius_sweep(net, grid):
+def per_radius_sweep(net, seed):
     """Reference: the falsifier's radius sweep, one operator call per radius."""
-    count = grid.directions or 2 * net.n + 200
-    dirs = _sphere_directions(net.n, count, np.random.default_rng(grid.seed))
+    per_node, fixed = sgc.FALSIFY_DIRECTIONS
+    dirs = _sphere_directions(net.n, per_node * net.n + fixed,
+                              np.random.default_rng(seed))
     best = np.inf
-    for r in np.geomspace(grid.rmin, grid.rmax, grid.radii):
+    for r in np.geomspace(*sgc.FALSIFY_RANGE, sgc.FALSIFY_RADII):
         batch = r * dirs
         deficit = np.max(batch - eval_operator(net, batch), axis=1)
         hit = np.flatnonzero((deficit <= 0.0) & np.any(batch > 0, axis=1))
@@ -698,15 +699,15 @@ def per_radius_sweep(net, grid):
     return None, None, best
 
 
-def test_chunked_sweep_matches_per_radius_loop():
+def test_chunked_sweep_matches_per_radius_loop(monkeypatch):
     rng = np.random.default_rng(11)
     found = holding = 0
     for k in range(60):
         net = random_network(rng)[0] if k % 2 else random_linear_max_net(rng)
         # 40 radii: five full chunks; 13: a short last chunk
-        grid = GridSpec(seed=k, radii=(40, 13)[k % 2])
-        w, r, best = per_radius_sweep(net, grid)
-        v = falsify_sgc(net, grid)
+        monkeypatch.setattr(sgc, "FALSIFY_RADII", (40, 13)[k % 2])
+        w, r, best = per_radius_sweep(net, k)
+        v = falsify_sgc(net, k)
         if w is not None:
             assert v.method == "falsify"
             assert v.witness.tobytes() == w.tobytes()
@@ -734,7 +735,7 @@ def test_sweep_one_operator_call_per_chunk(monkeypatch):
 
 def test_directions_cached_read_only():
     sgc._directions.cache_clear()
-    falsify_sgc(linear_net([[0, 0.5], [0.5, 0]], MaxAgg), GridSpec(seed=3))
+    falsify_sgc(linear_net([[0, 0.5], [0.5, 0]], MaxAgg), seed=3)
     assert sgc._directions.cache_info().currsize == 1  # filled on first use
     dirs = sgc._directions(2, 204, 3)
     assert sgc._directions.cache_info().hits == 1

@@ -3,12 +3,14 @@
 import io
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from smallgain.compose import CompositeLyapunov
+from smallgain import simulate
+from smallgain.compose import CompositeLyapunov, certify
 from smallgain.errors import BadParameters, Diverged, NotHurwitz, TooLarge
 from smallgain.gains import Compose, Linear, OuterSum, Power, Saturating, Zero
 from smallgain.paths import OmegaPath, construct_path, validate_path
@@ -24,8 +26,6 @@ from smallgain.simulate import (
     LinearBlock,
     cg_demo,
     cg_gains,
-    certify_cg,
-    certify_linear,
     check_decrease,
     check_iss_bound,
     export_trajectory_csv,
@@ -35,6 +35,11 @@ from smallgain.simulate import (
     solve_lyapunov_eq,
     _rk4,
 )
+
+
+def certified(design):
+    """The design's certificate, built as every command builds it."""
+    return certify(design.net, design.specs, alpha=design.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +410,7 @@ def test_integrate_argument_validation():
 
 def test_integrate_records_certificate_values():
     model, design = linear_demo()
-    cl = certify_linear(design)
+    cl = certified(design)
     traj = integrate(model, [1.0, -0.5], T=0.5, dt=1e-3, certificate=cl)
     assert traj.v is not None and len(traj.v) == len(traj.t)
     k = 137
@@ -414,7 +419,7 @@ def test_integrate_records_certificate_values():
 
 def test_trajectory_csv_roundtrip():
     model, design = linear_demo()
-    cl = certify_linear(design)
+    cl = certified(design)
     traj = integrate(model, [1.0, 0.5], T=0.01, dt=1e-3, certificate=cl)
     buf = io.StringIO()
     export_trajectory_csv(traj, buf)
@@ -494,7 +499,7 @@ def test_cg_gains_parameter_validation():
 
 def test_linear_certificate_decrease_clean():
     model, design = linear_demo()
-    cl = certify_linear(design)
+    cl = certified(design)
     rep = check_decrease(model, cl,
                          DecreaseSpec(samples=2000, u_norms=(0.0, 1.0), seed=0))
     assert rep.verdict == "pass"
@@ -516,7 +521,7 @@ def test_linear_certificate_reducible_bank():
     res = construct_path(design.net)
     assert res.route == "ray" and res.phi is None
     assert validate_path(design.net, res.sigma).valid
-    cl = certify_linear(design)
+    cl = certified(design)
     rep = check_decrease(model, cl,
                          DecreaseSpec(samples=2000, u_norms=(0.0, 1.0), seed=0))
     assert rep.verdict == "pass" and rep.violations == 0
@@ -526,10 +531,9 @@ def test_corrupted_certificate_is_caught():
     # shrinking the path while keeping the budget map moves the qualifying
     # region into states the input can push outward
     model, design = linear_demo()
-    cl = certify_linear(design)
+    cl = certified(design)
     bad_sigma = OmegaPath(cl.sigma.radii, cl.sigma.values * 0.01)
-    bad = CompositeLyapunov(net=cl.net, sigma=bad_sigma, phi=cl.phi,
-                            subsystems=cl.subsystems, alpha=cl.alpha)
+    bad = replace(cl, sigma=bad_sigma)
     rep = check_decrease(model, bad,
                          DecreaseSpec(samples=2000, u_norms=(1.0,), seed=0))
     assert rep.verdict == "fail"
@@ -537,13 +541,13 @@ def test_corrupted_certificate_is_caught():
     assert rep.worst > 0.0
 
 
-def test_decrease_check_short_of_samples_is_inconclusive():
+def test_decrease_check_short_of_samples_is_inconclusive(monkeypatch):
     # every sampled state lies below the input threshold, so none is
     # evaluated: no evidence either way
     model, design = linear_demo()
-    cl = certify_linear(design)
-    rep = check_decrease(model, cl, DecreaseSpec(samples=100, u_norms=(1.0,),
-                                                 radius_range=(1e-6, 1e-5)))
+    cl = certified(design)
+    monkeypatch.setattr(simulate, "DECREASE_RADII", (1e-6, 1e-5))
+    rep = check_decrease(model, cl, DecreaseSpec(samples=100, u_norms=(1.0,)))
     assert rep.evaluated == 0 and rep.violations == 0
     assert rep.verdict == "inconclusive"
     assert "shortfall: 100 samples" in rep.text()
@@ -552,7 +556,7 @@ def test_decrease_check_short_of_samples_is_inconclusive():
 
 def test_decrease_check_deterministic():
     model, design = linear_demo()
-    cl = certify_linear(design)
+    cl = certified(design)
     spec = DecreaseSpec(samples=500, u_norms=(0.0, 1.0), seed=7)
     a = check_decrease(model, cl, spec)
     b = check_decrease(model, cl, spec)
@@ -563,12 +567,13 @@ def _decrease_reference(model, cl, spec):
     """Reference: the sampling loop that evaluates V on every drawn state."""
     rng = np.random.default_rng(spec.seed)
     N, M = model.state_dim, model.input_dim
-    lo, hi = spec.radius_range
+    lo, hi = simulate.DECREASE_RADII
     per = max(spec.samples // max(len(spec.u_norms), 1), 1)
     evaluated = violations = 0
     worst = -np.inf
     for u_norm in spec.u_norms:
-        threshold = cl.iss_threshold(float(u_norm)) * (1.0 + spec.guard)
+        threshold = cl.iss_threshold(float(u_norm)) * (
+            1.0 + simulate.THRESHOLD_GUARD)
         need, attempts = per, 0
         while need > 0 and attempts < 500:
             attempts += 1
@@ -610,8 +615,8 @@ def test_decrease_check_matches_full_evaluation_loop(monkeypatch):
     linear_model, linear_design = linear_demo()
     neural_model, neural_design = cg_demo()
     # the population's budget map is bounded: it takes small inputs only
-    cases = [(linear_model, certify_linear(linear_design), 1.0),
-             (neural_model, certify_cg(neural_design), 1e-7)]
+    cases = [(linear_model, certified(linear_design), 1.0),
+             (neural_model, certified(neural_design), 1e-7)]
     for model, cl, u in cases:
         for u_norms in ((0.0,), (0.0, u), (u,), (1e-3 * u, 0.0)):
             for seed in (0, 1):
@@ -629,7 +634,7 @@ def test_decrease_check_matches_full_evaluation_loop(monkeypatch):
 
 def test_zero_input_trajectories_contract():
     model, design = linear_demo()
-    cl = certify_linear(design)
+    cl = certified(design)
     rep = check_iss_bound(model, cl, IssRunSpec(runs=8, T=12.0, dt=1e-3, seed=3))
     assert rep.kind == "zero-input"
     assert rep.verdict == "pass"
@@ -640,7 +645,7 @@ def test_zero_input_trajectories_contract():
 def test_short_horizon_fails_contraction():
     # the check reports honestly when the horizon is too short to settle
     model, design = linear_demo()
-    cl = certify_linear(design)
+    cl = certified(design)
     rep = check_iss_bound(model, cl, IssRunSpec(runs=4, T=2.0, dt=1e-3))
     assert rep.verdict == "fail"
     assert rep.contraction_worst >= 1e-3
@@ -648,7 +653,7 @@ def test_short_horizon_fails_contraction():
 
 def test_step_input_settles_under_threshold():
     model, design = linear_demo()
-    cl = certify_linear(design)
+    cl = certified(design)
     rep = check_iss_bound(
         model, cl,
         IssRunSpec(runs=8, T=8.0, dt=1e-3, x0_scale=20.0,
@@ -661,7 +666,7 @@ def test_step_input_settles_under_threshold():
 
 def test_cg_certificate_zero_input():
     model, design = cg_demo()
-    cl = certify_cg(design)
+    cl = certified(design)
     rep = check_iss_bound(model, cl, IssRunSpec(runs=8, T=12.0, dt=1e-3, seed=1))
     assert rep.verdict == "pass"
     assert rep.drift_worst <= 1e-8
@@ -669,7 +674,7 @@ def test_cg_certificate_zero_input():
 
 def test_cg_decrease_clean():
     model, design = cg_demo()
-    cl = certify_cg(design)
+    cl = certified(design)
     rep = check_decrease(model, cl, DecreaseSpec(samples=1000, seed=2))
     assert rep.verdict == "pass"
     assert rep.violations == 0
