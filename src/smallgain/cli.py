@@ -1,24 +1,19 @@
 """Command line front end.
 
-Configs are JSON documents.  The declarative network sections (``n``,
-``gains``, ``external_gains``, ``mu``) describe a gain network with
-expressions in the textual gain grammar; ``model`` instantiates one of
-the built-in dynamic families, in which case the network and subsystem
-energies come from the family's gain design and the declarative sections
-may be omitted.  ``simulation`` holds the initial state, input signal,
-horizon, and step size.  Indices inside configs are zero-based (they
-address JSON array positions); report output numbers subsystems from
-one.
+Configs are JSON documents holding one network: either the declarative
+network sections (``n``, ``gains``, ``external_gains``, ``mu``), which
+describe a gain network with expressions in the textual gain grammar, or
+``model``, which instantiates one of the built-in dynamic families whose
+gain design supplies the network and the subsystem energies; a config
+with both is rejected.  ``simulation`` holds the initial state, input
+signal, horizon, and step size.  Indices inside configs are zero-based
+(they address JSON array positions); report output numbers subsystems
+from one.
 
 Exit codes: 0 when the requested analysis certifies (or an inconclusive
 check is backed by a successful path construction), 1 when it fails or a
 constructor rejects the network (the error name is printed), 2 on config
 errors, which are reported on stderr with JSON-pointer paths.
-
-The ``--scale-sigma`` flag on ``simulate`` and ``verify`` is a test hook
-that rescales the certificate's path while keeping its budget map; it
-exists to demonstrate that the empirical checks catch a broken
-certificate.
 """
 
 from __future__ import annotations
@@ -26,9 +21,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,12 +44,10 @@ from .gains import (
 )
 from .parser import parse_gain
 from .paths import (
-    R_MAX_DEFAULT,
-    OmegaPath,
+    VALIDATION_GRID,
     construct_path,
     export_path_csv,
     validate_path,
-    validation_grid,
     write_csv,
 )
 from .sgc import decide
@@ -79,6 +71,10 @@ from .simulate import (
 
 @dataclass
 class LoadedConfig:
+    """A loaded config.  ``net`` is its one network, from the declarative
+    sections or from the model's gain design; it is ``None`` when the
+    design failed (``design_error``) or the config gives neither."""
+
     net: GainNetwork | None
     alpha: object | None
     model: object | None
@@ -88,14 +84,12 @@ class LoadedConfig:
     signal: InputSignal | None
     T: float
     dt: float
-    has_input: bool
 
     @property
     def effective_net(self) -> GainNetwork:
+        """``net``, or the reason the config has none."""
         if self.net is not None:
             return self.net
-        if self.design is not None:
-            return self.design.net
         if self.design_error is not None:
             raise self.design_error
         raise ConfigError(
@@ -322,6 +316,9 @@ def load_config(path) -> LoadedConfig:
         raise ConfigError("config must be a JSON object", pointer="")
     net = None
     if any(k in doc for k in ("n", "gains", "external_gains", "mu")):
+        if "model" in doc:
+            raise ConfigError("a config holds either the declarative network "
+                              "sections or a model, not both", pointer="/model")
         net = _load_network(doc)
     alpha = None
     if "alpha" in doc:
@@ -332,10 +329,11 @@ def load_config(path) -> LoadedConfig:
         if not isinstance(mdoc, dict):
             raise ConfigError("model must be an object", pointer="/model")
         model, design, design_error = _load_model(mdoc)
+        if design is not None:
+            net = design.net
     x0 = None
     signal = None
     T, dt = 20.0, 1e-3
-    has_input = False
     if "simulation" in doc:
         sdoc = doc["simulation"]
         if not isinstance(sdoc, dict):
@@ -355,26 +353,13 @@ def load_config(path) -> LoadedConfig:
                 raise ConfigError("input must be an object",
                                   pointer="/simulation/input")
             signal = _load_signal(idoc)
-            has_input = not signal.is_zero()
     return LoadedConfig(net=net, alpha=alpha,
                         model=model, design=design, design_error=design_error,
-                        x0=x0, signal=signal, T=T, dt=dt, has_input=has_input)
+                        x0=x0, signal=signal, T=T, dt=dt)
 
 
 # ---------------------------------------------------------------------------
 # Shared helpers
-
-
-def _resolve_seed(args) -> int:
-    env = os.environ.get("SMALLGAIN_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError("SMALLGAIN_SEED must be an integer", pointer="")
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    return 0
 
 
 def _fmt_vec(v) -> str:
@@ -387,27 +372,12 @@ def _fmt_cycle(c) -> str:
 
 
 def _certificate(cfg: LoadedConfig, args) -> CompositeLyapunov:
-    """Certificate of the model's gain design, or of the declarative network
-    without a design; the config's ``alpha`` overrides the design's."""
-    design = cfg.design
-    if design is None:
-        net, specs, alpha = cfg.effective_net, (), None
-    else:
-        net, specs, alpha = design.net, design.specs, design.alpha
+    """Certificate of the config's network, with the model design's
+    energies and shift; the config's ``alpha`` overrides the shift."""
+    net = cfg.effective_net
+    specs, alpha = (cfg.design.specs, cfg.design.alpha) if cfg.design else ((), None)
     return certify(net, specs, alpha=alpha if cfg.alpha is None else cfg.alpha,
-                   r_max=args.rmax or R_MAX_DEFAULT, seed=_resolve_seed(args))
-
-
-def _model_certificate(cfg: LoadedConfig, args) -> CompositeLyapunov:
-    """Certificate of the model's gain design (a failed design raises its
-    error), with the path rescaled by ``--scale-sigma`` when given."""
-    if cfg.design is None:
-        raise cfg.design_error
-    cl = _certificate(cfg, args)
-    if args.scale_sigma is None:
-        return cl
-    return replace(cl, sigma=OmegaPath(cl.sigma.radii,
-                                       cl.sigma.values * args.scale_sigma))
+                   seed=args.seed)
 
 
 def _sup_input(cfg: LoadedConfig) -> float:
@@ -445,8 +415,7 @@ def _route_line(v) -> str:
 
 def cmd_check(cfg: LoadedConfig, args) -> int:
     net = cfg.effective_net
-    seed = _resolve_seed(args)
-    verdict = decide(net, seed=seed)
+    verdict = decide(net, seed=args.seed)
     for v in verdict.routes:
         print(_route_line(v))
     if not verdict.inconclusive:
@@ -454,7 +423,7 @@ def cmd_check(cfg: LoadedConfig, args) -> int:
         return 1 if verdict.fails else 0
     # nothing decisive either way; a constructed path settles it
     try:
-        sigma = construct_path(net, r_max=R_MAX_DEFAULT, seed=seed).sigma
+        sigma = construct_path(net, seed=args.seed).sigma
     except SmallGainError as exc:
         name = type(exc).__name__
         print(f"path construction: {name}: {exc}")
@@ -468,8 +437,7 @@ def cmd_check(cfg: LoadedConfig, args) -> int:
 
 def cmd_path(cfg: LoadedConfig, args) -> int:
     net = cfg.effective_net
-    sigma = construct_path(net, r_max=args.rmax or R_MAX_DEFAULT,
-                           seed=_resolve_seed(args)).sigma
+    sigma = construct_path(net, seed=args.seed).sigma
     rep = validate_path(net, sigma)
     if args.out:
         export_path_csv(net, sigma, args.out)
@@ -483,7 +451,7 @@ def cmd_path(cfg: LoadedConfig, args) -> int:
 def cmd_certify(cfg: LoadedConfig, args) -> int:
     cl = _certificate(cfg, args)
     net, sigma, phi, margins = cl.net, cl.sigma, cl.phi, cl.margins
-    rr = validation_grid()
+    rr = VALIDATION_GRID
     if not any(net.ext_active):
         print("phi: identity (no external gains)")
     sup_u = _sup_input(cfg)
@@ -519,7 +487,7 @@ def cmd_simulate(cfg: LoadedConfig, args) -> int:
                           pointer="/simulation/input")
     cl = None
     try:
-        cl = _model_certificate(cfg, args)
+        cl = _certificate(cfg, args)
     except SmallGainError as exc:
         print(f"certificate unavailable: {type(exc).__name__}: {exc}",
               file=sys.stderr)
@@ -541,28 +509,27 @@ def cmd_verify(cfg: LoadedConfig, args) -> int:
     if cfg.signal is not None and cfg.signal.dim != cfg.model.input_dim:
         raise ConfigError(f"input must have {cfg.model.input_dim} channels",
                           pointer="/simulation/input")
-    seed = _resolve_seed(args)
-    cl = _model_certificate(cfg, args)
+    cl = _certificate(cfg, args)
     u_norms = (0.0,)
     sup_u = _sup_input(cfg)
     if sup_u > 0.0:
         u_norms = (0.0, sup_u)
     reports = []
     dec = check_decrease(cfg.model, cl,
-                         DecreaseSpec(samples=10000, u_norms=u_norms, seed=seed))
+                         DecreaseSpec(samples=10000, u_norms=u_norms, seed=args.seed))
     print(dec.text())
     reports.append(dec)
     x0_scale = float(np.linalg.norm(cfg.x0)) if cfg.x0 is not None else 1.0
     iss0 = check_iss_bound(cfg.model, cl,
                            IssRunSpec(runs=50, T=cfg.T, dt=cfg.dt,
-                                      x0_scale=x0_scale or 1.0, seed=seed))
+                                      x0_scale=x0_scale or 1.0, seed=args.seed))
     print(iss0.text())
     reports.append(iss0)
-    if cfg.has_input:
+    if cfg.signal is not None and not cfg.signal.is_zero():
         drv = check_iss_bound(cfg.model, cl,
                               IssRunSpec(runs=50, T=cfg.T, dt=cfg.dt,
                                          x0_scale=x0_scale or 1.0,
-                                         signal=cfg.signal, seed=seed))
+                                         signal=cfg.signal, seed=args.seed))
         print(drv.text())
         reports.append(drv)
     return 0 if all(r.verdict == "pass" for r in reports) else 1
@@ -588,31 +555,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("config", help="JSON network config")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="RNG seed (SMALLGAIN_SEED overrides)")
+        sp.add_argument("--seed", type=int, default=0, help="RNG seed")
 
     sp = sub.add_parser("check", help="run the applicable small-gain checks")
     common(sp)
     sp = sub.add_parser("path", help="construct a decay path, emit CSV")
     common(sp)
     sp.add_argument("--out", help="CSV output path (default stdout)")
-    sp.add_argument("--rmax", type=float, default=None,
-                    help="guaranteed path coverage radius")
     sp = sub.add_parser("certify", help="build a certificate bundle")
     common(sp)
     sp.add_argument("--out", help="bundle file prefix")
-    sp.add_argument("--rmax", type=float, default=None)
     sp = sub.add_parser("simulate", help="integrate the model, emit trajectory CSV")
     common(sp)
     sp.add_argument("--out", help="CSV output path (default stdout)")
-    sp.add_argument("--rmax", type=float, default=None)
-    sp.add_argument("--scale-sigma", type=float, default=None,
-                    help="test hook: rescale the certificate path")
     sp = sub.add_parser("verify", help="run decrease and boundedness checks")
     common(sp)
-    sp.add_argument("--rmax", type=float, default=None)
-    sp.add_argument("--scale-sigma", type=float, default=None,
-                    help="test hook: rescale the certificate path")
     return p
 
 

@@ -24,13 +24,12 @@ from .gains import (
     eval_operator,
 )
 from .paths import (
-    R_MAX_DEFAULT,
+    VALIDATION_GRID,
     OmegaPath,
     PLFunction,
     _capped_inverse,
     construct_path,
     path_margins,
-    validation_grid,
 )
 
 
@@ -155,7 +154,7 @@ def derive_phi(net: GainNetwork, sigma: OmegaPath,
 class CompositeLyapunov:
     """Validated certificate: path, budget map, and subsystem energies.
 
-    ``margins`` are the checked margins on :func:`validation_grid`;
+    ``margins`` are the checked margins on :data:`VALIDATION_GRID`;
     ``route`` names the path constructor :func:`certify` ran.
     """
 
@@ -243,12 +242,11 @@ def compose(net: GainNetwork, sigma: OmegaPath, subsystems=(),
         _audit_subsystem(spec, i)
     if phi is None:
         phi = derive_phi(net, sigma, alpha)
-    rr = validation_grid()
-    margins = path_margins(net, sigma, rr, phi)[1]
+    margins = path_margins(net, sigma, VALIDATION_GRID, phi)[1]
     bad = margins.min(axis=1) <= 0.0
     if np.any(bad):
         worst = float(margins.min())
-        radius = float(rr[int(np.argmax(bad))])
+        radius = float(VALIDATION_GRID[int(np.argmax(bad))])
         raise GeneralCondFails(f"margin {worst:.6g} at radius {radius:.6g}",
                                radius=radius)
     return CompositeLyapunov(net=net, sigma=sigma, phi=phi,
@@ -256,12 +254,12 @@ def compose(net: GainNetwork, sigma: OmegaPath, subsystems=(),
 
 
 def certify(net: GainNetwork, subsystems=(), *, alpha: GainExpr | None = None,
-            r_max: float = R_MAX_DEFAULT, seed: int = 0) -> CompositeLyapunov:
+            seed: int = 0) -> CompositeLyapunov:
     """The network certificate: :func:`construct_path`, then :func:`compose`.
 
     ``compose`` gets the route's budget map (the reducible route's) or
     derives one with the diagonal shift ``alpha`` (see :func:`derive_phi`).
     """
-    res = construct_path(net, r_max=r_max, seed=seed)
+    res = construct_path(net, seed=seed)
     cl = compose(net, res.sigma, subsystems, alpha=alpha, phi=res.phi)
     return replace(cl, route=res.route)

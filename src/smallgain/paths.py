@@ -61,8 +61,11 @@ from .gains import (
 from .graph import adjacency, is_irreducible, scc_decompose
 from .sgc import bound_verdict, check_cycle_condition, nonlinear_perron
 
-R_MAX_DEFAULT = 1e6
-VALIDATION_POINTS = 1000
+# top of the certified range: every constructor anchors past it, and the
+# validation grid, 1000 log-spaced radii from 1e-6, ends at it
+RADIUS_MAX = 1e6
+VALIDATION_GRID = np.geomspace(1e-6, RADIUS_MAX, 1000)
+VALIDATION_GRID.setflags(write=False)
 # anchors per decade on synthetic radius grids
 GRID_DENSITY = 12
 
@@ -213,8 +216,8 @@ class PLFunction:
         return float(r0 + (yy - v0) * (r1 - r0) / (v1 - v0))
 
 
-def identity_budget(r_top: float = R_MAX_DEFAULT) -> PLFunction:
-    return PLFunction(np.array([0.0, r_top]), np.array([0.0, r_top]))
+def identity_budget() -> PLFunction:
+    return PLFunction(np.array([0.0, RADIUS_MAX]), np.array([0.0, RADIUS_MAX]))
 
 
 @dataclass(frozen=True)
@@ -251,11 +254,6 @@ class PathResult:
     phi: PLFunction | None = None
 
 
-def validation_grid(r_max: float = R_MAX_DEFAULT) -> np.ndarray:
-    """1000 log-spaced radii in ``[1e-6, min(1e6, r_max)]``."""
-    return np.geomspace(1e-6, min(1e6, r_max), VALIDATION_POINTS)
-
-
 def path_margins(net: GainNetwork, sigma: OmegaPath, radii,
                  phi: PLFunction | None = None):
     """Path values and rowwise margins ``sigma(r) - Gamma_ext(sigma(r), phi(r))``.
@@ -267,23 +265,17 @@ def path_margins(net: GainNetwork, sigma: OmegaPath, radii,
     return states, states - image
 
 
-def validate_path(net: GainNetwork, sigma: OmegaPath, radii=None) -> PathReport:
-    """Margins ``min_i(sigma_i(r) - Gamma_i(sigma(r)))`` on a radius grid.
-
-    The grid defaults to :func:`validation_grid`; positive anchor radii are
-    always included.
-    """
-    if radii is None:
-        radii = validation_grid()
-    rr = np.unique(np.concatenate([np.asarray(radii, dtype=float),
-                                   sigma.radii[sigma.radii > 0]]))
+def validate_path(net: GainNetwork, sigma: OmegaPath) -> PathReport:
+    """Margins ``min_i(sigma_i(r) - Gamma_i(sigma(r)))`` on
+    :data:`VALIDATION_GRID` and the positive anchor radii."""
+    rr = np.unique(np.concatenate([VALIDATION_GRID, sigma.radii[sigma.radii > 0]]))
     margins = path_margins(net, sigma, rr)[1].min(axis=1)
     return PathReport(radii=rr, margins=margins, min_margin=float(margins.min()))
 
 
 def export_path_csv(net: GainNetwork, sigma: OmegaPath, out, radii=None) -> None:
     """Write ``r,sigma_1,...,sigma_n,margin_min`` rows at log-spaced radii."""
-    rr = np.asarray(validation_grid() if radii is None else radii, dtype=float)
+    rr = np.asarray(VALIDATION_GRID if radii is None else radii, dtype=float)
     states, margins = path_margins(net, sigma, rr)
     header = ["r", *(f"sigma_{i + 1}" for i in range(sigma.n)), "margin_min"]
     write_csv(out, header, np.column_stack([rr, states, margins.min(axis=1)]))
@@ -531,8 +523,8 @@ def _compressed_floor(rho0: float) -> float:
     return float(np.sqrt(0.9e-6 * rho0))
 
 
-def _finalize(net: GainNetwork, sigma: OmegaPath, r_max: float) -> OmegaPath:
-    report = validate_path(net, sigma, validation_grid(r_max))
+def _finalize(net: GainNetwork, sigma: OmegaPath) -> OmegaPath:
+    report = validate_path(net, sigma)
     if not report.valid:
         raise NotInOmega(
             f"constructed path failed validation (min margin {report.min_margin:.3g})"
@@ -544,7 +536,7 @@ def _finalize(net: GainNetwork, sigma: OmegaPath, r_max: float) -> OmegaPath:
 # Constructors
 
 
-def path_bounded(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT) -> OmegaPath:
+def path_bounded(net: GainNetwork) -> OmegaPath:
     """Path for operators whose nonzero gains are all bounded.
 
     The rowwise structural supremum ``s*`` gives an interior point
@@ -557,10 +549,10 @@ def path_bounded(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT) -> OmegaPath
         raise NotBounded("unbounded internal gains present; use the mixed route")
     zr = zero_rows(net)
     if len(zr) == net.n:
-        top = 1.05 * r_max
+        top = 1.05 * RADIUS_MAX
         sigma = OmegaPath(np.array([0.0, top]), np.vstack([np.zeros(net.n),
                                                            np.full(net.n, top)]))
-        return _finalize(net, sigma, r_max)
+        return _finalize(net, sigma)
     if zr:
         raise CompatibilityError(
             "rows without nonzero gains: decompose into blocks first"
@@ -585,14 +577,14 @@ def path_bounded(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT) -> OmegaPath
     rho0 = float(s0.max())
     down = _downward_leg(lambda s: eval_operator(net, s), s0,
                          stop_abs=_compressed_floor(rho0))
-    eta = 1.05 * r_max / rho0
+    eta = 1.05 * RADIUS_MAX / rho0
     up = [s0.copy(), eta * s0]
     sigma = _assemble(down, up)
-    return _finalize(net, sigma, r_max)
+    return _finalize(net, sigma)
 
 
 def path_irreducible(net: GainNetwork, d: DiagOp | None = None, *,
-                     r_max: float = R_MAX_DEFAULT, seed: int = 0) -> OmegaPath:
+                     seed: int = 0) -> OmegaPath:
     """Seed-and-chain construction for strongly connected unbounded gains.
 
     With a diagonal operator ``d`` the path is built for ``D(Gamma(s))``,
@@ -613,18 +605,18 @@ def path_irreducible(net: GainNetwork, d: DiagOp | None = None, *,
         op = lambda s: eval_operator(net, s)
     else:
         op = lambda s: d(eval_operator(net, s))
-    # seed on the unit sphere, chain up past r_max, iterate down to the origin
+    # seed on the unit sphere, chain up past the range, iterate down to the origin
     seed_vec = _find_seed(op, net.n, seed)
-    up = _chain_up(op, seed_vec, target_sup=1.05 * r_max)
+    up = _chain_up(op, seed_vec, target_sup=1.05 * RADIUS_MAX)
     down = _downward_leg(op, seed_vec, stop_abs=_compressed_floor(1.0))
-    return _finalize(net, _assemble(down, up), r_max)
+    return _finalize(net, _assemble(down, up))
 
 
 # most anchors a ray with unequal exponents may take
 RAY_MAX_ANCHORS = 20000
 
 
-def path_homogeneous(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT) -> OmegaPath:
+def path_homogeneous(net: GainNetwork) -> OmegaPath:
     """Ray ``sigma_i(r) = (r w_i)^p_i`` from :func:`sgc.nonlinear_perron`.
 
     ``T(w) <= c w`` with ``c < 1`` gives ``Gamma_mu(sigma(r)) <= (c r w)^p <
@@ -643,26 +635,26 @@ def path_homogeneous(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT) -> Omega
         raise PathStalled(f"Perron bound {c:.6g} is not below one, w^p is no witness")
     w = w / w.max()
     if np.all(p == p[0]):
-        radii = _log_grid(1e-7, 1.05 * r_max)
+        radii = _log_grid(1e-7, 1.05 * RADIUS_MAX)
         values = radii[:, None] * np.power(w, p)
     else:
         per_decade = max(GRID_DENSITY, int(np.ceil(-2.0 / np.log10(max(c, 1e-12)))))
-        if np.log10(1.05 * r_max / 1e-7) * per_decade > RAY_MAX_ANCHORS:
+        if np.log10(1.05 * RADIUS_MAX / 1e-7) * per_decade > RAY_MAX_ANCHORS:
             raise PathStalled(f"Perron bound {c:.6g} needs over {RAY_MAX_ANCHORS} anchors")
-        radii = _log_grid(1e-7, 1.05 * r_max, per_decade)
+        radii = _log_grid(1e-7, 1.05 * RADIUS_MAX, per_decade)
         values = np.power(radii[:, None] * w, p)
     values = np.vstack([np.zeros(net.n), values])
     if not np.all(np.diff(values, axis=0) > 0):
         raise PathStalled(f"exponents {p} carry the ray out of the float range")
     sigma = OmegaPath(np.concatenate([[0.0], radii]), values)
-    return _finalize(net, sigma, r_max)
+    return _finalize(net, sigma)
 
 
 # square roots the closure path takes of its lift before it gives up
 LIFT_TRIES = 30
 
 
-def path_max(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT) -> OmegaPath:
+def path_max(net: GainNetwork) -> OmegaPath:
     """Closure path ``sigma(t) = max_{k<n} (D o Gamma)^k(t 1)`` for max rows.
 
     Gated by the cycle condition.  ``D = (1 + alpha) id`` starts from the
@@ -696,7 +688,7 @@ def path_max(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT) -> OmegaPath:
         lift = np.sqrt(lift)
     else:
         raise PathStalled("no lift D = (1 + alpha) id keeps the cycle condition")
-    radii = _log_grid(1e-7, 1.05 * r_max)
+    radii = _log_grid(1e-7, 1.05 * RADIUS_MAX)
     walk = np.outer(radii, np.ones(net.n))
     values = walk
     for _ in range(net.n - 1):
@@ -707,10 +699,10 @@ def path_max(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT) -> OmegaPath:
     for k in range(1, len(values)):
         values[k] = np.maximum(values[k], np.nextafter(values[k - 1], np.inf))
     values = np.vstack([np.zeros(net.n), values])
-    return _finalize(net, OmegaPath(np.concatenate([[0.0], radii]), values), r_max)
+    return _finalize(net, OmegaPath(np.concatenate([[0.0], radii]), values))
 
 
-def path_three_sum(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT) -> OmegaPath:
+def path_three_sum(net: GainNetwork) -> OmegaPath:
     """Closed-form style construction for complete three-node sum networks.
 
     ``sigma_1 = r``; ``sigma_2`` balances the two transfer budgets of rows
@@ -729,7 +721,7 @@ def path_three_sum(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT) -> OmegaPa
             raise WrongAggregation("the balanced construction needs additive rows")
     offdiag = [(i, j) for i in range(3) for j in range(3) if i != j]
     if any(net.gamma[i][j].is_zero for i, j in offdiag):
-        return path_irreducible(net, r_max=r_max)
+        return path_irreducible(net)
     if any(net.gamma[i][j].classify() is not GainClass.K_INFINITY
            for i, j in offdiag):
         raise CompatibilityError("the balanced construction needs unbounded gains")
@@ -737,7 +729,7 @@ def path_three_sum(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT) -> OmegaPa
     g21, g23 = net.gamma[1][0], net.gamma[1][2]
     g31, g32 = net.gamma[2][0], net.gamma[2][1]
 
-    radii = _log_grid(1e-7, 1.5 * r_max * 10.0)
+    radii = _log_grid(1e-7, 1.5 * RADIUS_MAX * 10.0)
 
     def residual(r: np.ndarray, cand: np.ndarray) -> np.ndarray:
         left = g13.inverse(np.maximum(r - g12(cand), 0.0))
@@ -794,11 +786,10 @@ def path_three_sum(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT) -> OmegaPa
     radii_full = np.concatenate([[0.0], radii])
     values_full = np.vstack([np.zeros(3), values])
     sigma = OmegaPath(radii_full, values_full)
-    return _finalize(net, sigma, r_max)
+    return _finalize(net, sigma)
 
 
-def path_mixed(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT,
-               seed: int = 0) -> OmegaPath:
+def path_mixed(net: GainNetwork, *, seed: int = 0) -> OmegaPath:
     """Path for additive rows mixing bounded and unbounded gains.
 
     The unbounded part gets a path built against the inflated operator
@@ -812,9 +803,9 @@ def path_mixed(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT,
     classes = [[g.classify() for g in row] for row in net.gamma]
     present = {c for row in classes for c in row}
     if GainClass.K_BOUNDED not in present:
-        return path_irreducible(net, r_max=r_max, seed=seed)
+        return path_irreducible(net, seed=seed)
     if GainClass.K_INFINITY not in present:
-        return path_bounded(net, r_max=r_max)
+        return path_bounded(net)
     s_star = np.array([
         sum(g.sup() if c is GainClass.K_BOUNDED else 0.0 for g, c in zip(row, cls))
         for row, cls in zip(net.gamma, classes)
@@ -833,17 +824,17 @@ def path_mixed(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT,
                             tuple(zero_gain for _ in range(net.n)), net.mu)
         try:
             try:
-                sigma_u = path_homogeneous(t_net, r_max=r_max)
+                sigma_u = path_homogeneous(t_net)
             except (NotHomogeneous, PathStalled):
-                sigma_u = (path_irreducible(t_net, r_max=r_max, seed=seed)
+                sigma_u = (path_irreducible(t_net, seed=seed)
                            if is_irreducible(adjacency(t_net))
-                           else path_reducible(t_net, r_max=r_max, seed=seed).sigma)
+                           else path_reducible(t_net, seed=seed).sigma)
         except (SeedNotFound, PathStalled, Stalled, NotInOmega, BlockSgcFails,
                 LambdaNotContractive) as exc:
             last_error = exc
             continue
         try:
-            return _splice_mixed(net, sigma_u, c, s_star, r_max)
+            return _splice_mixed(net, sigma_u, c, s_star)
         except SpliceFailure as exc:
             last_error = exc
             continue
@@ -874,13 +865,13 @@ def _crossover_radius(sigma_u: OmegaPath, c: float, s_star: np.ndarray) -> float
 
 
 def _splice_mixed(net: GainNetwork, sigma_u: OmegaPath, c: float,
-                  s_star: np.ndarray, r_max: float) -> OmegaPath:
+                  s_star: np.ndarray) -> OmegaPath:
     # crossover: the inflation term must clear the bounded part's supremum
     r_star = _crossover_radius(sigma_u, c, s_star)
     candidates = sigma_u.radii[sigma_u.radii > 0]
     op = lambda s: eval_operator(net, s)
     for _ in range(40):
-        top = max(1.1 * r_max, 2.0 * r_star)
+        top = max(1.1 * RADIUS_MAX, 2.0 * r_star)
         upper_radii = np.unique(np.concatenate([
             [r_star],
             candidates[(candidates > r_star) & (candidates <= top)],
@@ -895,7 +886,7 @@ def _splice_mixed(net: GainNetwork, sigma_u: OmegaPath, c: float,
         down = _downward_leg(op, s0, stop_abs=_compressed_floor(rho0))
         up_rows = [upper_vals[k] for k in range(len(upper_radii))]
         sigma = _assemble(down, up_rows)
-        if validate_path(net, sigma, validation_grid(r_max)).valid:
+        if validate_path(net, sigma).valid:
             return sigma
         r_star *= 2.0
     raise SpliceFailure("validation margin stayed non-positive at the splice")
@@ -930,41 +921,14 @@ def _ext_budget(mu, level: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Largest external slot value keeping the row at or below ``target``.
 
     ``level`` holds the row's internal level per radius, its aggregation
-    with the external slot at zero; the row is re-aggregated as that one
-    internal slot plus the external slot, which reproduces the row exactly
-    for the sum and max aggregations this is called with.  Vectorized
-    doubling-and-bisection per radius, up to 200 rounds or until a round
-    moves no bound; entries whose target the aggregation can never reach
-    come back infinite (no constraint).
+    with the external slot at zero.  A sum row has room for
+    ``target - level``; a max row takes the external slot up to ``target``
+    once its internal level is at most that; either way the budget is zero
+    where the level alone passes the target.
     """
-    slots = level[:, None]
-    m = len(level)
-    lo = np.zeros(m)
-    hi = np.ones(m)
-    reachable = np.ones(m, dtype=bool)
-    for _ in range(400):
-        vals = mu.aggregate(slots, hi)
-        need = vals < target
-        if not np.any(need):
-            break
-        hi = np.where(need, hi * 2.0, hi)
-        if np.any(hi > 1e300):
-            reachable &= ~(need & (hi > 1e300))
-            hi = np.minimum(hi, 1e300)
-            if not np.any(need & reachable):
-                break
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        vals = mu.aggregate(slots, mid)
-        below = vals <= target
-        new_lo = np.where(below, mid, lo)
-        new_hi = np.where(below, hi, mid)
-        # (lo, hi) alone fixes every later round: once a round moves
-        # neither, none will
-        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
-            break
-        lo, hi = new_lo, new_hi
-    return np.where(reachable, lo, np.inf)
+    if isinstance(mu, MaxAgg):
+        return np.where(level <= target, target, 0.0)
+    return np.maximum(target - level, 0.0)
 
 
 def _capped_inverse(g: GainExpr, levels: np.ndarray) -> np.ndarray:
@@ -978,8 +942,7 @@ def _capped_inverse(g: GainExpr, levels: np.ndarray) -> np.ndarray:
     return out
 
 
-def path_reducible(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT,
-                   seed: int = 0) -> PathResult:
+def path_reducible(net: GainNetwork, *, seed: int = 0) -> PathResult:
     """Blockwise construction for reducible interconnections.
 
     Blocks are processed from the most upstream one downward.  A block with
@@ -1003,7 +966,7 @@ def path_reducible(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT,
             "interconnection graph is strongly connected; use the irreducible route"
         )
     blocks = scc_decompose(adj)
-    radii_pos = _log_grid(1e-7, 1.1 * r_max)
+    radii_pos = _log_grid(1e-7, 1.1 * RADIUS_MAX)
     m = len(radii_pos)
     values = np.zeros((m, net.n))
     phi_vals = radii_pos.copy()
@@ -1021,13 +984,13 @@ def path_reducible(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT,
         subnet = _subnet(net, block)
         if subnet.n == 1:
             # no self gains, so a single node has no cycle to check
-            top = 1.1 * r_max
+            top = 1.1 * RADIUS_MAX
             bp = OmegaPath(np.array([0.0, top]), np.array([[0.0], [top]]))
         else:
             # a block is checked by the gate of its own route: the Perron
             # bound of the ray, or the cycle condition of path_max
             try:
-                bp = construct_path(subnet, r_max=r_max, seed=seed).sigma
+                bp = construct_path(subnet, seed=seed).sigma
             except (CycleConditionFails, LambdaNotContractive) as exc:
                 gate = ("the cycle condition" if isinstance(exc, CycleConditionFails)
                         else "its Perron bound")
@@ -1054,7 +1017,7 @@ def path_reducible(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT,
         # margins dominate twice the aggregated inflow
         targets = 2.0 * eval_operator_ext(net, values, phi_vals)[:, cols]
         is_max = np.array([isinstance(net.mu[i], MaxAgg) for i in block])
-        t_hi = 10.0 * r_max
+        t_hi = 10.0 * RADIUS_MAX
         while True:
             t_grid = _log_grid(1e-10, t_hi)
             t_vals = bp(t_grid)
@@ -1063,7 +1026,7 @@ def path_reducible(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT,
             if np.all(suff[-1] >= targets.max(axis=0)):
                 break
             t_hi *= 100.0
-            if t_hi > 1e16 * r_max:
+            if t_hi > 1e16 * RADIUS_MAX:
                 raise PathStalled(
                     "local margins never dominate the aggregated inflow"
                 )
@@ -1085,7 +1048,7 @@ def path_reducible(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT,
     phi_vals = np.minimum.accumulate(phi_vals[::-1])[::-1]
     phi = PLFunction(radii_full, np.concatenate([[0.0], phi_vals]))
 
-    report = validate_path(net, sigma, validation_grid(r_max))
+    report = validate_path(net, sigma)
     if not report.valid:
         raise NotInOmega(
             f"composed path failed validation (min margin {report.min_margin:.3g})"
@@ -1102,8 +1065,7 @@ def path_reducible(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT,
 # Dispatch
 
 
-def construct_path(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT,
-                   seed: int = 0) -> PathResult:
+def construct_path(net: GainNetwork, *, seed: int = 0) -> PathResult:
     """Pick a constructor by network shape (fixed, documented order).
 
     ray -> max -> three-node sum -> mixed -> bounded -> irreducible ->
@@ -1117,28 +1079,27 @@ def construct_path(net: GainNetwork, *, r_max: float = R_MAX_DEFAULT,
     result names the route.
     """
     try:
-        return PathResult(path_homogeneous(net, r_max=r_max), "ray")
+        return PathResult(path_homogeneous(net), "ray")
     except (NotHomogeneous, PathStalled):
         pass
     classes = {g.classify() for row in net.gamma for g in row if not g.is_zero}
     all_sum = all(isinstance(mu, SumAgg) for mu in net.mu)
     if all(isinstance(mu, MaxAgg) for mu in net.mu):
-        sigma, route = path_max(net, r_max=r_max), "max"
+        sigma, route = path_max(net), "max"
     elif all_sum and net.n == 3 and all(
             net.gamma[i][j].classify() is GainClass.K_INFINITY
             for i in range(3) for j in range(3) if i != j):
-        sigma, route = path_three_sum(net, r_max=r_max), "three_sum"
+        sigma, route = path_three_sum(net), "three_sum"
     elif all_sum and classes == {GainClass.K_BOUNDED, GainClass.K_INFINITY}:
-        sigma, route = path_mixed(net, r_max=r_max, seed=seed), "mixed"
+        sigma, route = path_mixed(net, seed=seed), "mixed"
     elif classes and GainClass.K_INFINITY not in classes:
-        sigma, route = path_bounded(net, r_max=r_max), "bounded"
+        sigma, route = path_bounded(net), "bounded"
     elif is_irreducible(adjacency(net)):
         try:
-            sigma, route = path_irreducible(net, r_max=r_max, seed=seed), "irreducible"
+            sigma, route = path_irreducible(net, seed=seed), "irreducible"
         except PathStalled:
-            sigma = path_irreducible(net, d=DiagOp(Linear(0.01)),
-                                     r_max=r_max, seed=seed)
+            sigma = path_irreducible(net, d=DiagOp(Linear(0.01)), seed=seed)
             route = "irreducible_diag"
     else:
-        return path_reducible(net, r_max=r_max, seed=seed)
+        return path_reducible(net, seed=seed)
     return PathResult(sigma, route)

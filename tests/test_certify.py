@@ -13,18 +13,13 @@ from smallgain.compose import certify, compose
 from smallgain.errors import GeneralCondFails, SmallGainError
 from smallgain.gains import Linear
 from smallgain.parser import parse_gain
-from smallgain.paths import construct_path, path_margins, validation_grid
+from smallgain.paths import VALIDATION_GRID, construct_path, path_margins
 from smallgain.simulate import CGDesign
 
 # the package's ``compose`` name is the function; this is its module
 compose_mod = importlib.import_module("smallgain.compose")
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMO_DIR = ROOT / "demos" / "configs"
-
-
-@pytest.fixture(autouse=True)
-def _no_env_seed(monkeypatch):
-    monkeypatch.delenv("SMALLGAIN_SEED", raising=False)
 
 
 def benchmark_docs(monkeypatch):
@@ -71,7 +66,7 @@ def test_certify_equals_path_then_compose(tmp_path, monkeypatch):
                      (cl.phi.radii, ref.phi.radii), (cl.phi.values, ref.phi.values),
                      (cl.margins, ref.margins)):
             assert a.tobytes() == b.tobytes(), name
-        margins = path_margins(net, cl.sigma, validation_grid(), cl.phi)[1]
+        margins = path_margins(net, cl.sigma, VALIDATION_GRID, cl.phi)[1]
         assert cl.margins.tobytes() == margins.tobytes(), name
         assert cl.margins.min() > 0.0, name
         built += 1
@@ -84,7 +79,7 @@ def test_certify_without_subsystems_has_no_energies():
     net = cli._load_network(doc)
     cl = certify(net)
     assert cl.subsystems == () and cl.state_dim == 0
-    assert cl.route == "ray" and cl.margins.shape == (len(validation_grid()), 2)
+    assert cl.route == "ray" and cl.margins.shape == (len(VALIDATION_GRID), 2)
 
 
 def test_certificate_failure_reports_margin_and_radius():
@@ -102,7 +97,7 @@ def test_certificate_failure_reports_margin_and_radius():
 @pytest.mark.parametrize("out", [False, True])
 def test_model_certify_evaluates_validation_margins_once(out, tmp_path, capsys,
                                                          monkeypatch):
-    grid = validation_grid()
+    grid = VALIDATION_GRID
     calls = []
 
     def counting(real):

@@ -2,23 +2,20 @@
 
 import json
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gen import random_network
+from smallgain import cli
 from smallgain.cli import load_config, main
 from smallgain.errors import ConfigError, LambdaNotContractive
 from smallgain.gains import GainNetwork, MaxAgg, OuterSum, SumAgg
 from smallgain.parser import format_gain, parse_gain
-from smallgain.paths import construct_path, validate_path
+from smallgain.paths import OmegaPath, construct_path, validate_path
 
 DEMO_DIR = pathlib.Path(__file__).resolve().parent.parent / "demos" / "configs"
-
-
-@pytest.fixture(autouse=True)
-def _no_env_seed(monkeypatch):
-    monkeypatch.delenv("SMALLGAIN_SEED", raising=False)
 
 
 def write_cfg(tmp_path, doc, name="cfg.json"):
@@ -108,6 +105,25 @@ def test_check_model_config_uses_design_network(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "spectral radius: 0.4" in out
+
+
+@pytest.mark.parametrize("cmd", ["check", "path", "certify", "simulate", "verify"])
+def test_config_with_network_and_model_rejected(cmd, tmp_path, capsys):
+    # max rows 2*s both ways fail, the model's design holds: every command
+    # would judge one of two networks, so the config holds only one
+    doc = json.loads((DEMO_DIR / "linear_two_block.json").read_text())
+    doc.update(max_net(2.0))
+    code = main([cmd, write_cfg(tmp_path, doc)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == ("config error: /model: a config holds either the declarative "
+                   "network sections or a model, not both\n")
+
+
+def test_config_without_network_or_model_rejected(tmp_path, capsys):
+    code = main(["check", write_cfg(tmp_path, {"simulation": {"T": 1.0}})])
+    assert code == 2
+    assert "/gains" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +284,19 @@ def test_verify_passes_on_healthy_certificate(tmp_path, capsys):
     assert "verdict=fail" not in out
 
 
-def test_verify_catches_corrupted_certificate(tmp_path, capsys):
+def test_verify_catches_corrupted_certificate(tmp_path, capsys, monkeypatch):
+    # shrink the certificate's path and keep its budget map: the empirical
+    # checks must catch the broken certificate
+    real = cli.certify
+
+    def corrupted(*args, **kwargs):
+        cl = real(*args, **kwargs)
+        return replace(cl, sigma=OmegaPath(cl.sigma.radii, cl.sigma.values * 0.01))
+
+    monkeypatch.setattr(cli, "certify", corrupted)
     doc = verify_doc()
     doc["simulation"]["input"] = {"kind": "step", "value": [1.0]}
-    code = main(["verify", write_cfg(tmp_path, doc), "--scale-sigma", "0.01"])
+    code = main(["verify", write_cfg(tmp_path, doc)])
     out = capsys.readouterr().out
     assert code == 1
     assert "verdict=fail" in out
@@ -387,23 +412,6 @@ def test_unknown_model_family_rejected(tmp_path, capsys):
     assert "/model/family" in err
 
 
-def test_bad_env_seed_rejected(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SMALLGAIN_SEED", "not-a-number")
-    code = main(["check", write_cfg(tmp_path, max_net(0.5, ext="1*s"))])
-    assert code == 2
-    assert "SMALLGAIN_SEED" in capsys.readouterr().err
-
-
-def test_env_seed_overrides_flag(tmp_path, capsys, monkeypatch):
-    cfg = write_cfg(tmp_path, max_net(0.5, ext="1*s"))
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    monkeypatch.setenv("SMALLGAIN_SEED", "11")
-    assert main(["path", cfg, "--seed", "1", "--out", str(a)]) == 0
-    assert main(["path", cfg, "--seed", "2", "--out", str(b)]) == 0
-    capsys.readouterr()
-    assert a.read_bytes() == b.read_bytes()
-
-
 # ---------------------------------------------------------------------------
 # config loading: one parse per distinct gain text
 
@@ -439,8 +447,6 @@ def doc_texts(doc):
 
 
 def test_load_parses_each_distinct_text_once(tmp_path, monkeypatch):
-    from smallgain import cli
-
     calls = []
     parse = cli.parse_gain
 
@@ -544,28 +550,25 @@ def test_demo_configs_check(name, capsys):
 
 
 def test_parser_built_once_with_independent_namespaces(tmp_path, capsys, monkeypatch):
-    from smallgain import cli
-
     seen = []
     for cmd in ("check", "path"):
         monkeypatch.setitem(cli._DISPATCH, cmd, lambda cfg, args: seen.append(args) or 0)
     cfg = write_cfg(tmp_path, max_net(0.5))
     cli._build_parser.cache_clear()
-    assert main(["path", cfg, "--seed", "5", "--out", "x.csv", "--rmax", "10"]) == 0
+    assert main(["path", cfg, "--seed", "5", "--out", "x.csv"]) == 0
     assert main(["check", cfg]) == 0
     first, second = seen
-    assert (first.cmd, first.seed, first.out, first.rmax) == ("path", 5, "x.csv", 10.0)
-    assert (second.cmd, second.seed) == ("check", None)
-    assert not hasattr(second, "out") and not hasattr(second, "rmax")
-    assert cli._resolve_seed(second) == 0
-    monkeypatch.setenv("SMALLGAIN_SEED", "9")
-    assert cli._resolve_seed(first) == cli._resolve_seed(second) == 9
-    for bad in (["check"], ["bogus", cfg], ["check", cfg, "--seed", "x"]):
+    assert (first.cmd, first.seed, first.out) == ("path", 5, "x.csv")
+    assert (second.cmd, second.seed) == ("check", 0)
+    assert not hasattr(second, "out")
+    # the path range and the test hook are not settable
+    for bad in (["check"], ["bogus", cfg], ["check", cfg, "--seed", "x"],
+                ["path", cfg, "--rmax", "10"], ["verify", cfg, "--scale-sigma", "0.01"]):
         with pytest.raises(SystemExit) as exc:
             main(bad)
         assert exc.value.code == 2
     assert main(["check", cfg]) == 0
-    assert seen[-1].seed is None and len(seen) == 3
+    assert seen[-1].seed == 0 and len(seen) == 3
     capsys.readouterr()
     assert cli._build_parser.cache_info().misses == 1
 

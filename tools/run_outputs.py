@@ -36,7 +36,6 @@ import sys
 
 os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                  "MKL_NUM_THREADS"), "1"))
-os.environ.pop("SMALLGAIN_SEED", None)
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
