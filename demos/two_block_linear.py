@@ -48,7 +48,7 @@ def main():
     print(f"Perron route:    T(w) <= {c:.6f} w at w = {np.round(w, 6)} "
           f"in t = s^(1/{p[0]:g})")
 
-    cl = certify(design.net, design.specs, alpha=design.alpha)
+    cl = certify(design.net, design.specs)
     rep = validate_path(design.net, cl.sigma)
     print(f"\n{cl.route} path: min margin {rep.min_margin:.3e} over {len(rep.radii)} radii")
     thr = cl.iss_threshold(1.0)

@@ -76,7 +76,6 @@ class LoadedConfig:
     design failed (``design_error``) or the config gives neither."""
 
     net: GainNetwork | None
-    alpha: object | None
     model: object | None
     design: object | None
     design_error: SmallGainError | None
@@ -314,15 +313,15 @@ def load_config(path) -> LoadedConfig:
         raise ConfigError(f"invalid JSON: {exc}", pointer="")
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object", pointer="")
+    if "alpha" in doc:
+        raise ConfigError("there is no diagonal shift to set: the budget map "
+                          "keeps half of each row's path margin", pointer="/alpha")
     net = None
     if any(k in doc for k in ("n", "gains", "external_gains", "mu")):
         if "model" in doc:
             raise ConfigError("a config holds either the declarative network "
                               "sections or a model, not both", pointer="/model")
         net = _load_network(doc)
-    alpha = None
-    if "alpha" in doc:
-        alpha = _parse_gain_at(doc["alpha"], "/alpha")
     model = design = design_error = None
     if "model" in doc:
         mdoc = doc["model"]
@@ -353,8 +352,7 @@ def load_config(path) -> LoadedConfig:
                 raise ConfigError("input must be an object",
                                   pointer="/simulation/input")
             signal = _load_signal(idoc)
-    return LoadedConfig(net=net, alpha=alpha,
-                        model=model, design=design, design_error=design_error,
+    return LoadedConfig(net=net, model=model, design=design, design_error=design_error,
                         x0=x0, signal=signal, T=T, dt=dt)
 
 
@@ -372,12 +370,9 @@ def _fmt_cycle(c) -> str:
 
 
 def _certificate(cfg: LoadedConfig, args) -> CompositeLyapunov:
-    """Certificate of the config's network, with the model design's
-    energies and shift; the config's ``alpha`` overrides the shift."""
-    net = cfg.effective_net
-    specs, alpha = (cfg.design.specs, cfg.design.alpha) if cfg.design else ((), None)
-    return certify(net, specs, alpha=alpha if cfg.alpha is None else cfg.alpha,
-                   seed=args.seed)
+    """Certificate of the config's network, with the model design's energies."""
+    specs = cfg.design.specs if cfg.design else ()
+    return certify(cfg.effective_net, specs, seed=args.seed)
 
 
 def _sup_input(cfg: LoadedConfig) -> float:

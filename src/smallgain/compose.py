@@ -13,21 +13,14 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CompatibilityError, GeneralCondFails
-from .gains import (
-    BlockMaxSum,
-    GainExpr,
-    GainNetwork,
-    MaxAgg,
-    OuterSum,
-    SumAgg,
-    eval_operator,
-)
+from .errors import GeneralCondFails
+from .gains import GainNetwork, eval_operator
 from .paths import (
     VALIDATION_GRID,
     OmegaPath,
     PLFunction,
     _capped_inverse,
+    _ext_budget,
     construct_path,
     path_margins,
 )
@@ -39,13 +32,11 @@ class SubsystemSpec:
 
     ``V`` is batched: it maps an ``(m, dim)`` array of state slices, one
     per row, to the ``(m,)`` array of their nonnegative energies, with
-    ``V(0) = 0``; ``alpha`` optionally records the decrease rate used when
-    the gains were derived.
+    ``V(0) = 0``; ``name`` labels the subsystem.
     """
 
     dim: int
     V: Callable[[np.ndarray], np.ndarray]
-    alpha: GainExpr | None = None
     name: str = ""
 
     def __post_init__(self):
@@ -58,8 +49,7 @@ def _audit_subsystem(spec: SubsystemSpec, index: int) -> None:
     # follow the contract, V(0) = 0 exactly, and V > 0 on every sample
     rng = np.random.default_rng(1234 + index)
     X = np.zeros((101, spec.dim))
-    for k in range(1, 101):
-        X[k] = rng.normal(size=spec.dim) * 10.0 ** rng.uniform(-3, 2)
+    X[1:] = rng.normal(size=(100, spec.dim)) * 10.0 ** rng.uniform(-3, 2, (100, 1))
     contract = (f"subsystem {index}: energy must map an (m, {spec.dim}) batch "
                 f"of states to shape (m,)")
     try:
@@ -79,75 +69,27 @@ def _audit_subsystem(spec: SubsystemSpec, index: int) -> None:
         )
 
 
-def derive_phi(net: GainNetwork, sigma: OmegaPath,
-               alpha: GainExpr | None = None) -> PLFunction:
-    """Budget map from the path margins, on the path's anchor grid.
+def derive_phi(net: GainNetwork, sigma: OmegaPath) -> PLFunction:
+    """Budget map that leaves each input-fed row half of its path margin.
 
-    The admissible external slot level of an input-fed row depends on how
-    that row aggregates the slot.  A max row tolerates the row image
-    ``Gamma_i(sigma(r))`` itself.  A row that adds the slot on top (plain
-    sum, block-max-sum, or a wrapped sum with the slot added after the
-    wrapper) tolerates ``alpha(Gamma_i(sigma(r)))`` and therefore needs
-    the diagonal shift the path was built against.  A wrapped sum with
-    the slot inside the wrapper tolerates the wrapper-preimage gap from
-    the row image up to the midpoint level ``(Gamma_i + sigma_i)/2``,
-    which keeps half of the path margin without any shift.  The budget is
-    the smallest preimage under the external gains, capped by the
-    identity, then flattened right-to-left into a nondecreasing envelope
-    (the conservative choice between anchors).  Rows without an external
-    gain put no constraint; if none of the rows has one the budget map is
-    the identity.  Past the last anchor the budget follows the final
-    chord, except where a structurally bounded row pins a finite ceiling.
+    At each anchor of the path, an input-fed row takes the largest external
+    slot that keeps it at or below the midpoint between its image
+    ``Gamma_i(sigma(r))`` and ``sigma_i(r)`` (:func:`paths._ext_budget`).
+    The budget is the smallest preimage of these slots under the external
+    gains, capped by the identity, then flattened right-to-left into a
+    nondecreasing envelope (the conservative choice between anchors).
+    Without external gains the budget map is the identity.  Past the last
+    anchor the budget follows the final chord, and its inverse stops there.
     """
-    pos = sigma.radii[1:]
-    states = sigma(pos)
+    states = sigma.values[1:]
     image = eval_operator(net, states)
-    caps = pos.copy()
-    ceiling = np.inf
+    caps = sigma.radii[1:].copy()
     for i in range(net.n):
-        giu = net.gamma_u[i]
-        if giu.is_zero:
-            continue
-        m = net.mu[i]
-        levels = image[:, i]
-        if isinstance(m, OuterSum) and m.external_in_sum:
-            inner = m.rho.inverse(levels)
-            target = m.rho.inverse(0.5 * (levels + sigma.values[1:, i]))
-            gap = np.maximum(target - inner, 0.0)
-            caps = np.minimum(caps, _capped_inverse(giu, gap))
-            # the gap grows with sigma_i, so this row never caps the tail
-            continue
-        if isinstance(m, MaxAgg):
-            lv = levels
-        elif isinstance(m, (SumAgg, BlockMaxSum, OuterSum)):
-            if alpha is None:
-                raise CompatibilityError(
-                    "rows adding the external slot on top need the "
-                    "diagonal shift the path was built with"
-                )
-            lv = alpha._eval(levels)
-        else:
-            raise CompatibilityError(
-                f"row {i}: aggregation shape unsupported for budget derivation"
-            )
-        caps = np.minimum(caps, _capped_inverse(giu, lv))
-        # structural limit of the row image as the radius grows; a finite
-        # limit bounds the budget, which must not be extrapolated past it
-        slot_sups = np.array([min(net.gamma[i][j].sup(), 1e300)
-                              for j in range(net.n)])
-        with np.errstate(over="ignore"):
-            lvl_sup = float(m.aggregate(slot_sups, np.array(0.0)))
-            if not isinstance(m, MaxAgg) and np.isfinite(lvl_sup):
-                lvl_sup = float(alpha._eval(np.asarray(lvl_sup)))
-        if lvl_sup < giu.sup() * (1.0 - 1e-12):
-            ceiling = min(ceiling, float(giu.inverse(lvl_sup)))
+        if net.ext_active[i]:
+            budget = _ext_budget(net.mu[i], image[:, i], states[:, i])
+            caps = np.minimum(caps, _capped_inverse(net.gamma_u[i], budget))
     caps = np.minimum.accumulate(caps[::-1])[::-1]
-    radii = sigma.radii
-    if np.isfinite(ceiling):
-        caps = np.minimum(caps, ceiling)
-        radii = np.concatenate([radii, [2.0 * radii[-1]]])
-        caps = np.concatenate([caps, [caps[-1]]])
-    return PLFunction(radii, np.concatenate([[0.0], caps]))
+    return PLFunction(sigma.radii, np.concatenate([[0.0], caps]))
 
 
 @dataclass(frozen=True)
@@ -163,7 +105,6 @@ class CompositeLyapunov:
     phi: PLFunction
     subsystems: tuple[SubsystemSpec, ...]
     margins: np.ndarray
-    alpha: GainExpr | None = None
     route: str | None = None
 
     @property
@@ -212,8 +153,8 @@ class CompositeLyapunov:
         """Level below which the certificate guarantees eventual decay.
 
         Zero when the network has no external gains; raises
-        :class:`OutOfRange` when the budget map is bounded below the
-        requested input magnitude (restricted input range).
+        :class:`OutOfRange` when the requested input magnitude lies past the
+        budget map's last anchor value (the certified input range).
         """
         u = float(u_norm)
         if u < 0:
@@ -224,7 +165,6 @@ class CompositeLyapunov:
 
 
 def compose(net: GainNetwork, sigma: OmegaPath, subsystems=(),
-            alpha: GainExpr | None = None,
             phi: PLFunction | None = None) -> CompositeLyapunov:
     """Assemble and check a composite certificate.
 
@@ -241,7 +181,7 @@ def compose(net: GainNetwork, sigma: OmegaPath, subsystems=(),
     for i, spec in enumerate(subsystems):
         _audit_subsystem(spec, i)
     if phi is None:
-        phi = derive_phi(net, sigma, alpha)
+        phi = derive_phi(net, sigma)
     margins = path_margins(net, sigma, VALIDATION_GRID, phi)[1]
     bad = margins.min(axis=1) <= 0.0
     if np.any(bad):
@@ -250,16 +190,15 @@ def compose(net: GainNetwork, sigma: OmegaPath, subsystems=(),
         raise GeneralCondFails(f"margin {worst:.6g} at radius {radius:.6g}",
                                radius=radius)
     return CompositeLyapunov(net=net, sigma=sigma, phi=phi,
-                             subsystems=subsystems, margins=margins, alpha=alpha)
+                             subsystems=subsystems, margins=margins)
 
 
-def certify(net: GainNetwork, subsystems=(), *, alpha: GainExpr | None = None,
-            seed: int = 0) -> CompositeLyapunov:
+def certify(net: GainNetwork, subsystems=(), *, seed: int = 0) -> CompositeLyapunov:
     """The network certificate: :func:`construct_path`, then :func:`compose`.
 
     ``compose`` gets the route's budget map (the reducible route's) or
-    derives one with the diagonal shift ``alpha`` (see :func:`derive_phi`).
+    derives one from the path (see :func:`derive_phi`).
     """
     res = construct_path(net, seed=seed)
-    cl = compose(net, res.sigma, subsystems, alpha=alpha, phi=res.phi)
+    cl = compose(net, res.sigma, subsystems, phi=res.phi)
     return replace(cl, route=res.route)

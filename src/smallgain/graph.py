@@ -92,9 +92,7 @@ def is_irreducible(adj: np.ndarray) -> bool:
     return len(_tarjan(adj)) == 1
 
 
-def subordinated_cycles(
-    adj: np.ndarray, limit: int = CYCLE_ENUM_LIMIT
-) -> list[tuple[int, ...]]:
+def subordinated_cycles(adj: np.ndarray) -> list[tuple[int, ...]]:
     """All simple cycles, each listed once starting at its largest node.
 
     A cycle (i1, ..., ik) walks row-to-column: adjacency holds at
@@ -103,9 +101,9 @@ def subordinated_cycles(
     """
     adj = np.asarray(adj, dtype=bool)
     n = adj.shape[0]
-    if n > limit:
+    if n > CYCLE_ENUM_LIMIT:
         raise TooLarge(
-            f"cycle enumeration is capped at {limit} nodes, got {n}"
+            f"cycle enumeration is capped at {CYCLE_ENUM_LIMIT} nodes, got {n}"
         )
     succ = [np.flatnonzero(adj[i]).tolist() for i in range(n)]
     cycles: list[tuple[int, ...]] = []

@@ -213,7 +213,9 @@ def _parse_scaled(cur: _Cursor, coeff: float, coeff_pos: int) -> GainExpr:
 
 
 def _fmt_num(x: float) -> str:
-    # shortest digits that round-trip through float()
+    # shortest digits that round-trip through float(); numpy scalars
+    # would print their type around the digits
+    x = float(x)
     if x == int(x) and abs(x) < 1e16:
         return str(int(x))
     return repr(x)

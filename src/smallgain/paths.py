@@ -49,6 +49,7 @@ from .gains import (
     GainNetwork,
     Linear,
     MaxAgg,
+    OuterSum,
     PlusId,
     SumAgg,
     Zero,
@@ -214,10 +215,6 @@ class PLFunction:
         r0, r1 = self.radii[idx - 1], self.radii[idx]
         v0, v1 = vals[idx - 1], vals[idx]
         return float(r0 + (yy - v0) * (r1 - r0) / (v1 - v0))
-
-
-def identity_budget() -> PLFunction:
-    return PLFunction(np.array([0.0, RADIUS_MAX]), np.array([0.0, RADIUS_MAX]))
 
 
 @dataclass(frozen=True)
@@ -917,17 +914,24 @@ def _subnet(net: GainNetwork, block: tuple[int, ...]) -> GainNetwork:
                        tuple(zero_gain for _ in block), tuple(mus))
 
 
-def _ext_budget(mu, level: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Largest external slot value keeping the row at or below ``target``.
+def _ext_budget(mu, level: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """Largest external slot value keeping a row at or below its midpoint.
 
-    ``level`` holds the row's internal level per radius, its aggregation
-    with the external slot at zero.  A sum row has room for
-    ``target - level``; a max row takes the external slot up to ``target``
-    once its internal level is at most that; either way the budget is zero
-    where the level alone passes the target.
+    ``level`` holds the row image per radius, its aggregation with the
+    external slot at zero, and ``state`` the path value ``sigma_i``.  The
+    row keeps half of its path margin: its target is the midpoint
+    ``state - 0.5 (state - level)``.  A row adding the slot on top (sum,
+    block-max-sum, or an outer sum with the slot after its wrapper) has
+    room for ``target - level``; a max row takes the slot up to ``target``;
+    an outer sum with the slot inside its wrapper has room for the
+    wrapper-preimage gap ``rho^-1(target) - rho^-1(level)``.  Either way
+    the budget is zero where the level alone passes the target.
     """
+    target = state - 0.5 * (state - level)
     if isinstance(mu, MaxAgg):
         return np.where(level <= target, target, 0.0)
+    if isinstance(mu, OuterSum) and mu.external_in_sum:
+        return np.maximum(mu.rho.inverse(target) - mu.rho.inverse(level), 0.0)
     return np.maximum(target - level, 0.0)
 
 
@@ -948,7 +952,8 @@ def path_reducible(net: GainNetwork, *, seed: int = 0) -> PathResult:
     Blocks are processed from the most upstream one downward.  A block with
     no inflow keeps its local path unreparametrized; a block fed only by
     the external input keeps its path and shrinks the external budget map
-    so half of each row's margin absorbs the input; a block fed by other
+    so half of each row's margin absorbs the input (:func:`_ext_budget`,
+    the rule :func:`compose.derive_phi` applies); a block fed by other
     blocks is reparametrized so its local margins dominate twice the
     aggregated inflow, generalizing the two-block recipe
     ``sigma = (2 eta~(r), r)``, ``phi = min(id, eta2^{-1}(id/2))``.
@@ -1004,13 +1009,10 @@ def path_reducible(net: GainNetwork, *, seed: int = 0) -> PathResult:
             if any(net.ext_active[i] for i in block):
                 level = eval_operator(subnet, bp_vals)
                 for k, i in enumerate(block):
-                    if not net.ext_active[i]:
-                        continue
-                    margin = bp_vals[:, k] - level[:, k]
-                    target = bp_vals[:, k] - 0.5 * margin
-                    budget = _ext_budget(net.mu[i], level[:, k], target)
-                    cap = _capped_inverse(net.gamma_u[i], budget)
-                    phi_vals = np.minimum(phi_vals, cap)
+                    if net.ext_active[i]:
+                        budget = _ext_budget(net.mu[i], level[:, k], bp_vals[:, k])
+                        cap = _capped_inverse(net.gamma_u[i], budget)
+                        phi_vals = np.minimum(phi_vals, cap)
             continue
 
         # blocks fed by other blocks: reparametrize the local path so its

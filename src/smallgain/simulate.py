@@ -13,7 +13,6 @@ its input threshold, and trajectory-level decay and boundedness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from .compose import CompositeLyapunov, SubsystemSpec
 from .errors import BadParameters, Diverged, NotHurwitz, TooLarge
 from .gains import (
     Compose,
-    GainExpr,
     GainNetwork,
     Linear,
     OuterSum,
@@ -451,29 +449,26 @@ def integrate(model, x0, signal: InputSignal | None = None, T: float = 20.0,
 class LinearDesign:
     """Gain network, slope matrix, and energies for a linear block bank.
 
-    ``certify(d.net, d.specs, alpha=d.alpha)`` certifies it; its rows take
-    the input inside their squared sum, so the class's shift ``alpha`` is None.
+    ``certify(d.net, d.specs)`` certifies it; its rows take the input
+    inside their squared sum.
     """
 
     net: GainNetwork
     G: np.ndarray
     P: tuple
     specs: tuple
-    alpha: ClassVar[GainExpr | None] = None
 
 
 @dataclass(frozen=True, eq=False)
 class CGDesign:
     """Gain network and energies for a neural population.
 
-    ``certify(d.net, d.specs, alpha=d.alpha)`` certifies it; its rows add
-    the input after their wrapper, so the budget needs the class's shift
-    ``alpha``.
+    ``certify(d.net, d.specs)`` certifies it; its rows add the input after
+    their wrapper.
     """
 
     net: GainNetwork
     specs: tuple
-    alpha: ClassVar[GainExpr | None] = Linear(0.01)
 
 
 def linear_gains(model: LinearBlock, Q, epsilon: float) -> LinearDesign:

@@ -192,7 +192,7 @@ def test_criterion_4_three_node_closed_form():
 def test_criterion_5_lyapunov_decrease():
     t0 = time.perf_counter()
     model, design = linear_demo()
-    cl = certify(design.net, design.specs, alpha=design.alpha)
+    cl = certify(design.net, design.specs)
     quiet = check_decrease(model, cl, DecreaseSpec(samples=10000,
                                                    u_norms=(0.0,), seed=0))
     assert quiet.evaluated == 10000
@@ -217,9 +217,9 @@ def test_criterion_6_zero_input_stability():
     model_cg, design_cg = cg_demo()
     demos = [
         ("linear", model_lin,
-         certify(design_lin.net, design_lin.specs, alpha=design_lin.alpha)),
+         certify(design_lin.net, design_lin.specs)),
         ("cohen_grossberg", model_cg,
-         certify(design_cg.net, design_cg.specs, alpha=design_cg.alpha)),
+         certify(design_cg.net, design_cg.specs)),
     ]
     assert (simulate.DRIFT_TOL, simulate.CONTRACTION) == (1e-8, 1e-3)
     for name, model, cl in demos:
@@ -234,7 +234,7 @@ def test_criterion_6_zero_input_stability():
 
 def test_criterion_7_iss_boundedness():
     model, design = linear_demo()
-    cl = certify(design.net, design.specs, alpha=design.alpha)
+    cl = certify(design.net, design.specs)
     bound = 1.1 * cl.iss_threshold(1.0)
     # start far outside the bound so entering it is not vacuous
     traj = integrate(model, np.array([20.0, 0.0]),

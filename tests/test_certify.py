@@ -11,10 +11,13 @@ from smallgain import cli, paths
 from smallgain.cli import load_config, main
 from smallgain.compose import certify, compose
 from smallgain.errors import GeneralCondFails, SmallGainError
-from smallgain.gains import Linear
-from smallgain.parser import parse_gain
-from smallgain.paths import VALIDATION_GRID, construct_path, path_margins
-from smallgain.simulate import CGDesign
+from smallgain.paths import (
+    RADIUS_MAX,
+    VALIDATION_GRID,
+    PLFunction,
+    construct_path,
+    path_margins,
+)
 
 # the package's ``compose`` name is the function; this is its module
 compose_mod = importlib.import_module("smallgain.compose")
@@ -38,9 +41,8 @@ def benchmark_docs(monkeypatch):
 def certify_args(cfg):
     """What ``certify`` takes for a loaded config, as the commands pick it."""
     if cfg.design is None:
-        return cfg.effective_net, (), cfg.alpha
-    alpha = cfg.design.alpha if cfg.alpha is None else cfg.alpha
-    return cfg.design.net, cfg.design.specs, alpha
+        return cfg.effective_net, ()
+    return cfg.design.net, cfg.design.specs
 
 
 def test_certify_equals_path_then_compose(tmp_path, monkeypatch):
@@ -48,19 +50,19 @@ def test_certify_equals_path_then_compose(tmp_path, monkeypatch):
     for name, doc in benchmark_docs(monkeypatch).items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))
-        net, specs, alpha = certify_args(load_config(path))
+        net, specs = certify_args(load_config(path))
         try:
             res = construct_path(net, seed=0)
-            ref = compose(net, res.sigma, specs, alpha=alpha, phi=res.phi)
+            ref = compose(net, res.sigma, specs, phi=res.phi)
         except SmallGainError as exc:
             with pytest.raises(type(exc)) as got:
-                certify(net, specs, alpha=alpha)
+                certify(net, specs)
             assert str(got.value) == str(exc), name
             failed += 1
             continue
-        cl = certify(net, specs, alpha=alpha)
+        cl = certify(net, specs)
         assert cl.route == res.route, name
-        assert cl.subsystems == tuple(specs) and cl.alpha == alpha, name
+        assert cl.subsystems == tuple(specs), name
         for a, b in ((cl.sigma.radii, ref.sigma.radii),
                      (cl.sigma.values, ref.sigma.values),
                      (cl.phi.radii, ref.phi.radii), (cl.phi.values, ref.phi.values),
@@ -89,7 +91,8 @@ def test_certificate_failure_reports_margin_and_radius():
     net = cli._load_network(doc)
     sigma = construct_path(net).sigma
     with pytest.raises(GeneralCondFails) as exc:
-        compose(net, sigma, phi=paths.identity_budget())
+        compose(net, sigma, phi=PLFunction(np.array([0.0, RADIUS_MAX]),
+                                           np.array([0.0, RADIUS_MAX])))
     assert str(exc.value).startswith("margin -")
     assert str(exc.value).endswith(f" at radius {exc.value.radius:.6g}")
 
@@ -118,32 +121,14 @@ def test_model_certify_evaluates_validation_margins_once(out, tmp_path, capsys,
     assert len(calls) == 1
 
 
-def spy_certificates(monkeypatch):
-    seen = []
-    real = cli.certify
-    monkeypatch.setattr(cli, "certify",
-                        lambda *a, **k: seen.append(real(*a, **k)) or seen[-1])
-    return seen
-
-
-def test_config_alpha_overrides_population_shift(tmp_path, capsys, monkeypatch):
+def test_config_alpha_rejected(tmp_path, capsys):
+    # the budget map keeps half of each row's path margin: a config that
+    # still sets a diagonal shift would silently get another budget
     doc = json.loads((DEMO_DIR / "neural_pair.json").read_text())
-    assert "alpha" not in doc
-    assert CGDesign.alpha == Linear(0.01)
-    seen = spy_certificates(monkeypatch)
+    doc["alpha"] = "0.02*s"
     cfg = tmp_path / "cfg.json"
-    phi_csv = []
-    for k, alpha in enumerate((None, "0.02*s")):
-        if alpha is not None:
-            doc["alpha"] = alpha
-        cfg.write_text(json.dumps(doc))
-        assert main(["certify", str(cfg), "--out", str(tmp_path / f"b{k}")]) == 0
-        phi_csv.append((tmp_path / f"b{k}.phi.csv").read_bytes())
-    capsys.readouterr()
-    assert [cl.alpha for cl in seen] == [Linear(0.01), parse_gain("0.02*s")]
-    # the population's rows add the input after their wrapper, so their
-    # budget follows the shift
-    assert phi_csv[0] != phi_csv[1]
-    design = load_config(cfg).design
-    ref = certify(design.net, design.specs, alpha=parse_gain("0.02*s"))
-    assert seen[1].phi.values.tobytes() == ref.phi.values.tobytes()
+    cfg.write_text(json.dumps(doc))
+    for cmd in ("check", "certify", "simulate", "verify"):
+        assert main([cmd, str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("config error: /alpha: "), cmd

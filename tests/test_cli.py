@@ -203,21 +203,35 @@ def test_certify_notes_identity_budget(tmp_path, capsys):
 
 
 def test_certify_restricted_input_range(tmp_path, capsys):
-    # bounded internal rows pin a finite budget ceiling well below the
-    # requested input magnitude
+    # bounded internal gains keep the row images below 0.5, but half of
+    # each row's path margin grows with the path: input 2 is covered, and
+    # only an input past the budget map's last anchor value is not
     doc = {
         "n": 2,
         "gains": [["0", "0.5*s/(1+s)"], ["0.5*s/(1+s)", "0"]],
         "external_gains": ["1*s", "1*s"],
         "mu": ["sum", "sum"],
-        "alpha": "0.05*s",
         "simulation": {"input": {"kind": "constant", "value": [2.0]}},
     }
+    assert main(["certify", write_cfg(tmp_path, doc)]) == 0
+    assert "input level 2 covered at threshold" in capsys.readouterr().out
+    doc["simulation"]["input"]["value"] = [1e7]
     code = main(["certify", write_cfg(tmp_path, doc)])
     out = capsys.readouterr().out
     assert code == 1
-    assert "OutOfRange" in out
+    assert "OutOfRange: budget map is certified up to" in out
     assert "restricted input range" in out
+
+
+def test_certify_sum_rows_without_shift(tmp_path, capsys):
+    # rows that add the input on top take half of their path margin; no
+    # diagonal shift is asked for
+    doc = {"n": 2, "gains": [["0", "0.3*s"], ["0.3*s", "0"]],
+           "external_gains": ["1*s", "1*s"], "mu": ["sum", "sum"]}
+    code = main(["certify", write_cfg(tmp_path, doc)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "certificate margins: min" in out
 
 
 def test_certify_reducible_block_max_sum(tmp_path, capsys):

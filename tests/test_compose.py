@@ -7,7 +7,7 @@ from smallgain.compose import (
     compose,
     derive_phi,
 )
-from smallgain.errors import CompatibilityError, GeneralCondFails, OutOfRange
+from smallgain.errors import GeneralCondFails, OutOfRange
 from smallgain.gains import (
     DiagOp,
     GainNetwork,
@@ -18,8 +18,9 @@ from smallgain.gains import (
     Zero,
 )
 from smallgain.paths import (
+    RADIUS_MAX,
     OmegaPath,
-    identity_budget,
+    PLFunction,
     path_irreducible,
     path_max,
     path_reducible,
@@ -58,34 +59,50 @@ def test_max_mode_budget_frozen_example():
     net = half_max_net()
     sigma = tilted_path(2, [1.0, 0.75])
     phi = derive_phi(net, sigma)
-    # row images are (0.375 r, 0.5 r); unit external gains keep the min
+    # row images are (0.375 r, 0.5 r), so the midpoints are
+    # r - (r - 0.375 r)/2 = 0.6875 r and 0.75 r - (0.75 r - 0.5 r)/2 = 0.625 r;
+    # a max row takes the external slot up to its midpoint, and unit
+    # external gains keep the smaller one
     for r in [0.01, 1.0, 3000.0]:
-        assert phi(r) == pytest.approx(0.375 * r, rel=1e-12)
+        assert phi(r) == pytest.approx(0.625 * r, rel=1e-12)
     cl = compose(net, sigma, [abs_spec(), abs_spec()])
-    assert cl.iss_threshold(1.0) == pytest.approx(1.0 / 0.375, rel=1e-9)
+    assert cl.iss_threshold(1.0) == pytest.approx(1.6, rel=1e-9)
     assert cl.iss_threshold(0.0) == 0.0
 
 
 def test_additive_mode_with_shifted_path():
+    # a path built against D(Gamma(s)) has margin to spare; the budget
+    # takes half of it, row by row
     g = Linear(0.25)
     net = net_of([[Z, g, g], [g, Z, g], [g, g, Z]], [SumAgg()] * 3,
                  gu=[Linear(1.0)] * 3)
-    alpha = Linear(0.1)
-    sigma = path_irreducible(net, DiagOp(alpha))
-    cl = compose(net, sigma, [abs_spec()] * 3, alpha=alpha)
+    sigma = path_irreducible(net, DiagOp(Linear(0.1)))
+    cl = compose(net, sigma, [abs_spec()] * 3)
     rr = np.geomspace(1e-4, 1e4, 50)
     assert np.all(cl.phi(rr) > 0)
+    pos = sigma.radii[1:]
+    states = sigma(pos)
+    image = 0.25 * (states.sum(axis=1, keepdims=True) - states)
+    half = 0.5 * (states - image)
+    # unit external gains: the budget is the smallest half margin, made
+    # nondecreasing from the right
+    ref = np.minimum.accumulate(np.minimum(pos, half.min(axis=1))[::-1])[::-1]
+    assert np.allclose(cl.phi.values[1:], ref, rtol=1e-12, atol=0.0)
 
 
-def test_additive_rows_require_alpha():
-    # rows adding the external slot on top have no intrinsic slack, so the
-    # budget needs the diagonal shift
+def test_additive_rows_certify_without_shift():
+    # rows adding the external slot on top take half of their path margin:
+    # row images (0.225 r, 0.3 r) against the path (r, 0.75 r) leave
+    # budgets (0.3875 r, 0.225 r), and unit external gains keep the smaller
     g = Linear(0.3)
     net = net_of([[Z, g], [g, Z]], [SumAgg(), SumAgg()],
                  gu=[Linear(1.0), Linear(1.0)])
     sigma = tilted_path(2, [1.0, 0.75])
-    with pytest.raises(CompatibilityError):
-        derive_phi(net, sigma)
+    phi = derive_phi(net, sigma)
+    for r in [0.01, 1.0, 3000.0]:
+        assert phi(r) == pytest.approx(0.225 * r, rel=1e-12)
+    cl = compose(net, sigma, [abs_spec(), abs_spec()])
+    assert cl.margins.min() > 0.0
 
 
 def test_no_external_gains_identity_budget():
@@ -99,16 +116,19 @@ def test_no_external_gains_identity_budget():
 
 
 def test_bounded_external_gain_drops_from_min():
-    # the second row's external gain saturates; once the row image passes
-    # the saturation level that row stops constraining the budget
+    # the second row's external gain saturates at 2; once the row's
+    # midpoint passes that level the row stops constraining the budget
     g = Linear(0.5)
     net = net_of([[Z, g], [g, Z]], [MaxAgg(), MaxAgg()],
                  gu=[Linear(1.0), Saturating(2.0)])
     sigma = path_max(net)
+    assert np.allclose(sigma.values[:, 0], sigma.values[:, 1])
     phi = derive_phi(net, sigma)
-    big = phi(1e5)
-    # row 1 alone constrains at large radii: phi tracks 0.5 r
-    assert big == pytest.approx(0.5 * 1e5, rel=1e-3)
+    # on the path (r, r) both midpoints are r - (r - 0.5 r)/2 = 0.75 r; at
+    # r = 1 the saturating gain reaches 0.75 at 0.6, while at large radii
+    # row 1 alone constrains: phi tracks 0.75 r
+    assert phi(1.0) == pytest.approx(0.6, rel=2e-2)
+    assert phi(1e5) == pytest.approx(0.75 * 1e5, rel=1e-3)
 
 
 def test_bounded_budget_restricted_input_range():
@@ -117,9 +137,13 @@ def test_bounded_budget_restricted_input_range():
                  gu=[Linear(1.0), Linear(1.0)])
     sigma = path_max(net)
     cl = compose(net, sigma, [abs_spec(), abs_spec()])
-    # row images never exceed the saturation ceiling, so does the budget
+    # the row images stay below 1, but half of each row's margin grows
+    # with the path, so input 2 is covered: on the path (r, r) the
+    # midpoint r - (r - r/(1+r))/2 reaches 2 at r = 1 + sqrt(5)
+    assert cl.iss_threshold(2.0) == pytest.approx(1.0 + 5 ** 0.5, rel=1e-3)
+    # past the last anchor value the budget map certifies nothing
     with pytest.raises(OutOfRange):
-        cl.iss_threshold(2.0)
+        cl.iss_threshold(2.0 * cl.phi.values[-1])
 
 
 def test_general_condition_failure_reports_radius():
@@ -129,7 +153,8 @@ def test_general_condition_failure_reports_radius():
     sigma = tilted_path(2, [1.0, 1.0])
     with pytest.raises(GeneralCondFails) as exc:
         compose(net, sigma, [abs_spec(), abs_spec()],
-                phi=identity_budget())
+                phi=PLFunction(np.array([0.0, RADIUS_MAX]),
+                               np.array([0.0, RADIUS_MAX])))
     assert exc.value.radius is not None
 
 

@@ -9,6 +9,7 @@ from smallgain.gains import (
     Compose,
     Linear,
     Max,
+    OuterSum,
     PlusId,
     Power,
     Saturating,
@@ -16,6 +17,7 @@ from smallgain.gains import (
     Zero,
 )
 from smallgain.parser import format_gain, parse_gain
+from smallgain.simulate import cg_demo, linear_demo
 
 from gen import random_tree
 
@@ -99,3 +101,17 @@ def test_roundtrip_fuzz_1000_trees():
         back = parse_gain(text)
         assert back == tree
         assert format_gain(back) == text
+
+
+@pytest.mark.parametrize("demo", [linear_demo, cg_demo])
+def test_design_gains_roundtrip(demo):
+    # the designs build their coefficients with numpy, so format_gain sees
+    # numpy scalars; every internal gain, external gain and outer map must
+    # still parse back to itself
+    net = demo()[1].net
+    gains = [g for row in net.gamma for g in row] + list(net.gamma_u)
+    gains += [mu.rho for mu in net.mu if isinstance(mu, OuterSum)]
+    assert any(isinstance(mu, OuterSum) for mu in net.mu)
+    for g in gains:
+        text = format_gain(g)
+        assert parse_gain(text) == g, text

@@ -30,6 +30,7 @@ from smallgain.gains import (
     Max,
     MaxAgg,
     DiagOp,
+    OuterSum,
     PlusId,
     Power,
     Saturating,
@@ -41,6 +42,7 @@ from smallgain.gains import (
     strictly_less,
 )
 import smallgain.paths as paths_module
+from smallgain.compose import derive_phi
 from smallgain.parser import parse_gain
 from smallgain.simulate import CohenGrossberg, cg_gains
 from smallgain.graph import adjacency, is_irreducible
@@ -1185,11 +1187,11 @@ def test_reducible_random_networks_pass_extended_check():
     assert driven_sources > 0
 
 
-def _ext_budget_bisection(mu, level, target):
+def _ext_budget_bisection(mu, slot, target):
     """Reference: the largest external value by doubling and bisection."""
-    slots = level[:, None]
-    lo = np.zeros(len(level))
-    hi = np.ones(len(level))
+    slots = slot[:, None]
+    lo = np.zeros(len(slot))
+    hi = np.ones(len(slot))
     for _ in range(700):
         need = mu.aggregate(slots, hi) < target
         if not np.any(need):
@@ -1203,23 +1205,45 @@ def _ext_budget_bisection(mu, level, target):
     return lo
 
 
-@pytest.mark.parametrize("mu", [SumAgg(), MaxAgg()])
+@pytest.mark.parametrize("mu", [
+    SumAgg(), MaxAgg(), BlockMaxSum(((0,),)),
+    OuterSum(Power(1.0, 2.0)), OuterSum(Linear(2.0), external_in_sum=False),
+])
 def test_ext_budget_closed_form_matches_bisection(mu):
     rng = np.random.default_rng(76)
-    level = 10.0 ** rng.uniform(-8, 8, 60)
-    target = level * rng.uniform(1.0, 3.0, level.size)
-    # a target below the level leaves no budget, a huge one a huge budget
-    level = np.concatenate([level, [0.0, 1.0, 1e300, 2.0, 3.0]])
-    target = np.concatenate([target, [1e-9, 1.0, 1.0, 1e200, 2.5]])
-    got = paths_module._ext_budget(mu, level, target)
-    ref = _ext_budget_bisection(mu, level, target)
+    # one internal slot per row; the path value sits above the row image,
+    # and on the edge rows at it, below it, or far above it
+    slot = 10.0 ** rng.uniform(-8, 8, 60)
+    ratio = rng.uniform(1.0, 3.0, slot.size)
+    slot = np.concatenate([slot, [0.0, 1.0, 1e100, 2.0, 3.0]])
+    level = mu.aggregate(slot[:, None], np.zeros(slot.size))
+    state = np.concatenate([level[:60] * ratio, [2e-9, level[61], 1.0, 1e200,
+                                                  0.8 * level[64]]])
+    got = paths_module._ext_budget(mu, level, state)
+    target = state - 0.5 * (state - level)
+    ref = _ext_budget_bisection(mu, slot, target)
     assert np.all(got >= 0.0)
-    assert np.all(np.abs(got - ref) <= 1e-12 * target)
-    # where the level leaves room, the row reaches its target and stays
-    # there, up to one rounding of the sum
+    assert np.all(np.abs(got - ref) <= 1e-12 * (slot + ref))
+    # where the level leaves room, the row reaches its midpoint and stays
+    # there, up to the rounding of the aggregation
     room = level <= target
-    row = mu.aggregate(level[room, None], got[room])
+    row = mu.aggregate(slot[room, None], got[room])
     assert np.all(np.abs(row - target[room]) <= 1e-15 * target[room])
+
+
+def test_source_blocks_budget_matches_derive_phi():
+    # every block is fed by the input alone, so the reducible route's
+    # budget map is the one derive_phi takes from its path, bit for bit;
+    # the lone node's saturating gain binds below r = 15, the max row above
+    g = Linear(0.4)
+    net = net_of([[Z, g, Z], [g, Z, Z], [Z, Z, Z]],
+                 [SumAgg(), MaxAgg(), SumAgg()],
+                 gu=[Linear(1.0), Linear(3.0), Saturating(10.0)])
+    res = path_reducible(net)
+    assert res.phi(1.0) < 0.06 and res.phi(100.0) > 23.0
+    phi = derive_phi(net, res.sigma)
+    assert res.phi.radii.tobytes() == phi.radii.tobytes()
+    assert res.phi.values.tobytes() == phi.values.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from smallgain.simulate import (
 
 def certified(design):
     """The design's certificate, built as every command builds it."""
-    return certify(design.net, design.specs, alpha=design.alpha)
+    return certify(design.net, design.specs)
 
 
 # ---------------------------------------------------------------------------
