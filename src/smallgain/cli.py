@@ -339,6 +339,13 @@ def load_config(path) -> LoadedConfig:
             raise ConfigError("simulation must be an object", pointer="/simulation")
         T = _want(sdoc, "T", float, "/simulation", required=False, default=20.0)
         dt = _want(sdoc, "dt", float, "/simulation", required=False, default=1e-3)
+        # json reads NaN and Infinity, so finiteness is checked too
+        if not (np.isfinite(dt) and dt > 0):
+            raise ConfigError(f"step size must be finite and positive, got {dt}",
+                              pointer="/simulation/dt")
+        if not (np.isfinite(T) and T >= dt):
+            raise ConfigError(f"horizon must be finite and cover at least one "
+                              f"step of {dt:g}, got {T}", pointer="/simulation/T")
         if "x0" in sdoc:
             raw = _want(sdoc, "x0", list, "/simulation")
             try:

@@ -13,17 +13,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import GeneralCondFails
-from .gains import GainNetwork, eval_operator
-from .paths import (
-    VALIDATION_GRID,
-    OmegaPath,
-    PLFunction,
-    _capped_inverse,
-    _ext_budget,
-    construct_path,
-    path_margins,
-)
+from .errors import GeneralCondFails, OutOfRange
+from .gains import GainExpr, GainNetwork, MaxAgg, OuterSum, eval_operator
+from .paths import VALIDATION_GRID, OmegaPath, construct_path, path_margins
 
 
 @dataclass(frozen=True)
@@ -69,17 +61,118 @@ def _audit_subsystem(spec: SubsystemSpec, index: int) -> None:
         )
 
 
+@dataclass(frozen=True)
+class PLFunction:
+    """Scalar nondecreasing piecewise-linear map with ``f(0) = 0``.
+
+    Used for external budget maps: between anchors the interpolant is the
+    chord, beyond the last anchor the final slope continues (possibly zero,
+    in which case the map is bounded).  Inversion stops at the last anchor
+    value: past it the final chord is no bound on a concave budget map, so
+    a higher level raises :class:`OutOfRange`.
+    """
+
+    radii: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        radii = np.asarray(self.radii, dtype=float)
+        values = np.asarray(self.values, dtype=float)
+        if radii.ndim != 1 or radii.shape != values.shape:
+            raise ValueError("anchor radii and values are inconsistent")
+        if radii[0] != 0.0 or values[0] != 0.0:
+            raise ValueError("budget maps start at the origin")
+        if np.any(np.diff(radii) <= 0):
+            raise ValueError("anchor radii must increase strictly")
+        if np.any(np.diff(values) < 0):
+            raise ValueError("budget maps must be nondecreasing")
+        radii.setflags(write=False)
+        values.setflags(write=False)
+        object.__setattr__(self, "radii", radii)
+        object.__setattr__(self, "values", values)
+
+    @property
+    def tail_slope(self) -> float:
+        return float(
+            (self.values[-1] - self.values[-2]) / (self.radii[-1] - self.radii[-2])
+        )
+
+    def __call__(self, r):
+        rr = np.asarray(r, dtype=float)
+        scalar = rr.ndim == 0
+        rr = np.atleast_1d(rr)
+        out = np.interp(rr, self.radii, self.values)
+        beyond = rr > self.radii[-1]
+        if np.any(beyond):
+            out[beyond] = self.values[-1] + self.tail_slope * (rr[beyond] - self.radii[-1])
+        return float(out[0]) if scalar else out
+
+    def inverse(self, y):
+        """Smallest radius reaching level ``y`` (flat stretches resolve left)."""
+        yy = float(y)
+        if yy < 0:
+            raise ValueError("budget levels live on the nonnegative half line")
+        vals = self.values
+        if yy > vals[-1]:
+            if self.tail_slope <= 0:
+                msg = f"budget map is bounded by {vals[-1]:.6g}; level {yy:.6g} unreachable"
+            else:
+                msg = (f"budget map is certified up to {vals[-1]:.6g} (radius "
+                       f"{self.radii[-1]:.6g}); level {yy:.6g} lies past its last anchor")
+            raise OutOfRange(msg, sup=float(vals[-1]), value=yy)
+        idx = int(np.searchsorted(vals, yy, side="left"))
+        if vals[idx] == yy:
+            return float(self.radii[idx])
+        r0, r1 = self.radii[idx - 1], self.radii[idx]
+        v0, v1 = vals[idx - 1], vals[idx]
+        return float(r0 + (yy - v0) * (r1 - r0) / (v1 - v0))
+
+
+def _ext_budget(mu, level: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """Largest external slot value keeping a row at or below its midpoint.
+
+    ``level`` holds the row image per radius, its aggregation with the
+    external slot at zero, and ``state`` the path value ``sigma_i``.  The
+    row keeps half of its path margin: its target is the midpoint
+    ``state - 0.5 (state - level)``.  A row adding the slot on top (sum,
+    block-max-sum, or an outer sum with the slot after its wrapper) has
+    room for ``target - level``; a max row takes the slot up to ``target``;
+    an outer sum with the slot inside its wrapper has room for the
+    wrapper-preimage gap ``rho^-1(target) - rho^-1(level)``.  Either way
+    the budget is zero where the level alone passes the target.
+    """
+    target = state - 0.5 * (state - level)
+    if isinstance(mu, MaxAgg):
+        return np.where(level <= target, target, 0.0)
+    if isinstance(mu, OuterSum) and mu.external_in_sum:
+        return np.maximum(mu.rho.inverse(target) - mu.rho.inverse(level), 0.0)
+    return np.maximum(target - level, 0.0)
+
+
+def _capped_inverse(g: GainExpr, levels: np.ndarray) -> np.ndarray:
+    """Componentwise preimages; levels at or beyond the supremum map to inf."""
+    sup = g.sup()
+    out = np.full_like(levels, np.inf)
+    finite = np.isfinite(levels)
+    mask = finite & (levels < sup * (1.0 - 1e-12))
+    if np.any(mask):
+        out[mask] = g.inverse(levels[mask])
+    return out
+
+
 def derive_phi(net: GainNetwork, sigma: OmegaPath) -> PLFunction:
     """Budget map that leaves each input-fed row half of its path margin.
 
     At each anchor of the path, an input-fed row takes the largest external
     slot that keeps it at or below the midpoint between its image
-    ``Gamma_i(sigma(r))`` and ``sigma_i(r)`` (:func:`paths._ext_budget`).
+    ``Gamma_i(sigma(r))`` and ``sigma_i(r)`` (:func:`_ext_budget`).
     The budget is the smallest preimage of these slots under the external
     gains, capped by the identity, then flattened right-to-left into a
     nondecreasing envelope (the conservative choice between anchors).
     Without external gains the budget map is the identity.  Past the last
     anchor the budget follows the final chord, and its inverse stops there.
+    This is the only budget map a certificate gets, whatever route built
+    the path.
     """
     states = sigma.values[1:]
     image = eval_operator(net, states)
@@ -164,14 +257,13 @@ class CompositeLyapunov:
         return float(self.phi.inverse(u))
 
 
-def compose(net: GainNetwork, sigma: OmegaPath, subsystems=(),
-            phi: PLFunction | None = None) -> CompositeLyapunov:
+def compose(net: GainNetwork, sigma: OmegaPath, subsystems=()) -> CompositeLyapunov:
     """Assemble and check a composite certificate.
 
-    ``subsystems`` is empty for a network given by its gains alone.  Without
-    ``phi`` the budget map is derived from the path (:func:`derive_phi`).
-    The extended operator inequality is checked at 1000 log-spaced radii;
-    a failure reports the smallest margin and the first failing radius.
+    ``subsystems`` is empty for a network given by its gains alone.  The
+    budget map is derived from the path (:func:`derive_phi`).  The extended
+    operator inequality is checked at 1000 log-spaced radii; a failure
+    reports the smallest margin and the first failing radius.
     """
     if not isinstance(sigma, OmegaPath):
         raise TypeError("sigma must be a decay path")
@@ -180,8 +272,7 @@ def compose(net: GainNetwork, sigma: OmegaPath, subsystems=(),
         raise ValueError(f"need {net.n} subsystem specs, got {len(subsystems)}")
     for i, spec in enumerate(subsystems):
         _audit_subsystem(spec, i)
-    if phi is None:
-        phi = derive_phi(net, sigma)
+    phi = derive_phi(net, sigma)
     margins = path_margins(net, sigma, VALIDATION_GRID, phi)[1]
     bad = margins.min(axis=1) <= 0.0
     if np.any(bad):
@@ -194,11 +285,8 @@ def compose(net: GainNetwork, sigma: OmegaPath, subsystems=(),
 
 
 def certify(net: GainNetwork, subsystems=(), *, seed: int = 0) -> CompositeLyapunov:
-    """The network certificate: :func:`construct_path`, then :func:`compose`.
-
-    ``compose`` gets the route's budget map (the reducible route's) or
-    derives one from the path (see :func:`derive_phi`).
-    """
+    """The network certificate: :func:`construct_path`, then :func:`compose`,
+    which derives the budget map from the path (:func:`derive_phi`)."""
     res = construct_path(net, seed=seed)
-    cl = compose(net, res.sigma, subsystems, phi=res.phi)
+    cl = compose(net, res.sigma, subsystems)
     return replace(cl, route=res.route)

@@ -91,7 +91,11 @@ class NotBounded(SmallGainError):
 
 
 class SeedNotFound(SmallGainError):
-    """No point of the decay region found on the search sphere."""
+    """No candidate direction on the search sphere lies in the decay region.
+
+    The search tries finitely many directions, so a miss is no evidence
+    against the small gain condition.
+    """
 
 
 class PathStalled(SmallGainError):

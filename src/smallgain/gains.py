@@ -525,25 +525,6 @@ class BlockMaxSum(Maf):
 
 
 # ---------------------------------------------------------------------------
-# Diagonal robustness operator
-
-
-@dataclass(frozen=True)
-class DiagOp:
-    """``D(s)_i = s_i + alpha(s_i)`` for a class K-infinity ``alpha``."""
-
-    alpha: GainExpr
-
-    def __post_init__(self):
-        if self.alpha.classify() is not GainClass.K_INFINITY:
-            raise ValueError("diagonal operator needs a class K-infinity alpha")
-
-    def __call__(self, s):
-        arr = _as_float_array(s)
-        return _maybe_scalar(arr + self.alpha._eval(arr), arr.ndim == 0)
-
-
-# ---------------------------------------------------------------------------
 # Gain networks
 
 

@@ -9,9 +9,12 @@ max-aggregation (the closure ``max_{k<n} (D o Gamma)^k(t 1)``, on any
 graph), three-node additive, mixed bounded/unbounded, bounded,
 irreducible (seed-and-chain) and reducible cases; :func:`construct_path`
 tries them in that order, so the others see only networks that are not
-power-homogeneous or whose ray stalls.
+power-homogeneous or whose ray stalls.  It is the only dispatcher: the
+mixed route's unbounded part and each reducible block get their paths
+from it too.
 Every constructor validates its result on a log-spaced radius grid before
-returning it.
+returning it.  This module builds paths only; the external budget map of
+a certificate comes from the path (:func:`compose.derive_phi`).
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .errors import (
     NotHomogeneous,
     NotInOmega,
     NotIrreducible,
-    OutOfRange,
     PathStalled,
     SeedNotFound,
     SpliceFailure,
@@ -43,13 +45,10 @@ from .gains import (
     TOL_STRICT,
     BlockMaxSum,
     Compose,
-    DiagOp,
     GainClass,
-    GainExpr,
     GainNetwork,
     Linear,
     MaxAgg,
-    OuterSum,
     PlusId,
     SumAgg,
     Zero,
@@ -151,73 +150,6 @@ class OmegaPath:
 
 
 @dataclass(frozen=True)
-class PLFunction:
-    """Scalar nondecreasing piecewise-linear map with ``f(0) = 0``.
-
-    Used for external budget maps: between anchors the interpolant is the
-    chord, beyond the last anchor the final slope continues (possibly zero,
-    in which case the map is bounded).  Inversion stops at the last anchor
-    value: past it the final chord is no bound on a concave budget map, so
-    a higher level raises :class:`OutOfRange`.
-    """
-
-    radii: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        radii = np.asarray(self.radii, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if radii.ndim != 1 or radii.shape != values.shape:
-            raise ValueError("anchor radii and values are inconsistent")
-        if radii[0] != 0.0 or values[0] != 0.0:
-            raise ValueError("budget maps start at the origin")
-        if np.any(np.diff(radii) <= 0):
-            raise ValueError("anchor radii must increase strictly")
-        if np.any(np.diff(values) < 0):
-            raise ValueError("budget maps must be nondecreasing")
-        radii.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "radii", radii)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def tail_slope(self) -> float:
-        return float(
-            (self.values[-1] - self.values[-2]) / (self.radii[-1] - self.radii[-2])
-        )
-
-    def __call__(self, r):
-        rr = np.asarray(r, dtype=float)
-        scalar = rr.ndim == 0
-        rr = np.atleast_1d(rr)
-        out = np.interp(rr, self.radii, self.values)
-        beyond = rr > self.radii[-1]
-        if np.any(beyond):
-            out[beyond] = self.values[-1] + self.tail_slope * (rr[beyond] - self.radii[-1])
-        return float(out[0]) if scalar else out
-
-    def inverse(self, y):
-        """Smallest radius reaching level ``y`` (flat stretches resolve left)."""
-        yy = float(y)
-        if yy < 0:
-            raise ValueError("budget levels live on the nonnegative half line")
-        vals = self.values
-        if yy > vals[-1]:
-            if self.tail_slope <= 0:
-                msg = f"budget map is bounded by {vals[-1]:.6g}; level {yy:.6g} unreachable"
-            else:
-                msg = (f"budget map is certified up to {vals[-1]:.6g} (radius "
-                       f"{self.radii[-1]:.6g}); level {yy:.6g} lies past its last anchor")
-            raise OutOfRange(msg, sup=float(vals[-1]), value=yy)
-        idx = int(np.searchsorted(vals, yy, side="left"))
-        if vals[idx] == yy:
-            return float(self.radii[idx])
-        r0, r1 = self.radii[idx - 1], self.radii[idx]
-        v0, v1 = vals[idx - 1], vals[idx]
-        return float(r0 + (yy - v0) * (r1 - r0) / (v1 - v0))
-
-
-@dataclass(frozen=True)
 class PathReport:
     """Margins of a candidate path on a radius grid (no monotonicity audit:
     :class:`OmegaPath` rejects anchors that do not increase strictly)."""
@@ -233,29 +165,24 @@ class PathReport:
 
 @dataclass(frozen=True)
 class PathResult:
-    """Decay path from :func:`construct_path`, with the reducible route's budget.
+    """Decay path from :func:`construct_path` and the route that built it.
 
     ``route`` names the constructor that ran: ``ray`` (every
     power-homogeneous network), ``max`` (the closure path of any max
     network, reducible ones too), ``three_sum``, ``mixed``, ``bounded``,
-    ``irreducible``, ``irreducible_diag`` (the irreducible construction
-    retried against ``D(Gamma(s))``) or ``reducible``.
-    ``phi`` is set only by the reducible route, whose
-    blockwise construction derives the external budget map along with the
-    path; elsewhere it is ``None`` and callers derive a budget map from
-    ``sigma``.
+    ``irreducible`` or ``reducible``.  The budget map comes from the path
+    alone (:func:`compose.derive_phi`).
     """
 
     sigma: OmegaPath
     route: str
-    phi: PLFunction | None = None
 
 
-def path_margins(net: GainNetwork, sigma: OmegaPath, radii,
-                 phi: PLFunction | None = None):
+def path_margins(net: GainNetwork, sigma: OmegaPath, radii, phi=None):
     """Path values and rowwise margins ``sigma(r) - Gamma_ext(sigma(r), phi(r))``.
 
-    Without a budget map the external channel is pinned at zero.
+    ``phi`` is a budget map (:class:`compose.PLFunction`); without one the
+    external channel is pinned at zero.
     """
     states = sigma(radii)
     image = eval_operator_ext(net, states, 0.0 if phi is None else phi(radii))
@@ -490,8 +417,8 @@ def _find_seed(op, n: int, seed: int = 0) -> np.ndarray:
             return block[hits[0]]
         start, size = start + size, 8 * size
     raise SeedNotFound(
-        "no point of the strict decay set found on the unit sphere; "
-        "evidence against the small gain condition"
+        f"none of the {len(cands)} candidate directions on the unit sphere "
+        "lies in the strict decay set"
     )
 
 
@@ -580,12 +507,11 @@ def path_bounded(net: GainNetwork) -> OmegaPath:
     return _finalize(net, sigma)
 
 
-def path_irreducible(net: GainNetwork, d: DiagOp | None = None, *,
-                     seed: int = 0) -> OmegaPath:
+def path_irreducible(net: GainNetwork, *, seed: int = 0) -> OmegaPath:
     """Seed-and-chain construction for strongly connected unbounded gains.
 
-    With a diagonal operator ``d`` the path is built for ``D(Gamma(s))``,
-    which leaves extra additive margin for external budgets.
+    A seed on the unit sphere (:func:`_find_seed`) chains up past the
+    certified range and iterates the operator down to the origin.
     """
     adj = adjacency(net)
     if not is_irreducible(adj):
@@ -598,11 +524,7 @@ def path_irreducible(net: GainNetwork, d: DiagOp | None = None, *,
                 raise CompatibilityError(
                     "bounded gains present; use the bounded or mixed route"
                 )
-    if d is None:
-        op = lambda s: eval_operator(net, s)
-    else:
-        op = lambda s: d(eval_operator(net, s))
-    # seed on the unit sphere, chain up past the range, iterate down to the origin
+    op = lambda s: eval_operator(net, s)
     seed_vec = _find_seed(op, net.n, seed)
     up = _chain_up(op, seed_vec, target_sup=1.05 * RADIUS_MAX)
     down = _downward_leg(op, seed_vec, stop_abs=_compressed_floor(1.0))
@@ -790,7 +712,9 @@ def path_mixed(net: GainNetwork, *, seed: int = 0) -> OmegaPath:
     """Path for additive rows mixing bounded and unbounded gains.
 
     The unbounded part gets a path built against the inflated operator
-    ``Gamma_U(s + rho(s))``; the inflation term then absorbs the bounded
+    ``Gamma_U(s + rho(s))`` by :func:`construct_path` (its sum rows and
+    unbounded gains take the ray, the irreducible or the reducible
+    route); the inflation term then absorbs the bounded
     part's supremum beyond a crossover radius, and a downward leg covers
     the radii below it.
     """
@@ -820,12 +744,7 @@ def path_mixed(net: GainNetwork, *, seed: int = 0) -> OmegaPath:
         t_net = GainNetwork(net.n, inflated,
                             tuple(zero_gain for _ in range(net.n)), net.mu)
         try:
-            try:
-                sigma_u = path_homogeneous(t_net)
-            except (NotHomogeneous, PathStalled):
-                sigma_u = (path_irreducible(t_net, seed=seed)
-                           if is_irreducible(adjacency(t_net))
-                           else path_reducible(t_net, seed=seed).sigma)
+            sigma_u = construct_path(t_net, seed=seed).sigma
         except (SeedNotFound, PathStalled, Stalled, NotInOmega, BlockSgcFails,
                 LambdaNotContractive) as exc:
             last_error = exc
@@ -914,56 +833,24 @@ def _subnet(net: GainNetwork, block: tuple[int, ...]) -> GainNetwork:
                        tuple(zero_gain for _ in block), tuple(mus))
 
 
-def _ext_budget(mu, level: np.ndarray, state: np.ndarray) -> np.ndarray:
-    """Largest external slot value keeping a row at or below its midpoint.
-
-    ``level`` holds the row image per radius, its aggregation with the
-    external slot at zero, and ``state`` the path value ``sigma_i``.  The
-    row keeps half of its path margin: its target is the midpoint
-    ``state - 0.5 (state - level)``.  A row adding the slot on top (sum,
-    block-max-sum, or an outer sum with the slot after its wrapper) has
-    room for ``target - level``; a max row takes the slot up to ``target``;
-    an outer sum with the slot inside its wrapper has room for the
-    wrapper-preimage gap ``rho^-1(target) - rho^-1(level)``.  Either way
-    the budget is zero where the level alone passes the target.
-    """
-    target = state - 0.5 * (state - level)
-    if isinstance(mu, MaxAgg):
-        return np.where(level <= target, target, 0.0)
-    if isinstance(mu, OuterSum) and mu.external_in_sum:
-        return np.maximum(mu.rho.inverse(target) - mu.rho.inverse(level), 0.0)
-    return np.maximum(target - level, 0.0)
-
-
-def _capped_inverse(g: GainExpr, levels: np.ndarray) -> np.ndarray:
-    """Componentwise preimages; levels at or beyond the supremum map to inf."""
-    sup = g.sup()
-    out = np.full_like(levels, np.inf)
-    finite = np.isfinite(levels)
-    mask = finite & (levels < sup * (1.0 - 1e-12))
-    if np.any(mask):
-        out[mask] = g.inverse(levels[mask])
-    return out
-
-
-def path_reducible(net: GainNetwork, *, seed: int = 0) -> PathResult:
+def path_reducible(net: GainNetwork, *, seed: int = 0) -> OmegaPath:
     """Blockwise construction for reducible interconnections.
 
-    Blocks are processed from the most upstream one downward.  A block with
-    no inflow keeps its local path unreparametrized; a block fed only by
-    the external input keeps its path and shrinks the external budget map
-    so half of each row's margin absorbs the input (:func:`_ext_budget`,
-    the rule :func:`compose.derive_phi` applies); a block fed by other
-    blocks is reparametrized so its local margins dominate twice the
-    aggregated inflow, generalizing the two-block recipe
-    ``sigma = (2 eta~(r), r)``, ``phi = min(id, eta2^{-1}(id/2))``.
-    Each block of two or more nodes gets its local path from
-    :func:`construct_path`; a single node rides the identity.  A block's
-    own rows are evaluated on its subnetwork, whose aggregations are
-    remapped to block-local columns; its inflow is the whole operator
-    evaluated at the upstream values placed so far (this block's and the
-    downstream columns are still zero).  The result satisfies
-    ``Gamma_ext(sigma(r), phi(r)) < sigma(r)``.
+    Blocks are processed from the most upstream one downward.  A block
+    without inflow from other blocks keeps its local path unreparametrized;
+    a block fed by other blocks is reparametrized so its local margins
+    dominate twice its aggregated inflow plus its input at the identity
+    level ``r``, generalizing the two-block recipe
+    ``sigma = (2 eta~(r), r)``.  Each block of two or more nodes gets its
+    local path from :func:`construct_path`; a single node rides the
+    identity.  A block's own rows are evaluated on its subnetwork, whose
+    aggregations are remapped to block-local columns; its inflow is the
+    whole operator evaluated at the upstream values placed so far (this
+    block's and the downstream columns are still zero).
+
+    Every budget map is capped by the identity, so a fed row keeps half of
+    its margin for an input up to ``r``: :func:`compose.derive_phi` is
+    bound only by the rows of blocks without cross-block inflow.
     """
     adj = adjacency(net)
     if net.n > 1 and is_irreducible(adj):
@@ -974,7 +861,6 @@ def path_reducible(net: GainNetwork, *, seed: int = 0) -> PathResult:
     radii_pos = _log_grid(1e-7, 1.1 * RADIUS_MAX)
     m = len(radii_pos)
     values = np.zeros((m, net.n))
-    phi_vals = radii_pos.copy()
 
     for bi in reversed(range(len(blocks))):
         block = blocks[bi]
@@ -1003,21 +889,12 @@ def path_reducible(net: GainNetwork, *, seed: int = 0) -> PathResult:
                                     block=block) from exc
 
         if not any(fed):
-            # keep the local path; an external input shrinks the budget map
-            bp_vals = bp(radii_pos)
-            values[:, cols] = bp_vals
-            if any(net.ext_active[i] for i in block):
-                level = eval_operator(subnet, bp_vals)
-                for k, i in enumerate(block):
-                    if net.ext_active[i]:
-                        budget = _ext_budget(net.mu[i], level[:, k], bp_vals[:, k])
-                        cap = _capped_inverse(net.gamma_u[i], budget)
-                        phi_vals = np.minimum(phi_vals, cap)
+            values[:, cols] = bp(radii_pos)
             continue
 
         # blocks fed by other blocks: reparametrize the local path so its
-        # margins dominate twice the aggregated inflow
-        targets = 2.0 * eval_operator_ext(net, values, phi_vals)[:, cols]
+        # margins dominate twice the aggregated inflow and input
+        targets = 2.0 * eval_operator_ext(net, values, radii_pos)[:, cols]
         is_max = np.array([isinstance(net.mu[i], MaxAgg) for i in block])
         t_hi = 10.0 * RADIUS_MAX
         while True:
@@ -1046,21 +923,12 @@ def path_reducible(net: GainNetwork, *, seed: int = 0) -> PathResult:
 
     radii_full = np.concatenate([[0.0], radii_pos])
     sigma = OmegaPath(radii_full, np.vstack([np.zeros(net.n), values]))
-
-    phi_vals = np.minimum.accumulate(phi_vals[::-1])[::-1]
-    phi = PLFunction(radii_full, np.concatenate([[0.0], phi_vals]))
-
     report = validate_path(net, sigma)
     if not report.valid:
         raise NotInOmega(
             f"composed path failed validation (min margin {report.min_margin:.3g})"
         )
-    ext_image = eval_operator_ext(net, values, phi_vals)
-    if not np.all(ext_image < values):
-        raise NotInOmega(
-            "composed path failed the extended-operator check with its budget map"
-        )
-    return PathResult(sigma, "reducible", phi)
+    return sigma
 
 
 # ---------------------------------------------------------------------------
@@ -1075,10 +943,8 @@ def construct_path(net: GainNetwork, *, seed: int = 0) -> PathResult:
     is homogeneous after a per-node power change, strongly connected or
     not, with sum, max or power-of-sum rows; the other constructors see the
     rest and the networks where the ray stalls.  Every other max network
-    takes the closure path of :func:`path_max`, reducible or not.  An
-    irreducible construction that stalls is retried against the
-    strengthened operator ``D(Gamma(s))`` with ``D = id + 0.01 id``.  The
-    result names the route.
+    takes the closure path of :func:`path_max`, reducible or not.  Every
+    other constructor's failure propagates; the result names the route.
     """
     try:
         return PathResult(path_homogeneous(net), "ray")
@@ -1097,11 +963,7 @@ def construct_path(net: GainNetwork, *, seed: int = 0) -> PathResult:
     elif classes and GainClass.K_INFINITY not in classes:
         sigma, route = path_bounded(net), "bounded"
     elif is_irreducible(adjacency(net)):
-        try:
-            sigma, route = path_irreducible(net, seed=seed), "irreducible"
-        except PathStalled:
-            sigma = path_irreducible(net, d=DiagOp(Linear(0.01)), seed=seed)
-            route = "irreducible_diag"
+        sigma, route = path_irreducible(net, seed=seed), "irreducible"
     else:
-        return path_reducible(net, seed=seed)
+        sigma, route = path_reducible(net, seed=seed), "reducible"
     return PathResult(sigma, route)

@@ -98,8 +98,7 @@ def test_criterion_1_path_validity_suite():
     for name, (net, constructor) in instances.items():
         t0 = time.perf_counter()
         sigma = constructor(net)
-        if not isinstance(sigma, OmegaPath):
-            sigma = sigma.sigma
+        assert isinstance(sigma, OmegaPath), name
         states = sigma(rr)
         image = eval_operator(net, states)
         margin = states - image

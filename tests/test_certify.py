@@ -9,12 +9,11 @@ import pytest
 
 from smallgain import cli, paths
 from smallgain.cli import load_config, main
-from smallgain.compose import certify, compose
+from smallgain.compose import PLFunction, certify, compose
 from smallgain.errors import GeneralCondFails, SmallGainError
 from smallgain.paths import (
     RADIUS_MAX,
     VALIDATION_GRID,
-    PLFunction,
     construct_path,
     path_margins,
 )
@@ -53,7 +52,7 @@ def test_certify_equals_path_then_compose(tmp_path, monkeypatch):
         net, specs = certify_args(load_config(path))
         try:
             res = construct_path(net, seed=0)
-            ref = compose(net, res.sigma, specs, phi=res.phi)
+            ref = compose(net, res.sigma, specs)
         except SmallGainError as exc:
             with pytest.raises(type(exc)) as got:
                 certify(net, specs)
@@ -84,15 +83,19 @@ def test_certify_without_subsystems_has_no_energies():
     assert cl.route == "ray" and cl.margins.shape == (len(VALIDATION_GRID), 2)
 
 
-def test_certificate_failure_reports_margin_and_radius():
+def identity_budget(net, sigma):
+    return PLFunction(np.array([0.0, RADIUS_MAX]), np.array([0.0, RADIUS_MAX]))
+
+
+def test_certificate_failure_reports_margin_and_radius(monkeypatch):
     # the identity budget lets the input fill each row past its path margin
     doc = {"n": 2, "gains": [["0", "0.5*s"], ["0.5*s", "0"]],
            "external_gains": ["1*s", "1*s"], "mu": ["sum", "sum"]}
     net = cli._load_network(doc)
     sigma = construct_path(net).sigma
+    monkeypatch.setattr(compose_mod, "derive_phi", identity_budget)
     with pytest.raises(GeneralCondFails) as exc:
-        compose(net, sigma, phi=PLFunction(np.array([0.0, RADIUS_MAX]),
-                                           np.array([0.0, RADIUS_MAX])))
+        compose(net, sigma)
     assert str(exc.value).startswith("margin -")
     assert str(exc.value).endswith(f" at radius {exc.value.radius:.6g}")
 

@@ -290,6 +290,21 @@ def verify_doc(T=12.0):
             "simulation": {"x0": [2.0, -1.0], "T": T, "dt": 0.002}}
 
 
+@pytest.mark.parametrize("cmd", ["simulate", "verify"])
+@pytest.mark.parametrize("key, value", [
+    ("dt", 0.0), ("dt", -1.0), ("dt", float("nan")), ("dt", float("inf")),
+    ("T", 0.0), ("T", 0.001), ("T", float("nan")), ("T", float("inf")),
+])
+def test_bad_step_or_horizon_rejected(cmd, key, value, tmp_path, capsys):
+    # json reads NaN and Infinity; a horizon must cover one step of 0.002
+    doc = verify_doc()
+    doc["simulation"][key] = value
+    code = main([cmd, write_cfg(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"config error: /simulation/{key}: ")
+
+
 def test_verify_passes_on_healthy_certificate(tmp_path, capsys):
     code = main(["verify", write_cfg(tmp_path, verify_doc())])
     out = capsys.readouterr().out

@@ -1,15 +1,17 @@
+import importlib
+
 import numpy as np
 import pytest
 
 from smallgain.compose import (
     CompositeLyapunov,
+    PLFunction,
     SubsystemSpec,
     compose,
     derive_phi,
 )
 from smallgain.errors import GeneralCondFails, OutOfRange
 from smallgain.gains import (
-    DiagOp,
     GainNetwork,
     Linear,
     MaxAgg,
@@ -20,13 +22,14 @@ from smallgain.gains import (
 from smallgain.paths import (
     RADIUS_MAX,
     OmegaPath,
-    PLFunction,
     path_irreducible,
     path_max,
     path_reducible,
 )
 
 Z = Zero()
+# the package's ``compose`` name is the function; this is its module
+compose_mod = importlib.import_module("smallgain.compose")
 
 
 def net_of(rows, mu, gu=None):
@@ -71,12 +74,12 @@ def test_max_mode_budget_frozen_example():
 
 
 def test_additive_mode_with_shifted_path():
-    # a path built against D(Gamma(s)) has margin to spare; the budget
+    # the seed-and-chain path keeps a margin on every row; the budget
     # takes half of it, row by row
     g = Linear(0.25)
     net = net_of([[Z, g, g], [g, Z, g], [g, g, Z]], [SumAgg()] * 3,
                  gu=[Linear(1.0)] * 3)
-    sigma = path_irreducible(net, DiagOp(Linear(0.1)))
+    sigma = path_irreducible(net)
     cl = compose(net, sigma, [abs_spec()] * 3)
     rr = np.geomspace(1e-4, 1e4, 50)
     assert np.all(cl.phi(rr) > 0)
@@ -146,15 +149,16 @@ def test_bounded_budget_restricted_input_range():
         cl.iss_threshold(2.0 * cl.phi.values[-1])
 
 
-def test_general_condition_failure_reports_radius():
+def test_general_condition_failure_reports_radius(monkeypatch):
+    # the identity budget lets the input fill each row past its path margin
     g = Linear(0.5)
     net = net_of([[Z, g], [g, Z]], [SumAgg(), SumAgg()],
                  gu=[Linear(1.0), Linear(1.0)])
     sigma = tilted_path(2, [1.0, 1.0])
+    monkeypatch.setattr(compose_mod, "derive_phi", lambda net, sigma: PLFunction(
+        np.array([0.0, RADIUS_MAX]), np.array([0.0, RADIUS_MAX])))
     with pytest.raises(GeneralCondFails) as exc:
-        compose(net, sigma, [abs_spec(), abs_spec()],
-                phi=PLFunction(np.array([0.0, RADIUS_MAX]),
-                               np.array([0.0, RADIUS_MAX])))
+        compose(net, sigma, [abs_spec(), abs_spec()])
     assert exc.value.radius is not None
 
 
@@ -225,8 +229,7 @@ def test_subsystem_audit_rejects_per_state_energy():
 def test_compose_with_reducible_budget():
     net = net_of([[Z, Linear(0.7)], [Z, Z]], [SumAgg(), SumAgg()],
                  gu=[Z, Linear(1.0)])
-    rp = path_reducible(net)
-    cl = compose(net, rp.sigma, [abs_spec(), abs_spec()], phi=rp.phi)
+    cl = compose(net, path_reducible(net), [abs_spec(), abs_spec()])
     assert cl.phi(2.0) == pytest.approx(1.0, rel=1e-6)
     assert cl.iss_threshold(1.0) == pytest.approx(2.0, rel=1e-6)
 

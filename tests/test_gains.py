@@ -10,7 +10,6 @@ from smallgain.gains import (
     Atan,
     BlockMaxSum,
     Compose,
-    DiagOp,
     GainClass,
     GainExpr,
     GainNetwork,
@@ -314,15 +313,6 @@ def test_network_rejects_incompatible_aggregation():
         two_node_net(Linear(1), Linear(1), mu=(OuterSum(Saturating(1)), SumAgg()))
 
 
-def test_diag_op():
-    d = DiagOp(Linear(1))
-    np.testing.assert_allclose(d(np.array([1.0, 2.0])), [2.0, 4.0])
-    d2 = DiagOp(Power(1, 2))
-    assert d2(3.0) == 12.0
-    with pytest.raises(ValueError):
-        DiagOp(Saturating(1))
-
-
 def test_strictly_less_semantics():
     assert strictly_less(1.0 - 1e-8, 1.0)
     assert not strictly_less(1.0 - 1e-10, 1.0)
@@ -423,15 +413,12 @@ def test_operator_rows_match_single_point_calls(mu_kind):
     # batched path searches replay sequential ones from these rows; n = 9
     # takes numpy's pairwise sum past its 8-element unrolled block
     rng = np.random.default_rng(11)
-    d = DiagOp(Linear(0.01))
     for n in (3, 9):
         net = _random_net(rng, n, mu_kind, ext0=False)
         batch = np.geomspace(1e-8, 1e8, 40)[:, None] * rng.uniform(0.5, 1.0, (40, n))
-        # the plain operator and path_irreducible's D(Gamma(s))
-        for op in (lambda s: eval_operator(net, s), lambda s: d(eval_operator(net, s))):
-            rows = op(batch)
-            for k in range(len(batch)):
-                assert rows[k].tobytes() == op(batch[k]).tobytes()
+        rows = eval_operator(net, batch)
+        for k in range(len(batch)):
+            assert rows[k].tobytes() == eval_operator(net, batch[k]).tobytes()
 
 
 class _CountingLinear(Linear):

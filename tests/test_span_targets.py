@@ -1,13 +1,17 @@
-"""The benchmark's span targets name objects the package still has.
+"""The benchmark's span targets and the package exports name objects the
+package still has.
 
 ``perfbench/spans.py`` replaces each function it traces by name; a renamed
 or deleted target would leave its layer untimed.  The file is loaded, never
-edited.
+edited.  A stale entry in ``smallgain.__all__`` breaks only
+``from smallgain import *``.
 """
 
 import importlib
 import importlib.util
 import pathlib
+
+import smallgain
 
 SPANS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -26,3 +30,8 @@ def test_span_targets_resolve():
         if not callable(owner.get(attr)):
             missing.append(name)
     assert not missing
+
+
+def test_package_exports_resolve():
+    assert len(smallgain.__all__) == len(set(smallgain.__all__))
+    assert [name for name in smallgain.__all__ if not hasattr(smallgain, name)] == []
