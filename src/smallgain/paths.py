@@ -938,13 +938,16 @@ def path_reducible(net: GainNetwork, *, seed: int = 0) -> OmegaPath:
 def construct_path(net: GainNetwork, *, seed: int = 0) -> PathResult:
     """Pick a constructor by network shape (fixed, documented order).
 
-    ray -> max -> three-node sum -> mixed -> bounded -> irreducible ->
-    reducible.  The ray (:func:`path_homogeneous`) takes every network that
-    is homogeneous after a per-node power change, strongly connected or
-    not, with sum, max or power-of-sum rows; the other constructors see the
-    rest and the networks where the ray stalls.  Every other max network
-    takes the closure path of :func:`path_max`, reducible or not.  Every
-    other constructor's failure propagates; the result names the route.
+    ray -> max -> three-node sum -> zero row -> mixed -> bounded ->
+    irreducible -> reducible.  The ray (:func:`path_homogeneous`) takes
+    every network that is homogeneous after a per-node power change,
+    strongly connected or not, with sum, max or power-of-sum rows; the
+    other constructors see the rest and the networks where the ray stalls.
+    Every other max network takes the closure path of :func:`path_max`,
+    reducible or not.  A network with a zero row (a source node) is
+    reducible and takes :func:`path_reducible`, which builds each block on
+    its own route.  Every other constructor's failure propagates; the
+    result names the route.
     """
     try:
         return PathResult(path_homogeneous(net), "ray")
@@ -958,6 +961,8 @@ def construct_path(net: GainNetwork, *, seed: int = 0) -> PathResult:
             net.gamma[i][j].classify() is GainClass.K_INFINITY
             for i in range(3) for j in range(3) if i != j):
         sigma, route = path_three_sum(net), "three_sum"
+    elif zero_rows(net):
+        sigma, route = path_reducible(net, seed=seed), "reducible"
     elif all_sum and classes == {GainClass.K_BOUNDED, GainClass.K_INFINITY}:
         sigma, route = path_mixed(net, seed=seed), "mixed"
     elif classes and GainClass.K_INFINITY not in classes:

@@ -78,10 +78,11 @@ def _cycle_edge_gains(net: GainNetwork, cycle) -> list[GainExpr]:
 
 
 def _compose_cycle(gains, r):
-    v = np.asarray(r, dtype=float)
+    # ``r`` is check_cycle_condition's positive float grid, so each gain
+    # skips the argument check of its ``__call__``; the bits are the same
     for g in reversed(gains):
-        v = g(v)
-    return v
+        r = g._eval(r)
+    return r
 
 
 def check_cycle_condition(net: GainNetwork) -> SgcVerdict:
@@ -109,13 +110,13 @@ def check_cycle_condition(net: GainNetwork) -> SgcVerdict:
             min_margin = min(min_margin, 1.0 - prod)
             continue
         vals = _compose_cycle(gains, grid)
-        if np.any(vals >= grid):
+        if (vals >= grid).any():
             return SgcVerdict(
                 status=CERTIFIED_FAILS, method="cycle-grid", cycle=c,
                 witness=_cycle_witness(net, c),
                 margins={"worst_radius": float(grid[np.argmax(vals - grid)])},
             )
-        min_margin = min(min_margin, float(np.min((grid - vals) / grid)))
+        min_margin = min(min_margin, float(((grid - vals) / grid).min()))
     return SgcVerdict(
         status=CERTIFIED_HOLDS, method="cycle",
         margins={"min_margin": float(min_margin), "cycles": len(cycles)},
@@ -292,6 +293,12 @@ def power_form(net: GainNetwork):
     and ``p = e``, ``T(t) = G t`` for ``G_ij = k_i^(1/e_i) c_ij``; else ``G``
     is None.
     """
+    return _power_form(net)[:2]
+
+
+def _power_form(net: GainNetwork):
+    """:func:`power_form`'s ``(p, G)``, then per row ``(k_i, e_i, not max)``
+    and the matrix ``C`` of the gain coefficients ``c_ij``."""
     rows = []
     for mu in net.mu:
         law = (1.0, 1.0) if isinstance(mu, (SumAgg, MaxAgg)) else (
@@ -321,15 +328,15 @@ def power_form(net: GainNetwork):
                     p[m] = (e[m] * laws[m, k][1] * p[k] if (m, k) in laws
                             else p[k] / (e[k] * laws[k, m][1]))
                     stack.append(m)
-    for (i, j), (_c, q) in laws.items():
+    C = np.zeros((net.n, net.n))
+    for (i, j), (c, q) in laws.items():
         if not same_exponent(e[i] * q, p[i] / p[j]):
             raise NotHomogeneous(f"gain ({i + 1},{j + 1}) breaks every per-node power change")
-    if not all(row[2] and same_exponent(a, b) for row, a, b in zip(rows, p, e)):
-        return p, None
-    G = np.zeros((net.n, net.n))
-    for (i, j), (c, _q) in laws.items():
-        G[i, j] = rows[i][0] ** (1.0 / e[i]) * c
-    return p, G
+        C[i, j] = c
+    G = None
+    if all(row[2] and same_exponent(a, b) for row, a, b in zip(rows, p, e)):
+        G = np.array([[k ** (1.0 / ei)] for (k, _e, _s), ei in zip(rows, e)]) * C
+    return p, G, rows, C
 
 
 def linear_perron(net: GainNetwork):
@@ -388,6 +395,40 @@ def _conjugate(net: GainNetwork, p: np.ndarray, t) -> np.ndarray:
     return eval_operator(net, np.power(t, p)) ** (1.0 / p)
 
 
+def _conjugate_form(p: np.ndarray, rows, C: np.ndarray):
+    """:func:`_conjugate` as array arithmetic on the power laws, for one ``t``.
+
+    Row ``i`` is ``k_i A_i(...)^e_i`` over gains ``c_ij s^q_ij`` with
+    ``e_i q_ij p_j = p_i`` (:func:`power_form`).  At ``s = t^p`` each gain
+    reads ``c_ij t_j^(p_j q_ij) = c_ij t_j^r_i``, ``r_i = p_i / e_i``, so
+    ``T_i(t) = (k_i A_i(c_ij t_j^r_i)^e_i)^(1/p_i)`` is
+
+    * on sum and power-of-sum rows, ``k_i^(1/p_i) (sum_j c_ij t_j^r_i)^(1/r_i)``;
+    * on max rows (``k_i = e_i = 1``, ``r_i = p_i``), ``max_j c_ij^(1/r_i) t_j``.
+    """
+    k, e, summed = (np.array(col) for col in zip(*rows))
+    r = p / e
+    mx, sm = np.flatnonzero(~summed), np.flatnonzero(summed)
+    A = C[mx] ** (1.0 / r[mx, None])
+    B, R, K = C[sm], r[sm, None], k[sm] ** (1.0 / p[sm])
+
+    def max_rows(t):
+        return (A * t).max(axis=1)
+
+    def sum_rows(t):
+        return K * (B * t ** R).sum(axis=1) ** (1.0 / R[:, 0])
+
+    if not sm.size or not mx.size:
+        return sum_rows if sm.size else max_rows
+
+    def T(t):
+        out = np.empty(t.size)
+        out[mx], out[sm] = max_rows(t), sum_rows(t)
+        return out
+
+    return T
+
+
 # w <- 1 + T(w) stops after a step below FIXED_TOL relative, past
 # FIXED_CEILING (then the fixed point has c > 1 - 1e-12) or at FIXED_MAX_ITER;
 # a linear T takes at most INVERSE_MAX_ITER inverse-iteration steps
@@ -406,10 +447,13 @@ def nonlinear_perron(net: GainNetwork):
     A linear ``T = G t`` takes ``w = (I - G)^-1 1``, then steps
     ``w <- (I - G)^-1 w`` until ``c < 1 - 1e-9`` (each lowers ``c`` towards
     ``rho(G)``, however badly ``G`` is scaled).  Any other ``T`` iterates
-    ``w <- 1 + T(w)`` from ``w = 1``, stopping early once ``T(w) >= w``
-    (``w^p`` is then a candidate witness).
+    ``w <- 1 + T(w)`` from ``w = 1`` on its array form
+    (:func:`_conjugate_form`), stopping early once ``T(w) >= w`` (``w^p`` is
+    then a candidate witness).  Either way ``c`` is read with one operator
+    evaluation at the returned ``w``, so it bounds the operator's own
+    conjugate.
     """
-    p, G = power_form(net)
+    p, G, rows, C = _power_form(net)
     if G is not None:
         with suppress(np.linalg.LinAlgError):
             M, w = np.linalg.inv(np.eye(net.n) - G), np.ones(net.n)
@@ -420,15 +464,16 @@ def nonlinear_perron(net: GainNetwork):
                     break
             if np.all(w > 0):
                 return float(np.max(_conjugate(net, p, w) / w)), p, w
+    T = _conjugate_form(p, rows, C)
     w = np.ones(net.n)
-    tw = _conjugate(net, p, w)
+    tw = T(w)
     for _ in range(FIXED_MAX_ITER):
         step = 1.0 + tw
-        if (np.all(tw >= w) or not w.max() < FIXED_CEILING
-                or np.all(step - w <= FIXED_TOL * step)):
+        if ((tw >= w).all() or not w.max() < FIXED_CEILING
+                or (step - w <= FIXED_TOL * step).all()):
             break
-        w, tw = step, _conjugate(net, p, step)
-    return float(np.max(tw / w)), p, w
+        w, tw = step, T(step)
+    return float(np.max(_conjugate(net, p, w) / w)), p, w
 
 
 def decide(net: GainNetwork, *, seed: int = 0) -> SgcVerdict:

@@ -40,6 +40,7 @@ from smallgain.gains import (
     eval_operator,
     eval_operator_ext,
     strictly_less,
+    zero_rows,
 )
 import smallgain.paths as paths_module
 from smallgain.compose import PLFunction, certify, compose, derive_phi
@@ -1181,6 +1182,22 @@ def test_reducible_random_networks_pass_extended_check():
     # external inflow, and a source block that shrinks the budget map
     assert fed_max_ext > 0
     assert driven_sources > 0
+
+
+def test_zero_row_networks_take_the_reducible_route():
+    # a source node's row is zero, so the network is reducible: the dispatch
+    # sends it to the block construction before the mixed and bounded
+    # routes, which reject such a network or stall on its downward leg
+    rng = np.random.default_rng(2010)
+    moved = 0
+    for _ in range(200):
+        net, _blocks = random_reducible(rng)
+        res = construct_path(net)
+        assert validate_path(net, res.sigma).valid
+        if zero_rows(net) and res.route not in ("ray", "max"):
+            assert res.route == "reducible"
+            moved += 1
+    assert moved > 20
 
 
 def _ext_budget_bisection(mu, slot, target):
