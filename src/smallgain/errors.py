@@ -127,7 +127,9 @@ class BisectionFailure(SmallGainError):
 
 
 class SpliceFailure(SmallGainError):
-    """Mixed-route splice radius exhausted without a valid margin."""
+    """Mixed-route splice rejected at its one crossover radius (a start
+    outside the decay set, a failed validation, or no crossover below 1e18);
+    :func:`paths.path_mixed` then tries its next inflation level."""
 
 
 class BlockSgcFails(SmallGainError):

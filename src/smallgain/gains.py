@@ -32,12 +32,13 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import CompatibilityError, OutOfRange
+from .errors import CompatibilityError, NotHomogeneous, OutOfRange
 
 # Relative slack that turns "<" into a checkable numerical statement.
 TOL_STRICT = 1e-9
@@ -281,71 +282,52 @@ def same_exponent(a: float, b: float) -> bool:
     return abs(a - b) <= EXPONENT_TOL * max(a, b)
 
 
-def _common_power_law(children, combine):
-    """``(combine(coefficients), q)`` when every child is ``c*s^q`` with one q."""
-    laws = [c.power_law() for c in children]
-    if None in laws or not all(same_exponent(q, laws[0][1]) for _c, q in laws):
-        return None
-    return combine(c for c, _q in laws), laws[0][1]
-
-
-def _classify_children(children) -> GainClass:
-    classes = [c.classify() for c in children]
-    if all(cl is GainClass.ZERO for cl in classes):
-        return GainClass.ZERO
-    if any(cl is GainClass.K_INFINITY for cl in classes):
-        return GainClass.K_INFINITY
-    return GainClass.K_BOUNDED
-
-
 @dataclass(frozen=True)
-class Sum(GainExpr):
+class _Fold(GainExpr):
+    """Children folded by ``_op``; coefficients and suprema combine by ``_combine``."""
+
     children: tuple[GainExpr, ...]
 
     def __post_init__(self):
         if len(self.children) < 2:
-            raise ValueError("sum needs at least two children")
+            raise ValueError(f"{self._name} needs at least two children")
         object.__setattr__(self, "children", tuple(self.children))
 
     def _eval(self, s):
-        total = self.children[0]._eval(s)
+        out = self.children[0]._eval(s)
         for child in self.children[1:]:
-            total = total + child._eval(s)
-        return total
+            out = self._op(out, child._eval(s))
+        return out
 
     def power_law(self):
-        return _common_power_law(self.children, sum)
+        # (combined coefficients, q) when every child is c*s^q with one q
+        laws = [c.power_law() for c in self.children]
+        if None in laws or not all(same_exponent(q, laws[0][1]) for _c, q in laws):
+            return None
+        return self._combine(c for c, _q in laws), laws[0][1]
 
     def classify(self):
-        return _classify_children(self.children)
+        classes = [c.classify() for c in self.children]
+        if all(cl is GainClass.ZERO for cl in classes):
+            return GainClass.ZERO
+        if any(cl is GainClass.K_INFINITY for cl in classes):
+            return GainClass.K_INFINITY
+        return GainClass.K_BOUNDED
 
     def sup(self):
-        return sum(c.sup() for c in self.children)
+        return self._combine(c.sup() for c in self.children)
 
 
-@dataclass(frozen=True)
-class Max(GainExpr):
-    children: tuple[GainExpr, ...]
+class Sum(_Fold):
+    _name = "sum"
+    _op = staticmethod(operator.add)
+    _combine = staticmethod(sum)
 
-    def __post_init__(self):
-        if len(self.children) < 2:
-            raise ValueError("max needs at least two children")
-        object.__setattr__(self, "children", tuple(self.children))
 
-    def _eval(self, s):
-        best = self.children[0]._eval(s)
-        for child in self.children[1:]:
-            best = np.maximum(best, child._eval(s))
-        return best
-
-    def power_law(self):
-        return _common_power_law(self.children, max)
-
-    def classify(self):
-        return _classify_children(self.children)
-
-    def sup(self):
-        return max(c.sup() for c in self.children)
+class Max(_Fold):
+    _name = "max"
+    _op = staticmethod(np.maximum)
+    _combine = staticmethod(max)
 
 
 @dataclass(frozen=True)
@@ -575,6 +557,62 @@ class GainNetwork:
     def ext_active(self) -> tuple[bool, ...]:
         """Per row, whether the external gain is not the zero gain."""
         return tuple(not g.is_zero for g in self.gamma_u)
+
+    @cached_property
+    def power_form(self):
+        """``(p, G, rows, C)``: per-node exponents, the matrix ``G`` when the
+        conjugate is linear, per row ``(k_i, e_i, not max)`` and the gain
+        coefficients ``c_ij``, as read-only arrays; a failed read is not cached.
+
+        With sum, max or power-of-sum rows ``k_i A_i(...)^e_i`` and gains
+        ``c_ij s^q_ij``, ``T(t) = Gamma_mu(t^p)^(1/p)`` is homogeneous
+        of degree one iff ``e_i q_ij = p_i / p_j`` on every gain.  ``p`` is
+        solved on a spanning forest of the undirected graph, each root keeping
+        ``p = e``, then checked on every gain (else :class:`NotHomogeneous`).
+        With sum rows and ``p = e``, ``T(t) = G t`` for
+        ``G_ij = k_i^(1/e_i) c_ij``; else ``G`` is None.
+        """
+        rows = []
+        for mu in self.mu:
+            law = (1.0, 1.0) if isinstance(mu, (SumAgg, MaxAgg)) else (
+                mu.rho.power_law() if isinstance(mu, OuterSum) else None)
+            if law is None:
+                raise NotHomogeneous("row aggregation is not a sum, max or power-of-sum")
+            rows.append((*law, not isinstance(mu, MaxAgg)))
+        e = np.array([row[1] for row in rows])
+        laws, nbrs = {}, [[] for _ in range(self.n)]
+        for i, cols in enumerate(self.active_sets):
+            for j in cols:
+                laws[i, j] = self.gamma[i][j].power_law()
+                if laws[i, j] is None:
+                    raise NotHomogeneous(f"gain ({i + 1},{j + 1}) is not c*s^q")
+                nbrs[i].append(j)
+                nbrs[j].append(i)
+        p = np.zeros(self.n)
+        for root in range(self.n):
+            if p[root]:
+                continue
+            p[root], stack = e[root], [root]
+            while stack:
+                k = stack.pop()
+                for m in nbrs[k]:
+                    if not p[m]:
+                        # p_i = e_i q_ij p_j along the gain j -> i, read either way
+                        p[m] = (e[m] * laws[m, k][1] * p[k] if (m, k) in laws
+                                else p[k] / (e[k] * laws[k, m][1]))
+                        stack.append(m)
+        C = np.zeros((self.n, self.n))
+        for (i, j), (c, q) in laws.items():
+            if not same_exponent(e[i] * q, p[i] / p[j]):
+                raise NotHomogeneous(f"gain ({i + 1},{j + 1}) breaks every per-node power change")
+            C[i, j] = c
+        G = None
+        if all(row[2] and same_exponent(a, b) for row, a, b in zip(rows, p, e)):
+            G = np.array([[k ** (1.0 / ei)] for (k, _e, _s), ei in zip(rows, e)]) * C
+            G.setflags(write=False)
+        p.setflags(write=False)
+        C.setflags(write=False)
+        return p, G, tuple(rows), C
 
 
 def eval_operator_ext(net: GainNetwork, s, r):

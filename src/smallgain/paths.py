@@ -7,11 +7,18 @@ radii and extended linearly beyond the last anchor.  Constructors cover the
 power-homogeneous (a ray ``(r w)^p`` proved by a Collatz-Wielandt bound),
 max-aggregation (the closure ``max_{k<n} (D o Gamma)^k(t 1)``, on any
 graph), three-node additive, mixed bounded/unbounded, bounded,
-irreducible (seed-and-chain) and reducible cases; :func:`construct_path`
-tries them in that order, so the others see only networks that are not
-power-homogeneous or whose ray stalls.  It is the only dispatcher: the
-mixed route's unbounded part and each reducible block get their paths
-from it too.
+irreducible (seed-and-chain) and reducible cases.
+
+:func:`construct_path`, the only dispatcher, tries them in that order, so
+the others see only networks that are not power-homogeneous or whose ray
+stalls; the mixed route's unbounded part and each reducible block get
+their paths from it too.  A constructor given another shape raises a named
+error and hands the network to no other constructor.  The mixed splice is
+made once, at the crossover radius.  Three retries remain, each measured
+to rescue networks: the ray's fall-through (3 test-suite networks certify
+through ``max``), the mixed route's three inflation levels (1 of 400
+random mixed sum networks certifies at ``c = 0.01``, a test network needs
+``c = 0.002``) and the crossover radius's doubling (twice in the tests).
 Every constructor validates its result on a log-spaced radius grid before
 returning it.  This module builds paths only; the external budget map of
 a certificate comes from the path (:func:`compose.derive_phi`).
@@ -422,32 +429,29 @@ def _find_seed(op, n: int, seed: int = 0) -> np.ndarray:
     )
 
 
-def _assemble(down: list[np.ndarray], up: list[np.ndarray]) -> OmegaPath:
-    """Merge a downward and an upward anchor leg into one path.
+def _join_legs(op, seed: np.ndarray, up: list[np.ndarray]):
+    """Positive anchors of a downward leg from ``seed`` joined to ``up``.
 
-    ``down`` starts at the shared seed and decreases; ``up`` starts at the
-    same seed and increases.  Radii are the anchor sup norms above the seed;
-    below the seed the radius assignment is compressed quadratically
-    (``r = ||s||^2 / ||seed||``) so the path runs ahead of its radius near
-    the origin and low-radius margins inherit the seed scale rather than
-    collapsing with the anchors.
+    The downward leg iterates ``op`` from ``seed`` (:func:`_downward_leg`);
+    ``up`` starts at the same seed and increases.  Radii are the anchor sup
+    norms above the seed; below the seed the radius assignment is
+    compressed quadratically (``r = ||s||^2 / ||seed||``) so the path runs
+    ahead of its radius near the origin and low-radius margins inherit the
+    seed scale rather than collapsing with the anchors.  The downward leg
+    stops once the smallest anchor's compressed radius lands below the
+    ``1e-6`` edge of the validation grid.
     """
-    rows = list(reversed(down))[:-1] + up
-    rows = [row for row in rows if row.max() > 0]
+    rho0 = float(seed.max())
+    down = _downward_leg(op, seed, stop_abs=float(np.sqrt(0.9e-6 * rho0)))
+    rows = [row for row in list(reversed(down))[:-1] + up if row.max() > 0]
     sups = np.array([row.max() for row in rows])
-    rho0 = float(down[0].max())
-    radii = np.where(sups >= rho0, sups, sups**2 / rho0)
-    radii = np.concatenate([[0.0], radii])
-    values = np.vstack([np.zeros_like(rows[0]), np.array(rows)])
-    return OmegaPath(radii, values)
+    return np.where(sups >= rho0, sups, sups**2 / rho0), np.array(rows)
 
 
-def _compressed_floor(rho0: float) -> float:
-    # smallest anchor's compressed radius must land below the 1e-6 grid edge
-    return float(np.sqrt(0.9e-6 * rho0))
-
-
-def _finalize(net: GainNetwork, sigma: OmegaPath) -> OmegaPath:
+def _finalize(net: GainNetwork, radii: np.ndarray, values: np.ndarray) -> OmegaPath:
+    """Path through the origin and the positive anchors given, validated
+    (:class:`NotInOmega` when it fails); every constructor ends here."""
+    sigma = OmegaPath(np.concatenate([[0.0], radii]), np.vstack([np.zeros(net.n), values]))
     report = validate_path(net, sigma)
     if not report.valid:
         raise NotInOmega(
@@ -471,13 +475,7 @@ def path_bounded(net: GainNetwork) -> OmegaPath:
     classes = {g.classify() for row in net.gamma for g in row}
     if GainClass.K_INFINITY in classes:
         raise NotBounded("unbounded internal gains present; use the mixed route")
-    zr = zero_rows(net)
-    if len(zr) == net.n:
-        top = 1.05 * RADIUS_MAX
-        sigma = OmegaPath(np.array([0.0, top]), np.vstack([np.zeros(net.n),
-                                                           np.full(net.n, top)]))
-        return _finalize(net, sigma)
-    if zr:
+    if zero_rows(net):
         raise CompatibilityError(
             "rows without nonzero gains: decompose into blocks first"
         )
@@ -498,13 +496,8 @@ def path_bounded(net: GainNetwork) -> OmegaPath:
         s0 = 2.0 * s0
     else:
         raise NotInOmega("inflated rowwise supremum never entered the decay set")
-    rho0 = float(s0.max())
-    down = _downward_leg(lambda s: eval_operator(net, s), s0,
-                         stop_abs=_compressed_floor(rho0))
-    eta = 1.05 * RADIUS_MAX / rho0
-    up = [s0.copy(), eta * s0]
-    sigma = _assemble(down, up)
-    return _finalize(net, sigma)
+    up = [s0, 1.05 * RADIUS_MAX / float(s0.max()) * s0]
+    return _finalize(net, *_join_legs(lambda s: eval_operator(net, s), s0, up))
 
 
 def path_irreducible(net: GainNetwork, *, seed: int = 0) -> OmegaPath:
@@ -527,8 +520,7 @@ def path_irreducible(net: GainNetwork, *, seed: int = 0) -> OmegaPath:
     op = lambda s: eval_operator(net, s)
     seed_vec = _find_seed(op, net.n, seed)
     up = _chain_up(op, seed_vec, target_sup=1.05 * RADIUS_MAX)
-    down = _downward_leg(op, seed_vec, stop_abs=_compressed_floor(1.0))
-    return _finalize(net, _assemble(down, up))
+    return _finalize(net, *_join_legs(op, seed_vec, up))
 
 
 # most anchors a ray with unequal exponents may take
@@ -562,11 +554,9 @@ def path_homogeneous(net: GainNetwork) -> OmegaPath:
             raise PathStalled(f"Perron bound {c:.6g} needs over {RAY_MAX_ANCHORS} anchors")
         radii = _log_grid(1e-7, 1.05 * RADIUS_MAX, per_decade)
         values = np.power(radii[:, None] * w, p)
-    values = np.vstack([np.zeros(net.n), values])
-    if not np.all(np.diff(values, axis=0) > 0):
+    if not np.all(np.diff(values, axis=0, prepend=0.0) > 0):
         raise PathStalled(f"exponents {p} carry the ray out of the float range")
-    sigma = OmegaPath(np.concatenate([[0.0], radii]), values)
-    return _finalize(net, sigma)
+    return _finalize(net, radii, values)
 
 
 # square roots the closure path takes of its lift before it gives up
@@ -617,8 +607,7 @@ def path_max(net: GainNetwork) -> OmegaPath:
     # anchor one unit in the last place above the one before
     for k in range(1, len(values)):
         values[k] = np.maximum(values[k], np.nextafter(values[k - 1], np.inf))
-    values = np.vstack([np.zeros(net.n), values])
-    return _finalize(net, OmegaPath(np.concatenate([[0.0], radii]), values))
+    return _finalize(net, radii, values)
 
 
 def path_three_sum(net: GainNetwork) -> OmegaPath:
@@ -638,12 +627,10 @@ def path_three_sum(net: GainNetwork) -> OmegaPath:
     for mu in net.mu:
         if not isinstance(mu, SumAgg):
             raise WrongAggregation("the balanced construction needs additive rows")
-    offdiag = [(i, j) for i in range(3) for j in range(3) if i != j]
-    if any(net.gamma[i][j].is_zero for i, j in offdiag):
-        return path_irreducible(net)
     if any(net.gamma[i][j].classify() is not GainClass.K_INFINITY
-           for i, j in offdiag):
-        raise CompatibilityError("the balanced construction needs unbounded gains")
+           for i in range(3) for j in range(3) if i != j):
+        raise CompatibilityError(
+            "the balanced construction needs an unbounded gain on every edge")
     g12, g13 = net.gamma[0][1], net.gamma[0][2]
     g21, g23 = net.gamma[1][0], net.gamma[1][2]
     g31, g32 = net.gamma[2][0], net.gamma[2][1]
@@ -701,39 +688,35 @@ def path_three_sum(net: GainNetwork) -> OmegaPath:
             "numerical evidence against the small gain condition"
         )
     s3 = 0.5 * (g_star + h)
-    values = np.column_stack([radii, s2, s3])
-    radii_full = np.concatenate([[0.0], radii])
-    values_full = np.vstack([np.zeros(3), values])
-    sigma = OmegaPath(radii_full, values_full)
-    return _finalize(net, sigma)
+    return _finalize(net, radii, np.column_stack([radii, s2, s3]))
 
 
 def path_mixed(net: GainNetwork, *, seed: int = 0) -> OmegaPath:
     """Path for additive rows mixing bounded and unbounded gains.
 
     The unbounded part gets a path built against the inflated operator
-    ``Gamma_U(s + rho(s))`` by :func:`construct_path` (its sum rows and
-    unbounded gains take the ray, the irreducible or the reducible
-    route); the inflation term then absorbs the bounded
-    part's supremum beyond a crossover radius, and a downward leg covers
-    the radii below it.
+    ``Gamma_U(s + rho(s))``, ``rho = c id``, by :func:`construct_path` (its
+    sum rows and unbounded gains take the ray, the irreducible or the
+    reducible route); the inflation term then absorbs the bounded part's
+    supremum beyond a crossover radius, and a downward leg covers the radii
+    below it (:func:`_splice_mixed`).  The inflation levels ``c = 0.05,
+    0.01, 0.002`` are tried in turn; a network with only one gain class
+    raises :class:`CompatibilityError`.
     """
     for mu in net.mu:
         if not isinstance(mu, SumAgg):
             raise WrongAggregation("the split construction needs additive rows")
     classes = [[g.classify() for g in row] for row in net.gamma]
     present = {c for row in classes for c in row}
-    if GainClass.K_BOUNDED not in present:
-        return path_irreducible(net, seed=seed)
-    if GainClass.K_INFINITY not in present:
-        return path_bounded(net)
+    if not {GainClass.K_BOUNDED, GainClass.K_INFINITY} <= present:
+        raise CompatibilityError(
+            "the split construction needs both bounded and unbounded gains")
     s_star = np.array([
         sum(g.sup() if c is GainClass.K_BOUNDED else 0.0 for g, c in zip(row, cls))
         for row, cls in zip(net.gamma, classes)
     ])
 
     zero_gain = Zero()
-    last_error: Exception | None = None
     for c in (0.05, 0.01, 0.002):
         rho = Linear(c)
         inflated = tuple(
@@ -753,10 +736,7 @@ def path_mixed(net: GainNetwork, *, seed: int = 0) -> OmegaPath:
             return _splice_mixed(net, sigma_u, c, s_star)
         except SpliceFailure as exc:
             last_error = exc
-            continue
-    raise last_error if last_error is not None else SpliceFailure(
-        "no inflation level admitted a valid splice"
-    )
+    raise last_error
 
 
 def _crossover_radius(sigma_u: OmegaPath, c: float, s_star: np.ndarray) -> float:
@@ -782,30 +762,30 @@ def _crossover_radius(sigma_u: OmegaPath, c: float, s_star: np.ndarray) -> float
 
 def _splice_mixed(net: GainNetwork, sigma_u: OmegaPath, c: float,
                   s_star: np.ndarray) -> OmegaPath:
-    # crossover: the inflation term must clear the bounded part's supremum
+    """``(1 + c) sigma_u`` from the crossover radius up, a downward leg below.
+
+    The splice is made once, at :func:`_crossover_radius`: a start outside
+    the decay set or a path that fails validation raises
+    :class:`SpliceFailure`, which sends :func:`path_mixed` to its next
+    inflation level.
+    """
     r_star = _crossover_radius(sigma_u, c, s_star)
     candidates = sigma_u.radii[sigma_u.radii > 0]
+    top = max(1.1 * RADIUS_MAX, 2.0 * r_star)
+    upper_radii = np.unique(np.concatenate([
+        [r_star],
+        candidates[(candidates > r_star) & (candidates <= top)],
+        [top],
+    ]))
+    upper_vals = sigma_u(upper_radii) * (1.0 + c)
+    s0 = upper_vals[0]
     op = lambda s: eval_operator(net, s)
-    for _ in range(40):
-        top = max(1.1 * RADIUS_MAX, 2.0 * r_star)
-        upper_radii = np.unique(np.concatenate([
-            [r_star],
-            candidates[(candidates > r_star) & (candidates <= top)],
-            [top],
-        ]))
-        upper_vals = sigma_u(upper_radii) * (1.0 + c)
-        s0 = upper_vals[0]
-        if not strictly_less(op(s0), s0):
-            r_star *= 2.0
-            continue
-        rho0 = float(s0.max())
-        down = _downward_leg(op, s0, stop_abs=_compressed_floor(rho0))
-        up_rows = [upper_vals[k] for k in range(len(upper_radii))]
-        sigma = _assemble(down, up_rows)
-        if validate_path(net, sigma).valid:
-            return sigma
-        r_star *= 2.0
-    raise SpliceFailure("validation margin stayed non-positive at the splice")
+    if not strictly_less(op(s0), s0):
+        raise SpliceFailure("the splice start is outside the decay set")
+    try:
+        return _finalize(net, *_join_legs(op, s0, list(upper_vals)))
+    except NotInOmega as exc:
+        raise SpliceFailure(f"the splice failed: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -921,14 +901,7 @@ def path_reducible(net: GainNetwork, *, seed: int = 0) -> OmegaPath:
         psi = psi + drift * radii_pos
         values[:, cols] = bp(psi)
 
-    radii_full = np.concatenate([[0.0], radii_pos])
-    sigma = OmegaPath(radii_full, np.vstack([np.zeros(net.n), values]))
-    report = validate_path(net, sigma)
-    if not report.valid:
-        raise NotInOmega(
-            f"composed path failed validation (min margin {report.min_margin:.3g})"
-        )
-    return sigma
+    return _finalize(net, radii_pos, values)
 
 
 # ---------------------------------------------------------------------------
@@ -939,15 +912,18 @@ def construct_path(net: GainNetwork, *, seed: int = 0) -> PathResult:
     """Pick a constructor by network shape (fixed, documented order).
 
     ray -> max -> three-node sum -> zero row -> mixed -> bounded ->
-    irreducible -> reducible.  The ray (:func:`path_homogeneous`) takes
-    every network that is homogeneous after a per-node power change,
-    strongly connected or not, with sum, max or power-of-sum rows; the
-    other constructors see the rest and the networks where the ray stalls.
-    Every other max network takes the closure path of :func:`path_max`,
-    reducible or not.  A network with a zero row (a source node) is
-    reducible and takes :func:`path_reducible`, which builds each block on
-    its own route.  Every other constructor's failure propagates; the
-    result names the route.
+    irreducible -> reducible.  This is the only dispatcher: every
+    constructor it calls serves only its own shape and raises on any other,
+    and the constructors that need sub-paths (the mixed route's inflated
+    unbounded part, each reducible block) call back into it.  The ray
+    (:func:`path_homogeneous`) takes every network that is homogeneous after
+    a per-node power change, strongly connected or not, with sum, max or
+    power-of-sum rows; a ray that stalls falls through to the other
+    constructors, which see the rest.  Every other max network takes the
+    closure path of :func:`path_max`, reducible or not.  A network with a
+    zero row (a source node) is reducible and takes :func:`path_reducible`,
+    which builds each block on its own route.  Every other constructor's
+    failure propagates; the result names the route.
     """
     try:
         return PathResult(path_homogeneous(net), "ray")

@@ -31,10 +31,7 @@ from .gains import (
     GainNetwork,
     Linear,
     MaxAgg,
-    OuterSum,
-    SumAgg,
     eval_operator,
-    same_exponent,
 )
 from .graph import (
     CYCLE_ENUM_LIMIT,
@@ -283,60 +280,9 @@ def falsify_sgc(net: GainNetwork, seed: int = 0) -> SgcVerdict:
 
 
 def power_form(net: GainNetwork):
-    """Per-node exponents ``p``, and the matrix ``G`` when the conjugate is linear.
-
-    With sum, max or power-of-sum rows ``k_i A_i(...)^e_i`` and gains
-    ``c_ij s^q_ij``, ``T(t) = Gamma_mu(t^p)^(1/p)`` is homogeneous
-    of degree one iff ``e_i q_ij = p_i / p_j`` on every gain.  ``p`` is solved
-    on a spanning forest of the undirected graph, each root keeping ``p = e``,
-    then checked on every gain (else :class:`NotHomogeneous`).  With sum rows
-    and ``p = e``, ``T(t) = G t`` for ``G_ij = k_i^(1/e_i) c_ij``; else ``G``
-    is None.
-    """
-    return _power_form(net)[:2]
-
-
-def _power_form(net: GainNetwork):
-    """:func:`power_form`'s ``(p, G)``, then per row ``(k_i, e_i, not max)``
-    and the matrix ``C`` of the gain coefficients ``c_ij``."""
-    rows = []
-    for mu in net.mu:
-        law = (1.0, 1.0) if isinstance(mu, (SumAgg, MaxAgg)) else (
-            mu.rho.power_law() if isinstance(mu, OuterSum) else None)
-        if law is None:
-            raise NotHomogeneous("row aggregation is not a sum, max or power-of-sum")
-        rows.append((*law, not isinstance(mu, MaxAgg)))
-    e = np.array([row[1] for row in rows])
-    laws, nbrs = {}, [[] for _ in range(net.n)]
-    for i, cols in enumerate(net.active_sets):
-        for j in cols:
-            laws[i, j] = net.gamma[i][j].power_law()
-            if laws[i, j] is None:
-                raise NotHomogeneous(f"gain ({i + 1},{j + 1}) is not c*s^q")
-            nbrs[i].append(j)
-            nbrs[j].append(i)
-    p = np.zeros(net.n)
-    for root in range(net.n):
-        if p[root]:
-            continue
-        p[root], stack = e[root], [root]
-        while stack:
-            k = stack.pop()
-            for m in nbrs[k]:
-                if not p[m]:
-                    # p_i = e_i q_ij p_j along the gain j -> i, read either way
-                    p[m] = (e[m] * laws[m, k][1] * p[k] if (m, k) in laws
-                            else p[k] / (e[k] * laws[k, m][1]))
-                    stack.append(m)
-    C = np.zeros((net.n, net.n))
-    for (i, j), (c, q) in laws.items():
-        if not same_exponent(e[i] * q, p[i] / p[j]):
-            raise NotHomogeneous(f"gain ({i + 1},{j + 1}) breaks every per-node power change")
-        C[i, j] = c
-    G = None
-    if all(row[2] and same_exponent(a, b) for row, a, b in zip(rows, p, e)):
-        G = np.array([[k ** (1.0 / ei)] for (k, _e, _s), ei in zip(rows, e)]) * C
-    return p, G, rows, C
+    """Per-node exponents ``p``, and the matrix ``G`` when the conjugate is
+    linear: the first two entries of :attr:`GainNetwork.power_form`."""
+    return net.power_form[:2]
 
 
 def linear_perron(net: GainNetwork):
@@ -453,7 +399,7 @@ def nonlinear_perron(net: GainNetwork):
     evaluation at the returned ``w``, so it bounds the operator's own
     conjugate.
     """
-    p, G, rows, C = _power_form(net)
+    p, G, rows, C = net.power_form
     if G is not None:
         with suppress(np.linalg.LinAlgError):
             M, w = np.linalg.inv(np.eye(net.n) - G), np.ones(net.n)

@@ -140,3 +140,48 @@ def random_network(rng: np.random.Generator, nmax: int = 5):
         ))
     mu = tuple(SumAgg() if s else MaxAgg() for s in is_sum)
     return GainNetwork(n=n, gamma=tuple(gamma), gamma_u=(Zero(),) * n, mu=mu), kind
+
+
+def random_mixed_sum_net(rng: np.random.Generator, nmax: int = 5):
+    """Random sum network mixing bounded and unbounded gains, without input.
+
+    On a random graph of n = 2..nmax nodes with a gain in every row, each
+    edge draws a bounded gain of coefficient ``a`` (``a*s/(1+s)``,
+    ``a*atan(s)``, or the sigmoid ``(a*s/(1+s))o(1*s^q)`` or
+    ``(a*atan(s))o(1*s^q)`` with ``q`` in ``[1.1, 2]``) or an unbounded one
+    of coefficient ``b = a/3`` (``b*s``, ``b*s^q``,
+    ``(b*s)o(id+(0.2*s/(1+s)))`` or the power sum ``b*s+(b/10)*s^q`` with
+    ``q`` in ``[0.6, 1.6]``), with one ``a`` in ``[0.1, 0.6]`` per network.
+    Both classes occur in every network, so none is power-homogeneous and
+    every one takes the mixed route of ``construct_path``.
+    """
+    from smallgain.gains import Atan, GainNetwork, Saturating, SumAgg
+
+    def sigmoid(leaf):
+        return Compose(leaf, Power(1.0, float(rng.uniform(1.1, 2.0))))
+
+    def q():
+        return float(rng.uniform(0.6, 1.6))
+
+    bounded = (Saturating, Atan, lambda a: sigmoid(Saturating(a)),
+               lambda a: sigmoid(Atan(a)))
+    unbounded = (Linear, lambda b: Power(b, q()),
+                 lambda b: Compose(Linear(b), PlusId(Saturating(0.2))),
+                 lambda b: Sum((Linear(b), Power(b / 10.0, q()))))
+    while True:
+        n = int(rng.integers(2, nmax + 1))
+        mask = rng.random((n, n)) < 0.6
+        np.fill_diagonal(mask, False)
+        is_bounded = rng.random((n, n)) < 0.5
+        if not (mask.any(axis=1).all() and (mask & is_bounded).any()
+                and (mask & ~is_bounded).any()):
+            continue
+        a = float(rng.uniform(0.1, 0.6))
+        gamma = tuple(
+            tuple(Zero() if not mask[i, j]
+                  else bounded[rng.integers(0, 4)](a) if is_bounded[i, j]
+                  else unbounded[rng.integers(0, 4)](a / 3.0)
+                  for j in range(n))
+            for i in range(n))
+        return GainNetwork(n=n, gamma=gamma, gamma_u=(Zero(),) * n,
+                           mu=(SumAgg(),) * n)

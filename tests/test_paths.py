@@ -18,6 +18,7 @@ from smallgain.errors import (
     OutOfRange,
     PathStalled,
     SeedNotFound,
+    SmallGainError,
     SpliceFailure,
     Stalled,
     WrongAggregation,
@@ -43,6 +44,7 @@ from smallgain.gains import (
     zero_rows,
 )
 import smallgain.paths as paths_module
+from gen import random_mixed_sum_net
 from smallgain.compose import PLFunction, certify, compose, derive_phi
 from smallgain.parser import parse_gain
 from smallgain.simulate import CohenGrossberg, cg_gains
@@ -95,6 +97,15 @@ def bent(slope):
     """A gain at most ``slope * s`` that is not a power law, which keeps a
     network off the ray and on the constructor under test."""
     return Sum((Linear(0.8 * slope), Saturating(0.2 * slope)))
+
+
+def assert_dispatched(net, route):
+    """``construct_path`` certifies ``net`` on ``route``: only it dispatches,
+    so a constructor called on another shape raises instead."""
+    res = construct_path(net)
+    assert res.route == route
+    assert validate_path(net, res.sigma).valid
+    return res.sigma
 
 
 def margin_floor_ok(net, sigma):
@@ -197,7 +208,7 @@ def test_validate_flags_expanding_slopes():
 
 
 def downward(net, s0, stop=1e-12):
-    # the origin closes the leg, as the constructors' _assemble does
+    # the origin closes the leg, as the constructors' _finalize does
     anchors = paths_module._downward_leg(lambda s: eval_operator(net, s),
                                          np.asarray(s0, dtype=float), stop)
     return np.array(anchors + [np.zeros(net.n)])
@@ -468,10 +479,13 @@ def test_bounded_saturating_cycle():
 
 
 def test_bounded_trivial_zero_operator():
+    # the zero operator is linear with Perron bound 0: the ray sigma(r) = r 1
     net = net_of([[Z, Z], [Z, Z]], [SumAgg(), SumAgg()])
-    sigma = path_bounded(net)
+    sigma = assert_dispatched(net, "ray")
     for r in [1e-5, 0.37, 2000.0]:
         assert np.allclose(sigma(r), [r, r])
+    with pytest.raises(CompatibilityError, match="rows without nonzero gains"):
+        path_bounded(net)
 
 
 def test_bounded_rejects_unbounded():
@@ -551,8 +565,9 @@ def test_three_sum_needs_additive_rows():
 def test_three_sum_missing_edge_falls_back():
     g = Linear(0.25)
     net = net_of([[Z, g, g], [g, Z, g], [g, Z, Z]], [SumAgg()] * 3)
-    sigma = path_three_sum(net)
-    assert validate_path(net, sigma).valid
+    assert_dispatched(net, "ray")
+    with pytest.raises(CompatibilityError, match="unbounded gain on every edge"):
+        path_three_sum(net)
 
 
 def test_three_sum_cross_check_with_irreducible():
@@ -625,9 +640,7 @@ def _three_sum_per_radius(net):
             f"inflow meets the remaining budget at radius {radii[k]:.6g}; "
             "numerical evidence against the small gain condition")
     values = np.column_stack([radii, s2, 0.5 * (g_star + h)])
-    sigma = OmegaPath(np.concatenate([[0.0], radii]),
-                      np.vstack([np.zeros(3), values]))
-    return paths_module._finalize(net, sigma)
+    return paths_module._finalize(net, radii, values)
 
 
 def _random_unbounded_gain(rng, scale, kinds=range(6)):
@@ -693,7 +706,8 @@ def _three_sum_cases():
 def test_three_sum_batched_bisection_matches_per_radius_loop(monkeypatch):
     # compare the constructed sigma itself, also where validation rejects it;
     # each case's top radius keeps its anchor count small
-    monkeypatch.setattr(paths_module, "_finalize", lambda net, sigma: sigma)
+    monkeypatch.setattr(paths_module, "_finalize", lambda net, radii, values: OmegaPath(
+        np.concatenate([[0.0], radii]), np.vstack([np.zeros(net.n), values])))
     outcomes = []
     for net, top in _three_sum_cases():
         monkeypatch.setattr(paths_module, "RADIUS_MAX", top)
@@ -743,15 +757,17 @@ def test_mixed_canonical():
 
 def test_mixed_delegates_all_unbounded():
     net = sum2(0.4)
-    sigma = path_mixed(net)
-    assert validate_path(net, sigma).valid
+    assert_dispatched(net, "ray")
+    with pytest.raises(CompatibilityError, match="both bounded and unbounded"):
+        path_mixed(net)
 
 
 def test_mixed_delegates_all_bounded():
     net = net_of([[Z, Saturating(1.0)], [Saturating(1.0), Z]],
                  [SumAgg(), SumAgg()])
-    sigma = path_mixed(net)
-    assert validate_path(net, sigma).valid
+    assert_dispatched(net, "bounded")
+    with pytest.raises(CompatibilityError, match="both bounded and unbounded"):
+        path_mixed(net)
 
 
 def test_mixed_needs_additive_rows():
@@ -759,6 +775,60 @@ def test_mixed_needs_additive_rows():
                  [MaxAgg(), MaxAgg()])
     with pytest.raises(WrongAggregation):
         path_mixed(net)
+
+
+# sum rows and zero external gains; the inflated unbounded part gets a
+# valid path only at the third inflation level, c = 0.002
+LADDER_GAINS = [
+    ["0", "(0.47259067629467555*s/(1+s))o(1*s^1.4413156022017715)",
+     "0.1575302254315585*s", "0"],
+    ["(0.1575302254315585*s)o(id+(0.2*s/(1+s)))", "0",
+     "(0.47259067629467555*s/(1+s))o(1*s^1.4635472902974602)",
+     "0.47259067629467555*atan(s)"],
+    ["0.1575302254315585*s^0.6915540732162361", "0.47259067629467555*atan(s)",
+     "0", "0.47259067629467555*atan(s)"],
+    ["(0.1575302254315585*s)o(id+(0.2*s/(1+s)))", "0", "0", "0"],
+]
+
+
+def test_mixed_ladder_needs_third_inflation_level(monkeypatch):
+    net = net_of([[parse_gain(g) for g in row] for row in LADDER_GAINS],
+                 [SumAgg()] * 4)
+    inner_errors, splices = [], []
+    splice = paths_module._splice_mixed
+
+    def inner(sub, **kw):
+        try:
+            return construct_path(sub, **kw)
+        except SmallGainError as exc:
+            inner_errors.append(type(exc))
+            raise
+
+    def recording(net_, sigma_u, c, s_star):
+        splices.append(c)
+        return splice(net_, sigma_u, c, s_star)
+
+    monkeypatch.setattr(paths_module, "construct_path", inner)
+    monkeypatch.setattr(paths_module, "_splice_mixed", recording)
+    assert_dispatched(net, "mixed")
+    assert inner_errors == [NotInOmega, NotInOmega]
+    assert splices == [0.002]
+
+
+def test_mixed_sum_networks_take_the_mixed_route():
+    # every draw mixes bounded and unbounded gains in sum rows: construct_path
+    # certifies it on the mixed route or rejects it by a named error
+    rng = np.random.default_rng(2012)
+    certified = 0
+    for _ in range(40):
+        net = random_mixed_sum_net(rng)
+        try:
+            assert_dispatched(net, "mixed")
+            certified += 1
+        except (PathStalled, Stalled, SeedNotFound, NotInOmega, EmptyGap,
+                BisectionFailure, SpliceFailure):
+            pass
+    assert certified >= 20
 
 
 # ---------------------------------------------------------------------------

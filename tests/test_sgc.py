@@ -1,5 +1,7 @@
 """Small gain condition checks against frozen and brute-force oracles."""
 
+from functools import cached_property
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,7 @@ from smallgain.gains import (
     eval_operator,
 )
 from smallgain.graph import adjacency, subordinated_cycles
+from smallgain.paths import construct_path
 from smallgain.sgc import (
     CERTIFIED_FAILS,
     CERTIFIED_HOLDS,
@@ -542,7 +545,7 @@ def test_conjugate_form_matches_operator():
     rng = np.random.default_rng(53)
     kinds = set()
     for net in random_power_networks(52, 150) + [critical_ring()]:
-        p, _G, rows, C = sgc._power_form(net)
+        p, _G, rows, C = net.power_form
         T = sgc._conjugate_form(p, rows, C)
         kinds.update(type(mu).__name__ for mu in net.mu)
         kinds.update(type(g).__name__ for row in net.gamma for g in row)
@@ -599,6 +602,23 @@ def test_decide_on_power_max_network_reads_operator_twice_at_most(monkeypatch):
     # the sampled cycle hold, then the Perron proof stops the run
     assert v.holds and [r.method for r in v.routes] == ["cycle", "perron"]
     assert len(calls) <= 2
+
+
+def test_power_form_read_once_per_network(monkeypatch):
+    # the spectral route, the Perron route and the ray share one reading
+    reads = []
+    read = GainNetwork.__dict__["power_form"].func
+    counted = cached_property(lambda net: reads.append(net) or read(net))
+    counted.__set_name__(GainNetwork, "power_form")
+    monkeypatch.setattr(GainNetwork, "power_form", counted)
+    net = GainNetwork(n=2, gamma=((Zero(), Power(0.5, 2.0)), (Power(0.5, 0.5), Zero())),
+                      gamma_u=(Zero(),) * 2, mu=(SumAgg(),) * 2)
+    v = decide(net)
+    assert v.holds and [r.method for r in v.routes] == ["perron"]
+    assert construct_path(net).route == "ray"
+    assert reads == [net]
+    p, G, _rows, C = net.power_form
+    assert G is None and not p.flags.writeable and not C.flags.writeable
 
 
 def test_compose_cycle_matches_call_chain():
