@@ -410,6 +410,8 @@ def _route_line(v) -> str:
         return f"cycle condition: fails on cycle {_fmt_cycle(v.cycle)}{_fmt_witness(v)}"
     if route == "perron":
         return f"Perron bound: {v.rho:.6g} ({v.status}){_fmt_witness(v)}"
+    if route == "majorant":
+        return f"slope majorant: {v.rho:.6g} ({v.status}){_fmt_witness(v)}"
     if v.fails:
         return f"falsification: witness {_fmt_vec(v.witness)}"
     return "falsification: no witness found"

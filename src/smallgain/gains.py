@@ -7,7 +7,8 @@ vectorized over numpy arrays, classify themselves structurally as zero,
 bounded class K, or class K-infinity, and invert numerically by expanding
 bracket bisection (monotonicity is guaranteed by construction, so no
 derivative information is needed).  ``power_law`` reads a tree that is
-exactly ``c*s^q`` as ``(c, q)``.
+exactly ``c*s^q`` as ``(c, q)``; ``slope_at_zero`` reads a slope ``c`` with
+``g(s) <= c*s`` everywhere and ``g(s) = c*s + o(s)`` at zero.
 
 A :class:`GainNetwork` packages an n-by-n matrix of interconnection gains
 (zero diagonal), one external gain per row, and one monotone aggregation per
@@ -89,6 +90,17 @@ class GainExpr:
 
     def power_law(self) -> tuple[float, float] | None:
         """``(c, q)`` when this gain is exactly ``c*s^q``, else None."""
+        return None
+
+    def slope_at_zero(self) -> float | None:
+        """Slope ``c`` with ``g(s) <= c*s`` for all ``s >= 0`` and
+        ``g(s) = c*s + o(s)`` at zero, read from the tree, else None.
+
+        Linear, saturating and arctangent leaves give their coefficient (a
+        power only at exponent one), sums add, maxima take the largest,
+        compositions multiply and ``id + g`` gives ``1 + c``: each step keeps
+        both properties because every gain is increasing.
+        """
         return None
 
     def _inverse_exact(self, y_arr: np.ndarray, tol: float):
@@ -175,6 +187,9 @@ class Zero(GainExpr):
     def _eval(self, s):
         return np.zeros_like(s)
 
+    def slope_at_zero(self):
+        return 0.0
+
     def classify(self):
         return GainClass.ZERO
 
@@ -195,6 +210,9 @@ class Linear(GainExpr):
 
     def power_law(self):
         return self.slope, 1.0
+
+    def slope_at_zero(self):
+        return self.slope
 
     def _inverse_exact(self, y_arr, tol):
         return y_arr / self.slope
@@ -221,6 +239,9 @@ class Power(GainExpr):
     def power_law(self):
         return self.coeff, self.exponent
 
+    def slope_at_zero(self):
+        return self.coeff if self.exponent == 1.0 else None
+
     def _inverse_exact(self, y_arr, tol):
         return np.power(y_arr / self.coeff, 1.0 / self.exponent)
 
@@ -244,6 +265,9 @@ class Saturating(GainExpr):
     def _eval(self, s):
         return self.coeff * s / (1.0 + s)
 
+    def slope_at_zero(self):
+        return self.coeff
+
     def _inverse_exact(self, y_arr, tol):
         return y_arr / (self.coeff - y_arr)
 
@@ -266,6 +290,9 @@ class Atan(GainExpr):
 
     def _eval(self, s):
         return self.coeff * np.arctan(s)
+
+    def slope_at_zero(self):
+        return self.coeff
 
     def _inverse_exact(self, y_arr, tol):
         return np.tan(y_arr / self.coeff)
@@ -306,6 +333,10 @@ class _Fold(GainExpr):
             return None
         return self._combine(c for c, _q in laws), laws[0][1]
 
+    def slope_at_zero(self):
+        slopes = [c.slope_at_zero() for c in self.children]
+        return None if None in slopes else self._combine(slopes)
+
     def classify(self):
         classes = [c.classify() for c in self.children]
         if all(cl is GainClass.ZERO for cl in classes):
@@ -345,6 +376,10 @@ class Compose(GainExpr):
         if None in (outer, inner):
             return None
         return outer[0] * inner[0] ** outer[1], outer[1] * inner[1]  # c1 (c2 s^q2)^q1
+
+    def slope_at_zero(self):
+        outer, inner = self.outer.slope_at_zero(), self.inner.slope_at_zero()
+        return None if None in (outer, inner) else outer * inner
 
     def _inverse_exact(self, y_arr, tol):
         # stagewise preimage at tightened tolerance; verified against the
@@ -397,6 +432,10 @@ class PlusId(GainExpr):
     def power_law(self):
         law = self.inner.power_law()
         return (1.0 + law[0], 1.0) if law and same_exponent(law[1], 1.0) else None
+
+    def slope_at_zero(self):
+        c = self.inner.slope_at_zero()
+        return None if c is None else 1.0 + c
 
     def classify(self):
         return GainClass.K_INFINITY
@@ -613,6 +652,29 @@ class GainNetwork:
         p.setflags(write=False)
         C.setflags(write=False)
         return p, G, tuple(rows), C
+
+    @cached_property
+    def majorant(self) -> GainNetwork | None:
+        """The slope majorant ``L``: gain ``(i, j)`` replaced by
+        ``Linear(c_ij)`` for its :meth:`GainExpr.slope_at_zero`, the same
+        sum and max rows, no external gains.
+
+        ``Gamma_mu <= L`` on the whole orthant and ``Gamma_mu(t v) =
+        t L(v) + o(t)`` at zero.  None when a row is neither a sum nor a
+        max, or an active gain has no finite positive slope.
+        """
+        if not all(isinstance(mu, (SumAgg, MaxAgg)) for mu in self.mu):
+            return None
+        zero = Zero()
+        gamma = [[zero] * self.n for _ in range(self.n)]
+        for i, cols in enumerate(self.active_sets):
+            for j in cols:
+                c = self.gamma[i][j].slope_at_zero()
+                # a nonzero gain has a positive slope unless it under- or overflowed
+                if c is None or not 0.0 < c < math.inf:
+                    return None
+                gamma[i][j] = Linear(c)
+        return GainNetwork(self.n, gamma, (zero,) * self.n, self.mu)
 
 
 def eval_operator_ext(net: GainNetwork, s, r):

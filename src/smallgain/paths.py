@@ -6,14 +6,17 @@ every positive radius.  Paths are represented piecewise linearly on anchor
 radii and extended linearly beyond the last anchor.  Constructors cover the
 power-homogeneous (a ray ``(r w)^p`` proved by a Collatz-Wielandt bound),
 max-aggregation (the closure ``max_{k<n} (D o Gamma)^k(t 1)``, on any
-graph), three-node additive, mixed bounded/unbounded, bounded,
-irreducible (seed-and-chain) and reducible cases.
+graph), slope-majorant (the ray ``r w`` of the linear network of slopes at
+zero, which lies above the operator), three-node additive, mixed
+bounded/unbounded, bounded, irreducible (seed-and-chain) and reducible
+cases.
 
 :func:`construct_path`, the only dispatcher, tries them in that order, so
 the others see only networks that are not power-homogeneous or whose ray
-stalls; the mixed route's unbounded part and each reducible block get
-their paths from it too.  A constructor given another shape raises a named
-error and hands the network to no other constructor.  The mixed splice is
+stalls, and that have no majorant ray; the mixed route's unbounded part
+and each reducible block get their paths from it too.  A constructor
+given another shape raises a named error and hands the network to no
+other constructor.  The mixed splice is
 made once, at the crossover radius.  Three retries remain, each measured
 to rescue networks: the ray's fall-through (3 test-suite networks certify
 through ``max``), the mixed route's three inflation levels (1 of 400
@@ -26,6 +29,7 @@ a certificate comes from the path (:func:`compose.derive_phi`).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +43,7 @@ from .errors import (
     LambdaNotContractive,
     NotBounded,
     NotHomogeneous,
+    NotLinearizable,
     NotInOmega,
     NotIrreducible,
     PathStalled,
@@ -66,7 +71,13 @@ from .gains import (
     zero_rows,
 )
 from .graph import adjacency, is_irreducible, scc_decompose
-from .sgc import bound_verdict, check_cycle_condition, nonlinear_perron
+from .sgc import (
+    bound_verdict,
+    check_cycle_condition,
+    majorant_witnesses,
+    nonlinear_perron,
+    slope_majorant,
+)
 
 # top of the certified range: every constructor anchors past it, and the
 # validation grid, 1000 log-spaced radii from 1e-6, ends at it
@@ -176,9 +187,10 @@ class PathResult:
 
     ``route`` names the constructor that ran: ``ray`` (every
     power-homogeneous network), ``max`` (the closure path of any max
-    network, reducible ones too), ``three_sum``, ``mixed``, ``bounded``,
-    ``irreducible`` or ``reducible``.  The budget map comes from the path
-    alone (:func:`compose.derive_phi`).
+    network, reducible ones too), ``majorant`` (the ray of the slope
+    majorant, on rows that are not all max), ``three_sum``, ``mixed``,
+    ``bounded``, ``irreducible`` or ``reducible``.  The budget map comes
+    from the path alone (:func:`compose.derive_phi`).
     """
 
     sigma: OmegaPath
@@ -212,17 +224,28 @@ def export_path_csv(net: GainNetwork, sigma: OmegaPath, out, radii=None) -> None
     write_csv(out, header, np.column_stack([rr, states, margins.min(axis=1)]))
 
 
+@functools.lru_cache(maxsize=2)
+def _first_column(first: bytes) -> tuple[str, ...]:
+    """``%.12g`` text of a table's first column, given by its float bytes.
+    Kept for two columns: the radius grid that every ``certify --out``
+    file starts with, and one more."""
+    return tuple("%.12g" % x for x in np.frombuffer(first).tolist())
+
+
 def write_csv(out, header: list[str], table) -> None:
     """Write ``header`` and each row of ``table`` as ``%.12g`` cells.
 
     ``out`` is an open text stream or a file path.  The whole table is
-    formatted by one ``%`` over its flattened cells.
+    formatted by one ``%`` over its flattened cells, with the first
+    column's text from :func:`_first_column`.
     """
-    cells = np.asarray(table)
+    cells = np.asarray(table, dtype=float)
     lines = [",".join(header)]
     if len(cells):
-        row = ",".join(["%.12g"] * len(header))
-        lines.append("\n".join([row] * len(cells)) % tuple(cells.ravel().tolist()))
+        flat = cells.ravel().tolist()
+        flat[::cells.shape[1]] = _first_column(cells[:, 0].tobytes())
+        row = "%s" + ",%.12g" * (cells.shape[1] - 1)
+        lines.append("\n".join([row] * len(cells)) % tuple(flat))
     text = "\n".join(lines) + "\n"
     if hasattr(out, "write"):
         out.write(text)
@@ -540,10 +563,32 @@ def path_homogeneous(net: GainNetwork) -> OmegaPath:
     ``w^p`` is a witness of failure, else :class:`PathStalled`.
     """
     c, p, w = nonlinear_perron(net)
+    return _ray(net, "Perron bound", c, p, w, [np.power(w, p)])
+
+
+def path_majorant(net: GainNetwork) -> OmegaPath:
+    """Ray ``sigma(r) = r w`` of the slope majorant ``L = net.majorant``.
+
+    :func:`sgc.nonlinear_perron` on ``L`` gives ``L(w) <= c w``, and
+    ``Gamma_mu <= L`` gives ``Gamma_mu(r w) <= c r w < r w`` at every
+    radius, so the ray built for ``L`` is validated on the network itself.
+    At ``c >= 1 - TOL_STRICT`` it raises :class:`LambdaNotContractive` when
+    a candidate of :func:`sgc.majorant_witnesses` re-checks, else
+    :class:`PathStalled`; :class:`NotLinearizable` without a majorant.
+    """
+    majorant = slope_majorant(net)
+    c, p, w = nonlinear_perron(majorant)
+    return _ray(net, "slope majorant bound", c, p, w, majorant_witnesses(majorant, w))
+
+
+def _ray(net: GainNetwork, bound: str, c: float, p: np.ndarray, w: np.ndarray,
+         witnesses) -> OmegaPath:
+    """The ray ``(r w)^p`` of :func:`path_homogeneous` at the bound ``c``;
+    at ``c >= 1 - TOL_STRICT`` it fails on a re-checked witness, else stalls."""
     if not c < 1.0 - TOL_STRICT:
-        if bound_verdict(net, "perron", c, np.power(w, p)).fails:
-            raise LambdaNotContractive(f"Perron bound {c:.6g} is not below one", lam=c)
-        raise PathStalled(f"Perron bound {c:.6g} is not below one, w^p is no witness")
+        if bound_verdict(net, bound, c, witnesses).fails:
+            raise LambdaNotContractive(f"{bound} {c:.6g} is not below one", lam=c)
+        raise PathStalled(f"{bound} {c:.6g} is not below one, and no witness re-checks")
     w = w / w.max()
     if np.all(p == p[0]):
         radii = _log_grid(1e-7, 1.05 * RADIUS_MAX)
@@ -551,7 +596,7 @@ def path_homogeneous(net: GainNetwork) -> OmegaPath:
     else:
         per_decade = max(GRID_DENSITY, int(np.ceil(-2.0 / np.log10(max(c, 1e-12)))))
         if np.log10(1.05 * RADIUS_MAX / 1e-7) * per_decade > RAY_MAX_ANCHORS:
-            raise PathStalled(f"Perron bound {c:.6g} needs over {RAY_MAX_ANCHORS} anchors")
+            raise PathStalled(f"{bound} {c:.6g} needs over {RAY_MAX_ANCHORS} anchors")
         radii = _log_grid(1e-7, 1.05 * RADIUS_MAX, per_decade)
         values = np.power(radii[:, None] * w, p)
     if not np.all(np.diff(values, axis=0, prepend=0.0) > 0):
@@ -911,16 +956,19 @@ def path_reducible(net: GainNetwork, *, seed: int = 0) -> OmegaPath:
 def construct_path(net: GainNetwork, *, seed: int = 0) -> PathResult:
     """Pick a constructor by network shape (fixed, documented order).
 
-    ray -> max -> three-node sum -> zero row -> mixed -> bounded ->
-    irreducible -> reducible.  This is the only dispatcher: every
-    constructor it calls serves only its own shape and raises on any other,
-    and the constructors that need sub-paths (the mixed route's inflated
-    unbounded part, each reducible block) call back into it.  The ray
-    (:func:`path_homogeneous`) takes every network that is homogeneous after
-    a per-node power change, strongly connected or not, with sum, max or
-    power-of-sum rows; a ray that stalls falls through to the other
+    ray -> max -> majorant -> three-node sum -> zero row -> mixed ->
+    bounded -> irreducible -> reducible.  This is the only dispatcher:
+    every constructor it calls serves only its own shape and raises on any
+    other, and the constructors that need sub-paths (the mixed route's
+    inflated unbounded part, each reducible block) call back into it.  The
+    ray (:func:`path_homogeneous`) takes every network that is homogeneous
+    after a per-node power change, strongly connected or not, with sum, max
+    or power-of-sum rows; a ray that stalls falls through to the other
     constructors, which see the rest.  Every other max network takes the
-    closure path of :func:`path_max`, reducible or not.  A network with a
+    closure path of :func:`path_max`, reducible or not.  Every other network
+    whose gains all have a slope at zero and whose slope matrix contracts
+    takes the ray of :func:`path_majorant`; without a majorant, or at a
+    bound of one without a witness, it falls through.  A network with a
     zero row (a source node) is reducible and takes :func:`path_reducible`,
     which builds each block on its own route.  Every other constructor's
     failure propagates; the result names the route.
@@ -929,11 +977,15 @@ def construct_path(net: GainNetwork, *, seed: int = 0) -> PathResult:
         return PathResult(path_homogeneous(net), "ray")
     except (NotHomogeneous, PathStalled):
         pass
+    if all(isinstance(mu, MaxAgg) for mu in net.mu):
+        return PathResult(path_max(net), "max")
+    try:
+        return PathResult(path_majorant(net), "majorant")
+    except (NotLinearizable, PathStalled):
+        pass
     classes = {g.classify() for row in net.gamma for g in row if not g.is_zero}
     all_sum = all(isinstance(mu, SumAgg) for mu in net.mu)
-    if all(isinstance(mu, MaxAgg) for mu in net.mu):
-        sigma, route = path_max(net), "max"
-    elif all_sum and net.n == 3 and all(
+    if all_sum and net.n == 3 and all(
             net.gamma[i][j].classify() is GainClass.K_INFINITY
             for i in range(3) for j in range(3) if i != j):
         sigma, route = path_three_sum(net), "three_sum"

@@ -1,12 +1,15 @@
 """Small gain condition checks.
 
-Three certification routes and one honest falsifier:
+Four certification routes and one honest falsifier:
 
 * cycle criterion for max-type aggregation,
 * spectral radius for networks whose operator is (conjugate to) a linear map,
 * Perron bound for networks homogeneous after a per-node power change
   (:func:`power_form`): a Collatz-Wielandt bound ``T(w) <= c w``, ``c < 1``,
   of the conjugate operator ``T`` is a proof,
+* slope majorant for sum and max rows of gains with a slope at zero
+  (:attr:`GainNetwork.majorant`): the same bound on the linear ``L >=
+  Gamma_mu`` is a proof, and the linearization at zero gives witnesses,
 * grid search for a witness s with Gamma_mu(s) >= s, which can only ever
   certify failure; absence of a witness stays Inconclusive.
 
@@ -316,13 +319,15 @@ SPECTRAL_TOL = 1e-9
 
 
 def bound_verdict(net: GainNetwork, method: str, bound: float,
-                  witness: np.ndarray) -> SgcVerdict:
-    """Proof at ``bound < 1 - SPECTRAL_TOL``, failure if ``witness`` re-checks."""
+                  witnesses) -> SgcVerdict:
+    """Proof at ``bound < 1 - SPECTRAL_TOL``, else failure at the first of
+    ``witnesses`` (an iterable, read only past the proof) that re-checks."""
     if bound < 1.0 - SPECTRAL_TOL:
         return SgcVerdict(status=CERTIFIED_HOLDS, method=method, rho=bound)
-    if _is_witness(net, witness):
-        return SgcVerdict(status=CERTIFIED_FAILS, method=method, rho=bound,
-                          witness=witness)
+    for witness in witnesses:
+        if _is_witness(net, witness):
+            return SgcVerdict(status=CERTIFIED_FAILS, method=method, rho=bound,
+                              witness=witness)
     return SgcVerdict(status=INCONCLUSIVE, method=method, rho=bound)
 
 
@@ -333,7 +338,7 @@ def check_linear_spectral(net: GainNetwork) -> SgcVerdict:
     tries the Perron direction as an explicit witness.
     """
     rho, _p, w = linear_perron(net)
-    return bound_verdict(net, "spectral", rho, w)
+    return bound_verdict(net, "spectral", rho, [w])
 
 
 def _conjugate(net: GainNetwork, p: np.ndarray, t) -> np.ndarray:
@@ -422,20 +427,71 @@ def nonlinear_perron(net: GainNetwork):
     return float(np.max(_conjugate(net, p, w) / w)), p, w
 
 
+def slope_majorant(net: GainNetwork) -> GainNetwork:
+    """:attr:`GainNetwork.majorant`, or :class:`NotLinearizable` when there
+    is none."""
+    if net.majorant is None:
+        raise NotLinearizable("a row is neither a sum nor a max, or a gain has "
+                              "no slope at zero")
+    return net.majorant
+
+
+# radii t of the slope majorant's candidate witnesses t v, 1 down to 1e-8
+MAJORANT_RADII = 10.0 ** -np.arange(9.0)
+
+
+def majorant_witnesses(majorant: GainNetwork, w: np.ndarray):
+    """Candidate witnesses ``t v``, ``t`` in :data:`MAJORANT_RADII`.
+
+    ``v`` is the Perron direction of the majorant ``L``: its block Perron
+    vector (:func:`linear_perron`) on sum rows, else the ``w`` that
+    :func:`nonlinear_perron` stopped at, zero on the rows ``L`` does not
+    expand there (a source row, say) and scaled to sup norm one.
+    ``Gamma_mu(t v) = t L(v) + o(t)``, so ``t v`` is a witness for small
+    ``t`` when ``L(v) > v`` off the zeros.  Generated lazily: nothing is
+    computed unless a caller reads past a proof.
+    """
+    try:
+        v = linear_perron(majorant)[2]
+    except NotLinearizable:
+        v = np.where(eval_operator(majorant, w) >= w, w, 0.0)
+        if not v.any():
+            return
+        v = v / v.max()
+    for t in MAJORANT_RADII:
+        yield t * v
+
+
+def check_majorant(net: GainNetwork) -> SgcVerdict:
+    """Slope-majorant route for sum and max rows of gains with a slope at zero.
+
+    ``L = net.majorant`` has ``Gamma_mu <= L`` on the orthant.  A
+    Collatz-Wielandt bound ``L(w) <= c w`` at a positive ``w`` (from
+    :func:`nonlinear_perron` on ``L``) with ``c < 1 - SPECTRAL_TOL`` proves
+    the condition: ``Gamma_mu(s) >= s`` would give ``L(s) >= s``, which no
+    ``s != 0`` meets.  Otherwise the candidates of
+    :func:`majorant_witnesses` are re-checked against the operator itself.
+    Raises :class:`NotLinearizable` when the network has no majorant.
+    """
+    majorant = slope_majorant(net)
+    c, _p, w = nonlinear_perron(majorant)
+    return bound_verdict(net, "majorant", c, majorant_witnesses(majorant, w))
+
+
 def decide(net: GainNetwork, *, seed: int = 0) -> SgcVerdict:
     """Small-gain verdict from the routes that apply, run in order.
 
     The routes are the spectral radius, the cycle criterion, the Perron
-    bound and the falsifier (seeded with ``seed``).  The run stops at the
-    first proof: a spectral or Perron verdict either way (at
-    ``rho < 1 - 1e-9``, or a Collatz-Wielandt bound ``c < 1 - 1e-9``, no
-    ``s != 0`` has ``Gamma_mu(s) >= s``, and a failure carries a re-checked
-    witness) or a failing cycle route.  A sampled cycle hold is not a proof,
-    so the next route still runs after it.  Any failing route makes the
-    verdict CertifiedFails, else any holding route CertifiedHolds, else it
-    is Inconclusive.  Returned is the verdict of the first route with that
-    status (the deciding route, named by ``method``), with the verdict of
-    every route run in ``routes``.
+    bound, the slope majorant and the falsifier (seeded with ``seed``).  The
+    run stops at the first proof: a spectral, Perron or majorant verdict
+    either way (at ``rho < 1 - 1e-9``, or a Collatz-Wielandt bound
+    ``c < 1 - 1e-9``, no ``s != 0`` has ``Gamma_mu(s) >= s``, and a failure
+    carries a re-checked witness) or a failing cycle route.  A sampled
+    cycle hold is not a proof, so the next route still runs after it.  Any
+    failing route makes the verdict CertifiedFails, else any holding route
+    CertifiedHolds, else it is Inconclusive.  Returned is the verdict of
+    the first route with that status (the deciding route, named by
+    ``method``), with the verdict of every route run in ``routes``.
     """
     routes = []
     try:
@@ -452,10 +508,16 @@ def decide(net: GainNetwork, *, seed: int = 0) -> SgcVerdict:
         pass
     try:
         c, p, w = nonlinear_perron(net)
-        routes.append(bound_verdict(net, "perron", c, np.power(w, p)))
+        routes.append(bound_verdict(net, "perron", c, [np.power(w, p)]))
         if not routes[-1].inconclusive:
             return _combine(routes)
     except NotHomogeneous:
+        pass
+    try:
+        routes.append(check_majorant(net))
+        if not routes[-1].inconclusive:
+            return _combine(routes)
+    except NotLinearizable:
         pass
     routes.append(falsify_sgc(net, seed))
     return _combine(routes)

@@ -152,8 +152,10 @@ def random_mixed_sum_net(rng: np.random.Generator, nmax: int = 5):
     of coefficient ``b = a/3`` (``b*s``, ``b*s^q``,
     ``(b*s)o(id+(0.2*s/(1+s)))`` or the power sum ``b*s+(b/10)*s^q`` with
     ``q`` in ``[0.6, 1.6]``), with one ``a`` in ``[0.1, 0.6]`` per network.
-    Both classes occur in every network, so none is power-homogeneous and
-    every one takes the mixed route of ``construct_path``.
+    Both classes occur in every network, so none is power-homogeneous;
+    every one with a gain that has no slope at zero (a sigmoid or a power)
+    takes the mixed route of ``construct_path``, the others its majorant
+    ray.
     """
     from smallgain.gains import Atan, GainNetwork, Saturating, SumAgg
 
@@ -185,3 +187,50 @@ def random_mixed_sum_net(rng: np.random.Generator, nmax: int = 5):
             for i in range(n))
         return GainNetwork(n=n, gamma=gamma, gamma_u=(Zero(),) * n,
                            mu=(SumAgg(),) * n)
+
+
+def max_cycle_mean(W: np.ndarray) -> float:
+    """Largest geometric cycle mean of a nonnegative matrix, by max-times
+    powers: ``max_k max_i ((W^k)_ii)^(1/k)`` over ``k <= n``."""
+    n = W.shape[0]
+    P, best = W.copy(), 0.0
+    for k in range(1, n + 1):
+        best = max(best, float(np.max(np.diag(P))) ** (1.0 / k))
+        P = np.max(P[:, :, None] * W[None, :, :], axis=1)
+    return best
+
+
+def random_concave_net(rng: np.random.Generator, mu: str, nmax: int = 5):
+    """Random network whose gains have a slope at zero, and its slope matrix.
+
+    On a ring of n = 2..nmax nodes plus random chords, with ``mu`` rows
+    (``"sum"`` or ``"max"``), the slope matrix ``W`` is scaled to a drawn
+    spectral radius (max cycle mean on max rows) in ``[0.3, 0.9]`` or
+    ``[1.15, 2.5]``.  Each edge realizes its slope ``w`` by ``w*s``,
+    ``w*s/(1+s)``, ``w*atan(s)``, ``0.7w*s + 0.3w*s/(1+s)``,
+    ``(0.5w*s/(1+s)) o (2*s)`` or ``max(w*s, 0.5w*atan(s))``; the ring's
+    first edge is saturating, so no network is a power law.  Returns the
+    network and ``W``.
+    """
+    from smallgain.gains import GainNetwork, MaxAgg, SumAgg
+
+    shapes = (Linear, Saturating, Atan,
+              lambda w: Sum((Linear(0.7 * w), Saturating(0.3 * w))),
+              lambda w: Compose(Saturating(0.5 * w), Linear(2.0)),
+              lambda w: Max((Linear(w), Atan(0.5 * w))))
+    n = int(rng.integers(2, nmax + 1))
+    ring = np.roll(np.eye(n, dtype=bool), 1, axis=1)
+    mask = ring | (rng.random((n, n)) < 0.3)
+    np.fill_diagonal(mask, False)
+    W = np.where(mask, rng.uniform(0.2, 1.0, (n, n)), 0.0)
+    measure = (max_cycle_mean(W) if mu == "max"
+               else float(np.max(np.abs(np.linalg.eigvals(W)))))
+    target = rng.uniform(0.3, 0.9) if rng.random() < 0.5 else rng.uniform(1.15, 2.5)
+    W *= target / measure
+    gamma = [[Zero() for _ in range(n)] for _ in range(n)]
+    for i, j in zip(*np.nonzero(mask)):
+        shape = Saturating if (i, j) == (0, 1) else shapes[rng.integers(0, 6)]
+        gamma[i][j] = shape(float(W[i, j]))
+    agg = SumAgg if mu == "sum" else MaxAgg
+    return GainNetwork(n=n, gamma=tuple(map(tuple, gamma)), gamma_u=(Zero(),) * n,
+                       mu=(agg(),) * n), W

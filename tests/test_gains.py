@@ -192,6 +192,75 @@ def test_power_law_reads_the_evaluation():
     assert found > 100
 
 
+def test_slope_at_zero_table():
+    cases = [
+        (Zero(), 0.0),
+        (Linear(0.3), 0.3),
+        (Power(0.4, 1.0), 0.4),
+        (Saturating(2.0), 2.0),
+        (Atan(0.5), 0.5),
+        (Sum((Linear(0.2), Saturating(0.3))), 0.5),
+        (Max((Linear(0.2), Atan(0.7))), 0.7),
+        (Compose(Saturating(0.5), Linear(2.0)), 1.0),
+        (PlusId(Saturating(0.25)), 1.25),
+        (Compose(Zero(), Linear(3.0)), 0.0),
+    ]
+    for g, want in cases:
+        assert g.slope_at_zero() == pytest.approx(want, rel=1e-15), g
+    for g in [Power(1.0, 2.0), Power(2.0, 0.5), Sum((Linear(1.0), Power(0.1, 2.0))),
+              Compose(Saturating(1.0), Power(1.0, 2.0)), PlusId(Power(1.0, 0.5)),
+              Compose(Power(1.0, 2.0), Power(1.0, 0.5))]:
+        assert g.slope_at_zero() is None, g
+
+
+def _leaves(g):
+    if isinstance(g, (Sum, Max)):
+        return [leaf for child in g.children for leaf in _leaves(child)]
+    if isinstance(g, Compose):
+        return _leaves(g.outer) + _leaves(g.inner)
+    if isinstance(g, PlusId):
+        return _leaves(g.inner)
+    return [g]
+
+
+def test_slope_at_zero_bounds_and_linearizes_the_gain():
+    # g(s) <= c s on the whole half line and g(s) / s -> c at zero; a power
+    # leaf of exponent other than one anywhere in the tree gives no slope
+    rng = np.random.default_rng(21)
+    s = np.geomspace(1e-8, 1e8, 161)
+    found = 0
+    for _ in range(1500):
+        g = random_tree(rng)
+        c = g.slope_at_zero()
+        if any(isinstance(leaf, Power) and leaf.exponent != 1.0 for leaf in _leaves(g)):
+            assert c is None, g
+            continue
+        found += 1
+        assert np.all(g(s) <= c * s * (1.0 + 1e-12)), g
+        assert g(1e-9) / 1e-9 == pytest.approx(c, rel=1e-6, abs=1e-300), g
+    assert found > 300
+
+
+def test_majorant_network():
+    sat, lin = Saturating(0.5), Linear(0.4)
+    for mu in (SumAgg(), MaxAgg()):
+        net = two_node_net(Compose(sat, PlusId(lin)), Max((lin, Atan(0.3))), mu=(mu, mu))
+        L = net.majorant
+        assert L.mu == net.mu and L.active_sets == net.active_sets
+        np.testing.assert_allclose([[g.slope_at_zero() for g in row] for row in L.gamma],
+                                   [[0.0, 0.7], [0.4, 0.0]], rtol=1e-15)
+        assert all(isinstance(g, Linear) for row in L.gamma for g in row if not g.is_zero)
+        assert not any(L.ext_active)
+        states = np.random.default_rng(4).uniform(0.0, 50.0, (200, 2))
+        assert np.all(eval_operator(net, states) <= eval_operator(L, states))
+    assert two_node_net(lin, Power(1.0, 2.0)).majorant is None
+    outer = GainNetwork(n=2, gamma=((Zero(), lin), (sat, Zero())), gamma_u=(Zero(), Zero()),
+                        mu=(OuterSum(Linear(1.0)), SumAgg()))
+    blocks = GainNetwork(n=2, gamma=((Zero(), lin), (sat, Zero())), gamma_u=(Zero(), Zero()),
+                         mu=(BlockMaxSum(((1,),)), SumAgg()))
+    assert outer.majorant is None and blocks.majorant is None
+
+
 def two_node_net(g12, g21, mu=None):
     mu = mu or (SumAgg(), SumAgg())
     return GainNetwork(

@@ -44,12 +44,12 @@ from smallgain.gains import (
     zero_rows,
 )
 import smallgain.paths as paths_module
-from gen import random_mixed_sum_net
+from gen import random_concave_net, random_mixed_sum_net
 from smallgain.compose import PLFunction, certify, compose, derive_phi
 from smallgain.parser import parse_gain
 from smallgain.simulate import CohenGrossberg, cg_gains
 from smallgain.graph import adjacency, is_irreducible
-from smallgain.sgc import nonlinear_perron
+from smallgain.sgc import check_majorant, nonlinear_perron
 from smallgain.paths import (
     OmegaPath,
     PathResult,
@@ -59,6 +59,7 @@ from smallgain.paths import (
     path_bounded,
     path_homogeneous,
     path_irreducible,
+    path_majorant,
     path_max,
     path_mixed,
     path_reducible,
@@ -94,9 +95,10 @@ def sum3_complete(slope):
 
 
 def bent(slope):
-    """A gain at most ``slope * s`` that is not a power law, which keeps a
-    network off the ray and on the constructor under test."""
-    return Sum((Linear(0.8 * slope), Saturating(0.2 * slope)))
+    """A gain at most ``slope * s`` that is neither a power law nor read
+    with a slope at zero (its ``s^2`` part), which keeps a network off the
+    ray and the slope majorant and on the constructor under test."""
+    return Sum((Linear(0.8 * slope), Compose(Saturating(0.2 * slope), Power(1.0, 2.0))))
 
 
 def assert_dispatched(net, route):
@@ -1257,14 +1259,17 @@ def test_reducible_random_networks_pass_extended_check():
 def test_zero_row_networks_take_the_reducible_route():
     # a source node's row is zero, so the network is reducible: the dispatch
     # sends it to the block construction before the mixed and bounded
-    # routes, which reject such a network or stall on its downward leg
+    # routes, which reject such a network or stall on its downward leg;
+    # those whose gains all have a slope at zero take the majorant ray first
     rng = np.random.default_rng(2010)
     moved = 0
     for _ in range(200):
         net, _blocks = random_reducible(rng)
         res = construct_path(net)
         assert validate_path(net, res.sigma).valid
-        if zero_rows(net) and res.route not in ("ray", "max"):
+        assert (res.route == "majorant") == (
+            res.route not in ("ray", "max") and net.majorant is not None)
+        if zero_rows(net) and res.route not in ("ray", "max", "majorant"):
             assert res.route == "reducible"
             moved += 1
     assert moved > 20
@@ -1367,7 +1372,10 @@ def test_constructed_paths_strictly_monotone():
 
 def test_dispatch_shapes():
     # every route returns a PathResult naming the constructor that ran
-    mixed = net_of([[Z, Linear(0.3)], [Saturating(0.5), Z]],
+    concave = net_of([[Z, Linear(0.3)], [Saturating(0.5), Z]],
+                     [SumAgg(), SumAgg()])
+    # the sigmoid has no slope at zero, so no majorant
+    mixed = net_of([[Z, Linear(0.3)], [Compose(Saturating(0.5), Power(1.0, 2.0)), Z]],
                    [SumAgg(), SumAgg()])
     bounded = net_of([[Z, Saturating(1.0)], [Saturating(1.0), Z]],
                      [SumAgg(), SumAgg()])
@@ -1376,7 +1384,9 @@ def test_dispatch_shapes():
     routes = [
         (net_of([[Z, bent(0.5)], [bent(0.5), Z]], [MaxAgg(), MaxAgg()]), "max"),
         (net_of([[Z, g, g], [g, Z, g], [g, g, Z]], [SumAgg()] * 3), "three_sum"),
+        (concave, "majorant"),
         (mixed, "mixed"),
+        # the slope matrix at zero has spectral radius one: no majorant ray
         (bounded, "bounded"),
         (sum2(0.4), "ray"),
         (max2(0.5), "ray"),
@@ -1394,6 +1404,55 @@ def test_dispatch_shapes():
     # a symmetric linear sum network takes the ray along w = (I - G)^-1 1
     assert np.allclose(construct_path(sum2(0.4)).sigma(1.0), [1.0, 1.0])
 
+
+
+@pytest.mark.parametrize("mu", ["sum", "max"])
+def test_majorant_ray_on_concave_networks(mu):
+    # a holding network's majorant ray validates on the network itself; a
+    # failing one raises with its re-checked witness.  Max networks keep
+    # the closure path and its cycle gate in the dispatch
+    rng = np.random.default_rng(41 if mu == "sum" else 42)
+    holding = failing = 0
+    for _ in range(30):
+        net, _W = random_concave_net(rng, mu)
+        if check_majorant(net).holds:
+            sigma = path_majorant(net)
+            assert validate_path(net, sigma).valid and margin_floor_ok(net, sigma)
+            res = construct_path(net)
+            assert res.route == ("majorant" if mu == "sum" else "max")
+            holding += 1
+        else:
+            with pytest.raises(LambdaNotContractive):
+                path_majorant(net)
+            with pytest.raises(LambdaNotContractive if mu == "sum" else CycleConditionFails):
+                construct_path(net)
+            failing += 1
+    assert holding >= 10 and failing >= 10
+
+
+def test_critical_and_power_of_sum_designs_keep_their_routes():
+    # bounded_pair's slope matrix has radius one: the ray stalls and the
+    # bounded route takes it; the neural design's rows are power-of-sum
+    # rows, which have no majorant
+    g = Saturating(1.0)
+    pair = net_of([[Z, g], [g, Z]], [SumAgg(), SumAgg()])
+    with pytest.raises(PathStalled, match="slope majorant bound 1 "):
+        path_majorant(pair)
+    assert_dispatched(pair, "bounded")
+    design = _cg_design_net()
+    assert design.majorant is None
+    assert_dispatched(design, "bounded")
+
+
+def test_mixed_sum_networks_with_a_majorant_take_its_ray():
+    # of 400 draws (seed 2010) the 17 whose gains all have a slope at zero
+    # certify on the majorant ray instead of the mixed splice
+    rng = np.random.default_rng(2010)
+    nets = [random_mixed_sum_net(rng) for _ in range(400)]
+    concave = [net for net in nets if net.majorant is not None]
+    assert len(concave) == 17
+    for net in concave:
+        assert_dispatched(net, "majorant")
 
 
 def _cg_design_net():
@@ -1432,6 +1491,24 @@ def test_export_csv_format():
     assert len(row) == 4
     assert float(row[0]) == pytest.approx(1e-2)
     assert float(row[3]) > 0
+
+
+def test_write_csv_row_cache_keeps_the_bytes():
+    # tables sharing a first column at several widths, and a first column
+    # that changes: each matches the cell-by-cell format, and at most two
+    # first-column texts are kept
+    rng = np.random.default_rng(6)
+    grids = [VALIDATION_GRID, np.geomspace(1e-3, 1e3, 50), VALIDATION_GRID]
+    for grid in grids:
+        for width in (2, 5, 2, 8):
+            table = np.column_stack([grid, rng.standard_normal((len(grid), width - 1))])
+            header = [f"c{i}" for i in range(width)]
+            ref = "\n".join([",".join(header)] + [
+                ",".join(f"{x:.12g}" for x in row) for row in table]) + "\n"
+            buf = io.StringIO()
+            write_csv(buf, header, table)
+            assert buf.getvalue() == ref
+            assert paths_module._first_column.cache_info().currsize <= 2
 
 
 def test_write_csv_matches_cell_by_cell_format(tmp_path):

@@ -41,13 +41,14 @@ from smallgain.sgc import (
     _tight_cycle_vectors,
     check_cycle_condition,
     check_linear_spectral,
+    check_majorant,
     decide,
     falsify_sgc,
     nonlinear_perron,
     power_form,
 )
 
-from gen import random_linear_max_net, random_network
+from gen import max_cycle_mean, random_concave_net, random_linear_max_net, random_network
 
 
 def linear_net(slopes, mu_cls=SumAgg):
@@ -645,7 +646,8 @@ def run_all_routes(net, seed=0):
     """Reference rule: every applicable route runs, any failure wins.
 
     The Perron route holds at a bound below ``1 - 1e-9`` and fails when
-    ``w^p`` is a witness; the falsifier runs whatever came before it.
+    ``w^p`` is a witness; the slope majorant runs where it applies, and the
+    falsifier runs whatever came before it.
     """
     routes = []
     try:
@@ -664,6 +666,10 @@ def run_all_routes(net, seed=0):
         witness = np.all(eval_operator(net, w**p) >= w**p)
         routes.append(CERTIFIED_HOLDS if c < 1.0 - 1e-9 else
                       CERTIFIED_FAILS if witness else INCONCLUSIVE)
+    try:
+        routes.append(check_majorant(net).status)
+    except NotLinearizable:
+        pass
     routes.append(falsify_sgc(net, seed).status)
     for status in (CERTIFIED_FAILS, CERTIFIED_HOLDS):
         if status in routes:
@@ -687,20 +693,23 @@ def test_decide_matches_run_all_routes():
         stopped = len(v.routes) < len(statuses)
         last = v.routes[-1]
         if stopped:
-            assert last.method in ("spectral", "cycle-linear", "cycle-grid", "perron")
-            assert last.method in ("spectral", "perron") or v.fails
+            assert last.method in ("spectral", "cycle-linear", "cycle-grid", "perron",
+                                   "majorant")
+            assert last.method in ("spectral", "perron", "majorant") or v.fails
             assert not last.inconclusive
         else:
             assert last.method.startswith("falsify")
         seen.add((kind, last.method.split("-")[0], status, stopped))
-    # both spectral proofs, a failing cycle route, both Perron proofs,
-    # and the falsifier's verdict or no verdict at all
+    # both spectral proofs, a failing cycle route, both Perron proofs, both
+    # majorant proofs, and the falsifier's verdict or no verdict at all
     for case in [("sum", "spectral", CERTIFIED_HOLDS, True),
                  ("sum", "spectral", CERTIFIED_FAILS, True),
                  ("max", "cycle", CERTIFIED_FAILS, True),
                  ("max", "perron", CERTIFIED_HOLDS, True),
                  ("mixed", "perron", CERTIFIED_HOLDS, True),
                  ("mixed", "perron", CERTIFIED_FAILS, True),
+                 ("sum", "majorant", CERTIFIED_HOLDS, True),
+                 ("sum", "majorant", CERTIFIED_FAILS, True),
                  ("mixed", "falsify", CERTIFIED_FAILS, False),
                  ("mixed", "falsify", INCONCLUSIVE, False)]:
         assert case in seen, case
@@ -733,6 +742,60 @@ def test_decide_spectral_witness_is_rechecked():
     v = decide(net)
     assert v.fails and v.method == "spectral" and len(v.routes) == 1
     assert np.all(eval_operator(net, v.witness) >= v.witness)
+
+
+@pytest.mark.parametrize("mu", ["sum", "max"])
+def test_majorant_verdict_matches_slope_matrix_radius(mu):
+    # the verdict is rho(W) < 1 for the slope matrix W at zero (max cycle
+    # mean on max rows), read by numpy; c bounds rho from above, and a
+    # failure's witness re-checks against the operator
+    rng = np.random.default_rng(31 if mu == "sum" else 32)
+    seen = set()
+    for _ in range(40):
+        net, W = random_concave_net(rng, mu)
+        rho = max_cycle_mean(W) if mu == "max" else float(np.max(np.abs(np.linalg.eigvals(W))))
+        v = check_majorant(net)
+        assert v.method == "majorant" and v.holds == (rho < 1.0) and v.fails == (rho > 1.0)
+        assert v.rho >= rho * (1.0 - 1e-9)
+        if v.fails:
+            assert sgc._is_witness(net, v.witness)
+        d = decide(net)
+        assert d.status == v.status
+        if mu == "sum":
+            # no spectral, cycle or Perron route applies: the majorant decides
+            assert [r.method for r in d.routes] == ["majorant"]
+        else:
+            # a failing cycle stops before it; a sampled cycle hold is proved by it
+            assert d.routes[-1].method == ("cycle-grid" if d.fails else "majorant")
+        seen.add(v.status)
+    assert seen == {CERTIFIED_HOLDS, CERTIFIED_FAILS}
+
+
+def test_majorant_at_radius_one_leaves_the_verdict_to_the_falsifier():
+    # bounded_pair: s/(1+s) both ways holds, but its slope matrix has radius
+    # one, so the majorant proves nothing and no t v is a witness
+    g = Saturating(1.0)
+    net = GainNetwork(n=2, gamma=((Zero(), g), (g, Zero())), gamma_u=(Zero(), Zero()),
+                      mu=(SumAgg(), SumAgg()))
+    v = check_majorant(net)
+    assert v.inconclusive and v.rho == pytest.approx(1.0)
+    assert [r.method for r in decide(net).routes] == ["majorant", "falsify"]
+    with pytest.raises(NotLinearizable):
+        check_majorant(GainNetwork(n=2, gamma=((Zero(), Power(1.0, 2.0)), (g, Zero())),
+                                   gamma_u=(Zero(), Zero()), mu=(SumAgg(), SumAgg())))
+
+
+def test_majorant_witness_skips_rows_it_does_not_expand():
+    # a source row (node 1) and max rows: the stopped fixed-point iterate is
+    # one there, and the witness direction drops it
+    net = GainNetwork(
+        n=3,
+        gamma=((Zero(), Zero(), Zero()),
+               (Atan(0.06), Zero(), Linear(4.0)),
+               (Linear(2.76), Saturating(2.0), Zero())),
+        gamma_u=(Zero(),) * 3, mu=(SumAgg(), MaxAgg(), MaxAgg()))
+    v = check_majorant(net)
+    assert v.fails and v.witness[0] == 0.0 and sgc._is_witness(net, v.witness)
 
 
 def _count_calls(monkeypatch, *names):
@@ -768,14 +831,26 @@ def test_check_cross_checks_sampled_cycle_hold(tmp_path, monkeypatch, capsys):
     from smallgain.cli import main
 
     calls = _count_calls(monkeypatch, "falsify_sgc")
+    # the sigmoid has no slope at zero, so only the falsifier runs after
+    # the cycle route
     cfg = tmp_path / "sat.json"
+    cfg.write_text('''{"n": 2, "gains": [["0", "(0.5*s/(1+s))o(1*s^2)"],
+        ["0.9*s/(1+s)", "0"]], "external_gains": ["0", "0"], "mu": ["max", "max"]}''')
+    assert main(["check", str(cfg)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert calls == {"falsify_sgc": 1}
+    assert out[0].startswith("cycle condition: holds")
+    assert out[1:] == ["falsification: no witness found", "verdict: CertifiedHolds"]
+    # saturating gains: the slope majorant's max-times cycle mean
+    # sqrt(0.5 * 0.9) proves the hold, and the falsifier does not run
     cfg.write_text('''{"n": 2, "gains": [["0", "0.5*s/(1+s)"], ["0.9*s/(1+s)", "0"]],
         "external_gains": ["0", "0"], "mu": ["max", "max"]}''')
     assert main(["check", str(cfg)]) == 0
     out = capsys.readouterr().out.splitlines()
     assert calls == {"falsify_sgc": 1}
     assert out[0].startswith("cycle condition: holds")
-    assert out[1:] == ["falsification: no witness found", "verdict: CertifiedHolds"]
+    assert out[1].startswith("slope majorant: 0.") and out[1].endswith("(CertifiedHolds)")
+    assert out[2:] == ["verdict: CertifiedHolds"]
 
 
 def test_check_stops_at_perron_proof(tmp_path, monkeypatch, capsys):
@@ -800,6 +875,24 @@ def test_check_stops_at_perron_proof(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines() == [
         "Perron bound: 1.5 (CertifiedFails), witness (1, 1)", "verdict: CertifiedFails"]
     assert calls == {"nonlinear_perron": 2, "falsify_sgc": 0}
+
+
+def test_check_stops_at_majorant_proof(tmp_path, monkeypatch, capsys):
+    from smallgain.cli import main
+
+    calls = _count_calls(monkeypatch, "falsify_sgc")
+    cfg = tmp_path / "concave.json"
+    for a, verdict, code in ((0.4, CERTIFIED_HOLDS, 0), (1.5, CERTIFIED_FAILS, 1)):
+        cfg.write_text(f'''{{"n": 2, "gains": [["0", "{a}*s/(1+s)"], ["{a}*atan(s)", "0"]],
+            "external_gains": ["0", "0"], "mu": ["sum", "sum"]}}''')
+        assert main(["check", str(cfg)]) == code
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith(f"slope majorant: {a:.6g} ({verdict})")
+        assert out[1:] == [f"verdict: {verdict}"]
+    # t (1, 1) along the Perron vector of the slope matrix, first at t = 0.1:
+    # at t = 1 the saturating gain reads 0.75 < 1
+    assert out[0] == "slope majorant: 1.5 (CertifiedFails), witness (0.1, 0.1)"
+    assert calls == {"falsify_sgc": 0}
 
 
 def per_radius_sweep(net, seed):
