@@ -597,11 +597,29 @@ class GainNetwork:
         """Per row, whether the external gain is not the zero gain."""
         return tuple(not g.is_zero for g in self.gamma_u)
 
-    @cached_property
+    @property
     def power_form(self):
         """``(p, G, rows, C)``: per-node exponents, the matrix ``G`` when the
         conjugate is linear, per row ``(k_i, e_i, not max)`` and the gain
-        coefficients ``c_ij``, as read-only arrays; a failed read is not cached.
+        coefficients ``c_ij``, as read-only arrays.
+
+        Read once per network (:meth:`_read_power_form`); a failed read keeps
+        its message, and every access raises a fresh :class:`NotHomogeneous`.
+        """
+        form, failure = self._power_form
+        if failure is not None:
+            raise NotHomogeneous(failure)
+        return form
+
+    @cached_property
+    def _power_form(self):
+        try:
+            return self._read_power_form(), None
+        except NotHomogeneous as exc:
+            return None, str(exc)
+
+    def _read_power_form(self):
+        """:attr:`power_form`, read from the rows and gains.
 
         With sum, max or power-of-sum rows ``k_i A_i(...)^e_i`` and gains
         ``c_ij s^q_ij``, ``T(t) = Gamma_mu(t^p)^(1/p)`` is homogeneous

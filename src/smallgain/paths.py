@@ -76,6 +76,7 @@ from .sgc import (
     check_cycle_condition,
     majorant_witnesses,
     nonlinear_perron,
+    perron_witnesses,
     slope_majorant,
 )
 
@@ -560,10 +561,11 @@ def path_homogeneous(net: GainNetwork) -> OmegaPath:
     ``q <= min(10^(1/12), c^(-1/2))``: ``Gamma_mu(sigma(r[k+1])) <=
     (c q)^p sigma(r[k]) < sigma(r[k])`` proves each segment by monotonicity.
     At ``c >= 1 - TOL_STRICT`` it raises :class:`LambdaNotContractive` when
-    ``w^p`` is a witness of failure, else :class:`PathStalled`.
+    the candidate of :func:`sgc.perron_witnesses` re-checks, else
+    :class:`PathStalled`.
     """
     c, p, w = nonlinear_perron(net)
-    return _ray(net, "Perron bound", c, p, w, [np.power(w, p)])
+    return _ray(net, "Perron bound", c, p, w, perron_witnesses(net, p, w))
 
 
 def path_majorant(net: GainNetwork) -> OmegaPath:

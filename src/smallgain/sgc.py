@@ -1,12 +1,15 @@
 """Small gain condition checks.
 
-Four certification routes and one honest falsifier:
+Four certification routes and one honest falsifier, in the order
+:func:`decide` runs them:
 
-* cycle criterion for max-type aggregation,
 * spectral radius for networks whose operator is (conjugate to) a linear map,
 * Perron bound for networks homogeneous after a per-node power change
   (:func:`power_form`): a Collatz-Wielandt bound ``T(w) <= c w``, ``c < 1``,
   of the conjugate operator ``T`` is a proof,
+* cycle criterion for max-type aggregation, sampled on a grid and capped at
+  ``CYCLE_ENUM_LIMIT`` nodes, for the max networks the Perron bound leaves
+  open,
 * slope majorant for sum and max rows of gains with a slope at zero
   (:attr:`GainNetwork.majorant`): the same bound on the linear ``L >=
   Gamma_mu`` is a proof, and the linearization at zero gives witnesses,
@@ -27,6 +30,7 @@ import numpy as np
 from .errors import (
     NotHomogeneous,
     NotLinearizable,
+    TooLarge,
     WrongAggregation,
 )
 from .gains import (
@@ -440,24 +444,44 @@ def slope_majorant(net: GainNetwork) -> GainNetwork:
 MAJORANT_RADII = 10.0 ** -np.arange(9.0)
 
 
+def _expanded_direction(net: GainNetwork, p: np.ndarray, w: np.ndarray):
+    """The ``w`` that :func:`nonlinear_perron` stopped at, zero on the rows
+    where ``T(w) < w`` (a source row, say) and scaled to sup norm one; None
+    when no row expands.  ``T(w)_i >= w_i`` is read as ``Gamma_mu(w^p)_i >=
+    (w^p)_i``."""
+    s = np.power(w, p)
+    v = np.where(eval_operator(net, s) >= s, w, 0.0)
+    return v / v.max() if v.any() else None
+
+
+def perron_witnesses(net: GainNetwork, p: np.ndarray, w: np.ndarray):
+    """The Perron route's candidate witness ``v^p``, for the
+    :func:`_expanded_direction` ``v`` of :func:`nonlinear_perron`'s
+    ``(p, w)``.  The scaling keeps each expanded row expanded, as ``T`` is
+    homogeneous, but the zeros lower the other rows' inflow, so a caller
+    re-checks it.  Generated lazily: nothing is computed unless a caller
+    reads past a proof."""
+    v = _expanded_direction(net, p, w)
+    if v is not None:
+        yield np.power(v, p)
+
+
 def majorant_witnesses(majorant: GainNetwork, w: np.ndarray):
     """Candidate witnesses ``t v``, ``t`` in :data:`MAJORANT_RADII`.
 
     ``v`` is the Perron direction of the majorant ``L``: its block Perron
-    vector (:func:`linear_perron`) on sum rows, else the ``w`` that
-    :func:`nonlinear_perron` stopped at, zero on the rows ``L`` does not
-    expand there (a source row, say) and scaled to sup norm one.
-    ``Gamma_mu(t v) = t L(v) + o(t)``, so ``t v`` is a witness for small
-    ``t`` when ``L(v) > v`` off the zeros.  Generated lazily: nothing is
-    computed unless a caller reads past a proof.
+    vector (:func:`linear_perron`) on sum rows, else the
+    :func:`_expanded_direction` of the ``w`` that :func:`nonlinear_perron`
+    stopped at.  ``Gamma_mu(t v) = t L(v) + o(t)``, so ``t v`` is a witness
+    for small ``t`` when ``L(v) > v`` off the zeros.  Generated lazily:
+    nothing is computed unless a caller reads past a proof.
     """
     try:
         v = linear_perron(majorant)[2]
     except NotLinearizable:
-        v = np.where(eval_operator(majorant, w) >= w, w, 0.0)
-        if not v.any():
+        v = _expanded_direction(majorant, np.ones(majorant.n), w)
+        if v is None:
             return
-        v = v / v.max()
     for t in MAJORANT_RADII:
         yield t * v
 
@@ -481,17 +505,22 @@ def check_majorant(net: GainNetwork) -> SgcVerdict:
 def decide(net: GainNetwork, *, seed: int = 0) -> SgcVerdict:
     """Small-gain verdict from the routes that apply, run in order.
 
-    The routes are the spectral radius, the cycle criterion, the Perron
-    bound, the slope majorant and the falsifier (seeded with ``seed``).  The
-    run stops at the first proof: a spectral, Perron or majorant verdict
+    The routes are the spectral radius, the Perron bound, the cycle
+    criterion, the slope majorant and the falsifier (seeded with ``seed``).
+    The run stops at the first proof: a spectral, Perron or majorant verdict
     either way (at ``rho < 1 - 1e-9``, or a Collatz-Wielandt bound
     ``c < 1 - 1e-9``, no ``s != 0`` has ``Gamma_mu(s) >= s``, and a failure
-    carries a re-checked witness) or a failing cycle route.  A sampled
-    cycle hold is not a proof, so the next route still runs after it.  Any
-    failing route makes the verdict CertifiedFails, else any holding route
-    CertifiedHolds, else it is Inconclusive.  Returned is the verdict of
-    the first route with that status (the deciding route, named by
-    ``method``), with the verdict of every route run in ``routes``.
+    carries a re-checked witness) or a failing cycle route.  The proofs come
+    first, so the sampled cycle route runs only on a max network that the
+    Perron route leaves open: one that is not power-homogeneous, or whose
+    bound is not below one and gives no witness.  A sampled cycle hold is
+    not a proof, so the next route still runs after it.  Above
+    ``CYCLE_ENUM_LIMIT`` nodes the cycle route is recorded as Inconclusive
+    with the :class:`TooLarge` message, and the run goes on.  Any failing
+    route makes the verdict CertifiedFails, else any holding route
+    CertifiedHolds, else it is Inconclusive.  Returned is the verdict of the
+    first route with that status (the deciding route, named by ``method``),
+    with the verdict of every route run in ``routes``.
     """
     routes = []
     try:
@@ -501,18 +530,21 @@ def decide(net: GainNetwork, *, seed: int = 0) -> SgcVerdict:
     except NotLinearizable:
         pass
     try:
+        c, p, w = nonlinear_perron(net)
+        routes.append(bound_verdict(net, "perron", c, perron_witnesses(net, p, w)))
+        if not routes[-1].inconclusive:
+            return _combine(routes)
+    except NotHomogeneous:
+        pass
+    try:
         routes.append(check_cycle_condition(net))
         if routes[-1].fails:
             return _combine(routes)
     except WrongAggregation:
         pass
-    try:
-        c, p, w = nonlinear_perron(net)
-        routes.append(bound_verdict(net, "perron", c, [np.power(w, p)]))
-        if not routes[-1].inconclusive:
-            return _combine(routes)
-    except NotHomogeneous:
-        pass
+    except TooLarge as exc:
+        routes.append(SgcVerdict(status=INCONCLUSIVE, method="cycle",
+                                 margins={"not_checked": f"TooLarge: {exc}"}))
     try:
         routes.append(check_majorant(net))
         if not routes[-1].inconclusive:

@@ -51,8 +51,25 @@ LINEAR_MODEL = {
 # check
 
 
+def bent_max_net(slope):
+    # not c*s^q: no power change makes it homogeneous, so the cycle route runs
+    g = f"{slope}*s+0.1*s/(1+s)"
+    return {
+        "n": 2,
+        "gains": [["0", g], [g, "0"]],
+        "external_gains": ["0", "0"],
+        "mu": ["max", "max"],
+    }
+
+
 def test_check_contractive_max_pair(tmp_path, capsys):
+    # linear gains: the Perron bound proves it, and no cycle is sampled
     code = main(["check", write_cfg(tmp_path, max_net(0.5))])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.splitlines() == ["Perron bound: 0.5 (CertifiedHolds)",
+                                "verdict: CertifiedHolds"]
+    code = main(["check", write_cfg(tmp_path, bent_max_net(0.5))])
     out = capsys.readouterr().out
     assert code == 0
     assert "cycle condition: holds" in out
@@ -63,7 +80,13 @@ def test_check_violating_max_pair(tmp_path, capsys):
     code = main(["check", write_cfg(tmp_path, max_net(2.0))])
     out = capsys.readouterr().out
     assert code == 1
-    assert "cycle condition: fails" in out
+    assert "Perron bound: 2 (CertifiedFails), witness (1, 1)" in out
+    assert "cycle condition" not in out
+    assert "verdict: CertifiedFails" in out
+    code = main(["check", write_cfg(tmp_path, bent_max_net(2.0))])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "cycle condition: fails on cycle" in out
     assert "witness" in out
     assert "verdict: CertifiedFails" in out
 

@@ -1,15 +1,17 @@
 """Small gain condition checks against frozen and brute-force oracles."""
 
-from functools import cached_property
+import json
 
 import numpy as np
 import pytest
 
 from smallgain import sgc
 from smallgain.errors import (
+    LambdaNotContractive,
     NotHomogeneous,
     NotLinearizable,
     OutOfRange,
+    TooLarge,
     WrongAggregation,
 )
 from smallgain.gains import (
@@ -521,10 +523,13 @@ def test_perron_bound_is_read_at_the_returned_vector(monkeypatch):
     assert power_form(net)[1] is None
     t_w = eval_operator(net, w**p) ** (1.0 / p)
     assert c == float(np.max(t_w / w)) and c >= 1.0 - 1e-9
-    v = decide(net)
-    assert not v.holds
-    assert [r.status for r in v.routes if r.method == "perron"] == [INCONCLUSIVE]
     assert np.all(eval_operator(net, np.array([1.0, 1.0, 1e-6])) >= [1.0, 1.0, 1e-6])
+    # w^p is no witness, as the weak node does not keep up; its row dropped
+    # and scaled to sup norm one, the Perron candidate (1, 1, 0) re-checks
+    assert not sgc._is_witness(net, w**p)
+    v = decide(net)
+    assert v.fails and [r.method for r in v.routes] == ["perron"]
+    assert v.witness.tolist() == [1.0, 1.0, 0.0] and sgc._is_witness(net, v.witness)
 
 
 def random_power_networks(seed, count):
@@ -600,18 +605,18 @@ def test_decide_on_power_max_network_reads_operator_twice_at_most(monkeypatch):
     monkeypatch.setattr(sgc, "eval_operator",
                         lambda net, s: calls.append(np.shape(s)) or real_op(net, s))
     v = decide(net)
-    # the sampled cycle hold, then the Perron proof stops the run
-    assert v.holds and [r.method for r in v.routes] == ["cycle", "perron"]
-    assert len(calls) <= 2
+    # the Perron proof stops the run before any cycle is sampled: its bound
+    # is read with one operator call, and a proof reads no witness
+    assert v.holds and [r.method for r in v.routes] == ["perron"]
+    assert len(calls) == 1
 
 
 def test_power_form_read_once_per_network(monkeypatch):
     # the spectral route, the Perron route and the ray share one reading
     reads = []
-    read = GainNetwork.__dict__["power_form"].func
-    counted = cached_property(lambda net: reads.append(net) or read(net))
-    counted.__set_name__(GainNetwork, "power_form")
-    monkeypatch.setattr(GainNetwork, "power_form", counted)
+    read = GainNetwork._read_power_form
+    monkeypatch.setattr(GainNetwork, "_read_power_form",
+                        lambda net: reads.append(net) or read(net))
     net = GainNetwork(n=2, gamma=((Zero(), Power(0.5, 2.0)), (Power(0.5, 0.5), Zero())),
                       gamma_u=(Zero(),) * 2, mu=(SumAgg(),) * 2)
     v = decide(net)
@@ -620,6 +625,22 @@ def test_power_form_read_once_per_network(monkeypatch):
     assert reads == [net]
     p, G, _rows, C = net.power_form
     assert G is None and not p.flags.writeable and not C.flags.writeable
+    # a failed reading is kept too: the concave sum network below is not
+    # power-homogeneous, and the spectral route, the Perron route and the
+    # ray each ask; its slope majorant is read once as well
+    bent = Sum((Linear(0.3), Saturating(0.1)))
+    net = GainNetwork(n=2, gamma=((Zero(), bent), (bent, Zero())),
+                      gamma_u=(Zero(),) * 2, mu=(SumAgg(),) * 2)
+    v = decide(net)
+    assert v.holds and [r.method for r in v.routes] == ["majorant"]
+    assert construct_path(net).route == "majorant"
+    assert reads[1:] == [net, net.majorant] and reads[1] is net
+    errors = []
+    for _ in range(2):
+        with pytest.raises(NotHomogeneous, match=r"gain \(1,2\) is not c\*s\^q") as exc:
+            net.power_form
+        errors.append(exc.value)
+    assert errors[0] is not errors[1]
 
 
 def test_compose_cycle_matches_call_chain():
@@ -645,9 +666,11 @@ def test_compose_cycle_matches_call_chain():
 def run_all_routes(net, seed=0):
     """Reference rule: every applicable route runs, any failure wins.
 
-    The Perron route holds at a bound below ``1 - 1e-9`` and fails when
-    ``w^p`` is a witness; the slope majorant runs where it applies, and the
-    falsifier runs whatever came before it.
+    The routes run spectral, Perron, cycle, majorant, falsifier.  The Perron
+    route holds at a bound below ``1 - 1e-9`` and fails when ``v^p`` is a
+    witness, for ``v`` the stopped ``w`` without the rows ``Gamma_mu(w^p) >=
+    w^p`` misses, scaled to sup norm one; the slope majorant runs where it
+    applies, and the falsifier runs whatever came before it.
     """
     routes = []
     try:
@@ -655,17 +678,19 @@ def run_all_routes(net, seed=0):
     except NotLinearizable:
         pass
     try:
-        routes.append(check_cycle_condition(net).status)
-    except WrongAggregation:
-        pass
-    try:
         c, p, w = nonlinear_perron(net)
     except NotHomogeneous:
         pass
     else:
-        witness = np.all(eval_operator(net, w**p) >= w**p)
+        v = np.where(eval_operator(net, w**p) >= w**p, w, 0.0)
+        s = (v / v.max()) ** p if v.any() else v
+        witness = v.any() and np.all(eval_operator(net, s) >= s)
         routes.append(CERTIFIED_HOLDS if c < 1.0 - 1e-9 else
                       CERTIFIED_FAILS if witness else INCONCLUSIVE)
+    try:
+        routes.append(check_cycle_condition(net).status)
+    except WrongAggregation:
+        pass
     try:
         routes.append(check_majorant(net).status)
     except NotLinearizable:
@@ -865,9 +890,8 @@ def test_check_stops_at_perron_proof(tmp_path, monkeypatch, capsys):
     assert main(["check", str(cfg)]) == 0
     out = capsys.readouterr().out.splitlines()
     assert calls == {"nonlinear_perron": 1, "falsify_sgc": 0}
-    assert out[0].startswith("cycle condition: holds")
-    assert out[1].startswith("Perron bound: 0.") and out[1].endswith("(CertifiedHolds)")
-    assert out[2:] == ["verdict: CertifiedHolds"]
+    assert out[0].startswith("Perron bound: 0.") and out[0].endswith("(CertifiedHolds)")
+    assert out[1:] == ["verdict: CertifiedHolds"]
     # sum and max rows: no spectral or cycle route, and T(1) >= 1 is a witness
     cfg.write_text('''{"n": 2, "gains": [["0", "1.5*s"], ["1.5*s", "0"]],
         "external_gains": ["0", "0"], "mu": ["sum", "max"]}''')
@@ -875,6 +899,97 @@ def test_check_stops_at_perron_proof(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines() == [
         "Perron bound: 1.5 (CertifiedFails), witness (1, 1)", "verdict: CertifiedFails"]
     assert calls == {"nonlinear_perron": 2, "falsify_sgc": 0}
+
+
+def test_check_on_holding_power_max_networks_samples_no_cycle(tmp_path, monkeypatch,
+                                                             capsys):
+    from smallgain.cli import main
+
+    calls = _count_calls(monkeypatch, "check_cycle_condition", "falsify_sgc")
+    cfg = tmp_path / "ring.json"
+    # linear gains on the max_pair demo's rows, and a ring of power gains,
+    # homogeneous with p = (1, 2, 1)
+    for gains in ([["0", "0.5*s"], ["0.5*s", "0"]],
+                  [["0", "0", "0.6*s"], ["0.5*s^2", "0", "0"], ["0", "0.7*sqrt(s)", "0"]]):
+        n = len(gains)
+        cfg.write_text(json.dumps({"n": n, "gains": gains, "external_gains": ["0"] * n,
+                                   "mu": ["max"] * n}))
+        assert main(["check", str(cfg)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("Perron bound: 0.") and out[0].endswith("(CertifiedHolds)")
+        assert out[1:] == ["verdict: CertifiedHolds"]
+    assert calls == {"check_cycle_condition": 0, "falsify_sgc": 0}
+
+
+def max_ring(n, gain):
+    gamma = [[Zero()] * n for _ in range(n)]
+    for i in range(n):
+        gamma[i][(i + 1) % n] = gain
+    return GainNetwork(n=n, gamma=tuple(map(tuple, gamma)), gamma_u=(Zero(),) * n,
+                       mu=(MaxAgg(),) * n)
+
+
+def power_max_network(n, seed):
+    """Max rows of three gains ``c s^(p_i/p_j)``, ``p`` in ``{1/2, 1, 2}``."""
+    rng = np.random.default_rng(seed)
+    p = rng.choice([0.5, 1.0, 2.0], n)
+    gamma = [[Zero()] * n for _ in range(n)]
+    for i in range(n):
+        for j in rng.choice(np.delete(np.arange(n), i), 3, replace=False):
+            gamma[i][j] = Power(float(rng.uniform(0.1, 0.9)), float(p[i] / p[j]))
+    return GainNetwork(n=n, gamma=tuple(map(tuple, gamma)), gamma_u=(Zero(),) * n,
+                       mu=(MaxAgg(),) * n)
+
+
+def test_check_decides_max_networks_above_the_cycle_cap(tmp_path, capsys):
+    from smallgain.cli import main
+    from smallgain.parser import format_gain
+
+    bent = Sum((Linear(0.5), Saturating(0.1)))
+    cap = f"cycle enumeration is capped at {sgc.CYCLE_ENUM_LIMIT} nodes"
+    with pytest.raises(TooLarge, match=f"{cap}, got 13"):
+        subordinated_cycles(adjacency(max_ring(13, bent)))
+    cases = [
+        (max_ring(13, Linear(0.5)), ["Perron bound: 0.5 (CertifiedHolds)"]),
+        (max_ring(13, bent), [f"cycle condition: not checked (TooLarge: {cap}, got 13)",
+                              "slope majorant: 0.6 (CertifiedHolds)"]),
+        (power_max_network(40, 40), None),
+    ]
+    cfg = tmp_path / "big.json"
+    for net, lines in cases:
+        cfg.write_text(json.dumps({
+            "n": net.n, "gains": [[format_gain(g) for g in row] for row in net.gamma],
+            "external_gains": ["0"] * net.n, "mu": ["max"] * net.n}))
+        assert main(["check", str(cfg)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[-1] == "verdict: CertifiedHolds"
+        if lines is None:
+            assert len(out) == 2 and out[0].startswith("Perron bound: 0.")
+        else:
+            assert out[:-1] == lines
+    # the skipped cycle route is on record, and the run goes on past it
+    v = decide(max_ring(13, bent))
+    assert [(r.method, r.status) for r in v.routes] == [
+        ("cycle", INCONCLUSIVE), ("majorant", CERTIFIED_HOLDS)]
+    assert v.method == "majorant"
+
+
+def test_perron_witness_drops_a_source_row():
+    # draw 89 of random_network's seed 7: sum and max rows, linear gains and
+    # a zero third row, so the stopped w is one there while T(w) is zero
+    rng = np.random.default_rng(7)
+    for _ in range(90):
+        net, kind = random_network(rng)
+    assert kind == "mixed" and not net.active_sets[2]
+    c, p, w = nonlinear_perron(net)
+    assert c == pytest.approx(2.21157, abs=1e-5) and not sgc._is_witness(net, w**p)
+    v = decide(net, seed=89 % 3)
+    assert v.fails and [r.method for r in v.routes] == ["perron"]
+    assert v.witness[2] == 0.0 and v.witness.max() == 1.0
+    assert sgc._is_witness(net, v.witness)
+    # the ray constructor reads the same candidate
+    with pytest.raises(LambdaNotContractive, match="Perron bound 2.21157"):
+        construct_path(net)
 
 
 def test_check_stops_at_majorant_proof(tmp_path, monkeypatch, capsys):
