@@ -44,7 +44,7 @@ def main():
 
     v = check_linear_spectral(design.net)
     print(f"\nspectral route:  rho(G) = {v.rho:.6f}  ->  {v.status}")
-    c, p, w = nonlinear_perron(design.net)
+    c, p, w, _image = nonlinear_perron(design.net)
     print(f"Perron route:    T(w) <= {c:.6f} w at w = {np.round(w, 6)} "
           f"in t = s^(1/{p[0]:g})")
 

@@ -30,6 +30,7 @@ a certificate comes from the path (:func:`compose.derive_phi`).
 from __future__ import annotations
 
 import functools
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,7 @@ from .errors import (
     SeedNotFound,
     SpliceFailure,
     Stalled,
+    TooLarge,
     UnsupportedAggregation,
     WrongAggregation,
 )
@@ -564,8 +566,8 @@ def path_homogeneous(net: GainNetwork) -> OmegaPath:
     the candidate of :func:`sgc.perron_witnesses` re-checks, else
     :class:`PathStalled`.
     """
-    c, p, w = nonlinear_perron(net)
-    return _ray(net, "Perron bound", c, p, w, perron_witnesses(net, p, w))
+    c, p, w, image = nonlinear_perron(net)
+    return _ray(net, "Perron bound", c, p, w, perron_witnesses(p, w, image))
 
 
 def path_majorant(net: GainNetwork) -> OmegaPath:
@@ -579,8 +581,9 @@ def path_majorant(net: GainNetwork) -> OmegaPath:
     :class:`PathStalled`; :class:`NotLinearizable` without a majorant.
     """
     majorant = slope_majorant(net)
-    c, p, w = nonlinear_perron(majorant)
-    return _ray(net, "slope majorant bound", c, p, w, majorant_witnesses(majorant, w))
+    c, p, w, image = nonlinear_perron(majorant)
+    return _ray(net, "slope majorant bound", c, p, w,
+                majorant_witnesses(majorant, w, image))
 
 
 def _ray(net: GainNetwork, bound: str, c: float, p: np.ndarray, w: np.ndarray,
@@ -967,10 +970,14 @@ def construct_path(net: GainNetwork, *, seed: int = 0) -> PathResult:
     after a per-node power change, strongly connected or not, with sum, max
     or power-of-sum rows; a ray that stalls falls through to the other
     constructors, which see the rest.  Every other max network takes the
-    closure path of :func:`path_max`, reducible or not.  Every other network
-    whose gains all have a slope at zero and whose slope matrix contracts
-    takes the ray of :func:`path_majorant`; without a majorant, or at a
-    bound of one without a witness, it falls through.  A network with a
+    closure path of :func:`path_max`, reducible or not, up to
+    ``CYCLE_ENUM_LIMIT`` nodes; above it, where the closure's cycle gate
+    raises :class:`TooLarge`, only the majorant ray is tried, and without
+    a majorant, or at a bound of one without a witness, the
+    :class:`TooLarge` stands.  Every other network whose gains all have a
+    slope at zero and whose slope matrix contracts takes the ray of
+    :func:`path_majorant`; without a majorant, or at a bound of one without
+    a witness, it falls through.  A network with a
     zero row (a source node) is reducible and takes :func:`path_reducible`,
     which builds each block on its own route.  Every other constructor's
     failure propagates; the result names the route.
@@ -980,7 +987,12 @@ def construct_path(net: GainNetwork, *, seed: int = 0) -> PathResult:
     except (NotHomogeneous, PathStalled):
         pass
     if all(isinstance(mu, MaxAgg) for mu in net.mu):
-        return PathResult(path_max(net), "max")
+        try:
+            return PathResult(path_max(net), "max")
+        except TooLarge:
+            with suppress(NotLinearizable, PathStalled):
+                return PathResult(path_majorant(net), "majorant")
+            raise
     try:
         return PathResult(path_majorant(net), "majorant")
     except (NotLinearizable, PathStalled):

@@ -396,9 +396,10 @@ INVERSE_MAX_ITER = 50
 def nonlinear_perron(net: GainNetwork):
     """Collatz-Wielandt bound of the conjugate of a power-homogeneous operator.
 
-    Returns ``(c, p, w)``: ``p`` from :func:`power_form`, a positive ``w``
-    and ``c = max_i T(w)_i / w_i``, a bound on the cone spectral radius of
-    the monotone, degree-one ``T(t) = Gamma_mu(t^p)^(1/p)`` at any ``w``.
+    Returns ``(c, p, w, image)``: ``p`` from :func:`power_form`, a positive
+    ``w``, ``c = max_i T(w)_i / w_i``, a bound on the cone spectral radius
+    of the monotone, degree-one ``T(t) = Gamma_mu(t^p)^(1/p)`` at any
+    ``w``, and ``image = Gamma_mu(w^p)``, from which ``c`` is read.
     A linear ``T = G t`` takes ``w = (I - G)^-1 1``, then steps
     ``w <- (I - G)^-1 w`` until ``c < 1 - 1e-9`` (each lowers ``c`` towards
     ``rho(G)``, however badly ``G`` is scaled).  Any other ``T`` iterates
@@ -406,7 +407,8 @@ def nonlinear_perron(net: GainNetwork):
     (:func:`_conjugate_form`), stopping early once ``T(w) >= w`` (``w^p`` is
     then a candidate witness).  Either way ``c`` is read with one operator
     evaluation at the returned ``w``, so it bounds the operator's own
-    conjugate.
+    conjugate; the witness search reads the same ``image``
+    (:func:`_expanded_direction`).
     """
     p, G, rows, C = net.power_form
     if G is not None:
@@ -418,7 +420,7 @@ def nonlinear_perron(net: GainNetwork):
                 if not np.all(w > 0) or np.max(G @ w / w) < 1.0 - SPECTRAL_TOL:
                     break
             if np.all(w > 0):
-                return float(np.max(_conjugate(net, p, w) / w)), p, w
+                return _perron_bound(net, p, w)
     T = _conjugate_form(p, rows, C)
     w = np.ones(net.n)
     tw = T(w)
@@ -428,7 +430,14 @@ def nonlinear_perron(net: GainNetwork):
                 or (step - w <= FIXED_TOL * step).all()):
             break
         w, tw = step, T(step)
-    return float(np.max(_conjugate(net, p, w) / w)), p, w
+    return _perron_bound(net, p, w)
+
+
+def _perron_bound(net: GainNetwork, p: np.ndarray, w: np.ndarray):
+    """:func:`nonlinear_perron`'s ``(c, p, w, image)`` at ``w``, with
+    ``c = max T(w) / w`` read from ``image = Gamma_mu(w^p)``."""
+    image = eval_operator(net, np.power(w, p))
+    return float(np.max(image ** (1.0 / p) / w)), p, w, image
 
 
 def slope_majorant(net: GainNetwork) -> GainNetwork:
@@ -444,42 +453,42 @@ def slope_majorant(net: GainNetwork) -> GainNetwork:
 MAJORANT_RADII = 10.0 ** -np.arange(9.0)
 
 
-def _expanded_direction(net: GainNetwork, p: np.ndarray, w: np.ndarray):
+def _expanded_direction(p: np.ndarray, w: np.ndarray, image: np.ndarray):
     """The ``w`` that :func:`nonlinear_perron` stopped at, zero on the rows
     where ``T(w) < w`` (a source row, say) and scaled to sup norm one; None
-    when no row expands.  ``T(w)_i >= w_i`` is read as ``Gamma_mu(w^p)_i >=
-    (w^p)_i``."""
-    s = np.power(w, p)
-    v = np.where(eval_operator(net, s) >= s, w, 0.0)
+    when no row expands.  ``T(w)_i >= w_i`` is read as ``image_i >=
+    (w^p)_i`` on the ``image = Gamma_mu(w^p)`` that came with ``w``."""
+    v = np.where(image >= np.power(w, p), w, 0.0)
     return v / v.max() if v.any() else None
 
 
-def perron_witnesses(net: GainNetwork, p: np.ndarray, w: np.ndarray):
+def perron_witnesses(p: np.ndarray, w: np.ndarray, image: np.ndarray):
     """The Perron route's candidate witness ``v^p``, for the
     :func:`_expanded_direction` ``v`` of :func:`nonlinear_perron`'s
-    ``(p, w)``.  The scaling keeps each expanded row expanded, as ``T`` is
-    homogeneous, but the zeros lower the other rows' inflow, so a caller
-    re-checks it.  Generated lazily: nothing is computed unless a caller
-    reads past a proof."""
-    v = _expanded_direction(net, p, w)
+    ``(p, w, image)``.  The scaling keeps each expanded row expanded, as
+    ``T`` is homogeneous, but the zeros lower the other rows' inflow, so a
+    caller re-checks it.  Generated lazily: nothing is computed unless a
+    caller reads past a proof."""
+    v = _expanded_direction(p, w, image)
     if v is not None:
         yield np.power(v, p)
 
 
-def majorant_witnesses(majorant: GainNetwork, w: np.ndarray):
+def majorant_witnesses(majorant: GainNetwork, w: np.ndarray, image: np.ndarray):
     """Candidate witnesses ``t v``, ``t`` in :data:`MAJORANT_RADII`.
 
     ``v`` is the Perron direction of the majorant ``L``: its block Perron
     vector (:func:`linear_perron`) on sum rows, else the
-    :func:`_expanded_direction` of the ``w`` that :func:`nonlinear_perron`
-    stopped at.  ``Gamma_mu(t v) = t L(v) + o(t)``, so ``t v`` is a witness
+    :func:`_expanded_direction` of the ``w`` and ``image = L(w)`` that
+    :func:`nonlinear_perron` returned (``L`` is linear, so its ``p`` is
+    one).  ``Gamma_mu(t v) = t L(v) + o(t)``, so ``t v`` is a witness
     for small ``t`` when ``L(v) > v`` off the zeros.  Generated lazily:
     nothing is computed unless a caller reads past a proof.
     """
     try:
         v = linear_perron(majorant)[2]
     except NotLinearizable:
-        v = _expanded_direction(majorant, np.ones(majorant.n), w)
+        v = _expanded_direction(np.ones(majorant.n), w, image)
         if v is None:
             return
     for t in MAJORANT_RADII:
@@ -498,8 +507,8 @@ def check_majorant(net: GainNetwork) -> SgcVerdict:
     Raises :class:`NotLinearizable` when the network has no majorant.
     """
     majorant = slope_majorant(net)
-    c, _p, w = nonlinear_perron(majorant)
-    return bound_verdict(net, "majorant", c, majorant_witnesses(majorant, w))
+    c, _p, w, image = nonlinear_perron(majorant)
+    return bound_verdict(net, "majorant", c, majorant_witnesses(majorant, w, image))
 
 
 def decide(net: GainNetwork, *, seed: int = 0) -> SgcVerdict:
@@ -530,8 +539,8 @@ def decide(net: GainNetwork, *, seed: int = 0) -> SgcVerdict:
     except NotLinearizable:
         pass
     try:
-        c, p, w = nonlinear_perron(net)
-        routes.append(bound_verdict(net, "perron", c, perron_witnesses(net, p, w)))
+        c, p, w, image = nonlinear_perron(net)
+        routes.append(bound_verdict(net, "perron", c, perron_witnesses(p, w, image)))
         if not routes[-1].inconclusive:
             return _combine(routes)
     except NotHomogeneous:

@@ -180,6 +180,25 @@ class LinearBlock:
         u = np.asarray(u, dtype=float)
         return x @ self._drift.T + u @ self._gain.T
 
+    def _rk4_kernel(self, states, U0, Um, U1, dt: float):
+        """Step ``k`` of :func:`_rk4` as ``X @ S + C[k]``.
+
+        The bank is affine in state and input: ``S`` is the step of the unit
+        states without input, and row ``k`` of ``C`` the step of the zero
+        state under step k's input, both from :func:`_rk4_step`.
+        """
+        N = self.state_dim
+        zero = np.zeros(self.input_dim)
+        S = _rk4_step(self, np.eye(N), zero, zero, zero, dt)
+        C = _rk4_step(self, np.zeros((len(U0), N)), U0, Um, U1, dt)
+
+        def step(k):
+            out = states[k + 1]
+            np.matmul(states[k], S, out=out)
+            out += C[k]
+
+        return step
+
 
 @dataclass(frozen=True, eq=False)
 class CohenGrossberg:
@@ -247,6 +266,78 @@ class CohenGrossberg:
         amp = self._mid + self._spread * np.tanh(x)
         act = x / (1.0 + self.act_scale * np.abs(x))
         return -amp * (self.b_slope * x - act @ self.t_matrix.T + u)
+
+    def _rk4_kernel(self, states, U0, Um, U1, dt: float):
+        """Step ``k`` of :func:`_rk4`, written into ``states[k + 1]``.
+
+        Every array is made once per run for the batch shape ``(rows, n)``,
+        and each step runs on them with ufunc calls that write into them
+        (``out`` passed by position).  On arrays this small a broadcast or
+        Python-float operand costs more per call than a same-shape array, so
+        the parameters are broadcast to the batch shape, the scalars are 0-d
+        arrays, and step k's three inputs are copied into batch-shaped rows
+        in one call.  Each operation and its order are those of
+        :func:`_rk4_step` over :meth:`f`, so the steps equal the staged ones
+        bit for bit.  Two rewrites are exact: ``-amp`` is ``(-spread) tanh(x)
+        + (-mid)``, and a single ``+`` or ``*`` may swap its operands.
+        """
+        shape = states.shape[1:]
+        add, sub, mul, div, matmul = (np.add, np.subtract, np.multiply, np.divide,
+                                      np.matmul)
+        tanh, absolute, copyto = np.tanh, np.abs, np.copyto
+
+        def batch(row):
+            return np.broadcast_to(row, shape).copy()
+
+        # layer 0 turns tanh(x) into -amp, layer 1 |x| into 1 + act_scale |x|
+        coef = np.stack([batch(-self._spread), batch(self.act_scale)])
+        base = np.stack([batch(-self._mid), np.ones(shape)])
+        slope = batch(self.b_slope)
+        t_mat = self.t_matrix.T
+        half, full, two, sixth = (np.array(v) for v in (0.5 * dt, dt, 2.0, dt / 6.0))
+        inputs = np.stack([U0, Um, U1], axis=1)[:, :, None, :]
+        u_all = np.empty((3,) + shape)
+        u0, um, u1 = u_all
+        amp_den = np.empty((2,) + shape)
+        neg_amp, den = amp_den
+        act, inflow, xs, acc, k1, k2, k3, k4 = (np.empty(shape) for _ in range(8))
+
+        def f(x, u, out):
+            # -amp * ((b_slope x - act @ T') + u), act = x / (1 + act_scale |x|)
+            tanh(x, neg_amp)
+            absolute(x, den)
+            mul(amp_den, coef, amp_den)
+            add(amp_den, base, amp_den)
+            div(x, den, act)
+            matmul(act, t_mat, inflow)
+            mul(slope, x, out)
+            sub(out, inflow, out)
+            add(out, u, out)
+            mul(neg_amp, out, out)
+
+        def stage(x, k, h):
+            # the stage input x + h k
+            mul(k, h, xs)
+            add(x, xs, xs)
+            return xs
+
+        def step(k):
+            x = states[k]
+            copyto(u_all, inputs[k])
+            f(x, u0, k1)
+            f(stage(x, k1, half), um, k2)
+            f(stage(x, k2, half), um, k3)
+            f(stage(x, k3, full), u1, k4)
+            # x + (dt/6) (((k1 + 2 k2) + 2 k3) + k4)
+            mul(k2, two, acc)
+            add(k1, acc, acc)
+            mul(k3, two, xs)
+            add(acc, xs, acc)
+            add(acc, k4, acc)
+            mul(acc, sixth, acc)
+            add(x, acc, states[k + 1])
+
+        return step
 
 
 # ---------------------------------------------------------------------------
@@ -367,13 +458,15 @@ def _rk4(model, X, signal, steps: int, dt: float):
     """Batched classical RK4; returns (t, states, inputs) histories.
 
     The input is evaluated once per run, at the step starts ``k dt``, the
-    midpoints ``k dt + dt/2`` and the ends ``k dt + dt``.  A linear bank is
-    affine in state and input, so its step is ``X @ S + C[k]``: ``S`` is the
-    step of the unit states without input, and row ``k`` of ``C`` the step of
-    the zero state under step k's input, both from the same stage code.
-    Each step is written straight into the history; the divergence guard
-    is checked once per ``RK4_BLOCK`` steps, and ``Diverged`` names the
-    time of the first stored step past it.
+    midpoints ``k dt + dt/2`` and the ends ``k dt + dt``.  A model family
+    with a ``_rk4_kernel(states, U0, Um, U1, dt)`` method builds its own
+    ``step(k)`` once per run, which writes ``states[k + 1]``: a linear bank
+    steps as ``X @ S + C[k]`` (:meth:`LinearBlock._rk4_kernel`), a neural
+    population runs the four stages on buffers made for the run
+    (:meth:`CohenGrossberg._rk4_kernel`, the same bits as the staged step).
+    Any other model is stepped by :func:`_rk4_step`, four ``f`` calls per
+    step.  The divergence guard is checked once per ``RK4_BLOCK`` steps,
+    and ``Diverged`` names the time of the first stored step past it.
     """
     t = np.arange(steps) * dt
     U0 = signal(t)
@@ -384,16 +477,9 @@ def _rk4(model, X, signal, steps: int, dt: float):
     states[0] = X
     inputs[0] = U0[0]
     inputs[1:] = U1
-    if isinstance(model, LinearBlock):
-        N = model.state_dim
-        zero = np.zeros(model.input_dim)
-        S = _rk4_step(model, np.eye(N), zero, zero, zero, dt)
-        C = _rk4_step(model, np.zeros((steps, N)), U0, Um, U1, dt)
-
-        def step(k):
-            out = states[k + 1]
-            np.matmul(states[k], S, out=out)
-            out += C[k]
+    kernel = getattr(model, "_rk4_kernel", None)
+    if kernel is not None:
+        step = kernel(states, U0, Um, U1, dt)
     else:
         def step(k):
             states[k + 1] = _rk4_step(model, states[k], U0[k], Um[k], U1[k], dt)

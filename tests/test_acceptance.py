@@ -159,13 +159,13 @@ def test_criterion_3_linear_conjugacy():
     assert v.rho is not None and abs(v.rho - rho_oracle) <= 1e-9
     # the Perron bound of the conjugate reads the same radius: the
     # symmetric fixed point is the Perron vector
-    c, _p, _w = nonlinear_perron(design.net)
+    c, _p, _w, _image = nonlinear_perron(design.net)
     assert abs(c - rho_oracle) <= 1e-9
     # in the substituted coordinates the operator is linear with plain sum
     # rows, and its bound is the same
     conj = net_of([[Z, Linear(design.G[0, 1])], [Linear(design.G[1, 0]), Z]],
                   [SumAgg(), SumAgg()])
-    c_conj, p_conj, _w = nonlinear_perron(conj)
+    c_conj, p_conj, _w, _image = nonlinear_perron(conj)
     assert p_conj.tolist() == [1.0, 1.0] and abs(c_conj - rho_oracle) <= 1e-9
     sigma = path_homogeneous(design.net)
     rep = validate_path(design.net, sigma)

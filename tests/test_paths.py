@@ -458,7 +458,7 @@ def test_homogeneous_unequal_exponents_prove_every_segment():
     # Gamma(sigma(r[k+1])) < sigma(r[k]) holds on every segment
     net = net_of([[Z, Power(0.4, 0.5), Z], [Z, Z, Linear(0.5)],
                   [Power(0.3, 2.0), Z, Z]], [SumAgg()] * 3)
-    c, p, _w = nonlinear_perron(net)
+    c, p, _w, _image = nonlinear_perron(net)
     assert p.tolist() == [1.0, 2.0, 2.0] and c < 1.0
     sigma = path_homogeneous(net)
     ratio = sigma.radii[2:] / sigma.radii[1:-1]
@@ -1428,6 +1428,45 @@ def test_majorant_ray_on_concave_networks(mu):
                 construct_path(net)
             failing += 1
     assert holding >= 10 and failing >= 10
+
+
+def test_max_networks_above_the_cycle_cap_take_the_majorant_ray(tmp_path, capsys):
+    # above 12 nodes the closure path's cycle gate raises TooLarge, and a
+    # max network whose slope majorant contracts takes the majorant ray
+    import json
+
+    from smallgain.cli import main
+    from smallgain.errors import TooLarge
+    from smallgain.parser import format_gain
+
+    def max_net(n, gain, chords):
+        rng = np.random.default_rng(n)
+        rows = [[Z] * n for _ in range(n)]
+        for i in range(n):
+            cols = [(i + 1) % n, *rng.choice(np.delete(np.arange(n), i), chords,
+                                              replace=False)]
+            for j in cols:
+                rows[i][j] = gain(float(rng.uniform(0.1, 0.8)))
+        return net_of(rows, [MaxAgg()] * n)
+
+    ring = max_net(13, lambda c: parse_gain("0.5*s+0.1*s/(1+s)"), 0)
+    wide = max_net(40, lambda c: Sum((Linear(c), Saturating(0.1))), 3)
+    cfg = tmp_path / "max.json"
+    for net in (ring, wide):
+        with pytest.raises(TooLarge, match=f"got {net.n}"):
+            path_max(net)
+        cl = certify(net)
+        assert cl.route == "majorant" and validate_path(net, cl.sigma).valid
+        cfg.write_text(json.dumps({
+            "n": net.n, "gains": [[format_gain(g) for g in row] for row in net.gamma],
+            "external_gains": ["0"] * net.n, "mu": ["max"] * net.n}))
+        assert main(["certify", str(cfg)]) == 0
+        assert capsys.readouterr().out.startswith("phi: identity")
+    # a sigmoid of s^2 has no slope at zero, so no majorant: TooLarge stands
+    sigmoid = max_net(40, lambda c: Compose(Saturating(c), Power(1.0, 2.0)), 3)
+    assert sigmoid.majorant is None
+    with pytest.raises(TooLarge, match="got 40"):
+        construct_path(sigmoid)
 
 
 def test_critical_and_power_of_sum_designs_keep_their_routes():

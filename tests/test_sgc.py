@@ -172,7 +172,7 @@ def test_spectral_matches_dense_eigensolver():
 def test_perron_symmetric_two_cycle():
     # w = (I - G)^-1 1 = (2, 2) scaled to max one, T(w) = (0.5, 0.5): the
     # bound is the radius
-    c, p, w = nonlinear_perron(linear_net([[0, 0.5], [0.5, 0]]))
+    c, p, w, _image = nonlinear_perron(linear_net([[0, 0.5], [0.5, 0]]))
     assert c == pytest.approx(0.5, abs=1e-12)
     np.testing.assert_allclose(w, [1.0, 1.0], rtol=1e-12)
     assert p.tolist() == [1.0, 1.0]
@@ -184,7 +184,7 @@ def test_perron_asymmetric_geometric_mean():
     # the linear solve (sum rows) returns w scaled to max one
     for mu_cls in (SumAgg, MaxAgg):
         for a, b in [(1.3, 0.4), (4.0, 0.2), (0.1, 0.5)]:
-            c, _p, w = nonlinear_perron(linear_net([[0, a], [b, 0]], mu_cls))
+            c, _p, w, _image = nonlinear_perron(linear_net([[0, a], [b, 0]], mu_cls))
             want = np.array([1.0 + a, 1.0 + b]) / (1.0 - a * b)
             scale = want.max() if mu_cls is SumAgg else 1.0
             np.testing.assert_allclose(w, want / scale, rtol=1e-9)
@@ -193,7 +193,7 @@ def test_perron_asymmetric_geometric_mean():
             assert np.sqrt(a * b) <= c < 1.0
         # at the critical product no bound proves the condition
         for a, b in [(2.0, 0.5), (4.0, 0.25)]:
-            c, _p, _w = nonlinear_perron(linear_net([[0, a], [b, 0]], mu_cls))
+            c, _p, _w, _image = nonlinear_perron(linear_net([[0, a], [b, 0]], mu_cls))
             assert c >= 1.0 - 1e-9
 
 
@@ -204,7 +204,7 @@ def test_perron_power_conjugate_matches_spectral():
         gamma_u=(Zero(), Zero()),
         mu=(OuterSum(Power(1, 2)), OuterSum(Power(1, 2))),
     )
-    c, p, w = nonlinear_perron(net)
+    c, p, w, _image = nonlinear_perron(net)
     assert p.tolist() == [2.0, 2.0]
     # the symmetric fixed point is the Perron vector of the slope matrix
     assert c == pytest.approx(check_linear_spectral(net).rho, abs=1e-12)
@@ -232,7 +232,7 @@ def test_perron_rejects_bad_inputs():
         nonlinear_perron(squares)
     # a reducible network needs no irreducibility: w = (2, 1) / 2,
     # T(w) = (0.5, 0)
-    c, _p, w = nonlinear_perron(linear_net([[0, 1], [0, 0]]))
+    c, _p, w, _image = nonlinear_perron(linear_net([[0, 1], [0, 0]]))
     np.testing.assert_allclose(w, [1.0, 0.5])
     assert c == pytest.approx(0.5)
 
@@ -474,17 +474,17 @@ def test_perron_linear_conjugate_is_one_solve(monkeypatch):
     monkeypatch.setattr(sgc, "eval_operator",
                         lambda net, s: calls.append(np.shape(s)) or real_op(net, s))
     # a linear conjugate: one solve, then one operator call reads the bound
-    c, _p, _w = nonlinear_perron(linear_net([[0, 0.5], [0.5, 0]]))
+    c, _p, _w, _image = nonlinear_perron(linear_net([[0, 0.5], [0.5, 0]]))
     assert c == pytest.approx(0.5) and calls == [(2,)]
     calls.clear()
     # max rows iterate w <- 1 + T(w) from w = 1 on the array form of T,
     # then one operator call reads the bound
-    c, _p, w = nonlinear_perron(linear_net([[0, 0.5], [0.5, 0]], MaxAgg))
+    c, _p, w, _image = nonlinear_perron(linear_net([[0, 0.5], [0.5, 0]], MaxAgg))
     assert c == pytest.approx(0.5) and np.allclose(w, [2.0, 2.0])
     assert calls == [(2,)]
     calls.clear()
     # a witness direction stops the iteration at once: T(1) >= 1
-    c, _p, w = nonlinear_perron(linear_net([[0, 1.5], [1.5, 0]], MaxAgg))
+    c, _p, w, _image = nonlinear_perron(linear_net([[0, 1.5], [1.5, 0]], MaxAgg))
     assert calls == [(2,)] and c == pytest.approx(1.5)
     assert w.tolist() == [1.0, 1.0]
 
@@ -493,7 +493,7 @@ def test_perron_badly_scaled_linear_takes_inverse_steps(monkeypatch):
     # radius 0.5, but the Neumann vector (1.3e10, 1.3) reads c = 1 - 7.5e-11:
     # a second step w <- (I - G)^-1 w reads c = 0.625, a proof
     net = linear_net([[0, 1e10], [2.5e-11, 0]])
-    c, p, w = nonlinear_perron(net)
+    c, p, w, _image = nonlinear_perron(net)
     assert 0.5 <= c == pytest.approx(0.625, rel=1e-9)
     assert c == pytest.approx(float(np.max(eval_operator(net, w) / w)), rel=1e-12)
     assert decide(net).holds
@@ -519,7 +519,7 @@ def test_perron_bound_is_read_at_the_returned_vector(monkeypatch):
     # s = (1, 1, 1e-6) has Gamma(s) >= s; any cap shows it, a small one is quick
     monkeypatch.setattr(sgc, "FIXED_MAX_ITER", 2000)
     net = critical_ring()
-    c, p, w = nonlinear_perron(net)
+    c, p, w, _image = nonlinear_perron(net)
     assert power_form(net)[1] is None
     t_w = eval_operator(net, w**p) ** (1.0 / p)
     assert c == float(np.max(t_w / w)) and c >= 1.0 - 1e-9
@@ -581,7 +581,7 @@ def test_perron_array_form_matches_operator_loop(monkeypatch):
     monkeypatch.setattr(sgc, "FIXED_MAX_ITER", 2000)
     proved = 0
     for net in random_power_networks(54, 60) + [critical_ring()]:
-        c, p, w = nonlinear_perron(net)
+        c, p, w, _image = nonlinear_perron(net)
         c_ref, p_ref, _w = operator_perron(net)
         assert p.tolist() == p_ref.tolist()
         assert (c < 1.0 - 1e-9) == (c_ref < 1.0 - 1e-9)
@@ -609,6 +609,24 @@ def test_decide_on_power_max_network_reads_operator_twice_at_most(monkeypatch):
     # is read with one operator call, and a proof reads no witness
     assert v.holds and [r.method for r in v.routes] == ["perron"]
     assert len(calls) == 1
+
+
+def test_failing_perron_verdict_reads_operator_twice(monkeypatch):
+    # a power max network whose 2-cycle composes to 1.5 s: the bound is read
+    # with one operator call, whose image also names the expanded rows, and
+    # the candidate witness is re-checked with one more
+    net = GainNetwork(n=2, gamma=((Zero(), Power(1.5, 2.0)), (Power(1.0, 0.5), Zero())),
+                      gamma_u=(Zero(),) * 2, mu=(MaxAgg(),) * 2)
+    calls = []
+    real_op = sgc.eval_operator
+    monkeypatch.setattr(sgc, "eval_operator",
+                        lambda net, s: calls.append(np.shape(s)) or real_op(net, s))
+    v = decide(net)
+    assert v.fails and [r.method for r in v.routes] == ["perron"]
+    assert calls == [(2,), (2,)]
+    c, p, w, image = nonlinear_perron(net)
+    assert np.array_equal(image, real_op(net, w**p))
+    assert c == np.max(image ** (1.0 / p) / w) and c >= 1.0
 
 
 def test_power_form_read_once_per_network(monkeypatch):
@@ -678,7 +696,7 @@ def run_all_routes(net, seed=0):
     except NotLinearizable:
         pass
     try:
-        c, p, w = nonlinear_perron(net)
+        c, p, w, _image = nonlinear_perron(net)
     except NotHomogeneous:
         pass
     else:
@@ -981,7 +999,7 @@ def test_perron_witness_drops_a_source_row():
     for _ in range(90):
         net, kind = random_network(rng)
     assert kind == "mixed" and not net.active_sets[2]
-    c, p, w = nonlinear_perron(net)
+    c, p, w, _image = nonlinear_perron(net)
     assert c == pytest.approx(2.21157, abs=1e-5) and not sgc._is_witness(net, w**p)
     v = decide(net, seed=89 % 3)
     assert v.fails and [r.method for r in v.routes] == ["perron"]

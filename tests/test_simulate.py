@@ -323,13 +323,64 @@ def test_linear_step_makes_fixed_f_calls(monkeypatch):
         assert len(calls) == 8
 
 
+def _random_population(rng, n):
+    lo = rng.uniform(0.5, 1.5, n)
+    T = rng.uniform(-1.0, 1.0, (n, n)) * (rng.random((n, n)) < 0.7)
+    T[0, 1], T[1, 0] = 0.8, -0.6
+    np.fill_diagonal(T, 0.0)
+    return CohenGrossberg(alpha_lo=lo, alpha_hi=lo + rng.uniform(0.1, 1.0, n),
+                          b_slope=rng.uniform(0.5, 3.0, n), t_matrix=T,
+                          act_scale=rng.uniform(1.1, 4.0, n))
+
+
 def test_cg_rk4_equals_staged_reference():
+    # every population size meets every signal; rows and dt take turns, so
+    # each (rows, dt) pair meets each signal kind and most sizes.  A run
+    # of k steps is the first k steps of the 200-step reference, as step
+    # k reads only the inputs at k dt
+    rng = np.random.default_rng(5)
+    cases = set()
+    for n in (2, 3, 4, 5):
+        model = _random_population(rng, n)
+        for i, signal in enumerate(_signals(n)):
+            rows, dt = ((1, 0.02), (50, 0.02), (1, 0.05), (50, 0.05))[(i + n) % 4]
+            X0 = 2.0 * rng.normal(size=(rows, n))
+            want = _staged_rk4(model, X0, signal, 200, dt)
+            for steps in (1, RK4_BLOCK, RK4_BLOCK + 1, 200):
+                got = _rk4(model, X0, signal, steps, dt)[1]
+                assert np.array_equal(got, want[:steps + 1])
+            cases.add((signal.kind, signal.is_zero(), rows, dt))
+    assert len(cases) == 20
+
+
+def test_cg_kernel_buffers_belong_to_one_run():
+    # back-to-back runs of one population on different batch shapes
+    rng = np.random.default_rng(6)
+    model = _random_population(rng, 3)
+    signal = InputSignal.sinusoid([0.3, -0.2, 0.1], 2.0)
+    for rows in (50, 1, 7, 50):
+        X0 = rng.normal(size=(rows, 3))
+        got = _rk4(model, X0, signal, 70, 0.05)[1]
+        assert np.array_equal(got, _staged_rk4(model, X0, signal, 70, 0.05))
+
+
+def test_cg_step_makes_fixed_f_calls(monkeypatch):
+    calls = []
+    f = CohenGrossberg.f
+
+    def counted(self, x, u):
+        calls.append(1)
+        return f(self, x, u)
+
+    monkeypatch.setattr(CohenGrossberg, "f", counted)
     model = cg_demo(0.4)[0]
-    X0 = np.random.default_rng(5).normal(size=(20, 2))
-    for signal in (InputSignal.zero(2), InputSignal.sinusoid([0.3, -0.2], 2.0)):
-        for steps in (1, RK4_BLOCK, RK4_BLOCK + 1, 200):
-            got = _rk4(model, X0, signal, steps, 0.02)[1]
-            assert np.array_equal(got, _staged_rk4(model, X0, signal, steps, 0.02))
+    counts = []
+    for steps in (1, 400):
+        calls.clear()
+        _rk4(model, np.ones((3, 2)), InputSignal.step([1.0, -0.5]), steps, 1e-2)
+        counts.append(len(calls))
+    # the kernel steps without calling f at all
+    assert counts == [0, 0]
 
 
 def test_divergence_guard():
