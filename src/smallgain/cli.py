@@ -407,8 +407,6 @@ def _route_line(v) -> str:
     if route == "cycle":
         if v.holds:
             return f"cycle condition: holds (min margin {v.margins['min_margin']:.6g})"
-        if v.inconclusive:
-            return f"cycle condition: not checked ({v.margins['not_checked']})"
         return f"cycle condition: fails on cycle {_fmt_cycle(v.cycle)}{_fmt_witness(v)}"
     if route == "perron":
         return f"Perron bound: {v.rho:.6g} ({v.status}){_fmt_witness(v)}"

@@ -708,10 +708,12 @@ def eval_operator_ext(net: GainNetwork, s, r):
     # not depend on order, and the zero slots it skips never exceed a gain
     # of a nonnegative argument.  The other rows share one slot array, since
     # their sums depend on the slot positions: each fills its active columns,
-    # aggregates, and puts them back to zero for the next row.
+    # aggregates, and puts them back to zero for the next row.  The image
+    # keeps the memory order of the states, so an iteration on column-major
+    # states reads each column contiguously.
     slots = np.zeros(states.shape)
     zero_ext = np.zeros(ext.shape)
-    out = np.empty(states.shape)
+    out = np.empty_like(states)
     for i, cols in enumerate(net.active_sets):
         row = net.gamma[i]
         ext_slot = net.gamma_u[i]._eval(ext) if net.ext_active[i] else zero_ext

@@ -30,7 +30,6 @@ a certificate comes from the path (:func:`compose.derive_phi`).
 from __future__ import annotations
 
 import functools
-from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +50,6 @@ from .errors import (
     SeedNotFound,
     SpliceFailure,
     Stalled,
-    TooLarge,
     UnsupportedAggregation,
     WrongAggregation,
 )
@@ -476,7 +474,13 @@ def _join_legs(op, seed: np.ndarray, up: list[np.ndarray]):
 
 def _finalize(net: GainNetwork, radii: np.ndarray, values: np.ndarray) -> OmegaPath:
     """Path through the origin and the positive anchors given, validated
-    (:class:`NotInOmega` when it fails); every constructor ends here."""
+    (:class:`NotInOmega` when it fails); every constructor ends here.  A
+    component that does not rise above the anchor before (a gain saturating
+    in floats, a drift below one ulp) is lifted one ulp above it."""
+    if np.any(np.diff(values, axis=0) <= 0):
+        values = np.array(values)
+        for k in range(1, len(values)):
+            values[k] = np.maximum(values[k], np.nextafter(values[k - 1], np.inf))
     sigma = OmegaPath(np.concatenate([[0.0], radii]), np.vstack([np.zeros(net.n), values]))
     report = validate_path(net, sigma)
     if not report.valid:
@@ -617,9 +621,9 @@ def path_max(net: GainNetwork) -> OmegaPath:
     """Closure path ``sigma(t) = max_{k<n} (D o Gamma)^k(t 1)`` for max rows.
 
     Gated by the cycle condition.  ``D = (1 + alpha) id`` starts from the
-    cycle criterion's margin ``m`` by ``(1 + alpha)^(2n) (1 - m) = 1``, at
-    most one (a graph without cycles has ``m = inf``: no walk of ``n`` steps
-    exists there, so any ``alpha > 0`` serves).  A gain steeper than linear
+    cycle criterion's margin ``m`` by ``(1 + alpha)^(2n) max(1 - m, 4^-n)
+    = 1``, at most one (a graph without cycles has ``m = 1``: no walk
+    returns there, so any ``alpha > 0`` serves).  A gain steeper than linear
     amplifies the lift along a cycle, so ``1 + alpha`` then takes square
     roots until ``D o Gamma`` passes the cycle criterion too.  A walk of
     ``n`` steps repeats a node, so with every cycle of ``D o Gamma`` below
@@ -637,8 +641,7 @@ def path_max(net: GainNetwork) -> OmegaPath:
             "a subordinated cycle composition is not a contraction",
             cycle=verdict.cycle,
         )
-    m = min(verdict.margins["min_margin"], 1.0 - 4.0**-net.n)
-    lift = (1.0 - m) ** (-0.5 / net.n)
+    lift = max(1.0 - verdict.margins["min_margin"], 4.0**-net.n) ** (-0.5 / net.n)
     for _ in range(LIFT_TRIES):
         lifted = tuple(tuple(g if g.is_zero else Compose(Linear(lift), g) for g in row)
                        for row in net.gamma)
@@ -653,10 +656,6 @@ def path_max(net: GainNetwork) -> OmegaPath:
     for _ in range(net.n - 1):
         walk = lift * eval_operator(net, walk)
         values = np.maximum(values, walk)
-    # a gain saturating in floats can flatten a component: lift each flat
-    # anchor one unit in the last place above the one before
-    for k in range(1, len(values)):
-        values[k] = np.maximum(values[k], np.nextafter(values[k - 1], np.inf))
     return _finalize(net, radii, values)
 
 
@@ -970,29 +969,21 @@ def construct_path(net: GainNetwork, *, seed: int = 0) -> PathResult:
     after a per-node power change, strongly connected or not, with sum, max
     or power-of-sum rows; a ray that stalls falls through to the other
     constructors, which see the rest.  Every other max network takes the
-    closure path of :func:`path_max`, reducible or not, up to
-    ``CYCLE_ENUM_LIMIT`` nodes; above it, where the closure's cycle gate
-    raises :class:`TooLarge`, only the majorant ray is tried, and without
-    a majorant, or at a bound of one without a witness, the
-    :class:`TooLarge` stands.  Every other network whose gains all have a
-    slope at zero and whose slope matrix contracts takes the ray of
-    :func:`path_majorant`; without a majorant, or at a bound of one without
-    a witness, it falls through.  A network with a
-    zero row (a source node) is reducible and takes :func:`path_reducible`,
-    which builds each block on its own route.  Every other constructor's
-    failure propagates; the result names the route.
+    closure path of :func:`path_max`, reducible or not, at any size.  Every
+    other network whose gains all have a slope at zero and whose slope
+    matrix contracts takes the ray of :func:`path_majorant`; without a
+    majorant, or at a bound of one without a witness, it falls through.  A
+    network with a zero row (a source node) is reducible and takes
+    :func:`path_reducible`, which builds each block on its own route.
+    Every other constructor's failure propagates; the result names the
+    route.
     """
     try:
         return PathResult(path_homogeneous(net), "ray")
     except (NotHomogeneous, PathStalled):
         pass
     if all(isinstance(mu, MaxAgg) for mu in net.mu):
-        try:
-            return PathResult(path_max(net), "max")
-        except TooLarge:
-            with suppress(NotLinearizable, PathStalled):
-                return PathResult(path_majorant(net), "majorant")
-            raise
+        return PathResult(path_max(net), "max")
     try:
         return PathResult(path_majorant(net), "majorant")
     except (NotLinearizable, PathStalled):

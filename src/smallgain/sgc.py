@@ -7,14 +7,16 @@ Four certification routes and one honest falsifier, in the order
 * Perron bound for networks homogeneous after a per-node power change
   (:func:`power_form`): a Collatz-Wielandt bound ``T(w) <= c w``, ``c < 1``,
   of the conjugate operator ``T`` is a proof,
-* cycle criterion for max-type aggregation, sampled on a grid and capped at
-  ``CYCLE_ENUM_LIMIT`` nodes, for the max networks the Perron bound leaves
-  open,
+* cycle criterion for max-type aggregation, read from closed walks
+  ``Gamma^k(r e_i)`` on a grid of radii (no cycle is listed, so any number of
+  nodes), for the max networks the Perron bound leaves open,
 * slope majorant for sum and max rows of gains with a slope at zero
   (:attr:`GainNetwork.majorant`): the same bound on the linear ``L >=
   Gamma_mu`` is a proof, and the linearization at zero gives witnesses,
-* grid search for a witness s with Gamma_mu(s) >= s, which can only ever
-  certify failure; absence of a witness stays Inconclusive.
+* grid search for a witness s with Gamma_mu(s) >= s, then the closed walks'
+  witnesses up to ``CYCLE_ENUM_LIMIT`` nodes, then the Perron direction,
+  which can only ever certify failure; absence of a witness stays
+  Inconclusive.
 
 :func:`decide` runs the routes that apply and combines them into one verdict.
 """
@@ -27,25 +29,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    NotHomogeneous,
-    NotLinearizable,
-    TooLarge,
-    WrongAggregation,
-)
-from .gains import (
-    GainExpr,
-    GainNetwork,
-    Linear,
-    MaxAgg,
-    eval_operator,
-)
-from .graph import (
-    CYCLE_ENUM_LIMIT,
-    adjacency,
-    scc_decompose,
-    subordinated_cycles,
-)
+from .errors import NotHomogeneous, NotLinearizable, WrongAggregation
+from .gains import GainNetwork, MaxAgg, eval_operator
+from .graph import CYCLE_ENUM_LIMIT, scc_decompose
 
 CERTIFIED_HOLDS = "CertifiedHolds"
 CERTIFIED_FAILS = "CertifiedFails"
@@ -76,130 +62,90 @@ class SgcVerdict:
         return self.status == INCONCLUSIVE
 
 
-def _cycle_edge_gains(net: GainNetwork, cycle) -> list[GainExpr]:
-    k = len(cycle)
-    return [net.gamma[cycle[m]][cycle[(m + 1) % k]] for m in range(k)]
+# radii r of the closed walks from r e_i, 1e-8 to 1e8
+WALK_RADII = np.geomspace(1e-8, 1e8, 97)
 
 
-def _compose_cycle(gains, r):
-    # ``r`` is check_cycle_condition's positive float grid, so each gain
-    # skips the argument check of its ``__call__``; the bits are the same
-    for g in reversed(gains):
-        r = g._eval(r)
-    return r
+def _closed_walks(net: GainNetwork):
+    """``n`` operator steps from ``r e_i``, every node ``i`` and every ``r``
+    in :data:`WALK_RADII`, one call per step: ``(hit, witness, returns)``.
+
+    ``hit = (k, i, r)`` is the first walk that returns, ``Gamma^k(r e_i)_i
+    >= r``, in (step, node, radius) order, or None.  The largest state
+    ``x`` of a returning walk before its return has ``Gamma(x) >= x`` on
+    any monotone operator, which lifts each state to the next; ``witness``
+    is the first such ``x`` that re-checks, and the walk stops there.
+    ``returns[i, m]``, complete when no walk returns, is the largest
+    ``Gamma^k(r e_i)_i``, ``k <= n``, at ``r = WALK_RADII[m]``; a NaN state
+    neither returns nor counts in it.
+    """
+    n, size = net.n, WALK_RADII.size
+    node, r = np.repeat(np.arange(n), size), np.tile(WALK_RADII, n)
+    rows = np.arange(n * size)
+    # column-major, so each gain reads its column contiguously
+    state = np.zeros((n * size, n), order="F")
+    state[rows, node] = r
+    # the largest state so far, and the largest return so far, per walk
+    top, returns = state, np.zeros(n * size)
+    hit = witness = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n + 1):
+            state = eval_operator(net, state)
+            back = state[rows, node]
+            returns = np.fmax(returns, back)
+            ret = np.flatnonzero(back >= r)
+            if ret.size:
+                if hit is None:
+                    hit = (k, int(node[ret[0]]), float(r[ret[0]]))
+                # as _is_witness: an overflowed candidate proves nothing
+                cand = top[ret]
+                ok = np.flatnonzero(np.all(np.isfinite(cand), axis=1)
+                                    & np.all(eval_operator(net, cand) >= cand, axis=1))
+                if ok.size:
+                    witness = cand[ok[0]]
+                    break
+            top = np.maximum(top, state)
+    return hit, witness, returns.reshape(n, size)
+
+
+def _returning_walk(net: GainNetwork, k: int, i: int, r: float) -> tuple[int, ...]:
+    """The closed walk behind ``Gamma^k(r e_i)_i`` on max rows, traced back
+    through the column whose gain gives each row its value, in
+    row-to-column order from its largest node."""
+    states = [np.zeros(net.n)]
+    states[0][i] = r
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(k - 1):
+            states.append(eval_operator(net, states[-1]))
+        walk = [i]
+        for x in reversed(states[1:]):
+            row, cols = net.gamma[walk[-1]], net.active_sets[walk[-1]]
+            vals = [row[j]._eval(x[j:j + 1])[0] for j in cols]
+            walk.append(cols[int(np.argmax(vals))])
+    top = walk.index(max(walk))
+    return tuple(walk[top:] + walk[:top])
 
 
 def check_cycle_condition(net: GainNetwork) -> SgcVerdict:
-    """Cycle criterion for pure max aggregation.
+    """Cycle criterion for pure max aggregation, by closed walks.
 
-    Certifies the condition when every cyclic gain composition stays below
-    the identity: exactly (slope product < 1) when a cycle is all linear,
-    otherwise on a log grid over [1e-8, 1e8].
+    On max rows ``Gamma^k(r e_i)_i`` is the largest gain composition over
+    the closed walks of ``k`` steps through ``i``, read at ``r``, and every
+    simple cycle is such a walk with ``k <= n``.  So no return among the
+    walks of :func:`_closed_walks` is the cycle criterion on the grid
+    :data:`WALK_RADII`, on any graph.  A failure names the first returning
+    walk (:func:`_returning_walk`) and carries the walks' re-checked
+    witness, if any; a hold reports the least ``(r - returns) / r``.
     """
     if not all(isinstance(m, MaxAgg) for m in net.mu):
         raise WrongAggregation("cycle criterion needs max aggregation in every row")
-    cycles = subordinated_cycles(adjacency(net))
-    grid = np.geomspace(1e-8, 1e8, 97)
-    min_margin = np.inf
-    for c in cycles:
-        gains = _cycle_edge_gains(net, c)
-        if all(isinstance(g, Linear) for g in gains):
-            prod = float(np.prod([g.slope for g in gains]))
-            if prod >= 1.0:
-                return SgcVerdict(
-                    status=CERTIFIED_FAILS, method="cycle-linear", cycle=c,
-                    witness=_cycle_witness(net, c),
-                    margins={"slope_product": prod},
-                )
-            min_margin = min(min_margin, 1.0 - prod)
-            continue
-        vals = _compose_cycle(gains, grid)
-        if (vals >= grid).any():
-            return SgcVerdict(
-                status=CERTIFIED_FAILS, method="cycle-grid", cycle=c,
-                witness=_cycle_witness(net, c),
-                margins={"worst_radius": float(grid[np.argmax(vals - grid)])},
-            )
-        min_margin = min(min_margin, float(((grid - vals) / grid).min()))
-    return SgcVerdict(
-        status=CERTIFIED_HOLDS, method="cycle",
-        margins={"min_margin": float(min_margin), "cycles": len(cycles)},
-    )
-
-
-# start radii (major) and per-step inflations (minor) of the cycle walks
-WITNESS_RADII = np.geomspace(1e-4, 1e4, 9)
-WITNESS_DELTAS = (0.0, 1e-9, 1e-6, 1e-3, 0.03)
-WALKS_PER_CYCLE = WITNESS_RADII.size * len(WITNESS_DELTAS)
-
-
-def _cycle_witness(net: GainNetwork, cycle):
-    """Vector supported on a bad cycle with Gamma_mu(s) >= s, if one verifies.
-
-    The one-cycle case of :func:`_cycle_witnesses`.
-    """
-    hit = _cycle_witnesses(net, [cycle], WALKS_PER_CYCLE)
-    return None if hit is None else hit[0]
-
-
-def _cycle_witnesses(net, cycles, batch_rows):
-    """First cycle walk with Gamma_mu(s) >= s, as ``(witness, cycle)``, or None.
-
-    Walks each cycle making each edge tight via inversion; small per-step
-    inflations absorb inversion residue when the composition has real
-    slack.  The walks of consecutive cycles are verified together, at most
-    ``batch_rows`` rows per operator call, and the walks of later cycles are
-    not taken once a batch holds a hit.  The first hit in cycle order, then
-    in (radius, inflation) order, is returned.
-    """
-    for cand, owner in _walk_batches(net, cycles, batch_rows):
-        out = eval_operator(net, cand)
-        hit = np.flatnonzero(np.any(cand > 0, axis=1) & np.all(out >= cand, axis=1))
-        if hit.size:
-            return cand[hit[0]], cycles[owner[hit[0]]]
-    return None
-
-
-def _walk_batches(net, cycles, batch_rows):
-    """The cycle walks in order, cut into row batches, with each row's cycle."""
-    parts, owners, rows = [], [], 0
-    for k, cycle in enumerate(cycles):
-        walks = _tight_cycle_vectors(net, cycle)
-        parts.append(walks)
-        owners.append(np.full(len(walks), k))
-        rows += len(walks)
-        if rows >= batch_rows:
-            cand, owner = np.concatenate(parts), np.concatenate(owners)
-            while len(cand) >= batch_rows:
-                yield cand[:batch_rows], owner[:batch_rows]
-                cand, owner = cand[batch_rows:], owner[batch_rows:]
-            parts, owners, rows = [cand], [owner], len(cand)
-    if rows:
-        yield np.concatenate(parts), np.concatenate(owners)
-
-
-def _tight_cycle_vectors(net, cycle) -> np.ndarray:
-    """Cycle walks from every (radius, inflation) start, as rows.
-
-    A walk is dropped where an edge cannot be inverted (at or above a bounded
-    gain's sup) or the preimage is not finite and positive.  Each edge
-    inverts all walks in one call, which gives every walk the bits of its
-    own scalar inverse.
-    """
-    s = np.zeros((WALKS_PER_CYCLE, net.n))
-    s[:, cycle[0]] = np.repeat(WITNESS_RADII, len(WITNESS_DELTAS))
-    scale = np.tile(1.0 + np.array(WITNESS_DELTAS), WITNESS_RADII.size)
-    for a, b in zip(cycle, cycle[1:]):
-        g = net.gamma[a][b]
-        keep = s[:, a] < g.sup()
-        s, scale = s[keep], scale[keep]
-        if not len(s):
-            break
-        nxt = g.inverse(s[:, a]) * scale
-        keep = np.isfinite(nxt) & (nxt > 0)
-        s, scale = s[keep], scale[keep]
-        s[:, b] = nxt[keep]
-    return s
+    hit, witness, returns = _closed_walks(net)
+    if hit is not None:
+        return SgcVerdict(status=CERTIFIED_FAILS, method="cycle",
+                          cycle=_returning_walk(net, *hit), witness=witness,
+                          margins={"radius": hit[2]})
+    return SgcVerdict(status=CERTIFIED_HOLDS, method="cycle", margins={
+        "min_margin": float(np.min((WALK_RADII - returns) / WALK_RADII))})
 
 
 def _is_witness(net, s):
@@ -236,8 +182,7 @@ FALSIFY_RADII = 40
 FALSIFY_RANGE = (1e-6, 1e6)
 FALSIFY_DIRECTIONS = (2, 200)
 # radii per operator call in the falsifier sweep: all 40 at once would hold
-# 40 * (2n + 200) rows and their operator slots in memory; the cycle stage
-# verifies as many rows per call
+# 40 * (2n + 200) rows and their operator slots in memory
 FALSIFY_CHUNK = 8
 
 
@@ -267,13 +212,14 @@ def falsify_sgc(net: GainNetwork, seed: int = 0) -> SgcVerdict:
             )
         best_deficit = min(best_deficit, float(deficit.min()))
 
-    # structured candidates: tight cycle walks, then a Perron direction
+    # structured candidates: closed walks, then a Perron direction.  The
+    # walks run up to CYCLE_ENUM_LIMIT nodes only: on sum rows each step
+    # fills every row's slots, about 97 n^4 slot operations per walk
     if n <= CYCLE_ENUM_LIMIT:
-        hit = _cycle_witnesses(net, subordinated_cycles(adjacency(net)),
-                               FALSIFY_CHUNK * len(dirs))
-        if hit is not None:
-            return SgcVerdict(status=CERTIFIED_FAILS, method="falsify-cycle",
-                              witness=hit[0], cycle=hit[1])
+        witness = _closed_walks(net)[1]
+        if witness is not None:
+            return SgcVerdict(status=CERTIFIED_FAILS, method="falsify-walk",
+                              witness=witness)
     with suppress(NotLinearizable):
         rho, _p, ray = linear_perron(net)
         for w in (1e-3 * ray, ray, 1e3 * ray):
@@ -523,9 +469,7 @@ def decide(net: GainNetwork, *, seed: int = 0) -> SgcVerdict:
     first, so the sampled cycle route runs only on a max network that the
     Perron route leaves open: one that is not power-homogeneous, or whose
     bound is not below one and gives no witness.  A sampled cycle hold is
-    not a proof, so the next route still runs after it.  Above
-    ``CYCLE_ENUM_LIMIT`` nodes the cycle route is recorded as Inconclusive
-    with the :class:`TooLarge` message, and the run goes on.  Any failing
+    not a proof, so the next route still runs after it.  Any failing
     route makes the verdict CertifiedFails, else any holding route
     CertifiedHolds, else it is Inconclusive.  Returned is the verdict of the
     first route with that status (the deciding route, named by ``method``),
@@ -551,9 +495,6 @@ def decide(net: GainNetwork, *, seed: int = 0) -> SgcVerdict:
             return _combine(routes)
     except WrongAggregation:
         pass
-    except TooLarge as exc:
-        routes.append(SgcVerdict(status=INCONCLUSIVE, method="cycle",
-                                 margins={"not_checked": f"TooLarge: {exc}"}))
     try:
         routes.append(check_majorant(net))
         if not routes[-1].inconclusive:

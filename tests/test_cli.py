@@ -759,3 +759,38 @@ def test_stalled_reproducers_check_and_certify(name, tmp_path, capsys):
     assert main(["certify", cfg, "--out", str(tmp_path / "bundle")]) == 0
     assert "certificate margins: min" in capsys.readouterr().out
     assert construct_path(load_config(cfg).effective_net).route == route
+
+
+# reducible networks whose fed blocks have bounded inflow: the flat
+# reparametrization drifts by less than one ulp at small radii
+FLAT_DRIFT = {
+    "A": {"n": 3, "gains": [
+        ["0", "1.922901*s/(1+s)", "0"],
+        ["max(id+(0.339215*sqrt(s))+1.839944*s^2.9151,4*atan(s),1*sqrt(s))", "0", "0"],
+        ["(2.377675*s/(1+s))o((max(0.705445*sqrt(s),3.276994*s/(1+s)))o(1.64192*atan(s)))",
+         "(max(0.450107*atan(s)+4*atan(s),0+0.810354*atan(s),0+0))o(2.119937*s)", "0"]],
+        "external_gains": ["0", "0", "(id+(3.136516*sqrt(s)))o(0.691126*atan(s))"],
+        "mu": ["sum", "sum", "max"]},
+    "B": {"n": 4, "gains": [
+        ["0", "0", "0", "(3.805413*atan(s))o((max(1.351824*s,1.054784*sqrt(s),"
+         "1.842265*s^2.0409))o(5*s+1.354862*sqrt(s)))"],
+        ["0", "0", "0", "(3.518826*atan(s))o((0)o(max(5*s/(1+s),4*s)))"],
+        ["0", "0", "0", "0"],
+        ["0", "0", "max(id+(2.312424*s+1*s/(1+s)+2*atan(s)),id+(3.47439*sqrt(s))"
+         "+max(2*atan(s),1.809398*s^1.7338))", "0"]],
+        "external_gains": ["0", "0", "0", "0"], "mu": ["sum", "sum", "max", "sum"]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLAT_DRIFT))
+def test_flat_reparametrization_is_lifted_not_raised(name, tmp_path, capsys):
+    # each flat anchor is lifted one ulp above the one before, and the
+    # validation decides: every command returns an exit code
+    cfg = write_cfg(tmp_path, FLAT_DRIFT[name])
+    codes = [main(["check", cfg]),
+             main(["path", cfg, "--out", str(tmp_path / "p.csv")]),
+             main(["certify", cfg, "--out", str(tmp_path / "bundle")])]
+    assert "Traceback" not in capsys.readouterr().out
+    # A fails by a re-checked witness near zero, yet certifies: the path is
+    # validated at radii from 1e-6 up only, a known open defect
+    assert codes == ([1, 0, 0] if name == "A" else [0, 0, 0])

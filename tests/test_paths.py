@@ -1430,14 +1430,15 @@ def test_majorant_ray_on_concave_networks(mu):
     assert holding >= 10 and failing >= 10
 
 
-def test_max_networks_above_the_cycle_cap_take_the_majorant_ray(tmp_path, capsys):
-    # above 12 nodes the closure path's cycle gate raises TooLarge, and a
-    # max network whose slope majorant contracts takes the majorant ray
+def test_max_networks_above_the_cycle_cap_take_the_closure_path(tmp_path, capsys):
+    # the closed walks read the cycle condition at any size, so max networks
+    # above the 12 nodes of the cycle listing take the closure path, with a
+    # slope majorant or without one (a sigmoid of s^2)
     import json
 
     from smallgain.cli import main
-    from smallgain.errors import TooLarge
     from smallgain.parser import format_gain
+    from smallgain.sgc import check_cycle_condition
 
     def max_net(n, gain, chords):
         rng = np.random.default_rng(n)
@@ -1451,22 +1452,24 @@ def test_max_networks_above_the_cycle_cap_take_the_majorant_ray(tmp_path, capsys
 
     ring = max_net(13, lambda c: parse_gain("0.5*s+0.1*s/(1+s)"), 0)
     wide = max_net(40, lambda c: Sum((Linear(c), Saturating(0.1))), 3)
+    def sigmoid(c):
+        return Compose(Saturating(c), Power(1.0, 2.0))
+
+    chorded, bare = max_net(40, sigmoid, 3), max_net(40, sigmoid, 0)
+    assert chorded.majorant is None
+    # the 40-step walks of the bare sigmoid ring shrink below one ulp of
+    # their radius: the margin reads one, and the lift bounds its base by
+    # 4^-n, since 1 - 4^-40 rounds to one
+    assert check_cycle_condition(bare).margins["min_margin"] == 1.0
     cfg = tmp_path / "max.json"
-    for net in (ring, wide):
-        with pytest.raises(TooLarge, match=f"got {net.n}"):
-            path_max(net)
+    for net in (ring, wide, chorded, bare):
         cl = certify(net)
-        assert cl.route == "majorant" and validate_path(net, cl.sigma).valid
+        assert cl.route == "max" and validate_path(net, cl.sigma).valid
         cfg.write_text(json.dumps({
             "n": net.n, "gains": [[format_gain(g) for g in row] for row in net.gamma],
             "external_gains": ["0"] * net.n, "mu": ["max"] * net.n}))
         assert main(["certify", str(cfg)]) == 0
         assert capsys.readouterr().out.startswith("phi: identity")
-    # a sigmoid of s^2 has no slope at zero, so no majorant: TooLarge stands
-    sigmoid = max_net(40, lambda c: Compose(Saturating(c), Power(1.0, 2.0)), 3)
-    assert sigmoid.majorant is None
-    with pytest.raises(TooLarge, match="got 40"):
-        construct_path(sigmoid)
 
 
 def test_critical_and_power_of_sum_designs_keep_their_routes():

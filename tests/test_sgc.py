@@ -10,7 +10,6 @@ from smallgain.errors import (
     LambdaNotContractive,
     NotHomogeneous,
     NotLinearizable,
-    OutOfRange,
     TooLarge,
     WrongAggregation,
 )
@@ -37,10 +36,8 @@ from smallgain.sgc import (
     CERTIFIED_HOLDS,
     FALSIFY_CHUNK,
     INCONCLUSIVE,
-    WITNESS_DELTAS,
-    _cycle_witness,
+    WALK_RADII,
     _sphere_directions,
-    _tight_cycle_vectors,
     check_cycle_condition,
     check_linear_spectral,
     check_majorant,
@@ -50,7 +47,13 @@ from smallgain.sgc import (
     power_form,
 )
 
-from gen import max_cycle_mean, random_concave_net, random_linear_max_net, random_network
+from gen import (
+    max_cycle_mean,
+    random_concave_net,
+    random_linear_max_net,
+    random_mixed_sum_net,
+    random_network,
+)
 
 
 def linear_net(slopes, mu_cls=SumAgg):
@@ -81,6 +84,11 @@ def test_cycle_condition_identity_composition_fails():
     assert v.cycle == (1, 0)
     assert v.witness is not None
     assert np.all(eval_operator(net, v.witness) >= v.witness)
+    # slopes 2 and 0.5 return every walk to exactly its radius: a failure
+    net = linear_net([[0, 2.0], [0.5, 0]], MaxAgg)
+    v = check_cycle_condition(net)
+    assert v.fails and v.cycle == (1, 0)
+    assert v.witness is not None and sgc._is_witness(net, v.witness)
 
 
 def test_cycle_condition_three_cycle_product():
@@ -338,26 +346,24 @@ def _ring(slopes_or_gains, chords=()):
                        gamma_u=(Zero(),) * n, mu=(MaxAgg(),) * n)
 
 
-def _scalar_walks(net, cycle):
-    # the walk one candidate at a time, with the scalar inverse
-    rows = []
-    for r in np.geomspace(1e-4, 1e4, 9):
-        for d in (0.0, 1e-9, 1e-6, 1e-3, 0.03):
-            s = np.zeros(net.n)
-            s[cycle[0]] = float(r)
-            for a, b in zip(cycle, cycle[1:]):
-                try:
-                    v = net.gamma[a][b].inverse(float(s[a])) * (1.0 + d)
-                except OutOfRange:
-                    s = None
-                    break
-                if not np.isfinite(v) or v <= 0:
-                    s = None
-                    break
-                s[b] = v
-            if s is not None:
-                rows.append(s)
-    return np.array(rows).reshape(-1, net.n)
+def _scalar_walks(net):
+    """Reference for :func:`sgc._closed_walks`: each walk one vector at a
+    time, in (step, node, radius) order."""
+    walks = {(i, r): [r * np.eye(net.n)[i]] for i in range(net.n) for r in WALK_RADII}
+    returns = np.zeros((net.n, WALK_RADII.size))
+    hit = None
+    for k in range(1, net.n + 1):
+        for (i, r), states in walks.items():
+            states.append(eval_operator(net, states[-1]))
+            back = states[-1][i]
+            m = int(np.flatnonzero(WALK_RADII == r)[0])
+            returns[i, m] = max(returns[i, m], back)
+            if back >= r:
+                hit = hit or (k, i, r)
+                top = np.max(states[:-1], axis=0)
+                if sgc._is_witness(net, top):
+                    return hit, top, returns
+    return hit, None, returns
 
 
 EDGE_KINDS = {
@@ -374,98 +380,108 @@ EDGE_KINDS = {
 
 @pytest.mark.parametrize("kind", sorted(EDGE_KINDS))
 def test_batched_cycle_walk_matches_scalar_walk(kind):
-    g = EDGE_KINDS[kind]
-    net = _ring([g] * 4)
-    cycles = subordinated_cycles(adjacency(net))
-    assert len(cycles) == 1
-    cycle = cycles[0]
-    batch = _tight_cycle_vectors(net, cycle)
-    ref = _scalar_walks(net, cycle)
-    assert batch.shape == ref.shape
-    assert batch.tobytes() == ref.tobytes()
-    if kind == "saturating":
-        # the radii 10, ..., 1e4 start at or above sup = 2: all dropped
-        assert len(batch) == 5 * len(WITNESS_DELTAS)
-        assert np.all(batch[:, cycle[0]] < g.sup())
-    # the witness is the first candidate, in (radius, inflation) order,
-    # that the operator does not shrink
-    valid = [s for s in ref if np.any(s > 0) and np.all(eval_operator(net, s) >= s)]
-    w = _cycle_witness(net, cycle)
-    assert valid, "every kind above has a failing ring"
-    assert w.tobytes() == valid[0].tobytes()
+    # a failing ring of four equal gains: the batched closed walks find the
+    # scalar walks' first return and witness, bit for bit
+    net = _ring([EDGE_KINDS[kind]] * 4)
+    hit, witness, _returns = sgc._closed_walks(net)
+    ref_hit, ref_witness, _ = _scalar_walks(net)
+    assert hit == ref_hit and hit[0] == 4
+    assert witness.tobytes() == ref_witness.tobytes()
+    assert sgc._is_witness(net, witness)
+    v = check_cycle_condition(net)
+    # the ring's one cycle, named as the cycle listing names it
+    assert v.fails and v.cycle == (3, 0, 1, 2) == subordinated_cycles(adjacency(net))[0]
+    assert v.witness.tobytes() == witness.tobytes()
 
 
 def test_cycle_walk_none_when_holding():
+    # 0.5^4 r returns to every node after four steps, and nothing before
     net = _ring([0.5] * 4)
-    assert _cycle_witness(net, subordinated_cycles(adjacency(net))[0]) is None
+    hit, witness, returns = sgc._closed_walks(net)
+    assert hit is None and witness is None
+    assert np.array_equal(returns, np.tile(0.0625 * WALK_RADII, (4, 1)))
+    assert np.array_equal(returns, _scalar_walks(net)[2])
+    assert check_cycle_condition(net).margins["min_margin"] == pytest.approx(0.9375)
 
 
-def test_cycle_stage_one_operator_call(monkeypatch):
-    # holding max network: a ring plus chords, every cycle walked, none fails
+def cycle_reference(net):
+    """Reference cycle criterion: every rotation of every simple cycle of
+    :func:`subordinated_cycles`, composed gain by gain on ``WALK_RADII``.
+    Returns whether it holds and, if so, the least ``(r - C(r)) / r``
+    (one without cycles, where every walk returns zero)."""
+    margin = 1.0
+    for c in subordinated_cycles(adjacency(net)):
+        for m in range(len(c)):
+            rot = c[m:] + c[:m]
+            vals = WALK_RADII
+            for a, b in reversed(list(zip(rot, rot[1:] + rot[:1]))):
+                vals = net.gamma[a][b](vals)
+            if np.any(vals >= WALK_RADII):
+                return False, None
+            margin = min(margin, float(np.min((WALK_RADII - vals) / WALK_RADII)))
+    return True, margin
+
+
+def random_max_nets(seed, count):
+    """Max networks of random_network, n = 2-7: about half of linear
+    gains, the rest of random leaves."""
+    rng = np.random.default_rng(seed)
+    nets = []
+    while len(nets) < count:
+        net, kind = random_network(rng, nmax=7)
+        if kind == "max":
+            nets.append(net)
+    return nets
+
+
+def test_closed_walks_match_the_rotations_of_every_cycle():
+    holding = failing = 0
+    for net in random_max_nets(60, 90):
+        v = check_cycle_condition(net)
+        holds, margin = cycle_reference(net)
+        assert v.holds == holds
+        if holds:
+            assert v.margins["min_margin"] == pytest.approx(margin, rel=1e-12)
+            holding += 1
+            continue
+        # the failing walk is a closed walk of the graph, named from its
+        # largest node, and its witness re-checks
+        adj = adjacency(net)
+        c = v.cycle
+        assert c[0] == max(c)
+        assert all(adj[c[m], c[(m + 1) % len(c)]] for m in range(len(c)))
+        assert v.witness is not None and sgc._is_witness(net, v.witness)
+        failing += 1
+    assert holding >= 20 and failing >= 20
+
+
+def test_walk_stage_witnesses_recheck():
+    # draws of random_mixed_sum_net have no linear or power route; the
+    # sweep and the per-cycle inverse walks found 22 witnesses here, and
+    # the closed walks find more, each re-checked
+    rng = np.random.default_rng(2010)
+    found = walked = 0
+    for _ in range(200):
+        net = random_mixed_sum_net(rng)
+        v = falsify_sgc(net)
+        if v.fails:
+            assert sgc._is_witness(net, v.witness)
+            found += 1
+            walked += v.method == "falsify-walk"
+    assert found >= 22 and walked >= 22
+
+
+def test_cycle_condition_reads_operator_n_times(monkeypatch):
+    # a holding max ring with chords: one operator call per walk step, each
+    # on every node's walks at every radius
     net = _ring([0.5] * 8, chords=[(2, 0, Linear(0.5)), (5, 1, Linear(0.5)),
                                   (7, 3, Linear(0.5)), (4, 6, Linear(0.5))])
-    cycles = subordinated_cycles(adjacency(net))
-    assert len(cycles) > 3
-    rows = []
-    real_op = sgc.eval_operator
-    monkeypatch.setattr(sgc, "eval_operator",
-                        lambda net, s: rows.append(len(s)) or real_op(net, s))
-    assert falsify_sgc(net).inconclusive
-    sweeps = 40 // FALSIFY_CHUNK
-    assert rows[:sweeps] == [FALSIFY_CHUNK * (2 * net.n + 200)] * sweeps
-    # every walk of every cycle, verified in one call
-    assert rows[sweeps:] == [sum(len(_tight_cycle_vectors(net, c)) for c in cycles)]
-
-
-def per_cycle_stage(net):
-    """Reference: the falsifier's cycle stage, one operator call per cycle.
-
-    Returns the witness, its cycle and the number of walk rows before it.
-    """
-    before = 0
-    for c in subordinated_cycles(adjacency(net)):
-        cand = _tight_cycle_vectors(net, c)
-        out = eval_operator(net, cand)
-        hit = np.flatnonzero(np.any(cand > 0, axis=1) & np.all(out >= cand, axis=1))
-        if hit.size:
-            return cand[hit[0]], c, before + int(hit[0])
-        before += len(cand)
-    return None
-
-
-# ids keep the falsifier's name, "plain", before the direction count
-@pytest.mark.parametrize("directions", [1, 4, 16], ids=lambda d: f"plain-{d}")
-def test_batched_cycle_stage_matches_per_cycle_loop(monkeypatch, directions):
-    # few directions and radii: the sweep misses where a cycle walk hits, and
-    # the cycle stage verifies 8, 32 or 128 rows per call
     calls = []
     real_op = sgc.eval_operator
     monkeypatch.setattr(sgc, "eval_operator",
-                        lambda net, s: calls.append(len(s)) or real_op(net, s))
-    rng = np.random.default_rng(23)
-    monkeypatch.setattr(sgc, "FALSIFY_RADII", 3)
-    monkeypatch.setattr(sgc, "FALSIFY_DIRECTIONS", (0, directions))
-    hits = split = 0
-    for k in range(120):
-        net = random_network(rng)[0] if k % 2 else random_linear_max_net(rng, nmax=6)
-        w, _, _ = per_radius_sweep(net, 0)
-        ref = per_cycle_stage(net)
-        if w is not None or ref is None:
-            continue
-        calls.clear()
-        v = falsify_sgc(net)
-        assert v.method == "falsify-cycle"
-        assert v.witness.tobytes() == ref[0].tobytes()
-        assert v.cycle == ref[1]
-        # one sweep call, then the cycle batches up to the one with the hit
-        batch_rows = FALSIFY_CHUNK * directions
-        assert len(calls) == 1 + ref[2] // batch_rows + 1
-        assert all(rows <= batch_rows for rows in calls[1:])
-        hits += 1
-        split += ref[2] >= batch_rows
-    assert hits >= 10
-    if directions < 16:
-        assert split >= 3
+                        lambda net, s: calls.append(np.shape(s)) or real_op(net, s))
+    assert check_cycle_condition(net).holds
+    assert calls == [(WALK_RADII.size * 8, 8)] * 8
 
 
 def test_perron_linear_conjugate_is_one_solve(monkeypatch):
@@ -661,22 +677,6 @@ def test_power_form_read_once_per_network(monkeypatch):
     assert errors[0] is not errors[1]
 
 
-def test_compose_cycle_matches_call_chain():
-    rng = np.random.default_rng(56)
-    grid = np.geomspace(1e-8, 1e8, 97)
-    walked = 0
-    for _ in range(40):
-        net = random_linear_max_net(rng)
-        for cycle in subordinated_cycles(adjacency(net)):
-            gains = sgc._cycle_edge_gains(net, cycle)
-            want = grid
-            for g in reversed(gains):
-                want = g(want)
-            assert sgc._compose_cycle(gains, grid).tobytes() == want.tobytes()
-            walked += 1
-    assert walked > 40
-
-
 # ---------------------------------------------------------------------------
 # decide
 
@@ -736,8 +736,7 @@ def test_decide_matches_run_all_routes():
         stopped = len(v.routes) < len(statuses)
         last = v.routes[-1]
         if stopped:
-            assert last.method in ("spectral", "cycle-linear", "cycle-grid", "perron",
-                                   "majorant")
+            assert last.method in ("spectral", "cycle", "perron", "majorant")
             assert last.method in ("spectral", "perron", "majorant") or v.fails
             assert not last.inconclusive
         else:
@@ -809,7 +808,7 @@ def test_majorant_verdict_matches_slope_matrix_radius(mu):
             assert [r.method for r in d.routes] == ["majorant"]
         else:
             # a failing cycle stops before it; a sampled cycle hold is proved by it
-            assert d.routes[-1].method == ("cycle-grid" if d.fails else "majorant")
+            assert d.routes[-1].method == ("cycle" if d.fails else "majorant")
         seen.add(v.status)
     assert seen == {CERTIFIED_HOLDS, CERTIFIED_FAILS}
 
@@ -964,12 +963,14 @@ def test_check_decides_max_networks_above_the_cycle_cap(tmp_path, capsys):
     from smallgain.parser import format_gain
 
     bent = Sum((Linear(0.5), Saturating(0.1)))
+    # the cycles are not listed: above the listing's cap the closed walks
+    # still read the cycle condition, here 1 - 0.6^13 at the smallest radius
     cap = f"cycle enumeration is capped at {sgc.CYCLE_ENUM_LIMIT} nodes"
     with pytest.raises(TooLarge, match=f"{cap}, got 13"):
         subordinated_cycles(adjacency(max_ring(13, bent)))
     cases = [
         (max_ring(13, Linear(0.5)), ["Perron bound: 0.5 (CertifiedHolds)"]),
-        (max_ring(13, bent), [f"cycle condition: not checked (TooLarge: {cap}, got 13)",
+        (max_ring(13, bent), ["cycle condition: holds (min margin 0.998694)",
                               "slope majorant: 0.6 (CertifiedHolds)"]),
         (power_max_network(40, 40), None),
     ]
@@ -985,11 +986,10 @@ def test_check_decides_max_networks_above_the_cycle_cap(tmp_path, capsys):
             assert len(out) == 2 and out[0].startswith("Perron bound: 0.")
         else:
             assert out[:-1] == lines
-    # the skipped cycle route is on record, and the run goes on past it
+    # the sampled cycle hold is proved by the majorant that runs after it
     v = decide(max_ring(13, bent))
     assert [(r.method, r.status) for r in v.routes] == [
-        ("cycle", INCONCLUSIVE), ("majorant", CERTIFIED_HOLDS)]
-    assert v.method == "majorant"
+        ("cycle", CERTIFIED_HOLDS), ("majorant", CERTIFIED_HOLDS)]
 
 
 def test_perron_witness_drops_a_source_row():
@@ -1062,7 +1062,7 @@ def test_chunked_sweep_matches_per_radius_loop(monkeypatch):
             assert v.margins["best_deficit"] == best
             holding += 1
         else:
-            assert v.method in ("falsify-cycle", "falsify-perron")
+            assert v.method in ("falsify-walk", "falsify-perron")
     assert found >= 10 and holding >= 10
 
 
@@ -1075,7 +1075,7 @@ def test_sweep_one_operator_call_per_chunk(monkeypatch):
     assert falsify_sgc(net).inconclusive
     sweep = FALSIFY_CHUNK * (2 * net.n + 200)
     assert rows.count(sweep) == 40 // FALSIFY_CHUNK
-    assert len(rows) == 40 // FALSIFY_CHUNK + 1  # plus the one cycle walk
+    assert len(rows) == 40 // FALSIFY_CHUNK + net.n  # plus the n walk steps
 
 
 def test_directions_cached_read_only():

@@ -4,11 +4,15 @@ Runs ``smallgain.cli.main`` in this process, imported from the ``src``
 directory given, with ``--seed 0`` on every call: ``check``, ``path --out``
 and ``certify --out`` on every config, plus ``simulate --out`` and
 ``verify`` on model configs.  The configs are ``demos/configs/``, the
-benchmark's defect reproducers (``DEFECT_CASES``) and, for each seed given,
-the job list of a benchmark workload (``perfbench/workloads.py``, imported,
-never edited).  Each call leaves ``OUT/<set>/<job>/<cmd>.txt`` with its exit
-code, stdout and stderr, next to the CSV and bundle files it wrote (``--out``
-paths are relative to the job directory).  A call past 60 s is recorded as
+benchmark's defect reproducers (``DEFECT_CASES``), for each seed given, the
+job list of a benchmark workload (``perfbench/workloads.py``, imported,
+never edited) and, for each ``--random`` seed, a set ``random-SEED`` of 40
+seeded networks from ``tests/gen.py``: 20 ``random_network`` draws of kind
+max and 20 ``random_mixed_sum_net`` draws, which reach the cycle route and
+the falsifier's walks that no workload job reaches.  Each call leaves
+``OUT/<set>/<job>/<cmd>.txt`` with its exit code, stdout and stderr, next
+to the CSV and bundle files it wrote (``--out`` paths are relative to the
+job directory).  A call past 60 s is recorded as
 ``timeout``, an uncaught exception as ``crash <Type>``; the run goes on.
 
 Compare a change with its parent commit, unpacked next to the repository::
@@ -149,6 +153,32 @@ def compare(a: Path, b: Path) -> int:
     return 1 if diff else 0
 
 
+RANDOM_DRAWS = 20
+
+
+def random_configs(seed: int) -> dict:
+    """The configs of the set ``random-SEED``, by job name; the gains are
+    written with ``parser.format_gain`` of the tree being run."""
+    sys.path.insert(0, str(ROOT / "tests"))
+    import numpy as np
+    from gen import random_mixed_sum_net, random_network
+    from smallgain.gains import MaxAgg
+    from smallgain.parser import format_gain
+
+    rng = np.random.default_rng(seed)
+    nets = []
+    while len(nets) < RANDOM_DRAWS:
+        net, kind = random_network(rng)
+        if kind == "max":
+            nets.append((f"max-{len(nets):02d}", net))
+    nets += [(f"mixed-sum-{k:02d}", random_mixed_sum_net(rng)) for k in range(RANDOM_DRAWS)]
+    return {name: {"n": net.n,
+                   "gains": [[format_gain(g) for g in row] for row in net.gamma],
+                   "external_gains": ["0"] * net.n,
+                   "mu": ["max" if isinstance(mu, MaxAgg) else "sum" for mu in net.mu]}
+            for name, net in nets}
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("src", nargs="?", help="the src/ directory of the tree to run")
@@ -161,6 +191,8 @@ def main() -> int:
     for name in workloads.WORKLOADS:
         ap.add_argument(f"--{name}", type=int, nargs="*", default=[], metavar="SEED",
                         help=f"also run the {name} job list for these seeds")
+    ap.add_argument("--random", type=int, nargs="*", default=[], metavar="SEED",
+                    help="also run 40 seeded networks from tests/gen.py per seed")
     args = ap.parse_args()
     if args.compare:
         return compare(*args.compare)
@@ -174,6 +206,8 @@ def main() -> int:
     for name, make in workloads.WORKLOADS.items():
         for seed in getattr(args, name.replace("-", "_")):
             sets[f"{name}-{seed}"] = {job.name: job.doc for job in make(seed, ROOT)}
+    for seed in args.random:
+        sets[f"random-{seed}"] = random_configs(seed)
     signal.signal(signal.SIGALRM, _on_alarm)
     for set_name, docs in sets.items():
         for job, doc in docs.items():
