@@ -57,7 +57,7 @@ from .simulate import (
     LinearBlock,
     cg_gains,
     check_decrease,
-    check_iss_bound,
+    check_iss_bounds,
     DecreaseSpec,
     IssRunSpec,
     export_trajectory_csv,
@@ -524,18 +524,14 @@ def cmd_verify(cfg: LoadedConfig, args) -> int:
     print(dec.text())
     reports.append(dec)
     x0_scale = float(np.linalg.norm(cfg.x0)) if cfg.x0 is not None else 1.0
-    iss0 = check_iss_bound(cfg.model, cl,
-                           IssRunSpec(runs=50, T=cfg.T, dt=cfg.dt,
-                                      x0_scale=x0_scale or 1.0, seed=args.seed))
-    print(iss0.text())
-    reports.append(iss0)
+    signals = (InputSignal.zero(cfg.model.input_dim),)
     if cfg.signal is not None and not cfg.signal.is_zero():
-        drv = check_iss_bound(cfg.model, cl,
-                              IssRunSpec(runs=50, T=cfg.T, dt=cfg.dt,
-                                         x0_scale=x0_scale or 1.0,
-                                         signal=cfg.signal, seed=args.seed))
-        print(drv.text())
-        reports.append(drv)
+        signals += (cfg.signal,)
+    spec = IssRunSpec(runs=50, T=cfg.T, dt=cfg.dt, x0_scale=x0_scale or 1.0,
+                      seed=args.seed)
+    for rep in check_iss_bounds(cfg.model, cl, spec, signals):
+        print(rep.text())
+        reports.append(rep)
     return 0 if all(r.verdict == "pass" for r in reports) else 1
 
 

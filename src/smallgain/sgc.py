@@ -14,9 +14,9 @@ Four certification routes and one honest falsifier, in the order
   (:attr:`GainNetwork.majorant`): the same bound on the linear ``L >=
   Gamma_mu`` is a proof, and the linearization at zero gives witnesses,
 * grid search for a witness s with Gamma_mu(s) >= s, then the closed walks'
-  witnesses up to ``CYCLE_ENUM_LIMIT`` nodes, then the Perron direction,
-  which can only ever certify failure; absence of a witness stays
-  Inconclusive.
+  witnesses up to ``CYCLE_ENUM_LIMIT`` nodes (unless the cycle route's walks
+  ran without a return), then the Perron direction, which can only ever
+  certify failure; absence of a witness stays Inconclusive.
 
 :func:`decide` runs the routes that apply and combines them into one verdict.
 """
@@ -186,12 +186,15 @@ FALSIFY_DIRECTIONS = (2, 200)
 FALSIFY_CHUNK = 8
 
 
-def falsify_sgc(net: GainNetwork, seed: int = 0) -> SgcVerdict:
+def falsify_sgc(net: GainNetwork, seed: int = 0, *,
+                _walks: bool = True) -> SgcVerdict:
     """Search for s != 0 with Gamma_mu(s) >= s componentwise.
 
     The grid is fixed by the ``FALSIFY_*`` constants; ``seed`` draws its
     directions.  A found witness certifies failure.  Nothing found is
     Inconclusive: a finite grid cannot certify the universal statement.
+    ``_walks=False`` skips the closed walks, for a network whose walks have
+    run without a return and so hold no witness.
     """
     n = net.n
     radii = np.geomspace(*FALSIFY_RANGE, FALSIFY_RADII)
@@ -215,7 +218,7 @@ def falsify_sgc(net: GainNetwork, seed: int = 0) -> SgcVerdict:
     # structured candidates: closed walks, then a Perron direction.  The
     # walks run up to CYCLE_ENUM_LIMIT nodes only: on sum rows each step
     # fills every row's slots, about 97 n^4 slot operations per walk
-    if n <= CYCLE_ENUM_LIMIT:
+    if _walks and n <= CYCLE_ENUM_LIMIT:
         witness = _closed_walks(net)[1]
         if witness is not None:
             return SgcVerdict(status=CERTIFIED_FAILS, method="falsify-walk",
@@ -489,10 +492,13 @@ def decide(net: GainNetwork, *, seed: int = 0) -> SgcVerdict:
             return _combine(routes)
     except NotHomogeneous:
         pass
+    walks = True
     try:
         routes.append(check_cycle_condition(net))
         if routes[-1].fails:
             return _combine(routes)
+        # the walks held: none returns, so none gives the falsifier a witness
+        walks = False
     except WrongAggregation:
         pass
     try:
@@ -501,7 +507,7 @@ def decide(net: GainNetwork, *, seed: int = 0) -> SgcVerdict:
             return _combine(routes)
     except NotLinearizable:
         pass
-    routes.append(falsify_sgc(net, seed))
+    routes.append(falsify_sgc(net, seed, _walks=walks))
     return _combine(routes)
 
 

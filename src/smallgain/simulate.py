@@ -12,6 +12,7 @@ its input threshold, and trajectory-level decay and boundedness.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,12 +186,16 @@ class LinearBlock:
 
         The bank is affine in state and input: ``S`` is the step of the unit
         states without input, and row ``k`` of ``C`` the step of the zero
-        state under step k's input, both from :func:`_rk4_step`.
+        state under step k's input, both from :func:`_rk4_step`.  ``C`` is
+        made one signal group at a time, shaped ``(steps, G, 1, N)``, so it
+        adds each group's input to all of the group's rows.
         """
         N = self.state_dim
         zero = np.zeros(self.input_dim)
         S = _rk4_step(self, np.eye(N), zero, zero, zero, dt)
-        C = _rk4_step(self, np.zeros((len(U0), N)), U0, Um, U1, dt)
+        C = np.stack([_rk4_step(self, np.zeros((len(U0), N)), U0[:, g], Um[:, g],
+                                U1[:, g], dt) for g in range(U0.shape[1])],
+                     axis=1)[:, :, None, :]
 
         def step(k):
             out = states[k + 1]
@@ -270,16 +275,17 @@ class CohenGrossberg:
     def _rk4_kernel(self, states, U0, Um, U1, dt: float):
         """Step ``k`` of :func:`_rk4`, written into ``states[k + 1]``.
 
-        Every array is made once per run for the batch shape ``(rows, n)``,
+        Every array is made once per run for the batch shape ``(G, rows, n)``,
         and each step runs on them with ufunc calls that write into them
         (``out`` passed by position).  On arrays this small a broadcast or
         Python-float operand costs more per call than a same-shape array, so
         the parameters are broadcast to the batch shape, the scalars are 0-d
-        arrays, and step k's three inputs are copied into batch-shaped rows
-        in one call.  Each operation and its order are those of
-        :func:`_rk4_step` over :meth:`f`, so the steps equal the staged ones
-        bit for bit.  Two rewrites are exact: ``-amp`` is ``(-spread) tanh(x)
-        + (-mid)``, and a single ``+`` or ``*`` may swap its operands.
+        arrays, and step k's three inputs, one row per signal group, are
+        copied into batch-shaped rows in one call.  Each operation and its
+        order are those of :func:`_rk4_step` over :meth:`f`, so the steps
+        equal the staged ones bit for bit.  Two rewrites are exact: ``-amp``
+        is ``(-spread) tanh(x) + (-mid)``, and a single ``+`` or ``*`` may
+        swap its operands.
         """
         shape = states.shape[1:]
         add, sub, mul, div, matmul = (np.add, np.subtract, np.multiply, np.divide,
@@ -295,7 +301,7 @@ class CohenGrossberg:
         slope = batch(self.b_slope)
         t_mat = self.t_matrix.T
         half, full, two, sixth = (np.array(v) for v in (0.5 * dt, dt, 2.0, dt / 6.0))
-        inputs = np.stack([U0, Um, U1], axis=1)[:, :, None, :]
+        inputs = np.stack([U0, Um, U1], axis=1)[..., None, :]
         u_all = np.empty((3,) + shape)
         u0, um, u1 = u_all
         amp_den = np.empty((2,) + shape)
@@ -454,35 +460,48 @@ def _rk4_step(model, X, u0, um, u1, dt: float):
     return X + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _rk4(model, X, signal, steps: int, dt: float):
-    """Batched classical RK4; returns (t, states, inputs) histories.
+def _rk4(model, X, signals, steps: int, dt: float):
+    """Batched classical RK4 under one or more input signals; returns
+    ``(t, states, inputs, faults)``.
 
-    The input is evaluated once per run, at the step starts ``k dt``, the
-    midpoints ``k dt + dt/2`` and the ends ``k dt + dt``.  A model family
-    with a ``_rk4_kernel(states, U0, Um, U1, dt)`` method builds its own
-    ``step(k)`` once per run, which writes ``states[k + 1]``: a linear bank
-    steps as ``X @ S + C[k]`` (:meth:`LinearBlock._rk4_kernel`), a neural
-    population runs the four stages on buffers made for the run
+    ``X`` is a ``(G, rows, N)`` batch: group ``g`` holds the initial states
+    of the runs driven by ``signals[g]``.  ``states`` is ``(steps + 1, G,
+    rows, N)`` and ``inputs`` ``(steps + 1, G, M)``.  Each input is
+    evaluated once per run, at the step starts ``k dt``, the midpoints ``k
+    dt + dt/2`` and the ends ``k dt + dt``.  A model family with a
+    ``_rk4_kernel(states, U0, Um, U1, dt)`` method, whose inputs are
+    ``(steps, G, M)``, builds its own ``step(k)`` once per run, which writes
+    ``states[k + 1]`` for every group at once: a linear bank steps as ``X @
+    S + C[k]`` (:meth:`LinearBlock._rk4_kernel`), a neural population runs
+    the four stages on buffers made for the run
     (:meth:`CohenGrossberg._rk4_kernel`, the same bits as the staged step).
     Any other model is stepped by :func:`_rk4_step`, four ``f`` calls per
-    step.  The divergence guard is checked once per ``RK4_BLOCK`` steps,
-    and ``Diverged`` names the time of the first stored step past it.
+    step on one group's ``(rows, N)`` states and ``(M,)`` inputs at a time.
+    Every group's steps are those of a run of its own.
+
+    The divergence guard is checked once per ``RK4_BLOCK`` steps, per
+    group: ``faults[g]`` is None or the ``Diverged`` naming the time of
+    group g's first stored step past it, for the caller to raise.  The run
+    stops early once every group has diverged.
     """
+    G = len(signals)
     t = np.arange(steps) * dt
-    U0 = signal(t)
-    Um = signal(t + 0.5 * dt)
-    U1 = signal(t + dt)
+    U0, Um, U1 = (np.stack([signal(tt) for signal in signals], axis=1)
+                  for tt in (t, t + 0.5 * dt, t + dt))
     states = np.empty((steps + 1,) + X.shape)
-    inputs = np.empty((steps + 1, signal.dim))
+    inputs = np.empty((steps + 1,) + U0.shape[1:])
     states[0] = X
     inputs[0] = U0[0]
     inputs[1:] = U1
+    faults = [None] * G
     kernel = getattr(model, "_rk4_kernel", None)
     if kernel is not None:
         step = kernel(states, U0, Um, U1, dt)
     else:
         def step(k):
-            states[k + 1] = _rk4_step(model, states[k], U0[k], Um[k], U1[k], dt)
+            for g in range(G):
+                states[k + 1, g] = _rk4_step(model, states[k, g], U0[k, g], Um[k, g],
+                                             U1[k, g], dt)
     for start in range(0, steps, RK4_BLOCK):
         stop = min(start + RK4_BLOCK, steps)
         # the steps after a blow-up, up to the block's end, may overflow
@@ -490,13 +509,17 @@ def _rk4(model, X, signal, steps: int, dt: float):
             for k in range(start, stop):
                 step(k)
             block = states[start + 1:stop + 1]
-            peak = np.abs(block).reshape(len(block), -1).max(axis=1)
+            peak = np.abs(block).reshape(len(block), G, -1).max(axis=2)
         # NaN fails the comparison too
         ok = peak <= DIVERGENCE_GUARD
-        if not ok.all():
-            tk = (start + int(np.argmin(ok)) + 1) * dt
-            raise Diverged(f"state norm blew past the guard at t={tk:.6g}", t=tk)
-    return np.arange(steps + 1) * dt, states, inputs
+        for g in np.flatnonzero(~ok.all(axis=0)):
+            if faults[g] is None:
+                tk = (start + int(np.argmin(ok[:, g])) + 1) * dt
+                faults[g] = Diverged(f"state norm blew past the guard at t={tk:.6g}",
+                                     t=tk)
+        if all(faults):
+            break
+    return np.arange(steps + 1) * dt, states, inputs, faults
 
 
 def integrate(model, x0, signal: InputSignal | None = None, T: float = 20.0,
@@ -519,12 +542,14 @@ def integrate(model, x0, signal: InputSignal | None = None, T: float = 20.0,
     if signal.dim != model.input_dim:
         raise ValueError(f"input signal must have {model.input_dim} channels")
     steps = max(int(round(T / dt)), 1)
-    t, states, inputs = _rk4(model, x0[None, :], signal, steps, dt)
-    x = states[:, 0, :]
+    t, states, inputs, (fault,) = _rk4(model, x0[None, None], (signal,), steps, dt)
+    if fault is not None:
+        raise fault
+    x = states[:, 0, 0, :]
     v = None
     if certificate is not None:
         v = certificate.eval_V_batch(x)
-    return Trajectory(t=t, x=x, u=inputs, v=v)
+    return Trajectory(t=t, x=x, u=inputs[:, 0], v=v)
 
 
 # ---------------------------------------------------------------------------
@@ -853,53 +878,73 @@ class IssBoundReport:
         return "\n".join(lines)
 
 
-def check_iss_bound(model, cl: CompositeLyapunov,
-                    spec: IssRunSpec | None = None) -> IssBoundReport:
-    """Trajectory-level evidence for decay and input boundedness.
+def check_iss_bounds(model, cl: CompositeLyapunov, spec: IssRunSpec,
+                     signals) -> Iterator[IssBoundReport]:
+    """Trajectory-level evidence for decay and input boundedness: one
+    report per signal of ``signals``, yielded in order.
 
-    Without an input the composite function must be nonincreasing along
+    The ``spec.runs`` initial states are drawn once and driven by every
+    signal in one :func:`_rk4` batch (``spec.signal`` is not read); the
+    composite function is evaluated one signal's runs at a time.  A signal
+    whose runs diverged raises its ``Diverged`` at its turn.
+
+    Under a zero input the composite function must be nonincreasing along
     every run up to ``DRIFT_TOL`` per step and the final state norm must
-    shrink below ``CONTRACTION`` times the initial one.  With an input the
-    composite function must sit below ``SETTLE_FACTOR`` times the input
-    threshold over the last ``SETTLE_FRACTION`` of the horizon.
+    shrink below ``CONTRACTION`` times the initial one.  Under any other
+    input the composite function must sit below ``SETTLE_FACTOR`` times
+    the input threshold over the last ``SETTLE_FRACTION`` of the horizon.
     """
-    spec = spec or IssRunSpec()
     rng = np.random.default_rng(spec.seed)
     N = model.state_dim
     X0 = rng.normal(size=(spec.runs, N))
     X0 /= np.linalg.norm(X0, axis=1, keepdims=True)
     X0 *= spec.x0_scale
-    signal = spec.signal or InputSignal.zero(model.input_dim)
     steps = max(int(round(spec.T / spec.dt)), 1)
-    t, states, inputs = _rk4(model, X0, signal, steps, spec.dt)
-    V = cl.eval_V_batch(states.reshape(-1, N)).reshape(steps + 1, spec.runs)
-    if signal.is_zero():
-        drift = np.diff(V, axis=0)
-        drift_run = drift.max(axis=0) if steps else np.zeros(spec.runs)
-        norms0 = np.linalg.norm(X0, axis=1)
-        norms1 = np.linalg.norm(states[-1], axis=1)
-        ratio = norms1 / norms0
-        bad = (drift_run > DRIFT_TOL) | (ratio >= CONTRACTION)
-        return IssBoundReport(
-            kind="zero-input",
+    _t, states, inputs, faults = _rk4(
+        model, np.broadcast_to(X0, (len(signals),) + X0.shape), signals, steps,
+        spec.dt)
+    for g, signal in enumerate(signals):
+        if faults[g] is not None:
+            raise faults[g]
+        V = cl.eval_V_batch(states[:, g].reshape(-1, N)).reshape(steps + 1, spec.runs)
+        if signal.is_zero():
+            drift = np.diff(V, axis=0)
+            drift_run = drift.max(axis=0) if steps else np.zeros(spec.runs)
+            norms0 = np.linalg.norm(X0, axis=1)
+            norms1 = np.linalg.norm(states[-1, g], axis=1)
+            ratio = norms1 / norms0
+            bad = (drift_run > DRIFT_TOL) | (ratio >= CONTRACTION)
+            yield IssBoundReport(
+                kind="zero-input",
+                runs=spec.runs,
+                violations=int(np.count_nonzero(bad)),
+                worst=float(drift_run.max()),
+                drift_worst=float(drift_run.max()),
+                contraction_worst=float(ratio.max()),
+            )
+            continue
+        sup_u = float(np.max(np.linalg.norm(inputs[:, g], axis=1)))
+        threshold = cl.iss_threshold(sup_u)
+        tail = int(np.ceil((1.0 - SETTLE_FRACTION) * steps))
+        tail_peak = V[tail:].max(axis=0)
+        bound = SETTLE_FACTOR * threshold
+        bad = tail_peak > bound
+        settle_worst = float(tail_peak.max() / threshold) if threshold > 0 else np.inf
+        yield IssBoundReport(
+            kind="driven",
             runs=spec.runs,
             violations=int(np.count_nonzero(bad)),
-            worst=float(drift_run.max()),
-            drift_worst=float(drift_run.max()),
-            contraction_worst=float(ratio.max()),
+            worst=settle_worst,
+            settle_worst=settle_worst,
+            threshold=threshold,
         )
-    sup_u = float(np.max(np.linalg.norm(inputs, axis=1)))
-    threshold = cl.iss_threshold(sup_u)
-    tail = int(np.ceil((1.0 - SETTLE_FRACTION) * steps))
-    tail_peak = V[tail:].max(axis=0)
-    bound = SETTLE_FACTOR * threshold
-    bad = tail_peak > bound
-    settle_worst = float(tail_peak.max() / threshold) if threshold > 0 else np.inf
-    return IssBoundReport(
-        kind="driven",
-        runs=spec.runs,
-        violations=int(np.count_nonzero(bad)),
-        worst=settle_worst,
-        settle_worst=settle_worst,
-        threshold=threshold,
-    )
+
+
+def check_iss_bound(model, cl: CompositeLyapunov,
+                    spec: IssRunSpec | None = None) -> IssBoundReport:
+    """:func:`check_iss_bounds` under the one signal ``spec.signal``, zero
+    when None: its report, or its ``Diverged``."""
+    spec = spec or IssRunSpec()
+    signal = spec.signal or InputSignal.zero(model.input_dim)
+    (report,) = check_iss_bounds(model, cl, spec, (signal,))
+    return report

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gen import random_network
-from smallgain import cli
+from smallgain import cli, simulate
 from smallgain.cli import load_config, main
 from smallgain.errors import ConfigError, LambdaNotContractive
 from smallgain.gains import GainNetwork, MaxAgg, OuterSum, SumAgg
@@ -352,6 +352,22 @@ def test_verify_catches_corrupted_certificate(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == 1
     assert "verdict=fail" in out
+
+
+def test_driven_verify_integrates_once(tmp_path, capsys, monkeypatch):
+    # the zero-input and the driven trajectory checks share one RK4 batch,
+    # and their reports print in that order
+    groups = []
+    rk4 = simulate._rk4
+    monkeypatch.setattr(simulate, "_rk4", lambda model, X, signals, *rest:
+                        groups.append(len(signals)) or rk4(model, X, signals, *rest))
+    doc = verify_doc(T=4.0)
+    doc["simulation"]["input"] = {"kind": "step", "value": [1.0]}
+    main(["verify", write_cfg(tmp_path, doc)])
+    out = capsys.readouterr().out
+    assert groups == [2]
+    assert 0 < out.index("trajectory check (zero-input)") < out.index(
+        "trajectory check (driven)")
 
 
 def test_verify_input_past_certified_range(tmp_path, capsys):

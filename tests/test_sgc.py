@@ -30,6 +30,7 @@ from smallgain.gains import (
     eval_operator,
 )
 from smallgain.graph import adjacency, subordinated_cycles
+from smallgain.parser import parse_gain
 from smallgain.paths import construct_path
 from smallgain.sgc import (
     CERTIFIED_FAILS,
@@ -482,6 +483,31 @@ def test_cycle_condition_reads_operator_n_times(monkeypatch):
                         lambda net, s: calls.append(np.shape(s)) or real_op(net, s))
     assert check_cycle_condition(net).holds
     assert calls == [(WALK_RADII.size * 8, 8)] * 8
+
+
+def test_decide_walks_once_when_the_cycle_route_holds(monkeypatch):
+    # a complete non-power max network: the cycle route's walks run and none
+    # returns, so the falsifier's walk stage could find no witness and is
+    # skipped; the falsifier's verdict is the one it gives with its walks
+    n = 8
+    g = parse_gain("(0.5*s/(1+s))o(1*s^2)")
+    net = GainNetwork(n=n, gamma=tuple(tuple(Zero() if i == j else g for j in range(n))
+                                       for i in range(n)),
+                      gamma_u=(Zero(),) * n, mu=(MaxAgg(),) * n)
+    walks, steps = [], []
+    real_walks, real_op = sgc._closed_walks, sgc.eval_operator
+    monkeypatch.setattr(sgc, "_closed_walks",
+                        lambda net: walks.append(1) or real_walks(net))
+    monkeypatch.setattr(sgc, "eval_operator",
+                        lambda net, s: steps.append(np.shape(s)) or real_op(net, s))
+    v = decide(net)
+    assert v.holds and [r.method for r in v.routes] == ["cycle", "falsify"]
+    assert len(walks) == 1
+    assert steps.count((WALK_RADII.size * n, n)) == n
+    walks.clear()
+    alone = falsify_sgc(net)
+    assert len(walks) == 1
+    assert alone.inconclusive and v.routes[1].margins == alone.margins
 
 
 def test_perron_linear_conjugate_is_one_solve(monkeypatch):

@@ -22,12 +22,14 @@ from smallgain.simulate import (
     DecreaseReport,
     DecreaseSpec,
     InputSignal,
+    IssBoundReport,
     IssRunSpec,
     LinearBlock,
     cg_demo,
     cg_gains,
     check_decrease,
     check_iss_bound,
+    check_iss_bounds,
     export_trajectory_csv,
     integrate,
     linear_demo,
@@ -266,6 +268,14 @@ def _staged_rk4(model, X, signal, steps, dt):
     return states
 
 
+def _rk4_one(model, X, signal, steps, dt):
+    """The states of a one-group :func:`_rk4` run, or its ``Diverged``."""
+    _t, states, _u, (fault,) = _rk4(model, X[None], (signal,), steps, dt)
+    if fault is not None:
+        raise fault
+    return states[:, 0]
+
+
 def _random_bank(rng, forced):
     n = int(rng.integers(2, 5))
     dims = rng.integers(1, 3, size=n)
@@ -298,7 +308,7 @@ def test_linear_step_matrix_matches_staged_rk4():
             for runs in (1, 50):
                 for dt, steps in ((1e-3, 300), (0.05, 40)):
                     X0 = rng.normal(size=(runs, model.state_dim))
-                    got = _rk4(model, X0, signal, steps, dt)[1]
+                    got = _rk4_one(model, X0, signal, steps, dt)
                     want = _staged_rk4(model, X0, signal, steps, dt)
                     scale = np.abs(want).max(axis=(0, 2))
                     assert np.all(np.abs(got - want) <= 1e-12 * scale[None, :, None])
@@ -319,7 +329,7 @@ def test_linear_step_makes_fixed_f_calls(monkeypatch):
     model = linear_demo()[0]
     for steps in (1, 400):
         calls.clear()
-        _rk4(model, np.ones((3, 2)), InputSignal.step([1.0]), steps, 1e-2)
+        _rk4_one(model, np.ones((3, 2)), InputSignal.step([1.0]), steps, 1e-2)
         assert len(calls) == 8
 
 
@@ -347,7 +357,7 @@ def test_cg_rk4_equals_staged_reference():
             X0 = 2.0 * rng.normal(size=(rows, n))
             want = _staged_rk4(model, X0, signal, 200, dt)
             for steps in (1, RK4_BLOCK, RK4_BLOCK + 1, 200):
-                got = _rk4(model, X0, signal, steps, dt)[1]
+                got = _rk4_one(model, X0, signal, steps, dt)
                 assert np.array_equal(got, want[:steps + 1])
             cases.add((signal.kind, signal.is_zero(), rows, dt))
     assert len(cases) == 20
@@ -360,7 +370,7 @@ def test_cg_kernel_buffers_belong_to_one_run():
     signal = InputSignal.sinusoid([0.3, -0.2, 0.1], 2.0)
     for rows in (50, 1, 7, 50):
         X0 = rng.normal(size=(rows, 3))
-        got = _rk4(model, X0, signal, 70, 0.05)[1]
+        got = _rk4_one(model, X0, signal, 70, 0.05)
         assert np.array_equal(got, _staged_rk4(model, X0, signal, 70, 0.05))
 
 
@@ -377,10 +387,82 @@ def test_cg_step_makes_fixed_f_calls(monkeypatch):
     counts = []
     for steps in (1, 400):
         calls.clear()
-        _rk4(model, np.ones((3, 2)), InputSignal.step([1.0, -0.5]), steps, 1e-2)
+        _rk4_one(model, np.ones((3, 2)), InputSignal.step([1.0, -0.5]), steps, 1e-2)
         counts.append(len(calls))
     # the kernel steps without calling f at all
     assert counts == [0, 0]
+
+
+class Kernelless:
+    """A model without ``_rk4_kernel``: :func:`_rk4` steps it by ``f``, one
+    signal group's ``(rows, N)`` states and ``(M,)`` inputs at a time."""
+
+    def __init__(self, model):
+        self.model = model
+        self.state_dim, self.input_dim = model.state_dim, model.input_dim
+
+    def f(self, x, u):
+        assert x.ndim == 2 and u.shape == (self.input_dim,)
+        return self.model.f(x, u)
+
+
+@pytest.mark.parametrize("G", [1, 2, 3])
+def test_grouped_rk4_equals_separate_runs(G):
+    # each signal group of one batch is bit for bit the run of its signal
+    # alone; the groups rotate through every signal kind, the zero one too
+    rng = np.random.default_rng(40 + G)
+    models = [_random_bank(rng, forced=True), _random_population(rng, 3),
+              Kernelless(_random_population(rng, 2))]
+    kinds = set()
+    for model in models:
+        signals = _signals(model.input_dim)
+        for first in range(len(signals)):
+            group = tuple(signals[(first + g) % len(signals)] for g in range(G))
+            X = rng.normal(size=(G, 5, model.state_dim))
+            t, states, inputs, faults = _rk4(model, X, group, RK4_BLOCK + 9, 0.05)
+            assert faults == [None] * G
+            assert states.shape == (RK4_BLOCK + 10, G, 5, model.state_dim)
+            for g, signal in enumerate(group):
+                t1, states1, inputs1, _ = _rk4(model, X[g][None], (signal,),
+                                               RK4_BLOCK + 9, 0.05)
+                assert np.array_equal(t, t1)
+                assert np.array_equal(states[:, g], states1[:, 0])
+                assert np.array_equal(inputs[:, g], inputs1[:, 0])
+                kinds.add((type(model).__name__, signal.kind, signal.is_zero()))
+    assert len(kinds) == 3 * 5
+
+
+class ScaledGrowth:
+    """``x' = (a + b u_1) x``: diverges with or without the drive, by sign."""
+
+    state_dim, input_dim = 2, 1
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+
+    def f(self, x, u):
+        return (self.a + self.b * u[0]) * x
+
+
+@pytest.mark.parametrize("a, b, diverged", [
+    (-1.0, 10.0, [False, True]),  # only under the drive
+    (5.0, -10.0, [True, False]),  # only without it
+    (5.0, 20.0, [True, True]),    # both, the driven group first
+])
+def test_grouped_rk4_divergence_per_group(a, b, diverged):
+    # each group keeps the fault, and the time, of its run alone
+    model = ScaledGrowth(a, b)
+    signals = (InputSignal.zero(1), InputSignal.constant([1.0]))
+    X = np.ones((2, 3, 2))
+    faults = _rk4(model, X, signals, 800, 0.01)[3]
+    assert [f is not None for f in faults] == diverged
+    for g, signal in enumerate(signals):
+        if faults[g] is None:
+            continue
+        with pytest.raises(Diverged) as ref:
+            _staged_rk4(model, X[g], signal, 800, 0.01)
+        assert faults[g].t == ref.value.t
+        assert str(faults[g]) == str(ref.value)
 
 
 def test_divergence_guard():
@@ -428,8 +510,8 @@ class NanAfter:
 def test_divergence_guard_nan_inside_a_block(steps, first_nan):
     # four f calls per step: the first NaN comes in step ``first_nan``
     with pytest.raises(Diverged) as exc:
-        _rk4(NanAfter(4 * first_nan + 1), np.ones((1, 1)), InputSignal.zero(0),
-             steps, 0.01)
+        _rk4_one(NanAfter(4 * first_nan + 1), np.ones((1, 1)), InputSignal.zero(0),
+                 steps, 0.01)
     with pytest.raises(Diverged) as ref:
         _staged_rk4(NanAfter(4 * first_nan + 1), np.ones((1, 1)),
                     InputSignal.zero(0), steps, 0.01)
@@ -721,6 +803,76 @@ def test_cg_certificate_zero_input():
     rep = check_iss_bound(model, cl, IssRunSpec(runs=8, T=12.0, dt=1e-3, seed=1))
     assert rep.verdict == "pass"
     assert rep.drift_worst <= 1e-8
+
+
+# check_iss_bound's reports at commit 88629b0, before the runs were grouped
+FROZEN_ISS = {
+    "linear": (
+        IssBoundReport(kind="zero-input", runs=6, violations=6,
+                       worst=-0.0002519584120919769,
+                       drift_worst=-0.0002519584120919769,
+                       contraction_worst=0.09017541973882379),
+        IssBoundReport(kind="driven", runs=6, violations=0,
+                       worst=0.008856267970777572,
+                       settle_worst=0.008856267970777572,
+                       threshold=19.584673620537625)),
+    "cg": (
+        IssBoundReport(kind="zero-input", runs=6, violations=6,
+                       worst=-6.1896983540825205e-06,
+                       drift_worst=-6.1896983540825205e-06,
+                       contraction_worst=0.012545527977154679),
+        IssBoundReport(kind="driven", runs=6, violations=0,
+                       worst=0.014685701988166691,
+                       settle_worst=0.014685701988166691,
+                       threshold=4.440095313896107)),
+}
+
+
+@pytest.mark.parametrize("name", ["linear", "cg"])
+def test_iss_reports_grouped_and_alone_match_frozen(name):
+    if name == "linear":
+        (model, design), signal = linear_demo(), InputSignal.sinusoid([0.8], 3.0, 0.2)
+    else:
+        (model, design), signal = cg_demo(), InputSignal.piecewise(
+            [0.5, 1.5], [[0.3, -0.2], [-0.1, 0.4]])
+    cl = certified(design)
+    spec = IssRunSpec(runs=6, T=3.0, dt=0.01, x0_scale=2.0, seed=7)
+    zero = InputSignal.zero(model.input_dim)
+    alone = (check_iss_bound(model, cl, spec),
+             check_iss_bound(model, cl, replace(spec, signal=signal)))
+    assert alone == FROZEN_ISS[name]
+    assert tuple(check_iss_bounds(model, cl, spec, (zero, signal))) == alone
+    assert tuple(check_iss_bounds(model, cl, spec, (signal, zero))) == alone[::-1]
+
+
+@pytest.mark.parametrize("a, b", [(-1.0, 10.0), (5.0, -10.0)])
+def test_iss_bounds_raise_each_groups_divergence_in_turn(a, b):
+    # the reports and the Diverged of one-signal calls, in signal order: the
+    # reports of the signals before a diverged one, then its exception
+    model, cl = ScaledGrowth(a, b), certified(linear_demo()[1])
+    spec = IssRunSpec(runs=4, T=8.0, dt=0.01, seed=2)
+    signals = (InputSignal.zero(1), InputSignal.constant([1.0]))
+    want = []
+    for signal in signals:
+        try:
+            want.append(check_iss_bound(model, cl, replace(spec, signal=signal)))
+        except Diverged as exc:
+            want.append((str(exc), exc.t))
+            break
+    got = []
+    with pytest.raises(Diverged) as exc:
+        for rep in check_iss_bounds(model, cl, spec, signals):
+            got.append(rep)
+    got.append((str(exc.value), exc.value.t))
+    assert got == want
+    # the one diverged run's time, from the staged reference
+    rng = np.random.default_rng(spec.seed)
+    X0 = rng.normal(size=(spec.runs, 2))
+    X0 /= np.linalg.norm(X0, axis=1, keepdims=True)
+    with pytest.raises(Diverged) as ref:
+        _staged_rk4(model, X0, signals[len(want) - 1], 800, spec.dt)
+    assert want[-1] == (str(ref.value), ref.value.t)
+    assert len(want) == (2 if a < 0 else 1)
 
 
 def test_cg_decrease_clean():
