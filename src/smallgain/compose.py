@@ -222,7 +222,7 @@ class CompositeLyapunov:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.state_dim,):
             raise ValueError(f"state vector must have length {self.state_dim}")
-        scaled = self._levels(x[None, :])[0]
+        scaled = self._levels(x[None, :])[:, 0]
         vmax = float(scaled.max())
         tol = 1e-12 * max(1.0, vmax)
         active = tuple(i for i in range(len(scaled))
@@ -232,15 +232,18 @@ class CompositeLyapunov:
     def eval_V_batch(self, X) -> np.ndarray:
         """Composite values along a batch of states, shape ``(m, dim)``."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.max(self._levels(X), axis=1)
+        return self._levels(X).max(axis=0)
 
     def _levels(self, X: np.ndarray) -> np.ndarray:
-        """Rescaled energies ``sigma_i^{-1}(V_i(x_i))``, shape ``(m, n)``."""
-        cols = np.empty((X.shape[0], len(self.subsystems)))
+        """Rescaled energies ``sigma_i^{-1}(V_i(x_i))`` of ``m`` states,
+        shape ``(n, m)``: one row per subsystem, so the maximum over the
+        subsystems reduces the outer axis, far cheaper than a reduction
+        over a short inner axis or a transposed view."""
+        rows = np.empty((len(self.subsystems), X.shape[0]))
         for i, (spec, off) in enumerate(zip(self.subsystems, self.offsets)):
             vi = spec.V(X[:, off:off + spec.dim])
-            cols[:, i] = self.sigma.inverse(i, np.maximum(vi, 0.0))
-        return cols
+            rows[i] = self.sigma.inverse(i, np.maximum(vi, 0.0))
+        return rows
 
     def iss_threshold(self, u_norm: float) -> float:
         """Level below which the certificate guarantees eventual decay.

@@ -385,6 +385,32 @@ def test_verify_input_past_certified_range(tmp_path, capsys):
         assert "verdict=pass" not in out
 
 
+def test_input_entering_no_gain_skips_the_driven_check(tmp_path, capsys, monkeypatch):
+    # with B = 0 the certificate has no external gain, so its threshold is
+    # 0 for every input: certify prints that threshold, and verify runs the
+    # zero-input check alone, since the input cannot move the state
+    groups = []
+    rk4 = simulate._rk4
+    monkeypatch.setattr(simulate, "_rk4", lambda model, X, signals, *rest:
+                        groups.append(len(signals)) or rk4(model, X, signals, *rest))
+    doc = json.loads((DEMO_DIR / "linear_two_block.json").read_text())
+    doc["model"]["B"] = [[[0.0]], [[0.0]]]
+    doc["simulation"]["dt"] = 0.05
+    cfg = write_cfg(tmp_path, doc)
+    assert main(["certify", cfg]) == 0
+    out = capsys.readouterr().out
+    assert "phi: identity (no external gains)\n" in out
+    assert "input level 1 covered at threshold 0\n" in out
+    assert main(["verify", cfg]) == 0
+    out = capsys.readouterr().out
+    assert groups == [1]
+    assert out.count("verdict=pass") == 2
+    assert "verdict=fail" not in out
+    assert "input threshold" not in out
+    assert out.endswith("trajectory check (driven) skipped: the input enters "
+                        "no gain of the certificate\n")
+
+
 # ---------------------------------------------------------------------------
 # config errors
 

@@ -203,6 +203,48 @@ def test_eval_V_batch_matches_scalar():
     assert np.allclose(batch, singles)
 
 
+def test_eval_V_batch_equals_per_row_reference():
+    # the levels are filled one subsystem at a time and reduced over the
+    # subsystem axis: every value must equal the per-row maximum of the
+    # rescaled energies exactly, on exact-zero blocks, tied levels and
+    # states past the path's last anchor, and eval_V's active set must be
+    # the tolerance set of those levels
+    g = Linear(0.3)
+    net = net_of([[Z, g, g], [g, Z, g], [g, g, Z]], [MaxAgg()] * 3)
+    radii = np.array([0.0, 1.0, 10.0, 1e6])
+    sigma = OmegaPath(radii, np.column_stack(
+        [radii, radii, [0.0, 0.8, 9.0, 0.7e6]]))
+    specs = [abs_spec(), abs_spec(), quad_spec(2)]
+    cl = compose(net, sigma, specs)
+    rng = np.random.default_rng(17)
+    X = rng.normal(size=(60, 4)) * 10.0 ** rng.uniform(-3, 6.5, (60, 1))
+    X[0] = 0.0
+    X[1, 0] = 0.0
+    X[2, 2:] = 0.0
+    X[3, :2] = 0.0
+    X[4] = [2.5, -2.5, 0.1, 0.0]      # subsystems 0 and 1 tie exactly
+    X[5] = [3e6, 0.0, 0.0, 0.0]       # past the last anchor
+    X[6] = [0.0, 1.0, 5e3, 5e3]       # past the last anchor
+    slices = [(0, 1), (1, 2), (2, 4)]
+    want = []
+    active_want = []
+    for x in X:
+        levels = [cl.sigma.inverse(i, max(float(spec.V(x[None, a:b])[0]), 0.0))
+                  for i, (spec, (a, b)) in enumerate(zip(specs, slices))]
+        vmax = max(levels)
+        want.append(vmax)
+        tol = 1e-12 * max(1.0, vmax)
+        active_want.append(tuple(i for i, v in enumerate(levels)
+                                 if abs(v - vmax) <= tol))
+    want = np.array(want)
+    assert np.array_equal(cl.eval_V_batch(X), want)
+    for x, v, active in zip(X, want, active_want):
+        assert cl.eval_V(x) == (v, active)
+    assert active_want[0] == (0, 1, 2)
+    assert active_want[4] == (0, 1)
+    assert want[5] > 1e6 and want[6] > 1e6
+
+
 def test_subsystem_audit_rejects_bad_energy():
     net = half_max_net()
     sigma = tilted_path(2, [1.0, 0.75])

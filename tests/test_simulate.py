@@ -845,6 +845,26 @@ def test_iss_reports_grouped_and_alone_match_frozen(name):
     assert tuple(check_iss_bounds(model, cl, spec, (signal, zero))) == alone[::-1]
 
 
+def test_iss_bounds_evaluate_V_only_where_the_reports_read_it(monkeypatch):
+    # the zero-input report reads V at every step, the driven report over
+    # the last SETTLE_FRACTION of the horizon only
+    model, design = linear_demo()
+    cl = certified(design)
+    spec = IssRunSpec(runs=6, T=2.0, dt=0.05, seed=2)
+    steps = 40
+    tail = math.ceil((1.0 - simulate.SETTLE_FRACTION) * steps)
+    zero, step = InputSignal.zero(1), InputSignal.step([1.0])
+    rows = []
+    eval_V_batch = CompositeLyapunov.eval_V_batch
+    monkeypatch.setattr(CompositeLyapunov, "eval_V_batch",
+                        lambda self, X: rows.append(len(X)) or eval_V_batch(self, X))
+    list(check_iss_bounds(model, cl, spec, (zero, step)))
+    assert rows == [(steps + 1) * spec.runs, (steps + 1 - tail) * spec.runs]
+    rows.clear()
+    list(check_iss_bounds(model, cl, spec, (zero,)))
+    assert rows == [(steps + 1) * spec.runs]
+
+
 @pytest.mark.parametrize("a, b", [(-1.0, 10.0), (5.0, -10.0)])
 def test_iss_bounds_raise_each_groups_divergence_in_turn(a, b):
     # the reports and the Diverged of one-signal calls, in signal order: the
