@@ -12,8 +12,11 @@ from one.
 
 Exit codes: 0 when the requested analysis certifies (or an inconclusive
 check is backed by a successful path construction), 1 when it fails or a
-constructor rejects the network (the error name is printed), 2 on config
-errors, which are reported on stderr with JSON-pointer paths.
+constructor rejects the network, 2 on config errors, which are reported on
+stderr with JSON-pointer paths.  A proved failure prints the line of the
+route that proved it, with its witness or cycle, then ``verdict:
+CertifiedFails``, whichever command found it; any other rejection prints
+the error name and message.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .errors import (
     OutOfRange,
     ParseError,
     RejectedNotClassK,
+    SgcFails,
     SmallGainError,
 )
 from .gains import (
@@ -50,7 +54,7 @@ from .paths import (
     validate_path,
     write_csv,
 )
-from .sgc import decide
+from .sgc import CERTIFIED_FAILS, decide
 from .simulate import (
     CohenGrossberg,
     InputSignal,
@@ -428,6 +432,9 @@ def cmd_check(cfg: LoadedConfig, args) -> int:
     # nothing decisive either way; a constructed path settles it
     try:
         sigma = construct_path(net, seed=args.seed).sigma
+    except SgcFails:
+        # a constructor's proof of failure is reported as main reports it
+        raise
     except SmallGainError as exc:
         name = type(exc).__name__
         print(f"path construction: {name}: {exc}")
@@ -597,6 +604,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except SgcFails as exc:
+        print(_route_line(exc.verdict))
+        print(f"verdict: {CERTIFIED_FAILS}")
+        return 1
     except SmallGainError as exc:
         print(f"{type(exc).__name__}: {exc}")
         return 1

@@ -2,12 +2,19 @@
 
 Every error raised by library code derives from :class:`SmallGainError` so
 callers (and the command line driver) can distinguish analysis outcomes from
-programming mistakes.  Errors that certify a negative mathematical fact
-(a non-contractive cycle, an empty gap, a stalled decay iteration) carry the
-evidence on the exception instance.
+programming mistakes.  Each analysis outcome has one class: a proved
+failure of the small gain condition is :class:`SgcFails`, whose evidence is
+its verdict's re-checked witness or failing cycle; an operation handed a
+network shape it does not serve raises :class:`CompatibilityError`; the
+rest say that a construction gave up.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .sgc import SgcVerdict
 
 
 class SmallGainError(Exception):
@@ -43,7 +50,9 @@ class RejectedNotClassK(SmallGainError):
 
 
 class CompatibilityError(SmallGainError):
-    """Aggregation not strictly increasing over a row's active gain slots.
+    """A network shape that an operation does not serve: an aggregation not
+    strictly increasing over a row's active gain slots, or a route or
+    constructor given rows, gains or a graph outside its own shape.
 
     ``row`` is the network row of a failed audit; an aggregation's own error
     is the ``__cause__``, a nonzero diagonal gain has none.
@@ -54,28 +63,8 @@ class CompatibilityError(SmallGainError):
         self.row = row
 
 
-class UnsupportedAggregation(SmallGainError):
-    """Aggregation shape outside what an algorithm can decompose."""
-
-
 class TooLarge(SmallGainError):
     """Problem size above the exhaustive-enumeration limit."""
-
-
-class WrongAggregation(SmallGainError):
-    """Operation requires a specific aggregation (e.g. max) on every row."""
-
-
-class NotLinearizable(SmallGainError):
-    """Network is not representable by a nonnegative slope matrix."""
-
-
-class NotHomogeneous(NotLinearizable):
-    """No per-node power change makes the operator homogeneous of degree one."""
-
-
-class NotIrreducible(SmallGainError):
-    """Interconnection graph is not strongly connected (or has zero rows)."""
 
 
 class NotInOmega(SmallGainError):
@@ -84,10 +73,6 @@ class NotInOmega(SmallGainError):
 
 class Stalled(SmallGainError):
     """Decay iteration stopped decreasing; evidence against small gain."""
-
-
-class NotBounded(SmallGainError):
-    """Bounded-route constructor applied to an unbounded gain."""
 
 
 class SeedNotFound(SmallGainError):
@@ -102,20 +87,17 @@ class PathStalled(SmallGainError):
     """Upward path growth collapsed; operator is near-critical."""
 
 
-class CycleConditionFails(SmallGainError):
-    """A subordinated cycle composition is not a contraction."""
+class SgcFails(SmallGainError):
+    """The small gain condition fails: some ``s != 0`` has ``Gamma_mu(s) >= s``.
 
-    def __init__(self, message: str, cycle: tuple[int, ...] | None = None):
+    ``verdict`` is the failing :class:`~smallgain.sgc.SgcVerdict` that
+    proves it, for the network the error was raised for: a witness that
+    re-checks against the operator, or a cycle that is not a contraction.
+    """
+
+    def __init__(self, message: str, verdict: SgcVerdict):
         super().__init__(message)
-        self.cycle = cycle
-
-
-class LambdaNotContractive(SmallGainError):
-    """No Perron bound below one for a power-homogeneous operator."""
-
-    def __init__(self, message: str, lam: float | None = None):
-        super().__init__(message)
-        self.lam = lam
+        self.verdict = verdict
 
 
 class EmptyGap(SmallGainError):
@@ -130,14 +112,6 @@ class SpliceFailure(SmallGainError):
     """Mixed-route splice rejected at its one crossover radius (a start
     outside the decay set, a failed validation, or no crossover below 1e18);
     :func:`paths.path_mixed` then tries its next inflation level."""
-
-
-class BlockSgcFails(SmallGainError):
-    """A diagonal block of the reduced form fails its small gain check."""
-
-    def __init__(self, message: str, block: tuple[int, ...] | None = None):
-        super().__init__(message)
-        self.block = block
 
 
 class GeneralCondFails(SmallGainError):

@@ -3,12 +3,13 @@
 The building block is an immutable expression tree (:class:`GainExpr`) over a
 small closed vocabulary of class-K shapes: linear, power, saturating,
 arctangent, sums, maxima, compositions, and ``id + g``.  Trees evaluate
-vectorized over numpy arrays, classify themselves structurally as zero,
-bounded class K, or class K-infinity, and invert numerically by expanding
-bracket bisection (monotonicity is guaranteed by construction, so no
-derivative information is needed).  ``power_law`` reads a tree that is
-exactly ``c*s^q`` as ``(c, q)``; ``slope_at_zero`` reads a slope ``c`` with
-``g(s) <= c*s`` everywhere and ``g(s) = c*s + o(s)`` at zero.
+vectorized over numpy arrays, classify themselves as zero, bounded class
+K, or class K-infinity by their structural supremum, and invert
+numerically by expanding bracket bisection (monotonicity is guaranteed by
+construction, so no derivative information is needed).  ``power_law``
+reads a tree that is exactly ``c*s^q`` as ``(c, q)``; ``slope_at_zero``
+reads a slope ``c`` with ``g(s) <= c*s`` everywhere and ``g(s) = c*s +
+o(s)`` at zero.
 
 A :class:`GainNetwork` packages an n-by-n matrix of interconnection gains
 (zero diagonal), one external gain per row, and one monotone aggregation per
@@ -39,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CompatibilityError, NotHomogeneous, OutOfRange
+from .errors import CompatibilityError, OutOfRange
 
 # Relative slack that turns "<" into a checkable numerical statement.
 TOL_STRICT = 1e-9
@@ -78,7 +79,11 @@ class GainExpr:
         raise NotImplementedError
 
     def classify(self) -> GainClass:
-        raise NotImplementedError
+        """The class the structural supremum decides: zero, bounded or not."""
+        sup = self.sup()
+        if sup == 0.0:
+            return GainClass.ZERO
+        return GainClass.K_INFINITY if sup == math.inf else GainClass.K_BOUNDED
 
     def sup(self) -> float:
         """Structural supremum over the half line (inf for class K-infinity)."""
@@ -123,14 +128,14 @@ class GainExpr:
         and a composition bisects only the entries its stagewise preimage
         misses.
         """
-        if self.is_zero:
+        sup = self.sup()
+        if sup == 0.0:
             raise OutOfRange("the zero gain has no inverse", sup=0.0, value=None)
         y_arr = np.asarray(y, dtype=float)
         scalar = y_arr.ndim == 0
         y_arr = np.atleast_1d(y_arr)
         if np.any(y_arr < 0):
             raise ValueError("inversion targets live on the nonnegative half line")
-        sup = self.sup()
         if np.any(y_arr >= sup):
             bad = float(np.max(y_arr))
             raise OutOfRange(
@@ -190,9 +195,6 @@ class Zero(GainExpr):
     def slope_at_zero(self):
         return 0.0
 
-    def classify(self):
-        return GainClass.ZERO
-
     def sup(self):
         return 0.0
 
@@ -216,9 +218,6 @@ class Linear(GainExpr):
 
     def _inverse_exact(self, y_arr, tol):
         return y_arr / self.slope
-
-    def classify(self):
-        return GainClass.K_INFINITY
 
     def sup(self):
         return math.inf
@@ -245,9 +244,6 @@ class Power(GainExpr):
     def _inverse_exact(self, y_arr, tol):
         return np.power(y_arr / self.coeff, 1.0 / self.exponent)
 
-    def classify(self):
-        return GainClass.K_INFINITY
-
     def sup(self):
         return math.inf
 
@@ -271,9 +267,6 @@ class Saturating(GainExpr):
     def _inverse_exact(self, y_arr, tol):
         return y_arr / (self.coeff - y_arr)
 
-    def classify(self):
-        return GainClass.K_BOUNDED
-
     def sup(self):
         return self.coeff
 
@@ -296,9 +289,6 @@ class Atan(GainExpr):
 
     def _inverse_exact(self, y_arr, tol):
         return np.tan(y_arr / self.coeff)
-
-    def classify(self):
-        return GainClass.K_BOUNDED
 
     def sup(self):
         return self.coeff * math.pi / 2.0
@@ -336,14 +326,6 @@ class _Fold(GainExpr):
     def slope_at_zero(self):
         slopes = [c.slope_at_zero() for c in self.children]
         return None if None in slopes else self._combine(slopes)
-
-    def classify(self):
-        classes = [c.classify() for c in self.children]
-        if all(cl is GainClass.ZERO for cl in classes):
-            return GainClass.ZERO
-        if any(cl is GainClass.K_INFINITY for cl in classes):
-            return GainClass.K_INFINITY
-        return GainClass.K_BOUNDED
 
     def sup(self):
         return self._combine(c.sup() for c in self.children)
@@ -403,20 +385,12 @@ class Compose(GainExpr):
             cand[miss] = self._bisect(y_arr[miss], tol, self.sup())
         return cand
 
-    def classify(self):
-        co, ci = self.outer.classify(), self.inner.classify()
-        if co is GainClass.ZERO or ci is GainClass.ZERO:
-            return GainClass.ZERO
-        if co is GainClass.K_INFINITY and ci is GainClass.K_INFINITY:
-            return GainClass.K_INFINITY
-        return GainClass.K_BOUNDED
-
     def sup(self):
-        if self.classify() is GainClass.ZERO:
+        outer_sup, inner_sup = self.outer.sup(), self.inner.sup()
+        if outer_sup == 0.0 or inner_sup == 0.0:
             return 0.0
-        inner_sup = self.inner.sup()
         if inner_sup == math.inf:
-            return self.outer.sup()
+            return outer_sup
         return float(self.outer._eval(np.asarray(inner_sup, dtype=float)))
 
 
@@ -436,9 +410,6 @@ class PlusId(GainExpr):
     def slope_at_zero(self):
         c = self.inner.slope_at_zero()
         return None if c is None else 1.0 + c
-
-    def classify(self):
-        return GainClass.K_INFINITY
 
     def sup(self):
         return math.inf
@@ -604,18 +575,19 @@ class GainNetwork:
         coefficients ``c_ij``, as read-only arrays.
 
         Read once per network (:meth:`_read_power_form`); a failed read keeps
-        its message, and every access raises a fresh :class:`NotHomogeneous`.
+        its message, and every access raises a fresh
+        :class:`CompatibilityError`.
         """
         form, failure = self._power_form
         if failure is not None:
-            raise NotHomogeneous(failure)
+            raise CompatibilityError(failure)
         return form
 
     @cached_property
     def _power_form(self):
         try:
             return self._read_power_form(), None
-        except NotHomogeneous as exc:
+        except CompatibilityError as exc:
             return None, str(exc)
 
     def _read_power_form(self):
@@ -625,7 +597,7 @@ class GainNetwork:
         ``c_ij s^q_ij``, ``T(t) = Gamma_mu(t^p)^(1/p)`` is homogeneous
         of degree one iff ``e_i q_ij = p_i / p_j`` on every gain.  ``p`` is
         solved on a spanning forest of the undirected graph, each root keeping
-        ``p = e``, then checked on every gain (else :class:`NotHomogeneous`).
+        ``p = e``, then checked on every gain (else :class:`CompatibilityError`).
         With sum rows and ``p = e``, ``T(t) = G t`` for
         ``G_ij = k_i^(1/e_i) c_ij``; else ``G`` is None.
         """
@@ -634,7 +606,8 @@ class GainNetwork:
             law = (1.0, 1.0) if isinstance(mu, (SumAgg, MaxAgg)) else (
                 mu.rho.power_law() if isinstance(mu, OuterSum) else None)
             if law is None:
-                raise NotHomogeneous("row aggregation is not a sum, max or power-of-sum")
+                raise CompatibilityError(
+                    "row aggregation is not a sum, max or power-of-sum")
             rows.append((*law, not isinstance(mu, MaxAgg)))
         e = np.array([row[1] for row in rows])
         laws, nbrs = {}, [[] for _ in range(self.n)]
@@ -642,7 +615,7 @@ class GainNetwork:
             for j in cols:
                 laws[i, j] = self.gamma[i][j].power_law()
                 if laws[i, j] is None:
-                    raise NotHomogeneous(f"gain ({i + 1},{j + 1}) is not c*s^q")
+                    raise CompatibilityError(f"gain ({i + 1},{j + 1}) is not c*s^q")
                 nbrs[i].append(j)
                 nbrs[j].append(i)
         p = np.zeros(self.n)
@@ -661,7 +634,8 @@ class GainNetwork:
         C = np.zeros((self.n, self.n))
         for (i, j), (c, q) in laws.items():
             if not same_exponent(e[i] * q, p[i] / p[j]):
-                raise NotHomogeneous(f"gain ({i + 1},{j + 1}) breaks every per-node power change")
+                raise CompatibilityError(
+                    f"gain ({i + 1},{j + 1}) breaks every per-node power change")
             C[i, j] = c
         G = None
         if all(row[2] and same_exponent(a, b) for row, a, b in zip(rows, p, e)):

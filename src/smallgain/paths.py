@@ -15,9 +15,10 @@ cases.
 the others see only networks that are not power-homogeneous or whose ray
 stalls, and that have no majorant ray; the mixed route's unbounded part
 and each reducible block get their paths from it too.  A constructor
-given another shape raises a named error and hands the network to no
-other constructor.  The mixed splice is
-made once, at the crossover radius.  Three retries remain, each measured
+given another shape raises :class:`CompatibilityError` and hands the
+network to no other constructor; one that proves the small gain condition
+fails raises :class:`SgcFails` with the proving verdict.  The mixed splice
+is made once, at the crossover radius.  Three retries remain, each measured
 to rescue networks: the ray's fall-through (3 test-suite networks certify
 through ``max``), the mixed route's three inflation levels (1 of 400
 random mixed sum networks certifies at ``c = 0.01``, a test network needs
@@ -36,22 +37,14 @@ import numpy as np
 
 from .errors import (
     BisectionFailure,
-    BlockSgcFails,
     CompatibilityError,
-    CycleConditionFails,
     EmptyGap,
-    LambdaNotContractive,
-    NotBounded,
-    NotHomogeneous,
-    NotLinearizable,
     NotInOmega,
-    NotIrreducible,
     PathStalled,
     SeedNotFound,
+    SgcFails,
     SpliceFailure,
     Stalled,
-    UnsupportedAggregation,
-    WrongAggregation,
 )
 from .gains import (
     TOL_STRICT,
@@ -74,6 +67,7 @@ from .graph import adjacency, is_irreducible, scc_decompose
 from .sgc import (
     bound_verdict,
     check_cycle_condition,
+    embed_verdict,
     majorant_witnesses,
     nonlinear_perron,
     perron_witnesses,
@@ -504,7 +498,7 @@ def path_bounded(net: GainNetwork) -> OmegaPath:
     """
     classes = {g.classify() for row in net.gamma for g in row}
     if GainClass.K_INFINITY in classes:
-        raise NotBounded("unbounded internal gains present; use the mixed route")
+        raise CompatibilityError("unbounded internal gains present; use the mixed route")
     if zero_rows(net):
         raise CompatibilityError(
             "rows without nonzero gains: decompose into blocks first"
@@ -518,7 +512,7 @@ def path_bounded(net: GainNetwork) -> OmegaPath:
         for i in range(net.n)
     ])
     if not np.all(np.isfinite(sups)):
-        raise NotBounded("row aggregation is unbounded despite bounded gains")
+        raise CompatibilityError("row aggregation is unbounded despite bounded gains")
     s0 = 1.05 * sups
     for _ in range(41):
         if strictly_less(eval_operator(net, s0), s0):
@@ -538,7 +532,7 @@ def path_irreducible(net: GainNetwork, *, seed: int = 0) -> OmegaPath:
     """
     adj = adjacency(net)
     if not is_irreducible(adj):
-        raise NotIrreducible(
+        raise CompatibilityError(
             "interconnection graph is not strongly connected; use the reducible route"
         )
     for row in net.gamma:
@@ -566,12 +560,12 @@ def path_homogeneous(net: GainNetwork) -> OmegaPath:
     the budget maps).  Otherwise anchors sit at a ratio
     ``q <= min(10^(1/12), c^(-1/2))``: ``Gamma_mu(sigma(r[k+1])) <=
     (c q)^p sigma(r[k]) < sigma(r[k])`` proves each segment by monotonicity.
-    At ``c >= 1 - TOL_STRICT`` it raises :class:`LambdaNotContractive` when
-    the candidate of :func:`sgc.perron_witnesses` re-checks, else
+    At ``c >= 1 - TOL_STRICT`` it raises :class:`SgcFails` when the
+    candidate of :func:`sgc.perron_witnesses` re-checks, else
     :class:`PathStalled`.
     """
     c, p, w, image = nonlinear_perron(net)
-    return _ray(net, "Perron bound", c, p, w, perron_witnesses(p, w, image))
+    return _ray(net, "perron", c, p, w, perron_witnesses(p, w, image))
 
 
 def path_majorant(net: GainNetwork) -> OmegaPath:
@@ -580,23 +574,25 @@ def path_majorant(net: GainNetwork) -> OmegaPath:
     :func:`sgc.nonlinear_perron` on ``L`` gives ``L(w) <= c w``, and
     ``Gamma_mu <= L`` gives ``Gamma_mu(r w) <= c r w < r w`` at every
     radius, so the ray built for ``L`` is validated on the network itself.
-    At ``c >= 1 - TOL_STRICT`` it raises :class:`LambdaNotContractive` when
-    a candidate of :func:`sgc.majorant_witnesses` re-checks, else
-    :class:`PathStalled`; :class:`NotLinearizable` without a majorant.
+    At ``c >= 1 - TOL_STRICT`` it raises :class:`SgcFails` when a
+    candidate of :func:`sgc.majorant_witnesses` re-checks, else
+    :class:`PathStalled`; :class:`CompatibilityError` without a majorant.
     """
     majorant = slope_majorant(net)
     c, p, w, image = nonlinear_perron(majorant)
-    return _ray(net, "slope majorant bound", c, p, w,
-                majorant_witnesses(majorant, w, image))
+    return _ray(net, "majorant", c, p, w, majorant_witnesses(majorant, w, image))
 
 
-def _ray(net: GainNetwork, bound: str, c: float, p: np.ndarray, w: np.ndarray,
+def _ray(net: GainNetwork, method: str, c: float, p: np.ndarray, w: np.ndarray,
          witnesses) -> OmegaPath:
     """The ray ``(r w)^p`` of :func:`path_homogeneous` at the bound ``c``;
-    at ``c >= 1 - TOL_STRICT`` it fails on a re-checked witness, else stalls."""
+    at ``c >= 1 - TOL_STRICT`` it fails on a re-checked witness, with the
+    ``method`` verdict of :func:`sgc.bound_verdict`, else stalls."""
+    bound = {"perron": "Perron bound", "majorant": "slope majorant bound"}[method]
     if not c < 1.0 - TOL_STRICT:
-        if bound_verdict(net, bound, c, witnesses).fails:
-            raise LambdaNotContractive(f"{bound} {c:.6g} is not below one", lam=c)
+        verdict = bound_verdict(net, method, c, witnesses)
+        if verdict.fails:
+            raise SgcFails(f"{bound} {c:.6g} is not below one", verdict)
         raise PathStalled(f"{bound} {c:.6g} is not below one, and no witness re-checks")
     w = w / w.max()
     if np.all(p == p[0]):
@@ -634,13 +630,11 @@ def path_max(net: GainNetwork) -> OmegaPath:
     """
     for mu in net.mu:
         if not isinstance(mu, MaxAgg):
-            raise WrongAggregation("max-aggregation path needs max rows throughout")
+            raise CompatibilityError("max-aggregation path needs max rows throughout")
     verdict = check_cycle_condition(net)
     if not verdict.holds:
-        raise CycleConditionFails(
-            "a subordinated cycle composition is not a contraction",
-            cycle=verdict.cycle,
-        )
+        raise SgcFails("a subordinated cycle composition is not a contraction",
+                       verdict)
     lift = max(1.0 - verdict.margins["min_margin"], 4.0**-net.n) ** (-0.5 / net.n)
     for _ in range(LIFT_TRIES):
         lifted = tuple(tuple(g if g.is_zero else Compose(Linear(lift), g) for g in row)
@@ -675,7 +669,7 @@ def path_three_sum(net: GainNetwork) -> OmegaPath:
         raise CompatibilityError("the balanced construction is specific to n = 3")
     for mu in net.mu:
         if not isinstance(mu, SumAgg):
-            raise WrongAggregation("the balanced construction needs additive rows")
+            raise CompatibilityError("the balanced construction needs additive rows")
     if any(net.gamma[i][j].classify() is not GainClass.K_INFINITY
            for i in range(3) for j in range(3) if i != j):
         raise CompatibilityError(
@@ -749,12 +743,14 @@ def path_mixed(net: GainNetwork, *, seed: int = 0) -> OmegaPath:
     reducible route); the inflation term then absorbs the bounded part's
     supremum beyond a crossover radius, and a downward leg covers the radii
     below it (:func:`_splice_mixed`).  The inflation levels ``c = 0.05,
-    0.01, 0.002`` are tried in turn; a network with only one gain class
-    raises :class:`CompatibilityError`.
+    0.01, 0.002`` are tried in turn; a failure of the inflated part proves
+    nothing about the network, so after the last level it is reported as
+    :class:`PathStalled`.  A network with only one gain class raises
+    :class:`CompatibilityError`.
     """
     for mu in net.mu:
         if not isinstance(mu, SumAgg):
-            raise WrongAggregation("the split construction needs additive rows")
+            raise CompatibilityError("the split construction needs additive rows")
     classes = [[g.classify() for g in row] for row in net.gamma]
     present = {c for row in classes for c in row}
     if not {GainClass.K_BOUNDED, GainClass.K_INFINITY} <= present:
@@ -777,9 +773,13 @@ def path_mixed(net: GainNetwork, *, seed: int = 0) -> OmegaPath:
                             tuple(zero_gain for _ in range(net.n)), net.mu)
         try:
             sigma_u = construct_path(t_net, seed=seed).sigma
-        except (SeedNotFound, PathStalled, Stalled, NotInOmega, BlockSgcFails,
-                LambdaNotContractive) as exc:
+        except (SeedNotFound, PathStalled, Stalled, NotInOmega) as exc:
             last_error = exc
+            continue
+        except SgcFails as exc:
+            # the inflated part is another operator: its failure proves nothing
+            last_error = PathStalled(f"the unbounded part inflated by {c:g} id "
+                                     f"fails: {exc}")
             continue
         try:
             return _splice_mixed(net, sigma_u, c, s_star)
@@ -872,10 +872,13 @@ def path_reducible(net: GainNetwork, *, seed: int = 0) -> OmegaPath:
     level ``r``, generalizing the two-block recipe
     ``sigma = (2 eta~(r), r)``.  Each block of two or more nodes gets its
     local path from :func:`construct_path`; a single node rides the
-    identity.  A block's own rows are evaluated on its subnetwork, whose
-    aggregations are remapped to block-local columns; its inflow is the
-    whole operator evaluated at the upstream values placed so far (this
-    block's and the downstream columns are still zero).
+    identity.  A block that fails the small gain condition fails the
+    network: its :class:`SgcFails` is raised again with the verdict read on
+    the network (:func:`sgc.embed_verdict`).  A block's own rows are
+    evaluated on its subnetwork, whose aggregations are remapped to
+    block-local columns; its inflow is the whole operator evaluated at the
+    upstream values placed so far (this block's and the downstream columns
+    are still zero).
 
     Every budget map is capped by the identity, so a fed row keeps half of
     its margin for an input up to ``r``: :func:`compose.derive_phi` is
@@ -898,7 +901,7 @@ def path_reducible(net: GainNetwork, *, seed: int = 0) -> OmegaPath:
         for i, cross in zip(block, fed):
             if (cross or net.ext_active[i]) and not isinstance(
                     net.mu[i], (SumAgg, MaxAgg)):
-                raise UnsupportedAggregation(
+                raise CompatibilityError(
                     "cross-block inflow needs additive or max aggregation"
                 )
         subnet = _subnet(net, block)
@@ -908,14 +911,16 @@ def path_reducible(net: GainNetwork, *, seed: int = 0) -> OmegaPath:
             bp = OmegaPath(np.array([0.0, top]), np.array([[0.0], [top]]))
         else:
             # a block is checked by the gate of its own route: the Perron
-            # bound of the ray, or the cycle condition of path_max
+            # bound of the ray, or the cycle condition of path_max; a failing
+            # block fails the network
             try:
                 bp = construct_path(subnet, seed=seed).sigma
-            except (CycleConditionFails, LambdaNotContractive) as exc:
-                gate = ("the cycle condition" if isinstance(exc, CycleConditionFails)
+            except SgcFails as exc:
+                verdict = exc.verdict
+                gate = ("the cycle condition" if verdict.method == "cycle"
                         else "its Perron bound")
-                raise BlockSgcFails(f"diagonal block {bi} fails {gate}",
-                                    block=block) from exc
+                raise SgcFails(f"diagonal block {bi} fails {gate}",
+                               embed_verdict(net, block, verdict)) from exc
 
         if not any(fed):
             values[:, cols] = bp(radii_pos)
@@ -980,13 +985,13 @@ def construct_path(net: GainNetwork, *, seed: int = 0) -> PathResult:
     """
     try:
         return PathResult(path_homogeneous(net), "ray")
-    except (NotHomogeneous, PathStalled):
+    except (CompatibilityError, PathStalled):
         pass
     if all(isinstance(mu, MaxAgg) for mu in net.mu):
         return PathResult(path_max(net), "max")
     try:
         return PathResult(path_majorant(net), "majorant")
-    except (NotLinearizable, PathStalled):
+    except (CompatibilityError, PathStalled):
         pass
     classes = {g.classify() for row in net.gamma for g in row if not g.is_zero}
     all_sum = all(isinstance(mu, SumAgg) for mu in net.mu)

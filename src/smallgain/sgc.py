@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NotHomogeneous, NotLinearizable, WrongAggregation
+from .errors import CompatibilityError
 from .gains import GainNetwork, MaxAgg, eval_operator
 from .graph import CYCLE_ENUM_LIMIT, scc_decompose
 
@@ -122,6 +122,11 @@ def _returning_walk(net: GainNetwork, k: int, i: int, r: float) -> tuple[int, ..
             row, cols = net.gamma[walk[-1]], net.active_sets[walk[-1]]
             vals = [row[j]._eval(x[j:j + 1])[0] for j in cols]
             walk.append(cols[int(np.argmax(vals))])
+    return _from_largest(walk)
+
+
+def _from_largest(walk: list[int]) -> tuple[int, ...]:
+    """A closed walk rotated to start at its largest node."""
     top = walk.index(max(walk))
     return tuple(walk[top:] + walk[:top])
 
@@ -138,7 +143,7 @@ def check_cycle_condition(net: GainNetwork) -> SgcVerdict:
     witness, if any; a hold reports the least ``(r - returns) / r``.
     """
     if not all(isinstance(m, MaxAgg) for m in net.mu):
-        raise WrongAggregation("cycle criterion needs max aggregation in every row")
+        raise CompatibilityError("cycle criterion needs max aggregation in every row")
     hit, witness, returns = _closed_walks(net)
     if hit is not None:
         return SgcVerdict(status=CERTIFIED_FAILS, method="cycle",
@@ -152,6 +157,28 @@ def _is_witness(net, s):
     # an overflowed candidate compares inf >= inf and proves nothing
     return bool(np.all(np.isfinite(s)) and np.any(s > 0)
                 and np.all(eval_operator(net, s) >= s))
+
+
+def embed_verdict(net: GainNetwork, block: tuple[int, ...],
+                  verdict: SgcVerdict) -> SgcVerdict:
+    """The failing ``verdict`` of the diagonal block ``block`` of ``net``,
+    read on ``net``.
+
+    The witness takes zeros outside the block.  Each block row then reads
+    the block's own operator, and every other row is at least zero, so it
+    witnesses expansion of ``net`` as well; it is re-checked on ``net`` and
+    dropped if it does not re-check.  The cycle is renumbered into network
+    indices.
+    """
+    witness = cycle = None
+    if verdict.witness is not None:
+        witness = np.zeros(net.n)
+        witness[list(block)] = verdict.witness
+        if not _is_witness(net, witness):
+            witness = None
+    if verdict.cycle is not None:
+        cycle = _from_largest([block[k] for k in verdict.cycle])
+    return replace(verdict, witness=witness, cycle=cycle)
 
 
 def _sphere_directions(n: int, count: int, rng) -> np.ndarray:
@@ -223,7 +250,7 @@ def falsify_sgc(net: GainNetwork, seed: int = 0, *,
         if witness is not None:
             return SgcVerdict(status=CERTIFIED_FAILS, method="falsify-walk",
                               witness=witness)
-    with suppress(NotLinearizable):
+    with suppress(CompatibilityError):
         rho, _p, ray = linear_perron(net)
         for w in (1e-3 * ray, ray, 1e3 * ray):
             if _is_witness(net, w):
@@ -250,12 +277,12 @@ def linear_perron(net: GainNetwork):
     ``rho`` is the largest real eigenvalue of an irreducible diagonal block
     (a Perron root is simple there) and ``v`` that block's eigenvector
     embedded in zeros: rows outside the block only gain from it, so it still
-    witnesses expansion.  Raises :class:`NotLinearizable` for any other
+    witnesses expansion.  Raises :class:`CompatibilityError` for any other
     operator.
     """
     p, G = power_form(net)
     if G is None:
-        raise NotLinearizable("the conjugate operator is not a sum of linear gains")
+        raise CompatibilityError("the conjugate operator is not a sum of linear gains")
     rho, v = 0.0, np.ones(net.n)
     for block in scc_decompose(G != 0):
         idx = np.array(block)
@@ -390,11 +417,11 @@ def _perron_bound(net: GainNetwork, p: np.ndarray, w: np.ndarray):
 
 
 def slope_majorant(net: GainNetwork) -> GainNetwork:
-    """:attr:`GainNetwork.majorant`, or :class:`NotLinearizable` when there
+    """:attr:`GainNetwork.majorant`, or :class:`CompatibilityError` when there
     is none."""
     if net.majorant is None:
-        raise NotLinearizable("a row is neither a sum nor a max, or a gain has "
-                              "no slope at zero")
+        raise CompatibilityError("a row is neither a sum nor a max, or a gain has "
+                                 "no slope at zero")
     return net.majorant
 
 
@@ -436,7 +463,7 @@ def majorant_witnesses(majorant: GainNetwork, w: np.ndarray, image: np.ndarray):
     """
     try:
         v = linear_perron(majorant)[2]
-    except NotLinearizable:
+    except CompatibilityError:
         v = _expanded_direction(np.ones(majorant.n), w, image)
         if v is None:
             return
@@ -453,7 +480,7 @@ def check_majorant(net: GainNetwork) -> SgcVerdict:
     the condition: ``Gamma_mu(s) >= s`` would give ``L(s) >= s``, which no
     ``s != 0`` meets.  Otherwise the candidates of
     :func:`majorant_witnesses` are re-checked against the operator itself.
-    Raises :class:`NotLinearizable` when the network has no majorant.
+    Raises :class:`CompatibilityError` when the network has no majorant.
     """
     majorant = slope_majorant(net)
     c, _p, w, image = nonlinear_perron(majorant)
@@ -483,14 +510,14 @@ def decide(net: GainNetwork, *, seed: int = 0) -> SgcVerdict:
         routes.append(check_linear_spectral(net))
         if not routes[-1].inconclusive:
             return _combine(routes)
-    except NotLinearizable:
+    except CompatibilityError:
         pass
     try:
         c, p, w, image = nonlinear_perron(net)
         routes.append(bound_verdict(net, "perron", c, perron_witnesses(p, w, image)))
         if not routes[-1].inconclusive:
             return _combine(routes)
-    except NotHomogeneous:
+    except CompatibilityError:
         pass
     walks = True
     try:
@@ -499,13 +526,13 @@ def decide(net: GainNetwork, *, seed: int = 0) -> SgcVerdict:
             return _combine(routes)
         # the walks held: none returns, so none gives the falsifier a witness
         walks = False
-    except WrongAggregation:
+    except CompatibilityError:
         pass
     try:
         routes.append(check_majorant(net))
         if not routes[-1].inconclusive:
             return _combine(routes)
-    except NotLinearizable:
+    except CompatibilityError:
         pass
     routes.append(falsify_sgc(net, seed, _walks=walks))
     return _combine(routes)

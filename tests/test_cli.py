@@ -10,10 +10,11 @@ import pytest
 from gen import random_network
 from smallgain import cli, simulate
 from smallgain.cli import load_config, main
-from smallgain.errors import ConfigError, LambdaNotContractive
+from smallgain.errors import ConfigError, SgcFails
 from smallgain.gains import GainNetwork, MaxAgg, OuterSum, SumAgg
 from smallgain.parser import format_gain, parse_gain
 from smallgain.paths import OmegaPath, construct_path, validate_path
+from smallgain.sgc import INCONCLUSIVE, SgcVerdict
 
 DEMO_DIR = pathlib.Path(__file__).resolve().parent.parent / "demos" / "configs"
 
@@ -180,13 +181,42 @@ def test_path_noncontractive_cycle_exit(tmp_path, capsys):
     code = main(["path", write_cfg(tmp_path, max_net(2.0)),
                  "--out", str(tmp_path / "p.csv")])
     assert code == 1
-    assert "LambdaNotContractive" in capsys.readouterr().out
+    assert capsys.readouterr().out.splitlines() == [
+        "Perron bound: 2 (CertifiedFails), witness (1, 1)",
+        "verdict: CertifiedFails"]
     # gains that are not power laws take the max route and its cycle gate
     g = "1.6*s+0.4*s/(1+s)"
     doc = {**max_net(2.0), "gains": [["0", g], [g, "0"]]}
     code = main(["path", write_cfg(tmp_path, doc), "--out", str(tmp_path / "p.csv")])
     assert code == 1
-    assert "CycleConditionFails" in capsys.readouterr().out
+    assert capsys.readouterr().out.splitlines() == [
+        "cycle condition: fails on cycle (2, 1), witness (1e-08, 2e-08)",
+        "verdict: CertifiedFails"]
+
+
+@pytest.mark.parametrize("cmd", ["path", "certify"])
+def test_failing_construction_prints_the_verdict(tmp_path, capsys, cmd):
+    # the ray's Perron bound re-checks the witness (1, 1), as check prints it
+    code = main([cmd, str(DEMO_DIR / "max_pair_bad.json"),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "Perron bound: 2 (CertifiedFails), witness (1, 1)",
+        "verdict: CertifiedFails"]
+    assert not list(tmp_path.iterdir())
+
+
+def test_check_fallback_prints_a_constructor_failure(monkeypatch, capsys):
+    # routes that decide nothing leave the verdict to the constructor, whose
+    # proof of failure is printed as check prints a failing route
+    monkeypatch.setattr(cli, "decide", lambda net, seed: SgcVerdict(
+        status=INCONCLUSIVE, method="falsify",
+        routes=(SgcVerdict(status=INCONCLUSIVE, method="falsify"),)))
+    assert main(["check", str(DEMO_DIR / "max_pair_bad.json")]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "falsification: no witness found",
+        "Perron bound: 2 (CertifiedFails), witness (1, 1)",
+        "verdict: CertifiedFails"]
 
 
 def test_path_deterministic_bytes(tmp_path, capsys):
@@ -686,7 +716,7 @@ def test_demo_config_routes():
     for name, route in DEMO_ROUTES.items():
         net = load_config(DEMO_DIR / f"{name}.json").effective_net
         if route is None:
-            with pytest.raises(LambdaNotContractive):
+            with pytest.raises(SgcFails, match="Perron bound 2 is not below one"):
                 construct_path(net)
         else:
             assert construct_path(net).route == route, name

@@ -85,6 +85,43 @@ def test_classification_table():
     assert PlusId(Saturating(1)).classify() is GainClass.K_INFINITY
 
 
+def classify_by_structure(g):
+    """The per-class rule, written out for each gain class: a reference for
+    the class that :meth:`GainExpr.classify` reads from the supremum."""
+    if isinstance(g, Zero):
+        return GainClass.ZERO
+    if isinstance(g, (Linear, Power, PlusId)):
+        return GainClass.K_INFINITY
+    if isinstance(g, (Saturating, Atan)):
+        return GainClass.K_BOUNDED
+    if isinstance(g, Compose):
+        classes = [classify_by_structure(g.outer), classify_by_structure(g.inner)]
+        if GainClass.ZERO in classes:
+            return GainClass.ZERO
+        if classes == [GainClass.K_INFINITY] * 2:
+            return GainClass.K_INFINITY
+        return GainClass.K_BOUNDED
+    classes = [classify_by_structure(c) for c in g.children]
+    if all(cl is GainClass.ZERO for cl in classes):
+        return GainClass.ZERO
+    if GainClass.K_INFINITY in classes:
+        return GainClass.K_INFINITY
+    return GainClass.K_BOUNDED
+
+
+def test_class_read_from_sup_matches_the_structural_rule():
+    rng = np.random.default_rng(2)
+    seen = set()
+    for _ in range(3000):
+        g = random_tree(rng)
+        assert g.classify() is classify_by_structure(g), g
+        assert g.is_zero == (classify_by_structure(g) is GainClass.ZERO)
+        seen.add((type(g), g.classify()))
+    # every class arises at the root, from leaves and from each tree node
+    assert {cl for _t, cl in seen} == set(GainClass)
+    assert {t for t, _cl in seen} >= {Zero, Sum, Max, Compose, PlusId}
+
+
 def test_structural_sup():
     assert Saturating(1).sup() == 1.0
     assert Atan(1).sup() == pytest.approx(math.pi / 2)

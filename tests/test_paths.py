@@ -6,22 +6,16 @@ import pytest
 
 from smallgain.errors import (
     BisectionFailure,
-    BlockSgcFails,
     CompatibilityError,
-    CycleConditionFails,
     EmptyGap,
-    LambdaNotContractive,
-    NotBounded,
-    NotHomogeneous,
     NotInOmega,
-    NotIrreducible,
     OutOfRange,
     PathStalled,
     SeedNotFound,
+    SgcFails,
     SmallGainError,
     SpliceFailure,
     Stalled,
-    WrongAggregation,
 )
 from smallgain.gains import (
     BlockMaxSum,
@@ -44,7 +38,8 @@ from smallgain.gains import (
     zero_rows,
 )
 import smallgain.paths as paths_module
-from gen import random_concave_net, random_mixed_sum_net
+from gen import random_concave_net, random_mixed_sum_net, random_network
+from smallgain import sgc
 from smallgain.compose import PLFunction, certify, compose, derive_phi
 from smallgain.parser import parse_gain
 from smallgain.simulate import CohenGrossberg, cg_gains
@@ -99,6 +94,29 @@ def bent(slope):
     with a slope at zero (its ``s^2`` part), which keeps a network off the
     ray and the slope majorant and on the constructor under test."""
     return Sum((Linear(0.8 * slope), Compose(Saturating(0.2 * slope), Power(1.0, 2.0))))
+
+
+def assert_proves_failure(net, verdict):
+    """A constructor's failing verdict proves the failure on ``net``: its
+    witness re-checks there, or, from the cycle route, it names a cycle."""
+    assert verdict.fails
+    if verdict.witness is not None:
+        assert sgc._is_witness(net, verdict.witness)
+    else:
+        assert verdict.method == "cycle" and verdict.cycle is not None
+
+
+def assert_block_verdict(net, verdict, block):
+    """A failing diagonal block's verdict read on the network: the witness
+    is zero outside ``block`` and re-checks on ``net``, the cycle runs
+    through network indices of the block."""
+    assert verdict.fails and verdict.witness is not None
+    outside = [i for i in range(net.n) if i not in block]
+    assert np.all(verdict.witness[outside] == 0.0)
+    assert sgc._is_witness(net, verdict.witness)
+    if verdict.cycle is not None:
+        assert set(verdict.cycle) <= set(block)
+        assert verdict.cycle[0] == max(verdict.cycle)
 
 
 def assert_dispatched(net, route):
@@ -296,7 +314,7 @@ def test_irreducible_sum_quarter():
 
 def test_irreducible_rejects_reducible():
     net = net_of([[Z, Linear(0.5)], [Z, Z]], [SumAgg(), SumAgg()])
-    with pytest.raises(NotIrreducible):
+    with pytest.raises(CompatibilityError, match="not strongly connected"):
         path_irreducible(net)
 
 
@@ -323,12 +341,14 @@ def test_max_identity_for_isolated_node():
 def test_max_cycle_failure():
     net = net_of([[Z, Power(1, 0.5)], [Power(1, 2), Z]],
                  [MaxAgg(), MaxAgg()])
-    with pytest.raises(CycleConditionFails):
+    with pytest.raises(SgcFails, match="cycle composition is not a contraction") as exc:
         path_max(net)
+    assert exc.value.verdict.fails and exc.value.verdict.method == "cycle"
+    assert exc.value.verdict.cycle == (1, 0)
 
 
 def test_max_wrong_aggregation():
-    with pytest.raises(WrongAggregation):
+    with pytest.raises(CompatibilityError, match="needs max rows throughout"):
         path_max(sum2(0.4))
 
 
@@ -419,8 +439,10 @@ def test_homogeneous_ray_matches_fixed_point():
 
 
 def test_homogeneous_critical_rejected():
-    with pytest.raises(LambdaNotContractive):
+    with pytest.raises(SgcFails, match="Perron bound 1 is not below one") as exc:
         path_homogeneous(max2(1.0))
+    assert exc.value.verdict.method == "perron"
+    assert sgc._is_witness(max2(1.0), exc.value.verdict.witness)
 
 
 def test_ray_without_bound_or_witness_falls_through(monkeypatch):
@@ -433,15 +455,16 @@ def test_ray_without_bound_or_witness_falls_through(monkeypatch):
         path_homogeneous(max2(0.5))
     assert construct_path(max2(0.5)).route == "max"
     # with a witness w^p the ray's failure stands
-    with pytest.raises(LambdaNotContractive):
+    with pytest.raises(SgcFails, match="Perron bound 1 is not below one") as exc:
         construct_path(max2(1.5))
+    assert sgc._is_witness(max2(1.5), exc.value.verdict.witness)
 
 
 def test_homogeneous_rejects_inhomogeneous():
     # a 2-cycle of squares: p_1 / p_2 = 2 and p_2 / p_1 = 2 at once
     net = net_of([[Z, Power(0.1, 2)], [Power(0.1, 2), Z]],
                  [MaxAgg(), MaxAgg()])
-    with pytest.raises(NotHomogeneous):
+    with pytest.raises(CompatibilityError, match="breaks every per-node power change"):
         path_homogeneous(net)
 
 
@@ -491,7 +514,7 @@ def test_bounded_trivial_zero_operator():
 
 
 def test_bounded_rejects_unbounded():
-    with pytest.raises(NotBounded):
+    with pytest.raises(CompatibilityError, match="unbounded internal gains present"):
         path_bounded(sum2(0.4))
 
 
@@ -560,7 +583,7 @@ def test_three_sum_needs_three_nodes():
 def test_three_sum_needs_additive_rows():
     g = Linear(0.25)
     net = net_of([[Z, g, g], [g, Z, g], [g, g, Z]], [MaxAgg()] * 3)
-    with pytest.raises(WrongAggregation):
+    with pytest.raises(CompatibilityError, match="needs additive rows"):
         path_three_sum(net)
 
 
@@ -775,8 +798,19 @@ def test_mixed_delegates_all_bounded():
 def test_mixed_needs_additive_rows():
     net = net_of([[Z, Linear(0.3)], [Saturating(0.5), Z]],
                  [MaxAgg(), MaxAgg()])
-    with pytest.raises(WrongAggregation):
+    with pytest.raises(CompatibilityError, match="needs additive rows"):
         path_mixed(net)
+
+
+def test_mixed_inflated_failure_is_no_proof():
+    # the inflated unbounded part fails its Perron bound at every level; that
+    # bound belongs to another operator, so the route gives up instead of
+    # reporting the inflated part's verdict as the network's
+    sigmoid = Compose(Saturating(0.5), Power(1.0, 2.0))
+    net = net_of([[Z, Linear(2.0), Z], [Linear(2.0), Z, Z], [sigmoid, Z, Z]],
+                 [SumAgg()] * 3)
+    with pytest.raises(PathStalled, match="inflated by 0.002 id fails: Perron bound 2.004"):
+        construct_path(net)
 
 
 # sum rows and zero external gains; the inflated unbounded part gets a
@@ -1142,9 +1176,9 @@ def test_reducible_block_failure_named():
     net = net_of([[Z, Linear(1.2), Linear(0.1)],
                   [Linear(1.2), Z, Z],
                   [Z, Z, Z]], [SumAgg()] * 3)
-    with pytest.raises(BlockSgcFails) as exc:
+    with pytest.raises(SgcFails, match="diagonal block 0 fails its Perron bound") as exc:
         path_reducible(net)
-    assert exc.value.block == (0, 1)
+    assert_block_verdict(net, exc.value.verdict, (0, 1))
 
 
 def test_reducible_max_checks_each_cycle_once(monkeypatch):
@@ -1171,10 +1205,22 @@ def test_reducible_max_block_failure_named():
                   [Z, Z, Z, Linear(0.5)],
                   [Z, Z, Linear(0.5), Z]],
                  [MaxAgg(), MaxAgg(), SumAgg(), SumAgg()])
-    with pytest.raises(BlockSgcFails) as exc:
+    with pytest.raises(SgcFails) as exc:
         path_reducible(net)
-    assert exc.value.block == (0, 1)
     assert str(exc.value) == "diagonal block 0 fails the cycle condition"
+    assert_block_verdict(net, exc.value.verdict, (0, 1))
+    assert exc.value.verdict.cycle == (1, 0)
+    # the same network with the blocks' nodes swapped: the block's local
+    # cycle (1, 0) is renumbered to the network's (3, 2)
+    net = net_of([[Z, Linear(0.5), Z, Z],
+                  [Linear(0.5), Z, Z, Z],
+                  [Z, Linear(0.1), Z, bent(1.2)],
+                  [Z, Z, bent(1.2), Z]],
+                 [SumAgg(), SumAgg(), MaxAgg(), MaxAgg()])
+    with pytest.raises(SgcFails, match="diagonal block 0 fails the cycle condition") as exc:
+        path_reducible(net)
+    assert_block_verdict(net, exc.value.verdict, (2, 3))
+    assert exc.value.verdict.cycle == (3, 2)
 
 
 def test_reducible_rejects_irreducible():
@@ -1422,12 +1468,35 @@ def test_majorant_ray_on_concave_networks(mu):
             assert res.route == ("majorant" if mu == "sum" else "max")
             holding += 1
         else:
-            with pytest.raises(LambdaNotContractive):
+            with pytest.raises(SgcFails, match="slope majorant bound .* is not below one"):
                 path_majorant(net)
-            with pytest.raises(LambdaNotContractive if mu == "sum" else CycleConditionFails):
+            with pytest.raises(SgcFails, match="slope majorant bound" if mu == "sum"
+                               else "cycle composition is not a contraction") as exc:
                 construct_path(net)
+            assert_proves_failure(net, exc.value.verdict)
             failing += 1
     assert holding >= 10 and failing >= 10
+
+
+def test_constructor_failures_carry_their_proof():
+    # every SgcFails from construct_path proves the failure of the network
+    # it was raised for: a witness that re-checks there or a failing cycle.
+    # The draws reach the ray, the closure path, the majorant ray and the
+    # reducible route's failing blocks; test_majorant_ray_on_concave_networks
+    # checks the same on concave sum and max rows
+    rng = np.random.default_rng(0)
+    methods, blocks = set(), 0
+    for _ in range(200):
+        net = random_network(rng)[0]
+        try:
+            construct_path(net)
+        except SgcFails as exc:
+            assert_proves_failure(net, exc.verdict)
+            methods.add(exc.verdict.method)
+            blocks += str(exc).startswith("diagonal block")
+        except SmallGainError:
+            pass
+    assert methods == {"perron", "cycle", "majorant"} and blocks >= 3
 
 
 def test_max_networks_above_the_cycle_cap_take_the_closure_path(tmp_path, capsys):

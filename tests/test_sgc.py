@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 
 from smallgain import sgc
-from smallgain.errors import (
-    LambdaNotContractive,
-    NotHomogeneous,
-    NotLinearizable,
-    TooLarge,
-    WrongAggregation,
-)
+from smallgain.errors import CompatibilityError, SgcFails, TooLarge
 from smallgain.gains import (
     Atan,
     Compose,
@@ -101,7 +95,7 @@ def test_cycle_condition_three_cycle_product():
 
 
 def test_cycle_condition_needs_max_rows():
-    with pytest.raises(WrongAggregation):
+    with pytest.raises(CompatibilityError, match="needs max aggregation in every row"):
         check_cycle_condition(linear_net([[0, 0.5], [0.5, 0]], SumAgg))
 
 
@@ -146,7 +140,7 @@ def test_spectral_rejects_nonlinear():
         gamma_u=(Zero(), Zero()),
         mu=(SumAgg(), SumAgg()),
     )
-    with pytest.raises(NotLinearizable):
+    with pytest.raises(CompatibilityError, match=r"gain \(1,2\) is not c\*s\^q"):
         check_linear_spectral(net)
 
 
@@ -228,7 +222,7 @@ def test_perron_rejects_bad_inputs():
         gamma_u=(Zero(), Zero()),
         mu=(SumAgg(), SumAgg()),
     )
-    with pytest.raises(NotHomogeneous):
+    with pytest.raises(CompatibilityError, match=r"gain \(1,2\) is not c\*s\^q"):
         nonlinear_perron(net)
     # a cycle of exponents 2 and 2 has no per-node power change
     squares = GainNetwork(
@@ -237,7 +231,7 @@ def test_perron_rejects_bad_inputs():
         gamma_u=(Zero(), Zero()),
         mu=(MaxAgg(), MaxAgg()),
     )
-    with pytest.raises(NotHomogeneous):
+    with pytest.raises(CompatibilityError, match="breaks every per-node power change"):
         nonlinear_perron(squares)
     # a reducible network needs no irreducibility: w = (2, 1) / 2,
     # T(w) = (0.5, 0)
@@ -318,7 +312,7 @@ def test_power_form_reject_cycle_product_off_one():
         power_form(power_network(np.random.default_rng(1), p, mask)[0])
         # the 2-cycle 0 <-> 1 then has exponent product 1.1
         net, _e = power_network(np.random.default_rng(1), p, mask, bend=(0, 1))
-        with pytest.raises(NotHomogeneous, match="breaks every per-node power"):
+        with pytest.raises(CompatibilityError, match="breaks every per-node power"):
             power_form(net)
 
 
@@ -697,7 +691,7 @@ def test_power_form_read_once_per_network(monkeypatch):
     assert reads[1:] == [net, net.majorant] and reads[1] is net
     errors = []
     for _ in range(2):
-        with pytest.raises(NotHomogeneous, match=r"gain \(1,2\) is not c\*s\^q") as exc:
+        with pytest.raises(CompatibilityError, match=r"gain \(1,2\) is not c\*s\^q") as exc:
             net.power_form
         errors.append(exc.value)
     assert errors[0] is not errors[1]
@@ -719,11 +713,11 @@ def run_all_routes(net, seed=0):
     routes = []
     try:
         routes.append(check_linear_spectral(net).status)
-    except NotLinearizable:
+    except CompatibilityError:
         pass
     try:
         c, p, w, _image = nonlinear_perron(net)
-    except NotHomogeneous:
+    except CompatibilityError:
         pass
     else:
         v = np.where(eval_operator(net, w**p) >= w**p, w, 0.0)
@@ -733,11 +727,11 @@ def run_all_routes(net, seed=0):
                       CERTIFIED_FAILS if witness else INCONCLUSIVE)
     try:
         routes.append(check_cycle_condition(net).status)
-    except WrongAggregation:
+    except CompatibilityError:
         pass
     try:
         routes.append(check_majorant(net).status)
-    except NotLinearizable:
+    except CompatibilityError:
         pass
     routes.append(falsify_sgc(net, seed).status)
     for status in (CERTIFIED_FAILS, CERTIFIED_HOLDS):
@@ -848,7 +842,7 @@ def test_majorant_at_radius_one_leaves_the_verdict_to_the_falsifier():
     v = check_majorant(net)
     assert v.inconclusive and v.rho == pytest.approx(1.0)
     assert [r.method for r in decide(net).routes] == ["majorant", "falsify"]
-    with pytest.raises(NotLinearizable):
+    with pytest.raises(CompatibilityError, match="a row is neither a sum nor a max"):
         check_majorant(GainNetwork(n=2, gamma=((Zero(), Power(1.0, 2.0)), (g, Zero())),
                                    gamma_u=(Zero(), Zero()), mu=(SumAgg(), SumAgg())))
 
@@ -1032,8 +1026,9 @@ def test_perron_witness_drops_a_source_row():
     assert v.witness[2] == 0.0 and v.witness.max() == 1.0
     assert sgc._is_witness(net, v.witness)
     # the ray constructor reads the same candidate
-    with pytest.raises(LambdaNotContractive, match="Perron bound 2.21157"):
+    with pytest.raises(SgcFails, match="Perron bound 2.21157") as exc:
         construct_path(net)
+    np.testing.assert_array_equal(exc.value.verdict.witness, v.witness)
 
 
 def test_check_stops_at_majorant_proof(tmp_path, monkeypatch, capsys):

@@ -26,10 +26,13 @@ Compare a change with its parent commit, unpacked next to the repository::
 byte-identical; equal except for numbers that differ by at most ``1e-11`` of
 the larger of the two (one unit in the 12th digit that ``%.12g`` prints);
 different, which includes a file missing from one tree.  It lists the files
-of the last two classes, then, per command, how many calls changed their
-exit status between the trees (``certify: exit 1 -> exit 0: 52``, with
-``timeout`` and ``crash <Type>`` as statuses too), and exits 1 when any file
-is different.
+of the last two classes; then, per command, the different call files of
+both trees counted by the first word of stdout in each
+(``check: spectral -> Perron: 12``, ``-`` for an empty
+stdout), which sums up a deliberate change of output; then, per command,
+how many calls changed their exit status between the trees
+(``certify: exit 1 -> exit 0: 52``, with ``timeout`` and ``crash <Type>``
+as statuses too).  It exits 1 when any file is different.
 """
 
 from __future__ import annotations
@@ -118,18 +121,25 @@ def close_numbers(a: str, b: str):
     return count, worst
 
 
+def stdout_word(text: str) -> str:
+    """The first word of a call file's stdout, ``-`` when it is empty."""
+    out = text.partition("\n--- stdout\n")[2].rpartition("--- stderr\n")[0]
+    return (out.split() or ["-"])[0]
+
+
 def compare(a: Path, b: Path) -> int:
     rels = sorted({p.relative_to(root) for root in (a, b)
                    for p in root.rglob("*") if p.is_file()})
     same, close, diff = 0, [], []
-    changed = Counter()
+    changed, moved = Counter(), Counter()
     for rel in rels:
         fa, fb = a / rel, b / rel
         if not (fa.is_file() and fb.is_file()):
             diff.append(f"{rel} (only in {a if fa.is_file() else b})")
             continue
         ta, tb = fa.read_bytes(), fb.read_bytes()
-        if rel.stem in CALL_NAMES and rel.suffix == ".txt":
+        call = rel.stem in CALL_NAMES and rel.suffix == ".txt"
+        if call:
             sa, sb = (t.decode().split("\n", 1)[0] for t in (ta, tb))
             if sa != sb:
                 changed[rel.stem, sa, sb] += 1
@@ -139,12 +149,16 @@ def compare(a: Path, b: Path) -> int:
         res = close_numbers(ta.decode(), tb.decode())
         if res is None:
             diff.append(str(rel))
+            if call:
+                moved[rel.stem, stdout_word(ta.decode()), stdout_word(tb.decode())] += 1
         else:
             close.append((str(rel), *res))
     for rel, count, worst in close:
         print(f"close {rel}: {count} numbers, largest relative gap {worst:.3g}")
     for rel in diff:
         print(f"different {rel}")
+    for (cmd, wa, wb), count in sorted(moved.items()):
+        print(f"{cmd}: {wa} -> {wb}: {count}")
     for (cmd, sa, sb), count in sorted(changed.items()):
         print(f"{cmd}: {sa} -> {sb}: {count}")
     print(f"{len(rels)} files: {same} byte-identical, {len(close)} close "
