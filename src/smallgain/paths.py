@@ -31,7 +31,7 @@ a certificate comes from the path (:func:`compose.derive_phi`).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,6 +65,9 @@ from .gains import (
 )
 from .graph import adjacency, is_irreducible, scc_decompose
 from .sgc import (
+    CERTIFIED_FAILS,
+    SgcVerdict,
+    _is_witness,
     bound_verdict,
     check_cycle_condition,
     embed_verdict,
@@ -100,10 +103,18 @@ class OmegaPath:
     Anchored at radii ``0 = r_0 < r_1 < ... < r_M`` with ``sigma(0) = 0``;
     beyond the last anchor each component continues with its final segment
     slope, which keeps every component unbounded.
+
+    ``ray``, when given, is the direction ``d`` of a straight ray ``sigma(r)
+    = r d``: finite and positive, and reproducing every anchor bit for bit
+    (``values == radii d``), else :class:`ValueError`, so a direction cannot
+    outlive a change of the anchors.  Between anchors the interpolant of a
+    linear function is that function, so the ray is the path itself, and
+    :meth:`inverse` divides by ``d`` where every other path interpolates.
     """
 
     radii: np.ndarray
     values: np.ndarray
+    ray: np.ndarray | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
         radii = np.asarray(self.radii, dtype=float)
@@ -122,6 +133,14 @@ class OmegaPath:
         values.setflags(write=False)
         object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "values", values)
+        if self.ray is not None:
+            ray = np.asarray(self.ray, dtype=float)
+            if ray.shape != (values.shape[1],) or not np.all(np.isfinite(ray) & (ray > 0)):
+                raise ValueError("a ray direction is finite and positive, one entry per node")
+            if not np.array_equal(values, radii[:, None] * ray):
+                raise ValueError("the ray direction does not reproduce the anchors")
+            ray.setflags(write=False)
+            object.__setattr__(self, "ray", ray)
 
     @property
     def n(self) -> int:
@@ -150,7 +169,15 @@ class OmegaPath:
         return out[0] if scalar else out
 
     def inverse(self, i: int, y):
-        """Preimage of ``y`` under component ``i`` (left segment at anchors)."""
+        """Preimage of ``y`` under component ``i``; negative levels map to 0.
+
+        A ray path divides, ``max(y, 0) / d_i``, at every level.  Any other
+        path interpolates its anchors (the left segment at an anchor value)
+        and continues with the tail slope past the last one.
+        """
+        if self.ray is not None:
+            out = np.maximum(y, 0.0) / self.ray[i]
+            return float(out) if np.ndim(out) == 0 else out
         yy = np.asarray(y, dtype=float)
         scalar = yy.ndim == 0
         yy = np.atleast_1d(yy)
@@ -466,16 +493,19 @@ def _join_legs(op, seed: np.ndarray, up: list[np.ndarray]):
     return np.where(sups >= rho0, sups, sups**2 / rho0), np.array(rows)
 
 
-def _finalize(net: GainNetwork, radii: np.ndarray, values: np.ndarray) -> OmegaPath:
+def _finalize(net: GainNetwork, radii: np.ndarray, values: np.ndarray,
+              ray: np.ndarray | None = None) -> OmegaPath:
     """Path through the origin and the positive anchors given, validated
     (:class:`NotInOmega` when it fails); every constructor ends here.  A
     component that does not rise above the anchor before (a gain saturating
-    in floats, a drift below one ulp) is lifted one ulp above it."""
+    in floats, a drift below one ulp) is lifted one ulp above it.  ``ray`` is
+    the direction of a straight ray (:class:`OmegaPath`)."""
     if np.any(np.diff(values, axis=0) <= 0):
         values = np.array(values)
         for k in range(1, len(values)):
             values[k] = np.maximum(values[k], np.nextafter(values[k - 1], np.inf))
-    sigma = OmegaPath(np.concatenate([[0.0], radii]), np.vstack([np.zeros(net.n), values]))
+    sigma = OmegaPath(np.concatenate([[0.0], radii]), np.vstack([np.zeros(net.n), values]),
+                      ray=ray)
     report = validate_path(net, sigma)
     if not report.valid:
         raise NotInOmega(
@@ -557,9 +587,10 @@ def path_homogeneous(net: GainNetwork) -> OmegaPath:
     ``T(w) <= c w`` with ``c < 1`` gives ``Gamma_mu(sigma(r)) <= (c r w)^p <
     sigma(r)`` at every radius, on any graph.  With one exponent the path is
     the straight ray ``r w^p``, exact on any anchors (a dense log grid serves
-    the budget maps).  Otherwise anchors sit at a ratio
-    ``q <= min(10^(1/12), c^(-1/2))``: ``Gamma_mu(sigma(r[k+1])) <=
-    (c q)^p sigma(r[k]) < sigma(r[k])`` proves each segment by monotonicity.
+    the budget maps), and the path carries its direction ``w^p``.
+    Otherwise anchors sit at a ratio ``q <= min(10^(1/12), c^(-1/2))``:
+    ``Gamma_mu(sigma(r[k+1])) <= (c q)^p sigma(r[k]) < sigma(r[k])`` proves
+    each segment by monotonicity.
     At ``c >= 1 - TOL_STRICT`` it raises :class:`SgcFails` when the
     candidate of :func:`sgc.perron_witnesses` re-checks, else
     :class:`PathStalled`.
@@ -595,9 +626,11 @@ def _ray(net: GainNetwork, method: str, c: float, p: np.ndarray, w: np.ndarray,
             raise SgcFails(f"{bound} {c:.6g} is not below one", verdict)
         raise PathStalled(f"{bound} {c:.6g} is not below one, and no witness re-checks")
     w = w / w.max()
+    ray = None
     if np.all(p == p[0]):
         radii = _log_grid(1e-7, 1.05 * RADIUS_MAX)
-        values = radii[:, None] * np.power(w, p)
+        ray = np.power(w, p)
+        values = radii[:, None] * ray
     else:
         per_decade = max(GRID_DENSITY, int(np.ceil(-2.0 / np.log10(max(c, 1e-12)))))
         if np.log10(1.05 * RADIUS_MAX / 1e-7) * per_decade > RAY_MAX_ANCHORS:
@@ -606,7 +639,7 @@ def _ray(net: GainNetwork, method: str, c: float, p: np.ndarray, w: np.ndarray,
         values = np.power(radii[:, None] * w, p)
     if not np.all(np.diff(values, axis=0, prepend=0.0) > 0):
         raise PathStalled(f"exponents {p} carry the ray out of the float range")
-    return _finalize(net, radii, values)
+    return _finalize(net, radii, values, ray)
 
 
 # square roots the closure path takes of its lift before it gives up
@@ -743,8 +776,11 @@ def path_mixed(net: GainNetwork, *, seed: int = 0) -> OmegaPath:
     reducible route); the inflation term then absorbs the bounded part's
     supremum beyond a crossover radius, and a downward leg covers the radii
     below it (:func:`_splice_mixed`).  The inflation levels ``c = 0.05,
-    0.01, 0.002`` are tried in turn; a failure of the inflated part proves
-    nothing about the network, so after the last level it is reported as
+    0.01, 0.002`` are tried in turn.  A failure of the inflated part is a
+    failure of another operator, so it proves something about the network
+    only through its witness: after the last level the first witness that
+    re-checks on the network raises :class:`SgcFails` with a ``falsify``
+    verdict, and without one the failure is reported as
     :class:`PathStalled`.  A network with only one gain class raises
     :class:`CompatibilityError`.
     """
@@ -762,6 +798,7 @@ def path_mixed(net: GainNetwork, *, seed: int = 0) -> OmegaPath:
     ])
 
     zero_gain = Zero()
+    proof = None
     for c in (0.05, 0.01, 0.002):
         rho = Linear(c)
         inflated = tuple(
@@ -777,15 +814,21 @@ def path_mixed(net: GainNetwork, *, seed: int = 0) -> OmegaPath:
             last_error = exc
             continue
         except SgcFails as exc:
-            # the inflated part is another operator: its failure proves nothing
-            last_error = PathStalled(f"the unbounded part inflated by {c:g} id "
-                                     f"fails: {exc}")
+            # the inflated part is another operator: only a witness that
+            # re-checks on the network proves the network fails
+            failure = f"the unbounded part inflated by {c:g} id fails: {exc}"
+            last_error = PathStalled(failure)
+            witness = exc.verdict.witness
+            if proof is None and witness is not None and _is_witness(net, witness):
+                proof = SgcFails(f"{failure}; its witness re-checks on the network",
+                                 SgcVerdict(status=CERTIFIED_FAILS, method="falsify",
+                                            witness=witness))
             continue
         try:
             return _splice_mixed(net, sigma_u, c, s_star)
         except SpliceFailure as exc:
             last_error = exc
-    raise last_error
+    raise last_error if proof is None else proof
 
 
 def _crossover_radius(sigma_u: OmegaPath, c: float, s_star: np.ndarray) -> float:

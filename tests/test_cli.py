@@ -206,6 +206,20 @@ def test_failing_construction_prints_the_verdict(tmp_path, capsys, cmd):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("cmd", ["path", "certify"])
+def test_mixed_route_failure_prints_the_rechecked_witness(tmp_path, capsys, cmd):
+    # the mixed route's inflated unbounded part fails its Perron bound; its
+    # witness re-checks on the network, so the failure is the network's
+    doc = {"n": 3, "external_gains": ["0"] * 3, "mu": ["sum"] * 3,
+           "gains": [["0", "2*s", "0"], ["2*s", "0", "0"],
+                     ["(0.5*s/(1+s))o(1*s^2)", "0", "0"]]}
+    code = main([cmd, write_cfg(tmp_path, doc), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "falsification: witness (1, 1, 0)",
+        "verdict: CertifiedFails"]
+
+
 def test_check_fallback_prints_a_constructor_failure(monkeypatch, capsys):
     # routes that decide nothing leave the verdict to the constructor, whose
     # proof of failure is printed as check prints a failing route

@@ -7,6 +7,7 @@ from smallgain.compose import (
     CompositeLyapunov,
     PLFunction,
     SubsystemSpec,
+    certify,
     compose,
     derive_phi,
 )
@@ -15,6 +16,7 @@ from smallgain.gains import (
     GainNetwork,
     Linear,
     MaxAgg,
+    Power,
     Saturating,
     SumAgg,
     Zero,
@@ -22,10 +24,12 @@ from smallgain.gains import (
 from smallgain.paths import (
     RADIUS_MAX,
     OmegaPath,
+    path_homogeneous,
     path_irreducible,
     path_max,
     path_reducible,
 )
+from smallgain.simulate import cg_demo, linear_demo
 
 Z = Zero()
 # the package's ``compose`` name is the function; this is its module
@@ -243,6 +247,57 @@ def test_eval_V_batch_equals_per_row_reference():
     assert active_want[0] == (0, 1, 2)
     assert active_want[4] == (0, 1)
     assert want[5] > 1e6 and want[6] > 1e6
+
+
+def interp_V(cl, X):
+    """Composite V from the path's anchors by ``np.interp``, continued with
+    the last segment's slope past them."""
+    rows = []
+    for i, (spec, off) in enumerate(zip(cl.subsystems, cl.offsets)):
+        y = np.maximum(spec.V(X[:, off:off + spec.dim]), 0.0)
+        col = cl.sigma.values[:, i]
+        r = np.interp(y, col, cl.sigma.radii)
+        beyond = y > col[-1]
+        r[beyond] = cl.sigma.radii[-1] + (y[beyond] - col[-1]) / cl.sigma.tail_slopes[i]
+        rows.append(r)
+    return np.max(rows, axis=0)
+
+
+def wide_states(cl, seed):
+    # magnitudes from 1e-4 to past the last anchor, and the origin
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(200, cl.state_dim)) * 10.0 ** rng.uniform(-4, 7, (200, 1))
+    X[0] = 0.0
+    return X
+
+
+def test_eval_V_batch_interpolates_every_path_but_a_ray(monkeypatch):
+    # a bounded path (the neural demo) and a ray with unequal exponents
+    # interpolate; the straight ray of the linear demo divides
+    design = cg_demo()[1]
+    bounded = certify(design.net, design.specs)
+    g = net_of([[Z, Power(0.4, 0.5), Z], [Z, Z, Linear(0.5)],
+                [Power(0.3, 2.0), Z, Z]], [SumAgg()] * 3)
+    unequal = compose(g, path_homogeneous(g), [abs_spec()] * 3)
+    assert bounded.route == "bounded" and bounded.sigma.ray is None
+    assert unequal.sigma.ray is None
+    for cl in (bounded, unequal):
+        X = wide_states(cl, 23)
+        assert np.array_equal(cl.eval_V_batch(X), interp_V(cl, X))
+    design = linear_demo()[1]
+    ray = certify(design.net, design.specs)
+    assert ray.route == "ray" and ray.sigma.ray is not None
+    calls = []
+    interp = np.interp
+    monkeypatch.setattr(np, "interp", lambda *a, **k: calls.append(1) or interp(*a, **k))
+    X = wide_states(ray, 29)
+    V = ray.eval_V_batch(X)
+    assert not calls
+    energies = [np.maximum(spec.V(X[:, off:off + spec.dim]), 0.0) / d
+                for spec, off, d in zip(ray.subsystems, ray.offsets, ray.sigma.ray)]
+    assert np.array_equal(V, np.max(energies, axis=0))
+    bounded.eval_V_batch(wide_states(bounded, 31))
+    assert calls
 
 
 def test_subsystem_audit_rejects_bad_energy():

@@ -1,5 +1,6 @@
 import importlib
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ from gen import random_concave_net, random_mixed_sum_net, random_network
 from smallgain import sgc
 from smallgain.compose import PLFunction, certify, compose, derive_phi
 from smallgain.parser import parse_gain
-from smallgain.simulate import CohenGrossberg, cg_gains
+from smallgain.simulate import CohenGrossberg, cg_gains, linear_demo
 from smallgain.graph import adjacency, is_irreducible
 from smallgain.sgc import check_majorant, nonlinear_perron
 from smallgain.paths import (
@@ -172,6 +173,75 @@ def test_omega_path_rejects_non_strict():
                   np.array([[0.0], [1.0], [1.0]]))
     with pytest.raises(ValueError):
         OmegaPath(np.array([0.5, 1.0]), np.array([[0.0], [1.0]]))
+
+
+def interp_inverse(sigma, i, y):
+    """The anchors' inverse: ``np.interp``, then the last segment's slope
+    past the last anchor."""
+    yy = np.atleast_1d(np.asarray(y, dtype=float))
+    col = sigma.values[:, i]
+    out = np.interp(yy, col, sigma.radii)
+    beyond = yy > col[-1]
+    out[beyond] = sigma.radii[-1] + (yy[beyond] - col[-1]) / sigma.tail_slopes[i]
+    return out
+
+
+def ray_paths():
+    """Straight rays of both constructors: the linear demo design on
+    ``path_homogeneous``, a concave sum network on ``path_majorant``, and
+    an asymmetric linear pair, whose direction is not all ones."""
+    lin = path_homogeneous(linear_demo()[1].net)
+    tilted = path_homogeneous(net_of([[Z, Linear(0.3)], [Linear(0.6), Z]],
+                                     [SumAgg(), SumAgg()]))
+    rng = np.random.default_rng(41)
+    while True:
+        net, _W = random_concave_net(rng, "sum")
+        if check_majorant(net).holds:
+            return [lin, path_majorant(net), tilted]
+
+
+def test_ray_path_carries_its_direction():
+    paths = ray_paths()
+    for sigma in paths:
+        d = sigma.ray
+        assert d is not None and d.shape == (sigma.n,) and np.all(d > 0)
+        assert np.array_equal(sigma.values, sigma.radii[:, None] * d)
+    assert not np.all(paths[-1].ray == 1.0)
+
+
+def test_ray_inverse_divides_by_the_direction():
+    rng = np.random.default_rng(8)
+    for sigma in ray_paths():
+        for i in range(sigma.n):
+            col, d = sigma.values[:, i], sigma.ray[i]
+            between = 0.5 * (col[1:] + col[:-1])
+            levels = np.concatenate([
+                [0.0, -1.0, -1e-300], col, between,
+                col[-1] * rng.uniform(1.0, 1e3, 20), rng.uniform(-5.0, 0.0, 5)])
+            got = sigma.inverse(i, levels)
+            assert np.array_equal(got, np.maximum(levels, 0.0) / d)
+            for y in [0.0, -2.0, float(col[7]), float(between[40]), 3.0 * float(col[-1])]:
+                r = sigma.inverse(i, y)
+                assert isinstance(r, float) and r == max(y, 0.0) / d
+            ref = interp_inverse(sigma, i, levels)
+            assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref))
+
+
+def test_ray_direction_must_reproduce_the_anchors():
+    sigma = ray_paths()[1]
+    d = sigma.ray
+    with pytest.raises(ValueError, match="does not reproduce"):
+        OmegaPath(sigma.radii, sigma.values, ray=d * (1 + 1e-15))
+    with pytest.raises(ValueError, match="does not reproduce"):
+        replace(sigma, values=sigma.values * 0.01)
+    for bad in (np.append(d, 1.0), -d, np.where(d == d.max(), np.inf, d)):
+        with pytest.raises(ValueError, match="finite and positive"):
+            OmegaPath(sigma.radii, sigma.values, ray=bad)
+    # a rescaled copy without the direction interpolates its anchors
+    shrunk = OmegaPath(sigma.radii, sigma.values * 0.01)
+    assert shrunk.ray is None
+    levels = np.geomspace(1e-9, 1e9, 50)
+    assert np.array_equal(shrunk.inverse(0, levels), interp_inverse(shrunk, 0, levels))
 
 
 def test_pl_function_flat_and_tail():
@@ -802,13 +872,21 @@ def test_mixed_needs_additive_rows():
         path_mixed(net)
 
 
-def test_mixed_inflated_failure_is_no_proof():
+def test_mixed_inflated_failure_is_no_proof(monkeypatch):
     # the inflated unbounded part fails its Perron bound at every level; that
-    # bound belongs to another operator, so the route gives up instead of
-    # reporting the inflated part's verdict as the network's
+    # bound belongs to another operator, so it proves nothing about the
+    # network, but its witness does once it re-checks there
     sigmoid = Compose(Saturating(0.5), Power(1.0, 2.0))
     net = net_of([[Z, Linear(2.0), Z], [Linear(2.0), Z, Z], [sigmoid, Z, Z]],
                  [SumAgg()] * 3)
+    with pytest.raises(SgcFails, match="inflated by 0.05 id fails: Perron bound 2.1 "
+                       ".*witness re-checks on the network") as exc:
+        construct_path(net)
+    verdict = exc.value.verdict
+    assert verdict.method == "falsify"
+    assert_proves_failure(net, verdict)
+    # a witness that does not re-check leaves the route stalled
+    monkeypatch.setattr(paths_module, "_is_witness", lambda net, s: False)
     with pytest.raises(PathStalled, match="inflated by 0.002 id fails: Perron bound 2.004"):
         construct_path(net)
 
@@ -1481,9 +1559,11 @@ def test_majorant_ray_on_concave_networks(mu):
 def test_constructor_failures_carry_their_proof():
     # every SgcFails from construct_path proves the failure of the network
     # it was raised for: a witness that re-checks there or a failing cycle.
-    # The draws reach the ray, the closure path, the majorant ray and the
-    # reducible route's failing blocks; test_majorant_ray_on_concave_networks
-    # checks the same on concave sum and max rows
+    # The draws reach the ray, the closure path, the majorant ray, the
+    # reducible route's failing blocks and the mixed route's inflated part,
+    # whose witness re-checks on the network (a falsify verdict);
+    # test_majorant_ray_on_concave_networks checks the same on concave sum
+    # and max rows
     rng = np.random.default_rng(0)
     methods, blocks = set(), 0
     for _ in range(200):
@@ -1496,7 +1576,7 @@ def test_constructor_failures_carry_their_proof():
             blocks += str(exc).startswith("diagonal block")
         except SmallGainError:
             pass
-    assert methods == {"perron", "cycle", "majorant"} and blocks >= 3
+    assert methods == {"perron", "cycle", "majorant", "falsify"} and blocks >= 3
 
 
 def test_max_networks_above_the_cycle_cap_take_the_closure_path(tmp_path, capsys):
