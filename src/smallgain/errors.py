@@ -5,8 +5,10 @@ callers (and the command line driver) can distinguish analysis outcomes from
 programming mistakes.  Each analysis outcome has one class: a proved
 failure of the small gain condition is :class:`SgcFails`, whose evidence is
 its verdict's re-checked witness or failing cycle; an operation handed a
-network shape it does not serve raises :class:`CompatibilityError`; the
-rest say that a construction gave up.
+network shape it does not serve raises :class:`CompatibilityError` (a path
+constructor's refusal, which hands the network to the next one); a
+construction that gave up raises :class:`PathStalled`, or :class:`Stalled`
+when a downward iteration stopped decreasing.
 """
 
 from __future__ import annotations
@@ -67,24 +69,16 @@ class TooLarge(SmallGainError):
     """Problem size above the exhaustive-enumeration limit."""
 
 
-class NotInOmega(SmallGainError):
-    """Proposed start point is not in the decay region of the operator."""
-
-
 class Stalled(SmallGainError):
-    """Decay iteration stopped decreasing; evidence against small gain."""
-
-
-class SeedNotFound(SmallGainError):
-    """No candidate direction on the search sphere lies in the decay region.
-
-    The search tries finitely many directions, so a miss is no evidence
-    against the small gain condition.
-    """
+    """A downward iteration stopped decreasing: evidence against the small
+    gain condition of the operator iterated, so no construction retries a
+    stall of the network's own operator (a retried splice once certified a
+    network that the falsifier refutes)."""
 
 
 class PathStalled(SmallGainError):
-    """Upward path growth collapsed; operator is near-critical."""
+    """A path construction gave up, proving nothing either way; the message
+    names the search that missed."""
 
 
 class SgcFails(SmallGainError):
@@ -98,20 +92,6 @@ class SgcFails(SmallGainError):
     def __init__(self, message: str, verdict: SgcVerdict):
         super().__init__(message)
         self.verdict = verdict
-
-
-class EmptyGap(SmallGainError):
-    """Three-system construction found no room between h and g*."""
-
-
-class BisectionFailure(SmallGainError):
-    """Root bracketing failed; evidence against the small gain condition."""
-
-
-class SpliceFailure(SmallGainError):
-    """Mixed-route splice rejected at its one crossover radius (a start
-    outside the decay set, a failed validation, or no crossover below 1e18);
-    :func:`paths.path_mixed` then tries its next inflation level."""
 
 
 class GeneralCondFails(SmallGainError):

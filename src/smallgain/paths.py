@@ -11,19 +11,16 @@ zero, which lies above the operator), three-node additive, mixed
 bounded/unbounded, bounded, irreducible (seed-and-chain) and reducible
 cases.
 
-:func:`construct_path`, the only dispatcher, tries them in that order, so
-the others see only networks that are not power-homogeneous or whose ray
-stalls, and that have no majorant ray; the mixed route's unbounded part
-and each reducible block get their paths from it too.  A constructor
-given another shape raises :class:`CompatibilityError` and hands the
-network to no other constructor; one that proves the small gain condition
-fails raises :class:`SgcFails` with the proving verdict.  The mixed splice
-is made once, at the crossover radius.  Three retries remain, each measured
-to rescue networks: the ray's fall-through (3 test-suite networks certify
-through ``max``), the mixed route's three inflation levels (1 of 400
-random mixed sum networks certifies at ``c = 0.01``, a test network needs
-``c = 0.002``) and the crossover radius's doubling (twice in the tests).
-Every constructor validates its result on a log-spaced radius grid before
+:func:`construct_path`, the only dispatcher, tries them in that order.  A
+constructor's guard states the shape it serves, and its
+:class:`CompatibilityError` hands the network to the next one; a proved
+failure raises :class:`SgcFails` with the proving verdict, a give-up
+:class:`PathStalled` or :class:`Stalled`.  The mixed splice is made once,
+at the crossover radius.  Two retries remain, each measured to rescue
+networks: the mixed route's three inflation levels (1 of 400 random mixed
+sum networks certifies at ``c = 0.01``, a test network needs ``c = 0.002``)
+and the crossover radius's doubling (twice in the tests).  Every
+constructor validates its result on a log-spaced radius grid before
 returning it.  This module builds paths only; the external budget map of
 a certificate comes from the path (:func:`compose.derive_phi`).
 """
@@ -35,17 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    BisectionFailure,
-    CompatibilityError,
-    EmptyGap,
-    NotInOmega,
-    PathStalled,
-    SeedNotFound,
-    SgcFails,
-    SpliceFailure,
-    Stalled,
-)
+from .errors import CompatibilityError, PathStalled, SgcFails, Stalled
 from .gains import (
     TOL_STRICT,
     BlockMaxSum,
@@ -293,16 +280,14 @@ def _downward_leg(op, s0: np.ndarray, stop_abs: float) -> list[np.ndarray]:
     The first step enforces membership in the strict decay set: an exact
     fixed point reports ``Stalled`` (the iteration cannot decrease, which
     contradicts the small gain condition), any other non-strict component
-    reports ``NotInOmega``.
+    reports ``PathStalled``.
     """
     s0 = np.asarray(s0, dtype=float)
     first = op(s0)
     if not strictly_less(first, s0):
         if np.array_equal(first, s0):
             raise Stalled("starting point is a fixed point of the gain operator")
-        raise NotInOmega(
-            "starting point is not strictly inside the decay set"
-        )
+        raise PathStalled("starting point is not strictly inside the decay set")
     anchors = [s0.copy()]
     s = s0
     stall = 0
@@ -468,7 +453,7 @@ def _find_seed(op, n: int, seed: int = 0) -> np.ndarray:
         if hits.size:
             return block[hits[0]]
         start, size = start + size, 8 * size
-    raise SeedNotFound(
+    raise PathStalled(
         f"none of the {len(cands)} candidate directions on the unit sphere "
         "lies in the strict decay set"
     )
@@ -496,7 +481,7 @@ def _join_legs(op, seed: np.ndarray, up: list[np.ndarray]):
 def _finalize(net: GainNetwork, radii: np.ndarray, values: np.ndarray,
               ray: np.ndarray | None = None) -> OmegaPath:
     """Path through the origin and the positive anchors given, validated
-    (:class:`NotInOmega` when it fails); every constructor ends here.  A
+    (:class:`PathStalled` when it fails); every constructor ends here.  A
     component that does not rise above the anchor before (a gain saturating
     in floats, a drift below one ulp) is lifted one ulp above it.  ``ray`` is
     the direction of a straight ray (:class:`OmegaPath`)."""
@@ -508,7 +493,7 @@ def _finalize(net: GainNetwork, radii: np.ndarray, values: np.ndarray,
                       ray=ray)
     report = validate_path(net, sigma)
     if not report.valid:
-        raise NotInOmega(
+        raise PathStalled(
             f"constructed path failed validation (min margin {report.min_margin:.3g})"
         )
     return sigma
@@ -528,11 +513,9 @@ def path_bounded(net: GainNetwork) -> OmegaPath:
     """
     classes = {g.classify() for row in net.gamma for g in row}
     if GainClass.K_INFINITY in classes:
-        raise CompatibilityError("unbounded internal gains present; use the mixed route")
+        raise CompatibilityError("unbounded internal gains present: bounded gains only")
     if zero_rows(net):
-        raise CompatibilityError(
-            "rows without nonzero gains: decompose into blocks first"
-        )
+        raise CompatibilityError("rows without nonzero gains: every row needs an inflow")
     sups = np.array([
         net.mu[i].aggregate(
             np.array([0.0 if net.gamma[i][j].is_zero else net.gamma[i][j].sup()
@@ -549,7 +532,7 @@ def path_bounded(net: GainNetwork) -> OmegaPath:
             break
         s0 = 2.0 * s0
     else:
-        raise NotInOmega("inflated rowwise supremum never entered the decay set")
+        raise PathStalled("inflated rowwise supremum never entered the decay set")
     up = [s0, 1.05 * RADIUS_MAX / float(s0.max()) * s0]
     return _finalize(net, *_join_legs(lambda s: eval_operator(net, s), s0, up))
 
@@ -560,17 +543,13 @@ def path_irreducible(net: GainNetwork, *, seed: int = 0) -> OmegaPath:
     A seed on the unit sphere (:func:`_find_seed`) chains up past the
     certified range and iterates the operator down to the origin.
     """
-    adj = adjacency(net)
-    if not is_irreducible(adj):
-        raise CompatibilityError(
-            "interconnection graph is not strongly connected; use the reducible route"
-        )
+    if net.n < 2 or not is_irreducible(adjacency(net)):
+        raise CompatibilityError("interconnection graph is not strongly connected: "
+                                 "needs one block of two or more nodes")
     for row in net.gamma:
         for g in row:
             if not g.is_zero and g.classify() is not GainClass.K_INFINITY:
-                raise CompatibilityError(
-                    "bounded gains present; use the bounded or mixed route"
-                )
+                raise CompatibilityError("bounded gains present: unbounded gains only")
     op = lambda s: eval_operator(net, s)
     seed_vec = _find_seed(op, net.n, seed)
     up = _chain_up(op, seed_vec, target_sup=1.05 * RADIUS_MAX)
@@ -592,8 +571,8 @@ def path_homogeneous(net: GainNetwork) -> OmegaPath:
     ``Gamma_mu(sigma(r[k+1])) <= (c q)^p sigma(r[k]) < sigma(r[k])`` proves
     each segment by monotonicity.
     At ``c >= 1 - TOL_STRICT`` it raises :class:`SgcFails` when the
-    candidate of :func:`sgc.perron_witnesses` re-checks, else
-    :class:`PathStalled`.
+    candidate of :func:`sgc.perron_witnesses` re-checks, else it refuses
+    (:func:`_ray`).
     """
     c, p, w, image = nonlinear_perron(net)
     return _ray(net, "perron", c, p, w, perron_witnesses(p, w, image))
@@ -606,8 +585,8 @@ def path_majorant(net: GainNetwork) -> OmegaPath:
     ``Gamma_mu <= L`` gives ``Gamma_mu(r w) <= c r w < r w`` at every
     radius, so the ray built for ``L`` is validated on the network itself.
     At ``c >= 1 - TOL_STRICT`` it raises :class:`SgcFails` when a
-    candidate of :func:`sgc.majorant_witnesses` re-checks, else
-    :class:`PathStalled`; :class:`CompatibilityError` without a majorant.
+    candidate of :func:`sgc.majorant_witnesses` re-checks, else it refuses
+    (:func:`_ray`), as it does without a majorant.
     """
     majorant = slope_majorant(net)
     c, p, w, image = nonlinear_perron(majorant)
@@ -618,13 +597,16 @@ def _ray(net: GainNetwork, method: str, c: float, p: np.ndarray, w: np.ndarray,
          witnesses) -> OmegaPath:
     """The ray ``(r w)^p`` of :func:`path_homogeneous` at the bound ``c``;
     at ``c >= 1 - TOL_STRICT`` it fails on a re-checked witness, with the
-    ``method`` verdict of :func:`sgc.bound_verdict`, else stalls."""
+    ``method`` verdict of :func:`sgc.bound_verdict`.  It serves only a
+    bound below one on a ray of at most ``RAY_MAX_ANCHORS`` anchors inside
+    the float range, and raises :class:`CompatibilityError` otherwise."""
     bound = {"perron": "Perron bound", "majorant": "slope majorant bound"}[method]
     if not c < 1.0 - TOL_STRICT:
         verdict = bound_verdict(net, method, c, witnesses)
         if verdict.fails:
             raise SgcFails(f"{bound} {c:.6g} is not below one", verdict)
-        raise PathStalled(f"{bound} {c:.6g} is not below one, and no witness re-checks")
+        raise CompatibilityError(f"{bound} {c:.6g} is not below one, and no witness "
+                                 "re-checks")
     w = w / w.max()
     ray = None
     if np.all(p == p[0]):
@@ -634,11 +616,11 @@ def _ray(net: GainNetwork, method: str, c: float, p: np.ndarray, w: np.ndarray,
     else:
         per_decade = max(GRID_DENSITY, int(np.ceil(-2.0 / np.log10(max(c, 1e-12)))))
         if np.log10(1.05 * RADIUS_MAX / 1e-7) * per_decade > RAY_MAX_ANCHORS:
-            raise PathStalled(f"{bound} {c:.6g} needs over {RAY_MAX_ANCHORS} anchors")
+            raise CompatibilityError(f"{bound} {c:.6g} needs over {RAY_MAX_ANCHORS} anchors")
         radii = _log_grid(1e-7, 1.05 * RADIUS_MAX, per_decade)
         values = np.power(radii[:, None] * w, p)
     if not np.all(np.diff(values, axis=0, prepend=0.0) > 0):
-        raise PathStalled(f"exponents {p} carry the ray out of the float range")
+        raise CompatibilityError(f"exponents {p} carry the ray out of the float range")
     return _finalize(net, radii, values, ray)
 
 
@@ -733,7 +715,7 @@ def path_three_sum(net: GainNetwork) -> OmegaPath:
         k = int(np.argmax(bad))
         what = ("no bracket for the balance equation" if no_bracket[k]
                 else "balance equation bracket has the wrong signs")
-        raise BisectionFailure(f"{what} at radius {radii[k]:.6g}")
+        raise PathStalled(f"{what} at radius {radii[k]:.6g}")
     at_lo = flo <= 0.0
     at_hi = ~at_lo & (fhi >= 0.0)
     s2[ks[at_lo]] = lo[ks[at_lo]]
@@ -759,7 +741,7 @@ def path_three_sum(net: GainNetwork) -> OmegaPath:
     g_star = np.minimum.accumulate(g[::-1])[::-1]
     if np.any(h >= g_star):
         k = int(np.argmax(h >= g_star))
-        raise EmptyGap(
+        raise PathStalled(
             f"inflow meets the remaining budget at radius {radii[k]:.6g}; "
             "numerical evidence against the small gain condition"
         )
@@ -781,12 +763,14 @@ def path_mixed(net: GainNetwork, *, seed: int = 0) -> OmegaPath:
     only through its witness: after the last level the first witness that
     re-checks on the network raises :class:`SgcFails` with a ``falsify``
     verdict, and without one the failure is reported as
-    :class:`PathStalled`.  A network with only one gain class raises
-    :class:`CompatibilityError`.
+    :class:`PathStalled`.  A network with only one gain class, or with a
+    row without gains (a source node), raises :class:`CompatibilityError`.
     """
     for mu in net.mu:
         if not isinstance(mu, SumAgg):
             raise CompatibilityError("the split construction needs additive rows")
+    if zero_rows(net):
+        raise CompatibilityError("rows without nonzero gains: every row needs an inflow")
     classes = [[g.classify() for g in row] for row in net.gamma]
     present = {c for row in classes for c in row}
     if not {GainClass.K_BOUNDED, GainClass.K_INFINITY} <= present:
@@ -810,7 +794,7 @@ def path_mixed(net: GainNetwork, *, seed: int = 0) -> OmegaPath:
                             tuple(zero_gain for _ in range(net.n)), net.mu)
         try:
             sigma_u = construct_path(t_net, seed=seed).sigma
-        except (SeedNotFound, PathStalled, Stalled, NotInOmega) as exc:
+        except (PathStalled, Stalled) as exc:
             last_error = exc
             continue
         except SgcFails as exc:
@@ -826,7 +810,7 @@ def path_mixed(net: GainNetwork, *, seed: int = 0) -> OmegaPath:
             continue
         try:
             return _splice_mixed(net, sigma_u, c, s_star)
-        except SpliceFailure as exc:
+        except PathStalled as exc:
             last_error = exc
     raise last_error if proof is None else proof
 
@@ -848,7 +832,7 @@ def _crossover_radius(sigma_u: OmegaPath, c: float, s_star: np.ndarray) -> float
     while not clears(r_star):
         r_star *= 2.0
         if r_star > 1e18:
-            raise SpliceFailure("crossover radius ran away")
+            raise PathStalled("crossover radius ran away")
     return r_star
 
 
@@ -858,7 +842,7 @@ def _splice_mixed(net: GainNetwork, sigma_u: OmegaPath, c: float,
 
     The splice is made once, at :func:`_crossover_radius`: a start outside
     the decay set or a path that fails validation raises
-    :class:`SpliceFailure`, which sends :func:`path_mixed` to its next
+    :class:`PathStalled`, which sends :func:`path_mixed` to its next
     inflation level.
     """
     r_star = _crossover_radius(sigma_u, c, s_star)
@@ -873,11 +857,8 @@ def _splice_mixed(net: GainNetwork, sigma_u: OmegaPath, c: float,
     s0 = upper_vals[0]
     op = lambda s: eval_operator(net, s)
     if not strictly_less(op(s0), s0):
-        raise SpliceFailure("the splice start is outside the decay set")
-    try:
-        return _finalize(net, *_join_legs(op, s0, list(upper_vals)))
-    except NotInOmega as exc:
-        raise SpliceFailure(f"the splice failed: {exc}") from exc
+        raise PathStalled("the splice start is outside the decay set")
+    return _finalize(net, *_join_legs(op, s0, list(upper_vals)))
 
 
 # ---------------------------------------------------------------------------
@@ -929,9 +910,8 @@ def path_reducible(net: GainNetwork, *, seed: int = 0) -> OmegaPath:
     """
     adj = adjacency(net)
     if net.n > 1 and is_irreducible(adj):
-        raise CompatibilityError(
-            "interconnection graph is strongly connected; use the irreducible route"
-        )
+        raise CompatibilityError("interconnection graph is strongly connected: "
+                                 "needs two or more blocks")
     blocks = scc_decompose(adj)
     radii_pos = _log_grid(1e-7, 1.1 * RADIUS_MAX)
     m = len(radii_pos)
@@ -1006,50 +986,32 @@ def path_reducible(net: GainNetwork, *, seed: int = 0) -> OmegaPath:
 
 
 def construct_path(net: GainNetwork, *, seed: int = 0) -> PathResult:
-    """Pick a constructor by network shape (fixed, documented order).
+    """Path from the first constructor that serves the network, in the
+    order ray, max, majorant, three_sum, mixed, bounded, irreducible,
+    reducible; the result names the route.
 
-    ray -> max -> majorant -> three-node sum -> zero row -> mixed ->
-    bounded -> irreducible -> reducible.  This is the only dispatcher:
-    every constructor it calls serves only its own shape and raises on any
-    other, and the constructors that need sub-paths (the mixed route's
-    inflated unbounded part, each reducible block) call back into it.  The
-    ray (:func:`path_homogeneous`) takes every network that is homogeneous
-    after a per-node power change, strongly connected or not, with sum, max
-    or power-of-sum rows; a ray that stalls falls through to the other
-    constructors, which see the rest.  Every other max network takes the
-    closure path of :func:`path_max`, reducible or not, at any size.  Every
-    other network whose gains all have a slope at zero and whose slope
-    matrix contracts takes the ray of :func:`path_majorant`; without a
-    majorant, or at a bound of one without a witness, it falls through.  A
-    network with a zero row (a source node) is reducible and takes
-    :func:`path_reducible`, which builds each block on its own route.
-    Every other constructor's failure propagates; the result names the
-    route.
+    A constructor's own guard states the shape it serves: its
+    :class:`CompatibilityError` hands the network to the next one, and any
+    other raise propagates (:class:`SgcFails` proves the condition fails,
+    :class:`PathStalled` or :class:`Stalled` gives up).  A network with a
+    zero row (a source node) reaches :func:`path_reducible`: the mixed,
+    bounded and irreducible constructors refuse it.  The mixed route's
+    inflated part and each reducible block call back into this dispatch.
+    With no constructor left, :class:`CompatibilityError` is raised from
+    the last refusal.
     """
-    try:
-        return PathResult(path_homogeneous(net), "ray")
-    except (CompatibilityError, PathStalled):
-        pass
-    if all(isinstance(mu, MaxAgg) for mu in net.mu):
-        return PathResult(path_max(net), "max")
-    try:
-        return PathResult(path_majorant(net), "majorant")
-    except (CompatibilityError, PathStalled):
-        pass
-    classes = {g.classify() for row in net.gamma for g in row if not g.is_zero}
-    all_sum = all(isinstance(mu, SumAgg) for mu in net.mu)
-    if all_sum and net.n == 3 and all(
-            net.gamma[i][j].classify() is GainClass.K_INFINITY
-            for i in range(3) for j in range(3) if i != j):
-        sigma, route = path_three_sum(net), "three_sum"
-    elif zero_rows(net):
-        sigma, route = path_reducible(net, seed=seed), "reducible"
-    elif all_sum and classes == {GainClass.K_BOUNDED, GainClass.K_INFINITY}:
-        sigma, route = path_mixed(net, seed=seed), "mixed"
-    elif classes and GainClass.K_INFINITY not in classes:
-        sigma, route = path_bounded(net), "bounded"
-    elif is_irreducible(adjacency(net)):
-        sigma, route = path_irreducible(net, seed=seed), "irreducible"
-    else:
-        sigma, route = path_reducible(net, seed=seed), "reducible"
-    return PathResult(sigma, route)
+    # built per call: the names are read now, so a patched constructor runs
+    constructors = (
+        ("ray", path_homogeneous), ("max", path_max), ("majorant", path_majorant),
+        ("three_sum", path_three_sum), ("mixed", lambda net: path_mixed(net, seed=seed)),
+        ("bounded", path_bounded),
+        ("irreducible", lambda net: path_irreducible(net, seed=seed)),
+        ("reducible", lambda net: path_reducible(net, seed=seed)),
+    )
+    refusal = None
+    for route, build in constructors:
+        try:
+            return PathResult(build(net), route)
+        except CompatibilityError as exc:
+            refusal = exc
+    raise CompatibilityError("no path constructor serves this network") from refusal

@@ -487,53 +487,46 @@ def check_majorant(net: GainNetwork) -> SgcVerdict:
     return bound_verdict(net, "majorant", c, majorant_witnesses(majorant, w, image))
 
 
+def _check_perron(net: GainNetwork) -> SgcVerdict:
+    """Perron-bound route: the :func:`nonlinear_perron` bound, proved below
+    one, else failing at a re-checked :func:`perron_witnesses` candidate."""
+    c, p, w, image = nonlinear_perron(net)
+    return bound_verdict(net, "perron", c, perron_witnesses(p, w, image))
+
+
 def decide(net: GainNetwork, *, seed: int = 0) -> SgcVerdict:
     """Small-gain verdict from the routes that apply, run in order.
 
     The routes are the spectral radius, the Perron bound, the cycle
     criterion, the slope majorant and the falsifier (seeded with ``seed``).
-    The run stops at the first proof: a spectral, Perron or majorant verdict
-    either way (at ``rho < 1 - 1e-9``, or a Collatz-Wielandt bound
-    ``c < 1 - 1e-9``, no ``s != 0`` has ``Gamma_mu(s) >= s``, and a failure
-    carries a re-checked witness) or a failing cycle route.  The proofs come
-    first, so the sampled cycle route runs only on a max network that the
-    Perron route leaves open: one that is not power-homogeneous, or whose
-    bound is not below one and gives no witness.  A sampled cycle hold is
-    not a proof, so the next route still runs after it.  Any failing
-    route makes the verdict CertifiedFails, else any holding route
-    CertifiedHolds, else it is Inconclusive.  Returned is the verdict of the
-    first route with that status (the deciding route, named by ``method``),
-    with the verdict of every route run in ``routes``.
+    A route that does not serve the network raises
+    :class:`CompatibilityError` and is skipped.  The run stops at the first
+    proof: a spectral, Perron or majorant verdict either way (at
+    ``rho < 1 - 1e-9``, or a Collatz-Wielandt bound ``c < 1 - 1e-9``, no
+    ``s != 0`` has ``Gamma_mu(s) >= s``, and a failure carries a re-checked
+    witness) or a failing cycle route.  The proofs come first, so the
+    sampled cycle route runs only on a max network that the Perron route
+    leaves open: one that is not power-homogeneous, or whose bound is not
+    below one and gives no witness.  A sampled cycle hold is not a proof, so
+    the next route still runs after it, and the falsifier skips the walks
+    that held.  Any failing route makes the verdict CertifiedFails, else any
+    holding route CertifiedHolds, else it is Inconclusive.  Returned is the
+    verdict of the first route with that status (the deciding route, named
+    by ``method``), with the verdict of every route run in ``routes``.
     """
     routes = []
-    try:
-        routes.append(check_linear_spectral(net))
-        if not routes[-1].inconclusive:
+    # built per call: the names are read now, so a patched route runs
+    for check in (check_linear_spectral, _check_perron, check_cycle_condition,
+                  check_majorant):
+        try:
+            verdict = check(net)
+        except CompatibilityError:
+            continue
+        routes.append(verdict)
+        if verdict.fails or (verdict.holds and verdict.method != "cycle"):
             return _combine(routes)
-    except CompatibilityError:
-        pass
-    try:
-        c, p, w, image = nonlinear_perron(net)
-        routes.append(bound_verdict(net, "perron", c, perron_witnesses(p, w, image)))
-        if not routes[-1].inconclusive:
-            return _combine(routes)
-    except CompatibilityError:
-        pass
-    walks = True
-    try:
-        routes.append(check_cycle_condition(net))
-        if routes[-1].fails:
-            return _combine(routes)
-        # the walks held: none returns, so none gives the falsifier a witness
-        walks = False
-    except CompatibilityError:
-        pass
-    try:
-        routes.append(check_majorant(net))
-        if not routes[-1].inconclusive:
-            return _combine(routes)
-    except CompatibilityError:
-        pass
+    # a cycle route that ran held: none of its walks returns with a witness
+    walks = not any(v.method == "cycle" for v in routes)
     routes.append(falsify_sgc(net, seed, _walks=walks))
     return _combine(routes)
 

@@ -6,10 +6,12 @@ and ``certify --out`` on every config, plus ``simulate --out`` and
 ``verify`` on model configs.  The configs are ``demos/configs/``, the
 benchmark's defect reproducers (``DEFECT_CASES``), for each seed given, the
 job list of a benchmark workload (``perfbench/workloads.py``, imported,
-never edited) and, for each ``--random`` seed, a set ``random-SEED`` of 40
+never edited) and, for each ``--random`` seed, a set ``random-SEED`` of 60
 seeded networks from ``tests/gen.py``: 20 ``random_network`` draws of kind
-max and 20 ``random_mixed_sum_net`` draws, which reach the cycle route and
-the falsifier's walks that no workload job reaches.  Each call leaves
+max, 20 ``random_mixed_sum_net`` draws and 20 ``random_network`` draws of
+kind sum or mixed, in that order.  They reach the cycle route, the
+falsifier's walks and the irreducible and reducible routes' give-ups, which
+no workload job reaches.  Each call leaves
 ``OUT/<set>/<job>/<cmd>.txt`` with its exit code, stdout and stderr, next
 to the CSV and bundle files it wrote (``--out`` paths are relative to the
 job directory).  A call past 60 s is recorded as
@@ -186,6 +188,12 @@ def random_configs(seed: int) -> dict:
         if kind == "max":
             nets.append((f"max-{len(nets):02d}", net))
     nets += [(f"mixed-sum-{k:02d}", random_mixed_sum_net(rng)) for k in range(RANDOM_DRAWS)]
+    drawn = 0
+    while drawn < RANDOM_DRAWS:
+        net, kind = random_network(rng)
+        if kind != "max":
+            nets.append((f"{kind}-{drawn:02d}", net))
+            drawn += 1
     return {name: {"n": net.n,
                    "gains": [[format_gain(g) for g in row] for row in net.gamma],
                    "external_gains": ["0"] * net.n,
@@ -206,7 +214,7 @@ def main() -> int:
         ap.add_argument(f"--{name}", type=int, nargs="*", default=[], metavar="SEED",
                         help=f"also run the {name} job list for these seeds")
     ap.add_argument("--random", type=int, nargs="*", default=[], metavar="SEED",
-                    help="also run 40 seeded networks from tests/gen.py per seed")
+                    help="also run 60 seeded networks from tests/gen.py per seed")
     args = ap.parse_args()
     if args.compare:
         return compare(*args.compare)
