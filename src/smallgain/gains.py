@@ -648,25 +648,30 @@ class GainNetwork:
     @cached_property
     def majorant(self) -> GainNetwork | None:
         """The slope majorant ``L``: gain ``(i, j)`` replaced by
-        ``Linear(c_ij)`` for its :meth:`GainExpr.slope_at_zero`, the same
-        sum and max rows, no external gains.
+        ``Linear(k_i c_ij)`` for its :meth:`GainExpr.slope_at_zero` ``c_ij``,
+        no external gains.  Sum and max rows stay (``k_i = 1``); an outer-sum
+        row ``rho(sum_j g_ij)`` becomes a sum row with ``k_i`` the slope of
+        ``rho``, and a block-max-sum row a sum row (``k_i = 1``).
 
-        ``Gamma_mu <= L`` on the whole orthant and ``Gamma_mu(t v) =
-        t L(v) + o(t)`` at zero.  None when a row is neither a sum nor a
-        max, or an active gain has no finite positive slope.
+        ``Gamma_mu <= L`` on the whole orthant: ``rho`` is increasing with
+        ``rho(x) <= k_i x``, and a block's maximum is at most its sum.
+        ``Gamma_mu(t v) = t L(v) + o(t)`` at zero on every row but a
+        block-max-sum row, whose ``L`` is only an upper bound there.  None
+        when a row is an outer sum whose wrapper has no finite positive
+        slope, or an active gain has none.
         """
-        if not all(isinstance(mu, (SumAgg, MaxAgg)) for mu in self.mu):
-            return None
         zero = Zero()
         gamma = [[zero] * self.n for _ in range(self.n)]
-        for i, cols in enumerate(self.active_sets):
+        for i, (cols, mu) in enumerate(zip(self.active_sets, self.mu)):
+            k = mu.rho.slope_at_zero() if isinstance(mu, OuterSum) else 1.0
             for j in cols:
                 c = self.gamma[i][j].slope_at_zero()
                 # a nonzero gain has a positive slope unless it under- or overflowed
-                if c is None or not 0.0 < c < math.inf:
+                if c is None or k is None or not 0.0 < k * c < math.inf:
                     return None
-                gamma[i][j] = Linear(c)
-        return GainNetwork(self.n, gamma, (zero,) * self.n, self.mu)
+                gamma[i][j] = Linear(k * c)
+        rows = tuple(mu if isinstance(mu, MaxAgg) else SumAgg() for mu in self.mu)
+        return GainNetwork(self.n, gamma, (zero,) * self.n, rows)
 
 
 def eval_operator_ext(net: GainNetwork, s, r):

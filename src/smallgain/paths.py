@@ -197,7 +197,8 @@ class PathResult:
     ``route`` names the constructor that ran: ``ray`` (every
     power-homogeneous network), ``max`` (the closure path of any max
     network, reducible ones too), ``majorant`` (the ray of the slope
-    majorant, on rows that are not all max), ``three_sum``, ``mixed``,
+    majorant, on rows that are not all max: sum, outer-sum or block-max-sum
+    rows, the neural designs among them), ``three_sum``, ``mixed``,
     ``bounded``, ``irreducible`` or ``reducible``.  The budget map comes
     from the path alone (:func:`compose.derive_phi`).
     """
@@ -579,7 +580,8 @@ def path_homogeneous(net: GainNetwork) -> OmegaPath:
 
 
 def path_majorant(net: GainNetwork) -> OmegaPath:
-    """Ray ``sigma(r) = r w`` of the slope majorant ``L = net.majorant``.
+    """Ray ``sigma(r) = r w`` of the slope majorant ``L = net.majorant``,
+    on sum, max, outer-sum and block-max-sum rows.
 
     :func:`sgc.nonlinear_perron` on ``L`` gives ``L(w) <= c w``, and
     ``Gamma_mu <= L`` gives ``Gamma_mu(r w) <= c r w < r w`` at every

@@ -10,9 +10,10 @@ Four certification routes and one honest falsifier, in the order
 * cycle criterion for max-type aggregation, read from closed walks
   ``Gamma^k(r e_i)`` on a grid of radii (no cycle is listed, so any number of
   nodes), for the max networks the Perron bound leaves open,
-* slope majorant for sum and max rows of gains with a slope at zero
-  (:attr:`GainNetwork.majorant`): the same bound on the linear ``L >=
-  Gamma_mu`` is a proof, and the linearization at zero gives witnesses,
+* slope majorant for gains with a slope at zero on sum, max, outer-sum and
+  block-max-sum rows (:attr:`GainNetwork.majorant`): the same bound on the
+  linear ``L >= Gamma_mu`` is a proof, and the linearization at zero gives
+  candidate witnesses,
 * grid search for a witness s with Gamma_mu(s) >= s, then the closed walks'
   witnesses up to ``CYCLE_ENUM_LIMIT`` nodes (unless the cycle route's walks
   ran without a return), then the Perron direction, which can only ever
@@ -420,8 +421,8 @@ def slope_majorant(net: GainNetwork) -> GainNetwork:
     """:attr:`GainNetwork.majorant`, or :class:`CompatibilityError` when there
     is none."""
     if net.majorant is None:
-        raise CompatibilityError("a row is neither a sum nor a max, or a gain has "
-                                 "no slope at zero")
+        raise CompatibilityError("an outer-sum wrapper or a gain has no slope "
+                                 "at zero")
     return net.majorant
 
 
@@ -458,7 +459,9 @@ def majorant_witnesses(majorant: GainNetwork, w: np.ndarray, image: np.ndarray):
     :func:`_expanded_direction` of the ``w`` and ``image = L(w)`` that
     :func:`nonlinear_perron` returned (``L`` is linear, so its ``p`` is
     one).  ``Gamma_mu(t v) = t L(v) + o(t)``, so ``t v`` is a witness
-    for small ``t`` when ``L(v) > v`` off the zeros.  Generated lazily:
+    for small ``t`` when ``L(v) > v`` off the zeros; not so on a
+    block-max-sum row, where ``L`` only bounds the row, so the candidates
+    are re-checked.  Generated lazily:
     nothing is computed unless a caller reads past a proof.
     """
     try:
@@ -472,13 +475,14 @@ def majorant_witnesses(majorant: GainNetwork, w: np.ndarray, image: np.ndarray):
 
 
 def check_majorant(net: GainNetwork) -> SgcVerdict:
-    """Slope-majorant route for sum and max rows of gains with a slope at zero.
+    """Slope-majorant route for gains with a slope at zero on sum, max,
+    outer-sum (wrapper with a slope) and block-max-sum rows.
 
-    ``L = net.majorant`` has ``Gamma_mu <= L`` on the orthant.  A
-    Collatz-Wielandt bound ``L(w) <= c w`` at a positive ``w`` (from
-    :func:`nonlinear_perron` on ``L``) with ``c < 1 - SPECTRAL_TOL`` proves
-    the condition: ``Gamma_mu(s) >= s`` would give ``L(s) >= s``, which no
-    ``s != 0`` meets.  Otherwise the candidates of
+    ``L = net.majorant``, linear with sum and max rows, has ``Gamma_mu <=
+    L`` on the orthant.  A Collatz-Wielandt bound ``L(w) <= c w`` at a
+    positive ``w`` (from :func:`nonlinear_perron` on ``L``) with ``c < 1 -
+    SPECTRAL_TOL`` proves the condition: ``Gamma_mu(s) >= s`` would give
+    ``L(s) >= s``, which no ``s != 0`` meets.  Otherwise the candidates of
     :func:`majorant_witnesses` are re-checked against the operator itself.
     Raises :class:`CompatibilityError` when the network has no majorant.
     """

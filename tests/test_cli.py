@@ -720,7 +720,7 @@ DEMO_ROUTES = {
     "linear_two_block": "ray",
     "max_pair": "ray",
     "max_pair_bad": None,  # no Perron bound below one, no path
-    "neural_pair": "bounded",
+    "neural_pair": "majorant",
     "three_sum": "ray",
 }
 

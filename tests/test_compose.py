@@ -29,7 +29,8 @@ from smallgain.paths import (
     path_max,
     path_reducible,
 )
-from smallgain.simulate import cg_demo, linear_demo
+from smallgain.sgc import CERTIFIED_HOLDS, decide
+from smallgain.simulate import CohenGrossberg, cg_gains, linear_demo
 
 Z = Zero()
 # the package's ``compose`` name is the function; this is its module
@@ -272,10 +273,11 @@ def wide_states(cl, seed):
 
 
 def test_eval_V_batch_interpolates_every_path_but_a_ray(monkeypatch):
-    # a bounded path (the neural demo) and a ray with unequal exponents
-    # interpolate; the straight ray of the linear demo divides
-    design = cg_demo()[1]
-    bounded = certify(design.net, design.specs)
+    # a bounded path (bounded_pair's, whose slope majorant has radius one)
+    # and a ray with unequal exponents interpolate; the straight ray of the
+    # linear demo divides
+    sat = Saturating(1.0)
+    bounded = certify(net_of([[Z, sat], [sat, Z]], [SumAgg()] * 2), [abs_spec()] * 2)
     g = net_of([[Z, Power(0.4, 0.5), Z], [Z, Z, Linear(0.5)],
                 [Power(0.3, 2.0), Z, Z]], [SumAgg()] * 3)
     unequal = compose(g, path_homogeneous(g), [abs_spec()] * 3)
@@ -298,6 +300,41 @@ def test_eval_V_batch_interpolates_every_path_but_a_ray(monkeypatch):
     assert np.array_equal(V, np.max(energies, axis=0))
     bounded.eval_V_batch(wide_states(bounded, 31))
     assert calls
+
+
+def neural_design(rng, neurons):
+    """A neural population whose slope matrix ``2.4 * 2 |T|`` has its
+    spectral radius drawn in ``[0.35, 0.95]``, on a ring plus extra edges."""
+    ring = np.roll(np.eye(neurons, dtype=bool), 1, axis=1)
+    adj = (ring | (rng.random((neurons, neurons)) < 0.4)) & ~np.eye(neurons, dtype=bool)
+    T = np.where(adj, rng.uniform(-1.0, 1.0, (neurons, neurons)), 0.0)
+    T *= rng.uniform(0.35, 0.95) / np.max(np.abs(np.linalg.eigvals(4.8 * np.abs(T))))
+    ones = np.ones(neurons)
+    model = CohenGrossberg(alpha_lo=ones, alpha_hi=1.2 * ones, b_slope=1.5 * ones,
+                           t_matrix=T, act_scale=2.0 * ones)
+    return cg_gains(model, epsilon=0.5, rho_slope=1.0, bt=1.0)
+
+
+def test_neural_designs_certify_on_the_majorant_ray(monkeypatch):
+    # the outer-sum rows' slope majorant proves each design and gives it a
+    # straight ray, so its composite V divides and never interpolates (the
+    # path and the budget map still interpolate where certify reads them)
+    calls = []
+    interp = np.interp
+    monkeypatch.setattr(np, "interp", lambda *a, **k: calls.append(1) or interp(*a, **k))
+    rng = np.random.default_rng(31)
+    for k in range(40):
+        design = neural_design(rng, 2 + k % 3)
+        v = decide(design.net)
+        assert (v.status, v.method) == (CERTIFIED_HOLDS, "majorant")
+        cl = certify(design.net, design.specs)
+        assert cl.route == "majorant" and cl.sigma.ray is not None
+        X = wide_states(cl, k)
+        calls.clear()
+        V = cl.eval_V_batch(X)
+        assert not calls
+        energies = [np.abs(X[:, i]) / d for i, d in enumerate(cl.sigma.ray)]
+        assert np.array_equal(V, np.max(energies, axis=0))
 
 
 def test_subsystem_audit_rejects_bad_energy():

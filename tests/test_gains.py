@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smallgain.errors import CompatibilityError, OutOfRange
 from smallgain.gains import (
@@ -291,11 +293,67 @@ def test_majorant_network():
         states = np.random.default_rng(4).uniform(0.0, 50.0, (200, 2))
         assert np.all(eval_operator(net, states) <= eval_operator(L, states))
     assert two_node_net(lin, Power(1.0, 2.0)).majorant is None
-    outer = GainNetwork(n=2, gamma=((Zero(), lin), (sat, Zero())), gamma_u=(Zero(), Zero()),
-                        mu=(OuterSum(Linear(1.0)), SumAgg()))
-    blocks = GainNetwork(n=2, gamma=((Zero(), lin), (sat, Zero())), gamma_u=(Zero(), Zero()),
-                         mu=(BlockMaxSum(((1,),)), SumAgg()))
-    assert outer.majorant is None and blocks.majorant is None
+    # an outer sum scales its row by the wrapper's slope, a block-max-sum
+    # row is read as a sum row; a wrapper without a slope has no majorant
+    for mu0, k in ((OuterSum(Linear(3.0)), 3.0), (OuterSum(Linear(1.0), False), 1.0),
+                   (BlockMaxSum(((1,),)), 1.0)):
+        net = two_node_net(lin, sat, mu=(mu0, SumAgg()))
+        L = net.majorant
+        assert L.mu == (SumAgg(), SumAgg()) and not any(L.ext_active)
+        np.testing.assert_allclose([[g.slope_at_zero() for g in row] for row in L.gamma],
+                                   [[0.0, k * 0.4], [0.5, 0.0]], rtol=1e-15)
+        states = np.random.default_rng(5).uniform(0.0, 50.0, (200, 2))
+        assert np.all(eval_operator(net, states) <= eval_operator(L, states))
+    squared = (OuterSum(Power(1.0, 2.0)), SumAgg())
+    assert two_node_net(lin, sat, mu=squared).majorant is None
+    assert two_node_net(Power(1.0, 2.0), sat,
+                        mu=(OuterSum(Linear(1.0)), SumAgg())).majorant is None
+
+
+# gains with a slope at zero: leaves, and their sums and compositions
+COEFFS = st.floats(0.01, 10.0)
+SLOPED = st.recursive(
+    st.one_of(COEFFS.map(Linear), COEFFS.map(Saturating), COEFFS.map(Atan)),
+    lambda inner: st.one_of(st.tuples(inner, inner).map(Sum),
+                            st.tuples(inner, inner).map(lambda p: Compose(*p))),
+    max_leaves=4)
+# unbounded outer-sum wrappers with a slope at zero
+WRAPPERS = st.one_of(COEFFS.map(Linear),
+                     st.tuples(COEFFS, COEFFS).map(lambda c: Sum((Linear(c[0]), Atan(c[1])))),
+                     COEFFS.map(lambda c: PlusId(Saturating(c))))
+
+
+@st.composite
+def outer_and_block_networks(draw):
+    """A network of outer-sum and block-max-sum rows (each row drawn as
+    either) over gains with a slope, and states from 1e-8 to 1e8."""
+    n = draw(st.integers(2, 4))
+    gamma, mu = [], []
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
+        active = draw(st.lists(st.sampled_from(others), min_size=1, unique=True))
+        gamma.append(tuple(draw(SLOPED) if j in active else Zero() for j in range(n)))
+        if draw(st.booleans()):
+            mu.append(OuterSum(draw(WRAPPERS), draw(st.booleans())))
+        else:
+            labels = draw(st.lists(st.integers(0, 2), min_size=n - 1, max_size=n - 1))
+            mu.append(BlockMaxSum(tuple(
+                tuple(j for j, b in zip(others, labels) if b == block)
+                for block in sorted(set(labels)))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    states = 10.0 ** rng.uniform(-8.0, 8.0, (50, n))
+    return GainNetwork(n, tuple(gamma), (Zero(),) * n, tuple(mu)), states
+
+
+@settings(max_examples=100, deadline=None)
+@given(outer_and_block_networks())
+def test_majorant_bounds_outer_and_block_rows(drawn):
+    # L >= Gamma_mu on the orthant, up to the rounding of k (a + b) against
+    # k a + k b
+    net, states = drawn
+    L = net.majorant
+    assert L is not None and all(isinstance(m, SumAgg) for m in L.mu)
+    assert np.all(eval_operator(net, states) <= eval_operator(L, states) * (1.0 + 1e-12))
 
 
 def two_node_net(g12, g21, mu=None):

@@ -1696,18 +1696,27 @@ def test_max_networks_above_the_cycle_cap_take_the_closure_path(tmp_path, capsys
         assert capsys.readouterr().out.startswith("phi: identity")
 
 
-def test_critical_and_power_of_sum_designs_keep_their_routes():
+def test_critical_design_keeps_the_bounded_route():
     # bounded_pair's slope matrix has radius one: the ray refuses and the
-    # bounded route takes it; the neural design's rows are power-of-sum
-    # rows, which have no majorant
+    # bounded route takes it
     g = Saturating(1.0)
     pair = net_of([[Z, g], [g, Z]], [SumAgg(), SumAgg()])
     with pytest.raises(CompatibilityError, match="slope majorant bound 1 "):
         path_majorant(pair)
     assert_dispatched(pair, "bounded")
+
+
+def test_outer_sum_design_takes_the_majorant_ray():
+    # the neural design's rows wrap their sum in rho = 2 s: the majorant's
+    # row is a sum row of 2 c_ij, and its ray serves the design
     design = _cg_design_net()
-    assert design.majorant is None
-    assert_dispatched(design, "bounded")
+    L = design.majorant
+    assert L.mu == (SumAgg(), SumAgg())
+    np.testing.assert_allclose(
+        [[g.slope_at_zero() for g in row] for row in L.gamma],
+        [[0.0, 2.0 * 2.4 * 0.6621892182730459], [2.0 * 2.4 * 0.011474559674849684, 0.0]],
+        rtol=1e-15)
+    assert assert_dispatched(design, "majorant").ray is not None
 
 
 def test_mixed_sum_networks_with_a_majorant_take_its_ray():
@@ -1740,7 +1749,7 @@ def _sigmoid_mixed_net():
                          ids=["cg_design", "sigmoid_mixed"])
 def test_certifies_where_seed_and_chain_stalls(make):
     # seed-and-chain without its bounded-gain guard stalls on both; today
-    # path_bounded (the design) and path_mixed (the sum network) build them
+    # path_majorant (the design) and path_mixed (the sum network) build them
     net = make()
     res = construct_path(net)
     assert validate_path(net, res.sigma).valid

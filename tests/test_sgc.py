@@ -842,7 +842,8 @@ def test_majorant_at_radius_one_leaves_the_verdict_to_the_falsifier():
     v = check_majorant(net)
     assert v.inconclusive and v.rho == pytest.approx(1.0)
     assert [r.method for r in decide(net).routes] == ["majorant", "falsify"]
-    with pytest.raises(CompatibilityError, match="a row is neither a sum nor a max"):
+    with pytest.raises(CompatibilityError,
+                       match="an outer-sum wrapper or a gain has no slope at zero"):
         check_majorant(GainNetwork(n=2, gamma=((Zero(), Power(1.0, 2.0)), (g, Zero())),
                                    gamma_u=(Zero(), Zero()), mu=(SumAgg(), SumAgg())))
 

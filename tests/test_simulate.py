@@ -10,10 +10,10 @@ import pytest
 import scipy.linalg
 
 from smallgain import simulate
-from smallgain.compose import CompositeLyapunov, certify
+from smallgain.compose import CompositeLyapunov, certify, compose
 from smallgain.errors import BadParameters, Diverged, NotHurwitz, TooLarge
 from smallgain.gains import Compose, Linear, OuterSum, Power, Saturating, Zero
-from smallgain.paths import OmegaPath, construct_path, validate_path
+from smallgain.paths import OmegaPath, construct_path, path_bounded, validate_path
 from smallgain.simulate import (
     DIVERGENCE_GUARD,
     RK4_BLOCK,
@@ -835,7 +835,10 @@ def test_iss_reports_grouped_and_alone_match_frozen(name):
     else:
         (model, design), signal = cg_demo(), InputSignal.piecewise(
             [0.5, 1.5], [[0.3, -0.2], [-0.1, 0.4]])
-    cl = certified(design)
+    # the cg reports were frozen on the bounded path; certify gives the
+    # neural design its slope majorant's ray, so the test builds that path
+    cl = (certified(design) if name == "linear"
+          else compose(design.net, path_bounded(design.net), design.specs))
     spec = IssRunSpec(runs=6, T=3.0, dt=0.01, x0_scale=2.0, seed=7)
     zero = InputSignal.zero(model.input_dim)
     alone = (check_iss_bound(model, cl, spec),
