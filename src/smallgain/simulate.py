@@ -182,27 +182,52 @@ class LinearBlock:
         return x @ self._drift.T + u @ self._gain.T
 
     def _rk4_kernel(self, states, U0, Um, U1, dt: float):
-        """Step ``k`` of :func:`_rk4` as ``X @ S + C[k]``.
+        """Steps ``start`` to ``stop`` of :func:`_rk4` in closed form.
 
-        The bank is affine in state and input: ``S`` is the step of the unit
-        states without input, and row ``k`` of ``C`` the step of the zero
-        state under step k's input, both from :func:`_rk4_step`.  ``C`` is
-        made one signal group at a time, shaped ``(steps, G, 1, N)``, so it
-        adds each group's input to all of the group's rows.
+        The bank is affine in state and input, so one step is ``X @ S +
+        C[k]``: ``S`` is the step of the unit states without input, and row
+        ``k`` of ``C[g]`` the step of the zero state under group g's input
+        of step k, both from :func:`_rk4_step`.  ``j`` steps from ``s`` are
+        then ``X_s @ S^j + E_j``, with ``E_j = sum_{i<j} C[s+i] S^(j-1-i)``
+        made by a doubling scan over the block.  The powers ``S^j``, ``j <=
+        RK4_BLOCK``, are tabled once per run, and one matmul of ``[X_s, 1]``
+        by ``[[S^j], [E_j]]`` writes a block of states for every group.  A
+        sub-block ends before the first power with an entry past the
+        divergence guard (or after one step, if ``S`` is), so a state the
+        guard has not flagged never meets an infinite power (``0 * inf``
+        would turn an exact zero into NaN).
         """
         N = self.state_dim
+        G, rows = states.shape[1:3]
         zero = np.zeros(self.input_dim)
         S = _rk4_step(self, np.eye(N), zero, zero, zero, dt)
         C = np.stack([_rk4_step(self, np.zeros((len(U0), N)), U0[:, g], Um[:, g],
-                                U1[:, g], dt) for g in range(U0.shape[1])],
-                     axis=1)[:, :, None, :]
+                                U1[:, g], dt) for g in range(G)])
+        widths = [2 ** i for i in range(RK4_BLOCK.bit_length() - 1)]
+        # P[j] = S^j for 1 <= j <= RK4_BLOCK, by doubling
+        P = np.empty((RK4_BLOCK + 1, N, N))
+        P[1] = S
+        with np.errstate(all="ignore"):
+            for w in widths:
+                np.matmul(P[1:w + 1], P[w], out=P[w + 1:2 * w + 1])
+        bounded = (np.abs(P[1:]) <= DIVERGENCE_GUARD).all(axis=(1, 2))
+        span = RK4_BLOCK if bounded.all() else max(int(np.argmin(bounded)), 1)
+        W = np.empty((G, RK4_BLOCK, N + 1, N))
+        W[:, :, :N] = P[1:]
+        Xa = np.ones((G, 1, rows, N + 1))
 
-        def step(k):
-            out = states[k + 1]
-            np.matmul(states[k], S, out=out)
-            out += C[k]
+        def advance(start, stop):
+            for s in range(start, stop, span):
+                E = C[:, s:min(s + span, stop)]
+                L = E.shape[1]
+                for w in widths:
+                    if w < L:
+                        E[:, w:] += E[:, :-w] @ P[w]
+                W[:, :L, N] = E
+                Xa[:, 0, :, :N] = states[s]
+                np.matmul(Xa, W[:, :L], out=states[s + 1:s + L + 1].swapaxes(0, 1))
 
-        return step
+        return advance
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,7 +298,8 @@ class CohenGrossberg:
         return -amp * (self.b_slope * x - act @ self.t_matrix.T + u)
 
     def _rk4_kernel(self, states, U0, Um, U1, dt: float):
-        """Step ``k`` of :func:`_rk4`, written into ``states[k + 1]``.
+        """Steps ``start`` to ``stop`` of :func:`_rk4`, step k written into
+        ``states[k + 1]``.
 
         Every array is made once per run for the batch shape ``(G, rows, n)``,
         and each step runs on them with ufunc calls that write into them
@@ -327,23 +353,24 @@ class CohenGrossberg:
             add(x, xs, xs)
             return xs
 
-        def step(k):
-            x = states[k]
-            copyto(u_all, inputs[k])
-            f(x, u0, k1)
-            f(stage(x, k1, half), um, k2)
-            f(stage(x, k2, half), um, k3)
-            f(stage(x, k3, full), u1, k4)
-            # x + (dt/6) (((k1 + 2 k2) + 2 k3) + k4)
-            mul(k2, two, acc)
-            add(k1, acc, acc)
-            mul(k3, two, xs)
-            add(acc, xs, acc)
-            add(acc, k4, acc)
-            mul(acc, sixth, acc)
-            add(x, acc, states[k + 1])
+        def advance(start, stop):
+            for k in range(start, stop):
+                x = states[k]
+                copyto(u_all, inputs[k])
+                f(x, u0, k1)
+                f(stage(x, k1, half), um, k2)
+                f(stage(x, k2, half), um, k3)
+                f(stage(x, k3, full), u1, k4)
+                # x + (dt/6) (((k1 + 2 k2) + 2 k3) + k4)
+                mul(k2, two, acc)
+                add(k1, acc, acc)
+                mul(k3, two, xs)
+                add(acc, xs, acc)
+                add(acc, k4, acc)
+                mul(acc, sixth, acc)
+                add(x, acc, states[k + 1])
 
-        return step
+        return advance
 
 
 # ---------------------------------------------------------------------------
@@ -470,19 +497,22 @@ def _rk4(model, X, signals, steps: int, dt: float):
     evaluated once per run, at the step starts ``k dt``, the midpoints ``k
     dt + dt/2`` and the ends ``k dt + dt``.  A model family with a
     ``_rk4_kernel(states, U0, Um, U1, dt)`` method, whose inputs are
-    ``(steps, G, M)``, builds its own ``step(k)`` once per run, which writes
-    ``states[k + 1]`` for every group at once: a linear bank steps as ``X @
-    S + C[k]`` (:meth:`LinearBlock._rk4_kernel`), a neural population runs
-    the four stages on buffers made for the run
-    (:meth:`CohenGrossberg._rk4_kernel`, the same bits as the staged step).
-    Any other model is stepped by :func:`_rk4_step`, four ``f`` calls per
-    step on one group's ``(rows, N)`` states and ``(M,)`` inputs at a time.
-    Every group's steps are those of a run of its own.
+    ``(steps, G, M)``, builds its own ``advance(start, stop)`` once per
+    run, which writes ``states[start + 1:stop + 1]`` for every group at
+    once: a linear bank fills the block in closed form from its step
+    ``X @ S + C[k]`` (:meth:`LinearBlock._rk4_kernel`, within ``1e-12`` of
+    the staged steps), a neural population runs the four stages of each
+    step on buffers made for the run (:meth:`CohenGrossberg._rk4_kernel`,
+    the same bits as the staged step).  Any other model is stepped by
+    :func:`_rk4_step`, four ``f`` calls per step on one group's ``(rows,
+    N)`` states and ``(M,)`` inputs at a time.  Every group's steps are
+    those of a run of its own.
 
-    The divergence guard is checked once per ``RK4_BLOCK`` steps, per
-    group: ``faults[g]`` is None or the ``Diverged`` naming the time of
-    group g's first stored step past it, for the caller to raise.  The run
-    stops early once every group has diverged.
+    ``advance`` runs once per block of ``RK4_BLOCK`` steps, and the
+    divergence guard is checked after it, per group: ``faults[g]`` is None
+    or the ``Diverged`` naming the time of group g's first stored step past
+    it, for the caller to raise.  The run stops early once every group has
+    diverged.
     """
     G = len(signals)
     t = np.arange(steps) * dt
@@ -496,18 +526,18 @@ def _rk4(model, X, signals, steps: int, dt: float):
     faults = [None] * G
     kernel = getattr(model, "_rk4_kernel", None)
     if kernel is not None:
-        step = kernel(states, U0, Um, U1, dt)
+        advance = kernel(states, U0, Um, U1, dt)
     else:
-        def step(k):
-            for g in range(G):
-                states[k + 1, g] = _rk4_step(model, states[k, g], U0[k, g], Um[k, g],
-                                             U1[k, g], dt)
+        def advance(start, stop):
+            for k in range(start, stop):
+                for g in range(G):
+                    states[k + 1, g] = _rk4_step(model, states[k, g], U0[k, g],
+                                                 Um[k, g], U1[k, g], dt)
     for start in range(0, steps, RK4_BLOCK):
         stop = min(start + RK4_BLOCK, steps)
         # the steps after a blow-up, up to the block's end, may overflow
         with np.errstate(all="ignore"):
-            for k in range(start, stop):
-                step(k)
+            advance(start, stop)
             block = states[start + 1:stop + 1]
             peak = np.abs(block).reshape(len(block), G, -1).max(axis=2)
         # NaN fails the comparison too
@@ -792,27 +822,25 @@ def check_decrease(model, cl: CompositeLyapunov,
             attempts += 1
             k = max(need * 2, 256)
             dirs = rng.normal(size=(k, N))
-            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-            radii = 10.0 ** rng.uniform(np.log10(lo), np.log10(hi), size=k)
-            X = radii[:, None] * dirs
-            if M and u_norm:
-                ud = rng.normal(size=(k, M))
-                ud /= np.linalg.norm(ud, axis=1, keepdims=True)
-                U = u_norm * ud
-            else:
-                U = np.zeros((k, M))
+            log_radii = rng.uniform(np.log10(lo), np.log10(hi), size=k)
+            ud = rng.normal(size=(k, M)) if M and u_norm else None
             if threshold == 0.0:
-                # every sample is kept: V only on the first ``need``
-                keep_idx = np.arange(min(need, k))
-                V = cl.eval_V_batch(X[keep_idx])
-            else:
-                V = cl.eval_V_batch(X)
+                # every sample is kept: only the first ``need`` are scaled
+                keep_idx = np.arange(need)
+                dirs, log_radii = dirs[:need], log_radii[:need]
+            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+            X = (10.0 ** log_radii)[:, None] * dirs
+            V = cl.eval_V_batch(X)
+            if threshold != 0.0:
                 keep_idx = np.flatnonzero(V >= threshold)[:need]
                 if keep_idx.size == 0:
                     continue
-                V = V[keep_idx]
-            X = X[keep_idx]
-            U = U[keep_idx]
+                X, V = X[keep_idx], V[keep_idx]
+            if ud is None:
+                U = np.zeros((keep_idx.size, M))
+            else:
+                ud = ud[keep_idx]
+                U = u_norm * (ud / np.linalg.norm(ud, axis=1, keepdims=True))
             F = model.f(X, U)
             h = 1e-6 * (1.0 + np.linalg.norm(X, axis=1))
             step = h[:, None] * F

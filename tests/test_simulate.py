@@ -3,7 +3,7 @@
 import io
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -300,21 +300,35 @@ def _signals(m):
 
 
 def test_linear_step_matrix_matches_staged_rk4():
+    # a run of k steps is the first k steps of the 300-step reference; the
+    # step counts end on, just before and just after a guard block's edge
     rng = np.random.default_rng(11)
     cases = 0
     for trial in range(8):
         model = _random_bank(rng, forced=trial % 2 == 1)
         for signal in _signals(model.input_dim):
             for runs in (1, 50):
-                for dt, steps in ((1e-3, 300), (0.05, 40)):
+                for dt in (1e-3, 0.05):
                     X0 = rng.normal(size=(runs, model.state_dim))
-                    got = _rk4_one(model, X0, signal, steps, dt)
-                    want = _staged_rk4(model, X0, signal, steps, dt)
-                    scale = np.abs(want).max(axis=(0, 2))
-                    assert np.all(np.abs(got - want) <= 1e-12 * scale[None, :, None])
+                    want = _staged_rk4(model, X0, signal, 300, dt)
+                    for steps in (1, RK4_BLOCK - 1, RK4_BLOCK, RK4_BLOCK + 1,
+                                  2 * RK4_BLOCK + 7, 300):
+                        got = _rk4_one(model, X0, signal, steps, dt)
+                        ref = want[:steps + 1]
+                        scale = np.abs(ref).max(axis=(0, 2))
+                        assert np.all(np.abs(got - ref) <= 1e-12 * scale[None, :, None])
                     cases += 1
     # unforced banks run the zero input only
     assert cases == 4 * 4 + 4 * 5 * 4
+
+
+def test_linear_closed_form_keeps_an_unstable_origin():
+    # S is about 4.2e10 and S^2 is past the guard, so every sub-block is
+    # one step; with the powers up to S^64 the zero state would meet 0 * inf
+    m = LinearBlock(A=([[1000.0]],), delta={}, B=(None,))
+    traj = integrate(m, [0.0], T=200, dt=1)
+    assert traj.x.shape == (201, 1)
+    assert np.all(traj.x == 0.0)
 
 
 def test_linear_step_makes_fixed_f_calls(monkeypatch):
@@ -463,6 +477,33 @@ def test_grouped_rk4_divergence_per_group(a, b, diverged):
             _staged_rk4(model, X[g], signal, 800, 0.01)
         assert faults[g].t == ref.value.t
         assert str(faults[g]) == str(ref.value)
+
+
+@pytest.mark.parametrize("a, x2, diverged", [
+    (5.0, 0.0, [False, True]),    # only the driven group, whole guard blocks
+    (100.0, 0.0, [False, True]),  # S^28 is past the guard: 27-step sub-blocks
+    (5.0, 1.0, [True, True]),     # both, the driven group first
+])
+def test_linear_grouped_rk4_divergence_per_group(a, x2, diverged):
+    # blocks x1' = -x1 + u and x2' = a x2 + u: the input pushes x2 past the
+    # guard, and without it x2 stays at zero from zero; each group keeps the
+    # fault, the time and the states of its run alone
+    model = LinearBlock(A=([[-1.0]], [[a]]), delta={}, B=([[1.0]], [[1.0]]))
+    signals = (InputSignal.zero(1), InputSignal.constant([1.0]))
+    X = np.stack([np.column_stack([np.linspace(-1.0, 1.0, 3), np.full(3, x2)])] * 2)
+    _t, states, _u, faults = _rk4(model, X, signals, 800, 0.01)
+    assert [f is not None for f in faults] == diverged
+    for g, signal in enumerate(signals):
+        _t, alone, _u, (fault,) = _rk4(model, X[g][None], (signal,), 800, 0.01)
+        if faults[g] is None:
+            assert fault is None
+            assert np.array_equal(states[:, g], alone[:, 0])
+            assert np.all(states[:, g, :, 1] == x2)
+            continue
+        with pytest.raises(Diverged) as ref:
+            _staged_rk4(model, X[g], signal, 800, 0.01)
+        assert faults[g].t == fault.t == ref.value.t
+        assert str(faults[g]) == str(fault) == str(ref.value)
 
 
 def test_divergence_guard():
@@ -765,6 +806,88 @@ def test_decrease_check_matches_full_evaluation_loop(monkeypatch):
     assert sum(rows) == 3 * 1000
 
 
+def _decrease_scaling_every_draw(model, cl, spec):
+    """Reference: the sampling loop at commit d30befa, which scales every
+    drawn direction, radius and input before it keeps any."""
+    rng = np.random.default_rng(spec.seed)
+    N, M = model.state_dim, model.input_dim
+    lo, hi = simulate.DECREASE_RADII
+    per = max(spec.samples // max(len(spec.u_norms), 1), 1)
+    evaluated = violations = 0
+    worst = -np.inf
+    for u_norm in spec.u_norms:
+        threshold = cl.iss_threshold(float(u_norm)) * (
+            1.0 + simulate.THRESHOLD_GUARD)
+        need, attempts = per, 0
+        while need > 0 and attempts < 500:
+            attempts += 1
+            k = max(need * 2, 256)
+            dirs = rng.normal(size=(k, N))
+            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+            radii = 10.0 ** rng.uniform(np.log10(lo), np.log10(hi), size=k)
+            X = radii[:, None] * dirs
+            if M and u_norm:
+                ud = rng.normal(size=(k, M))
+                ud /= np.linalg.norm(ud, axis=1, keepdims=True)
+                U = u_norm * ud
+            else:
+                U = np.zeros((k, M))
+            if threshold == 0.0:
+                keep_idx = np.arange(min(need, k))
+                V = cl.eval_V_batch(X[keep_idx])
+            else:
+                V = cl.eval_V_batch(X)
+                keep_idx = np.flatnonzero(V >= threshold)[:need]
+                if keep_idx.size == 0:
+                    continue
+                V = V[keep_idx]
+            X, U = X[keep_idx], U[keep_idx]
+            F = model.f(X, U)
+            h = 1e-6 * (1.0 + np.linalg.norm(X, axis=1))
+            vp = cl.eval_V_batch(X + h[:, None] * F)
+            vm = cl.eval_V_batch(X - h[:, None] * F)
+            est = (vp - vm) / (2.0 * h)
+            bad = est >= -1e-8 * (1.0 + V)
+            evaluated += keep_idx.size
+            violations += int(np.count_nonzero(bad))
+            worst = max(worst, float(np.max(est)))
+            need -= keep_idx.size
+    return DecreaseReport(requested=per * len(spec.u_norms), evaluated=evaluated,
+                          violations=violations, worst=worst,
+                          u_norms=tuple(float(u) for u in spec.u_norms))
+
+
+@pytest.mark.parametrize("name, u, radii, attempts", [
+    ("linear", 1.0, None, 1),
+    ("cg", 1e-7, None, 1),
+    # a threshold above zero that few draws clear
+    ("linear", 1.0, (0.1, 10.0), 4),
+    ("cg", 1e-7, (1e-6, 5e-5), 4),
+])
+def test_decrease_check_scales_only_the_kept_samples(monkeypatch, name, u, radii,
+                                                     attempts):
+    # the same stream in the same order, scaled only where it is kept: the
+    # reports equal the reference's bit for bit, undriven and driven
+    model, design = linear_demo() if name == "linear" else cg_demo()
+    cl = certified(design)
+    if radii:
+        monkeypatch.setattr(simulate, "DECREASE_RADII", radii)
+    for u_norms in ((0.0,), (u,), (0.0, u)):
+        spec = DecreaseSpec(samples=200, u_norms=u_norms, seed=3)
+        got = check_decrease(model, cl, spec)
+        want = _decrease_scaling_every_draw(model, cl, spec)
+        assert got == want and got.worst.hex() == want.worst.hex()
+        assert got.evaluated == 200
+    # the driven draw's attempts: each one evaluates V on its k >= 256
+    # states, and the kept states' calls take at most the 200 requested
+    rows = []
+    eval_V_batch = CompositeLyapunov.eval_V_batch
+    monkeypatch.setattr(CompositeLyapunov, "eval_V_batch",
+                        lambda self, X: rows.append(len(X)) or eval_V_batch(self, X))
+    check_decrease(model, cl, DecreaseSpec(samples=200, u_norms=(u,), seed=3))
+    assert sum(r >= 256 for r in rows) >= attempts
+
+
 def test_zero_input_trajectories_contract():
     model, design = linear_demo()
     cl = certified(design)
@@ -805,16 +928,30 @@ def test_cg_certificate_zero_input():
     assert rep.drift_worst <= 1e-8
 
 
-# check_iss_bound's reports at commit 88629b0, before the runs were grouped
+# check_iss_bound's linear reports at commit 88629b0, before the runs were
+# grouped, when the bank stepped one RK4 step at a time
+STEPWISE_ISS_LINEAR = (
+    IssBoundReport(kind="zero-input", runs=6, violations=6,
+                   worst=-0.0002519584120919769,
+                   drift_worst=-0.0002519584120919769,
+                   contraction_worst=0.09017541973882379),
+    IssBoundReport(kind="driven", runs=6, violations=0,
+                   worst=0.008856267970777572,
+                   settle_worst=0.008856267970777572,
+                   threshold=19.584673620537625))
+
+# check_iss_bound's reports: the cg pair at commit 88629b0, before the runs
+# were grouped; the linear pair since the bank advances a guard block in
+# closed form, within 1e-12 of STEPWISE_ISS_LINEAR
 FROZEN_ISS = {
     "linear": (
         IssBoundReport(kind="zero-input", runs=6, violations=6,
-                       worst=-0.0002519584120919769,
-                       drift_worst=-0.0002519584120919769,
-                       contraction_worst=0.09017541973882379),
+                       worst=-0.00025195841209197864,
+                       drift_worst=-0.00025195841209197864,
+                       contraction_worst=0.09017541973882466),
         IssBoundReport(kind="driven", runs=6, violations=0,
-                       worst=0.008856267970777572,
-                       settle_worst=0.008856267970777572,
+                       worst=0.008856267970777655,
+                       settle_worst=0.008856267970777655,
                        threshold=19.584673620537625)),
     "cg": (
         IssBoundReport(kind="zero-input", runs=6, violations=6,
@@ -844,6 +981,12 @@ def test_iss_reports_grouped_and_alone_match_frozen(name):
     alone = (check_iss_bound(model, cl, spec),
              check_iss_bound(model, cl, replace(spec, signal=signal)))
     assert alone == FROZEN_ISS[name]
+    if name == "linear":
+        for got, was in zip(alone, STEPWISE_ISS_LINEAR):
+            for field in fields(IssBoundReport):
+                a, b = getattr(got, field.name), getattr(was, field.name)
+                assert a == b if not isinstance(a, float) else \
+                    math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0)
     assert tuple(check_iss_bounds(model, cl, spec, (zero, signal))) == alone
     assert tuple(check_iss_bounds(model, cl, spec, (signal, zero))) == alone[::-1]
 
