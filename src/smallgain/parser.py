@@ -36,7 +36,11 @@ from .gains import (
     Zero,
 )
 
-_NUM_RE = re.compile(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
+_NUM = r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?"
+_NUM_RE = re.compile(_NUM)
+# a whole text that is one leaf gain, written without spaces
+_LEAF_RE = re.compile(rf"(?P<coeff>{_NUM})\*"
+                      rf"(?P<form>s\^(?P<exp>{_NUM})|s/\(1\+s\)|sqrt\(s\)|atan\(s\)|s)")
 _WORD_RE = re.compile(r"[a-z]+")
 _WORDS = {"s", "sqrt", "atan", "max", "id", "o"}
 _SYMBOLS = set("*^+(),/")
@@ -101,6 +105,10 @@ def parse_gain(text: str) -> GainExpr:
     denotes a map outside the admissible class (zero coefficient or zero
     exponent).
     """
+    m = _LEAF_RE.fullmatch(text)
+    # a zero coefficient or exponent takes the token path, which rejects it
+    if m and float(m["coeff"]) and float(m["exp"] or 1):
+        return _leaf(float(m["coeff"]), m["form"], m["exp"] and float(m["exp"]))
     cur = _Cursor(_tokenize(text))
     expr = _parse_expr(cur)
     kind, _, pos = cur.peek()
@@ -175,6 +183,17 @@ def _parse_atom(cur: _Cursor) -> GainExpr:
     raise ParseError("expected a gain", pos=pos)
 
 
+# the leaf trees by their text after "c*", but for c*s^q, which is Power(c, q)
+_LEAVES = {"s": Linear, "sqrt(s)": lambda c: Power(c, 0.5), "s/(1+s)": Saturating,
+           "atan(s)": Atan}
+
+
+def _leaf(coeff: float, form: str, exponent: float | None = None) -> GainExpr:
+    """The tree of the leaf gain ``coeff*form``: ``form`` is ``s``,
+    ``s^q`` (given ``exponent``), ``sqrt(s)``, ``s/(1+s)`` or ``atan(s)``."""
+    return _LEAVES[form](coeff) if exponent is None else Power(coeff, exponent)
+
+
 def _parse_scaled(cur: _Cursor, coeff: float, coeff_pos: int) -> GainExpr:
     if coeff == 0.0:
         raise RejectedNotClassK("zero coefficient", pos=coeff_pos)
@@ -188,7 +207,7 @@ def _parse_scaled(cur: _Cursor, coeff: float, coeff_pos: int) -> GainExpr:
                 raise ParseError("expected an exponent", pos=epos)
             if ev == 0.0:
                 raise RejectedNotClassK("zero exponent", pos=epos)
-            return Power(coeff, ev)
+            return _leaf(coeff, "s^", ev)
         if nk == "sym" and nv == "/":
             cur.next()
             cur.expect_sym("(")
@@ -200,15 +219,15 @@ def _parse_scaled(cur: _Cursor, coeff: float, coeff_pos: int) -> GainExpr:
             if sk != "word" or sv != "s":
                 raise ParseError("denominator must be (1+s)", pos=spos)
             cur.expect_sym(")")
-            return Saturating(coeff)
-        return Linear(coeff)
+            return _leaf(coeff, "s/(1+s)")
+        return _leaf(coeff, "s")
     if kind == "word" and val in ("sqrt", "atan"):
         cur.expect_sym("(")
         sk, sv, spos = cur.next()
         if sk != "word" or sv != "s":
             raise ParseError(f"{val} takes the bare argument s", pos=spos)
         cur.expect_sym(")")
-        return Power(coeff, 0.5) if val == "sqrt" else Atan(coeff)
+        return _leaf(coeff, f"{val}(s)")
     raise ParseError("expected s, sqrt(s) or atan(s) after '*'", pos=pos)
 
 

@@ -34,7 +34,6 @@ import numpy as np
 
 from .errors import CompatibilityError, PathStalled, SgcFails, Stalled
 from .gains import (
-    TOL_STRICT,
     BlockMaxSum,
     Compose,
     GainClass,
@@ -571,9 +570,9 @@ def path_homogeneous(net: GainNetwork) -> OmegaPath:
     Otherwise anchors sit at a ratio ``q <= min(10^(1/12), c^(-1/2))``:
     ``Gamma_mu(sigma(r[k+1])) <= (c q)^p sigma(r[k]) < sigma(r[k])`` proves
     each segment by monotonicity.
-    At ``c >= 1 - TOL_STRICT`` it raises :class:`SgcFails` when the
-    candidate of :func:`sgc.perron_witnesses` re-checks, else it refuses
-    (:func:`_ray`).
+    Where :func:`sgc.bound_verdict` proves nothing (``c >= 1 -
+    SPECTRAL_TOL``) it raises :class:`SgcFails` when the candidate of
+    :func:`sgc.perron_witnesses` re-checks, else it refuses (:func:`_ray`).
     """
     c, p, w, image = nonlinear_perron(net)
     return _ray(net, "perron", c, p, w, perron_witnesses(p, w, image))
@@ -586,9 +585,10 @@ def path_majorant(net: GainNetwork) -> OmegaPath:
     :func:`sgc.nonlinear_perron` on ``L`` gives ``L(w) <= c w``, and
     ``Gamma_mu <= L`` gives ``Gamma_mu(r w) <= c r w < r w`` at every
     radius, so the ray built for ``L`` is validated on the network itself.
-    At ``c >= 1 - TOL_STRICT`` it raises :class:`SgcFails` when a
-    candidate of :func:`sgc.majorant_witnesses` re-checks, else it refuses
-    (:func:`_ray`), as it does without a majorant.
+    Where :func:`sgc.bound_verdict` proves nothing it raises
+    :class:`SgcFails` when a candidate of :func:`sgc.majorant_witnesses`
+    re-checks, else it refuses (:func:`_ray`), as it does without a
+    majorant.
     """
     majorant = slope_majorant(net)
     c, p, w, image = nonlinear_perron(majorant)
@@ -597,16 +597,17 @@ def path_majorant(net: GainNetwork) -> OmegaPath:
 
 def _ray(net: GainNetwork, method: str, c: float, p: np.ndarray, w: np.ndarray,
          witnesses) -> OmegaPath:
-    """The ray ``(r w)^p`` of :func:`path_homogeneous` at the bound ``c``;
-    at ``c >= 1 - TOL_STRICT`` it fails on a re-checked witness, with the
-    ``method`` verdict of :func:`sgc.bound_verdict`.  It serves only a
-    bound below one on a ray of at most ``RAY_MAX_ANCHORS`` anchors inside
-    the float range, and raises :class:`CompatibilityError` otherwise."""
+    """The ray ``(r w)^p`` of :func:`path_homogeneous` at the bound ``c``,
+    where the ``method`` verdict of :func:`sgc.bound_verdict` proves the
+    condition; where it fails on a re-checked witness, so does the ray.  It
+    serves only a bound below one on a ray of at most ``RAY_MAX_ANCHORS``
+    anchors inside the float range, and raises :class:`CompatibilityError`
+    otherwise."""
     bound = {"perron": "Perron bound", "majorant": "slope majorant bound"}[method]
-    if not c < 1.0 - TOL_STRICT:
-        verdict = bound_verdict(net, method, c, witnesses)
-        if verdict.fails:
-            raise SgcFails(f"{bound} {c:.6g} is not below one", verdict)
+    verdict = bound_verdict(net, method, c, witnesses)
+    if verdict.fails:
+        raise SgcFails(f"{bound} {c:.6g} is not below one", verdict)
+    if not verdict.holds:
         raise CompatibilityError(f"{bound} {c:.6g} is not below one, and no witness "
                                  "re-checks")
     w = w / w.max()

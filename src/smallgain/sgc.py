@@ -337,6 +337,11 @@ def _conjugate_form(p: np.ndarray, rows, C: np.ndarray):
 
     * on sum and power-of-sum rows, ``k_i^(1/p_i) (sum_j c_ij t_j^r_i)^(1/r_i)``;
     * on max rows (``k_i = e_i = 1``, ``r_i = p_i``), ``max_j c_ij^(1/r_i) t_j``.
+
+    Returns ``(T, fixed_point)``.  ``fixed_point`` is None unless ``T`` has
+    max rows and is max-of-linear (``r_i = 1`` on every sum row); then
+    ``fixed_point(t)`` is :func:`_policy_iteration` on the same arrays,
+    from the columns that give each max row its value at ``t``.
     """
     k, e, summed = (np.array(col) for col in zip(*rows))
     r = p / e
@@ -350,24 +355,70 @@ def _conjugate_form(p: np.ndarray, rows, C: np.ndarray):
     def sum_rows(t):
         return K * (B * t ** R).sum(axis=1) ** (1.0 / R[:, 0])
 
+    fixed_point = None
+    if mx.size and np.all(R == 1.0):
+        def fixed_point(t):
+            return _policy_iteration(A, mx, K[:, None] * B, sm, t)
+
     if not sm.size or not mx.size:
-        return sum_rows if sm.size else max_rows
+        return (sum_rows if sm.size else max_rows), fixed_point
 
     def T(t):
         out = np.empty(t.size)
         out[mx], out[sm] = max_rows(t), sum_rows(t)
         return out
 
-    return T
+    return T, fixed_point
+
+
+def _policy_iteration(A: np.ndarray, mx: np.ndarray, L: np.ndarray, sm: np.ndarray,
+                      t: np.ndarray):
+    """``w = 1 + T(w)`` for the max-of-linear ``T`` with max rows ``mx``,
+    ``max_j A_ij t_j``, and sum rows ``sm``, ``L t``; None when not found.
+
+    Each round picks one column per max row, solves ``(I - M) w = 1`` for
+    the picked linear ``M <= T``, and moves a pick only to a column strictly
+    larger at that ``w``, from the largest columns at ``t``.  Below a cone
+    spectral radius of one, ``w`` rises each round and the picks settle at
+    ``w = 1 + T(w)`` (Cochet-Terrasson, Cohen, Gaubert, McGettrick and
+    Quadrat, IFAC 1998).  A singular solve, one that is not positive
+    (``w = 1 + M w > 0`` proves ``rho(M) < 1``, so a failing network ends
+    here) and ``POLICY_MAX_ITER`` rounds give None.
+    """
+    n, picked = t.size, np.arange(mx.size)
+    base = np.eye(n)
+    base[sm] -= L
+    pick = (A * t).argmax(axis=1)
+    for _ in range(POLICY_MAX_ITER):
+        D = base.copy()
+        D[mx, pick] -= A[picked, pick]
+        try:
+            w = np.linalg.solve(D, np.ones(n))
+        except np.linalg.LinAlgError:
+            return None
+        if not (w.min() > 0.0 and w.max() < np.inf):
+            return None
+        aw = A * w
+        best = aw.argmax(axis=1)
+        up = aw[picked, best] > aw[picked, pick]
+        if not up.any():
+            return w
+        pick = np.where(up, best, pick)
+    return None
 
 
 # w <- 1 + T(w) stops after a step below FIXED_TOL relative, past
 # FIXED_CEILING (then the fixed point has c > 1 - 1e-12) or at FIXED_MAX_ITER;
-# a linear T takes at most INVERSE_MAX_ITER inverse-iteration steps
+# a linear T takes at most INVERSE_MAX_ITER inverse-iteration steps, and a
+# max-of-linear T turns to at most POLICY_MAX_ITER policy rounds at loop step
+# POLICY_STEP: a failing network mostly stops before it (T(w) >= w), for less
+# than the solve that would refute it
 FIXED_TOL = 1e-12
 FIXED_CEILING = 1e12
 FIXED_MAX_ITER = 20000
 INVERSE_MAX_ITER = 50
+POLICY_STEP = 2
+POLICY_MAX_ITER = 50
 
 
 def nonlinear_perron(net: GainNetwork):
@@ -382,7 +433,11 @@ def nonlinear_perron(net: GainNetwork):
     ``rho(G)``, however badly ``G`` is scaled).  Any other ``T`` iterates
     ``w <- 1 + T(w)`` from ``w = 1`` on its array form
     (:func:`_conjugate_form`), stopping early once ``T(w) >= w`` (``w^p`` is
-    then a candidate witness).  Either way ``c`` is read with one operator
+    then a candidate witness).  A max-of-linear ``T`` that has not stopped
+    by step ``POLICY_STEP`` takes the fixed point from
+    :func:`_policy_iteration` instead; where that gives none (a failing
+    network) the loop goes on from the same step, so it returns what the
+    loop alone returns.  Either way ``c`` is read with one operator
     evaluation at the returned ``w``, so it bounds the operator's own
     conjugate; the witness search reads the same ``image``
     (:func:`_expanded_direction`).
@@ -398,14 +453,18 @@ def nonlinear_perron(net: GainNetwork):
                     break
             if np.all(w > 0):
                 return _perron_bound(net, p, w)
-    T = _conjugate_form(p, rows, C)
+    T, fixed_point = _conjugate_form(p, rows, C)
     w = np.ones(net.n)
     tw = T(w)
-    for _ in range(FIXED_MAX_ITER):
+    for k in range(FIXED_MAX_ITER):
         step = 1.0 + tw
         if ((tw >= w).all() or not w.max() < FIXED_CEILING
                 or (step - w <= FIXED_TOL * step).all()):
             break
+        if k == POLICY_STEP and fixed_point is not None:
+            fixed = fixed_point(step)
+            if fixed is not None:
+                return _perron_bound(net, p, fixed)
         w, tw = step, T(step)
     return _perron_bound(net, p, w)
 

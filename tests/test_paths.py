@@ -525,6 +525,25 @@ def test_ray_without_bound_or_witness_falls_through(monkeypatch):
     assert sgc._is_witness(max2(1.5), exc.value.verdict.witness)
 
 
+@pytest.mark.parametrize("tol", [0.4, 0.6])
+def test_rays_and_decide_prove_below_one_threshold(monkeypatch, tol):
+    # sum2(0.5) reads 0.5 on the spectral radius, the Perron bound and the
+    # slope majorant: below 1 - SPECTRAL_TOL at 0.4, not at 0.6.  The rays
+    # prove where decide's routes do
+    monkeypatch.setattr(sgc, "SPECTRAL_TOL", tol)
+    net, proved = sum2(0.5), tol < 0.5
+    bounds = [v for v in sgc.decide(net).routes if v.rho is not None]
+    assert bounds and all(v.rho == pytest.approx(0.5) and v.holds == proved
+                          for v in bounds)
+    for build in (path_homogeneous, path_majorant):
+        if proved:
+            assert validate_path(net, build(net)).min_margin > 0
+        else:
+            with pytest.raises(CompatibilityError, match="0.5 is not below one"):
+                build(net)
+    assert (construct_path(net).route == "ray") == proved
+
+
 def test_homogeneous_rejects_inhomogeneous():
     # a 2-cycle of squares: p_1 / p_2 = 2 and p_2 / p_1 = 2 at once
     net = net_of([[Z, Power(0.1, 2)], [Power(0.1, 2), Z]],

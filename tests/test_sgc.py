@@ -588,7 +588,7 @@ def test_conjugate_form_matches_operator():
     kinds = set()
     for net in random_power_networks(52, 150) + [critical_ring()]:
         p, _G, rows, C = net.power_form
-        T = sgc._conjugate_form(p, rows, C)
+        T = sgc._conjugate_form(p, rows, C)[0]
         kinds.update(type(mu).__name__ for mu in net.mu)
         kinds.update(type(g).__name__ for row in net.gamma for g in row)
         for t in np.exp(rng.uniform(-5.0, 5.0, (5, net.n))):
@@ -624,6 +624,133 @@ def test_perron_array_form_matches_operator_loop(monkeypatch):
         assert c == pytest.approx(c_ref, rel=1e-9)
         proved += c < 1.0 - 1e-9
     assert 10 < proved < 60
+
+
+def max_of_linear_networks(seed, count, log_scale=(-1.5, 0.8)):
+    """Power networks whose conjugate is max-of-linear and not linear: max
+    rows of gains ``c s^(p_i / p_j)``, ``p`` drawn from {1/2, 1, 2}, beside
+    sum rows of linear gains (``p_i = 1``), half of them with sum rows.
+    Each network's ``c`` take one factor ``exp(u)^q``, ``u`` uniform on
+    ``log_scale``."""
+    rng = np.random.default_rng(seed)
+    nets = []
+    while len(nets) < count:
+        n = int(rng.integers(2, 8))
+        summed = rng.random(n) < (0.4 if len(nets) % 2 else 0.0)
+        p = np.where(summed, 1.0, rng.choice([0.5, 1.0, 2.0], n))
+        mask = rng.random((n, n)) < 0.45
+        mask[np.arange(n), (np.arange(n) + 1) % n] = True
+        np.fill_diagonal(mask, False)
+        scale = float(np.exp(rng.uniform(*log_scale)))
+        gamma = [[Zero()] * n for _ in range(n)]
+        for i, j in zip(*np.nonzero(mask)):
+            q = p[i] / p[j]
+            c = float(rng.uniform(0.1, 1.0)) * scale ** q
+            gamma[i][j] = Linear(c) if q == 1.0 else Power(c, float(q))
+        net = GainNetwork(n=n, gamma=tuple(map(tuple, gamma)), gamma_u=(Zero(),) * n,
+                          mu=tuple(SumAgg() if s else MaxAgg() for s in summed))
+        if power_form(net)[1] is None:
+            nets.append(net)
+    return nets
+
+
+def array_loop_perron(net):
+    """Reference: :func:`nonlinear_perron` without policy iteration, the
+    loop ``w <- 1 + T(w)`` on the array form alone."""
+    p, _G, rows, C = net.power_form
+    T = sgc._conjugate_form(p, rows, C)[0]
+    w = np.ones(net.n)
+    tw = T(w)
+    for _ in range(sgc.FIXED_MAX_ITER):
+        step = 1.0 + tw
+        if (np.all(tw >= w) or not w.max() < sgc.FIXED_CEILING
+                or np.all(step - w <= sgc.FIXED_TOL * step)):
+            break
+        w, tw = step, T(step)
+    return sgc._perron_bound(net, p, w)
+
+
+def spy_policy_iteration(monkeypatch):
+    """Record what each :func:`sgc._policy_iteration` call returns."""
+    results = []
+    real = sgc._policy_iteration
+
+    def spy(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(sgc, "_policy_iteration", spy)
+    return results
+
+
+def test_policy_iteration_reaches_the_fixed_point(monkeypatch):
+    results = spy_policy_iteration(monkeypatch)
+    proved = mixed = 0
+    for net in max_of_linear_networks(61, 120):
+        results.clear()
+        c, p, w, image = nonlinear_perron(net)
+        c_ref, _p, _w = operator_perron(net)
+        assert (c < 1.0 - 1e-9) == (c_ref < 1.0 - 1e-9)
+        assert c == pytest.approx(c_ref, rel=1e-9)
+        if results and results[-1] is not None:
+            # the returned w is the solve's: w = 1 + T(w), and c is read there
+            _p, _G, rows, C = net.power_form
+            T = sgc._conjugate_form(p, rows, C)[0]
+            np.testing.assert_allclose(w, 1.0 + T(w), rtol=1e-12, atol=0.0)
+            assert c == float(np.max(image ** (1.0 / p) / w)) < 1.0 - 1e-9
+            proved += 1
+            mixed += any(isinstance(mu, SumAgg) for mu in net.mu)
+    assert proved > 30 and mixed > 10
+
+
+def test_failing_max_networks_keep_the_loop_bit_for_bit(monkeypatch):
+    results = spy_policy_iteration(monkeypatch)
+    refused = failing = 0
+    for net in max_of_linear_networks(62, 150, (0.0, 1.0)):
+        results.clear()
+        got = nonlinear_perron(net)
+        if got[0] < 1.0:
+            continue
+        failing += 1
+        refused += results == [None]
+        want = array_loop_perron(net)
+        assert got[0] == want[0]
+        for a, b in zip(got[1:], want[1:]):
+            assert np.array_equal(a, b)
+    # policy iteration refused some networks before the loop went on
+    assert failing > 80 and refused > 20
+
+
+def test_near_critical_max_ring_takes_few_evaluations(monkeypatch):
+    # a ring of 8 max rows at cycle mean 0.999: w <- 1 + T(w) alone runs to
+    # its 20,000-step cap; the loop's first steps and one policy round
+    # decide it
+    n = 8
+    a = 0.999 * np.array([0.5, 1.7, 0.9, 1.2, 0.6, 1.5, 1.1, 1.0])
+    a /= np.prod(a / 0.999) ** (1.0 / n)
+    gamma = [[Zero()] * n for _ in range(n)]
+    for i in range(n):
+        gamma[i][(i + 1) % n] = Power(float(a[i]) ** (2.0 if i % 2 else 1.0),
+                                      2.0 if i % 2 else 0.5)
+    net = GainNetwork(n=n, gamma=tuple(map(tuple, gamma)), gamma_u=(Zero(),) * n,
+                      mu=(MaxAgg(),) * n)
+    evaluations = []
+    real_form, real_solve = sgc._conjugate_form, np.linalg.solve
+
+    def counted_form(*args):
+        T, fixed_point = real_form(*args)
+        return (lambda t: evaluations.append("T") or T(t)), fixed_point
+
+    monkeypatch.setattr(sgc, "_conjugate_form", counted_form)
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda *args: evaluations.append("solve") or real_solve(*args))
+    v = decide(net)
+    assert v.holds and [r.method for r in v.routes] == ["perron"]
+    assert 0.999 <= v.rho < 1.0 - 1e-9
+    assert len(evaluations) <= 50
+    monkeypatch.setattr(sgc, "_conjugate_form", real_form)
+    c_ref = array_loop_perron(net)[0]
+    assert 0.999 <= c_ref < 1.0 - 1e-9
 
 
 def test_decide_on_power_max_network_reads_operator_twice_at_most(monkeypatch):

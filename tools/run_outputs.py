@@ -24,17 +24,22 @@ Compare a change with its parent commit, unpacked next to the repository::
     python3 tools/run_outputs.py src out_change --certify-mix 0 1
     python3 tools/run_outputs.py --compare out_parent out_change
 
-``--compare`` sorts every file of the two trees into one of three classes:
-byte-identical; equal except for numbers that differ by at most ``1e-11`` of
-the larger of the two (one unit in the 12th digit that ``%.12g`` prints);
-different, which includes a file missing from one tree.  It lists the files
-of the last two classes; then, per command, the different call files of
-both trees counted by the first word of stdout in each
-(``check: spectral -> Perron: 12``, ``-`` for an empty
-stdout), which sums up a deliberate change of output; then, per command,
-how many calls changed their exit status between the trees
-(``certify: exit 1 -> exit 0: 52``, with ``timeout`` and ``crash <Type>``
-as statuses too).  It exits 1 when any file is different.
+``--compare`` sorts every file of the two trees into one of four classes:
+byte-identical; close, equal except for numbers that differ by at most
+``1e-11`` of the larger of the two (one unit in the 12th digit that
+``%.12g`` prints); close to its row, equal except for numbers that differ
+by more than that but by at most ``1e-11`` of the largest magnitude in
+their row (their line, in either tree), as a state component passing near
+zero does when a sum is rounded in another order; different, which
+includes a file missing from one tree.  It lists the files of the last
+three classes, the close-to-row ones with their largest row-relative gap;
+then, per command, the call files of both trees that are not close
+counted by the first word of stdout in each (``check: spectral -> Perron:
+12``, ``-`` for an empty stdout), which sums up a deliberate change of
+output; then, per command, how many calls changed their exit status
+between the trees (``certify: exit 1 -> exit 0: 52``, with ``timeout`` and
+``crash <Type>`` as statuses too).  It exits 1 when any file is close to
+its row or different.
 """
 
 from __future__ import annotations
@@ -101,26 +106,39 @@ def run_job(main, job_dir: Path, doc: dict) -> None:
 
 
 def close_numbers(a: str, b: str):
-    """``(count, largest relative gap)`` of the numbers that differ between
-    two texts, or None when they differ in anything but numbers within
-    ``CLOSE`` of the larger one."""
-    pa, pb = NUMBER.split(a), NUMBER.split(b)
-    if len(pa) != len(pb) or pa[::2] != pb[::2]:
+    """``(count, largest relative gap, largest row-relative gap, own)`` of
+    the numbers that differ between two texts, or None when they differ in
+    anything but numbers, or in a number by more than ``CLOSE`` of the
+    largest magnitude in its row (its line, read in both texts).  ``own``
+    says whether every one of them is also within ``CLOSE`` of the larger
+    of its own two values."""
+    la, lb = a.split("\n"), b.split("\n")
+    if len(la) != len(lb):
         return None
-    count, worst = 0, 0.0
-    for sa, sb in zip(pa[1::2], pb[1::2]):
-        if sa == sb:
+    count, worst, worst_row, own = 0, 0.0, 0.0, True
+    for ra, rb in zip(la, lb):
+        if ra == rb:
             continue
+        pa, pb = NUMBER.split(ra), NUMBER.split(rb)
+        if len(pa) != len(pb) or pa[::2] != pb[::2]:
+            return None
         # exact decimal arithmetic: one unit in the 12th digit of a number
         # that starts with 1 is exactly CLOSE of it, which floats round past
-        x, y = Decimal(sa), Decimal(sb)
-        if not (x.is_finite() and y.is_finite()):
-            return None
-        top = max(abs(x), abs(y))
-        if abs(x - y) > CLOSE * top:
-            return None
-        count, worst = count + 1, max(worst, float(abs(x - y) / top) if top else 0.0)
-    return count, worst
+        pairs = [(Decimal(sa), Decimal(sb)) for sa, sb in zip(pa[1::2], pb[1::2])]
+        row = max((abs(x) for pair in pairs for x in pair if x.is_finite()),
+                  default=Decimal(0))
+        for (x, y), sa, sb in zip(pairs, pa[1::2], pb[1::2]):
+            if sa == sb:
+                continue
+            if not (x.is_finite() and y.is_finite()) or abs(x - y) > CLOSE * row:
+                return None
+            top = max(abs(x), abs(y))
+            own = own and abs(x - y) <= CLOSE * top
+            count += 1
+            if top:
+                worst = max(worst, float(abs(x - y) / top))
+                worst_row = max(worst_row, float(abs(x - y) / row))
+    return count, worst, worst_row, own
 
 
 def stdout_word(text: str) -> str:
@@ -132,7 +150,7 @@ def stdout_word(text: str) -> str:
 def compare(a: Path, b: Path) -> int:
     rels = sorted({p.relative_to(root) for root in (a, b)
                    for p in root.rglob("*") if p.is_file()})
-    same, close, diff = 0, [], []
+    same, close, row_close, diff = 0, [], [], []
     changed, moved = Counter(), Counter()
     for rel in rels:
         fa, fb = a / rel, b / rel
@@ -149,14 +167,20 @@ def compare(a: Path, b: Path) -> int:
             same += 1
             continue
         res = close_numbers(ta.decode(), tb.decode())
+        if res is not None and res[3]:
+            close.append((str(rel), *res[:2]))
+            continue
         if res is None:
             diff.append(str(rel))
-            if call:
-                moved[rel.stem, stdout_word(ta.decode()), stdout_word(tb.decode())] += 1
         else:
-            close.append((str(rel), *res))
+            row_close.append((str(rel), *res[:3]))
+        if call:
+            moved[rel.stem, stdout_word(ta.decode()), stdout_word(tb.decode())] += 1
     for rel, count, worst in close:
         print(f"close {rel}: {count} numbers, largest relative gap {worst:.3g}")
+    for rel, count, worst, worst_row in row_close:
+        print(f"close to its row {rel}: {count} numbers, largest relative gap "
+              f"{worst:.3g}, largest row-relative gap {worst_row:.3g}")
     for rel in diff:
         print(f"different {rel}")
     for (cmd, wa, wb), count in sorted(moved.items()):
@@ -165,8 +189,10 @@ def compare(a: Path, b: Path) -> int:
         print(f"{cmd}: {sa} -> {sb}: {count}")
     print(f"{len(rels)} files: {same} byte-identical, {len(close)} close "
           f"({sum(c for _, c, _ in close)} numbers, largest relative gap "
-          f"{max((w for *_, w in close), default=0.0):.3g}), {len(diff)} different")
-    return 1 if diff else 0
+          f"{max((w for *_, w in close), default=0.0):.3g}), {len(row_close)} close "
+          f"to their row (largest row-relative gap "
+          f"{max((w for *_, w in row_close), default=0.0):.3g}), {len(diff)} different")
+    return 1 if diff or row_close else 0
 
 
 RANDOM_DRAWS = 20
