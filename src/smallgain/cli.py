@@ -406,16 +406,13 @@ def _fmt_witness(v) -> str:
 def _route_line(v) -> str:
     """The report line of one route that :func:`decide` ran."""
     route = v.method.split("-")[0]
-    if route == "spectral":
-        return f"spectral radius: {v.rho:.6g} ({v.status}){_fmt_witness(v)}"
     if route == "cycle":
         if v.holds:
             return f"cycle condition: holds (min margin {v.margins['min_margin']:.6g})"
         return f"cycle condition: fails on cycle {_fmt_cycle(v.cycle)}{_fmt_witness(v)}"
-    if route == "perron":
-        return f"Perron bound: {v.rho:.6g} ({v.status}){_fmt_witness(v)}"
-    if route == "majorant":
-        return f"slope majorant: {v.rho:.6g} ({v.status}){_fmt_witness(v)}"
+    bound = {"perron": "Perron bound", "majorant": "slope majorant"}.get(route)
+    if bound:
+        return f"{bound}: {v.rho:.6g} ({v.status}){_fmt_witness(v)}"
     if v.fails:
         return f"falsification: witness {_fmt_vec(v.witness)}"
     return "falsification: no witness found"

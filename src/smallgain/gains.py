@@ -89,9 +89,9 @@ class GainExpr:
         """Structural supremum over the half line (inf for class K-infinity)."""
         raise NotImplementedError
 
-    @property
+    @cached_property
     def is_zero(self) -> bool:
-        return self.classify() is GainClass.ZERO
+        return self.sup() == 0.0
 
     def power_law(self) -> tuple[float, float] | None:
         """``(c, q)`` when this gain is exactly ``c*s^q``, else None."""

@@ -1,12 +1,11 @@
 """Small gain condition checks.
 
-Four certification routes and one honest falsifier, in the order
+Three certification routes and one honest falsifier, in the order
 :func:`decide` runs them:
 
-* spectral radius for networks whose operator is (conjugate to) a linear map,
 * Perron bound for networks homogeneous after a per-node power change
-  (:func:`power_form`): a Collatz-Wielandt bound ``T(w) <= c w``, ``c < 1``,
-  of the conjugate operator ``T`` is a proof,
+  (:func:`power_form`), linear ones included: a Collatz-Wielandt bound
+  ``T(w) <= c w``, ``c < 1``, of the conjugate operator ``T`` is a proof,
 * cycle criterion for max-type aggregation, read from closed walks
   ``Gamma^k(r e_i)`` on a grid of radii (no cycle is listed, so any number of
   nodes), for the max networks the Perron bound leaves open,
@@ -270,16 +269,16 @@ def power_form(net: GainNetwork):
 
 
 def linear_perron(net: GainNetwork):
-    """Perron root and ray of an operator linear after a power substitution.
+    """Perron root and ray of an operator linear after a power substitution,
+    as ``np.linalg.eig`` estimates them: candidate witnesses, never a proof.
 
-    Returns ``(rho, p, ray)``: the spectral radius of the slope matrix ``G``,
-    the per-node exponents ``p`` and ``ray = v**p`` for a Perron vector
-    ``v`` of ``G`` (max entry one), so ``Gamma_mu((r v)^p) = (rho r v)^p``.
-    ``rho`` is the largest real eigenvalue of an irreducible diagonal block
-    (a Perron root is simple there) and ``v`` that block's eigenvector
-    embedded in zeros: rows outside the block only gain from it, so it still
-    witnesses expansion.  Raises :class:`CompatibilityError` for any other
-    operator.
+    Returns ``(rho, p, ray)``: the largest real eigenvalue ``rho`` of an
+    irreducible diagonal block of the slope matrix ``G`` (a Perron root is
+    simple there), the per-node exponents ``p`` and ``ray = v**p`` for that
+    block's eigenvector ``v`` (max entry one) embedded in zeros, so
+    ``Gamma_mu((r v)^p) = (rho r v)^p``: rows outside the block only gain
+    from it, so it still witnesses expansion.  Raises
+    :class:`CompatibilityError` for any other operator.
     """
     p, G = power_form(net)
     if G is None:
@@ -295,7 +294,7 @@ def linear_perron(net: GainNetwork):
     return rho, p, np.power(v, p)
 
 
-# the spectral and Perron routes prove the condition at a bound below 1 - SPECTRAL_TOL
+# the Perron and majorant routes prove the condition at a bound below 1 - SPECTRAL_TOL
 SPECTRAL_TOL = 1e-9
 
 
@@ -313,13 +312,16 @@ def bound_verdict(net: GainNetwork, method: str, bound: float,
 
 
 def check_linear_spectral(net: GainNetwork) -> SgcVerdict:
-    """Spectral radius route for operators linear after a power substitution.
+    """Spectral radius of an operator linear after a power substitution.
 
-    Certifies the condition when rho(G) < 1 - SPECTRAL_TOL; at rho >= 1
-    tries the Perron direction as an explicit witness.
+    ``rho`` is :func:`linear_perron`'s eigenvalue, an estimate; the status is
+    the Perron route's, with the eigenvector's ray as the first candidate
+    witness.  Not one of :func:`decide`'s routes.
     """
-    rho, _p, w = linear_perron(net)
-    return bound_verdict(net, "spectral", rho, [w])
+    rho, _p, ray = linear_perron(net)
+    c, p, w, image = nonlinear_perron(net)
+    verdict = bound_verdict(net, "spectral", c, [ray, *perron_witnesses(p, w, image)])
+    return replace(verdict, rho=rho)
 
 
 def _conjugate(net: GainNetwork, p: np.ndarray, t) -> np.ndarray:
@@ -425,16 +427,16 @@ def nonlinear_perron(net: GainNetwork):
     """Collatz-Wielandt bound of the conjugate of a power-homogeneous operator.
 
     Returns ``(c, p, w, image)``: ``p`` from :func:`power_form`, a positive
-    ``w``, ``c = max_i T(w)_i / w_i``, a bound on the cone spectral radius
-    of the monotone, degree-one ``T(t) = Gamma_mu(t^p)^(1/p)`` at any
-    ``w``, and ``image = Gamma_mu(w^p)``, from which ``c`` is read.
-    A linear ``T = G t`` takes ``w = (I - G)^-1 1``, then steps
-    ``w <- (I - G)^-1 w`` until ``c < 1 - 1e-9`` (each lowers ``c`` towards
-    ``rho(G)``, however badly ``G`` is scaled).  Any other ``T`` iterates
-    ``w <- 1 + T(w)`` from ``w = 1`` on its array form
-    (:func:`_conjugate_form`), stopping early once ``T(w) >= w`` (``w^p`` is
-    then a candidate witness).  A max-of-linear ``T`` that has not stopped
-    by step ``POLICY_STEP`` takes the fixed point from
+    ``w``, ``c = max_i T(w)_i / w_i``, a bound on the cone spectral radius of
+    the monotone, degree-one ``T(t) = Gamma_mu(t^p)^(1/p)`` at any ``w``, and
+    ``image = Gamma_mu(w^p)``, from which ``c`` is read.  A linear
+    ``T = G t`` takes ``w = (I - G)^-1 1``, then steps ``w <- (I - G)^-1 w``
+    until ``c < 1 - 1e-9`` (each lowers ``c`` towards ``rho(G)``, however
+    badly ``G`` is scaled); any other ``T`` iterates ``w <- 1 + T(w)`` from
+    ``w = 1`` on its array form (:func:`_conjugate_form`).  Both stop early
+    once ``T(w) >= w``, which no ``w > 0`` meets below a radius of one
+    (``w^p`` is then a candidate witness).  A max-of-linear ``T`` that has
+    not stopped by step ``POLICY_STEP`` takes the fixed point from
     :func:`_policy_iteration` instead; where that gives none (a failing
     network) the loop goes on from the same step, so it returns what the
     loop alone returns.  Either way ``c`` is read with one operator
@@ -449,7 +451,9 @@ def nonlinear_perron(net: GainNetwork):
             for _ in range(INVERSE_MAX_ITER):
                 w = M @ w
                 w = w / w.max()
-                if not np.all(w > 0) or np.max(G @ w / w) < 1.0 - SPECTRAL_TOL:
+                gw = G @ w
+                if (not np.all(w > 0) or (gw >= w).all()
+                        or np.max(gw / w) < 1.0 - SPECTRAL_TOL):
                     break
             if np.all(w > 0):
                 return _perron_bound(net, p, w)
@@ -560,12 +564,11 @@ def _check_perron(net: GainNetwork) -> SgcVerdict:
 def decide(net: GainNetwork, *, seed: int = 0) -> SgcVerdict:
     """Small-gain verdict from the routes that apply, run in order.
 
-    The routes are the spectral radius, the Perron bound, the cycle
-    criterion, the slope majorant and the falsifier (seeded with ``seed``).
-    A route that does not serve the network raises
-    :class:`CompatibilityError` and is skipped.  The run stops at the first
-    proof: a spectral, Perron or majorant verdict either way (at
-    ``rho < 1 - 1e-9``, or a Collatz-Wielandt bound ``c < 1 - 1e-9``, no
+    The routes are the Perron bound, the cycle criterion, the slope
+    majorant and the falsifier (seeded with ``seed``).  A route that does
+    not serve the network raises :class:`CompatibilityError` and is
+    skipped.  The run stops at the first proof: a Perron or majorant
+    verdict either way (at a Collatz-Wielandt bound ``c < 1 - 1e-9`` no
     ``s != 0`` has ``Gamma_mu(s) >= s``, and a failure carries a re-checked
     witness) or a failing cycle route.  The proofs come first, so the
     sampled cycle route runs only on a max network that the Perron route
@@ -579,8 +582,7 @@ def decide(net: GainNetwork, *, seed: int = 0) -> SgcVerdict:
     """
     routes = []
     # built per call: the names are read now, so a patched route runs
-    for check in (check_linear_spectral, _check_perron, check_cycle_condition,
-                  check_majorant):
+    for check in (_check_perron, check_cycle_condition, check_majorant):
         try:
             verdict = check(net)
         except CompatibilityError:

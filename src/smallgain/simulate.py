@@ -619,7 +619,8 @@ def linear_gains(model: LinearBlock, Q, epsilon: float) -> LinearDesign:
     internal gains are square roots scaled by the coupling norms, the
     external gains are linear, and each row aggregates as a squared sum
     with the input slot inside the square.  Also produces the slope
-    matrix whose spectral radius decides the small gain condition.
+    matrix ``G``; a Collatz-Wielandt bound ``G w <= c w``, ``c < 1``, proves the
+    condition.
     """
     eps = float(epsilon)
     if not 0.0 < eps < 1.0:

@@ -234,3 +234,27 @@ def random_concave_net(rng: np.random.Generator, mu: str, nmax: int = 5):
     agg = SumAgg if mu == "sum" else MaxAgg
     return GainNetwork(n=n, gamma=tuple(map(tuple, gamma)), gamma_u=(Zero(),) * n,
                        mu=(agg(),) * n), W
+
+
+def ill_conditioned_chain(rng: np.random.Generator) -> np.ndarray:
+    """Slope matrix of a linear sum chain whose eigenvalues ``np.linalg.eig``
+    reads badly.
+
+    ``k = 2..4`` blocks, each a 2-cycle of gains ``2^e`` and ``2^-e``,
+    ``e`` in ``[-20, 20]``; each node of block ``b`` feeds its counterpart
+    in block ``b + 1`` by a gain of ``2^10`` to ``2^29``, and the last node
+    feeds node 0 by one back edge of ``2^-60`` to ``2^-199``.  The matrix is
+    then scaled so that the largest real eigenvalue ``eig`` reads is
+    ``1 - 1e-6``; the true radius may sit on either side of one.
+    """
+    k = int(rng.integers(2, 5))
+    n = 2 * k
+    G = np.zeros((n, n))
+    for b in range(k):
+        a = 2.0 ** int(rng.integers(-20, 21))
+        G[2 * b, 2 * b + 1], G[2 * b + 1, 2 * b] = a, 1.0 / a
+        if b:
+            for j in range(2):
+                G[2 * b + j, 2 * b - 2 + j] = 2.0 ** int(rng.integers(10, 30))
+    G[0, n - 1] = 2.0 ** -int(rng.integers(60, 200))
+    return G * ((1.0 - 1e-6) / float(np.max(np.linalg.eigvals(G).real)))

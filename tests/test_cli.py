@@ -128,7 +128,7 @@ def test_check_model_config_uses_design_network(tmp_path, capsys):
     code = main(["check", write_cfg(tmp_path, {"model": LINEAR_MODEL})])
     out = capsys.readouterr().out
     assert code == 0
-    assert "spectral radius: 0.4" in out
+    assert "Perron bound: 0.4" in out
 
 
 @pytest.mark.parametrize("cmd", ["check", "path", "certify", "simulate", "verify"])

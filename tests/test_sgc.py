@@ -1,6 +1,7 @@
 """Small gain condition checks against frozen and brute-force oracles."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ from smallgain.sgc import (
 )
 
 from gen import (
+    ill_conditioned_chain,
     max_cycle_mean,
     random_concave_net,
     random_linear_max_net,
@@ -793,7 +795,7 @@ def test_failing_perron_verdict_reads_operator_twice(monkeypatch):
 
 
 def test_power_form_read_once_per_network(monkeypatch):
-    # the spectral route, the Perron route and the ray share one reading
+    # the Perron route and the ray share one reading
     reads = []
     read = GainNetwork._read_power_form
     monkeypatch.setattr(GainNetwork, "_read_power_form",
@@ -807,8 +809,8 @@ def test_power_form_read_once_per_network(monkeypatch):
     p, G, _rows, C = net.power_form
     assert G is None and not p.flags.writeable and not C.flags.writeable
     # a failed reading is kept too: the concave sum network below is not
-    # power-homogeneous, and the spectral route, the Perron route and the
-    # ray each ask; its slope majorant is read once as well
+    # power-homogeneous, and the Perron route and the ray each ask; its
+    # slope majorant is read once as well
     bent = Sum((Linear(0.3), Saturating(0.1)))
     net = GainNetwork(n=2, gamma=((Zero(), bent), (bent, Zero())),
                       gamma_u=(Zero(),) * 2, mu=(SumAgg(),) * 2)
@@ -831,17 +833,13 @@ def test_power_form_read_once_per_network(monkeypatch):
 def run_all_routes(net, seed=0):
     """Reference rule: every applicable route runs, any failure wins.
 
-    The routes run spectral, Perron, cycle, majorant, falsifier.  The Perron
+    The routes run Perron, cycle, majorant, falsifier.  The Perron
     route holds at a bound below ``1 - 1e-9`` and fails when ``v^p`` is a
     witness, for ``v`` the stopped ``w`` without the rows ``Gamma_mu(w^p) >=
     w^p`` misses, scaled to sup norm one; the slope majorant runs where it
     applies, and the falsifier runs whatever came before it.
     """
     routes = []
-    try:
-        routes.append(check_linear_spectral(net).status)
-    except CompatibilityError:
-        pass
     try:
         c, p, w, _image = nonlinear_perron(net)
     except CompatibilityError:
@@ -883,16 +881,17 @@ def test_decide_matches_run_all_routes():
         stopped = len(v.routes) < len(statuses)
         last = v.routes[-1]
         if stopped:
-            assert last.method in ("spectral", "cycle", "perron", "majorant")
-            assert last.method in ("spectral", "perron", "majorant") or v.fails
+            assert last.method in ("cycle", "perron", "majorant")
+            assert last.method in ("perron", "majorant") or v.fails
             assert not last.inconclusive
         else:
             assert last.method.startswith("falsify")
         seen.add((kind, last.method.split("-")[0], status, stopped))
-    # both spectral proofs, a failing cycle route, both Perron proofs, both
-    # majorant proofs, and the falsifier's verdict or no verdict at all
-    for case in [("sum", "spectral", CERTIFIED_HOLDS, True),
-                 ("sum", "spectral", CERTIFIED_FAILS, True),
+    # both Perron proofs on linear sum rows, a failing cycle route, both
+    # Perron proofs, both majorant proofs, and the falsifier's verdict or no
+    # verdict at all
+    for case in [("sum", "perron", CERTIFIED_HOLDS, True),
+                 ("sum", "perron", CERTIFIED_FAILS, True),
                  ("max", "cycle", CERTIFIED_FAILS, True),
                  ("max", "perron", CERTIFIED_HOLDS, True),
                  ("mixed", "perron", CERTIFIED_HOLDS, True),
@@ -926,11 +925,84 @@ def test_overflowed_candidate_is_no_witness():
     assert sgc._is_witness(linear_net([[0, 2.0], [2.0, 0]]), np.array([1.0, 1.0]))
 
 
-def test_decide_spectral_witness_is_rechecked():
+def test_decide_linear_witness_is_rechecked():
     net = linear_net([[0, 1.5], [0.9, 0]])
     v = decide(net)
-    assert v.fails and v.method == "spectral" and len(v.routes) == 1
+    assert v.fails and v.method == "perron" and len(v.routes) == 1
     assert np.all(eval_operator(net, v.witness) >= v.witness)
+
+
+# an 8-node linear sum chain, gain g*s at each (i, j, g): np.linalg.eig reads
+# its radius as 0.999871, 50 digits read it as 1.0000049
+EIG_BELOW_ONE = [
+    (0, 1, 0.24994697088944362), (0, 7, 3.6726406535710465e-40),
+    (1, 0, 3.999151534231098), (2, 0, 8386828.6383158155),
+    (2, 3, 32761.049368421154), (3, 1, 67094629.106526524),
+    (3, 2, 3.0511104844902786e-05), (4, 2, 67094629.106526524),
+    (4, 5, 0.24994697088944362), (5, 3, 8386828.6383158155),
+    (5, 4, 3.999151534231098), (6, 4, 1048353.5797894769),
+    (6, 7, 7.998303068462196), (7, 5, 8190.262342105289),
+    (7, 6, 0.12497348544472181),
+]
+
+
+def _radius_50_digits(G):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        return max(abs(e) for e in mpmath.eig(mpmath.matrix(G.tolist()),
+                                              left=False, right=False))
+
+
+def test_eigenvalue_below_one_proves_no_hold(tmp_path, capsys):
+    from smallgain.cli import main
+
+    G = np.zeros((8, 8))
+    for i, j, g in EIG_BELOW_ONE:
+        G[i, j] = g
+    net = linear_net(G)
+    assert not decide(net).holds
+    v = check_linear_spectral(net)
+    assert v.rho < 1.0 - 1e-9 and not v.holds
+    cfg = tmp_path / "chain.json"
+    cfg.write_text(json.dumps({
+        "n": 8, "gains": [[f"{g!r}*s" if g else "0" for g in row] for row in G.tolist()],
+        "external_gains": ["0"] * 8, "mu": ["sum"] * 8}))
+    assert main(["check", str(cfg)]) == 1
+    assert "CertifiedHolds" not in capsys.readouterr().out
+    # why no route may hold: the radius is above one
+    assert _radius_50_digits(G) > 1
+
+
+def _exact_collatz_wielandt(G, w):
+    """``max_i (G w)_i / w_i`` in rationals, on the floats ``G`` and ``w``."""
+    w = [Fraction(x) for x in w]
+    return max(sum(Fraction(g) * x for g, x in zip(row, w) if g) / wi
+               for row, wi in zip(G.tolist(), w))
+
+
+# ill_conditioned_chain draws from default_rng(3) whose radius, read to 50
+# digits, is above one; numpy's eig reads each of them as 1 - 1e-6
+CHAIN_DRAWS = 100
+CHAINS_ABOVE_ONE = (22, 54, 92, 98, 123, 277, 278, 287, 295)
+
+
+def test_every_hold_on_ill_conditioned_chains_is_an_exact_bound():
+    # every hold re-checks as G w <= c w, c < 1, in rationals at the w of
+    # nonlinear_perron: the first CHAIN_DRAWS draws and those above one
+    rng = np.random.default_rng(3)
+    draws = [ill_conditioned_chain(rng) for _ in range(CHAINS_ABOVE_ONE[-1] + 1)]
+    held = 0
+    for k in sorted(set(range(CHAIN_DRAWS)) | set(CHAINS_ABOVE_ONE)):
+        net = linear_net(draws[k])
+        v = decide(net)
+        assert not (k in CHAINS_ABOVE_ONE and v.holds), k
+        if v.holds:
+            _c, _p, w, _image = nonlinear_perron(net)
+            assert np.all(w > 0)
+            exact = _exact_collatz_wielandt(draws[k], w)
+            assert exact < 1 and float(exact) == pytest.approx(v.rho, rel=1e-12), k
+            held += 1
+    assert held > 0
 
 
 @pytest.mark.parametrize("mu", ["sum", "max"])
@@ -1001,7 +1073,7 @@ def _count_calls(monkeypatch, *names):
     return calls
 
 
-def test_check_stops_at_spectral_proof(tmp_path, monkeypatch, capsys):
+def test_check_stops_at_linear_perron_proof(tmp_path, monkeypatch, capsys):
     from smallgain.cli import main
 
     calls = _count_calls(monkeypatch, "nonlinear_perron", "falsify_sgc")
@@ -1011,10 +1083,10 @@ def test_check_stops_at_spectral_proof(tmp_path, monkeypatch, capsys):
             "external_gains": ["0", "0"], "mu": ["sum", "sum"]}}''')
         assert main(["check", str(cfg)]) == code
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0].startswith(f"spectral radius: {slope:.6g} ({verdict})")
+        assert lines[0].startswith(f"Perron bound: {slope:.6g} ({verdict})")
         assert lines[1:] == [f"verdict: {verdict}"]
-    assert calls == {"nonlinear_perron": 0, "falsify_sgc": 0}
-    assert lines[0] == "spectral radius: 1.5 (CertifiedFails), witness (1, 1)"
+    assert calls == {"nonlinear_perron": 2, "falsify_sgc": 0}
+    assert lines[0] == "Perron bound: 1.5 (CertifiedFails), witness (1, 1)"
 
 
 def test_check_cross_checks_sampled_cycle_hold(tmp_path, monkeypatch, capsys):
