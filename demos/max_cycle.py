@@ -28,8 +28,9 @@ def main():
     good = loop("0.5*s")
     bad = loop("2*s")
 
+    verdicts = {}
     for name, net in [("contractive", good), ("expansive", bad)]:
-        v = check_cycle_condition(net)
+        v = verdicts[name] = check_cycle_condition(net)
         print(f"{name} loop: {v.status}")
         if v.cycle is not None:
             print(f"  violating cycle (0-based): {v.cycle}")
@@ -38,7 +39,8 @@ def main():
     s = np.asarray(fal.witness)
     print(f"falsifier witness s = {s}, Gamma(s) = {eval_operator(bad, s[None, :])[0]}")
 
-    sigma = path_max(good)
+    # the closure path is built on the cycle criterion's hold
+    sigma = path_max(good, verdicts["contractive"])
     print("\npath for the contractive loop:")
     buf = io.StringIO()
     export_path_csv(good, sigma, buf, radii=np.geomspace(0.1, 10.0, 4))

@@ -13,10 +13,11 @@ from one.
 Exit codes: 0 when the requested analysis certifies (or an inconclusive
 check is backed by a successful path construction), 1 when it fails or a
 constructor rejects the network, 2 on config errors, which are reported on
-stderr with JSON-pointer paths.  A proved failure prints the line of the
-route that proved it, with its witness or cycle, then ``verdict:
-CertifiedFails``, whichever command found it; any other rejection prints
-the error name and message.
+stderr with JSON-pointer paths.  ``check``, ``path`` and ``certify`` pass
+one gate, :func:`sgc.decide`: a network it refutes exits 1 from each of
+them with the line of the route that proved the failure, with its witness
+or cycle, then ``verdict: CertifiedFails``; ``path`` and ``certify`` build
+nothing for it.  Any other rejection prints the error name and message.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .paths import (
     validate_path,
     write_csv,
 )
-from .sgc import CERTIFIED_FAILS, decide
+from .sgc import CERTIFIED_FAILS, decide, route_line
 from .simulate import (
     CohenGrossberg,
     InputSignal,
@@ -371,15 +372,6 @@ def load_config(path) -> LoadedConfig:
 # Shared helpers
 
 
-def _fmt_vec(v) -> str:
-    return "(" + ", ".join(f"{x:.6g}" for x in np.atleast_1d(v)) + ")"
-
-
-def _fmt_cycle(c) -> str:
-    # subsystems are numbered from one in reports
-    return "(" + ", ".join(str(i + 1) for i in c) + ")"
-
-
 def _certificate(cfg: LoadedConfig, args) -> CompositeLyapunov:
     """Certificate of the config's network, with the model design's energies."""
     specs = cfg.design.specs if cfg.design else ()
@@ -399,30 +391,11 @@ def _sup_input(cfg: LoadedConfig) -> float:
 # Subcommands
 
 
-def _fmt_witness(v) -> str:
-    return f", witness {_fmt_vec(v.witness)}" if v.witness is not None else ""
-
-
-def _route_line(v) -> str:
-    """The report line of one route that :func:`decide` ran."""
-    route = v.method.split("-")[0]
-    if route == "cycle":
-        if v.holds:
-            return f"cycle condition: holds (min margin {v.margins['min_margin']:.6g})"
-        return f"cycle condition: fails on cycle {_fmt_cycle(v.cycle)}{_fmt_witness(v)}"
-    bound = {"perron": "Perron bound", "majorant": "slope majorant"}.get(route)
-    if bound:
-        return f"{bound}: {v.rho:.6g} ({v.status}){_fmt_witness(v)}"
-    if v.fails:
-        return f"falsification: witness {_fmt_vec(v.witness)}"
-    return "falsification: no witness found"
-
-
 def cmd_check(cfg: LoadedConfig, args) -> int:
     net = cfg.effective_net
     verdict = decide(net, seed=args.seed)
     for v in verdict.routes:
-        print(_route_line(v))
+        print(route_line(v))
     if not verdict.inconclusive:
         print(f"verdict: {verdict.status}")
         return 1 if verdict.fails else 0
@@ -430,7 +403,7 @@ def cmd_check(cfg: LoadedConfig, args) -> int:
     try:
         sigma = construct_path(net, seed=args.seed).sigma
     except SgcFails:
-        # a constructor's proof of failure is reported as main reports it
+        # a refutation is reported as main reports it
         raise
     except SmallGainError as exc:
         name = type(exc).__name__
@@ -602,7 +575,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except SgcFails as exc:
-        print(_route_line(exc.verdict))
+        print(route_line(exc.verdict))
         print(f"verdict: {CERTIFIED_FAILS}")
         return 1
     except SmallGainError as exc:

@@ -289,7 +289,12 @@ def compose(net: GainNetwork, sigma: OmegaPath, subsystems=()) -> CompositeLyapu
 
 def certify(net: GainNetwork, subsystems=(), *, seed: int = 0) -> CompositeLyapunov:
     """The network certificate: :func:`construct_path`, then :func:`compose`,
-    which derives the budget map from the path (:func:`derive_phi`)."""
+    which derives the budget map from the path (:func:`derive_phi`).
+
+    ``construct_path`` runs :func:`sgc.decide` first, so a network that it
+    refutes raises :class:`SgcFails` with decide's verdict and gets no
+    certificate; the path is built on the proof decide found, if any.
+    """
     res = construct_path(net, seed=seed)
     cl = compose(net, res.sigma, subsystems)
     return replace(cl, route=res.route)

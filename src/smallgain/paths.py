@@ -11,18 +11,25 @@ zero, which lies above the operator), three-node additive, mixed
 bounded/unbounded, bounded, irreducible (seed-and-chain) and reducible
 cases.
 
-:func:`construct_path`, the only dispatcher, tries them in that order.  A
-constructor's guard states the shape it serves, and its
-:class:`CompatibilityError` hands the network to the next one; a proved
-failure raises :class:`SgcFails` with the proving verdict, a give-up
-:class:`PathStalled` or :class:`Stalled`.  The mixed splice is made once,
-at the crossover radius.  Two retries remain, each measured to rescue
-networks: the mixed route's three inflation levels (1 of 400 random mixed
-sum networks certifies at ``c = 0.01``, a test network needs ``c = 0.002``)
-and the crossover radius's doubling (twice in the tests).  Every
-constructor validates its result on a log-spaced radius grid before
-returning it.  This module builds paths only; the external budget map of
-a certificate comes from the path (:func:`compose.derive_phi`).
+:func:`construct_path`, the only dispatcher, runs :func:`sgc.decide` once
+and builds from its verdict: decide proves, constructors build.  A network
+that decide refutes raises :class:`SgcFails` with decide's verdict before
+any constructor runs; the mixed route's inflated part and each reducible
+block call back into :func:`construct_path`, so they pass the same gate.
+The ray, max and majorant constructors build on the route verdict that
+proved the hold (the point ``(p, w)`` of a Perron or majorant bound, the
+cycle criterion's margin), and refuse without one; no constructor decides
+the condition itself.  The dispatch tries the constructors in order: a constructor's
+guard states the shape it serves, its :class:`CompatibilityError` hands
+the network to the next one, and a give-up raises :class:`PathStalled` or
+:class:`Stalled`.  The mixed splice is made once, at the crossover radius.
+Two retries remain, each measured to rescue networks: the mixed route's
+two inflation levels (2 of 400 random mixed sum networks certify at ``c =
+0.01``, none needs a lower level) and the crossover radius's doubling
+(twice in the tests).  Every constructor validates its result on a
+log-spaced radius grid before returning it.  This module builds paths
+only; the external budget map of a certificate comes from the path
+(:func:`compose.derive_phi`).
 """
 
 from __future__ import annotations
@@ -50,18 +57,7 @@ from .gains import (
     zero_rows,
 )
 from .graph import adjacency, is_irreducible, scc_decompose
-from .sgc import (
-    CERTIFIED_FAILS,
-    SgcVerdict,
-    _is_witness,
-    bound_verdict,
-    check_cycle_condition,
-    embed_verdict,
-    majorant_witnesses,
-    nonlinear_perron,
-    perron_witnesses,
-    slope_majorant,
-)
+from .sgc import SgcVerdict, decide, embed_verdict, route_line
 
 # top of the certified range: every constructor anchors past it, and the
 # validation grid, 1000 log-spaced radii from 1e-6, ends at it
@@ -560,8 +556,9 @@ def path_irreducible(net: GainNetwork, *, seed: int = 0) -> OmegaPath:
 RAY_MAX_ANCHORS = 20000
 
 
-def path_homogeneous(net: GainNetwork) -> OmegaPath:
-    """Ray ``sigma_i(r) = (r w_i)^p_i`` from :func:`sgc.nonlinear_perron`.
+def path_homogeneous(net: GainNetwork, verdict: SgcVerdict) -> OmegaPath:
+    """Ray ``sigma_i(r) = (r w_i)^p_i`` at the point ``(p, w)`` of the
+    Perron bound ``c`` that ``verdict`` holds (:func:`_holding_route`).
 
     ``T(w) <= c w`` with ``c < 1`` gives ``Gamma_mu(sigma(r)) <= (c r w)^p <
     sigma(r)`` at every radius, on any graph.  With one exponent the path is
@@ -570,46 +567,42 @@ def path_homogeneous(net: GainNetwork) -> OmegaPath:
     Otherwise anchors sit at a ratio ``q <= min(10^(1/12), c^(-1/2))``:
     ``Gamma_mu(sigma(r[k+1])) <= (c q)^p sigma(r[k]) < sigma(r[k])`` proves
     each segment by monotonicity.
-    Where :func:`sgc.bound_verdict` proves nothing (``c >= 1 -
-    SPECTRAL_TOL``) it raises :class:`SgcFails` when the candidate of
-    :func:`sgc.perron_witnesses` re-checks, else it refuses (:func:`_ray`).
     """
-    c, p, w, image = nonlinear_perron(net)
-    return _ray(net, "perron", c, p, w, perron_witnesses(p, w, image))
+    return _ray(net, _holding_route(verdict, "perron"))
 
 
-def path_majorant(net: GainNetwork) -> OmegaPath:
+def path_majorant(net: GainNetwork, verdict: SgcVerdict) -> OmegaPath:
     """Ray ``sigma(r) = r w`` of the slope majorant ``L = net.majorant``,
     on sum, max, outer-sum and block-max-sum rows.
 
-    :func:`sgc.nonlinear_perron` on ``L`` gives ``L(w) <= c w``, and
-    ``Gamma_mu <= L`` gives ``Gamma_mu(r w) <= c r w < r w`` at every
-    radius, so the ray built for ``L`` is validated on the network itself.
-    Where :func:`sgc.bound_verdict` proves nothing it raises
-    :class:`SgcFails` when a candidate of :func:`sgc.majorant_witnesses`
-    re-checks, else it refuses (:func:`_ray`), as it does without a
-    majorant.
+    The majorant route that ``verdict`` holds (:func:`_holding_route`)
+    gives ``L(w) <= c w``, and ``Gamma_mu <= L`` gives ``Gamma_mu(r w) <= c
+    r w < r w`` at every radius, so the ray built for ``L`` is validated on
+    the network itself.
     """
-    majorant = slope_majorant(net)
-    c, p, w, image = nonlinear_perron(majorant)
-    return _ray(net, "majorant", c, p, w, majorant_witnesses(majorant, w, image))
+    return _ray(net, _holding_route(verdict, "majorant"))
 
 
-def _ray(net: GainNetwork, method: str, c: float, p: np.ndarray, w: np.ndarray,
-         witnesses) -> OmegaPath:
-    """The ray ``(r w)^p`` of :func:`path_homogeneous` at the bound ``c``,
-    where the ``method`` verdict of :func:`sgc.bound_verdict` proves the
-    condition; where it fails on a re-checked witness, so does the ray.  It
-    serves only a bound below one on a ray of at most ``RAY_MAX_ANCHORS``
-    anchors inside the float range, and raises :class:`CompatibilityError`
-    otherwise."""
-    bound = {"perron": "Perron bound", "majorant": "slope majorant bound"}[method]
-    verdict = bound_verdict(net, method, c, witnesses)
-    if verdict.fails:
-        raise SgcFails(f"{bound} {c:.6g} is not below one", verdict)
-    if not verdict.holds:
-        raise CompatibilityError(f"{bound} {c:.6g} is not below one, and no witness "
-                                 "re-checks")
+def _holding_route(verdict: SgcVerdict, method: str) -> SgcVerdict:
+    """The verdict of the ``method`` route, ``verdict`` itself (a route's
+    own verdict) or one of ``verdict.routes`` (:func:`sgc.decide`'s).  It
+    must hold: a constructor builds on a proof only, and raises
+    :class:`CompatibilityError` where the route did not run or proved no
+    hold."""
+    for route in (verdict, *verdict.routes):
+        if route.method == method:
+            if not route.holds:
+                raise CompatibilityError(f"{route_line(route)}: no hold to build on")
+            return route
+    raise CompatibilityError(f"no {method} route ran on this network")
+
+
+def _ray(net: GainNetwork, route: SgcVerdict) -> OmegaPath:
+    """The ray ``(r w)^p`` of :func:`path_homogeneous` at the bound ``c =
+    route.rho`` and its point ``(p, w)``.  It serves only a ray of at most
+    ``RAY_MAX_ANCHORS`` anchors inside the float range, and raises
+    :class:`CompatibilityError` otherwise."""
+    c, (p, w) = route.rho, route.point
     w = w / w.max()
     ray = None
     if np.all(p == p[0]):
@@ -619,7 +612,8 @@ def _ray(net: GainNetwork, method: str, c: float, p: np.ndarray, w: np.ndarray,
     else:
         per_decade = max(GRID_DENSITY, int(np.ceil(-2.0 / np.log10(max(c, 1e-12)))))
         if np.log10(1.05 * RADIUS_MAX / 1e-7) * per_decade > RAY_MAX_ANCHORS:
-            raise CompatibilityError(f"{bound} {c:.6g} needs over {RAY_MAX_ANCHORS} anchors")
+            raise CompatibilityError(f"{route_line(route)}: the ray needs over "
+                                     f"{RAY_MAX_ANCHORS} anchors")
         radii = _log_grid(1e-7, 1.05 * RADIUS_MAX, per_decade)
         values = np.power(radii[:, None] * w, p)
     if not np.all(np.diff(values, axis=0, prepend=0.0) > 0):
@@ -627,41 +621,22 @@ def _ray(net: GainNetwork, method: str, c: float, p: np.ndarray, w: np.ndarray,
     return _finalize(net, radii, values, ray)
 
 
-# square roots the closure path takes of its lift before it gives up
-LIFT_TRIES = 30
-
-
-def path_max(net: GainNetwork) -> OmegaPath:
+def path_max(net: GainNetwork, verdict: SgcVerdict) -> OmegaPath:
     """Closure path ``sigma(t) = max_{k<n} (D o Gamma)^k(t 1)`` for max rows.
 
-    Gated by the cycle condition.  ``D = (1 + alpha) id`` starts from the
-    cycle criterion's margin ``m`` by ``(1 + alpha)^(2n) max(1 - m, 4^-n)
-    = 1``, at most one (a graph without cycles has ``m = 1``: no walk
-    returns there, so any ``alpha > 0`` serves).  A gain steeper than linear
-    amplifies the lift along a cycle, so ``1 + alpha`` then takes square
-    roots until ``D o Gamma`` passes the cycle criterion too.  A walk of
-    ``n`` steps repeats a node, so with every cycle of ``D o Gamma`` below
-    the identity ``Gamma(sigma(t)) <= D^-1(sigma(t)) < sigma(t)`` at every
-    ``t > 0``, on any graph.  Each component is at least ``t``, so the path
-    is K-infinity.  It is evaluated on all anchors in ``n - 1`` operator
-    calls.
+    Built on the hold of the cycle route that ``verdict`` holds
+    (:func:`_holding_route`).  ``D = (1 + alpha) id`` comes from the
+    route's margin ``m`` by ``(1 + alpha)^(2n) max(1 - m, 4^-n) = 1``, at
+    most one (a graph without cycles has ``m = 1``: no walk returns there,
+    so any ``alpha > 0`` serves).  A walk of ``n`` steps repeats a node, so
+    with every cycle of ``D o Gamma`` below the identity ``Gamma(sigma(t))
+    <= D^-1(sigma(t)) < sigma(t)`` at every ``t > 0``, on any graph; the
+    validation of :func:`_finalize` decides.  Each component is at least
+    ``t``, so the path is K-infinity.  It is evaluated on all anchors in
+    ``n - 1`` operator calls.
     """
-    for mu in net.mu:
-        if not isinstance(mu, MaxAgg):
-            raise CompatibilityError("max-aggregation path needs max rows throughout")
-    verdict = check_cycle_condition(net)
-    if not verdict.holds:
-        raise SgcFails("a subordinated cycle composition is not a contraction",
-                       verdict)
-    lift = max(1.0 - verdict.margins["min_margin"], 4.0**-net.n) ** (-0.5 / net.n)
-    for _ in range(LIFT_TRIES):
-        lifted = tuple(tuple(g if g.is_zero else Compose(Linear(lift), g) for g in row)
-                       for row in net.gamma)
-        if check_cycle_condition(GainNetwork(net.n, lifted, net.gamma_u, net.mu)).holds:
-            break
-        lift = np.sqrt(lift)
-    else:
-        raise PathStalled("no lift D = (1 + alpha) id keeps the cycle condition")
+    cycle = _holding_route(verdict, "cycle")
+    lift = max(1.0 - cycle.margins["min_margin"], 4.0**-net.n) ** (-0.5 / net.n)
     radii = _log_grid(1e-7, 1.05 * RADIUS_MAX)
     walk = np.outer(radii, np.ones(net.n))
     values = walk
@@ -761,11 +736,9 @@ def path_mixed(net: GainNetwork, *, seed: int = 0) -> OmegaPath:
     reducible route); the inflation term then absorbs the bounded part's
     supremum beyond a crossover radius, and a downward leg covers the radii
     below it (:func:`_splice_mixed`).  The inflation levels ``c = 0.05,
-    0.01, 0.002`` are tried in turn.  A failure of the inflated part is a
-    failure of another operator, so it proves something about the network
-    only through its witness: after the last level the first witness that
-    re-checks on the network raises :class:`SgcFails` with a ``falsify``
-    verdict, and without one the failure is reported as
+    0.01`` are tried in turn.  The inflated part passes the gate of
+    :func:`construct_path`, but it is another operator: its refutation
+    proves nothing about the network, and is reported as
     :class:`PathStalled`.  A network with only one gain class, or with a
     row without gains (a source node), raises :class:`CompatibilityError`.
     """
@@ -785,8 +758,7 @@ def path_mixed(net: GainNetwork, *, seed: int = 0) -> OmegaPath:
     ])
 
     zero_gain = Zero()
-    proof = None
-    for c in (0.05, 0.01, 0.002):
+    for c in (0.05, 0.01):
         rho = Linear(c)
         inflated = tuple(
             tuple(Compose(g, PlusId(rho)) if k is GainClass.K_INFINITY else zero_gain
@@ -801,21 +773,14 @@ def path_mixed(net: GainNetwork, *, seed: int = 0) -> OmegaPath:
             last_error = exc
             continue
         except SgcFails as exc:
-            # the inflated part is another operator: only a witness that
-            # re-checks on the network proves the network fails
-            failure = f"the unbounded part inflated by {c:g} id fails: {exc}"
-            last_error = PathStalled(failure)
-            witness = exc.verdict.witness
-            if proof is None and witness is not None and _is_witness(net, witness):
-                proof = SgcFails(f"{failure}; its witness re-checks on the network",
-                                 SgcVerdict(status=CERTIFIED_FAILS, method="falsify",
-                                            witness=witness))
+            last_error = PathStalled(f"the unbounded part inflated by {c:g} id "
+                                     f"fails: {exc}")
             continue
         try:
             return _splice_mixed(net, sigma_u, c, s_star)
         except PathStalled as exc:
             last_error = exc
-    raise last_error if proof is None else proof
+    raise last_error
 
 
 def _crossover_radius(sigma_u: OmegaPath, c: float, s_star: np.ndarray) -> float:
@@ -899,7 +864,7 @@ def path_reducible(net: GainNetwork, *, seed: int = 0) -> OmegaPath:
     level ``r``, generalizing the two-block recipe
     ``sigma = (2 eta~(r), r)``.  Each block of two or more nodes gets its
     local path from :func:`construct_path`; a single node rides the
-    identity.  A block that fails the small gain condition fails the
+    identity.  A block that :func:`construct_path`'s gate refutes fails the
     network: its :class:`SgcFails` is raised again with the verdict read on
     the network (:func:`sgc.embed_verdict`).  A block's own rows are
     evaluated on its subnetwork, whose aggregations are remapped to
@@ -936,17 +901,12 @@ def path_reducible(net: GainNetwork, *, seed: int = 0) -> OmegaPath:
             top = 1.1 * RADIUS_MAX
             bp = OmegaPath(np.array([0.0, top]), np.array([[0.0], [top]]))
         else:
-            # a block is checked by the gate of its own route: the Perron
-            # bound of the ray, or the cycle condition of path_max; a failing
-            # block fails the network
             try:
                 bp = construct_path(subnet, seed=seed).sigma
             except SgcFails as exc:
-                verdict = exc.verdict
-                gate = ("the cycle condition" if verdict.method == "cycle"
-                        else "its Perron bound")
-                raise SgcFails(f"diagonal block {bi} fails {gate}",
-                               embed_verdict(net, block, verdict)) from exc
+                verdict = embed_verdict(net, block, exc.verdict)
+                raise SgcFails(f"diagonal block {bi} fails: {route_line(verdict)}",
+                               verdict) from exc
 
         if not any(fed):
             values[:, cols] = bp(radii_pos)
@@ -993,19 +953,28 @@ def construct_path(net: GainNetwork, *, seed: int = 0) -> PathResult:
     order ray, max, majorant, three_sum, mixed, bounded, irreducible,
     reducible; the result names the route.
 
-    A constructor's own guard states the shape it serves: its
-    :class:`CompatibilityError` hands the network to the next one, and any
-    other raise propagates (:class:`SgcFails` proves the condition fails,
-    :class:`PathStalled` or :class:`Stalled` gives up).  A network with a
-    zero row (a source node) reaches :func:`path_reducible`: the mixed,
-    bounded and irreducible constructors refuse it.  The mixed route's
-    inflated part and each reducible block call back into this dispatch.
-    With no constructor left, :class:`CompatibilityError` is raised from
-    the last refusal.
+    :func:`sgc.decide` runs once first, seeded with ``seed``.  A network
+    that it refutes raises :class:`SgcFails` carrying its verdict, with the
+    deciding route's line as the message, before any constructor runs.  The
+    ray, max and majorant constructors build on the route of the verdict
+    that proved the hold.  A constructor's own guard states the shape it
+    serves: its :class:`CompatibilityError` hands the network to the next
+    one, and any other raise propagates (:class:`PathStalled` or
+    :class:`Stalled` gives up).  A network with a zero row (a source node) reaches
+    :func:`path_reducible`: the mixed, bounded and irreducible constructors
+    refuse it.  The mixed route's inflated part and each reducible block
+    call back into this dispatch, and so pass the same gate.  With no
+    constructor left, :class:`CompatibilityError` is raised from the last
+    refusal.
     """
+    verdict = decide(net, seed=seed)
+    if verdict.fails:
+        raise SgcFails(route_line(verdict), verdict)
     # built per call: the names are read now, so a patched constructor runs
     constructors = (
-        ("ray", path_homogeneous), ("max", path_max), ("majorant", path_majorant),
+        ("ray", lambda net: path_homogeneous(net, verdict)),
+        ("max", lambda net: path_max(net, verdict)),
+        ("majorant", lambda net: path_majorant(net, verdict)),
         ("three_sum", path_three_sum), ("mixed", lambda net: path_mixed(net, seed=seed)),
         ("bounded", path_bounded),
         ("irreducible", lambda net: path_irreducible(net, seed=seed)),

@@ -4,8 +4,9 @@ Three certification routes and one honest falsifier, in the order
 :func:`decide` runs them:
 
 * Perron bound for networks homogeneous after a per-node power change
-  (:func:`power_form`), linear ones included: a Collatz-Wielandt bound
-  ``T(w) <= c w``, ``c < 1``, of the conjugate operator ``T`` is a proof,
+  (:attr:`GainNetwork.power_form`), linear ones included: a
+  Collatz-Wielandt bound ``T(w) <= c w``, ``c < 1``, of the conjugate
+  operator ``T`` is a proof,
 * cycle criterion for max-type aggregation, read from closed walks
   ``Gamma^k(r e_i)`` on a grid of radii (no cycle is listed, so any number of
   nodes), for the max networks the Perron bound leaves open,
@@ -18,7 +19,10 @@ Three certification routes and one honest falsifier, in the order
   ran without a return), then the Perron direction, which can only ever
   certify failure; absence of a witness stays Inconclusive.
 
-:func:`decide` runs the routes that apply and combines them into one verdict.
+:func:`decide` runs the routes that apply and combines them into one verdict;
+:func:`route_line` is the report line of one route's verdict.  The Perron
+and majorant verdicts carry the point their bound was read at, from which
+the path constructors build their rays.
 """
 
 from __future__ import annotations
@@ -46,6 +50,9 @@ class SgcVerdict:
     cycle: tuple[int, ...] | None = None
     rho: float | None = None
     margins: dict = field(default_factory=dict)
+    # (p, w) of a Perron or majorant bound: rho = max_i T(w)_i / w_i at the
+    # positive w, for the conjugate T of the exponents p
+    point: tuple[np.ndarray, np.ndarray] | None = None
     # the verdict of each route :func:`decide` ran, in order
     routes: tuple[SgcVerdict, ...] = ()
 
@@ -262,12 +269,6 @@ def falsify_sgc(net: GainNetwork, seed: int = 0, *,
     )
 
 
-def power_form(net: GainNetwork):
-    """Per-node exponents ``p``, and the matrix ``G`` when the conjugate is
-    linear: the first two entries of :attr:`GainNetwork.power_form`."""
-    return net.power_form[:2]
-
-
 def linear_perron(net: GainNetwork):
     """Perron root and ray of an operator linear after a power substitution,
     as ``np.linalg.eig`` estimates them: candidate witnesses, never a proof.
@@ -280,7 +281,7 @@ def linear_perron(net: GainNetwork):
     from it, so it still witnesses expansion.  Raises
     :class:`CompatibilityError` for any other operator.
     """
-    p, G = power_form(net)
+    p, G = net.power_form[:2]
     if G is None:
         raise CompatibilityError("the conjugate operator is not a sum of linear gains")
     rho, v = 0.0, np.ones(net.n)
@@ -298,17 +299,18 @@ def linear_perron(net: GainNetwork):
 SPECTRAL_TOL = 1e-9
 
 
-def bound_verdict(net: GainNetwork, method: str, bound: float,
+def bound_verdict(net: GainNetwork, method: str, bound: float, point,
                   witnesses) -> SgcVerdict:
-    """Proof at ``bound < 1 - SPECTRAL_TOL``, else failure at the first of
-    ``witnesses`` (an iterable, read only past the proof) that re-checks."""
+    """Proof at ``bound < 1 - SPECTRAL_TOL``, read at ``point = (p, w)``,
+    else failure at the first of ``witnesses`` (an iterable, read only past
+    the proof) that re-checks."""
     if bound < 1.0 - SPECTRAL_TOL:
-        return SgcVerdict(status=CERTIFIED_HOLDS, method=method, rho=bound)
+        return SgcVerdict(status=CERTIFIED_HOLDS, method=method, rho=bound, point=point)
     for witness in witnesses:
         if _is_witness(net, witness):
             return SgcVerdict(status=CERTIFIED_FAILS, method=method, rho=bound,
-                              witness=witness)
-    return SgcVerdict(status=INCONCLUSIVE, method=method, rho=bound)
+                              witness=witness, point=point)
+    return SgcVerdict(status=INCONCLUSIVE, method=method, rho=bound, point=point)
 
 
 def check_linear_spectral(net: GainNetwork) -> SgcVerdict:
@@ -320,12 +322,14 @@ def check_linear_spectral(net: GainNetwork) -> SgcVerdict:
     """
     rho, _p, ray = linear_perron(net)
     c, p, w, image = nonlinear_perron(net)
-    verdict = bound_verdict(net, "spectral", c, [ray, *perron_witnesses(p, w, image)])
+    verdict = bound_verdict(net, "spectral", c, (p, w),
+                            [ray, *perron_witnesses(p, w, image)])
     return replace(verdict, rho=rho)
 
 
 def _conjugate(net: GainNetwork, p: np.ndarray, t) -> np.ndarray:
-    """``T(t) = Gamma_mu(t^p)^(1/p)``, homogeneous for :func:`power_form`'s ``p``."""
+    """``T(t) = Gamma_mu(t^p)^(1/p)``, homogeneous for the ``p`` of
+    :attr:`GainNetwork.power_form`."""
     return eval_operator(net, np.power(t, p)) ** (1.0 / p)
 
 
@@ -333,8 +337,9 @@ def _conjugate_form(p: np.ndarray, rows, C: np.ndarray):
     """:func:`_conjugate` as array arithmetic on the power laws, for one ``t``.
 
     Row ``i`` is ``k_i A_i(...)^e_i`` over gains ``c_ij s^q_ij`` with
-    ``e_i q_ij p_j = p_i`` (:func:`power_form`).  At ``s = t^p`` each gain
-    reads ``c_ij t_j^(p_j q_ij) = c_ij t_j^r_i``, ``r_i = p_i / e_i``, so
+    ``e_i q_ij p_j = p_i`` (:attr:`GainNetwork.power_form`).  At ``s = t^p``
+    each gain reads ``c_ij t_j^(p_j q_ij) = c_ij t_j^r_i``, ``r_i = p_i /
+    e_i``, so
     ``T_i(t) = (k_i A_i(c_ij t_j^r_i)^e_i)^(1/p_i)`` is
 
     * on sum and power-of-sum rows, ``k_i^(1/p_i) (sum_j c_ij t_j^r_i)^(1/r_i)``;
@@ -426,10 +431,11 @@ POLICY_MAX_ITER = 50
 def nonlinear_perron(net: GainNetwork):
     """Collatz-Wielandt bound of the conjugate of a power-homogeneous operator.
 
-    Returns ``(c, p, w, image)``: ``p`` from :func:`power_form`, a positive
-    ``w``, ``c = max_i T(w)_i / w_i``, a bound on the cone spectral radius of
-    the monotone, degree-one ``T(t) = Gamma_mu(t^p)^(1/p)`` at any ``w``, and
-    ``image = Gamma_mu(w^p)``, from which ``c`` is read.  A linear
+    Returns ``(c, p, w, image)``: ``p`` from :attr:`GainNetwork.power_form`,
+    a positive ``w``, ``c = max_i T(w)_i / w_i``, a bound on the cone
+    spectral radius of the monotone, degree-one ``T(t) =
+    Gamma_mu(t^p)^(1/p)`` at any ``w``, and ``image = Gamma_mu(w^p)``, from
+    which ``c`` is read.  A linear
     ``T = G t`` takes ``w = (I - G)^-1 1``, then steps ``w <- (I - G)^-1 w``
     until ``c < 1 - 1e-9`` (each lowers ``c`` towards ``rho(G)``, however
     badly ``G`` is scaled); any other ``T`` iterates ``w <- 1 + T(w)`` from
@@ -478,15 +484,6 @@ def _perron_bound(net: GainNetwork, p: np.ndarray, w: np.ndarray):
     ``c = max T(w) / w`` read from ``image = Gamma_mu(w^p)``."""
     image = eval_operator(net, np.power(w, p))
     return float(np.max(image ** (1.0 / p) / w)), p, w, image
-
-
-def slope_majorant(net: GainNetwork) -> GainNetwork:
-    """:attr:`GainNetwork.majorant`, or :class:`CompatibilityError` when there
-    is none."""
-    if net.majorant is None:
-        raise CompatibilityError("an outer-sum wrapper or a gain has no slope "
-                                 "at zero")
-    return net.majorant
 
 
 # radii t of the slope majorant's candidate witnesses t v, 1 down to 1e-8
@@ -549,16 +546,20 @@ def check_majorant(net: GainNetwork) -> SgcVerdict:
     :func:`majorant_witnesses` are re-checked against the operator itself.
     Raises :class:`CompatibilityError` when the network has no majorant.
     """
-    majorant = slope_majorant(net)
-    c, _p, w, image = nonlinear_perron(majorant)
-    return bound_verdict(net, "majorant", c, majorant_witnesses(majorant, w, image))
+    majorant = net.majorant
+    if majorant is None:
+        raise CompatibilityError("an outer-sum wrapper or a gain has no slope "
+                                 "at zero")
+    c, p, w, image = nonlinear_perron(majorant)
+    return bound_verdict(net, "majorant", c, (p, w),
+                         majorant_witnesses(majorant, w, image))
 
 
 def _check_perron(net: GainNetwork) -> SgcVerdict:
     """Perron-bound route: the :func:`nonlinear_perron` bound, proved below
     one, else failing at a re-checked :func:`perron_witnesses` candidate."""
     c, p, w, image = nonlinear_perron(net)
-    return bound_verdict(net, "perron", c, perron_witnesses(p, w, image))
+    return bound_verdict(net, "perron", c, (p, w), perron_witnesses(p, w, image))
 
 
 def decide(net: GainNetwork, *, seed: int = 0) -> SgcVerdict:
@@ -601,3 +602,29 @@ def _combine(routes: list[SgcVerdict]) -> SgcVerdict:
     for status in (CERTIFIED_FAILS, CERTIFIED_HOLDS, INCONCLUSIVE):
         if status in statuses:
             return replace(routes[statuses.index(status)], routes=tuple(routes))
+
+
+def _fmt_vec(v) -> str:
+    return "(" + ", ".join(f"{x:.6g}" for x in np.atleast_1d(v)) + ")"
+
+
+def _fmt_witness(v: SgcVerdict) -> str:
+    return f", witness {_fmt_vec(v.witness)}" if v.witness is not None else ""
+
+
+def route_line(v: SgcVerdict) -> str:
+    """The report line of one route's verdict; on :func:`decide`'s combined
+    verdict, the line of the deciding route.  Subsystems are numbered from
+    one."""
+    route = v.method.split("-")[0]
+    if route == "cycle":
+        if v.holds:
+            return f"cycle condition: holds (min margin {v.margins['min_margin']:.6g})"
+        cycle = "(" + ", ".join(str(i + 1) for i in v.cycle) + ")"
+        return f"cycle condition: fails on cycle {cycle}{_fmt_witness(v)}"
+    bound = {"perron": "Perron bound", "majorant": "slope majorant"}.get(route)
+    if bound:
+        return f"{bound}: {v.rho:.6g} ({v.status}){_fmt_witness(v)}"
+    if v.fails:
+        return f"falsification: witness {_fmt_vec(v.witness)}"
+    return "falsification: no witness found"

@@ -46,9 +46,9 @@ from smallgain.sgc import (
     _conjugate,
     check_cycle_condition,
     check_linear_spectral,
+    decide,
     falsify_sgc,
     nonlinear_perron,
-    power_form,
 )
 from smallgain.simulate import (
     DecreaseSpec,
@@ -85,9 +85,9 @@ def test_criterion_1_path_validity_suite():
                     path_bounded),
         "irreducible": (three_quarter_net(), path_irreducible),
         "max": (net_of([[Z, half], [half, Z]], [MaxAgg(), MaxAgg()]),
-                path_max),
+                lambda net: path_max(net, check_cycle_condition(net))),
         "homogeneous": (net_of([[Z, half], [half, Z]], [MaxAgg(), MaxAgg()]),
-                        path_homogeneous),
+                        lambda net: path_homogeneous(net, decide(net))),
         "three_sum": (three_quarter_net(), path_three_sum),
         "mixed": (net_of([[Z, Linear(0.3)], [Saturating(0.5), Z]],
                          [SumAgg(), SumAgg()]), path_mixed),
@@ -149,7 +149,7 @@ def test_criterion_3_linear_conjugacy():
     assert abs(rho_oracle - 0.4) <= 1e-9
     # the squared-sum operator is conjugate to the slope matrix under the
     # square root substitution: T(t) = Gamma(t^2)^(1/2) equals G t
-    p, _G = power_form(design.net)
+    p, _G = design.net.power_form[:2]
     assert p.tolist() == [2.0, 2.0]
     rng = np.random.default_rng(3)
     t = 10.0 ** rng.uniform(-6, 6, (200, 2))
@@ -167,7 +167,7 @@ def test_criterion_3_linear_conjugacy():
                   [SumAgg(), SumAgg()])
     c_conj, p_conj, _w, _image = nonlinear_perron(conj)
     assert p_conj.tolist() == [1.0, 1.0] and abs(c_conj - rho_oracle) <= 1e-9
-    sigma = path_homogeneous(design.net)
+    sigma = path_homogeneous(design.net, decide(design.net))
     rep = validate_path(design.net, sigma)
     assert rep.valid, f"ray path min margin {rep.min_margin:.3g}"
     print(f"criterion 3 (linear conjugacy): pass, rho={rho_oracle:.12g}, "

@@ -177,14 +177,14 @@ def test_path_three_sum_csv(tmp_path, capsys):
 
 
 def test_path_noncontractive_cycle_exit(tmp_path, capsys):
-    # a linear max ring takes the ray, which has no Perron bound below one
+    # the gate refutes a linear max ring by its Perron bound
     code = main(["path", write_cfg(tmp_path, max_net(2.0)),
                  "--out", str(tmp_path / "p.csv")])
     assert code == 1
     assert capsys.readouterr().out.splitlines() == [
         "Perron bound: 2 (CertifiedFails), witness (1, 1)",
         "verdict: CertifiedFails"]
-    # gains that are not power laws take the max route and its cycle gate
+    # and one whose gains are not power laws by the cycle route
     g = "1.6*s+0.4*s/(1+s)"
     doc = {**max_net(2.0), "gains": [["0", g], [g, "0"]]}
     code = main(["path", write_cfg(tmp_path, doc), "--out", str(tmp_path / "p.csv")])
@@ -208,21 +208,26 @@ def test_failing_construction_prints_the_verdict(tmp_path, capsys, cmd):
 
 @pytest.mark.parametrize("cmd", ["path", "certify"])
 def test_mixed_route_failure_prints_the_rechecked_witness(tmp_path, capsys, cmd):
-    # the mixed route's inflated unbounded part fails its Perron bound; its
-    # witness re-checks on the network, so the failure is the network's
+    # the falsifier refutes the network before the mixed route, whose
+    # inflated unbounded part fails its Perron bound, runs: path and certify
+    # print check's deciding line and write nothing
     doc = {"n": 3, "external_gains": ["0"] * 3, "mu": ["sum"] * 3,
            "gains": [["0", "2*s", "0"], ["2*s", "0", "0"],
                      ["(0.5*s/(1+s))o(1*s^2)", "0", "0"]]}
-    code = main([cmd, write_cfg(tmp_path, doc), "--out", str(tmp_path / "out")])
+    cfg = write_cfg(tmp_path, doc)
+    assert main(["check", cfg]) == 1
+    deciding = "falsification: witness (5.91011e-07, 1e-06, 0)"
+    assert capsys.readouterr().out.splitlines()[-2:] == [deciding,
+                                                         "verdict: CertifiedFails"]
+    code = main([cmd, cfg, "--out", str(tmp_path / "out")])
     assert code == 1
-    assert capsys.readouterr().out.splitlines() == [
-        "falsification: witness (1, 1, 0)",
-        "verdict: CertifiedFails"]
+    assert capsys.readouterr().out.splitlines() == [deciding, "verdict: CertifiedFails"]
+    assert not list(tmp_path.glob("out*"))
 
 
 def test_check_fallback_prints_a_constructor_failure(monkeypatch, capsys):
-    # routes that decide nothing leave the verdict to the constructor, whose
-    # proof of failure is printed as check prints a failing route
+    # routes that decide nothing leave the verdict to the path construction,
+    # whose gate's proof of failure is printed as check prints a failing route
     monkeypatch.setattr(cli, "decide", lambda net, seed: SgcVerdict(
         status=INCONCLUSIVE, method="falsify",
         routes=(SgcVerdict(status=INCONCLUSIVE, method="falsify"),)))
@@ -719,7 +724,7 @@ DEMO_ROUTES = {
     "bounded_pair": "bounded",
     "linear_two_block": "ray",
     "max_pair": "ray",
-    "max_pair_bad": None,  # no Perron bound below one, no path
+    "max_pair_bad": None,  # refuted by the Perron bound, no path
     "neural_pair": "majorant",
     "three_sum": "ray",
 }
@@ -730,7 +735,7 @@ def test_demo_config_routes():
     for name, route in DEMO_ROUTES.items():
         net = load_config(DEMO_DIR / f"{name}.json").effective_net
         if route is None:
-            with pytest.raises(SgcFails, match="Perron bound 2 is not below one"):
+            with pytest.raises(SgcFails, match=r"Perron bound: 2 \(CertifiedFails\)"):
                 construct_path(net)
         else:
             assert construct_path(net).route == route, name
@@ -877,6 +882,6 @@ def test_flat_reparametrization_is_lifted_not_raised(name, tmp_path, capsys):
              main(["path", cfg, "--out", str(tmp_path / "p.csv")]),
              main(["certify", cfg, "--out", str(tmp_path / "bundle")])]
     assert "Traceback" not in capsys.readouterr().out
-    # A fails by a re-checked witness near zero, yet certifies: the path is
-    # validated at radii from 1e-6 up only, a known open defect
-    assert codes == ([1, 0, 0] if name == "A" else [0, 0, 0])
+    # A fails by a re-checked witness near zero: the gate of construct_path
+    # refutes it for path and certify as check does
+    assert codes == ([1, 1, 1] if name == "A" else [0, 0, 0])

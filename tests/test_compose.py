@@ -29,7 +29,7 @@ from smallgain.paths import (
     path_max,
     path_reducible,
 )
-from smallgain.sgc import CERTIFIED_HOLDS, decide
+from smallgain.sgc import CERTIFIED_HOLDS, check_cycle_condition, decide
 from smallgain.simulate import CohenGrossberg, cg_gains, linear_demo
 
 Z = Zero()
@@ -116,7 +116,7 @@ def test_additive_rows_certify_without_shift():
 def test_no_external_gains_identity_budget():
     g = Linear(0.5)
     net = net_of([[Z, g], [g, Z]], [MaxAgg(), MaxAgg()])
-    sigma = path_max(net)
+    sigma = path_max(net, check_cycle_condition(net))
     cl = compose(net, sigma, [abs_spec(), abs_spec()])
     for r in [0.25, 7.0]:
         assert cl.phi(r) == pytest.approx(r)
@@ -129,7 +129,7 @@ def test_bounded_external_gain_drops_from_min():
     g = Linear(0.5)
     net = net_of([[Z, g], [g, Z]], [MaxAgg(), MaxAgg()],
                  gu=[Linear(1.0), Saturating(2.0)])
-    sigma = path_max(net)
+    sigma = path_max(net, check_cycle_condition(net))
     assert np.allclose(sigma.values[:, 0], sigma.values[:, 1])
     phi = derive_phi(net, sigma)
     # on the path (r, r) both midpoints are r - (r - 0.5 r)/2 = 0.75 r; at
@@ -143,7 +143,7 @@ def test_bounded_budget_restricted_input_range():
     s = Saturating(1.0)
     net = net_of([[Z, s], [s, Z]], [MaxAgg(), MaxAgg()],
                  gu=[Linear(1.0), Linear(1.0)])
-    sigma = path_max(net)
+    sigma = path_max(net, check_cycle_condition(net))
     cl = compose(net, sigma, [abs_spec(), abs_spec()])
     # the row images stay below 1, but half of each row's margin grows
     # with the path, so input 2 is covered: on the path (r, r) the
@@ -280,7 +280,7 @@ def test_eval_V_batch_interpolates_every_path_but_a_ray(monkeypatch):
     bounded = certify(net_of([[Z, sat], [sat, Z]], [SumAgg()] * 2), [abs_spec()] * 2)
     g = net_of([[Z, Power(0.4, 0.5), Z], [Z, Z, Linear(0.5)],
                 [Power(0.3, 2.0), Z, Z]], [SumAgg()] * 3)
-    unequal = compose(g, path_homogeneous(g), [abs_spec()] * 3)
+    unequal = compose(g, path_homogeneous(g, decide(g)), [abs_spec()] * 3)
     assert bounded.route == "bounded" and bounded.sigma.ray is None
     assert unequal.sigma.ray is None
     for cl in (bounded, unequal):

@@ -40,7 +40,13 @@ from smallgain.compose import PLFunction, certify, compose, derive_phi
 from smallgain.parser import parse_gain
 from smallgain.simulate import CohenGrossberg, cg_gains, linear_demo
 from smallgain.graph import adjacency, is_irreducible
-from smallgain.sgc import check_majorant, nonlinear_perron
+from smallgain.sgc import (
+    check_cycle_condition,
+    check_majorant,
+    decide,
+    nonlinear_perron,
+    route_line,
+)
 from smallgain.paths import (
     OmegaPath,
     PathResult,
@@ -124,6 +130,11 @@ def assert_dispatched(net, route):
     return res.sigma
 
 
+def closure(net):
+    """``path_max`` on the hold of the network's own cycle route."""
+    return path_max(net, check_cycle_condition(net))
+
+
 def margin_floor_ok(net, sigma):
     rr = np.geomspace(1e-6, 1e6, 1000)
     states = sigma(rr)
@@ -185,14 +196,15 @@ def ray_paths():
     """Straight rays of both constructors: the linear demo design on
     ``path_homogeneous``, a concave sum network on ``path_majorant``, and
     an asymmetric linear pair, whose direction is not all ones."""
-    lin = path_homogeneous(linear_demo()[1].net)
-    tilted = path_homogeneous(net_of([[Z, Linear(0.3)], [Linear(0.6), Z]],
-                                     [SumAgg(), SumAgg()]))
+    lin = linear_demo()[1].net
+    tilted = net_of([[Z, Linear(0.3)], [Linear(0.6), Z]], [SumAgg(), SumAgg()])
+    rays = [path_homogeneous(net, decide(net)) for net in (lin, tilted)]
     rng = np.random.default_rng(41)
     while True:
         net, _W = random_concave_net(rng, "sum")
-        if check_majorant(net).holds:
-            return [lin, path_majorant(net), tilted]
+        verdict = check_majorant(net)
+        if verdict.holds:
+            return [rays[0], path_majorant(net, verdict), rays[1]]
 
 
 def test_ray_path_carries_its_direction():
@@ -392,13 +404,13 @@ def test_irreducible_rejects_bounded_gains():
 
 def test_max_margin_floor():
     net = max2(0.5)
-    sigma = path_max(net)
+    sigma = closure(net)
     assert margin_floor_ok(net, sigma)
 
 
 def test_max_identity_for_isolated_node():
     net = net_of([[Z]], [MaxAgg()])
-    sigma = path_max(net)
+    sigma = closure(net)
     for r in [1e-6, 0.37, 12.0, 1e6]:
         assert np.isclose(sigma(r)[0], r)
 
@@ -406,15 +418,22 @@ def test_max_identity_for_isolated_node():
 def test_max_cycle_failure():
     net = net_of([[Z, Power(1, 0.5)], [Power(1, 2), Z]],
                  [MaxAgg(), MaxAgg()])
-    with pytest.raises(SgcFails, match="cycle composition is not a contraction") as exc:
-        path_max(net)
-    assert exc.value.verdict.fails and exc.value.verdict.method == "cycle"
-    assert exc.value.verdict.cycle == (1, 0)
+    # the cycle route fails on (1, 0), and path_max builds on a hold only;
+    # the gate refutes the network first, by the Perron route decide runs
+    # before the cycle route
+    verdict = check_cycle_condition(net)
+    assert verdict.fails and verdict.cycle == (1, 0)
+    with pytest.raises(CompatibilityError, match="no hold to build on"):
+        path_max(net, verdict)
+    with pytest.raises(SgcFails, match=r"Perron bound: 1 \(CertifiedFails\)") as exc:
+        construct_path(net)
+    assert_proves_failure(net, exc.value.verdict)
 
 
 def test_max_wrong_aggregation():
-    with pytest.raises(CompatibilityError, match="needs max rows throughout"):
-        path_max(sum2(0.4))
+    net = sum2(0.4)
+    with pytest.raises(CompatibilityError, match="no cycle route ran"):
+        path_max(net, decide(net))
 
 
 def test_max_reducible_delegation():
@@ -423,7 +442,7 @@ def test_max_reducible_delegation():
                   [g, Z, Z, Z],
                   [Z, Z, Z, g],
                   [Z, Z, g, Z]], [MaxAgg()] * 4)
-    sigma = path_max(net)
+    sigma = closure(net)
     assert isinstance(sigma, OmegaPath)
     assert validate_path(net, sigma).valid
 
@@ -456,7 +475,7 @@ def test_max_closure_path_on_holding_networks(strong):
                  for j in range(n)] for i in range(n)]
         net = net_of(rows, [MaxAgg()] * n)
         assert is_irreducible(adjacency(net)) == strong
-        assert validate_path(net, path_max(net)).valid
+        assert validate_path(net, closure(net)).valid
 
 
 @pytest.mark.parametrize("gain", [
@@ -479,7 +498,7 @@ def test_max_closure_path_without_cycles(gain):
 
 def test_homogeneous_symmetric_ray():
     net = max2(0.5)
-    sigma = path_homogeneous(net)
+    sigma = path_homogeneous(net, decide(net))
     for r in [1e-3, 1.0, 1e5]:
         assert np.allclose(sigma(r), [r, r])
     assert margin_floor_ok(net, sigma)
@@ -494,7 +513,7 @@ def test_homogeneous_ray_matches_fixed_point():
                      [MaxAgg(), MaxAgg()])
         if a * b >= 0.95**2:
             continue
-        sigma = path_homogeneous(net)
+        sigma = path_homogeneous(net, decide(net))
         direction = sigma(1.0)
         direction = direction / direction.max()
         expected = np.array([1.0 + a, 1.0 + b])
@@ -504,23 +523,25 @@ def test_homogeneous_ray_matches_fixed_point():
 
 
 def test_homogeneous_critical_rejected():
-    with pytest.raises(SgcFails, match="Perron bound 1 is not below one") as exc:
-        path_homogeneous(max2(1.0))
+    net = max2(1.0)
+    with pytest.raises(CompatibilityError, match="no hold to build on"):
+        path_homogeneous(net, decide(net))
+    with pytest.raises(SgcFails, match=r"Perron bound: 1 \(CertifiedFails\)") as exc:
+        construct_path(net)
     assert exc.value.verdict.method == "perron"
-    assert sgc._is_witness(max2(1.0), exc.value.verdict.witness)
+    assert sgc._is_witness(net, exc.value.verdict.witness)
 
 
 def test_ray_without_bound_or_witness_falls_through(monkeypatch):
     # a bound of one read at a badly scaled w proves nothing either way: the
     # ray refuses and the next constructor takes the network
-    real = paths_module.nonlinear_perron
-    monkeypatch.setattr(paths_module, "nonlinear_perron",
-                        lambda net: (1.0, *real(net)[1:]))
-    with pytest.raises(CompatibilityError, match="no witness"):
-        path_homogeneous(max2(0.5))
+    real = sgc.nonlinear_perron
+    monkeypatch.setattr(sgc, "nonlinear_perron", lambda net: (1.0, *real(net)[1:]))
+    with pytest.raises(CompatibilityError, match=r"Perron bound: 1 \(Inconclusive\)"):
+        path_homogeneous(max2(0.5), decide(max2(0.5)))
     assert construct_path(max2(0.5)).route == "max"
-    # with a witness w^p the ray's failure stands
-    with pytest.raises(SgcFails, match="Perron bound 1 is not below one") as exc:
+    # with a witness w^p the Perron route's failure stands
+    with pytest.raises(SgcFails, match=r"Perron bound: 1 \(CertifiedFails\)") as exc:
         construct_path(max2(1.5))
     assert sgc._is_witness(max2(1.5), exc.value.verdict.witness)
 
@@ -535,12 +556,13 @@ def test_rays_and_decide_prove_below_one_threshold(monkeypatch, tol):
     bounds = [v for v in sgc.decide(net).routes if v.rho is not None]
     assert bounds and all(v.rho == pytest.approx(0.5) and v.holds == proved
                           for v in bounds)
-    for build in (path_homogeneous, path_majorant):
+    for build, route in ((path_homogeneous, sgc._check_perron),
+                         (path_majorant, check_majorant)):
         if proved:
-            assert validate_path(net, build(net)).min_margin > 0
+            assert validate_path(net, build(net, route(net))).min_margin > 0
         else:
-            with pytest.raises(CompatibilityError, match="0.5 is not below one"):
-                build(net)
+            with pytest.raises(CompatibilityError, match=r"0\.5 \(Inconclusive\)"):
+                build(net, route(net))
     assert (construct_path(net).route == "ray") == proved
 
 
@@ -549,7 +571,9 @@ def test_homogeneous_rejects_inhomogeneous():
     net = net_of([[Z, Power(0.1, 2)], [Power(0.1, 2), Z]],
                  [MaxAgg(), MaxAgg()])
     with pytest.raises(CompatibilityError, match="breaks every per-node power change"):
-        path_homogeneous(net)
+        net.power_form
+    with pytest.raises(CompatibilityError, match="no perron route ran"):
+        path_homogeneous(net, decide(net))
 
 
 def test_homogeneous_ray_past_float_range_is_named():
@@ -557,7 +581,7 @@ def test_homogeneous_ray_past_float_range_is_named():
     net = net_of([[Z, Power(0.5, 0.02)], [Power(0.5, 50.0), Z]],
                  [MaxAgg(), MaxAgg()])
     with pytest.raises(CompatibilityError, match="out of the float range"):
-        path_homogeneous(net)
+        path_homogeneous(net, decide(net))
 
 
 def test_homogeneous_unequal_exponents_prove_every_segment():
@@ -567,7 +591,7 @@ def test_homogeneous_unequal_exponents_prove_every_segment():
                   [Power(0.3, 2.0), Z, Z]], [SumAgg()] * 3)
     c, p, _w, _image = nonlinear_perron(net)
     assert p.tolist() == [1.0, 2.0, 2.0] and c < 1.0
-    sigma = path_homogeneous(net)
+    sigma = path_homogeneous(net, decide(net))
     ratio = sigma.radii[2:] / sigma.radii[1:-1]
     assert np.all(ratio <= min(10.0 ** (1.0 / 12.0), c ** -0.5) * (1 + 1e-12))
     values = sigma.values[1:]
@@ -887,66 +911,26 @@ def test_mixed_needs_additive_rows():
         path_mixed(net)
 
 
-def test_mixed_inflated_failure_is_no_proof(monkeypatch):
+def test_mixed_inflated_failure_is_no_proof():
     # the inflated unbounded part fails its Perron bound at every level; that
     # bound belongs to another operator, so it proves nothing about the
-    # network, but its witness does once it re-checks there
+    # network and the mixed route gives up.  The gate refutes the network
+    # itself, by the falsifier, before any constructor runs
     sigmoid = Compose(Saturating(0.5), Power(1.0, 2.0))
     net = net_of([[Z, Linear(2.0), Z], [Linear(2.0), Z, Z], [sigmoid, Z, Z]],
                  [SumAgg()] * 3)
-    with pytest.raises(SgcFails, match="inflated by 0.05 id fails: Perron bound 2.1 "
-                       ".*witness re-checks on the network") as exc:
+    with pytest.raises(PathStalled, match=r"inflated by 0\.01 id fails: Perron bound: "
+                       r"2\.02 \(CertifiedFails\)"):
+        path_mixed(net)
+    with pytest.raises(SgcFails, match="falsification: witness") as exc:
         construct_path(net)
-    verdict = exc.value.verdict
-    assert verdict.method == "falsify"
-    assert_proves_failure(net, verdict)
-    # a witness that does not re-check leaves the route stalled
-    monkeypatch.setattr(paths_module, "_is_witness", lambda net, s: False)
-    with pytest.raises(PathStalled, match="inflated by 0.002 id fails: Perron bound 2.004"):
-        construct_path(net)
-
-
-# sum rows and zero external gains; the inflated unbounded part gets a
-# valid path only at the third inflation level, c = 0.002
-LADDER_GAINS = [
-    ["0", "(0.47259067629467555*s/(1+s))o(1*s^1.4413156022017715)",
-     "0.1575302254315585*s", "0"],
-    ["(0.1575302254315585*s)o(id+(0.2*s/(1+s)))", "0",
-     "(0.47259067629467555*s/(1+s))o(1*s^1.4635472902974602)",
-     "0.47259067629467555*atan(s)"],
-    ["0.1575302254315585*s^0.6915540732162361", "0.47259067629467555*atan(s)",
-     "0", "0.47259067629467555*atan(s)"],
-    ["(0.1575302254315585*s)o(id+(0.2*s/(1+s)))", "0", "0", "0"],
-]
-
-
-def test_mixed_ladder_needs_third_inflation_level(monkeypatch):
-    net = net_of([[parse_gain(g) for g in row] for row in LADDER_GAINS],
-                 [SumAgg()] * 4)
-    inner_errors, splices = [], []
-    splice = paths_module._splice_mixed
-
-    def inner(sub, **kw):
-        try:
-            return construct_path(sub, **kw)
-        except SmallGainError as exc:
-            inner_errors.append((type(exc), str(exc).split(" (")[0]))
-            raise
-
-    def recording(net_, sigma_u, c, s_star):
-        splices.append(c)
-        return splice(net_, sigma_u, c, s_star)
-
-    monkeypatch.setattr(paths_module, "construct_path", inner)
-    monkeypatch.setattr(paths_module, "_splice_mixed", recording)
-    assert_dispatched(net, "mixed")
-    assert inner_errors == [(PathStalled, "constructed path failed validation")] * 2
-    assert splices == [0.002]
+    assert_proves_failure(net, exc.value.verdict)
 
 
 def test_mixed_sum_networks_take_the_mixed_route():
     # every draw mixes bounded and unbounded gains in sum rows: construct_path
-    # certifies it on the mixed route or rejects it by a named error
+    # certifies it on the mixed route, the gate refutes it, or the mixed
+    # route gives up by a named error
     rng = np.random.default_rng(2012)
     certified = 0
     for _ in range(40):
@@ -954,6 +938,8 @@ def test_mixed_sum_networks_take_the_mixed_route():
         try:
             assert_dispatched(net, "mixed")
             certified += 1
+        except SgcFails as exc:
+            assert_proves_failure(net, exc.verdict)
         except (PathStalled, Stalled):
             pass
     assert certified >= 20
@@ -1089,9 +1075,9 @@ MIXED3 = net_of([[Z, Saturating(0.3), bent(0.6)], [Linear(0.4), Z, Z],
     # the unbounded ring 0 -> 1 -> 2 -> 0 takes the irreducible inner path
     lambda: path_mixed(MIXED3),
     lambda: path_irreducible(net_of([[Z, CONCAVE_A], [CONCAVE_B, Z]], [SumAgg()] * 2)),
-    lambda: path_max(net_of([[Z, CONCAVE_A, Z],
-                             [Z, Z, Sum((Linear(0.3), Saturating(0.2)))],
-                             [CONCAVE_B, Z, Z]], [MaxAgg()] * 3)),
+    lambda: closure(net_of([[Z, CONCAVE_A, Z],
+                            [Z, Z, Sum((Linear(0.3), Saturating(0.2)))],
+                            [CONCAVE_B, Z, Z]], [MaxAgg()] * 3)),
 ], ids=["mixed", "irreducible", "max"])
 def test_batched_searches_build_the_sequential_path(monkeypatch, build):
     got = _result(build)
@@ -1270,27 +1256,28 @@ def test_reducible_block_failure_named():
     net = net_of([[Z, Linear(1.2), Linear(0.1)],
                   [Linear(1.2), Z, Z],
                   [Z, Z, Z]], [SumAgg()] * 3)
-    with pytest.raises(SgcFails, match="diagonal block 0 fails its Perron bound") as exc:
+    with pytest.raises(SgcFails, match=r"diagonal block 0 fails: Perron bound: 1\.2 "
+                       r"\(CertifiedFails\)") as exc:
         path_reducible(net)
     assert_block_verdict(net, exc.value.verdict, (0, 1))
 
 
 def test_reducible_max_checks_each_cycle_once(monkeypatch):
-    # a 2-cycle feeding one node: the whole network passes the gate of
-    # path_max, then its lift D o Gamma does; the closure path needs no
-    # blockwise detour, so no block is checked again
+    # a 2-cycle feeding one node: decide's cycle route holds on the whole
+    # network, and the closure path builds on it with no blockwise detour,
+    # so no block is checked again
     sizes = []
-    check = paths_module.check_cycle_condition
+    check = sgc.check_cycle_condition
 
     def counting(net):
         sizes.append(net.n)
         return check(net)
 
-    monkeypatch.setattr(paths_module, "check_cycle_condition", counting)
+    monkeypatch.setattr(sgc, "check_cycle_condition", counting)
     g = bent(0.5)
     net = net_of([[Z, g, Z], [g, Z, Z], [Z, g, Z]], [MaxAgg()] * 3)
     assert construct_path(net).route == "max"
-    assert sizes == [3, 3]
+    assert sizes == [3]
 
 
 def test_reducible_max_block_failure_named():
@@ -1301,7 +1288,8 @@ def test_reducible_max_block_failure_named():
                  [MaxAgg(), MaxAgg(), SumAgg(), SumAgg()])
     with pytest.raises(SgcFails) as exc:
         path_reducible(net)
-    assert str(exc.value) == "diagonal block 0 fails the cycle condition"
+    assert str(exc.value) == ("diagonal block 0 fails: cycle condition: fails on cycle "
+                              "(2, 1), witness (0.215443, 0.217471, 0, 0)")
     assert_block_verdict(net, exc.value.verdict, (0, 1))
     assert exc.value.verdict.cycle == (1, 0)
     # the same network with the blocks' nodes swapped: the block's local
@@ -1311,7 +1299,8 @@ def test_reducible_max_block_failure_named():
                   [Z, Linear(0.1), Z, bent(1.2)],
                   [Z, Z, bent(1.2), Z]],
                  [SumAgg(), SumAgg(), MaxAgg(), MaxAgg()])
-    with pytest.raises(SgcFails, match="diagonal block 0 fails the cycle condition") as exc:
+    with pytest.raises(SgcFails, match=r"diagonal block 0 fails: cycle condition: fails "
+                       r"on cycle \(4, 3\)") as exc:
         path_reducible(net)
     assert_block_verdict(net, exc.value.verdict, (2, 3))
     assert exc.value.verdict.cycle == (3, 2)
@@ -1496,7 +1485,7 @@ def test_reducible_budget_binds_only_at_source_blocks():
 
 def test_constructed_paths_strictly_monotone():
     nets = [
-        (max2(0.5), path_max),
+        (max2(0.5), closure),
         (sum3_complete(0.25), path_irreducible),
         (net_of([[Z, Saturating(1.0)], [Saturating(1.0), Z]],
                 [SumAgg(), SumAgg()]), path_bounded),
@@ -1540,8 +1529,11 @@ def _dispatch_cases():
 
 
 DISPATCH_CASES = _dispatch_cases()
-# construct_path's order
-CONSTRUCTORS = [("ray", path_homogeneous), ("max", path_max), ("majorant", path_majorant),
+# construct_path's order; the ray, max and majorant constructors build on
+# decide's verdict
+CONSTRUCTORS = [("ray", lambda net: path_homogeneous(net, decide(net))),
+                ("max", lambda net: path_max(net, decide(net))),
+                ("majorant", lambda net: path_majorant(net, decide(net))),
                 ("three_sum", path_three_sum), ("mixed", path_mixed),
                 ("bounded", path_bounded), ("irreducible", path_irreducible),
                 ("reducible", path_reducible)]
@@ -1601,7 +1593,8 @@ def test_dispatch_reads_patched_constructors_and_routes(monkeypatch):
     assert sgc.decide(concave).method == "majorant"
     bounded = net_of([[Z, Saturating(1.0)], [Saturating(1.0), Z]], [SumAgg(), SumAgg()])
     assert construct_path(bounded).route == "bounded"
-    assert calls == ["check_majorant", "path_bounded"]
+    # construct_path decides the bounded pair before it builds
+    assert calls == ["check_majorant", "check_majorant", "path_bounded"]
 
 
 # random_network seed 7, draw 292
@@ -1614,36 +1607,40 @@ STALLED_GAINS = [["0", "0", "0", "0.78302*sqrt(s)"],
 def test_splice_stall_on_the_network_is_not_retried():
     # the mixed splice's downward leg stalls on the network itself: that is
     # evidence against the condition, so no further inflation level is
-    # tried, and the falsifier refutes the network
+    # tried, and the falsifier refutes the network, which the gate of
+    # construct_path reports before the mixed route runs
     net = net_of([[parse_gain(g) for g in row] for row in STALLED_GAINS], [SumAgg()] * 4)
     with pytest.raises(Stalled, match="downward iteration is stalling above the "
                        "stopping ball"):
-        construct_path(net)
+        path_mixed(net)
     verdict = sgc.decide(net)
     assert verdict.fails and verdict.method == "falsify"
     assert_proves_failure(net, verdict)
+    with pytest.raises(SgcFails, match="falsification: witness"):
+        construct_path(net)
 
 
 @pytest.mark.parametrize("mu", ["sum", "max"])
 def test_majorant_ray_on_concave_networks(mu):
     # a holding network's majorant ray validates on the network itself; a
-    # failing one raises with its re-checked witness.  Max networks keep
-    # the closure path and its cycle gate in the dispatch
+    # failing one gets no ray, and the gate raises with its re-checked
+    # witness.  Max networks keep the closure path and decide's cycle route
     rng = np.random.default_rng(41 if mu == "sum" else 42)
     holding = failing = 0
     for _ in range(30):
         net, _W = random_concave_net(rng, mu)
-        if check_majorant(net).holds:
-            sigma = path_majorant(net)
+        verdict = check_majorant(net)
+        if verdict.holds:
+            sigma = path_majorant(net, verdict)
             assert validate_path(net, sigma).valid and margin_floor_ok(net, sigma)
             res = construct_path(net)
             assert res.route == ("majorant" if mu == "sum" else "max")
             holding += 1
         else:
-            with pytest.raises(SgcFails, match="slope majorant bound .* is not below one"):
-                path_majorant(net)
-            with pytest.raises(SgcFails, match="slope majorant bound" if mu == "sum"
-                               else "cycle composition is not a contraction") as exc:
+            with pytest.raises(CompatibilityError, match="no hold to build on"):
+                path_majorant(net, verdict)
+            with pytest.raises(SgcFails, match="slope majorant: .*CertifiedFails" if mu == "sum"
+                               else "cycle condition: fails") as exc:
                 construct_path(net)
             assert_proves_failure(net, exc.value.verdict)
             failing += 1
@@ -1651,26 +1648,51 @@ def test_majorant_ray_on_concave_networks(mu):
 
 
 def test_constructor_failures_carry_their_proof():
-    # every SgcFails from construct_path proves the failure of the network
-    # it was raised for: a witness that re-checks there or a failing cycle.
-    # The draws reach the ray, the closure path, the majorant ray, the
-    # reducible route's failing blocks and the mixed route's inflated part,
-    # whose witness re-checks on the network (a falsify verdict);
-    # test_majorant_ray_on_concave_networks checks the same on concave sum
-    # and max rows
+    # every SgcFails from construct_path is the gate's: decide's verdict on
+    # the network, printed as its route line, which proves the failure by a
+    # witness that re-checks there or a failing cycle.  The draws reach
+    # every route of decide; test_majorant_ray_on_concave_networks checks
+    # the same on concave sum and max rows
     rng = np.random.default_rng(0)
-    methods, blocks = set(), 0
+    methods = set()
     for _ in range(200):
         net = random_network(rng)[0]
         try:
             construct_path(net)
         except SgcFails as exc:
             assert_proves_failure(net, exc.verdict)
+            assert str(exc) == route_line(exc.verdict)
+            assert exc.verdict.method == decide(net).method
             methods.add(exc.verdict.method)
-            blocks += str(exc).startswith("diagonal block")
         except SmallGainError:
             pass
-    assert methods == {"perron", "cycle", "majorant", "falsify"} and blocks >= 3
+    assert methods == {"perron", "cycle", "majorant", "falsify"}
+
+
+# (generator, seed, draws, how many of them decide refutes)
+@pytest.mark.parametrize("family, seed, draws, refutations",
+                         [("mixed_sum", 2010, 120, 40), ("network", 7, 150, 89)])
+def test_no_path_for_a_refuted_network(family, seed, draws, refutations):
+    # no network that decide refutes gets a path: construct_path raises
+    # SgcFails, with a witness that re-checks or the cycle decide names.
+    # Draw 25 of seed 2010 once certified on the mixed route, its re-checked
+    # witness near zero below the validation grid
+    rng = np.random.default_rng(seed)
+    refuted = 0
+    for _ in range(draws):
+        net = random_mixed_sum_net(rng) if family == "mixed_sum" else random_network(rng)[0]
+        verdict = decide(net)
+        if not verdict.fails:
+            continue
+        refuted += 1
+        with pytest.raises(SgcFails) as exc:
+            construct_path(net)
+        proof = exc.value.verdict
+        if proof.witness is not None:
+            assert sgc._is_witness(net, proof.witness)
+        else:
+            assert proof.cycle is not None and proof.cycle == verdict.cycle
+    assert refuted == refutations
 
 
 def test_max_networks_above_the_cycle_cap_take_the_closure_path(tmp_path, capsys):
@@ -1720,8 +1742,8 @@ def test_critical_design_keeps_the_bounded_route():
     # bounded route takes it
     g = Saturating(1.0)
     pair = net_of([[Z, g], [g, Z]], [SumAgg(), SumAgg()])
-    with pytest.raises(CompatibilityError, match="slope majorant bound 1 "):
-        path_majorant(pair)
+    with pytest.raises(CompatibilityError, match=r"slope majorant: 1 \(Inconclusive\)"):
+        path_majorant(pair, decide(pair))
     assert_dispatched(pair, "bounded")
 
 
@@ -1775,7 +1797,7 @@ def test_certifies_where_seed_and_chain_stalls(make):
 
 def test_export_csv_format():
     net = max2(0.5)
-    sigma = path_max(net)
+    sigma = closure(net)
     buf = io.StringIO()
     export_path_csv(net, sigma, buf, radii=np.geomspace(1e-2, 1e2, 5))
     lines = buf.getvalue().strip().split("\n")

@@ -73,3 +73,21 @@ def test_every_number_of_the_line_sets_its_row_scale(tool):
         "20," + ROW.format(BEFORE), "20," + ROW.format("-2.75560115556e-14"))
     assert (count, own) == (1, False)
     assert worst == pytest.approx(0.9) and worst_row == pytest.approx(1.24e-15, rel=1e-2)
+
+
+def test_a_path_beside_a_refutation_is_named(tool, tmp_path):
+    # check refutes both jobs; only the second one's certify still exits 0
+    calls = {"refused": ("exit 1", "exit 1"), "built": ("exit 1", "exit 0")}
+    for job, (path_status, certify_status) in calls.items():
+        job_dir = tmp_path / job
+        job_dir.mkdir()
+        (job_dir / "check.txt").write_text(
+            "exit 1\n--- stdout\nfalsification: witness (1, 0)\n"
+            "verdict: CertifiedFails\n--- stderr\n")
+        (job_dir / "path.txt").write_text(f"{path_status}\n--- stdout\n--- stderr\n")
+        (job_dir / "certify.txt").write_text(f"{certify_status}\n--- stdout\n--- stderr\n")
+    assert tool.refuted_yet_built(tmp_path) == ["built"]
+    # a check that holds makes no contradiction
+    (tmp_path / "built" / "check.txt").write_text(
+        "exit 0\n--- stdout\nverdict: CertifiedHolds\n--- stderr\n")
+    assert tool.refuted_yet_built(tmp_path) == []

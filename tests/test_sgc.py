@@ -40,7 +40,6 @@ from smallgain.sgc import (
     decide,
     falsify_sgc,
     nonlinear_perron,
-    power_form,
 )
 
 from gen import (
@@ -280,7 +279,7 @@ def test_power_form_recovered_per_component():
         mask = rng.random((n, n)) < 0.3
         np.fill_diagonal(mask, False)
         net, e = power_network(rng, p, mask)
-        got = power_form(net)[0]
+        got = net.power_form[0]
         # one scale per weakly connected component: equal ratios along
         # every gain, and each component's first node keeps p = e
         scale = got / p
@@ -311,11 +310,11 @@ def test_power_form_reject_cycle_product_off_one():
         mask = rng.random((n, n)) < 0.4
         np.fill_diagonal(mask, False)
         mask[0, 1] = mask[1, 0] = True
-        power_form(power_network(np.random.default_rng(1), p, mask)[0])
+        power_network(np.random.default_rng(1), p, mask)[0].power_form
         # the 2-cycle 0 <-> 1 then has exponent product 1.1
         net, _e = power_network(np.random.default_rng(1), p, mask, bend=(0, 1))
         with pytest.raises(CompatibilityError, match="breaks every per-node power"):
-            power_form(net)
+            net.power_form
 
 
 def test_cycle_verdict_agrees_with_falsification():
@@ -558,7 +557,7 @@ def test_perron_bound_is_read_at_the_returned_vector(monkeypatch):
     monkeypatch.setattr(sgc, "FIXED_MAX_ITER", 2000)
     net = critical_ring()
     c, p, w, _image = nonlinear_perron(net)
-    assert power_form(net)[1] is None
+    assert net.power_form[1] is None
     t_w = eval_operator(net, w**p) ** (1.0 / p)
     assert c == float(np.max(t_w / w)) and c >= 1.0 - 1e-9
     assert np.all(eval_operator(net, np.array([1.0, 1.0, 1e-6])) >= [1.0, 1.0, 1e-6])
@@ -580,7 +579,7 @@ def random_power_networks(seed, count):
         mask = rng.random((n, n)) < 0.5
         np.fill_diagonal(mask, False)
         net, _e = power_network(rng, p, mask)
-        if power_form(net)[1] is None:
+        if net.power_form[1] is None:
             nets.append(net)
     return nets
 
@@ -602,7 +601,7 @@ def test_conjugate_form_matches_operator():
 def operator_perron(net):
     """Reference: the fixed-point loop of :func:`nonlinear_perron` on the
     operator itself, one ``eval_operator`` call per step."""
-    p, _G = power_form(net)
+    p, _G = net.power_form[:2]
     w = np.ones(net.n)
     tw = sgc._conjugate(net, p, w)
     for _ in range(sgc.FIXED_MAX_ITER):
@@ -651,7 +650,7 @@ def max_of_linear_networks(seed, count, log_scale=(-1.5, 0.8)):
             gamma[i][j] = Linear(c) if q == 1.0 else Power(c, float(q))
         net = GainNetwork(n=n, gamma=tuple(map(tuple, gamma)), gamma_u=(Zero(),) * n,
                           mu=tuple(SumAgg() if s else MaxAgg() for s in summed))
-        if power_form(net)[1] is None:
+        if net.power_form[1] is None:
             nets.append(net)
     return nets
 
@@ -1225,8 +1224,8 @@ def test_perron_witness_drops_a_source_row():
     assert v.fails and [r.method for r in v.routes] == ["perron"]
     assert v.witness[2] == 0.0 and v.witness.max() == 1.0
     assert sgc._is_witness(net, v.witness)
-    # the ray constructor reads the same candidate
-    with pytest.raises(SgcFails, match="Perron bound 2.21157") as exc:
+    # construct_path's gate raises the same verdict
+    with pytest.raises(SgcFails, match="Perron bound: 2.21157") as exc:
         construct_path(net)
     np.testing.assert_array_equal(exc.value.verdict.witness, v.witness)
 

@@ -16,6 +16,9 @@ no workload job reaches.  Each call leaves
 to the CSV and bundle files it wrote (``--out`` paths are relative to the
 job directory).  A call past 60 s is recorded as
 ``timeout``, an uncaught exception as ``crash <Type>``; the run goes on.
+After each set it prints how many configs ran and names the jobs whose
+``check`` prints ``verdict: CertifiedFails`` while ``path`` or ``certify``
+exits 0: a certificate beside a refutation.
 
 Compare a change with its parent commit, unpacked next to the repository::
 
@@ -103,6 +106,21 @@ def run_job(main, job_dir: Path, doc: dict) -> None:
             signal.alarm(0)
         (job_dir / f"{cmd[0]}.txt").write_text(
             f"{status}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}")
+
+
+def refuted_yet_built(set_dir: Path) -> list[str]:
+    """The jobs of one set whose ``check`` prints ``verdict: CertifiedFails``
+    while ``path`` or ``certify`` exits 0."""
+    jobs = []
+    for job in sorted(p for p in set_dir.iterdir() if p.is_dir()):
+        check = job / "check.txt"
+        if not (check.is_file() and "\nverdict: CertifiedFails\n" in check.read_text()):
+            continue
+        if any((job / f"{cmd}.txt").is_file()
+               and (job / f"{cmd}.txt").read_text().startswith("exit 0\n")
+               for cmd in ("path", "certify")):
+            jobs.append(job.name)
+    return jobs
 
 
 def close_numbers(a: str, b: str):
@@ -260,7 +278,9 @@ def main() -> int:
     for set_name, docs in sets.items():
         for job, doc in docs.items():
             run_job(cli_main, out / set_name / job, doc)
-        print(f"{set_name}: {len(docs)} configs", flush=True)
+        built = refuted_yet_built(out / set_name)
+        print(f"{set_name}: {len(docs)} configs, {len(built)} refuted by check yet "
+              f"built by path or certify{''.join(f' {job}' for job in built)}", flush=True)
     return 0
 
 
