@@ -229,34 +229,131 @@ def export_path_csv(net: GainNetwork, sigma: OmegaPath, out, radii=None) -> None
     write_csv(out, header, np.column_stack([rr, states, margins.min(axis=1)]))
 
 
+# cells per formatting block of write_csv: the kernel's temporaries, about
+# 25 words per cell, then stay near 400 KB whatever the table's size
+CSV_BLOCK = 2048
+
+
+@functools.cache
+def _csv_tables():
+    """Tables of the ``%.12g`` kernel :func:`_encode_cells`, built on first use.
+
+    ``digits[g]``: the four ASCII digits of ``g < 10^4``, first digit in
+    the low byte; ``zeros[g]``: its trailing zeros (4 for 0);
+    ``powers[e + 300]``: ``10^e`` correctly rounded; ``suffix[X + 300]``:
+    ``e+XX`` of a scientific exponent ``X``, 0 in fixed notation;
+    ``layout[13 c + nd]``: the words that print ``nd`` significant digits
+    in exponent class ``c`` (``X + 4`` for ``-4 <= X < 12``, else 16).
+    """
+    g = np.arange(10000, dtype=np.uint64)
+    digits = sum((48 + g // 10**(3 - b) % 10) << (8 * b) for b in range(4))
+    zeros = sum((g % 10**b == 0).astype(np.intp) for b in range(1, 5))
+    powers = np.array([float(f"1e{e}") for e in range(-300, 301)])
+    suffix = np.array([0 if -4 <= x < 12 else int.from_bytes(b"e%+03d" % x, "little")
+                       for x in range(-300, 301)], dtype=np.uint64)
+    low, full = (lambda n: (1 << 8 * n) - 1), (1 << 64) - 1
+    layout = np.zeros((17 * 13, 7), dtype=np.uint64)
+    for c in range(17):
+        # the digits of class 16 (scientific) sit as those of X = 0 do
+        x = c - 4 if c < 16 else 0
+        for nd in range(1, 13):
+            # k digits printed, the dot after the first q of them (none at 12)
+            k = max(nd, x + 1)
+            q = x + 1 if 0 <= x < k - 1 else 12
+            ka, kb = low(min(k, 8)), low(max(k - 8, 0))
+            sa, sb = low(min(q, 8)), low(max(q - 8, 0))
+            dot = 46 << 8 * q if q < 12 else 0
+            pre = b"0." + b"0" * (-x - 1) if x < 0 else b""
+            layout[13 * c + nd] = (ka & sa, ka & (full ^ sa), kb & sb, kb & (full ^ sb),
+                                   dot & full, dot >> 64, int.from_bytes(b"\0\0\0" + pre, "little"))
+    return digits, zeros, powers, suffix, layout
+
+
+def _encode_cells(x) -> np.ndarray:
+    """The ``%.12g`` text of each cell of ``x``: ``x.shape + (4,)``
+    little-endian words, null-padded (see :func:`write_csv`)."""
+    digits, zeros, powers, suffix, layout = _csv_tables()
+    flat = np.ravel(x)
+    a = np.abs(flat)
+    slow = ~((a >= 1e-280) & (a <= 1e280))
+    a[slow] = 1.0
+    # D = round(|x| 10^(11 - X)), 12 digits, X from log10, fixed by one step
+    e = np.floor(np.log10(a)).astype(np.intp)
+    s = a * powers[300 + 11 - e]
+    e += (s >= 1e12).astype(np.intp) - (s < 1e11)
+    s = a * powers[300 + 11 - e]
+    slow |= np.abs(s - np.floor(s) - 0.5) < 2e-3
+    d = np.rint(s)
+    carry = d >= 1e12
+    e += carry
+    hi, lo = np.divmod(np.where(carry, 1e11, d).astype(np.int64), 10**8)
+    mid, lo = np.divmod(lo, 10**4)
+    nd = 12 - zeros[lo] - (lo == 0) * (zeros[mid] + (mid == 0) * zeros[hi])
+    cls = np.where((e >= -4) & (e < 12), e + 4, 16)
+    ksa, kma, ksb, kmb, dot_a, dot_b, pre = np.take(layout, 13 * cls + nd, axis=0).T
+    a_digits, b_digits = digits[hi] | digits[mid] << 32, digits[lo]
+    out = np.empty((flat.size, 4), dtype="<u8")
+    out[:, 0] = np.where(flat < 0, pre | ord("-") << 16, pre)
+    out[:, 1] = (a_digits & ksa) | (a_digits & kma) << 8 | dot_a
+    out[:, 2] = (a_digits & kma) >> 56 | (b_digits & ksb) | (b_digits & kmb) << 8 | dot_b
+    out[:, 3] = suffix[e + 300]
+    if slow.any():
+        bits, inv = np.unique(flat[slow].view(np.uint64), return_inverse=True)
+        text = b"".join(("%.12g" % v).encode().ljust(32, b"\0")
+                        for v in bits.view(float).tolist())
+        out[slow] = np.frombuffer(text, dtype="<u8").reshape(-1, 4)[inv]
+    return out.reshape(np.shape(x) + (4,))
+
+
 @functools.lru_cache(maxsize=2)
-def _first_column(first: bytes) -> tuple[str, ...]:
-    """``%.12g`` text of a table's first column, given by its float bytes.
-    Kept for two columns: the radius grid that every ``certify --out``
-    file starts with, and one more."""
-    return tuple("%.12g" % x for x in np.frombuffer(first).tolist())
+def _first_column(first: bytes) -> np.ndarray:
+    """Encoded cells (:func:`_encode_cells`) of a table's first column,
+    given by its float bytes.  Kept for two columns: the radius grid that
+    every ``certify --out`` file starts with, and one more."""
+    records = _encode_cells(np.frombuffer(first))
+    records.flags.writeable = False
+    return records
 
 
 def write_csv(out, header: list[str], table) -> None:
-    """Write ``header`` and each row of ``table`` as ``%.12g`` cells.
+    """Write ``header`` and each row of ``table`` as ``%.12g`` cells,
+    ``,``-separated, each line ending in ``\\n``.
 
-    ``out`` is an open text stream or a file path.  The whole table is
-    formatted by one ``%`` over its flattened cells, with the first
-    column's text from :func:`_first_column`.
+    ``out`` is an open text stream or a file path.  The text is exactly
+    ``"%.12g" % x`` per cell, formatted by a numpy kernel in blocks of
+    about :data:`CSV_BLOCK` cells (:func:`_encode_cells`).  Each cell
+    becomes four little-endian words with null bytes in between: the sign
+    and the ``0.000`` prefix, the 12 digits ``D = round(|x| 10^(11 - X))``
+    with the decimal point and without trailing zeros, the ``e+XX``
+    suffix, and the separator; one ``bytes.translate`` drops the nulls.
+    The scaled value ``|x| 10^(11 - X)`` is a product of two correctly
+    rounded doubles below ``10^12``, off by less than ``3e-4``, so its
+    rounding is exact unless it lies within ``2e-3`` of a tie.  Such a
+    cell, zero, a non-finite cell and one with ``|x|`` outside ``[1e-280,
+    1e280]`` is formatted by ``%`` itself.  The first column's cells come
+    from :func:`_first_column`.
     """
     cells = np.asarray(table, dtype=float)
-    lines = [",".join(header)]
+    parts = [(",".join(header) + "\n").encode()]
     if len(cells):
-        flat = cells.ravel().tolist()
-        flat[::cells.shape[1]] = _first_column(cells[:, 0].tobytes())
-        row = "%s" + ",%.12g" * (cells.shape[1] - 1)
-        lines.append("\n".join([row] * len(cells)) % tuple(flat))
-    text = "\n".join(lines) + "\n"
+        width = cells.shape[1]
+        sep = np.full(width, ord(","), dtype=np.uint64) << 56
+        sep[-1] = ord("\n") << 56
+        first = _first_column(cells[:, 0].tobytes())
+        step = max(1, CSV_BLOCK // width)
+        for k in range(0, len(cells), step):
+            rows = cells[k:k + step]
+            block = np.empty(rows.shape + (4,), dtype="<u8")
+            block[:, 0] = first[k:k + step]
+            block[:, 1:] = _encode_cells(rows[:, 1:])
+            block[..., 3] |= sep
+            parts.append(block.tobytes().translate(None, b"\0"))
+    data = b"".join(parts)
     if hasattr(out, "write"):
-        out.write(text)
+        out.write(data.decode())
     else:
-        with open(out, "w") as fh:
-            fh.write(text)
+        with open(out, "wb") as fh:
+            fh.write(data)
 
 
 # ---------------------------------------------------------------------------

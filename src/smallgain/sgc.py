@@ -146,18 +146,18 @@ def check_cycle_condition(net: GainNetwork) -> SgcVerdict:
     simple cycle is such a walk with ``k <= n``.  So no return among the
     walks of :func:`_closed_walks` is the cycle criterion on the grid
     :data:`WALK_RADII`, on any graph.  A failure names the first returning
-    walk (:func:`_returning_walk`) and carries the walks' re-checked
-    witness, if any; a hold reports the least ``(r - returns) / r``.
+    walk (:func:`_returning_walk`) and its re-checked witness, without
+    which it is Inconclusive; a hold reports the least ``(r - returns) / r``.
     """
     if not all(isinstance(m, MaxAgg) for m in net.mu):
         raise CompatibilityError("cycle criterion needs max aggregation in every row")
     hit, witness, returns = _closed_walks(net)
-    if hit is not None:
-        return SgcVerdict(status=CERTIFIED_FAILS, method="cycle",
-                          cycle=_returning_walk(net, *hit), witness=witness,
-                          margins={"radius": hit[2]})
-    return SgcVerdict(status=CERTIFIED_HOLDS, method="cycle", margins={
-        "min_margin": float(np.min((WALK_RADII - returns) / WALK_RADII))})
+    if hit is None:
+        return SgcVerdict(status=CERTIFIED_HOLDS, method="cycle", margins={
+            "min_margin": float(np.min((WALK_RADII - returns) / WALK_RADII))})
+    return SgcVerdict(status=CERTIFIED_FAILS if witness is not None else INCONCLUSIVE,
+                      method="cycle", cycle=_returning_walk(net, *hit), witness=witness,
+                      margins={"radius": hit[2]})
 
 
 def _is_witness(net, s):
@@ -574,9 +574,9 @@ def decide(net: GainNetwork, *, seed: int = 0) -> SgcVerdict:
     witness) or a failing cycle route.  The proofs come first, so the
     sampled cycle route runs only on a max network that the Perron route
     leaves open: one that is not power-homogeneous, or whose bound is not
-    below one and gives no witness.  A sampled cycle hold is not a proof, so
-    the next route still runs after it, and the falsifier skips the walks
-    that held.  Any failing route makes the verdict CertifiedFails, else any
+    below one and gives no witness.  Only a failing cycle route is a proof,
+    so the next route runs after any other, and the falsifier skips the
+    walks.  Any failing route makes the verdict CertifiedFails, else any
     holding route CertifiedHolds, else it is Inconclusive.  Returned is the
     verdict of the first route with that status (the deciding route, named
     by ``method``), with the verdict of every route run in ``routes``.
@@ -591,7 +591,7 @@ def decide(net: GainNetwork, *, seed: int = 0) -> SgcVerdict:
         routes.append(verdict)
         if verdict.fails or (verdict.holds and verdict.method != "cycle"):
             return _combine(routes)
-    # a cycle route that ran held: none of its walks returns with a witness
+    # a cycle route that ran and did not fail found no witness in its walks
     walks = not any(v.method == "cycle" for v in routes)
     routes.append(falsify_sgc(net, seed, _walks=walks))
     return _combine(routes)
@@ -620,8 +620,8 @@ def route_line(v: SgcVerdict) -> str:
     if route == "cycle":
         if v.holds:
             return f"cycle condition: holds (min margin {v.margins['min_margin']:.6g})"
-        cycle = "(" + ", ".join(str(i + 1) for i in v.cycle) + ")"
-        return f"cycle condition: fails on cycle {cycle}{_fmt_witness(v)}"
+        state = "fails" if v.fails else "returns without a witness"
+        return f"cycle condition: {state} on cycle {_fmt_vec(np.add(v.cycle, 1))}{_fmt_witness(v)}"
     bound = {"perron": "Perron bound", "majorant": "slope majorant"}.get(route)
     if bound:
         return f"{bound}: {v.rho:.6g} ({v.status}){_fmt_witness(v)}"

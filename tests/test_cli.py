@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from gen import random_network
-from smallgain import cli, simulate
+from smallgain import cli, paths, simulate
 from smallgain.cli import load_config, main
 from smallgain.errors import ConfigError, SgcFails
 from smallgain.gains import GainNetwork, MaxAgg, OuterSum, SumAgg
 from smallgain.parser import format_gain, parse_gain
-from smallgain.paths import OmegaPath, construct_path, validate_path
+from smallgain.paths import OmegaPath, construct_path, validate_path, write_csv
 from smallgain.sgc import INCONCLUSIVE, SgcVerdict
 
 DEMO_DIR = pathlib.Path(__file__).resolve().parent.parent / "demos" / "configs"
@@ -802,6 +802,46 @@ def test_path_and_certify_share_the_linear_model_path(tmp_path, capsys):
     capsys.readouterr()
     path_csv = (tmp_path / "path.csv").read_bytes()
     assert path_csv == (tmp_path / "bundle.path.csv").read_bytes()
+
+
+def percent_csv(header, table):
+    """The CSV text of ``header`` and ``table`` by ``%`` on each cell."""
+    return "\n".join([",".join(header)] + [",".join("%.12g" % x for x in row)
+                                           for row in np.asarray(table).tolist()]) + "\n"
+
+
+def test_certify_bundle_twice_matches_the_cell_format(tmp_path, monkeypatch, capsys):
+    # the second run reads the radius grid's cells from the first column's
+    # cache; every file equals the % text of the table it was written from
+    written = []
+
+    def spy(out, header, table):
+        written.append((out, percent_csv(header, table)))
+        write_csv(out, header, table)
+
+    monkeypatch.setattr(paths, "write_csv", spy)
+    monkeypatch.setattr(cli, "write_csv", spy)
+    hits = paths._first_column.cache_info().hits
+    for run in range(2):
+        prefix = str(tmp_path / f"bundle{run}")
+        assert main(["certify", str(DEMO_DIR / "max_pair.json"), "--out", prefix]) == 0
+    capsys.readouterr()
+    assert [pathlib.Path(out).name for out, _ in written] == [
+        f"bundle{run}.{kind}.csv" for run in range(2) for kind in ("path", "phi", "margins")]
+    assert paths._first_column.cache_info().hits >= hits + 5
+    for out, ref in written:
+        assert pathlib.Path(out).read_text() == ref
+
+
+@pytest.mark.parametrize("width", [1, 3, 7, 2049])
+def test_write_csv_partial_last_block(width, tmp_path):
+    # 1000 rows: one block of 2048 // width rows leaves a partial last one
+    rows = 1000 if width < 100 else 3
+    rng = np.random.default_rng(width)
+    table = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-8, 8, (rows, width))
+    header = [f"c{i}" for i in range(width)]
+    write_csv(tmp_path / "t.csv", header, table)
+    assert (tmp_path / "t.csv").read_text() == percent_csv(header, table)
 
 
 @pytest.mark.parametrize("doc", [ROW_SUM_NETS["irreducible_row_sum"], max_net(0.5),

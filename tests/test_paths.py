@@ -1827,6 +1827,50 @@ def test_write_csv_row_cache_keeps_the_bytes():
             assert paths_module._first_column.cache_info().currsize <= 2
 
 
+def csv_kernel_cases():
+    """Doubles for the ``%.12g`` kernel: every class its fast path proves
+    and every class it hands to ``%``."""
+    rng = np.random.default_rng(36)
+    tens = np.array([float(f"1e{e}") for e in range(-323, 309)])
+    ties = np.concatenate([rng.integers(10**10, 10**11, 1000),
+                           rng.integers(10**11, 10**12, 1000)]).astype(float) + 0.5
+    carries = [float(f"{m}e{e}") for e in range(-300, 300, 7)
+               for m in ("9.999999999995", "9.9999999999951", "9.9999999999949")]
+    return np.concatenate([
+        # whole exponent range: random bit patterns (NaN, inf and subnormals
+        # included) and normal draws scaled over the fast path's range
+        rng.integers(0, 2**64, 20000, dtype=np.uint64).view(float),
+        rng.standard_normal(20000) * 10.0 ** rng.integers(-290, 290, 20000),
+        rng.random(5000) * 10.0 ** rng.integers(-6, 13, 5000),
+        # fallback classes
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+         1e300, -1e300, 1e-300, 1.7976931348623157e308, 1e280, 1e-280,
+         np.nextafter(1e280, np.inf), np.nextafter(1e-280, 0.0)],
+        # k + 0.5 of 12 digits (exact) and of 13 (a tie), and scaled ones
+        ties, ties / 10, ties * 10.0 ** rng.integers(-250, 250, ties.size),
+        # integers of 1e12 and above
+        1e12 + np.arange(1000.0), rng.integers(10**12, 2**62, 2000).astype(float),
+        # powers of ten and their neighbours
+        tens, -tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf),
+        # carries into the next decade, and values just short of one
+        [999999999999.5, 999999999999.4, 99999999999.95, 9999999999995.0,
+         0.99999999999995, 9.9999999999996, 0.000099999999999995], carries,
+        np.arange(-1000, 1000) / 8.0,
+    ])
+
+
+def test_write_csv_kernel_matches_percent_on_every_cell():
+    cells = csv_kernel_cases()
+    table = cells[: cells.size // 4 * 4].reshape(-1, 4)
+    buf = io.StringIO()
+    write_csv(buf, ["a", "b", "c", "d"], table)
+    got = buf.getvalue().split("\n")[1:-1]
+    ref = [",".join("%.12g" % x for x in row) for row in table.tolist()]
+    assert len(got) == len(ref)
+    bad = [(row, line) for row, line, want in zip(table.tolist(), got, ref) if line != want]
+    assert not bad, bad[:5]
+
+
 def test_write_csv_matches_cell_by_cell_format(tmp_path):
     rng = np.random.default_rng(5)
     table = rng.standard_normal((40, 6)) * 10.0 ** rng.integers(-320, 300, (40, 6))

@@ -87,6 +87,31 @@ def test_cycle_condition_identity_composition_fails():
     assert v.witness is not None and sgc._is_witness(net, v.witness)
 
 
+def test_overflowed_cycle_walk_is_no_refutation(tmp_path, capsys):
+    # both cycle compositions stay below the identity (at most 0.507 s on
+    # [1e-300, 1e300]), but 0.5*s^50 overflows on the walks' top radii and
+    # inf >= r reads as a return: a return without a finite witness is
+    # Inconclusive, and decide goes on to the falsifier
+    from smallgain.cli import main
+
+    gains = [["0", "0.5*s^0.02+0.01*atan(s)"], ["0.5*s^50", "0"]]
+    net = GainNetwork(n=2, gamma=tuple(tuple(parse_gain(g) for g in row) for row in gains),
+                      gamma_u=(Zero(), Zero()), mu=(MaxAgg(), MaxAgg()))
+    cycle = check_cycle_condition(net)
+    assert cycle.inconclusive and cycle.witness is None and cycle.cycle == (1, 0)
+    verdict = decide(net)
+    assert not verdict.fails
+    assert [v.method for v in verdict.routes] == ["cycle", "falsify"]
+    cfg = tmp_path / "steep.json"
+    cfg.write_text(json.dumps({"n": 2, "gains": gains, "external_gains": ["0", "0"],
+                               "mu": ["max", "max"]}))
+    with np.errstate(over="ignore"):
+        main(["check", str(cfg)])
+    out = capsys.readouterr().out
+    assert "CertifiedFails" not in out
+    assert out.startswith("cycle condition: returns without a witness on cycle (2, 1)\n")
+
+
 def test_cycle_condition_three_cycle_product():
     s = np.zeros((3, 3))
     s[0, 1] = s[1, 2] = s[2, 0] = 0.9
