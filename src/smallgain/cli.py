@@ -401,7 +401,7 @@ def cmd_check(cfg: LoadedConfig, args) -> int:
         return 1 if verdict.fails else 0
     # nothing decisive either way; a constructed path settles it
     try:
-        sigma = construct_path(net, seed=args.seed).sigma
+        sigma = construct_path(net, seed=args.seed, verdict=verdict).sigma
     except SgcFails:
         # a refutation is reported as main reports it
         raise

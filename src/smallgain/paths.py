@@ -644,9 +644,13 @@ def path_irreducible(net: GainNetwork, *, seed: int = 0) -> OmegaPath:
             if not g.is_zero and g.classify() is not GainClass.K_INFINITY:
                 raise CompatibilityError("bounded gains present: unbounded gains only")
     op = lambda s: eval_operator(net, s)
-    seed_vec = _find_seed(op, net.n, seed)
-    up = _chain_up(op, seed_vec, target_sup=1.05 * RADIUS_MAX)
-    return _finalize(net, *_join_legs(op, seed_vec, up))
+    # as in sgc's closed walks: an overflowed state, inf or NaN, passes no
+    # strictness test, so numpy's warning about it is noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        seed_vec = _find_seed(op, net.n, seed)
+        up = _chain_up(op, seed_vec, target_sup=1.05 * RADIUS_MAX)
+        legs = _join_legs(op, seed_vec, up)
+    return _finalize(net, *legs)
 
 
 # most anchors a ray with unequal exponents may take
@@ -1045,12 +1049,14 @@ def path_reducible(net: GainNetwork, *, seed: int = 0) -> OmegaPath:
 # Dispatch
 
 
-def construct_path(net: GainNetwork, *, seed: int = 0) -> PathResult:
+def construct_path(net: GainNetwork, *, seed: int = 0,
+                   verdict: SgcVerdict | None = None) -> PathResult:
     """Path from the first constructor that serves the network, in the
     order ray, max, majorant, three_sum, mixed, bounded, irreducible,
     reducible; the result names the route.
 
-    :func:`sgc.decide` runs once first, seeded with ``seed``.  A network
+    :func:`sgc.decide` runs once first, seeded with ``seed``, unless the
+    caller passes the ``verdict`` it already holds from that call.  A network
     that it refutes raises :class:`SgcFails` carrying its verdict, with the
     deciding route's line as the message, before any constructor runs.  The
     ray, max and majorant constructors build on the route of the verdict
@@ -1064,7 +1070,8 @@ def construct_path(net: GainNetwork, *, seed: int = 0) -> PathResult:
     constructor left, :class:`CompatibilityError` is raised from the last
     refusal.
     """
-    verdict = decide(net, seed=seed)
+    if verdict is None:
+        verdict = decide(net, seed=seed)
     if verdict.fails:
         raise SgcFails(route_line(verdict), verdict)
     # built per call: the names are read now, so a patched constructor runs

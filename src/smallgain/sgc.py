@@ -6,7 +6,10 @@ Three certification routes and one honest falsifier, in the order
 * Perron bound for networks homogeneous after a per-node power change
   (:attr:`GainNetwork.power_form`), linear ones included: a
   Collatz-Wielandt bound ``T(w) <= c w``, ``c < 1``, of the conjugate
-  operator ``T`` is a proof,
+  operator ``T`` is a proof.  One method finds ``w``: Newton steps on
+  ``w = 1 + T(w)``, each one linear solve with the Jacobian ``J`` of
+  ``T``, then inverse steps; where they stop without a proof, ``w`` and
+  the block Perron vector of ``J(w)`` are the candidate witnesses,
 * cycle criterion for max-type aggregation, read from closed walks
   ``Gamma^k(r e_i)`` on a grid of radii (no cycle is listed, so any number of
   nodes), for the max networks the Perron bound leaves open,
@@ -273,26 +276,34 @@ def linear_perron(net: GainNetwork):
     """Perron root and ray of an operator linear after a power substitution,
     as ``np.linalg.eig`` estimates them: candidate witnesses, never a proof.
 
-    Returns ``(rho, p, ray)``: the largest real eigenvalue ``rho`` of an
-    irreducible diagonal block of the slope matrix ``G`` (a Perron root is
-    simple there), the per-node exponents ``p`` and ``ray = v**p`` for that
-    block's eigenvector ``v`` (max entry one) embedded in zeros, so
-    ``Gamma_mu((r v)^p) = (rho r v)^p``: rows outside the block only gain
-    from it, so it still witnesses expansion.  Raises
+    Returns ``(rho, p, ray)``: :func:`_block_perron` of the slope matrix
+    ``G``, the per-node exponents ``p`` and ``ray = v**p`` for its vector
+    ``v``, so ``Gamma_mu((r v)^p) = (rho r v)^p`` on ``v``'s block: rows
+    outside it only gain from it, so it still witnesses expansion.  Raises
     :class:`CompatibilityError` for any other operator.
     """
     p, G = net.power_form[:2]
     if G is None:
         raise CompatibilityError("the conjugate operator is not a sum of linear gains")
-    rho, v = 0.0, np.ones(net.n)
-    for block in scc_decompose(G != 0):
+    rho, v = _block_perron(G)
+    return rho, p, np.power(v, p)
+
+
+def _block_perron(M: np.ndarray):
+    """``(rho, v)`` of a nonnegative matrix ``M``, as ``np.linalg.eig`` reads
+    them: the largest real eigenvalue ``rho`` of an irreducible diagonal
+    block (a Perron root is simple there), and that block's eigenvector
+    ``v`` (max entry one) embedded in zeros; ``(0, 1)`` when no block has a
+    positive one."""
+    rho, v = 0.0, np.ones(len(M))
+    for block in scc_decompose(M != 0):
         idx = np.array(block)
-        vals, vecs = np.linalg.eig(G[np.ix_(idx, idx)])
+        vals, vecs = np.linalg.eig(M[np.ix_(idx, idx)])
         k = int(np.argmax(vals.real))
         if vals[k].real > rho:
-            rho, v = float(vals[k].real), np.zeros(net.n)
+            rho, v = float(vals[k].real), np.zeros(len(M))
             v[idx] = np.abs(vecs[:, k].real) / np.max(np.abs(vecs[:, k].real))
-    return rho, p, np.power(v, p)
+    return rho, v
 
 
 # the Perron and majorant routes prove the condition at a bound below 1 - SPECTRAL_TOL
@@ -323,7 +334,7 @@ def check_linear_spectral(net: GainNetwork) -> SgcVerdict:
     rho, _p, ray = linear_perron(net)
     c, p, w, image = nonlinear_perron(net)
     verdict = bound_verdict(net, "spectral", c, (p, w),
-                            [ray, *perron_witnesses(p, w, image)])
+                            [ray, *perron_witnesses(net, p, w, image)])
     return replace(verdict, rho=rho)
 
 
@@ -333,99 +344,74 @@ def _conjugate(net: GainNetwork, p: np.ndarray, t) -> np.ndarray:
     return eval_operator(net, np.power(t, p)) ** (1.0 / p)
 
 
-def _conjugate_form(p: np.ndarray, rows, C: np.ndarray):
-    """:func:`_conjugate` as array arithmetic on the power laws, for one ``t``.
+def _conjugate_form(net: GainNetwork):
+    """:func:`_conjugate` and its Jacobian as array arithmetic on the power
+    laws of :attr:`GainNetwork.power_form`, at one positive ``t``.
 
     Row ``i`` is ``k_i A_i(...)^e_i`` over gains ``c_ij s^q_ij`` with
-    ``e_i q_ij p_j = p_i`` (:attr:`GainNetwork.power_form`).  At ``s = t^p``
-    each gain reads ``c_ij t_j^(p_j q_ij) = c_ij t_j^r_i``, ``r_i = p_i /
-    e_i``, so
-    ``T_i(t) = (k_i A_i(c_ij t_j^r_i)^e_i)^(1/p_i)`` is
+    ``e_i q_ij p_j = p_i``.  At ``s = t^p`` each gain reads ``c_ij
+    t_j^(p_j q_ij) = c_ij t_j^r_i``, ``r_i = p_i / e_i``, so ``T_i(t) =
+    (k_i A_i(c_ij t_j^r_i)^e_i)^(1/p_i)`` is
 
-    * on sum and power-of-sum rows, ``k_i^(1/p_i) (sum_j c_ij t_j^r_i)^(1/r_i)``;
-    * on max rows (``k_i = e_i = 1``, ``r_i = p_i``), ``max_j c_ij^(1/r_i) t_j``.
+    * on max rows (``k_i = e_i = 1``, ``r_i = p_i``), ``max_j a_ij t_j``
+      with ``a_ij = c_ij^(1/r_i)``;
+    * on sum and power-of-sum rows, ``K_i S_i^(1/r_i)`` with ``S_i =
+      sum_j c_ij t_j^r_i`` and ``K_i = k_i^(1/p_i)``.
 
-    Returns ``(T, fixed_point)``.  ``fixed_point`` is None unless ``T`` has
-    max rows and is max-of-linear (``r_i = 1`` on every sum row); then
-    ``fixed_point(t)`` is :func:`_policy_iteration` on the same arrays,
-    from the columns that give each max row its value at ``t``.
+    Returns ``(T, J)``, ``J(t)`` the Jacobian of ``T`` at ``t``: on a max
+    row the coefficient ``a_ij`` of the column that gives the row its
+    value, on the other rows ``K_i S_i^(1/r_i - 1) c_ij t_j^(r_i - 1)``,
+    which is one matrix at every ``t`` where all ``r_i = 1`` (the matrix
+    ``G`` of a linear ``T``).  ``T`` is homogeneous of degree one, so
+    ``J(t) t = T(t)`` (Euler's identity).
     """
+    p, G, rows, C = net.power_form
+    if G is not None:
+        return (lambda t: G @ t), (lambda t: G)
     k, e, summed = (np.array(col) for col in zip(*rows))
     r = p / e
-    mx, sm = np.flatnonzero(~summed), np.flatnonzero(summed)
-    A = C[mx] ** (1.0 / r[mx, None])
+    n, mx, sm = p.size, np.flatnonzero(~summed), np.flatnonzero(summed)
+    A, picked = C[mx] ** (1.0 / r[mx, None]), np.arange(mx.size)
     B, R, K = C[sm], r[sm, None], k[sm] ** (1.0 / p[sm])
-
-    def max_rows(t):
-        return (A * t).max(axis=1)
-
-    def sum_rows(t):
-        return K * (B * t ** R).sum(axis=1) ** (1.0 / R[:, 0])
-
-    fixed_point = None
-    if mx.size and np.all(R == 1.0):
-        def fixed_point(t):
-            return _policy_iteration(A, mx, K[:, None] * B, sm, t)
-
-    if not sm.size or not mx.size:
-        return (sum_rows if sm.size else max_rows), fixed_point
+    # the rows r_i = 1 as one matrix, whose rows are their Jacobian at any t
+    curved = not np.all(R == 1.0)
+    linear = np.zeros((n, n))
+    if not curved:
+        linear[sm] = K[:, None] * B
 
     def T(t):
-        out = np.empty(t.size)
-        out[mx], out[sm] = max_rows(t), sum_rows(t)
+        out = linear @ t
+        out[mx] = (A * t).max(axis=1)
+        if curved:
+            out[sm] = K * (B * t ** R).sum(axis=1) ** (1.0 / R[:, 0])
         return out
 
-    return T, fixed_point
+    def J(t):
+        out = linear.copy()
+        pick = (A * t).argmax(axis=1)
+        out[mx, pick] = A[picked, pick]
+        if curved:
+            bt = B * t ** (R - 1.0)
+            # a row without gains has S = 0 and a zero Jacobian row
+            S = np.where(B.any(axis=1), (bt * t).sum(axis=1), 1.0)
+            out[sm] = (K * S ** (1.0 / R[:, 0] - 1.0))[:, None] * bt
+        return out
+
+    return T, J
 
 
-def _policy_iteration(A: np.ndarray, mx: np.ndarray, L: np.ndarray, sm: np.ndarray,
-                      t: np.ndarray):
-    """``w = 1 + T(w)`` for the max-of-linear ``T`` with max rows ``mx``,
-    ``max_j A_ij t_j``, and sum rows ``sm``, ``L t``; None when not found.
-
-    Each round picks one column per max row, solves ``(I - M) w = 1`` for
-    the picked linear ``M <= T``, and moves a pick only to a column strictly
-    larger at that ``w``, from the largest columns at ``t``.  Below a cone
-    spectral radius of one, ``w`` rises each round and the picks settle at
-    ``w = 1 + T(w)`` (Cochet-Terrasson, Cohen, Gaubert, McGettrick and
-    Quadrat, IFAC 1998).  A singular solve, one that is not positive
-    (``w = 1 + M w > 0`` proves ``rho(M) < 1``, so a failing network ends
-    here) and ``POLICY_MAX_ITER`` rounds give None.
-    """
-    n, picked = t.size, np.arange(mx.size)
-    base = np.eye(n)
-    base[sm] -= L
-    pick = (A * t).argmax(axis=1)
-    for _ in range(POLICY_MAX_ITER):
-        D = base.copy()
-        D[mx, pick] -= A[picked, pick]
-        try:
-            w = np.linalg.solve(D, np.ones(n))
-        except np.linalg.LinAlgError:
-            return None
-        if not (w.min() > 0.0 and w.max() < np.inf):
-            return None
-        aw = A * w
-        best = aw.argmax(axis=1)
-        up = aw[picked, best] > aw[picked, pick]
-        if not up.any():
-            return w
-        pick = np.where(up, best, pick)
-    return None
+# Newton steps, and then inverse steps, each stop after PERRON_STEPS solves
+PERRON_STEPS = 50
 
 
-# w <- 1 + T(w) stops after a step below FIXED_TOL relative, past
-# FIXED_CEILING (then the fixed point has c > 1 - 1e-12) or at FIXED_MAX_ITER;
-# a linear T takes at most INVERSE_MAX_ITER inverse-iteration steps, and a
-# max-of-linear T turns to at most POLICY_MAX_ITER policy rounds at loop step
-# POLICY_STEP: a failing network mostly stops before it (T(w) >= w), for less
-# than the solve that would refute it
-FIXED_TOL = 1e-12
-FIXED_CEILING = 1e12
-FIXED_MAX_ITER = 20000
-INVERSE_MAX_ITER = 50
-POLICY_STEP = 2
-POLICY_MAX_ITER = 50
+def _positive_solve(D: np.ndarray, b: np.ndarray):
+    """``D^-1 b`` when ``D`` is regular and that is positive and finite,
+    else None."""
+    try:
+        x = np.linalg.solve(D, b)
+    except np.linalg.LinAlgError:
+        return None
+    return x if x.min() > 0.0 and x.max() < np.inf else None
 
 
 def nonlinear_perron(net: GainNetwork):
@@ -435,47 +421,58 @@ def nonlinear_perron(net: GainNetwork):
     a positive ``w``, ``c = max_i T(w)_i / w_i``, a bound on the cone
     spectral radius of the monotone, degree-one ``T(t) =
     Gamma_mu(t^p)^(1/p)`` at any ``w``, and ``image = Gamma_mu(w^p)``, from
-    which ``c`` is read.  A linear
-    ``T = G t`` takes ``w = (I - G)^-1 1``, then steps ``w <- (I - G)^-1 w``
-    until ``c < 1 - 1e-9`` (each lowers ``c`` towards ``rho(G)``, however
-    badly ``G`` is scaled); any other ``T`` iterates ``w <- 1 + T(w)`` from
-    ``w = 1`` on its array form (:func:`_conjugate_form`).  Both stop early
-    once ``T(w) >= w``, which no ``w > 0`` meets below a radius of one
-    (``w^p`` is then a candidate witness).  A max-of-linear ``T`` that has
-    not stopped by step ``POLICY_STEP`` takes the fixed point from
-    :func:`_policy_iteration` instead; where that gives none (a failing
-    network) the loop goes on from the same step, so it returns what the
-    loop alone returns.  Either way ``c`` is read with one operator
-    evaluation at the returned ``w``, so it bounds the operator's own
-    conjugate; the witness search reads the same ``image``
-    (:func:`_expanded_direction`).
+    which ``c`` is read.
+
+    One method finds ``w`` on the array form ``(T, J)`` of
+    :func:`_conjugate_form`.  Newton steps on ``w = 1 + T(w)`` from ``w =
+    1`` solve ``(I - J(w)) w' = 1`` (Euler's identity) until ``J`` stops
+    moving (Esparza, Kiefer and Luttenberger, SIAM J. Comput. 39(6),
+    2010): on max rows that is policy iteration, on a linear ``T`` one
+    solve.  Inverse steps ``(c I - J(w)) w' = w``, ``c`` the bound at
+    ``w`` (Noda, Numer. Math. 17, 1971), scaled to sup norm one, then
+    lower ``c`` until it is below ``1 - SPECTRAL_TOL`` or stops moving,
+    however badly ``T`` is scaled; they also go on where a Newton solve
+    failed, which on rows with ``r_i < 1`` (there ``J(w)`` lies above
+    ``T``) does not rule out a proof.  The steps stop at ``T(w) >= w``
+    (tested first at ``w = 1``), which no ``w > 0`` meets below a radius
+    of one, at a singular or non-positive solve and after ``PERRON_STEPS``
+    solves each; :func:`perron_witnesses` then looks for a witness there.
+    ``c`` is read with one operator evaluation at the returned ``w``, so
+    it bounds the operator's own conjugate whether or not the steps
+    converged.
     """
-    p, G, rows, C = net.power_form
-    if G is not None:
-        with suppress(np.linalg.LinAlgError):
-            M, w = np.linalg.inv(np.eye(net.n) - G), np.ones(net.n)
-            for _ in range(INVERSE_MAX_ITER):
-                w = M @ w
-                w = w / w.max()
-                gw = G @ w
-                if (not np.all(w > 0) or (gw >= w).all()
-                        or np.max(gw / w) < 1.0 - SPECTRAL_TOL):
-                    break
-            if np.all(w > 0):
-                return _perron_bound(net, p, w)
-    T, fixed_point = _conjugate_form(p, rows, C)
-    w = np.ones(net.n)
-    tw = T(w)
-    for k in range(FIXED_MAX_ITER):
-        step = 1.0 + tw
-        if ((tw >= w).all() or not w.max() < FIXED_CEILING
-                or (step - w <= FIXED_TOL * step).all()):
+    p = net.power_form[0]
+    T, J = _conjugate_form(net)
+    w, eye = np.ones(net.n), np.eye(net.n)
+    if np.all(T(w) >= w):
+        return _perron_bound(net, p, w)
+    jw = J(w)
+    for _ in range(PERRON_STEPS):
+        step = _positive_solve(eye - jw, np.ones(net.n))
+        if step is None:
             break
-        if k == POLICY_STEP and fixed_point is not None:
-            fixed = fixed_point(step)
-            if fixed is not None:
-                return _perron_bound(net, p, fixed)
-        w, tw = step, T(step)
+        w, moved, jw = step, jw, J(step)
+        if np.array_equal(jw, moved):
+            break
+    tw = T(w)
+    c = np.max(tw / w)
+    for _ in range(PERRON_STEPS):
+        if c < 1.0 - SPECTRAL_TOL or np.all(tw >= w):
+            break
+        # solved as (c I - W^-1 J W) y = 1, w' = W y for W = diag(w): a
+        # diagonally dominant system, however badly w is scaled
+        y = _positive_solve(c * eye - jw * w / w[:, None], np.ones(net.n))
+        if y is None:
+            break
+        step = w * y
+        step = step / step.max()
+        if not step.min() > 0.0:
+            break
+        w, jw, settled = step, J(step), c
+        tw = T(w)
+        c = np.max(tw / w)
+        if c == settled:
+            break
     return _perron_bound(net, p, w)
 
 
@@ -490,48 +487,41 @@ def _perron_bound(net: GainNetwork, p: np.ndarray, w: np.ndarray):
 MAJORANT_RADII = 10.0 ** -np.arange(9.0)
 
 
-def _expanded_direction(p: np.ndarray, w: np.ndarray, image: np.ndarray):
-    """The ``w`` that :func:`nonlinear_perron` stopped at, zero on the rows
-    where ``T(w) < w`` (a source row, say) and scaled to sup norm one; None
-    when no row expands.  ``T(w)_i >= w_i`` is read as ``image_i >=
-    (w^p)_i`` on the ``image = Gamma_mu(w^p)`` that came with ``w``."""
+def perron_witnesses(net: GainNetwork, p: np.ndarray, w: np.ndarray,
+                     image: np.ndarray):
+    """The Perron route's candidate witnesses ``v^p`` at the ``w`` that
+    :func:`nonlinear_perron` stopped at, with ``image = Gamma_mu(w^p)``,
+    for two directions ``v`` of sup norm one:
+
+    * ``w`` zero on the rows where ``T(w) < w`` (a source row, say), read
+      as ``image_i < (w^p)_i``, unless no row expands.  ``T`` is
+      homogeneous, so the scaling keeps each expanded row expanded, but
+      the zeros lower the other rows' inflow;
+    * the block Perron vector of ``J(w)`` (:func:`_block_perron`).  A failed
+      solve means ``rho(J(w)) >= 1``, and on max rows and rows with ``r_i
+      >= 1`` ``J(w) t <= T(t)``, so ``J(w) v >= v`` carries over to ``T``.
+
+    A caller re-checks them.  Generated lazily: nothing is computed unless
+    a caller reads past a proof, and the Jacobian only past the first."""
     v = np.where(image >= np.power(w, p), w, 0.0)
-    return v / v.max() if v.any() else None
-
-
-def perron_witnesses(p: np.ndarray, w: np.ndarray, image: np.ndarray):
-    """The Perron route's candidate witness ``v^p``, for the
-    :func:`_expanded_direction` ``v`` of :func:`nonlinear_perron`'s
-    ``(p, w, image)``.  The scaling keeps each expanded row expanded, as
-    ``T`` is homogeneous, but the zeros lower the other rows' inflow, so a
-    caller re-checks it.  Generated lazily: nothing is computed unless a
-    caller reads past a proof."""
-    v = _expanded_direction(p, w, image)
-    if v is not None:
-        yield np.power(v, p)
+    if v.any():
+        yield np.power(v / v.max(), p)
+    yield np.power(_block_perron(_conjugate_form(net)[1](w))[1], p)
 
 
 def majorant_witnesses(majorant: GainNetwork, w: np.ndarray, image: np.ndarray):
-    """Candidate witnesses ``t v``, ``t`` in :data:`MAJORANT_RADII`.
-
-    ``v`` is the Perron direction of the majorant ``L``: its block Perron
-    vector (:func:`linear_perron`) on sum rows, else the
-    :func:`_expanded_direction` of the ``w`` and ``image = L(w)`` that
-    :func:`nonlinear_perron` returned (``L`` is linear, so its ``p`` is
-    one).  ``Gamma_mu(t v) = t L(v) + o(t)``, so ``t v`` is a witness
-    for small ``t`` when ``L(v) > v`` off the zeros; not so on a
-    block-max-sum row, where ``L`` only bounds the row, so the candidates
-    are re-checked.  Generated lazily:
-    nothing is computed unless a caller reads past a proof.
+    """Candidate witnesses ``t v``, ``t`` in :data:`MAJORANT_RADII`, for the
+    :func:`perron_witnesses` ``v`` of the majorant ``L`` at the ``w`` and
+    ``image = L(w)`` that :func:`nonlinear_perron` returned (``L`` is
+    linear, so its ``p`` is one).  ``Gamma_mu(t v) = t L(v) + o(t)``, so
+    ``t v`` is a witness for small ``t`` when ``L(v) > v`` off the zeros;
+    not so on a block-max-sum row, where ``L`` only bounds the row, so the
+    candidates are re-checked.  Generated lazily: nothing is computed
+    unless a caller reads past a proof.
     """
-    try:
-        v = linear_perron(majorant)[2]
-    except CompatibilityError:
-        v = _expanded_direction(np.ones(majorant.n), w, image)
-        if v is None:
-            return
-    for t in MAJORANT_RADII:
-        yield t * v
+    for v in perron_witnesses(majorant, np.ones(majorant.n), w, image):
+        for t in MAJORANT_RADII:
+            yield t * v
 
 
 def check_majorant(net: GainNetwork) -> SgcVerdict:
@@ -559,7 +549,8 @@ def _check_perron(net: GainNetwork) -> SgcVerdict:
     """Perron-bound route: the :func:`nonlinear_perron` bound, proved below
     one, else failing at a re-checked :func:`perron_witnesses` candidate."""
     c, p, w, image = nonlinear_perron(net)
-    return bound_verdict(net, "perron", c, (p, w), perron_witnesses(p, w, image))
+    return bound_verdict(net, "perron", c, (p, w),
+                         perron_witnesses(net, p, w, image))
 
 
 def decide(net: GainNetwork, *, seed: int = 0) -> SgcVerdict:

@@ -226,11 +226,15 @@ def test_mixed_route_failure_prints_the_rechecked_witness(tmp_path, capsys, cmd)
 
 
 def test_check_fallback_prints_a_constructor_failure(monkeypatch, capsys):
-    # routes that decide nothing leave the verdict to the path construction,
-    # whose gate's proof of failure is printed as check prints a failing route
+    # routes that decide nothing leave the verdict to the path construction;
+    # a proof of failure raised there (the gate of a nested construction, as
+    # the mixed and reducible routes make) is printed as check prints a
+    # failing route
     monkeypatch.setattr(cli, "decide", lambda net, seed: SgcVerdict(
         status=INCONCLUSIVE, method="falsify",
         routes=(SgcVerdict(status=INCONCLUSIVE, method="falsify"),)))
+    monkeypatch.setattr(cli, "construct_path",
+                        lambda net, seed, verdict: construct_path(net, seed=seed))
     assert main(["check", str(DEMO_DIR / "max_pair_bad.json")]) == 1
     assert capsys.readouterr().out.splitlines() == [
         "falsification: no witness found",
@@ -783,16 +787,45 @@ def test_certify_badly_scaled_linear_sum(tmp_path, capsys):
 
 
 def test_certify_badly_scaled_max_rows(tmp_path, capsys):
-    # the same gains on max rows: the Perron bound of w = 1 + T(w) reads 1,
-    # so the ray stalls and the closure path of the max route takes it
+    # the same gains on max rows: the Perron bound of w = 1 + T(w) reads
+    # 1 - 7.5e-11, and an inverse step proves the hold at 0.625, so the ray
+    # takes it
     cfg = write_cfg(tmp_path, {**max_net(0.5),
                                "gains": [["0", "1e10*s"], ["2.5e-11*s", "0"]]})
     assert main(["certify", cfg]) == 0
     assert "certificate margins: min" in capsys.readouterr().out
+    assert main(["check", cfg]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "Perron bound: 0.625 (CertifiedHolds)"
     net = load_config(cfg).effective_net
     res = construct_path(net)
-    assert res.route == "max"
+    assert res.route == "ray"
     assert validate_path(net, res.sigma).valid
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_check_on_an_overflowing_max_pair_stalls_without_warnings(tmp_path, capsys):
+    # the steep gain 0.5*s^50 leaves the float range while the
+    # seed-and-chain constructor searches its steps: an overflowed state is
+    # no step, and numpy stays quiet
+    cfg = write_cfg(tmp_path, {**max_net(0.5), "gains": [
+        ["0", "0.5*s^0.02+0.01*atan(s)"], ["0.5*s^50", "0"]]})
+    assert main(["check", cfg]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "verdict: Inconclusive (PathStalled)"
+
+
+def test_check_decides_once_before_its_path_fallback(monkeypatch, capsys):
+    # an Inconclusive verdict goes to construct_path, which builds on it
+    # instead of deciding the network again
+    calls = []
+    real = cli.decide
+    counting = lambda net, **kw: calls.append(net) or real(net, **kw)
+    monkeypatch.setattr(cli, "decide", counting)
+    monkeypatch.setattr(paths, "decide", counting)
+    assert main(["check", str(DEMO_DIR / "bounded_pair.json")]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "verdict: Inconclusive (path construction succeeded)"
+    assert len(calls) == 1
 
 
 def test_path_and_certify_share_the_linear_model_path(tmp_path, capsys):

@@ -950,9 +950,9 @@ FROZEN_ISS = {
                        drift_worst=-0.00025195841209197864,
                        contraction_worst=0.09017541973882466),
         IssBoundReport(kind="driven", runs=6, violations=0,
-                       worst=0.008856267970777655,
-                       settle_worst=0.008856267970777655,
-                       threshold=19.584673620537625)),
+                       worst=0.00885626797077765,
+                       settle_worst=0.00885626797077765,
+                       threshold=19.584673620537636)),
     "cg": (
         IssBoundReport(kind="zero-input", runs=6, violations=6,
                        worst=-6.1896983540825205e-06,
